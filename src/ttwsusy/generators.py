@@ -41,7 +41,7 @@ import numpy as np
 from . import fock
 from .irreps import BasisState, sector_basis
 from .model import Grid, ModelParams
-from .states import CatalogState, StateBundle, state_bundle, state_field
+from .states import CatalogState, FactorTable, StateBundle, state_bundle
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -71,6 +71,8 @@ _BDX, _BDY = _BX.T, _BY.T
 _NXX, _NXY = _BDX @ _BX, _BDX @ _BY
 _NYX, _NYY = _BDY @ _BX, _BDY @ _BY
 _FNUM = np.array([0.0, 1.0, 1.0, 2.0])
+# fixed-basis components that a state of each fermion parity occupies
+_PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,19 @@ def riccati_residual(params: ModelParams, phi, perturb_a: float = 0.0):
 
 # ---------------------------------------------------------------------------
 # Pointwise operator assembly
+#
+# Every helper takes a broadcastable pair (r, phi), like ``FactorTable``:
+# coefficient arrays are built on r's and phi's own shapes and broadcast
+# against the (4, *shape) bundle arrays, and fermion matrices contract
+# the leading spinor axis.
+
+
+def _spinor_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Fermion matrix m (4 x 4) applied along the spinor axis of v (4, ...).
+
+    One matmul on a reshaped view: ``np.tensordot(m, v, 1)`` gives the
+    same result at about twice the cost on an 80 x 80 grid."""
+    return (m @ v.reshape(4, -1)).reshape(v.shape)
 
 
 def _tt_potential(params: ModelParams, r, phi):
@@ -152,12 +167,13 @@ def _gamma_coeffs(params: ModelParams, r, phi):
     ckm2 = np.cos((k - 2.0) * phi)
     skm2 = np.sin((k - 2.0) * phi)
     pref = k / (2.0 * params.omega * r**2)
-    pa = pref * a / ck**2
-    pb = pref * b / sk**2
+    pa = a / ck**2
+    pb = b / sk**2
     g_xx = pa * (ckm2 * ck + 0.5 * k * (1.0 - c2)) + pb * (skm2 * sk + 0.5 * k * (1.0 - c2))
     g_xy = -pa * (skm2 * ck + 0.5 * k * s2) + pb * (ckm2 * sk - 0.5 * k * s2)
     g_yy = pa * (-ckm2 * ck + 0.5 * k * (1.0 + c2)) + pb * (-skm2 * sk + 0.5 * k * (1.0 + c2))
-    return g_xx, g_xy, g_yy
+    # the 1/r^2 prefactor last, so the angular parts stay on phi's shape
+    return pref * g_xx, pref * g_xy, pref * g_yy
 
 
 def _gamma_coeffs_barred(params: ModelParams, r, phi):
@@ -180,15 +196,16 @@ def _gamma_coeffs_barred(params: ModelParams, r, phi):
     return g_xx, g_xy, g_yy
 
 
-def _apply_gamma(bundle: StateBundle, params: ModelParams, r, phi, coeffs=None):
-    g_xx, g_xy, g_yy = _gamma_coeffs(params, r, phi) if coeffs is None else coeffs
+def _apply_gamma(bundle: StateBundle, params: ModelParams, r, phi):
+    g_xx, g_xy, g_yy = _gamma_coeffs(params, r, phi)
     v = bundle.val
-    return g_xx * (_NXX @ v) + g_xy * ((_NXY + _NYX) @ v) + g_yy * (_NYY @ v)
+    return g_xx * _spinor_dot(_NXX, v) + g_xy * _spinor_dot(_NXY + _NYX, v) + g_yy * _spinor_dot(_NYY, v)
 
 
 def _apply_y(bundle: StateBundle, params: ModelParams):
     shift = 0.5 * (-params.k * (params.a + params.b) - 1.0)
-    return (0.5 * _FNUM)[:, None] * bundle.val + shift * bundle.val
+    v = bundle.val
+    return (0.5 * _FNUM).reshape((4,) + (1,) * (v.ndim - 1)) * v + shift * v
 
 
 def _odd_coefficients(params: ModelParams, r, phi, sign: float, kind: str):
@@ -200,15 +217,14 @@ def _odd_coefficients(params: ModelParams, r, phi, sign: float, kind: str):
     ck, sk = np.cos(k * phi), np.sin(k * phi)
     ckm1, skm1 = np.cos((k - 1.0) * phi), np.sin((k - 1.0) * phi)
     wr = params.omega * r
-    ka_r = k * a / r
-    kb_r = k * b / r
     flip = 1.0 if kind == "V" else -1.0
+    fs_r = flip * sign / r
     cx_r = -sign * c
     cx_p = sign * s / r
-    cx_0 = wr * c + flip * sign * (ka_r * ckm1 / ck + kb_r * skm1 / sk)
+    cx_0 = wr * c + fs_r * (k * a * ckm1 / ck + k * b * skm1 / sk)
     cy_r = -sign * s
     cy_p = -sign * c / r
-    cy_0 = wr * s + flip * sign * (-ka_r * skm1 / ck + kb_r * ckm1 / sk)
+    cy_0 = wr * s + fs_r * (-k * a * skm1 / ck + k * b * ckm1 / sk)
     return (cx_r, cx_p, cx_0), (cy_r, cy_p, cy_0)
 
 
@@ -217,7 +233,7 @@ def _apply_odd(bundle: StateBundle, params: ModelParams, r, phi, sign: float, ki
     fx = cx_r * bundle.d_r + cx_p * bundle.d_phi + cx_0 * bundle.val
     fy = cy_r * bundle.d_r + cy_p * bundle.d_phi + cy_0 * bundle.val
     mx, my = (_BDX, _BDY) if kind == "V" else (_BX, _BY)
-    return (mx @ fx + my @ fy) / (2.0 * math.sqrt(params.omega))
+    return (_spinor_dot(mx, fx) + _spinor_dot(my, fy)) / (2.0 * math.sqrt(params.omega))
 
 
 def _apply_bundle(name: str, bundle: StateBundle, params: ModelParams, r, phi):
@@ -327,7 +343,13 @@ def generator_matrices(
 
     Generators preserve the angular sector, so the matrices are
     assembled per sector; cross-sector blocks vanish identically (the
-    sampled block-diagonality check lives in the test suite).
+    sampled block-diagonality check lives in the test suite).  Each
+    sector grid gets one ``FactorTable`` on the broadcastable pair
+    (radial nodes as a column, angular nodes as a row), so rows and
+    columns are sampled on the full tensor grid while every factor and
+    operator coefficient is evaluated on the 1-D nodes.  A state of
+    fermion parity p occupies only the components ``_PARITY_COMPONENTS[p]``,
+    so each column is projected on those two components alone.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
@@ -340,28 +362,31 @@ def generator_matrices(
 
     offset = 0
     for n, bs in enumerate(sector_bases):
-        grids = {
-            0: Grid.for_sector(params, n, odd=False, m_rad=m_rad, m_ang=m_ang),
-            1: Grid.for_sector(params, n, odd=True, m_rad=m_rad, m_ang=m_ang),
-        }
         par = [0 if s.family in ("zero", "double") else 1 for s in bs]
+        tables = {}
         rows_w = {}
         row_idx = {}
         for p in (0, 1):
+            grid = Grid.for_sector(params, n, odd=bool(p), m_rad=m_rad, m_ang=m_ang)
+            tables[p] = table = FactorTable(params, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+            w = grid.w.reshape(m_rad, m_ang)
             idx = [i for i, pi in enumerate(par) if pi == p]
             row_idx[p] = np.array(idx, dtype=int)
-            g = grids[p]
-            fields = np.stack([state_field(bs[i].state, params, g.r, g.phi) for i in idx]) if idx else np.zeros((0, 4, g.npts))
-            rows_w[p] = (fields * g.w).reshape(len(idx), -1)
+            comps = _PARITY_COMPONENTS[p]
+            fields = [(table.field(bs[i].state)[comps] * w).ravel() for i in idx]
+            rows_w[p] = np.array(fields).reshape(len(idx), 2 * w.size)
 
         for j, s in enumerate(bs):
-            bundles = {p: state_bundle(s.state, params, grids[p].r, grids[p].phi) for p in (0, 1)}
-            for gname in names:
-                p_out = par[j] ^ GENERATOR_PARITY[gname]
-                g = grids[p_out]
-                out = _apply_bundle(gname, bundles[p_out], params, g.r, g.phi)
-                col = rows_w[p_out] @ out.ravel()
-                mats[gname][offset + row_idx[p_out], offset + j] = col
+            for p_out, table in tables.items():
+                gnames = [g for g in names if par[j] ^ GENERATOR_PARITY[g] == p_out]
+                if not gnames:
+                    continue
+                bundle = table.bundle(s.state)
+                comps = _PARITY_COMPONENTS[p_out]
+                outs = np.array([_apply_bundle(g, bundle, params, table.r, table.phi)[comps].ravel() for g in gnames])
+                cols = rows_w[p_out] @ outs.T
+                for gname, col in zip(gnames, cols.T):
+                    mats[gname][offset + row_idx[p_out], offset + j] = col
         offset += len(bs)
     return mats, basis
 

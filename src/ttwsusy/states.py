@@ -22,8 +22,17 @@ component on a set of sample points; the generator module assembles
 its differential operators pointwise from these bundles, so there is
 no discretization error anywhere.
 
-Spinor fields themselves are plain (4, npts) float arrays in the fixed
-fermion basis.
+Every factor of a term is a function of r alone (radial factor) or of
+phi alone (angular factor, fermion trig), so the single evaluator,
+``FactorTable``, takes any broadcastable pair (r, phi) and combines
+the factors by broadcasting.  Equal-shape arrays sample scattered
+points; a column of radial nodes against a row of angular nodes
+(``grid.r_nodes[:, None]``, ``grid.phi_nodes[None, :]``) samples the
+whole tensor grid while evaluating each factor on the 1-D nodes only.
+
+Spinor fields themselves are plain float arrays of shape
+(4, *broadcast shape) in the fixed fermion basis: (4, npts) for
+scattered points, (4, m_rad, m_ang) on a tensor grid.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .specfun import jacobi, laguerre
 __all__ = [
     "CatalogState",
     "CatalogTerm",
+    "FactorTable",
     "OCC_VAC",
     "OCC_XBAR",
     "OCC_XYBAR",
@@ -46,7 +56,6 @@ __all__ = [
     "StateBundle",
     "state_bundle",
     "state_field",
-    "zero_field",
 ]
 
 OCC_VAC, OCC_XBAR, OCC_YBAR, OCC_XYBAR = 0, 1, 2, 3
@@ -135,31 +144,33 @@ class StateBundle:
     d_phiphi: np.ndarray
 
     @classmethod
-    def zeros(cls, npts: int) -> "StateBundle":
-        return cls(*(np.zeros((4, npts)) for _ in range(5)))
+    def zeros(cls, shape: tuple[int, ...]) -> "StateBundle":
+        return cls(*(np.zeros((4, *shape)) for _ in range(5)))
 
 
-def _radial_parts(trm: CatalogTerm, params: ModelParams, z: np.ndarray):
-    """(R, dR/dz, d2R/dz2) for the term's radial factor."""
-    alpha = params.sector_alpha(trm.n)
-    p = 0.5 * alpha - (0.5 if FERMION_NUMBER[trm.occ] == 1 else 0.0)
+def _radial_parts(params: ModelParams, N: int, n: int, one_fermion: bool, r: np.ndarray):
+    """(R, dR/dr, d2R/dr2) of the radial factor of sector n at level N."""
+    z = params.omega * r**2
+    alpha = params.sector_alpha(n)
+    p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
     logz = np.log(z)
     pref = np.exp(p * logz - 0.5 * z - 0.5 * alpha * math.log(params.omega))
-    L = laguerre(trm.N, alpha, z)
-    Ld = -laguerre(trm.N - 1, alpha + 1.0, z) if trm.N >= 1 else np.zeros_like(z)
-    Ldd = laguerre(trm.N - 2, alpha + 2.0, z) if trm.N >= 2 else np.zeros_like(z)
+    L = laguerre(N, alpha, z)
+    Ld = -laguerre(N - 1, alpha + 1.0, z) if N >= 1 else np.zeros_like(z)
+    Ldd = laguerre(N - 2, alpha + 2.0, z) if N >= 2 else np.zeros_like(z)
     g = p / z - 0.5
     R = pref * L
     Rz = pref * (g * L + Ld)
     Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
-    return R, Rz, Rzz
+    # chain rule for z = omega r^2
+    return R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz
 
 
-def _angular_parts(trm: CatalogTerm, params: ModelParams, phi: np.ndarray):
-    """(A, dA/dphi, d2A/dphi2) for the term's angular factor."""
-    A_exp = params.a + trm.shift
-    B_exp = params.b + trm.shift
-    m = trm.angular_index
+def _angular_parts(params: ModelParams, shift: int, m: int, phi: np.ndarray):
+    """(A, dA/dphi, d2A/dphi2) of the angular factor with (a,b) shifted by
+    ``shift`` and Jacobi degree m."""
+    A_exp = params.a + shift
+    B_exp = params.b + shift
     mu, nu = A_exp - 0.5, B_exp - 0.5
     k = params.k
 
@@ -207,50 +218,102 @@ def _occupation_trig(occ: int, phi: np.ndarray):
     raise ValueError(f"unknown occupation {occ}")
 
 
-def state_bundle(state: CatalogState, params: ModelParams, r: np.ndarray, phi: np.ndarray) -> StateBundle:
-    """Exact values and polar derivatives of the state's components."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(r <= 0) or np.any(phi <= 0) or np.any(phi >= params.phi_max):
-        raise ValueError("sample points must lie strictly inside the domain")
-    z = params.omega * r**2
-    out = StateBundle.zeros(r.size)
-    for trm in state.terms:
-        if trm.is_zero:
-            continue
-        R, Rz, Rzz = _radial_parts(trm, params, z)
-        A0, A1, A2 = _angular_parts(trm, params, phi)
-        u = R * A0
-        u_r = 2.0 * params.omega * r * Rz * A0
-        u_rr = (2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz) * A0
-        u_p = R * A1
-        u_pp = R * A2
-        for idx, t, t1, t2 in _occupation_trig(trm.occ, phi):
+class FactorTable:
+    """Memoized radial, angular and fermion-trig factors on one set of points.
+
+    ``r`` and ``phi`` are any broadcastable pair: equal-shape arrays for
+    scattered points, or a column of radial nodes and a row of angular
+    nodes (``grid.r_nodes[:, None]``, ``grid.phi_nodes[None, :]``), in
+    which case fields come out on the whole tensor grid while every
+    factor is evaluated on the 1-D nodes only.  Factors are keyed
+    without the term coefficient, so states sharing basis functions
+    share their evaluation; the table holds no array of the broadcast
+    shape.
+    """
+
+    def __init__(self, params: ModelParams, r, phi):
+        r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        if np.any(r <= 0) or np.any(phi <= 0) or np.any(phi >= params.phi_max):
+            raise ValueError("sample points must lie strictly inside the domain")
+        self.params = params
+        self.r = r
+        self.phi = phi
+        self.shape = np.broadcast_shapes(r.shape, phi.shape)
+        self._radial: dict[tuple[int, int, bool], tuple] = {}
+        self._angular: dict[tuple[int, int], tuple] = {}
+        self._trig: dict[int, list] = {}
+
+    def _radial_of(self, N: int, n: int, one_fermion: bool):
+        if (N, n, one_fermion) not in self._radial:
+            self._radial[N, n, one_fermion] = _radial_parts(self.params, N, n, one_fermion, self.r)
+        return self._radial[N, n, one_fermion]
+
+    def _angular_of(self, shift: int, m: int):
+        if (shift, m) not in self._angular:
+            self._angular[shift, m] = _angular_parts(self.params, shift, m, self.phi)
+        return self._angular[shift, m]
+
+    def _trig_of(self, occ: int):
+        if occ not in self._trig:
+            self._trig[occ] = _occupation_trig(occ, self.phi)
+        return self._trig[occ]
+
+    def _angular_sums(self, state: CatalogState, derivs: bool) -> dict:
+        """Per radial factor and component, the coefficient-weighted sum of
+        the angular factors (value, and with ``derivs`` d/dphi, d2/dphi2
+        including the fermion trig) of every term that shares it."""
+        sums: dict[tuple[int, int, bool], dict[int, tuple]] = {}
+        for trm in state.terms:
+            if trm.is_zero:
+                continue
+            A0, A1, A2 = self._angular_of(trm.shift, trm.angular_index)
+            comps = sums.setdefault((trm.N, trm.n, FERMION_NUMBER[trm.occ] == 1), {})
             c = trm.coeff
-            out.val[idx] += c * t * u
-            out.d_r[idx] += c * t * u_r
-            out.d_rr[idx] += c * t * u_rr
-            out.d_phi[idx] += c * (t1 * u + t * u_p)
-            out.d_phiphi[idx] += c * (t2 * u + 2.0 * t1 * u_p + t * u_pp)
-    return out
+            for idx, t, t1, t2 in self._trig_of(trm.occ):
+                part = (c * t * A0,)
+                if derivs:
+                    part += (c * (t1 * A0 + t * A1), c * (t2 * A0 + 2.0 * t1 * A1 + t * A2))
+                prev = comps.get(idx)
+                comps[idx] = part if prev is None else tuple(x + y for x, y in zip(prev, part))
+        return sums
+
+    def bundle(self, state: CatalogState) -> StateBundle:
+        """Exact values and polar derivatives of the state's components,
+        shape (4, *broadcast shape)."""
+        out = StateBundle.zeros(self.shape)
+        for key, comps in self._angular_sums(state, derivs=True).items():
+            R, R_r, R_rr = self._radial_of(*key)
+            for idx, (a0, a1, a2) in comps.items():
+                out.val[idx] += R * a0
+                out.d_r[idx] += R_r * a0
+                out.d_rr[idx] += R_rr * a0
+                out.d_phi[idx] += R * a1
+                out.d_phiphi[idx] += R * a2
+        return out
+
+    def field(self, state: CatalogState) -> np.ndarray:
+        """The state as a (4, *broadcast shape) fixed-basis spinor field."""
+        vals = np.zeros((4, *self.shape))
+        for key, comps in self._angular_sums(state, derivs=False).items():
+            R = self._radial_of(*key)[0]
+            for idx, (a0,) in comps.items():
+                vals[idx] += R * a0
+        return vals
 
 
-def state_field(state: CatalogState, params: ModelParams, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Sample the state as a (4, npts) fixed-basis spinor field."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    z = params.omega * r**2
-    vals = np.zeros((4, r.size))
-    for trm in state.terms:
-        if trm.is_zero:
-            continue
-        R, _, _ = _radial_parts(trm, params, z)
-        A0, _, _ = _angular_parts(trm, params, phi)
-        u = R * A0
-        for idx, t, _, _ in _occupation_trig(trm.occ, phi):
-            vals[idx] += trm.coeff * t * u
-    return vals
+def state_bundle(state: CatalogState, params: ModelParams, r, phi) -> StateBundle:
+    """Exact values and polar derivatives of the state's components at the
+    broadcastable points (r, phi), each of shape (4, *broadcast shape).
+
+    Equal-shape r and phi sample scattered points; a column of radial
+    nodes against a row of angular nodes samples the tensor grid they
+    span, with every factor evaluated on the 1-D nodes (see
+    ``FactorTable``)."""
+    return FactorTable(params, r, phi).bundle(state)
 
 
-def zero_field(npts: int) -> np.ndarray:
-    return np.zeros((4, npts))
+def state_field(state: CatalogState, params: ModelParams, r, phi) -> np.ndarray:
+    """Sample the state as a (4, *broadcast shape) fixed-basis spinor field
+    at the broadcastable points (r, phi); see ``FactorTable``."""
+    return FactorTable(params, r, phi).field(state)

@@ -90,8 +90,8 @@ class SuiteConfig:
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance key {name!r}")
-            if tol < 0:
-                raise ValueError("tolerances must be nonnegative")
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ValueError("tolerances must be finite and nonnegative")
         bad = set(self.suites) - set(SUITES) - {"all"}
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")
@@ -164,6 +164,8 @@ class CheckRecord:
 class VerificationReport:
     config: SuiteConfig
     checks: list[CheckRecord]
+    # wall time of each parameter set's generator-matrix build, which no check is charged for
+    matrices_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def n_failed(self) -> int:
@@ -183,13 +185,26 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        """Standard JSON: a non-finite residual is written as null with
+        ``"status": "non-finite"``; every other check has status
+        ``"passed"`` or ``"failed"``."""
+        checks = []
+        for c in self.checks:
+            d = c.to_dict()
+            if math.isfinite(c.residual):
+                d["status"] = "passed" if c.passed else "failed"
+            else:
+                d["residual"] = None
+                d["status"] = "non-finite"
+            checks.append(d)
         doc = {
-            "schema": "ttwsusy-verification-report/1",
+            "schema": "ttwsusy-verification-report/2",
             "config": self.config.to_dict(),
             "summary": self.summary(),
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": checks,
+            "matrices_ms": {label: round(ms, 3) for label, ms in self.matrices_ms.items()},
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
     def to_text(self) -> str:
         lines = []
@@ -217,12 +232,15 @@ class _Workspace:
         self.config = config
         self._mats = None
         self._basis = None
+        self.build_ms = 0.0
 
     @property
     def matrices(self):
         if self._mats is None:
             m_rad, m_ang = self.config.quad_orders
+            t0 = time.perf_counter()
             self._mats, self._basis = gen.generator_matrices(self.params, self.config.truncation, m_rad, m_ang)
+            self.build_ms = (time.perf_counter() - t0) * 1e3
         return self._mats, self._basis
 
 
@@ -719,7 +737,14 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
 
 
 def run(config: SuiteConfig) -> VerificationReport:
-    """Execute the selected suites; failures are recorded, never raised."""
+    """Execute the selected suites; failures are recorded, never raised.
+
+    Each check is timed from the previous record to the moment its suite
+    yields it, minus any generator-matrix build that happened in between:
+    those builds are reported per parameter set in ``matrices_ms``.  A
+    suite that raises keeps the checks it already yielded and adds a
+    failed ``<suite>-suite`` record.
+    """
     workspaces = {_params_label(p): _Workspace(p, config) for p in config.models()}
     producers = {
         "specfun": lambda: _checks_specfun(config),
@@ -728,11 +753,33 @@ def run(config: SuiteConfig) -> VerificationReport:
         "irreps": lambda: _checks_irreps(config, workspaces),
         "special-cases": lambda: _checks_special(config),
     }
+
     records: list[CheckRecord] = []
+    t_prev, built_prev = time.perf_counter(), 0.0
+
+    def elapsed_ms() -> float:
+        nonlocal t_prev, built_prev
+        now, built = time.perf_counter(), sum(ws.build_ms for ws in workspaces.values())
+        out = (now - t_prev) * 1e3 - (built - built_prev)
+        t_prev, built_prev = now, built
+        return out
+
     for suite in config.selected():
-        t_suite = time.perf_counter()
         try:
-            produced = list(producers[suite]())
+            for name, claim, plabel, residual, tol_key in producers[suite]():
+                tol = config.tol(tol_key)
+                records.append(
+                    CheckRecord(
+                        name=name,
+                        suite=suite,
+                        claim=claim,
+                        params=plabel,
+                        residual=float(residual),
+                        tolerance=tol,
+                        passed=bool(residual <= tol),
+                        wall_ms=elapsed_ms(),
+                    )
+                )
         except Exception:
             records.append(
                 CheckRecord(
@@ -743,29 +790,12 @@ def run(config: SuiteConfig) -> VerificationReport:
                     residual=float("inf"),
                     tolerance=0.0,
                     passed=False,
-                    wall_ms=(time.perf_counter() - t_suite) * 1e3,
+                    wall_ms=elapsed_ms(),
                     error=traceback.format_exc(limit=2).strip().splitlines()[-1],
                 )
             )
-            continue
-        t_prev = t_suite
-        for name, claim, plabel, residual, tol_key in produced:
-            now = time.perf_counter()
-            tol = config.tol(tol_key)
-            records.append(
-                CheckRecord(
-                    name=name,
-                    suite=suite,
-                    claim=claim,
-                    params=plabel,
-                    residual=float(residual),
-                    tolerance=tol,
-                    passed=bool(residual <= tol),
-                    wall_ms=(now - t_prev) * 1e3,
-                )
-            )
-            t_prev = now
-    return VerificationReport(config, records)
+    matrices_ms = {label: ws.build_ms for label, ws in workspaces.items() if ws.build_ms}
+    return VerificationReport(config, records, matrices_ms)
 
 
 def _parse_param(text: str) -> dict:

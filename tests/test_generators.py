@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ttwsusy.generators import (
+    _PARITY_COMPONENTS,
     GENERATOR_NAMES,
+    GENERATOR_PARITY,
     _gamma_coeffs,
     _gamma_coeffs_barred,
     apply_generator,
@@ -305,6 +307,42 @@ class TestMatrices:
     def test_truncation_validation(self):
         with pytest.raises(ValueError):
             generator_matrices(PARAM_SETS[0], (1, 3))
+
+
+class TestTensorGridAssembly:
+    """generator_matrices samples on the tensor grid through one FactorTable
+    per sector grid and projects two spinor components; every entry must
+    equal the inner product computed pointwise on the flattened grid."""
+
+    @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
+    def test_entries_equal_pointwise_inner_products(self, p):
+        trunc = (3, 3)
+        mats, basis = generator_matrices(p, trunc, m_rad=40, m_ang=40)
+        grids = {
+            (n, q): Grid.for_sector(p, n, odd=bool(q), m_rad=40, m_ang=40) for n in range(trunc[1] + 1) for q in (0, 1)
+        }
+        parity = [s.state.fermion_parity() for s in basis]
+        for j in range(0, len(basis), 3):
+            col = basis[j]
+            for name in GENERATOR_NAMES:
+                p_out = parity[j] ^ GENERATOR_PARITY[name]
+                grid = grids[col.n, p_out]
+                out = apply_generator(name, col.state, p, grid.r, grid.phi)
+                rows = [i for i, s in enumerate(basis) if s.n == col.n and parity[i] == p_out]
+                pointwise = [grid.inner(state_field(basis[i].state, p, grid.r, grid.phi), out) for i in rows]
+                assert np.max(np.abs(mats[name][rows, j] - pointwise)) <= 1e-12, (name, col.family, col.level)
+                others = [i for i in range(len(basis)) if i not in rows]
+                assert np.all(mats[name][others, j] == 0.0)
+
+    @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
+    def test_outputs_keep_parity_components(self, p):
+        for n in (0, 2):
+            for s in sector_basis(p, n, 3):
+                for name in GENERATOR_NAMES:
+                    p_out = s.state.fermion_parity() ^ GENERATOR_PARITY[name]
+                    grid = Grid.for_sector(p, n, odd=bool(p_out), m_rad=20, m_ang=20)
+                    out = apply_generator(name, s.state, p, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+                    assert np.all(out[_PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
 
 
 class TestGammaConsistency:

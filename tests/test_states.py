@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from ttwsusy.irreps import one_fermion_state, two_fermion_state, zero_fermion_state
-from ttwsusy.model import ModelParams
-from ttwsusy.states import OCC_VAC, OCC_YBAR, CatalogState, state_bundle, state_field, term
+from ttwsusy.generators import _PARITY_COMPONENTS
+from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, zero_fermion_state
+from ttwsusy.model import Grid, ModelParams
+from ttwsusy.states import OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
 
 P = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
+P_IRR = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=1.0)
+BUNDLE_FIELDS = ("val", "d_r", "d_rr", "d_phi", "d_phiphi")
 
 
 class TestCatalogAlgebra:
@@ -81,3 +86,56 @@ class TestBundleDerivatives:
             state_bundle(st, P, np.array([0.0]), np.array([0.1]))
         with pytest.raises(ValueError):
             state_bundle(st, P, np.array([1.0]), np.array([P.phi_max]))
+
+
+def basis_grids(p, n_max, m=40):
+    """(state, parity, grid) for every basis state of sectors 0..n_max at
+    truncation level 3, on the sector grid of the state's fermion parity."""
+    for n in range(n_max + 1):
+        grids = {q: Grid.for_sector(p, n, odd=bool(q), m_rad=m, m_ang=m) for q in (0, 1)}
+        for s in sector_basis(p, n, 3):
+            parity = s.state.fermion_parity()
+            yield s, parity, grids[parity]
+
+
+class TestBroadcastingContract:
+    """A column of radial nodes against a row of angular nodes samples the
+    tensor grid: the result must equal the scattered-point evaluation on
+    the flattened grid."""
+
+    @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
+    def test_grid_bundle_equals_flattened_bundle(self, p):
+        for s, _, grid in basis_grids(p, 3):
+            on_grid = state_bundle(s.state, p, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+            flat = state_bundle(s.state, p, grid.r, grid.phi)
+            for name in BUNDLE_FIELDS:
+                tensor = getattr(on_grid, name)
+                assert tensor.shape == (4, grid.m_rad, grid.m_ang)
+                assert np.max(np.abs(tensor.reshape(4, -1) - getattr(flat, name))) <= 1e-14, (s.family, s.level, name)
+            field = state_field(s.state, p, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+            assert np.max(np.abs(field.reshape(4, -1) - flat.val)) <= 1e-14
+
+    @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
+    def test_opposite_parity_components_vanish_exactly(self, p):
+        for s, parity, grid in basis_grids(p, 3):
+            assert parity == (0 if s.family in ("zero", "double") else 1)
+            other = _PARITY_COMPONENTS[1 - parity]
+            bundle = FactorTable(p, grid.r_nodes[:, None], grid.phi_nodes[None, :]).bundle(s.state)
+            for name in BUNDLE_FIELDS:
+                assert np.all(getattr(bundle, name)[other] == 0.0), (s.family, s.level, name)
+            assert np.any(bundle.val[_PARITY_COMPONENTS[parity]] != 0.0)
+
+    def test_table_reuses_factors_across_states(self):
+        grid = Grid.for_sector(P, 2, odd=True, m_rad=20, m_ang=20)
+        table = FactorTable(P, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+        plus, minus = one_fermion_state("+", P, 1, 2), one_fermion_state("-", P, 2, 2)
+        table.bundle(plus)
+        radial, angular = len(table._radial), len(table._angular)
+        np.testing.assert_array_equal(table.field(plus), table.bundle(plus).val)
+        assert (len(table._radial), len(table._angular)) == (radial, angular)
+        # the table holds only 1-D factors on the nodes, never the tensor grid
+        for parts in (*table._radial.values(), *table._angular.values()):
+            assert all(a.size in (grid.m_rad, grid.m_ang) for a in parts)
+        # factors memoized for one state serve another exactly as a fresh table would
+        fresh = state_field(minus, P, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+        np.testing.assert_array_equal(table.field(minus), fresh)

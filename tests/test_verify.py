@@ -1,8 +1,10 @@
 import json
 import math
+import time
 
 import pytest
 
+from ttwsusy import verify
 from ttwsusy.verify import DEFAULT_TOLERANCES, SuiteConfig, main, run
 
 FAST = dict(
@@ -16,7 +18,23 @@ FAST = dict(
 def strip_volatile(doc: dict) -> dict:
     for check in doc["checks"]:
         check.pop("wall_ms", None)
+    doc.pop("matrices_ms", None)
     return doc
+
+
+def strict_loads(text: str) -> dict:
+    """json.loads that rejects the non-standard NaN / Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(scope="module")
+def fast_report():
+    """One run of the fast specfun + model subset, shared by the report tests."""
+    return run(SuiteConfig(**FAST, suites=("specfun", "model")))
 
 
 class TestSuiteConfig:
@@ -37,6 +55,9 @@ class TestSuiteConfig:
             SuiteConfig(tolerances={"no-such-check": 1e-9})
         with pytest.raises(ValueError):
             SuiteConfig(tolerances={"model.orthonormality": -1.0})
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SuiteConfig(tolerances={"model.orthonormality": bad})
 
     def test_tolerance_override(self):
         cfg = SuiteConfig(tolerances={"model.orthonormality": 1e-6})
@@ -52,13 +73,13 @@ class TestSuiteConfig:
 
 
 class TestRun:
-    def test_suite_filtering(self):
-        report = run(SuiteConfig(**FAST, suites=("specfun",)))
-        assert {c.suite for c in report.checks} == {"specfun"}
+    def test_suite_filtering(self, fast_report):
+        assert {c.suite for c in fast_report.checks} == {"specfun", "model"}
+        report = run(SuiteConfig(**FAST, suites=("model",)))
+        assert {c.suite for c in report.checks} == {"model"}
 
-    def test_fast_subset_passes(self):
-        report = run(SuiteConfig(**FAST, suites=("specfun", "model")))
-        assert report.n_failed == 0, report.to_text()
+    def test_fast_subset_passes(self, fast_report):
+        assert fast_report.n_failed == 0, fast_report.to_text()
 
     def test_impossible_tolerance_is_recorded_not_raised(self):
         cfg = SuiteConfig(**FAST, suites=("model",), tolerances={"model.orthonormality": 0.0})
@@ -67,27 +88,80 @@ class TestRun:
         failed = [c for c in report.checks if not c.passed]
         assert all(c.residual > c.tolerance for c in failed)
 
-    def test_determinism(self):
+    def test_determinism(self, fast_report):
         cfg = SuiteConfig(**FAST, suites=("specfun", "model"))
-        a = strip_volatile(json.loads(run(cfg).to_json()))
+        a = strip_volatile(json.loads(fast_report.to_json()))
         b = strip_volatile(json.loads(run(cfg).to_json()))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_report_shapes(self):
-        report = run(SuiteConfig(**FAST, suites=("specfun",)))
-        doc = json.loads(report.to_json())
-        assert doc["schema"].startswith("ttwsusy-verification-report")
+    def test_report_shapes(self, fast_report):
+        doc = strict_loads(fast_report.to_json())
+        assert doc["schema"] == "ttwsusy-verification-report/2"
         assert doc["summary"]["total"] == len(doc["checks"])
         for check in doc["checks"]:
-            assert {"name", "suite", "claim", "params", "residual", "tolerance", "passed", "wall_ms"} <= set(check)
+            keys = {"name", "suite", "claim", "params", "residual", "tolerance", "passed", "wall_ms", "status"}
+            assert keys <= set(check)
             assert check["passed"] == (check["residual"] <= check["tolerance"])
-        text = report.to_text()
+            assert check["status"] == ("passed" if check["passed"] else "failed")
+        text = fast_report.to_text()
         assert "PASS" in text and "checks passed" in text
+
+    def test_checks_are_timed_as_yielded(self, monkeypatch):
+        def slow_second(config):
+            yield ("first", "yielded at once", None, 0.0, "model.identity")
+            time.sleep(0.2)
+            yield ("second", "yielded after a pause", None, 0.0, "model.identity")
+
+        monkeypatch.setattr(verify, "_checks_model", slow_second)
+        first, second = run(SuiteConfig(**FAST, suites=("model",))).checks
+        assert 0.0 <= first.wall_ms < 200.0
+        assert second.wall_ms >= 200.0
+
+    def test_matrix_build_reported_separately(self, monkeypatch, fast_report):
+        build = verify.gen.generator_matrices
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.3)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(verify.gen, "generator_matrices", slow_build)
+        t0 = time.perf_counter()
+        report = run(SuiteConfig(**FAST, suites=("algebra",)))
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        (label,) = {c.params for c in report.checks if c.params}
+        assert set(report.matrices_ms) == {label}
+        assert report.matrices_ms[label] >= 300.0
+        # the check that triggered the lazy build is not charged for it
+        trigger = next(c for c in report.checks if c.name.startswith("structure["))
+        assert trigger.wall_ms < 300.0
+        accounted = sum(c.wall_ms for c in report.checks) + report.matrices_ms[label]
+        assert 0.95 * elapsed_ms <= accounted <= elapsed_ms
+        doc = strict_loads(report.to_json())
+        assert doc["matrices_ms"] == {label: round(report.matrices_ms[label], 3)}
+        assert strict_loads(fast_report.to_json())["matrices_ms"] == {}
+
+    def test_crashing_suite_keeps_yielded_checks_and_writes_standard_json(self, monkeypatch):
+        def crashing_model(config):
+            yield ("before-crash", "a check yielded before the suite fails", None, 0.0, "model.identity")
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "_checks_model", crashing_model)
+        report = run(SuiteConfig(**FAST, suites=("model",)))
+        assert [c.name for c in report.checks] == ["before-crash", "model-suite"]
+        crashed = report.checks[-1]
+        assert crashed.residual == float("inf") and not crashed.passed
+        assert "boom" in crashed.error
+        assert math.isinf(crashed.to_dict()["residual"])
+        doc = strict_loads(report.to_json())
+        assert doc["checks"][0]["status"] == "passed"
+        assert doc["checks"][1]["residual"] is None
+        assert doc["checks"][1]["status"] == "non-finite"
+        assert doc["summary"]["failed"] == 1
 
 
 class TestCli:
     def test_exit_zero_on_success(self, capsys):
-        rc = main(["verify", "--suite", "specfun", "--param", "k=2,a=1.5,b=2.5"])
+        rc = main(["verify", "--suite", "model", "--param", "k=2,a=1.5,b=2.5"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -108,7 +182,7 @@ class TestCli:
             [
                 "verify",
                 "--suite",
-                "specfun",
+                "model",
                 "--param",
                 "k=1,a=1,b=1",
                 "--format",
@@ -120,14 +194,14 @@ class TestCli:
             ]
         )
         assert rc == 0
-        doc = json.loads(out.read_text())
+        doc = strict_loads(out.read_text())
         assert doc["config"]["seed"] == 3
         capsys.readouterr()
 
     def test_env_var_config(self, tmp_path, monkeypatch, capsys):
         cfg = dict(FAST)
         cfg["param_sets"] = list(cfg["param_sets"])
-        cfg["suites"] = ["specfun"]
+        cfg["suites"] = ["model"]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         monkeypatch.setenv("TTWSUSY_CONFIG", str(path))
@@ -136,7 +210,7 @@ class TestCli:
         capsys.readouterr()
 
     def test_nmax_flag(self, capsys):
-        rc = main(["verify", "--suite", "specfun", "--nmax", "2", "--param", "k=1,a=1,b=1"])
+        rc = main(["verify", "--suite", "model", "--nmax", "2", "--param", "k=1,a=1,b=1"])
         assert rc == 0
         capsys.readouterr()
 
