@@ -6,11 +6,9 @@ compares with the polar-coordinate operators; the three-particle case
 additionally splits into relative + centre-of-mass parts.
 """
 
-import math
-
 import numpy as np
 
-from ttwsusy import ModelParams, hamiltonian_super, supercharges, zero_fermion_state
+from ttwsusy import ModelParams, apply_susy, supercharges, zero_fermion_state
 from ttwsusy.irreps import one_fermion_state
 from ttwsusy.special_cases import (
     CatalogTestSpinor,
@@ -35,15 +33,10 @@ def compare(p, cart_fn, title):
     for st in (CatalogTestSpinor(zero_fermion_state(p, 1, 1)), random_polygauss(rng, p.omega)):
         cart = st.cart_data(p, r, phi)
         h_c, q_c = cart_fn(p, cart, x, y)
-        if isinstance(st, CatalogTestSpinor):
-            h_p = hamiltonian_super(st.state, p, r, phi)
-            q_p, _ = supercharges(st.state, p, r, phi)
-        else:
-            from ttwsusy.generators import _apply_bundle, _apply_gamma, _apply_h, _apply_y
-
-            bundle = st.polar_bundle(p, r, phi)
-            h_p = _apply_h(bundle, p, r, phi) + 4 * p.omega * (_apply_gamma(bundle, p, r, phi) + _apply_y(bundle, p))
-            q_p = 2 * math.sqrt(p.omega) * _apply_bundle("W+", bundle, p, r, phi)
+        # the same operator assembly for catalog states and random spinors
+        bundle = st.polar_bundle(p, r, phi)
+        h_p = apply_susy("Hs", bundle, p, r, phi)
+        q_p = apply_susy("Q", bundle, p, r, phi)
         worst = max(worst, np.max(np.abs(h_c - h_p)) / np.max(np.abs(h_p)), np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1))
     print(f"{title}: max relative deviation over 200 random points = {worst:.3e}")
 

@@ -13,12 +13,12 @@ from .generators import (
     GENERATOR_NAMES,
     apply_generator,
     apply_hamiltonian,
+    apply_susy,
     check_structure_constants,
     generator_matrices,
     hamiltonian_super,
     hermiticity_residuals,
     interior_mask,
-    matrix_of,
     oscillator_realization,
     riccati_residual,
     superpotential,
@@ -46,7 +46,6 @@ from .model import (
     eval_angular,
     eval_radial,
     eval_wavefunction,
-    inner_product,
     norm_constant,
     susy_energy,
     wavefunction_gram,

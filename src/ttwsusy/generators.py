@@ -50,13 +50,13 @@ __all__ = [
     "RelationCheck",
     "apply_generator",
     "apply_hamiltonian",
+    "apply_susy",
     "check_structure_constants",
     "dilation_identity_residuals",
     "generator_matrices",
     "hamiltonian_super",
     "hermiticity_residuals",
     "interior_mask",
-    "matrix_of",
     "oscillator_realization",
     "riccati_residual",
     "superpotential",
@@ -268,6 +268,21 @@ def apply_hamiltonian(state: CatalogState, params: ModelParams, r, phi) -> np.nd
     return _apply_h(state_bundle(state, params, r, phi), params, r, phi)
 
 
+def apply_susy(name: str, bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
+    """Supersymmetric operator ``name`` applied to a state's bundle at (r, phi):
+
+    'Hs':   H_k + 4 omega (Gamma + Y), with the explicit deformed-oscillator potential;
+    'Q':    2 sqrt(omega) W+;
+    'Qdag': 2 sqrt(omega) V-.
+    """
+    if name == "Hs":
+        gamma_y = _apply_gamma(bundle, params, r, phi) + _apply_y(bundle, params)
+        return _apply_h(bundle, params, r, phi) + 4.0 * params.omega * gamma_y
+    if name in ("Q", "Qdag"):
+        return 2.0 * math.sqrt(params.omega) * _apply_bundle("W+" if name == "Q" else "V-", bundle, params, r, phi)
+    raise ValueError(f"unknown supersymmetric operator {name!r}")
+
+
 def hamiltonian_super(state: CatalogState, params: ModelParams, r, phi, route: str = "potential") -> np.ndarray:
     """Supersymmetrized Hamiltonian Hs.
 
@@ -281,12 +296,12 @@ def hamiltonian_super(state: CatalogState, params: ModelParams, r, phi, route: s
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     bundle = state_bundle(state, params, r, phi)
-    gamma_y = _apply_gamma(bundle, params, r, phi) + _apply_y(bundle, params)
     if route == "potential":
-        return _apply_h(bundle, params, r, phi) + 4.0 * params.omega * gamma_y
+        return apply_susy("Hs", bundle, params, r, phi)
     if route == "superpotential":
         d = _apply_d_superpotential(bundle, params, r, phi)
         k0b = d + 0.25 * params.omega * r**2 * bundle.val
+        gamma_y = _apply_gamma(bundle, params, r, phi) + _apply_y(bundle, params)
         return 4.0 * params.omega * (k0b + gamma_y)
     raise ValueError(f"unknown route {route!r}")
 
@@ -296,8 +311,7 @@ def supercharges(state: CatalogState, params: ModelParams, r, phi) -> tuple[np.n
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     bundle = state_bundle(state, params, r, phi)
-    s = 2.0 * math.sqrt(params.omega)
-    return s * _apply_bundle("W+", bundle, params, r, phi), s * _apply_bundle("V-", bundle, params, r, phi)
+    return apply_susy("Q", bundle, params, r, phi), apply_susy("Qdag", bundle, params, r, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +358,12 @@ def generator_matrices(
     Generators preserve the angular sector, so the matrices are
     assembled per sector; cross-sector blocks vanish identically (the
     sampled block-diagonality check lives in the test suite).  Each
-    sector grid gets one ``FactorTable`` on the broadcastable pair
-    (radial nodes as a column, angular nodes as a row), so rows and
-    columns are sampled on the full tensor grid while every factor and
-    operator coefficient is evaluated on the 1-D nodes.  A state of
-    fermion parity p occupies only the components ``_PARITY_COMPONENTS[p]``,
-    so each column is projected on those two components alone.
+    sector grid gets one ``FactorTable`` on the grid's (r column, phi
+    row) pair, so rows and columns are sampled on the full tensor grid
+    while every factor and operator coefficient is evaluated on the 1-D
+    nodes.  A state of fermion parity p occupies only the components
+    ``_PARITY_COMPONENTS[p]``, so each column is projected on those two
+    components alone.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
@@ -368,13 +382,11 @@ def generator_matrices(
         row_idx = {}
         for p in (0, 1):
             grid = Grid.for_sector(params, n, odd=bool(p), m_rad=m_rad, m_ang=m_ang)
-            tables[p] = table = FactorTable(params, grid.r_nodes[:, None], grid.phi_nodes[None, :])
-            w = grid.w.reshape(m_rad, m_ang)
+            tables[p] = table = FactorTable(params, grid.r, grid.phi)
             idx = [i for i, pi in enumerate(par) if pi == p]
             row_idx[p] = np.array(idx, dtype=int)
             comps = _PARITY_COMPONENTS[p]
-            fields = [(table.field(bs[i].state)[comps] * w).ravel() for i in idx]
-            rows_w[p] = np.array(fields).reshape(len(idx), 2 * w.size)
+            rows_w[p] = np.array([(table.field(bs[i].state)[comps] * grid.w).ravel() for i in idx])
 
         for j, s in enumerate(bs):
             for p_out, table in tables.items():
@@ -389,14 +401,6 @@ def generator_matrices(
                     mats[gname][offset + row_idx[p_out], offset + j] = col
         offset += len(bs)
     return mats, basis
-
-
-def matrix_of(
-    name: str, params: ModelParams, truncation: tuple[int, int], m_rad: int = 80, m_ang: int = 80
-) -> tuple[np.ndarray, list[BasisState]]:
-    """Truncated matrix of a single generator (see ``generator_matrices``)."""
-    mats, basis = generator_matrices(params, truncation, m_rad, m_ang, names=(name,))
-    return mats[name], basis
 
 
 def interior_mask(basis: list[BasisState], truncation: tuple[int, int], depth: int = 1) -> np.ndarray:

@@ -14,12 +14,19 @@ xi = -cos(2 k phi):
 
 with energies E_{N,n} = 2 omega [2N + (2n+a+b)k + 1].
 
+``radial_parts`` and ``angular_parts`` are the one evaluator of these
+factors and of their first two polar derivatives (also with the shifted
+exponents that fermion states carry); ``eval_radial``/``eval_angular``,
+the wavefunctions and ``states.FactorTable`` all go through them.
+
 Inner products use the measure r dr dphi.  Substituting z and xi maps
 them onto Gauss-Laguerre x Gauss-Jacobi rules; the grid absorbs the
 z^alpha e^-z and cos^2a sin^2b envelopes into its weights so that the
 remaining integrand is polynomial and the quadrature exact.  Radial
 reference exponents are chosen per angular sector (and per fermion
-parity, which contributes a 1/z): see ``Grid.for_sector``.
+parity, which contributes a 1/z): see ``Grid.for_sector``.  A grid's
+nodes are a radial column and an angular row, so fields sampled on
+``(grid.r, grid.phi)`` have the grid's (m_rad, m_ang) shape.
 """
 
 from __future__ import annotations
@@ -30,18 +37,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gauss_rule, jacobi, laguerre, log_gamma
+from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, log_gamma
 
 __all__ = [
     "Grid",
     "ModelParams",
     "Weights",
+    "angular_parts",
     "energy",
     "eval_angular",
     "eval_radial",
     "eval_wavefunction",
-    "inner_product",
     "norm_constant",
+    "radial_parts",
     "susy_energy",
     "wavefunction_gram",
     "weights_of",
@@ -105,17 +113,69 @@ def weights_of(params: ModelParams, n: int) -> Weights:
     return Weights(tau, q)
 
 
+def radial_parts(params: ModelParams, N: int, n: int, r, one_fermion: bool = False):
+    """(R, dR/dr, d2R/dr2) of the radial factor of sector n at level N,
+    R = (z/omega)^p L_N^(alpha)(z) e^(-z/2) with z = omega r^2,
+    alpha = (2n+a+b)k and p = alpha/2, less 1/2 for a one-fermion
+    factor.  Requires r > 0."""
+    z = params.omega * r**2
+    alpha = params.sector_alpha(n)
+    p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
+    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega))
+    L = laguerre(N, alpha, z)
+    Ld = laguerre_deriv(N, alpha, z)
+    # Ld is -L_{N-1}^(alpha+1); differentiate that once more
+    Ldd = -laguerre_deriv(N - 1, alpha + 1.0, z) if N >= 1 else np.zeros_like(z)
+    g = p / z - 0.5
+    R = pref * L
+    Rz = pref * (g * L + Ld)
+    Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
+    # chain rule for z = omega r^2
+    return R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz
+
+
+def angular_parts(params: ModelParams, m: int, phi, shift: int = 0):
+    """(A, dA/dphi, d2A/dphi2) of the angular factor
+    A = cos^a' sin^b' P_m^((a'-1/2, b'-1/2))(xi), a' = a + shift,
+    b' = b + shift.  Requires 0 < phi < pi/(2k)."""
+    A_exp = params.a + shift
+    B_exp = params.b + shift
+    mu, nu = A_exp - 0.5, B_exp - 0.5
+    k = params.k
+
+    c = np.cos(k * phi)
+    s = np.sin(k * phi)
+    xi = np.clip(-np.cos(2.0 * k * phi), -1.0, 1.0)
+    tan, cot = s / c, c / s
+
+    env = c**A_exp * s**B_exp
+    env1 = env * k * (B_exp * cot - A_exp * tan)
+    env2 = env * ((k * (B_exp * cot - A_exp * tan)) ** 2 - k * k * (B_exp / s**2 + A_exp / c**2))
+
+    P = jacobi(m, mu, nu, xi)
+    Pd = jacobi_deriv(m, mu, nu, xi)
+    # Pd is (m+mu+nu+1)/2 P_{m-1}^(mu+1, nu+1); differentiate that once more
+    Pdd = 0.5 * (m + mu + nu + 1.0) * jacobi_deriv(m - 1, mu + 1.0, nu + 1.0, xi) if m >= 1 else np.zeros_like(xi)
+    # chain rule for xi = -cos(2 k phi)
+    xi1 = 4.0 * k * s * c
+    xi2 = 4.0 * k * k * (c * c - s * s)
+    Pphi = Pd * xi1
+    Pphiphi = Pdd * xi1 * xi1 + Pd * xi2
+
+    A0 = env * P
+    A1 = env1 * P + env * Pphi
+    A2 = env2 * P + 2.0 * env1 * Pphi + env * Pphiphi
+    return A0, A1, A2
+
+
 def eval_radial(params: ModelParams, N: int, n: int, z):
     """Unnormalized radial factor (z/omega)^((n+(a+b)/2)k) L_N^(alpha)(z) e^(-z/2)."""
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("radial argument z = omega r^2 must be >= 0")
-    alpha = params.sector_alpha(n)
-    p = 0.5 * alpha
-    with np.errstate(divide="ignore"):
-        logpow = np.where(z > 0, p * (np.log(np.where(z > 0, z, 1.0)) - math.log(params.omega)), -np.inf)
-    pref = np.where(z > 0, np.exp(logpow - 0.5 * z), 0.0)
-    out = pref * laguerre(N, alpha, z)
+    inside = z > 0
+    r = np.sqrt(np.where(inside, z, 1.0) / params.omega)
+    out = np.where(inside, radial_parts(params, N, n, r)[0], 0.0)
     return out if out.ndim else float(out)
 
 
@@ -124,10 +184,7 @@ def eval_angular(params: ModelParams, n: int, phi):
     phi = np.asarray(phi, dtype=float)
     if np.any(phi <= 0) or np.any(phi >= params.phi_max):
         raise ValueError("phi must lie strictly inside (0, pi/(2k))")
-    c = np.cos(params.k * phi)
-    s = np.sin(params.k * phi)
-    xi = -np.cos(2.0 * params.k * phi)
-    out = c**params.a * s**params.b * jacobi(n, params.a - 0.5, params.b - 0.5, np.clip(xi, -1.0, 1.0))
+    out = np.asarray(angular_parts(params, n, phi)[0])
     return out if out.ndim else float(out)
 
 
@@ -183,6 +240,12 @@ def _jacobi_rule(order: int, alpha_key: float, beta_key: float):
 class Grid:
     """Tensor quadrature grid for the measure r dr dphi.
 
+    ``r`` holds the radial nodes as an (m_rad, 1) column, ``phi`` the
+    angular nodes as a (1, m_ang) row and ``w`` the (m_rad, m_ang)
+    weights, so ``f(..., grid.r, grid.phi)`` samples any product of a
+    radial and an angular factor on the whole grid while evaluating each
+    factor on the 1-D nodes only.
+
     ``alpha`` is the radial reference exponent: sums against the plain
     weights are exact whenever the integrand has the form
     z^alpha e^-z * poly(z)  x  cos^2a sin^2b * poly(xi)
@@ -199,22 +262,19 @@ class Grid:
         self.m_ang = m_ang
 
         rad = _laguerre_rule(m_rad, round(self.alpha, 12))
-        self.z_nodes = rad.nodes
-        self.r_nodes = np.sqrt(rad.nodes / params.omega)
+        ang = _jacobi_rule(m_ang, round(params.a - 0.5, 12), round(params.b - 0.5, 12))
+        self.r = np.sqrt(rad.nodes / params.omega)[:, None]
+        self.phi = (np.arccos(-ang.nodes) / (2.0 * params.k))[None, :]
         # plain weights: sum_i wz_i f(z_i) == integral f dz / (2 omega)
         # for f = z^alpha e^-z poly; computed in logs to dodge overflow
-        self.wz = np.exp(np.log(rad.weights) + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
-
-        ang = _jacobi_rule(m_ang, round(params.a - 0.5, 12), round(params.b - 0.5, 12))
-        self.xi_nodes = ang.nodes
-        self.phi_nodes = np.arccos(-ang.nodes) / (2.0 * params.k)
-        self.wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
-
-        rr, pp = np.meshgrid(self.r_nodes, self.phi_nodes, indexing="ij")
-        self.r = rr.ravel()
-        self.phi = pp.ravel()
-        self.w = np.outer(self.wz, self.wphi).ravel()
-        self.npts = self.r.size
+        wz = np.exp(np.log(rad.weights) + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
+        wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
+        self.w = np.outer(wz, wphi)
+        if not np.all(np.isfinite(self.w)):
+            raise ValueError(
+                f"quadrature weights overflow at radial exponent alpha = {self.alpha:g}: "
+                "the Gauss-Laguerre rule needs Gamma(alpha + 1), which is out of float range past alpha ~ 171"
+            )
 
     @classmethod
     def for_sector(cls, params: ModelParams, n: int, odd: bool = False, m_rad: int = 80, m_ang: int = 80) -> "Grid":
@@ -228,18 +288,13 @@ class Grid:
         return cls(params, (n1 + n2 + params.a + params.b) * params.k, m_rad, m_ang)
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Integral of f*g (summed over spinor components if present)."""
+        """Integral of f*g over fields sampled on this grid, shape
+        (m_rad, m_ang) or (4, m_rad, m_ang); spinor components are summed."""
         f = np.asarray(f)
         g = np.asarray(g)
-        if f.shape != g.shape or f.shape[-1] != self.npts:
+        if f.shape != g.shape or f.shape[-2:] != self.w.shape:
             raise ValueError("mismatched grids: fields must be sampled on this grid")
-        prod = np.sum(f * g, axis=0) if f.ndim == 2 else f * g
-        return float(np.dot(self.w, prod))
-
-
-def inner_product(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """Quadrature inner product over the shared tensor grid."""
-    return grid.inner(f, g)
+        return float(np.sum(self.w * f * g))
 
 
 def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: int = 80, m_ang: int = 80) -> np.ndarray:

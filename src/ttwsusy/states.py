@@ -23,27 +23,26 @@ its differential operators pointwise from these bundles, so there is
 no discretization error anywhere.
 
 Every factor of a term is a function of r alone (radial factor) or of
-phi alone (angular factor, fermion trig), so the single evaluator,
-``FactorTable``, takes any broadcastable pair (r, phi) and combines
-the factors by broadcasting.  Equal-shape arrays sample scattered
-points; a column of radial nodes against a row of angular nodes
-(``grid.r_nodes[:, None]``, ``grid.phi_nodes[None, :]``) samples the
-whole tensor grid while evaluating each factor on the 1-D nodes only.
+phi alone (angular factor, fermion trig).  ``FactorTable`` memoizes
+them, as evaluated by ``model.radial_parts``/``angular_parts``, on any
+broadcastable pair (r, phi) and combines them by broadcasting.
+Equal-shape arrays sample scattered points; a grid's ``(grid.r,
+grid.phi)``, a column of radial nodes against a row of angular nodes,
+samples the whole tensor grid while evaluating each factor on the 1-D
+nodes only.
 
 Spinor fields themselves are plain float arrays of shape
-(4, *broadcast shape) in the fixed fermion basis: (4, npts) for
-scattered points, (4, m_rad, m_ang) on a tensor grid.
+(4, *broadcast shape) in the fixed fermion basis: (4, n_points) for
+scattered points, (4, m_rad, m_ang) on a grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams
-from .specfun import jacobi, laguerre
+from .model import ModelParams, angular_parts, radial_parts
 
 __all__ = [
     "CatalogState",
@@ -148,59 +147,6 @@ class StateBundle:
         return cls(*(np.zeros((4, *shape)) for _ in range(5)))
 
 
-def _radial_parts(params: ModelParams, N: int, n: int, one_fermion: bool, r: np.ndarray):
-    """(R, dR/dr, d2R/dr2) of the radial factor of sector n at level N."""
-    z = params.omega * r**2
-    alpha = params.sector_alpha(n)
-    p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
-    logz = np.log(z)
-    pref = np.exp(p * logz - 0.5 * z - 0.5 * alpha * math.log(params.omega))
-    L = laguerre(N, alpha, z)
-    Ld = -laguerre(N - 1, alpha + 1.0, z) if N >= 1 else np.zeros_like(z)
-    Ldd = laguerre(N - 2, alpha + 2.0, z) if N >= 2 else np.zeros_like(z)
-    g = p / z - 0.5
-    R = pref * L
-    Rz = pref * (g * L + Ld)
-    Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
-    # chain rule for z = omega r^2
-    return R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz
-
-
-def _angular_parts(params: ModelParams, shift: int, m: int, phi: np.ndarray):
-    """(A, dA/dphi, d2A/dphi2) of the angular factor with (a,b) shifted by
-    ``shift`` and Jacobi degree m."""
-    A_exp = params.a + shift
-    B_exp = params.b + shift
-    mu, nu = A_exp - 0.5, B_exp - 0.5
-    k = params.k
-
-    c = np.cos(k * phi)
-    s = np.sin(k * phi)
-    xi = np.clip(-np.cos(2.0 * k * phi), -1.0, 1.0)
-    tan, cot = s / c, c / s
-
-    env = c**A_exp * s**B_exp
-    env1 = env * k * (B_exp * cot - A_exp * tan)
-    env2 = env * ((k * (B_exp * cot - A_exp * tan)) ** 2 - k * k * (B_exp / s**2 + A_exp / c**2))
-
-    P = jacobi(m, mu, nu, xi)
-    Pd = 0.5 * (m + mu + nu + 1.0) * jacobi(m - 1, mu + 1.0, nu + 1.0, xi) if m >= 1 else np.zeros_like(xi)
-    Pdd = (
-        0.25 * (m + mu + nu + 1.0) * (m + mu + nu + 2.0) * jacobi(m - 2, mu + 2.0, nu + 2.0, xi)
-        if m >= 2
-        else np.zeros_like(xi)
-    )
-    xi1 = 4.0 * k * s * c
-    xi2 = 4.0 * k * k * (c * c - s * s)
-    Pphi = Pd * xi1
-    Pphiphi = Pdd * xi1 * xi1 + Pd * xi2
-
-    A0 = env * P
-    A1 = env1 * P + env * Pphi
-    A2 = env2 * P + 2.0 * env1 * Pphi + env * Pphiphi
-    return A0, A1, A2
-
-
 def _occupation_trig(occ: int, phi: np.ndarray):
     """Nonzero fixed-basis components as (index, t, t', t'') triples."""
     one = np.ones_like(phi)
@@ -222,13 +168,12 @@ class FactorTable:
     """Memoized radial, angular and fermion-trig factors on one set of points.
 
     ``r`` and ``phi`` are any broadcastable pair: equal-shape arrays for
-    scattered points, or a column of radial nodes and a row of angular
-    nodes (``grid.r_nodes[:, None]``, ``grid.phi_nodes[None, :]``), in
-    which case fields come out on the whole tensor grid while every
-    factor is evaluated on the 1-D nodes only.  Factors are keyed
-    without the term coefficient, so states sharing basis functions
-    share their evaluation; the table holds no array of the broadcast
-    shape.
+    scattered points, or a grid's column of radial nodes and row of
+    angular nodes (``grid.r``, ``grid.phi``), in which case fields come
+    out on the whole tensor grid while every factor is evaluated on the
+    1-D nodes only.  Factors are keyed without the term coefficient, so
+    states sharing basis functions share their evaluation; the table
+    holds no array of the broadcast shape.
     """
 
     def __init__(self, params: ModelParams, r, phi):
@@ -246,12 +191,12 @@ class FactorTable:
 
     def _radial_of(self, N: int, n: int, one_fermion: bool):
         if (N, n, one_fermion) not in self._radial:
-            self._radial[N, n, one_fermion] = _radial_parts(self.params, N, n, one_fermion, self.r)
+            self._radial[N, n, one_fermion] = radial_parts(self.params, N, n, self.r, one_fermion)
         return self._radial[N, n, one_fermion]
 
     def _angular_of(self, shift: int, m: int):
         if (shift, m) not in self._angular:
-            self._angular[shift, m] = _angular_parts(self.params, shift, m, self.phi)
+            self._angular[shift, m] = angular_parts(self.params, m, self.phi, shift)
         return self._angular[shift, m]
 
     def _trig_of(self, occ: int):

@@ -258,29 +258,24 @@ def _binom_frac(top: Fraction, m: int) -> Fraction:
 def _series_laguerre(N, alpha, z):
     """Series-sum oracle with exact rational coefficients (and exact
     rational argument), immune to the cancellation that a float series
-    suffers at large z."""
+    suffers at large z.  The coefficients are built once per call."""
     af = Fraction(alpha)
+    coeffs = [Fraction(-1) ** j / math.factorial(j) * _binom_frac(af + N, N - j) for j in range(N + 1)]
     out = []
     for zv in np.atleast_1d(z):
         zf = Fraction(float(zv))
-        total = Fraction(0)
-        for j in range(N + 1):
-            total += Fraction(-1) ** j / math.factorial(j) * _binom_frac(af + N, N - j) * zf**j
-        out.append(float(total))
+        out.append(float(sum(c * zf**j for j, c in enumerate(coeffs))))
     return np.array(out)
 
 
 def _series_jacobi(n, alpha, beta, x):
     af, bf = Fraction(alpha), Fraction(beta)
+    coeffs = [_binom_frac(af + n, n - j) * _binom_frac(bf + n, j) for j in range(n + 1)]
     out = []
     for xv in np.atleast_1d(x):
         xf = Fraction(float(xv))
-        total = Fraction(0)
-        for j in range(n + 1):
-            total += (
-                _binom_frac(af + n, n - j) * _binom_frac(bf + n, j) * ((xf - 1) / 2) ** j * ((xf + 1) / 2) ** (n - j)
-            )
-        out.append(float(total))
+        lo, hi = (xf - 1) / 2, (xf + 1) / 2
+        out.append(float(sum(c * lo**j * hi ** (n - j) for j, c in enumerate(coeffs))))
     return np.array(out)
 
 
@@ -652,10 +647,8 @@ def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
         cart = st.cart_data(p, r, phi)
         h_c, q_c = cart_fn(p, cart, x, y)
         bundle = st.polar_bundle(p, r, phi)
-        h_p = gen._apply_h(bundle, p, r, phi) + 4.0 * p.omega * (
-            gen._apply_gamma(bundle, p, r, phi) + gen._apply_y(bundle, p)
-        )
-        q_p = 2.0 * math.sqrt(p.omega) * gen._apply_bundle("W+", bundle, p, r, phi)
+        h_p = gen.apply_susy("Hs", bundle, p, r, phi)
+        q_p = gen.apply_susy("Q", bundle, p, r, phi)
         worst = max(worst, float(np.max(np.abs(h_c - h_p)) / max(np.max(np.abs(h_p)), 1.0)))
         worst = max(worst, float(np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1.0)))
     return worst

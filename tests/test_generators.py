@@ -17,7 +17,6 @@ from ttwsusy.generators import (
     hamiltonian_super,
     hermiticity_residuals,
     interior_mask,
-    matrix_of,
     oscillator_realization,
     riccati_residual,
     superpotential,
@@ -301,8 +300,9 @@ class TestMatrices:
 
     def test_matrix_of_single(self):
         p = PARAM_SETS[1]
-        m, basis = matrix_of("Y", p, (2, 2), m_rad=40, m_ang=40)
-        assert m.shape == (len(basis), len(basis))
+        mats, basis = generator_matrices(p, (2, 2), m_rad=40, m_ang=40, names=("Y",))
+        assert list(mats) == ["Y"]
+        assert mats["Y"].shape == (len(basis), len(basis))
 
     def test_truncation_validation(self):
         with pytest.raises(ValueError):
@@ -312,7 +312,8 @@ class TestMatrices:
 class TestTensorGridAssembly:
     """generator_matrices samples on the tensor grid through one FactorTable
     per sector grid and projects two spinor components; every entry must
-    equal the inner product computed pointwise on the flattened grid."""
+    equal the inner product computed at the grid's nodes listed point by
+    point."""
 
     @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
     def test_entries_equal_pointwise_inner_products(self, p):
@@ -327,9 +328,11 @@ class TestTensorGridAssembly:
             for name in GENERATOR_NAMES:
                 p_out = parity[j] ^ GENERATOR_PARITY[name]
                 grid = grids[col.n, p_out]
-                out = apply_generator(name, col.state, p, grid.r, grid.phi)
+                r, phi = np.repeat(grid.r.ravel(), grid.m_ang), np.tile(grid.phi.ravel(), grid.m_rad)
+                w = grid.w.ravel()
+                out = apply_generator(name, col.state, p, r, phi)
                 rows = [i for i, s in enumerate(basis) if s.n == col.n and parity[i] == p_out]
-                pointwise = [grid.inner(state_field(basis[i].state, p, grid.r, grid.phi), out) for i in rows]
+                pointwise = [np.dot(w, np.sum(state_field(basis[i].state, p, r, phi) * out, axis=0)) for i in rows]
                 assert np.max(np.abs(mats[name][rows, j] - pointwise)) <= 1e-12, (name, col.family, col.level)
                 others = [i for i in range(len(basis)) if i not in rows]
                 assert np.all(mats[name][others, j] == 0.0)
@@ -341,7 +344,7 @@ class TestTensorGridAssembly:
                 for name in GENERATOR_NAMES:
                     p_out = s.state.fermion_parity() ^ GENERATOR_PARITY[name]
                     grid = Grid.for_sector(p, n, odd=bool(p_out), m_rad=20, m_ang=20)
-                    out = apply_generator(name, s.state, p, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+                    out = apply_generator(name, s.state, p, grid.r, grid.phi)
                     assert np.all(out[_PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
 
 

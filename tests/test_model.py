@@ -10,7 +10,6 @@ from ttwsusy.model import (
     eval_angular,
     eval_radial,
     eval_wavefunction,
-    inner_product,
     norm_constant,
     susy_energy,
     wavefunction_gram,
@@ -120,13 +119,13 @@ class TestNormalization:
     def test_unit_norm(self):
         grid = Grid.for_pair(P_GEN, 0, 0, 48, 48)
         f = eval_wavefunction(P_GEN, 0, 0, grid.r, grid.phi)
-        assert inner_product(grid, f, f) == pytest.approx(1.0, abs=1e-10)
+        assert grid.inner(f, f) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonality(self):
         grid = Grid.for_pair(P_GEN, 0, 0, 48, 48)
         f = eval_wavefunction(P_GEN, 0, 0, grid.r, grid.phi)
         g = eval_wavefunction(P_GEN, 1, 0, grid.r, grid.phi)
-        assert inner_product(grid, f, g) == pytest.approx(0.0, abs=1e-10)
+        assert grid.inner(f, g) == pytest.approx(0.0, abs=1e-10)
 
     def test_gram_identity(self):
         gram = wavefunction_gram(P_GEN, (4, 4), 64, 64)
@@ -150,8 +149,31 @@ class TestGrid:
         f = eval_wavefunction(P_GEN, 0, 0, g1.r, g1.phi)
         g = eval_wavefunction(P_GEN, 0, 0, g2.r, g2.phi)
         with pytest.raises(ValueError):
-            inner_product(g1, f, g)
+            g1.inner(f, g)
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             Grid(P_GEN, -1.5)
+
+    def test_tensor_form(self):
+        grid = Grid.for_sector(P_GEN, 1, m_rad=12, m_ang=10)
+        assert (grid.r.shape, grid.phi.shape, grid.w.shape) == ((12, 1), (1, 10), (12, 10))
+        f = eval_wavefunction(P_GEN, 0, 1, grid.r, grid.phi)
+        assert f.shape == grid.w.shape
+
+    def test_spinor_inner_sums_components(self):
+        grid = Grid.for_sector(P_GEN, 0, m_rad=16, m_ang=12)
+        rng = np.random.default_rng(5)
+        f, g = rng.uniform(0.5, 1.5, size=(2, 4, 16, 12))
+        per_component = sum(grid.inner(f[i], g[i]) for i in range(4))
+        assert grid.inner(f, g) == pytest.approx(per_component, rel=1e-14)
+        with pytest.raises(ValueError):
+            grid.inner(f, g[:3])
+        with pytest.raises(ValueError):
+            grid.inner(f[..., :-1], g[..., :-1])
+
+    def test_weight_overflow_names_alpha(self):
+        # alpha = (2n + a + b) k = 210 at n = 6: Gamma(alpha + 1) overflows
+        p = ModelParams(k=15.0, a=1.0, b=1.0)
+        with pytest.raises(ValueError, match="alpha = 210"):
+            Grid.for_sector(p, 6)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ttwsusy.generators import hamiltonian_super, supercharges, superpotential
+from ttwsusy.generators import apply_susy, hamiltonian_super, supercharges, superpotential
 from ttwsusy.irreps import one_fermion_state, two_fermion_state, zero_fermion_state
 from ttwsusy.model import ModelParams
 from ttwsusy.special_cases import (
@@ -51,12 +51,8 @@ def polar_reference(st, p, r, phi):
         q, _ = supercharges(st.state, p, r, phi)
         return h, q
     # random spinors go through the same pointwise operator assembly
-    from ttwsusy.generators import _apply_bundle, _apply_gamma, _apply_h, _apply_y
-
     bundle = st.polar_bundle(p, r, phi)
-    h = _apply_h(bundle, p, r, phi) + 4 * p.omega * (_apply_gamma(bundle, p, r, phi) + _apply_y(bundle, p))
-    q = 2 * math.sqrt(p.omega) * _apply_bundle("W+", bundle, p, r, phi)
-    return h, q
+    return apply_susy("Hs", bundle, p, r, phi), apply_susy("Q", bundle, p, r, phi)
 
 
 class TestPolyGauss:

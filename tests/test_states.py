@@ -99,20 +99,22 @@ def basis_grids(p, n_max, m=40):
 
 
 class TestBroadcastingContract:
-    """A column of radial nodes against a row of angular nodes samples the
-    tensor grid: the result must equal the scattered-point evaluation on
-    the flattened grid."""
+    """A grid's column of radial nodes against its row of angular nodes
+    samples the tensor grid: the result must equal the scattered-point
+    evaluation on the same nodes, listed point by point."""
 
     @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
     def test_grid_bundle_equals_flattened_bundle(self, p):
         for s, _, grid in basis_grids(p, 3):
-            on_grid = state_bundle(s.state, p, grid.r_nodes[:, None], grid.phi_nodes[None, :])
-            flat = state_bundle(s.state, p, grid.r, grid.phi)
+            r_flat = np.repeat(grid.r.ravel(), grid.m_ang)
+            phi_flat = np.tile(grid.phi.ravel(), grid.m_rad)
+            on_grid = state_bundle(s.state, p, grid.r, grid.phi)
+            flat = state_bundle(s.state, p, r_flat, phi_flat)
             for name in BUNDLE_FIELDS:
                 tensor = getattr(on_grid, name)
                 assert tensor.shape == (4, grid.m_rad, grid.m_ang)
                 assert np.max(np.abs(tensor.reshape(4, -1) - getattr(flat, name))) <= 1e-14, (s.family, s.level, name)
-            field = state_field(s.state, p, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+            field = state_field(s.state, p, grid.r, grid.phi)
             assert np.max(np.abs(field.reshape(4, -1) - flat.val)) <= 1e-14
 
     @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
@@ -120,14 +122,14 @@ class TestBroadcastingContract:
         for s, parity, grid in basis_grids(p, 3):
             assert parity == (0 if s.family in ("zero", "double") else 1)
             other = _PARITY_COMPONENTS[1 - parity]
-            bundle = FactorTable(p, grid.r_nodes[:, None], grid.phi_nodes[None, :]).bundle(s.state)
+            bundle = FactorTable(p, grid.r, grid.phi).bundle(s.state)
             for name in BUNDLE_FIELDS:
                 assert np.all(getattr(bundle, name)[other] == 0.0), (s.family, s.level, name)
             assert np.any(bundle.val[_PARITY_COMPONENTS[parity]] != 0.0)
 
     def test_table_reuses_factors_across_states(self):
         grid = Grid.for_sector(P, 2, odd=True, m_rad=20, m_ang=20)
-        table = FactorTable(P, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+        table = FactorTable(P, grid.r, grid.phi)
         plus, minus = one_fermion_state("+", P, 1, 2), one_fermion_state("-", P, 2, 2)
         table.bundle(plus)
         radial, angular = len(table._radial), len(table._angular)
@@ -137,5 +139,5 @@ class TestBroadcastingContract:
         for parts in (*table._radial.values(), *table._angular.values()):
             assert all(a.size in (grid.m_rad, grid.m_ang) for a in parts)
         # factors memoized for one state serve another exactly as a fresh table would
-        fresh = state_field(minus, P, grid.r_nodes[:, None], grid.phi_nodes[None, :])
+        fresh = state_field(minus, P, grid.r, grid.phi)
         np.testing.assert_array_equal(table.field(minus), fresh)
