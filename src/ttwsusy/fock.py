@@ -20,10 +20,7 @@ import numpy as np
 
 __all__ = [
     "annihilators",
-    "barred_annihilators",
     "barred_creators",
-    "creators",
-    "fermion_matrices",
     "jordan_wigner",
     "rotate_to_barred",
 ]
@@ -51,17 +48,8 @@ def jordan_wigner(n_modes: int) -> list[np.ndarray]:
 _BX, _BY = jordan_wigner(2)
 
 
-def fermion_matrices() -> dict[str, np.ndarray]:
-    """The four 4x4 matrices {b_x, bdag_x, b_y, bdag_y}."""
-    return {"b_x": _BX.copy(), "bdag_x": _BX.T.copy(), "b_y": _BY.copy(), "bdag_y": _BY.T.copy()}
-
-
 def annihilators() -> tuple[np.ndarray, np.ndarray]:
     return _BX.copy(), _BY.copy()
-
-
-def creators() -> tuple[np.ndarray, np.ndarray]:
-    return _BX.T.copy(), _BY.T.copy()
 
 
 def rotate_to_barred(phi: float) -> np.ndarray:
@@ -75,9 +63,3 @@ def barred_creators(phi: float) -> tuple[np.ndarray, np.ndarray]:
     u = rotate_to_barred(phi)
     bdx, bdy = _BX.T, _BY.T
     return u[0, 0] * bdx + u[0, 1] * bdy, u[1, 0] * bdx + u[1, 1] * bdy
-
-
-def barred_annihilators(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(b_xbar, b_ybar) at angle phi, as 4x4 matrices."""
-    cx, cy = barred_creators(phi)
-    return cx.T, cy.T

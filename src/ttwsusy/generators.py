@@ -21,10 +21,13 @@ and thereby ties the supersymmetrized Hamiltonian
     Hs = H_k + 4 omega (Gamma + Y) = 4 omega (K0 + Y),
     Q = 2 sqrt(omega) W+,  Qdag = 2 sqrt(omega) V-
 
-to the deformed oscillator H_k.  All operators act analytically on
-catalog states through their derivative bundles; sampling is exact at
-every grid point, so the algebra residuals measure the formulas, not a
-discretization.
+to the deformed oscillator H_k.  Each operator is written once, as a
+table of separable terms coef r^q theta(phi) M d_r^i d_phi^j with M a
+fixed-basis fermion matrix.  The table acts analytically on catalog
+states through their derivative bundles, exactly at every sample point,
+and ``generator_matrices`` contracts the same table with 1-D radial and
+angular Gauss sums, so the algebra residuals measure the formulas, not
+a discretization.
 
 ``oscillator_realization`` provides the independent boson-fermion
 matrix model of the same algebra (no wavefunctions involved), used as
@@ -34,6 +37,7 @@ a control for the structure-constant checks.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,7 @@ import numpy as np
 from . import fock
 from .irreps import BasisState, sector_basis
 from .model import Grid, ModelParams
-from .states import CatalogState, FactorTable, StateBundle, state_bundle
+from .states import FERMION_NUMBER, CatalogState, FactorTable, StateBundle, state_bundle
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -68,11 +72,10 @@ GENERATOR_PARITY = {"K0": 0, "K+": 0, "K-": 0, "Y": 0, "V+": 1, "V-": 1, "W+": 1
 
 _BX, _BY = fock.annihilators()
 _BDX, _BDY = _BX.T, _BY.T
-_NXX, _NXY = _BDX @ _BX, _BDX @ _BY
-_NYX, _NYY = _BDY @ _BX, _BDY @ _BY
-_FNUM = np.array([0.0, 1.0, 1.0, 2.0])
-# fixed-basis components that a state of each fermion parity occupies
-_PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
+_NXX, _NYY = _BDX @ _BX, _BDY @ _BY
+_NXY_YX = _BDX @ _BY + _BDY @ _BX
+_FNUM = _NXX + _NYY
+_EYE = np.eye(4)
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +116,109 @@ def riccati_residual(params: ModelParams, phi, perturb_a: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise operator assembly
-#
-# Every helper takes a broadcastable pair (r, phi), like ``FactorTable``:
-# coefficient arrays are built on r's and phi's own shapes and broadcast
-# against the (4, *shape) bundle arrays, and fermion matrices contract
-# the leading spinor axis.
+# Term tables: coef * r^r_pow * theta(phi) * fermion * d_r^d_r d_phi^d_phi,
+# theta sampled on the given angles
 
 
-def _spinor_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Fermion matrix m (4 x 4) applied along the spinor axis of v (4, ...).
-
-    One matmul on a reshaped view: ``np.tensordot(m, v, 1)`` gives the
-    same result at about twice the cost on an 80 x 80 grid."""
-    return (m @ v.reshape(4, -1)).reshape(v.shape)
+_Term = namedtuple("_Term", "coef r_pow d_r theta fermion d_phi")
 
 
-def _tt_potential(params: ModelParams, r, phi):
-    k, a, b = params.k, params.a, params.b
-    return params.omega**2 * r**2 + (k * k / r**2) * (
-        a * (a - 1.0) / np.cos(k * phi) ** 2 + b * (b - 1.0) / np.sin(k * phi) ** 2
-    )
+def _scaled(terms: list[_Term], c: float) -> list[_Term]:
+    return [t._replace(coef=c * t.coef) for t in terms]
 
 
-def _apply_h(bundle: StateBundle, params: ModelParams, r, phi):
+def _h_terms(params: ModelParams, phi) -> list[_Term]:
     """Deformed-oscillator Hamiltonian H_k, acting per spinor component."""
-    pot = _tt_potential(params, r, phi)
-    return -bundle.d_rr - bundle.d_r / r - bundle.d_phiphi / r**2 + pot * bundle.val
+    k, a, b = params.k, params.a, params.b
+    pot = k * k * (a * (a - 1.0) / np.cos(k * phi) ** 2 + b * (b - 1.0) / np.sin(k * phi) ** 2)
+    return [
+        _Term(-1.0, 0, 2, 1.0, _EYE, 0),
+        _Term(-1.0, -1, 1, 1.0, _EYE, 0),
+        _Term(-1.0, -2, 0, 1.0, _EYE, 2),
+        _Term(params.omega**2, 2, 0, 1.0, _EYE, 0),
+        _Term(1.0, -2, 0, pot, _EYE, 0),
+    ]
+
+
+def _gamma_terms(params: ModelParams, phi) -> list[_Term]:
+    """Gamma = k / (2 omega r^2) [g_xx N_xx + g_xy (N_xy + N_yx) + g_yy N_yy]
+    in the fixed fermion basis, N_ij = bdag_i b_j."""
+    k, a, b = params.k, params.a, params.b
+    ck, sk = np.cos(k * phi), np.sin(k * phi)
+    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+    ckm2, skm2 = np.cos((k - 2.0) * phi), np.sin((k - 2.0) * phi)
+    pa, pb = a / ck**2, b / sk**2
+    g_xx = pa * (ckm2 * ck + 0.5 * k * (1.0 - c2)) + pb * (skm2 * sk + 0.5 * k * (1.0 - c2))
+    g_xy = -pa * (skm2 * ck + 0.5 * k * s2) + pb * (ckm2 * sk - 0.5 * k * s2)
+    g_yy = pa * (-ckm2 * ck + 0.5 * k * (1.0 + c2)) + pb * (-skm2 * sk + 0.5 * k * (1.0 + c2))
+    pref = k / (2.0 * params.omega)
+    return [_Term(pref, -2, 0, g_xx, _NXX, 0), _Term(pref, -2, 0, g_xy, _NXY_YX, 0), _Term(pref, -2, 0, g_yy, _NYY, 0)]
+
+
+def _y_terms(params: ModelParams) -> list[_Term]:
+    """Y = N_f / 2 - [k(a+b) + 1] / 2 with N_f the fermion number."""
+    shift = 0.5 * (-params.k * (params.a + params.b) - 1.0)
+    return [_Term(0.5, 0, 0, 1.0, _FNUM, 0), _Term(shift, 0, 0, 1.0, _EYE, 0)]
+
+
+def _odd_terms(params: ModelParams, phi, sign: float, kind: str) -> list[_Term]:
+    """Odd generator (mx fx + my fy) / (2 sqrt(omega)) in the fixed basis,
+    with (mx, my) = (bdag_x, bdag_y) for kind 'V' and (b_x, b_y) for kind
+    'W', and ``sign`` +1/-1 for the raising/lowering member."""
+    k, a, b = params.k, params.a, params.b
+    c, s = np.cos(phi), np.sin(phi)
+    ck, sk = np.cos(k * phi), np.sin(k * phi)
+    ckm1, skm1 = np.cos((k - 1.0) * phi), np.sin((k - 1.0) * phi)
+    mx, my = (_BDX, _BDY) if kind == "V" else (_BX, _BY)
+    h = 0.5 / math.sqrt(params.omega)
+    hf = (1.0 if kind == "V" else -1.0) * sign * h
+    terms = []
+    for m, t_r, t_phi, t_0 in (
+        (mx, c, s, k * a * ckm1 / ck + k * b * skm1 / sk),
+        (my, s, -c, -k * a * skm1 / ck + k * b * ckm1 / sk),
+    ):
+        terms += [_Term(-sign * h, 0, 1, t_r, m, 0), _Term(sign * h, -1, 0, t_phi, m, 1)]
+        terms += [_Term(params.omega * h, 1, 0, t_r, m, 0), _Term(hf, -1, 0, t_0, m, 0)]
+    return terms
+
+
+def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
+    """Term table of generator ``name`` with its angular functions on phi."""
+    if name == "Y":
+        return _y_terms(params)
+    if name in ("V+", "V-", "W+", "W-"):
+        return _odd_terms(params, phi, +1.0 if name[1] == "+" else -1.0, name[0])
+    if name not in ("K0", "K+", "K-"):
+        raise ValueError(f"unknown generator {name!r}")
+    # K0 = H_k / (4 omega) + Gamma
+    k0 = _scaled(_h_terms(params, phi), 0.25 / params.omega) + _gamma_terms(params, phi)
+    if name == "K0":
+        return k0
+    # K+- = -K0 + z/2 -+ (z d_z + 1/2) with z = omega r^2, z d_z = r d_r / 2
+    sgn = 1.0 if name == "K+" else -1.0
+    return _scaled(k0, -1.0) + [
+        _Term(0.5 * params.omega, 2, 0, 1.0, _EYE, 0),
+        _Term(-0.5 * sgn, 1, 1, 1.0, _EYE, 0),
+        _Term(-0.5 * sgn, 0, 0, 1.0, _EYE, 0),
+    ]
+
+
+def _apply_terms(terms: list[_Term], bundle: StateBundle, r) -> np.ndarray:
+    """Pointwise sum of the terms (angular functions sampled on the
+    bundle's angles) on a state's bundle at radii r; the coefficients of
+    terms that share a fermion matrix and a derivative are summed first."""
+    derivs = {(0, 0): bundle.val, (1, 0): bundle.d_r, (2, 0): bundle.d_rr, (0, 1): bundle.d_phi, (0, 2): bundle.d_phiphi}
+    fermions = {id(t.fermion): t.fermion for t in terms}
+    coeffs: dict[tuple, np.ndarray] = {}
+    for t in terms:
+        key = (id(t.fermion), t.d_r, t.d_phi)
+        coeffs[key] = coeffs.get(key, 0.0) + t.coef * r**t.r_pow * t.theta
+    out = np.zeros_like(bundle.val)
+    for (m_id, d_r, d_phi), c in coeffs.items():
+        part = c * derivs[d_r, d_phi]
+        # one matmul on a reshaped view; np.tensordot measured twice as slow
+        out += part if fermions[m_id] is _EYE else (fermions[m_id] @ part.reshape(4, -1)).reshape(part.shape)
+    return out
 
 
 def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
@@ -156,116 +235,19 @@ def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
     return (-lap + ang * bundle.val) / (4.0 * params.omega)
 
 
-def _gamma_coeffs(params: ModelParams, r, phi):
-    """Pointwise 2x2 coefficient matrix (g_xx, g_xy, g_yy) of Gamma in the
-    fixed fermion basis."""
-    k, a, b = params.k, params.a, params.b
-    ck = np.cos(k * phi)
-    sk = np.sin(k * phi)
-    c2 = np.cos(2.0 * phi)
-    s2 = np.sin(2.0 * phi)
-    ckm2 = np.cos((k - 2.0) * phi)
-    skm2 = np.sin((k - 2.0) * phi)
-    pref = k / (2.0 * params.omega * r**2)
-    pa = a / ck**2
-    pb = b / sk**2
-    g_xx = pa * (ckm2 * ck + 0.5 * k * (1.0 - c2)) + pb * (skm2 * sk + 0.5 * k * (1.0 - c2))
-    g_xy = -pa * (skm2 * ck + 0.5 * k * s2) + pb * (ckm2 * sk - 0.5 * k * s2)
-    g_yy = pa * (-ckm2 * ck + 0.5 * k * (1.0 + c2)) + pb * (-skm2 * sk + 0.5 * k * (1.0 + c2))
-    # the 1/r^2 prefactor last, so the angular parts stay on phi's shape
-    return pref * g_xx, pref * g_xy, pref * g_yy
-
-
-def _gamma_coeffs_barred(params: ModelParams, r, phi):
-    """Same coefficients assembled from the barred-mode expression and
-    rotated back; used as an internal consistency oracle."""
-    k, a, b = params.k, params.a, params.b
-    tan = np.tan(k * phi)
-    cot = 1.0 / tan
-    sec2 = 1.0 + tan * tan
-    csc2 = 1.0 + cot * cot
-    pref = k / (2.0 * params.omega * r**2)
-    bar_xx = pref * (a + b)
-    bar_xy = pref * (-a * tan + b * cot)
-    bar_yy = pref * (a * (k * sec2 - 1.0) + b * (k * csc2 - 1.0))
-    c, s = np.cos(phi), np.sin(phi)
-    # bdag_bar_i bbar_j = sum_kl U_ik U_jl bdag_k b_l with U = [[c, s], [-s, c]]
-    g_xx = bar_xx * c * c - 2.0 * bar_xy * c * s + bar_yy * s * s
-    g_yy = bar_xx * s * s + 2.0 * bar_xy * c * s + bar_yy * c * c
-    g_xy = bar_xx * c * s + bar_xy * (c * c - s * s) - bar_yy * c * s
-    return g_xx, g_xy, g_yy
-
-
-def _apply_gamma(bundle: StateBundle, params: ModelParams, r, phi):
-    g_xx, g_xy, g_yy = _gamma_coeffs(params, r, phi)
-    v = bundle.val
-    return g_xx * _spinor_dot(_NXX, v) + g_xy * _spinor_dot(_NXY + _NYX, v) + g_yy * _spinor_dot(_NYY, v)
-
-
-def _apply_y(bundle: StateBundle, params: ModelParams):
-    shift = 0.5 * (-params.k * (params.a + params.b) - 1.0)
-    v = bundle.val
-    return (0.5 * _FNUM).reshape((4,) + (1,) * (v.ndim - 1)) * v + shift * v
-
-
-def _odd_coefficients(params: ModelParams, r, phi, sign: float, kind: str):
-    """Coefficient triples (c_r, c_phi, c_0) of the x and y pieces of the
-    odd generators in the fixed basis; ``sign`` is +1/-1 for the
-    raising/lowering member and ``kind`` is 'V' or 'W'."""
-    k, a, b = params.k, params.a, params.b
-    c, s = np.cos(phi), np.sin(phi)
-    ck, sk = np.cos(k * phi), np.sin(k * phi)
-    ckm1, skm1 = np.cos((k - 1.0) * phi), np.sin((k - 1.0) * phi)
-    wr = params.omega * r
-    flip = 1.0 if kind == "V" else -1.0
-    fs_r = flip * sign / r
-    cx_r = -sign * c
-    cx_p = sign * s / r
-    cx_0 = wr * c + fs_r * (k * a * ckm1 / ck + k * b * skm1 / sk)
-    cy_r = -sign * s
-    cy_p = -sign * c / r
-    cy_0 = wr * s + fs_r * (-k * a * skm1 / ck + k * b * ckm1 / sk)
-    return (cx_r, cx_p, cx_0), (cy_r, cy_p, cy_0)
-
-
-def _apply_odd(bundle: StateBundle, params: ModelParams, r, phi, sign: float, kind: str):
-    (cx_r, cx_p, cx_0), (cy_r, cy_p, cy_0) = _odd_coefficients(params, r, phi, sign, kind)
-    fx = cx_r * bundle.d_r + cx_p * bundle.d_phi + cx_0 * bundle.val
-    fy = cy_r * bundle.d_r + cy_p * bundle.d_phi + cy_0 * bundle.val
-    mx, my = (_BDX, _BDY) if kind == "V" else (_BX, _BY)
-    return (_spinor_dot(mx, fx) + _spinor_dot(my, fy)) / (2.0 * math.sqrt(params.omega))
-
-
-def _apply_bundle(name: str, bundle: StateBundle, params: ModelParams, r, phi):
-    if name == "Y":
-        return _apply_y(bundle, params)
-    if name in ("V+", "V-", "W+", "W-"):
-        return _apply_odd(bundle, params, r, phi, +1.0 if name[1] == "+" else -1.0, name[0])
-    if name == "K0":
-        return _apply_h(bundle, params, r, phi) / (4.0 * params.omega) + _apply_gamma(bundle, params, r, phi)
-    if name in ("K+", "K-"):
-        sgn = 1.0 if name == "K+" else -1.0
-        z = params.omega * r**2
-        h = _apply_h(bundle, params, r, phi) / (4.0 * params.omega)
-        zdz = 0.5 * r * bundle.d_r
-        return -h + 0.5 * z * bundle.val - sgn * (zdz + 0.5 * bundle.val) - _apply_gamma(bundle, params, r, phi)
-    raise ValueError(f"unknown generator {name!r}")
-
-
 def apply_generator(name: str, state: CatalogState, params: ModelParams, r, phi) -> np.ndarray:
     """Apply one generator analytically to a catalog state; returns the
     resulting spinor field sampled at (r, phi)."""
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    bundle = state_bundle(state, params, r, phi)
-    return _apply_bundle(name, bundle, params, r, phi)
+    return _apply_terms(_terms(name, params, phi), state_bundle(state, params, r, phi), r)
 
 
 def apply_hamiltonian(state: CatalogState, params: ModelParams, r, phi) -> np.ndarray:
     """H_k applied per spinor component (no fermionic terms)."""
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    return _apply_h(state_bundle(state, params, r, phi), params, r, phi)
+    return _apply_terms(_h_terms(params, phi), state_bundle(state, params, r, phi), r)
 
 
 def apply_susy(name: str, bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
@@ -275,12 +257,15 @@ def apply_susy(name: str, bundle: StateBundle, params: ModelParams, r, phi) -> n
     'Q':    2 sqrt(omega) W+;
     'Qdag': 2 sqrt(omega) V-.
     """
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     if name == "Hs":
-        gamma_y = _apply_gamma(bundle, params, r, phi) + _apply_y(bundle, params)
-        return _apply_h(bundle, params, r, phi) + 4.0 * params.omega * gamma_y
-    if name in ("Q", "Qdag"):
-        return 2.0 * math.sqrt(params.omega) * _apply_bundle("W+" if name == "Q" else "V-", bundle, params, r, phi)
-    raise ValueError(f"unknown supersymmetric operator {name!r}")
+        gamma_y = _gamma_terms(params, phi) + _y_terms(params)
+        terms = _h_terms(params, phi) + _scaled(gamma_y, 4.0 * params.omega)
+    elif name in ("Q", "Qdag"):
+        terms = _scaled(_terms("W+" if name == "Q" else "V-", params, phi), 2.0 * math.sqrt(params.omega))
+    else:
+        raise ValueError(f"unknown supersymmetric operator {name!r}")
+    return _apply_terms(terms, bundle, r)
 
 
 def hamiltonian_super(state: CatalogState, params: ModelParams, r, phi, route: str = "potential") -> np.ndarray:
@@ -301,7 +286,7 @@ def hamiltonian_super(state: CatalogState, params: ModelParams, r, phi, route: s
     if route == "superpotential":
         d = _apply_d_superpotential(bundle, params, r, phi)
         k0b = d + 0.25 * params.omega * r**2 * bundle.val
-        gamma_y = _apply_gamma(bundle, params, r, phi) + _apply_y(bundle, params)
+        gamma_y = _apply_terms(_gamma_terms(params, phi) + _y_terms(params), bundle, r)
         return 4.0 * params.omega * (k0b + gamma_y)
     raise ValueError(f"unknown route {route!r}")
 
@@ -318,31 +303,69 @@ def supercharges(state: CatalogState, params: ModelParams, r, phi) -> tuple[np.n
 # Dilation (degree -2 homogeneity) identities
 
 
-def _scaled_bundle(state: CatalogState, params: ModelParams, r, phi, lam: float) -> StateBundle:
-    """Bundle of the dilated state f_lam(r, phi) = f(lam r, phi)."""
-    b = state_bundle(state, params, lam * r, phi)
-    return StateBundle(b.val, lam * b.d_r, lam * lam * b.d_rr, b.d_phi, b.d_phiphi)
-
-
 def dilation_identity_residuals(state: CatalogState, params: ModelParams, r, phi, lam: float = 1.3) -> dict:
     """Residuals of the scaling identities O(f(lam .)) = lam^2 (O f)(lam .)
     for O = D and O = Gamma — the integrated form of [r d_r, O] = -2 O.
     """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    out = {}
-    lhs = _apply_d_superpotential(_scaled_bundle(state, params, r, phi, lam), params, r, phi)
-    rhs = lam * lam * _apply_d_superpotential(state_bundle(state, params, lam * r, phi), params, lam * r, phi)
-    out["D"] = float(np.max(np.abs(lhs - rhs)))
-    bundle_s = state_bundle(state, params, lam * r, phi)
-    lhs_g = _apply_gamma(StateBundle(bundle_s.val, *[np.zeros_like(bundle_s.val)] * 4), params, r, phi)
-    rhs_g = lam * lam * _apply_gamma(bundle_s, params, lam * r, phi)
-    out["Gamma"] = float(np.max(np.abs(lhs_g - rhs_g)))
-    return out
+    b = state_bundle(state, params, lam * r, phi)
+    # bundle of the dilated state f_lam(r, phi) = f(lam r, phi) at r
+    dilated = StateBundle(b.val, lam * b.d_r, lam * lam * b.d_rr, b.d_phi, b.d_phiphi)
+    rhs = lam * lam * _apply_d_superpotential(b, params, lam * r, phi)
+    gamma = _gamma_terms(params, phi)
+    rhs_g = lam * lam * _apply_terms(gamma, b, lam * r)
+    return {
+        "D": float(np.max(np.abs(_apply_d_superpotential(dilated, params, r, phi) - rhs))),
+        "Gamma": float(np.max(np.abs(_apply_terms(gamma, dilated, r) - rhs_g))),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Truncated matrices in the orthonormal super-basis
+
+
+def _separable_factors(table: FactorTable, states: list[CatalogState]):
+    """Expand states over products of 1-D factors on the table's nodes:
+    C (states, radial keys * angular keys) holds each state's coefficient
+    per (radial factor, angular spinor factor) pair, R (3, m_rad, radial
+    keys) the radial factors and S (3, angular keys, 4, m_ang) the
+    angular spinor factors, each with their first two derivatives."""
+    rad_keys: dict[tuple, int] = {}
+    ang_keys: dict[tuple, int] = {}
+    entries = []
+    for i, st in enumerate(states):
+        for t in st.terms:
+            if not t.is_zero:
+                rk = rad_keys.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), len(rad_keys))
+                ak = ang_keys.setdefault((t.occ, t.shift, t.angular_index), len(ang_keys))
+                entries.append((i, rk, ak, t.coeff))
+    C = np.zeros((len(states), len(rad_keys), len(ang_keys)))
+    for i, rk, ak, c in entries:
+        C[i, rk, ak] += c
+    R = np.stack([np.hstack([table.radial(*key)[d] for key in rad_keys]) for d in range(3)])
+    S = np.zeros((3, len(ang_keys), 4, table.phi.size))
+    for a, key in enumerate(ang_keys):
+        for idx, *parts in table.spinor(*key):
+            S[:, a, idx] = np.reshape(parts, (3, -1))
+    return C.reshape(len(states), -1), R, S
+
+
+def _project(terms: list[_Term], rows, cols, grid: Grid) -> np.ndarray:
+    """<row|O|col> from the separable factors of row and column states: a
+    term's entry between two factor pairs is the radial Gauss sum of
+    w_r R_row r^q R_col^(d_r) times the angular one of w_phi S_row . theta
+    M S_col^(d_phi)."""
+    C_row, R_row, S_row = rows
+    C_col, R_col, S_col = cols
+    n_row, n_col = S_row.shape[1], S_col.shape[1]
+    P = np.zeros((C_row.shape[1], C_col.shape[1]))
+    for t in terms:
+        rad = R_row[0].T @ (grid.w_r * grid.r**t.r_pow * R_col[t.d_r])
+        weighted = (S_row[0] * (grid.w_phi * t.theta)).reshape(n_row, -1)
+        ang = weighted @ (t.fermion @ S_col[t.d_phi]).reshape(n_col, -1).T
+        P += t.coef * np.kron(rad, ang)
+    return C_row @ P @ C_col.T
 
 
 def generator_matrices(
@@ -357,13 +380,12 @@ def generator_matrices(
 
     Generators preserve the angular sector, so the matrices are
     assembled per sector; cross-sector blocks vanish identically (the
-    sampled block-diagonality check lives in the test suite).  Each
-    sector grid gets one ``FactorTable`` on the grid's (r column, phi
-    row) pair, so rows and columns are sampled on the full tensor grid
-    while every factor and operator coefficient is evaluated on the 1-D
-    nodes.  A state of fermion parity p occupies only the components
-    ``_PARITY_COMPONENTS[p]``, so each column is projected on those two
-    components alone.
+    sampled block-diagonality check lives in the test suite).  Rows of
+    fermion parity p are integrated on the sector grid of parity p.  A
+    basis state is a short sum of radial times angular spinor factors,
+    a generator a table of separable terms and the grid weights an
+    outer product, so each entry is a sum of products of 1-D radial and
+    angular Gauss sums (``_project``); nothing is sampled on the 2-D grid.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
@@ -371,34 +393,20 @@ def generator_matrices(
 
     sector_bases = [sector_basis(params, n, N_max) for n in range(n_max + 1)]
     basis = [s for bs in sector_bases for s in bs]
-    dim = len(basis)
-    mats = {g: np.zeros((dim, dim)) for g in names}
+    mats = {g: np.zeros((len(basis), len(basis))) for g in names}
 
     offset = 0
     for n, bs in enumerate(sector_bases):
-        par = [0 if s.family in ("zero", "double") else 1 for s in bs]
-        tables = {}
-        rows_w = {}
-        row_idx = {}
-        for p in (0, 1):
-            grid = Grid.for_sector(params, n, odd=bool(p), m_rad=m_rad, m_ang=m_ang)
-            tables[p] = table = FactorTable(params, grid.r, grid.phi)
-            idx = [i for i, pi in enumerate(par) if pi == p]
-            row_idx[p] = np.array(idx, dtype=int)
-            comps = _PARITY_COMPONENTS[p]
-            rows_w[p] = np.array([(table.field(bs[i].state)[comps] * grid.w).ravel() for i in idx])
-
-        for j, s in enumerate(bs):
-            for p_out, table in tables.items():
-                gnames = [g for g in names if par[j] ^ GENERATOR_PARITY[g] == p_out]
-                if not gnames:
-                    continue
-                bundle = table.bundle(s.state)
-                comps = _PARITY_COMPONENTS[p_out]
-                outs = np.array([_apply_bundle(g, bundle, params, table.r, table.phi)[comps].ravel() for g in gnames])
-                cols = rows_w[p_out] @ outs.T
-                for gname, col in zip(gnames, cols.T):
-                    mats[gname][offset + row_idx[p_out], offset + j] = col
+        par = np.array([0 if s.family in ("zero", "double") else 1 for s in bs])
+        idx = {p: offset + np.flatnonzero(par == p) for p in (0, 1)}
+        for p_out in (0, 1):
+            grid = Grid.for_sector(params, n, odd=bool(p_out), m_rad=m_rad, m_ang=m_ang)
+            table = FactorTable(params, grid.r, grid.phi)
+            factors = {p: _separable_factors(table, [basis[i].state for i in idx[p]]) for p in (0, 1)}
+            for g in names:
+                p_in = p_out ^ GENERATOR_PARITY[g]
+                block = _project(_terms(g, params, grid.phi), factors[p_out], factors[p_in], grid)
+                mats[g][np.ix_(idx[p_out], idx[p_in])] = block
         offset += len(bs)
     return mats, basis
 

@@ -240,11 +240,11 @@ def _jacobi_rule(order: int, alpha_key: float, beta_key: float):
 class Grid:
     """Tensor quadrature grid for the measure r dr dphi.
 
-    ``r`` holds the radial nodes as an (m_rad, 1) column, ``phi`` the
-    angular nodes as a (1, m_ang) row and ``w`` the (m_rad, m_ang)
-    weights, so ``f(..., grid.r, grid.phi)`` samples any product of a
-    radial and an angular factor on the whole grid while evaluating each
-    factor on the 1-D nodes only.
+    ``r``/``w_r`` hold the radial nodes/weights as (m_rad, 1) columns,
+    ``phi``/``w_phi`` the angular ones as (1, m_ang) rows and ``w = w_r *
+    w_phi`` the (m_rad, m_ang) weights, so ``f(..., grid.r, grid.phi)``
+    samples any product of a radial and an angular factor on the whole
+    grid while evaluating each factor on the 1-D nodes only.
 
     ``alpha`` is the radial reference exponent: sums against the plain
     weights are exact whenever the integrand has the form
@@ -269,7 +269,8 @@ class Grid:
         # for f = z^alpha e^-z poly; computed in logs to dodge overflow
         wz = np.exp(np.log(rad.weights) + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
         wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
-        self.w = np.outer(wz, wphi)
+        self.w_r, self.w_phi = wz[:, None], wphi[None, :]
+        self.w = self.w_r * self.w_phi
         if not np.all(np.isfinite(self.w)):
             raise ValueError(
                 f"quadrature weights overflow at radial exponent alpha = {self.alpha:g}: "

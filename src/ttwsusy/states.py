@@ -18,14 +18,16 @@ Because the barred fermion modes depend on phi, a term's fixed-basis
 spinor components pick up cos(phi)/sin(phi) factors, and the angular
 derivative acts on those too.  ``state_bundle`` returns the exact
 values and first/second polar derivatives of every fixed-basis
-component on a set of sample points; the generator module assembles
-its differential operators pointwise from these bundles, so there is
-no discretization error anywhere.
+component on a set of sample points; the generator module applies
+its differential operators to these bundles, so there is no
+discretization error anywhere.
 
-Every factor of a term is a function of r alone (radial factor) or of
-phi alone (angular factor, fermion trig).  ``FactorTable`` memoizes
-them, as evaluated by ``model.radial_parts``/``angular_parts``, on any
-broadcastable pair (r, phi) and combines them by broadcasting.
+Every term is a radial factor (a function of r alone) times an angular
+spinor factor (angular factor times fermion trig, a function of phi
+alone).  ``FactorTable`` memoizes both, as evaluated by
+``model.radial_parts``/``angular_parts``, on any broadcastable pair
+(r, phi), combines them by broadcasting and hands them out for the
+separable projection of the generator matrices.
 Equal-shape arrays sample scattered points; a grid's ``(grid.r,
 grid.phi)``, a column of radial nodes against a row of angular nodes,
 samples the whole tensor grid while evaluating each factor on the 1-D
@@ -165,7 +167,7 @@ def _occupation_trig(occ: int, phi: np.ndarray):
 
 
 class FactorTable:
-    """Memoized radial, angular and fermion-trig factors on one set of points.
+    """Memoized radial factors and angular spinor factors on one set of points.
 
     ``r`` and ``phi`` are any broadcastable pair: equal-shape arrays for
     scattered points, or a grid's column of radial nodes and row of
@@ -187,38 +189,40 @@ class FactorTable:
         self.shape = np.broadcast_shapes(r.shape, phi.shape)
         self._radial: dict[tuple[int, int, bool], tuple] = {}
         self._angular: dict[tuple[int, int], tuple] = {}
-        self._trig: dict[int, list] = {}
+        self._spinor: dict[tuple[int, int, int], list] = {}
 
-    def _radial_of(self, N: int, n: int, one_fermion: bool):
+    def radial(self, N: int, n: int, one_fermion: bool):
+        """(R, dR/dr, d2R/dr2) of the radial factor on r's shape."""
         if (N, n, one_fermion) not in self._radial:
             self._radial[N, n, one_fermion] = radial_parts(self.params, N, n, self.r, one_fermion)
         return self._radial[N, n, one_fermion]
 
-    def _angular_of(self, shift: int, m: int):
-        if (shift, m) not in self._angular:
-            self._angular[shift, m] = angular_parts(self.params, m, self.phi, shift)
-        return self._angular[shift, m]
-
-    def _trig_of(self, occ: int):
-        if occ not in self._trig:
-            self._trig[occ] = _occupation_trig(occ, self.phi)
-        return self._trig[occ]
+    def spinor(self, occ: int, shift: int, m: int):
+        """Nonzero fixed-basis components (index, S, dS/dphi, d2S/dphi2) on
+        phi's shape of occupation ``occ``'s fermion trig t times the
+        angular factor A of index m and (a,b) shift: S = t A."""
+        if (occ, shift, m) not in self._spinor:
+            if (shift, m) not in self._angular:
+                self._angular[shift, m] = angular_parts(self.params, m, self.phi, shift)
+            A0, A1, A2 = self._angular[shift, m]
+            self._spinor[occ, shift, m] = [
+                (idx, t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2)
+                for idx, t, t1, t2 in _occupation_trig(occ, self.phi)
+            ]
+        return self._spinor[occ, shift, m]
 
     def _angular_sums(self, state: CatalogState, derivs: bool) -> dict:
         """Per radial factor and component, the coefficient-weighted sum of
-        the angular factors (value, and with ``derivs`` d/dphi, d2/dphi2
-        including the fermion trig) of every term that shares it."""
+        the angular spinor factors (value, and with ``derivs`` d/dphi and
+        d2/dphi2) of every term that shares it."""
         sums: dict[tuple[int, int, bool], dict[int, tuple]] = {}
         for trm in state.terms:
             if trm.is_zero:
                 continue
-            A0, A1, A2 = self._angular_of(trm.shift, trm.angular_index)
             comps = sums.setdefault((trm.N, trm.n, FERMION_NUMBER[trm.occ] == 1), {})
             c = trm.coeff
-            for idx, t, t1, t2 in self._trig_of(trm.occ):
-                part = (c * t * A0,)
-                if derivs:
-                    part += (c * (t1 * A0 + t * A1), c * (t2 * A0 + 2.0 * t1 * A1 + t * A2))
+            for idx, s0, s1, s2 in self.spinor(trm.occ, trm.shift, trm.angular_index):
+                part = (c * s0, c * s1, c * s2) if derivs else (c * s0,)
                 prev = comps.get(idx)
                 comps[idx] = part if prev is None else tuple(x + y for x, y in zip(prev, part))
         return sums
@@ -228,7 +232,7 @@ class FactorTable:
         shape (4, *broadcast shape)."""
         out = StateBundle.zeros(self.shape)
         for key, comps in self._angular_sums(state, derivs=True).items():
-            R, R_r, R_rr = self._radial_of(*key)
+            R, R_r, R_rr = self.radial(*key)
             for idx, (a0, a1, a2) in comps.items():
                 out.val[idx] += R * a0
                 out.d_r[idx] += R_r * a0
@@ -241,7 +245,7 @@ class FactorTable:
         """The state as a (4, *broadcast shape) fixed-basis spinor field."""
         vals = np.zeros((4, *self.shape))
         for key, comps in self._angular_sums(state, derivs=False).items():
-            R = self._radial_of(*key)[0]
+            R = self.radial(*key)[0]
             for idx, (a0,) in comps.items():
                 vals[idx] += R * a0
         return vals

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -87,6 +88,10 @@ class SuiteConfig:
             raise ValueError("at least one parameter set is required")
         if self.truncation[0] < 2 or self.truncation[1] < 2:
             raise ValueError("truncation must be at least (2, 2)")
+        if len(self.quad_orders) != 2 or not all(
+            isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1 for m in self.quad_orders
+        ):
+            raise ValueError(f"quad_orders must be two integers >= 1, got {list(self.quad_orders)}")
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance key {name!r}")

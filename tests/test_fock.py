@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
 
-from ttwsusy.fock import (
-    annihilators,
-    barred_annihilators,
-    barred_creators,
-    fermion_matrices,
-    jordan_wigner,
-    rotate_to_barred,
-)
+from ttwsusy.fock import annihilators, barred_creators, jordan_wigner, rotate_to_barred
 
 I4 = np.eye(4)
 
 
 def anticomm(a, b):
     return a @ b + b @ a
+
+
+def fermion_matrices():
+    """The four 4x4 matrices {b_x, bdag_x, b_y, bdag_y}."""
+    bx, by = annihilators()
+    return {"b_x": bx, "bdag_x": bx.T, "b_y": by, "bdag_y": by.T}
+
+
+def barred_annihilators(phi):
+    """(b_xbar, b_ybar) at angle phi, as 4x4 matrices."""
+    cx, cy = barred_creators(phi)
+    return cx.T, cy.T
 
 
 class TestCanonicalRelations:

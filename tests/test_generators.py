@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ttwsusy.fock import annihilators
 from ttwsusy.generators import (
-    _PARITY_COMPONENTS,
     GENERATOR_NAMES,
     GENERATOR_PARITY,
-    _gamma_coeffs,
-    _gamma_coeffs_barred,
+    _gamma_terms,
     apply_generator,
     apply_hamiltonian,
     check_structure_constants,
@@ -42,6 +41,9 @@ PARAM_SETS = [
 IDS = ["k=1", "k=2", "k=sqrt2"]
 
 MR = MA = 56  # quadrature orders for the unit tests
+
+# fixed-basis components that a state of each fermion parity occupies
+PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
 
 
 def sector_grids(p, n):
@@ -310,17 +312,23 @@ class TestMatrices:
 
 
 class TestTensorGridAssembly:
-    """generator_matrices samples on the tensor grid through one FactorTable
-    per sector grid and projects two spinor components; every entry must
-    equal the inner product computed at the grid's nodes listed point by
-    point."""
+    """generator_matrices contracts each generator's term table with 1-D
+    radial and angular Gauss sums; every entry must equal the inner
+    product of the pointwise generator output, summed over the grid's
+    nodes listed point by point."""
 
-    @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
-    def test_entries_equal_pointwise_inner_products(self, p):
+    @pytest.mark.parametrize(
+        "p, orders", [(PARAM_SETS[1], (40, 40)), (PARAM_SETS[2], (40, 40)), (PARAM_SETS[2], (30, 44))],
+        ids=["k=2", "k=sqrt2", "k=sqrt2-30x44"],
+    )
+    def test_entries_equal_pointwise_inner_products(self, p, orders):
         trunc = (3, 3)
-        mats, basis = generator_matrices(p, trunc, m_rad=40, m_ang=40)
+        m_rad, m_ang = orders
+        mats, basis = generator_matrices(p, trunc, m_rad=m_rad, m_ang=m_ang)
         grids = {
-            (n, q): Grid.for_sector(p, n, odd=bool(q), m_rad=40, m_ang=40) for n in range(trunc[1] + 1) for q in (0, 1)
+            (n, q): Grid.for_sector(p, n, odd=bool(q), m_rad=m_rad, m_ang=m_ang)
+            for n in range(trunc[1] + 1)
+            for q in (0, 1)
         }
         parity = [s.state.fermion_parity() for s in basis]
         for j in range(0, len(basis), 3):
@@ -338,6 +346,15 @@ class TestTensorGridAssembly:
                 assert np.all(mats[name][others, j] == 0.0)
 
     @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
+    def test_orders_past_exactness_agree(self, p):
+        # every integrand is polynomial under the grid weights, so an exact
+        # rule of any order gives the same matrices
+        small, _ = generator_matrices(p, (4, 4), m_rad=30, m_ang=44)
+        large, _ = generator_matrices(p, (4, 4), m_rad=80, m_ang=80)
+        for name in GENERATOR_NAMES:
+            assert np.max(np.abs(small[name] - large[name])) <= 1e-11, name
+
+    @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
     def test_outputs_keep_parity_components(self, p):
         for n in (0, 2):
             for s in sector_basis(p, n, 3):
@@ -345,7 +362,28 @@ class TestTensorGridAssembly:
                     p_out = s.state.fermion_parity() ^ GENERATOR_PARITY[name]
                     grid = Grid.for_sector(p, n, odd=bool(p_out), m_rad=20, m_ang=20)
                     out = apply_generator(name, s.state, p, grid.r, grid.phi)
-                    assert np.all(out[_PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
+                    assert np.all(out[PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
+
+
+def _gamma_coeffs_barred(params, r, phi):
+    """Coefficients (g_xx, g_xy, g_yy) of Gamma on (bdag_x b_x, bdag_x b_y
+    + bdag_y b_x, bdag_y b_y), assembled from the barred-mode expression
+    and rotated back: an independent oracle for the fixed-basis table."""
+    k, a, b = params.k, params.a, params.b
+    tan = np.tan(k * phi)
+    cot = 1.0 / tan
+    sec2 = 1.0 + tan * tan
+    csc2 = 1.0 + cot * cot
+    pref = k / (2.0 * params.omega * r**2)
+    bar_xx = pref * (a + b)
+    bar_xy = pref * (-a * tan + b * cot)
+    bar_yy = pref * (a * (k * sec2 - 1.0) + b * (k * csc2 - 1.0))
+    c, s = np.cos(phi), np.sin(phi)
+    # bdag_bar_i bbar_j = sum_kl U_ik U_jl bdag_k b_l with U = [[c, s], [-s, c]]
+    g_xx = bar_xx * c * c - 2.0 * bar_xy * c * s + bar_yy * s * s
+    g_yy = bar_xx * s * s + 2.0 * bar_xy * c * s + bar_yy * c * c
+    g_xy = bar_xx * c * s + bar_xy * (c * c - s * s) - bar_yy * c * s
+    return g_xx, g_xy, g_yy
 
 
 class TestGammaConsistency:
@@ -354,7 +392,14 @@ class TestGammaConsistency:
         rng = np.random.default_rng(2)
         r = rng.uniform(0.5, 2.0, 40)
         phi = rng.uniform(0.1, 0.9, 40) * p.phi_max
-        fixed = _gamma_coeffs(p, r, phi)
+        bx, by = annihilators()
+        operators = (bx.T @ bx, bx.T @ by + by.T @ bx, by.T @ by)
+        terms = _gamma_terms(p, phi)
+        assert [(t.d_r, t.d_phi) for t in terms] == [(0, 0)] * 3
+        assert all(any(np.array_equal(t.fermion, op) for op in operators) for t in terms)
+        fixed = [
+            sum(t.coef * r**t.r_pow * t.theta for t in terms if np.array_equal(t.fermion, op)) for op in operators
+        ]
         barred = _gamma_coeffs_barred(p, r, phi)
         scale = max(np.max(np.abs(c)) for c in fixed)
         for f, g in zip(fixed, barred):

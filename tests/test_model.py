@@ -161,6 +161,11 @@ class TestGrid:
         f = eval_wavefunction(P_GEN, 0, 1, grid.r, grid.phi)
         assert f.shape == grid.w.shape
 
+    def test_weights_are_product_of_1d_weights(self):
+        grid = Grid.for_sector(P_GEN, 2, odd=True, m_rad=12, m_ang=10)
+        assert (grid.w_r.shape, grid.w_phi.shape) == ((12, 1), (1, 10))
+        np.testing.assert_array_equal(grid.w, np.outer(grid.w_r, grid.w_phi))
+
     def test_spinor_inner_sums_components(self):
         grid = Grid.for_sector(P_GEN, 0, m_rad=16, m_ang=12)
         rng = np.random.default_rng(5)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ttwsusy.generators import _PARITY_COMPONENTS
 from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, zero_fermion_state
 from ttwsusy.model import Grid, ModelParams
 from ttwsusy.states import OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
@@ -11,6 +10,8 @@ from ttwsusy.states import OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_b
 P = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
 P_IRR = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=1.0)
 BUNDLE_FIELDS = ("val", "d_r", "d_rr", "d_phi", "d_phiphi")
+# fixed-basis components that a state of each fermion parity occupies
+PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
 
 
 class TestCatalogAlgebra:
@@ -121,11 +122,11 @@ class TestBroadcastingContract:
     def test_opposite_parity_components_vanish_exactly(self, p):
         for s, parity, grid in basis_grids(p, 3):
             assert parity == (0 if s.family in ("zero", "double") else 1)
-            other = _PARITY_COMPONENTS[1 - parity]
+            other = PARITY_COMPONENTS[1 - parity]
             bundle = FactorTable(p, grid.r, grid.phi).bundle(s.state)
             for name in BUNDLE_FIELDS:
                 assert np.all(getattr(bundle, name)[other] == 0.0), (s.family, s.level, name)
-            assert np.any(bundle.val[_PARITY_COMPONENTS[parity]] != 0.0)
+            assert np.any(bundle.val[PARITY_COMPONENTS[parity]] != 0.0)
 
     def test_table_reuses_factors_across_states(self):
         grid = Grid.for_sector(P, 2, odd=True, m_rad=20, m_ang=20)

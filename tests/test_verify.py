@@ -59,6 +59,11 @@ class TestSuiteConfig:
             with pytest.raises(ValueError):
                 SuiteConfig(tolerances={"model.orthonormality": bad})
 
+    @pytest.mark.parametrize("orders", [(0, 0), (80.5, 80), (True, 80), (80,)], ids=["zero", "float", "bool", "one"])
+    def test_quad_orders_validation(self, orders):
+        with pytest.raises(ValueError, match="quad_orders"):
+            SuiteConfig(quad_orders=orders)
+
     def test_tolerance_override(self):
         cfg = SuiteConfig(tolerances={"model.orthonormality": 1e-6})
         assert cfg.tol("model.orthonormality") == 1e-6
@@ -218,6 +223,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["verify", "--param", "k=2,a=1.5"])
         capsys.readouterr()
+
+    def test_bad_quad_orders_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"quad_orders": [0, 0]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(path)])
+        assert exc.value.code == 2
+        assert "quad_orders must be two integers >= 1" in capsys.readouterr().err
 
     def test_bad_key_rejected(self, capsys):
         with pytest.raises(SystemExit):
