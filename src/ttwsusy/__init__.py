@@ -8,7 +8,7 @@ the k = 1, 2, 3 cartesian special cases, and a verification suite that
 checks every closed-form claim numerically.
 """
 
-from .fock import jordan_wigner, rotate_to_barred
+from .fock import jordan_wigner
 from .generators import (
     GENERATOR_NAMES,
     apply_generator,

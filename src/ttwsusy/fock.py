@@ -20,9 +20,7 @@ import numpy as np
 
 __all__ = [
     "annihilators",
-    "barred_creators",
     "jordan_wigner",
-    "rotate_to_barred",
 ]
 
 
@@ -51,15 +49,3 @@ _BX, _BY = jordan_wigner(2)
 def annihilators() -> tuple[np.ndarray, np.ndarray]:
     return _BX.copy(), _BY.copy()
 
-
-def rotate_to_barred(phi: float) -> np.ndarray:
-    """Orthogonal map from (x, y) mode labels to the barred modes."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-s, c]])
-
-
-def barred_creators(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(bdag_xbar, bdag_ybar) at angle phi, as 4x4 matrices."""
-    u = rotate_to_barred(phi)
-    bdx, bdy = _BX.T, _BY.T
-    return u[0, 0] * bdx + u[0, 1] * bdy, u[1, 0] * bdx + u[1, 1] * bdy

@@ -27,7 +27,10 @@ fixed-basis fermion matrix.  The table acts analytically on catalog
 states through their derivative bundles, exactly at every sample point,
 and ``generator_matrices`` contracts the same table with 1-D radial and
 angular Gauss sums, so the algebra residuals measure the formulas, not
-a discretization.
+a discretization.  The relations between the matrices are formed one
+diagonal block at a time (``diagonal_blocks``, ``check_structure_constants``);
+the blocks are read off the matrices' nonzero pattern, so for the
+model they are the angular sectors.
 
 ``oscillator_realization`` provides the independent boson-fermion
 matrix model of the same algebra (no wavefunctions involved), used as
@@ -56,6 +59,7 @@ __all__ = [
     "apply_hamiltonian",
     "apply_susy",
     "check_structure_constants",
+    "diagonal_blocks",
     "dilation_identity_residuals",
     "generator_matrices",
     "hamiltonian_super",
@@ -379,8 +383,10 @@ def generator_matrices(
     super-basis with radial level <= N_max and sector n <= n_max.
 
     Generators preserve the angular sector, so the matrices are
-    assembled per sector; cross-sector blocks vanish identically (the
-    sampled block-diagonality check lives in the test suite).  Rows of
+    assembled per sector and their cross-sector blocks are zero by
+    construction; that the operators do not couple sectors is shown by
+    the ``block-diagonality`` check of verify's irreps suite, which
+    samples cross-sector elements on a grid.  Rows of
     fermion parity p are integrated on the sector grid of parity p.  A
     basis state is a short sum of radial times angular spinor factors,
     a generator a table of separable terms and the grid weights an
@@ -466,20 +472,56 @@ class RelationCheck:
     residual: float
 
 
+def diagonal_blocks(mats: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Index sets of the finest partition on which every matrix in
+    ``mats`` is block-diagonal: the connected components of the union of
+    the matrices' nonzero patterns, symmetrised (a NaN counts as nonzero).
+    For generator matrices these are the angular sectors; an entry that
+    couples two sectors merges their blocks."""
+    linked = np.zeros(next(iter(mats.values())).shape, dtype=bool)
+    for m in mats.values():
+        linked |= m != 0
+    linked |= linked.T
+    free = np.ones(len(linked), dtype=bool)
+    blocks = []
+    while free.any():
+        frontier = np.zeros_like(free)
+        frontier[np.argmax(free)] = True
+        block = frontier.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~block
+            block |= frontier
+        free &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
 def check_structure_constants(mats: dict[str, np.ndarray], interior: np.ndarray) -> list[RelationCheck]:
     """Max-abs residual of every (anti)commutation relation, restricted
-    to interior rows and columns."""
+    to interior rows and columns.  The products are formed one diagonal
+    block at a time, from the block's interior rows and columns only; a
+    NaN entry gives a NaN residual, and so does an empty interior."""
+    # per block: (interior rows x block columns, block rows x interior
+    # columns, interior x interior) of every matrix
+    pieces = []
+    for idx in diagonal_blocks(mats):
+        inner = idx[interior[idx]]
+        if inner.size:
+            cuts = (np.ix_(inner, idx), np.ix_(idx, inner), np.ix_(inner, inner))
+            pieces.append({g: tuple(m[c] for c in cuts) for g, m in mats.items()})
     out = []
     for kind, a, b, rhs in RELATIONS:
-        ab = mats[a] @ mats[b]
-        ba = mats[b] @ mats[a]
-        lhs = ab - ba if kind == "comm" else ab + ba
-        for gname, coeff in rhs.items():
-            lhs = lhs - coeff * mats[gname]
-        res = float(np.max(np.abs(lhs[np.ix_(interior, interior)]))) if interior.any() else float("nan")
+        worst = []
+        for blk in pieces:
+            ab = blk[a][0] @ blk[b][1]
+            ba = blk[b][0] @ blk[a][1]
+            lhs = ab - ba if kind == "comm" else ab + ba
+            for gname, coeff in rhs.items():
+                lhs = lhs - coeff * blk[gname][2]
+            worst.append(np.max(np.abs(lhs)))
         symbol = "[{},{}]".format(a, b) if kind == "comm" else "{{{},{}}}".format(a, b)
         rhs_text = " ".join(f"{c:+g} {g}" for g, c in rhs.items()) if rhs else "0"
-        out.append(RelationCheck(f"{symbol} = {rhs_text}", res))
+        out.append(RelationCheck(f"{symbol} = {rhs_text}", float(np.max(worst)) if worst else float("nan")))
     return out
 
 

@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
-from ttwsusy.fock import annihilators, barred_creators, jordan_wigner, rotate_to_barred
+from ttwsusy.fock import annihilators, jordan_wigner
 
 I4 = np.eye(4)
+
+
+def rotate_to_barred(phi: float) -> np.ndarray:
+    """Orthogonal map from (x, y) mode labels to the barred modes."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, s], [-s, c]])
+
+
+def barred_creators(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(bdag_xbar, bdag_ybar) at angle phi, as 4x4 matrices."""
+    u = rotate_to_barred(phi)
+    bx, by = annihilators()
+    return u[0, 0] * bx.T + u[0, 1] * by.T, u[1, 0] * bx.T + u[1, 1] * by.T
 
 
 def anticomm(a, b):

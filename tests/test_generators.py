@@ -7,10 +7,12 @@ from ttwsusy.fock import annihilators
 from ttwsusy.generators import (
     GENERATOR_NAMES,
     GENERATOR_PARITY,
+    RELATIONS,
     _gamma_terms,
     apply_generator,
     apply_hamiltonian,
     check_structure_constants,
+    diagonal_blocks,
     dilation_identity_residuals,
     generator_matrices,
     hamiltonian_super,
@@ -309,6 +311,73 @@ class TestMatrices:
     def test_truncation_validation(self):
         with pytest.raises(ValueError):
             generator_matrices(PARAM_SETS[0], (1, 3))
+
+
+def dense_relation_residuals(mats, interior):
+    """Oracle: every relation formed from the full dense matrices, then
+    restricted to the interior rows and columns."""
+    out = []
+    for kind, a, b, rhs in RELATIONS:
+        ab, ba = mats[a] @ mats[b], mats[b] @ mats[a]
+        lhs = ab - ba if kind == "comm" else ab + ba
+        for g, c in rhs.items():
+            lhs = lhs - c * mats[g]
+        out.append(float(np.max(np.abs(lhs[np.ix_(interior, interior)]))))
+    return out
+
+
+def involves(relation, gname):
+    _, a, b, rhs = relation
+    return gname in (a, b) or gname in rhs
+
+
+class TestBlockAlgebra:
+    """Relations are formed one diagonal block at a time; the blocks come
+    from the matrices' own nonzero pattern."""
+
+    def test_blockwise_equals_dense_oracle(self, setup):
+        _, trunc, mats, basis = setup
+        interior = interior_mask(basis, trunc)
+        got = [c.residual for c in check_structure_constants(mats, interior)]
+        np.testing.assert_allclose(got, dense_relation_residuals(mats, interior), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nu,cutoff", [(1, 12), (2, 5)])
+    def test_oscillator_blockwise_equals_dense_oracle(self, nu, cutoff):
+        osc = oscillator_realization(nu=nu, cutoff=cutoff)
+        # boson plus fermion number mod 2 is conserved by every generator
+        assert len(diagonal_blocks(osc.mats)) >= 2
+        got = [c.residual for c in check_structure_constants(osc.mats, osc.interior)]
+        np.testing.assert_allclose(got, dense_relation_residuals(osc.mats, osc.interior), rtol=0, atol=1e-13)
+
+    def test_planted_nan_reaches_the_relations_of_its_generator(self, setup):
+        _, trunc, mats, basis = setup
+        interior = interior_mask(basis, trunc)
+        i = np.flatnonzero(interior)[len(basis) // 8]
+        planted = dict(mats, **{"V+": mats["V+"].copy()})
+        planted["V+"][i, i] = np.nan
+        for rel, check in zip(RELATIONS, check_structure_constants(planted, interior)):
+            assert math.isnan(check.residual) == involves(rel, "V+"), rel
+
+    def test_cross_sector_entry_merges_blocks(self, setup):
+        _, trunc, mats, basis = setup
+        sectors = np.array([s.n for s in basis])
+        interior = interior_mask(basis, trunc)
+        i = np.flatnonzero(interior & (sectors == 1))[0]
+        j = np.flatnonzero(interior & (sectors == 2))[0]
+        planted = dict(mats, **{"K+": mats["K+"].copy()})
+        planted["K+"][i, j] = 0.5
+        blocks = diagonal_blocks(planted)
+        assert len(blocks) == len(diagonal_blocks(mats)) - 1
+        merged = next(idx for idx in blocks if i in idx)
+        assert set(merged) == set(np.flatnonzero((sectors == 1) | (sectors == 2)))
+        got = [c.residual for c in check_structure_constants(planted, interior)]
+        np.testing.assert_allclose(got, dense_relation_residuals(planted, interior), rtol=0, atol=1e-13)
+        assert max(got) > 0.1  # the stray entry is not hidden
+
+    def test_empty_interior_gives_nan(self, setup):
+        _, _, mats, basis = setup
+        nowhere = np.zeros(len(basis), dtype=bool)
+        assert all(math.isnan(c.residual) for c in check_structure_constants(mats, nowhere))
 
 
 class TestTensorGridAssembly:

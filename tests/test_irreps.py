@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ttwsusy.generators import apply_generator, check_structure_constants, generator_matrices, interior_mask
+from ttwsusy.generators import apply_generator, check_structure_constants, diagonal_blocks, generator_matrices, interior_mask
 from ttwsusy.irreps import (
     casimir_eigenvalues,
     casimir_matrices,
@@ -236,6 +236,30 @@ class TestCasimirs:
 
 
 class TestBlockDiagonality:
+    def test_diagonal_blocks_are_contiguous_sectors(self):
+        # the truncation-16x10 benchmark configuration: dimension 34 + 10 x 68
+        mats, basis = generator_matrices(P_IRR, (16, 10))
+        blocks = diagonal_blocks(mats)
+        assert len(blocks) == 11
+        start = 0
+        for n, idx in enumerate(blocks):
+            assert list(idx) == list(range(start, start + len(idx)))
+            assert {s.n for s in (basis[i] for i in idx)} == {n}
+            assert len(idx) == (34 if n == 0 else 68)
+            start += len(idx)
+        assert start == len(basis)
+
+    def test_blockwise_casimirs_equal_dense(self, mats):
+        _, _, m, _ = mats
+        c2, c3 = casimir_matrices(m)
+        off_block = np.ones_like(c2, dtype=bool)
+        for idx in diagonal_blocks(m):
+            b2, b3 = casimir_matrices({g: x[np.ix_(idx, idx)] for g, x in m.items()})
+            np.testing.assert_allclose(b2, c2[np.ix_(idx, idx)], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b3, c3[np.ix_(idx, idx)], rtol=0, atol=1e-12)
+            off_block[np.ix_(idx, idx)] = False
+        assert not np.any(c2[off_block]) and not np.any(c3[off_block])
+
     def test_sampled_cross_sector_elements_vanish(self):
         p = P_IRR
         for n1, n2 in ((0, 1), (1, 2), (0, 2)):

@@ -163,6 +163,17 @@ class TestRun:
         assert doc["checks"][1]["status"] == "non-finite"
         assert doc["summary"]["failed"] == 1
 
+    def test_nan_part_of_a_residual_is_not_dropped(self, monkeypatch):
+        overlap = verify.irreps.overlap
+        # NaN for one state in the middle of the loop, so it is neither the first nor the last value
+        monkeypatch.setattr(verify.irreps, "overlap", lambda p, N, n: float("nan") if (N, n) == (3, 1) else overlap(p, N, n))
+        report = run(SuiteConfig(**FAST, suites=("irreps",)))
+        (rec,) = [c for c in report.checks if c.name == "one-fermion-overlap"]
+        assert math.isnan(rec.residual) and not rec.passed
+        (entry,) = [c for c in strict_loads(report.to_json())["checks"] if c["name"] == "one-fermion-overlap"]
+        assert entry["status"] == "non-finite" and entry["residual"] is None and entry["passed"] is False
+        assert all(c.passed for c in report.checks if c is not rec)
+
 
 class TestCli:
     def test_exit_zero_on_success(self, capsys):
