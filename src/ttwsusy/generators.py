@@ -27,10 +27,9 @@ fixed-basis fermion matrix.  The table acts analytically on catalog
 states through their derivative bundles, exactly at every sample point,
 and ``generator_matrices`` contracts the same table with 1-D radial and
 angular Gauss sums, so the algebra residuals measure the formulas, not
-a discretization.  The relations between the matrices are formed one
-diagonal block at a time (``diagonal_blocks``, ``check_structure_constants``);
-the blocks are read off the matrices' nonzero pattern, so for the
-model they are the angular sectors.
+a discretization.  Every generator preserves the angular sector n, so
+the matrices are kept as one block per sector, and the relation,
+Hermiticity and Casimir checks each work on one block.
 
 ``oscillator_realization`` provides the independent boson-fermion
 matrix model of the same algebra (no wavefunctions involved), used as
@@ -59,7 +58,6 @@ __all__ = [
     "apply_hamiltonian",
     "apply_susy",
     "check_structure_constants",
-    "diagonal_blocks",
     "dilation_identity_residuals",
     "generator_matrices",
     "hamiltonian_super",
@@ -378,43 +376,45 @@ def generator_matrices(
     m_rad: int = 80,
     m_ang: int = 80,
     names: tuple[str, ...] = GENERATOR_NAMES,
-) -> tuple[dict[str, np.ndarray], list[BasisState]]:
+) -> tuple[list[dict[str, np.ndarray]], list[BasisState]]:
     """Matrices <i|G|j> of the requested generators over the orthonormal
-    super-basis with radial level <= N_max and sector n <= n_max.
+    super-basis with radial level <= N_max and sector n <= n_max, as
+    ``(blocks, basis)``.
 
-    Generators preserve the angular sector, so the matrices are
-    assembled per sector and their cross-sector blocks are zero by
-    construction; that the operators do not couple sectors is shown by
-    the ``block-diagonality`` check of verify's irreps suite, which
-    samples cross-sector elements on a grid.  Rows of
-    fermion parity p are integrated on the sector grid of parity p.  A
-    basis state is a short sum of radial times angular spinor factors,
-    a generator a table of separable terms and the grid weights an
-    outer product, so each entry is a sum of products of 1-D radial and
-    angular Gauss sums (``_project``); nothing is sampled on the 2-D grid.
+    Generators preserve the angular sector, so only the diagonal blocks
+    are formed: ``blocks[n]`` maps each name to the d_n x d_n matrix over
+    sector n's states, which are the entries of the sector-major list
+    ``basis`` with ``s.n == n``, in order.  That the operators do not
+    couple sectors is shown by the ``block-diagonality`` check of
+    verify's irreps suite, which samples cross-sector elements on a
+    grid.  Rows of fermion parity p are integrated on the sector grid of
+    parity p.  A basis state is a short sum of radial times angular
+    spinor factors, a generator a table of separable terms and the grid
+    weights an outer product, so each entry is a sum of products of 1-D
+    radial and angular Gauss sums (``_project``); nothing is sampled on
+    the 2-D grid.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
         raise ValueError("truncation must be at least (2, 2)")
 
-    sector_bases = [sector_basis(params, n, N_max) for n in range(n_max + 1)]
-    basis = [s for bs in sector_bases for s in bs]
-    mats = {g: np.zeros((len(basis), len(basis))) for g in names}
-
-    offset = 0
-    for n, bs in enumerate(sector_bases):
+    blocks, basis = [], []
+    for n in range(n_max + 1):
+        bs = sector_basis(params, n, N_max)
         par = np.array([0 if s.family in ("zero", "double") else 1 for s in bs])
-        idx = {p: offset + np.flatnonzero(par == p) for p in (0, 1)}
+        idx = {p: np.flatnonzero(par == p) for p in (0, 1)}
+        block = {g: np.zeros((len(bs), len(bs))) for g in names}
         for p_out in (0, 1):
             grid = Grid.for_sector(params, n, odd=bool(p_out), m_rad=m_rad, m_ang=m_ang)
             table = FactorTable(params, grid.r, grid.phi)
-            factors = {p: _separable_factors(table, [basis[i].state for i in idx[p]]) for p in (0, 1)}
+            factors = {p: _separable_factors(table, [bs[i].state for i in idx[p]]) for p in (0, 1)}
             for g in names:
                 p_in = p_out ^ GENERATOR_PARITY[g]
-                block = _project(_terms(g, params, grid.phi), factors[p_out], factors[p_in], grid)
-                mats[g][np.ix_(idx[p_out], idx[p_in])] = block
-        offset += len(bs)
-    return mats, basis
+                part = _project(_terms(g, params, grid.phi), factors[p_out], factors[p_in], grid)
+                block[g][np.ix_(idx[p_out], idx[p_in])] = part
+        blocks.append(block)
+        basis += bs
+    return blocks, basis
 
 
 def interior_mask(basis: list[BasisState], truncation: tuple[int, int], depth: int = 1) -> np.ndarray:
@@ -472,61 +472,34 @@ class RelationCheck:
     residual: float
 
 
-def diagonal_blocks(mats: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Index sets of the finest partition on which every matrix in
-    ``mats`` is block-diagonal: the connected components of the union of
-    the matrices' nonzero patterns, symmetrised (a NaN counts as nonzero).
-    For generator matrices these are the angular sectors; an entry that
-    couples two sectors merges their blocks."""
-    linked = np.zeros(next(iter(mats.values())).shape, dtype=bool)
-    for m in mats.values():
-        linked |= m != 0
-    linked |= linked.T
-    free = np.ones(len(linked), dtype=bool)
-    blocks = []
-    while free.any():
-        frontier = np.zeros_like(free)
-        frontier[np.argmax(free)] = True
-        block = frontier.copy()
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~block
-            block |= frontier
-        free &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
-
-
 def check_structure_constants(mats: dict[str, np.ndarray], interior: np.ndarray) -> list[RelationCheck]:
-    """Max-abs residual of every (anti)commutation relation, restricted
-    to interior rows and columns.  The products are formed one diagonal
-    block at a time, from the block's interior rows and columns only; a
-    NaN entry gives a NaN residual, and so does an empty interior."""
-    # per block: (interior rows x block columns, block rows x interior
-    # columns, interior x interior) of every matrix
-    pieces = []
-    for idx in diagonal_blocks(mats):
-        inner = idx[interior[idx]]
-        if inner.size:
-            cuts = (np.ix_(inner, idx), np.ix_(idx, inner), np.ix_(inner, inner))
-            pieces.append({g: tuple(m[c] for c in cuts) for g, m in mats.items()})
+    """Max-abs residual of every (anti)commutation relation within one
+    block of generator matrices (one angular sector, or the whole
+    oscillator realization), restricted to the block's interior rows
+    and columns.  The products are formed from the interior rows and
+    columns only; a NaN entry gives a NaN residual, and so does an
+    empty interior."""
+    inner, every = np.flatnonzero(interior), np.arange(len(interior))
+    # interior rows, interior columns and interior square of every matrix;
+    # np.ix_ keeps each copy C-ordered (m[:, inner] would be Fortran-ordered
+    # and take another BLAS path, changing the last bits)
+    cuts = {g: (m[np.ix_(inner, every)], m[np.ix_(every, inner)], m[np.ix_(inner, inner)]) for g, m in mats.items()}
     out = []
     for kind, a, b, rhs in RELATIONS:
-        worst = []
-        for blk in pieces:
-            ab = blk[a][0] @ blk[b][1]
-            ba = blk[b][0] @ blk[a][1]
-            lhs = ab - ba if kind == "comm" else ab + ba
-            for gname, coeff in rhs.items():
-                lhs = lhs - coeff * blk[gname][2]
-            worst.append(np.max(np.abs(lhs)))
+        ab = cuts[a][0] @ cuts[b][1]
+        ba = cuts[b][0] @ cuts[a][1]
+        lhs = ab - ba if kind == "comm" else ab + ba
+        for gname, coeff in rhs.items():
+            lhs = lhs - coeff * cuts[gname][2]
         symbol = "[{},{}]".format(a, b) if kind == "comm" else "{{{},{}}}".format(a, b)
         rhs_text = " ".join(f"{c:+g} {g}" for g, c in rhs.items()) if rhs else "0"
-        out.append(RelationCheck(f"{symbol} = {rhs_text}", float(np.max(worst)) if worst else float("nan")))
+        out.append(RelationCheck(f"{symbol} = {rhs_text}", float(np.max(np.abs(lhs))) if inner.size else float("nan")))
     return out
 
 
 def hermiticity_residuals(mats: dict[str, np.ndarray]) -> dict[str, float]:
-    """Transpose relations between generator matrices (real orthonormal basis)."""
+    """Transpose relations within one block of generator matrices (real
+    orthonormal basis)."""
     return {
         "K0^T = K0": float(np.max(np.abs(mats["K0"] - mats["K0"].T))),
         "Y^T = Y": float(np.max(np.abs(mats["Y"] - mats["Y"].T))),

@@ -18,8 +18,8 @@ coincide, the two-fermion tower is empty and the irrep is a shortened
 (atypical) lowest-weight one.
 
 This module also evaluates the quadratic and cubic Casimir operators,
-as matrix polynomials in the eight generator matrices and as closed
-forms n(n+a+b)k^2 and -(a+b) n (n+a+b) k^3 / 2.
+as matrix polynomials in one sector's eight generator blocks and as
+closed forms n(n+a+b)k^2 and -(a+b) n (n+a+b) k^3 / 2.
 """
 
 from __future__ import annotations
@@ -211,7 +211,8 @@ def sector_basis(params: ModelParams, n: int, levels: int) -> list[BasisState]:
 
 
 def casimir_matrices(mats: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic and cubic Casimir operators as matrix polynomials,
+    """Quadratic and cubic Casimir operators as matrix polynomials in one
+    block of generator matrices (one angular sector),
 
         C2 = K0(K0-1) - Y(Y+1) - K+K- + V-W+ - V+W-
         C3 = (K0+Y)(K0-Y-1)(Y+1/2) - (Y+1/2)K+K-

@@ -74,6 +74,13 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _check_int_pair(key: str, value, low: int) -> None:
+    if not isinstance(value, (tuple, list)) or len(value) != 2 or not all(
+        isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= low for m in value
+    ):
+        raise ValueError(f"{key} must be two integers >= {low}, got {value!r}")
+
+
 @dataclass
 class SuiteConfig:
     param_sets: tuple = DEFAULT_PARAM_SETS
@@ -86,12 +93,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.param_sets:
             raise ValueError("at least one parameter set is required")
-        if self.truncation[0] < 2 or self.truncation[1] < 2:
-            raise ValueError("truncation must be at least (2, 2)")
-        if len(self.quad_orders) != 2 or not all(
-            isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1 for m in self.quad_orders
-        ):
-            raise ValueError(f"quad_orders must be two integers >= 1, got {list(self.quad_orders)}")
+        _check_int_pair("truncation", self.truncation, 2)
+        _check_int_pair("quad_orders", self.quad_orders, 1)
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance key {name!r}")
@@ -127,7 +130,7 @@ class SuiteConfig:
             kwargs["param_sets"] = tuple(dict(ps) for ps in data["param_sets"])
         for key in ("truncation", "quad_orders"):
             if key in data:
-                kwargs[key] = tuple(data[key])
+                kwargs[key] = tuple(data[key]) if isinstance(data[key], list) else data[key]
         if "tolerances" in data:
             kwargs["tolerances"] = dict(data["tolerances"])
         if "suites" in data:
@@ -235,24 +238,45 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
+def _worst_per_name(results) -> dict[str, float]:
+    """Each name's ``_worst`` over a sequence of {name: residual} dicts,
+    one per sector."""
+    per_name: dict[str, list] = {}
+    for result in results:
+        for name, res in result.items():
+            per_name.setdefault(name, []).append(res)
+    return {name: _worst(res) for name, res in per_name.items()}
+
+
+def _sectors(blocks: list, basis: list, mask: np.ndarray):
+    """(n, block, mask restricted to the block's states) for every sector
+    n whose part of ``mask`` is nonempty."""
+    sectors = np.array([s.n for s in basis])
+    for n, block in enumerate(blocks):
+        inner = mask[sectors == n]
+        if inner.any():
+            yield n, block, inner
+
+
 class _Workspace:
     """Per-parameter-set cache of expensive intermediates."""
 
     def __init__(self, params: ModelParams, config: SuiteConfig):
         self.params = params
         self.config = config
-        self._mats = None
+        self._blocks = None
         self._basis = None
         self.build_ms = 0.0
 
     @property
     def matrices(self):
-        if self._mats is None:
+        """(per-sector generator blocks, basis), built on first use."""
+        if self._blocks is None:
             m_rad, m_ang = self.config.quad_orders
             t0 = time.perf_counter()
-            self._mats, self._basis = gen.generator_matrices(self.params, self.config.truncation, m_rad, m_ang)
+            self._blocks, self._basis = gen.generator_matrices(self.params, self.config.truncation, m_rad, m_ang)
             self.build_ms = (time.perf_counter() - t0) * 1e3
-        return self._mats, self._basis
+        return self._blocks, self._basis
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +438,15 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
             "algebra.riccati-control",
         )
 
-        mats, basis = workspaces[label].matrices
+        blocks, basis = workspaces[label].matrices
         interior = gen.interior_mask(basis, config.truncation)
-        structure = gen.check_structure_constants(mats, interior)
-        for check in structure:
-            yield (f"structure[{check.name}]", check.name, label, check.residual, "algebra.structure")
-        for name, res in gen.hermiticity_residuals(mats).items():
+        structure = _worst_per_name(
+            {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
+            for _, block, inner in _sectors(blocks, basis, interior)
+        )
+        for name, res in structure.items():
+            yield (f"structure[{name}]", name, label, res, "algebra.structure")
+        for name, res in _worst_per_name(gen.hermiticity_residuals(block) for block in blocks).items():
             yield (f"hermiticity[{name}]", name, label, res, "algebra.hermiticity")
 
         res = []
@@ -459,7 +486,7 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         )
 
         # {Q, Qdag} = Hs is 4 omega times the structure relation {V-, W+} = K0 + Y
-        anti = next(c.residual for c in structure if c.name == "{V-,W+} = +1 K0 +1 Y")
+        anti = structure["{V-,W+} = +1 K0 +1 Y"]
         yield ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", label, 4.0 * p.omega * anti, "algebra.susy-anticommutator")
 
         rng = np.random.default_rng(config.seed)
@@ -495,22 +522,22 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
     N_max, n_max = config.truncation
     for p in config.models():
         label = _params_label(p)
-        mats, basis = workspaces[label].matrices
+        blocks, basis = workspaces[label].matrices
         tau_off = {"zero": 0.0, "lower": -0.5, "upper": 0.5, "double": 0.0}
-        index = {(s.n, s.family, s.level): i for i, s in enumerate(basis)}
 
         res = []
         sign_ok = True
-        for s in basis:
-            if s.level + 1 > N_max:
-                continue
-            j = index[(s.n, s.family, s.level)]
-            i = index[(s.n, s.family, s.level + 1)]
-            tau_fam = irreps.weights_of(p, s.n).tau + tau_off[s.family]
-            expect = irreps.k_ladder_coeff("+", tau_fam, s.level)
-            measured = mats["K+"][i, j]
-            sign_ok = sign_ok and measured > 0
-            res.append(abs(measured - expect) / expect)
+        for n, block in enumerate(blocks):
+            states = [s for s in basis if s.n == n]
+            index = {(s.family, s.level): i for i, s in enumerate(states)}
+            for s in states:
+                if s.level + 1 > N_max:
+                    continue
+                tau_fam = irreps.weights_of(p, n).tau + tau_off[s.family]
+                expect = irreps.k_ladder_coeff("+", tau_fam, s.level)
+                measured = block["K+"][index[s.family, s.level + 1], index[s.family, s.level]]
+                sign_ok = sign_ok and measured > 0
+                res.append(abs(measured - expect) / expect)
         yield (
             "ladder-matrix-elements",
             "K+ rungs equal sqrt((N+1)(2 tau + N)) with positive sign in every tower",
@@ -566,26 +593,18 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
             "irreps.overlap",
         )
 
-        # C2, C3 and [C2, G] one diagonal block of the matrices at a time
+        # C2, C3 and [C2, G] one sector block at a time
         interior2 = gen.interior_mask(basis, config.truncation, depth=2)
-        sectors = np.array([s.n for s in basis])
         res = []
-        for idx in gen.diagonal_blocks(mats):
-            block = {g: m[np.ix_(idx, idx)] for g, m in mats.items()}
+        for n, block, inner in _sectors(blocks, basis, interior2):
             c2, c3 = irreps.casimir_matrices(block)
-            inner = interior2[idx]
-            for n in np.unique(sectors[idx]):
-                sel = inner & (sectors[idx] == n)
-                if not sel.any():
-                    continue
-                c2_th, c3_th = irreps.casimir_eigenvalues(p, int(n))
-                eye = np.eye(int(sel.sum()))
-                res.append(np.max(np.abs(c2[np.ix_(sel, sel)] - c2_th * eye)))
-                res.append(np.max(np.abs(c3[np.ix_(sel, sel)] - c3_th * eye)))
-            if inner.any():
-                for gname in gen.GENERATOR_NAMES:
-                    g = block[gname]
-                    res.append(np.max(np.abs(c2[inner] @ g[:, inner] - g[inner] @ c2[:, inner])))
+            c2_th, c3_th = irreps.casimir_eigenvalues(p, n)
+            eye = np.eye(int(inner.sum()))
+            res.append(np.max(np.abs(c2[np.ix_(inner, inner)] - c2_th * eye)))
+            res.append(np.max(np.abs(c3[np.ix_(inner, inner)] - c3_th * eye)))
+            for gname in gen.GENERATOR_NAMES:
+                g = block[gname]
+                res.append(np.max(np.abs(c2[inner] @ g[:, inner] - g[inner] @ c2[:, inner])))
         yield (
             "casimir",
             "C2 and C3 are scalar n(n+a+b)k^2 and -(a+b)n(n+a+b)k^3/2 per sector (zero at n = 0); C2 commutes with all generators",
@@ -830,7 +849,8 @@ def _build_config(args) -> SuiteConfig:
         data["suites"] = args.suite
     if args.nmax is not None:
         trunc = data.get("truncation", list(SuiteConfig.truncation))
-        data["truncation"] = [args.nmax, trunc[1]]
+        if isinstance(trunc, list):
+            data["truncation"] = [args.nmax, *trunc[1:]]
     if args.seed is not None:
         data["seed"] = args.seed
     return SuiteConfig.from_dict(data)

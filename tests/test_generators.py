@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ttwsusy.fock import annihilators
 from ttwsusy.generators import (
@@ -12,7 +13,6 @@ from ttwsusy.generators import (
     apply_generator,
     apply_hamiltonian,
     check_structure_constants,
-    diagonal_blocks,
     dilation_identity_residuals,
     generator_matrices,
     hamiltonian_super,
@@ -239,12 +239,29 @@ class TestSupercharges:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def dense(blocks):
+    """The whole matrices, with the sector blocks on the diagonal."""
+    return {g: block_diag(*(block[g] for block in blocks)) for g in blocks[0]}
+
+
 @pytest.fixture(scope="module", params=[1, 2], ids=["k=2", "k=sqrt2"])
-def setup(request):
+def built(request):
     p = PARAM_SETS[request.param]
     trunc = (4, 3)
-    mats, basis = generator_matrices(p, trunc, m_rad=MR, m_ang=MA)
-    return p, trunc, mats, basis
+    blocks, basis = generator_matrices(p, trunc, m_rad=MR, m_ang=MA)
+    return p, trunc, blocks, basis
+
+
+@pytest.fixture(scope="module")
+def setup(built):
+    p, trunc, blocks, basis = built
+    return p, trunc, dense(blocks), basis
+
+
+def sector_masks(basis, mask):
+    """``mask`` split into one part per sector of the sector-major basis."""
+    sectors = np.array([s.n for s in basis])
+    return [mask[sectors == n] for n in range(sectors.max() + 1)]
 
 
 class TestMatrices:
@@ -304,8 +321,9 @@ class TestMatrices:
 
     def test_matrix_of_single(self):
         p = PARAM_SETS[1]
-        mats, basis = generator_matrices(p, (2, 2), m_rad=40, m_ang=40, names=("Y",))
-        assert list(mats) == ["Y"]
+        blocks, basis = generator_matrices(p, (2, 2), m_rad=40, m_ang=40, names=("Y",))
+        assert all(list(block) == ["Y"] for block in blocks)
+        mats = dense(blocks)
         assert mats["Y"].shape == (len(basis), len(basis))
 
     def test_truncation_validation(self):
@@ -332,52 +350,39 @@ def involves(relation, gname):
 
 
 class TestBlockAlgebra:
-    """Relations are formed one diagonal block at a time; the blocks come
-    from the matrices' own nonzero pattern."""
+    """Relations are formed one sector block at a time."""
 
-    def test_blockwise_equals_dense_oracle(self, setup):
-        _, trunc, mats, basis = setup
+    def test_blockwise_equals_dense_oracle(self, built):
+        _, trunc, blocks, basis = built
         interior = interior_mask(basis, trunc)
-        got = [c.residual for c in check_structure_constants(mats, interior)]
-        np.testing.assert_allclose(got, dense_relation_residuals(mats, interior), rtol=0, atol=1e-13)
+        per_sector = [
+            [c.residual for c in check_structure_constants(block, inner)]
+            for block, inner in zip(blocks, sector_masks(basis, interior))
+            if inner.any()
+        ]
+        got = np.max(per_sector, axis=0)
+        np.testing.assert_allclose(got, dense_relation_residuals(dense(blocks), interior), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nu,cutoff", [(1, 12), (2, 5)])
     def test_oscillator_blockwise_equals_dense_oracle(self, nu, cutoff):
+        # the whole realization is passed as one block
         osc = oscillator_realization(nu=nu, cutoff=cutoff)
-        # boson plus fermion number mod 2 is conserved by every generator
-        assert len(diagonal_blocks(osc.mats)) >= 2
         got = [c.residual for c in check_structure_constants(osc.mats, osc.interior)]
         np.testing.assert_allclose(got, dense_relation_residuals(osc.mats, osc.interior), rtol=0, atol=1e-13)
 
-    def test_planted_nan_reaches_the_relations_of_its_generator(self, setup):
-        _, trunc, mats, basis = setup
-        interior = interior_mask(basis, trunc)
-        i = np.flatnonzero(interior)[len(basis) // 8]
-        planted = dict(mats, **{"V+": mats["V+"].copy()})
+    def test_planted_nan_reaches_the_relations_of_its_generator(self, built):
+        _, trunc, blocks, basis = built
+        inner = sector_masks(basis, interior_mask(basis, trunc))[1]
+        i = np.flatnonzero(inner)[len(inner) // 4]
+        planted = dict(blocks[1], **{"V+": blocks[1]["V+"].copy()})
         planted["V+"][i, i] = np.nan
-        for rel, check in zip(RELATIONS, check_structure_constants(planted, interior)):
+        for rel, check in zip(RELATIONS, check_structure_constants(planted, inner)):
             assert math.isnan(check.residual) == involves(rel, "V+"), rel
 
-    def test_cross_sector_entry_merges_blocks(self, setup):
-        _, trunc, mats, basis = setup
-        sectors = np.array([s.n for s in basis])
-        interior = interior_mask(basis, trunc)
-        i = np.flatnonzero(interior & (sectors == 1))[0]
-        j = np.flatnonzero(interior & (sectors == 2))[0]
-        planted = dict(mats, **{"K+": mats["K+"].copy()})
-        planted["K+"][i, j] = 0.5
-        blocks = diagonal_blocks(planted)
-        assert len(blocks) == len(diagonal_blocks(mats)) - 1
-        merged = next(idx for idx in blocks if i in idx)
-        assert set(merged) == set(np.flatnonzero((sectors == 1) | (sectors == 2)))
-        got = [c.residual for c in check_structure_constants(planted, interior)]
-        np.testing.assert_allclose(got, dense_relation_residuals(planted, interior), rtol=0, atol=1e-13)
-        assert max(got) > 0.1  # the stray entry is not hidden
-
-    def test_empty_interior_gives_nan(self, setup):
-        _, _, mats, basis = setup
-        nowhere = np.zeros(len(basis), dtype=bool)
-        assert all(math.isnan(c.residual) for c in check_structure_constants(mats, nowhere))
+    def test_empty_interior_gives_nan(self, built):
+        _, _, blocks, _ = built
+        nowhere = np.zeros(len(blocks[1]["K0"]), dtype=bool)
+        assert all(math.isnan(c.residual) for c in check_structure_constants(blocks[1], nowhere))
 
 
 class TestTensorGridAssembly:
@@ -393,7 +398,8 @@ class TestTensorGridAssembly:
     def test_entries_equal_pointwise_inner_products(self, p, orders):
         trunc = (3, 3)
         m_rad, m_ang = orders
-        mats, basis = generator_matrices(p, trunc, m_rad=m_rad, m_ang=m_ang)
+        blocks, basis = generator_matrices(p, trunc, m_rad=m_rad, m_ang=m_ang)
+        mats = dense(blocks)
         grids = {
             (n, q): Grid.for_sector(p, n, odd=bool(q), m_rad=m_rad, m_ang=m_ang)
             for n in range(trunc[1] + 1)
@@ -418,8 +424,8 @@ class TestTensorGridAssembly:
     def test_orders_past_exactness_agree(self, p):
         # every integrand is polynomial under the grid weights, so an exact
         # rule of any order gives the same matrices
-        small, _ = generator_matrices(p, (4, 4), m_rad=30, m_ang=44)
-        large, _ = generator_matrices(p, (4, 4), m_rad=80, m_ang=80)
+        small = dense(generator_matrices(p, (4, 4), m_rad=30, m_ang=44)[0])
+        large = dense(generator_matrices(p, (4, 4), m_rad=80, m_ang=80)[0])
         for name in GENERATOR_NAMES:
             assert np.max(np.abs(small[name] - large[name])) <= 1e-11, name
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from ttwsusy.generators import apply_generator, check_structure_constants, diagonal_blocks, generator_matrices, interior_mask
+from ttwsusy.generators import GENERATOR_NAMES, apply_generator, generator_matrices, interior_mask
 from ttwsusy.irreps import (
     casimir_eigenvalues,
     casimir_matrices,
@@ -192,11 +193,22 @@ class TestSectorBasis:
             sp2_family_state(P_GEN, "middle", 0, 1)
 
 
+def dense(blocks):
+    """The whole matrices, with the sector blocks on the diagonal."""
+    return {g: block_diag(*(block[g] for block in blocks)) for g in blocks[0]}
+
+
 @pytest.fixture(scope="module")
-def mats():
+def sector_blocks():
     trunc = (4, 3)
-    matrices, basis = generator_matrices(P_SW, trunc, m_rad=MR, m_ang=MA)
-    return P_SW, trunc, matrices, basis
+    blocks, basis = generator_matrices(P_SW, trunc, m_rad=MR, m_ang=MA)
+    return P_SW, trunc, blocks, basis
+
+
+@pytest.fixture(scope="module")
+def mats(sector_blocks):
+    p, trunc, blocks, basis = sector_blocks
+    return p, trunc, dense(blocks), basis
 
 
 class TestCasimirs:
@@ -225,8 +237,8 @@ class TestCasimirs:
 
     def test_matrix_oracle_for_general_parameters(self):
         p = ModelParams(k=3.0, a=1.5, b=0.7, omega=1.0)
-        mats, basis = generator_matrices(p, (3, 3), m_rad=64, m_ang=64)
-        c2, c3 = casimir_matrices(mats)
+        blocks, basis = generator_matrices(p, (3, 3), m_rad=64, m_ang=64)
+        c2, c3 = casimir_matrices(dense(blocks))
         inner2 = interior_mask(basis, (3, 3), depth=2)
         sel = np.array([s.n == 2 for s in basis]) & inner2
         c2_th, c3_th = casimir_eigenvalues(p, 2)
@@ -236,25 +248,30 @@ class TestCasimirs:
 
 
 class TestBlockDiagonality:
-    def test_diagonal_blocks_are_contiguous_sectors(self):
+    def test_one_block_per_sector(self):
         # the truncation-16x10 benchmark configuration: dimension 34 + 10 x 68
-        mats, basis = generator_matrices(P_IRR, (16, 10))
-        blocks = diagonal_blocks(mats)
+        blocks, basis = generator_matrices(P_IRR, (16, 10))
         assert len(blocks) == 11
         start = 0
-        for n, idx in enumerate(blocks):
-            assert list(idx) == list(range(start, start + len(idx)))
-            assert {s.n for s in (basis[i] for i in idx)} == {n}
-            assert len(idx) == (34 if n == 0 else 68)
-            start += len(idx)
+        for n, block in enumerate(blocks):
+            size = 34 if n == 0 else 68
+            assert [s.n for s in basis[start : start + size]] == [n] * size
+            assert {g: m.shape for g, m in block.items()} == {g: (size, size) for g in GENERATOR_NAMES}
+            # block n's rows are the basis entries of sector n, in order: K0 and Y carry their weights
+            states = basis[start : start + size]
+            np.testing.assert_allclose(np.diag(block["K0"]), [s.k0 for s in states], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(np.diag(block["Y"]), [s.y for s in states], rtol=0, atol=1e-9)
+            start += size
         assert start == len(basis)
 
-    def test_blockwise_casimirs_equal_dense(self, mats):
-        _, _, m, _ = mats
-        c2, c3 = casimir_matrices(m)
+    def test_blockwise_casimirs_equal_dense(self, sector_blocks):
+        _, _, blocks, basis = sector_blocks
+        c2, c3 = casimir_matrices(dense(blocks))
+        sectors = np.array([s.n for s in basis])
         off_block = np.ones_like(c2, dtype=bool)
-        for idx in diagonal_blocks(m):
-            b2, b3 = casimir_matrices({g: x[np.ix_(idx, idx)] for g, x in m.items()})
+        for n, block in enumerate(blocks):
+            idx = np.flatnonzero(sectors == n)
+            b2, b3 = casimir_matrices(block)
             np.testing.assert_allclose(b2, c2[np.ix_(idx, idx)], rtol=0, atol=1e-12)
             np.testing.assert_allclose(b3, c3[np.ix_(idx, idx)], rtol=0, atol=1e-12)
             off_block[np.ix_(idx, idx)] = False

@@ -2,6 +2,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from ttwsusy import verify
@@ -63,6 +64,18 @@ class TestSuiteConfig:
     def test_quad_orders_validation(self, orders):
         with pytest.raises(ValueError, match="quad_orders"):
             SuiteConfig(quad_orders=orders)
+
+    @pytest.mark.parametrize(
+        "truncation",
+        [(1, 5), (8,), (4.5, 3), (8, 6, 4), (True, 3), 8],
+        ids=["low", "one", "float", "three", "bool", "scalar"],
+    )
+    def test_truncation_validation(self, truncation):
+        with pytest.raises(ValueError, match="truncation must be two integers >= 2"):
+            SuiteConfig(truncation=truncation)
+        as_json = list(truncation) if isinstance(truncation, tuple) else truncation
+        with pytest.raises(ValueError, match="truncation must be two integers >= 2"):
+            SuiteConfig.from_dict({"truncation": as_json})
 
     def test_tolerance_override(self):
         cfg = SuiteConfig(tolerances={"model.orthonormality": 1e-6})
@@ -144,6 +157,25 @@ class TestRun:
         doc = strict_loads(report.to_json())
         assert doc["matrices_ms"] == {label: round(report.matrices_ms[label], 3)}
         assert strict_loads(fast_report.to_json())["matrices_ms"] == {}
+
+    def test_nan_in_one_sector_reaches_the_report(self, monkeypatch):
+        build = verify.gen.generator_matrices
+        truncation = (3, 3)
+
+        # NaN at an interior entry of the V+ block of sector 1, neither the first nor the last sector with an interior
+        def planted_build(*args, **kwargs):
+            blocks, basis = build(*args, **kwargs)
+            inner = verify.gen.interior_mask(basis, truncation)[[s.n == 1 for s in basis]]
+            i = np.flatnonzero(inner)[1]
+            blocks[1]["V+"][i, i] = np.nan
+            return blocks, basis
+
+        monkeypatch.setattr(verify.gen, "generator_matrices", planted_build)
+        report = run(SuiteConfig(**dict(FAST, truncation=truncation), suites=("algebra",)))
+        structure = [c for c in strict_loads(report.to_json())["checks"] if c["name"].startswith("structure[")]
+        assert len(structure) == len(verify.gen.RELATIONS)
+        for check in structure:
+            assert (check["status"] == "non-finite") == ("V+" in check["claim"]), check["name"]
 
     def test_crashing_suite_keeps_yielded_checks_and_writes_standard_json(self, monkeypatch):
         def crashing_model(config):
@@ -242,6 +274,19 @@ class TestCli:
             main(["verify", "--config", str(path)])
         assert exc.value.code == 2
         assert "quad_orders must be two integers >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "truncation, extra",
+        [([8], []), ([8], ["--nmax", "5"]), ([4.5, 3], []), ([8, 6, 4], []), (8, []), (8, ["--nmax", "5"])],
+        ids=["one", "one-nmax", "float", "three", "scalar", "scalar-nmax"],
+    )
+    def test_bad_truncation_rejected(self, tmp_path, capsys, truncation, extra):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"truncation": truncation}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(path), *extra])
+        assert exc.value.code == 2
+        assert "truncation must be two integers >= 2" in capsys.readouterr().err
 
     def test_bad_key_rejected(self, capsys):
         with pytest.raises(SystemExit):
