@@ -25,11 +25,14 @@ to the deformed oscillator H_k.  Each operator is written once, as a
 table of separable terms coef r^q theta(phi) M d_r^i d_phi^j with M a
 fixed-basis fermion matrix.  The table acts analytically on catalog
 states through their derivative bundles, exactly at every sample point,
-and ``generator_matrices`` contracts the same table with 1-D radial and
-angular Gauss sums, so the algebra residuals measure the formulas, not
-a discretization.  Every generator preserves the angular sector n, so
-the matrices are kept as one block per sector, and the relation,
-Hermiticity and Casimir checks each work on one block.
+and ``project`` contracts the same table with 1-D radial and angular
+Gauss sums between lists of states, so the algebra residuals measure the
+formulas, not a discretization.  ``project`` is the one projection
+routine: ``generator_matrices`` and verify's integral checks
+(cross-sector elements, one-fermion overlaps) all go through it.  Every
+generator preserves the angular sector n, so the matrices are kept as
+one block per sector, and the relation, Hermiticity and Casimir checks
+each work on one block.
 
 ``oscillator_realization`` provides the independent boson-fermion
 matrix model of the same algebra (no wavefunctions involved), used as
@@ -64,6 +67,7 @@ __all__ = [
     "hermiticity_residuals",
     "interior_mask",
     "oscillator_realization",
+    "project",
     "riccati_residual",
     "superpotential",
     "supercharges",
@@ -366,8 +370,31 @@ def _project(terms: list[_Term], rows, cols, grid: Grid) -> np.ndarray:
         rad = R_row[0].T @ (grid.w_r * grid.r**t.r_pow * R_col[t.d_r])
         weighted = (S_row[0] * (grid.w_phi * t.theta)).reshape(n_row, -1)
         ang = weighted @ (t.fermion @ S_col[t.d_phi]).reshape(n_col, -1).T
-        P += t.coef * np.kron(rad, ang)
+        # np.kron(rad, ang) by broadcasting: the same products, without kron's per-call overhead
+        P += t.coef * (rad[:, None, :, None] * ang[None, :, None, :]).reshape(P.shape)
     return C_row @ P @ C_col.T
+
+
+_IDENTITY = [_Term(1.0, 0, 0, 1.0, _EYE, 0)]
+
+
+def project(
+    names, rows: list[CatalogState], cols: list[CatalogState], grid: Grid, table: FactorTable | None = None
+) -> dict[str, np.ndarray]:
+    """Matrix elements {name: <row|O|col>} between two lists of catalog
+    states on one grid, for generator names and ``"1"``, the plain
+    overlap <row|col>.
+
+    Both lists are expanded over the 1-D radial and angular spinor
+    factors of ``table``, a ``FactorTable`` on the grid's nodes (a new
+    one by default; pass one to share its factors between calls on the
+    grid), and each operator is one ``_project`` call on its term table.
+    So every entry is a sum of products of 1-D radial and angular Gauss
+    sums: nothing is sampled on the 2-D grid."""
+    table = FactorTable(grid.params, grid.r, grid.phi) if table is None else table
+    f_rows = _separable_factors(table, rows)
+    f_cols = f_rows if cols is rows else _separable_factors(table, cols)
+    return {g: _project(_IDENTITY if g == "1" else _terms(g, grid.params, grid.phi), f_rows, f_cols, grid) for g in names}
 
 
 def generator_matrices(
@@ -386,12 +413,12 @@ def generator_matrices(
     sector n's states, which are the entries of the sector-major list
     ``basis`` with ``s.n == n``, in order.  That the operators do not
     couple sectors is shown by the ``block-diagonality`` check of
-    verify's irreps suite, which samples cross-sector elements on a
-    grid.  Rows of fermion parity p are integrated on the sector grid of
+    verify's irreps suite, which projects cross-sector elements the same
+    way.  Rows of fermion parity p are integrated on the sector grid of
     parity p.  A basis state is a short sum of radial times angular
     spinor factors, a generator a table of separable terms and the grid
     weights an outer product, so each entry is a sum of products of 1-D
-    radial and angular Gauss sums (``_project``); nothing is sampled on
+    radial and angular Gauss sums (``project``); nothing is sampled on
     the 2-D grid.
     """
     N_max, n_max = truncation
@@ -403,15 +430,15 @@ def generator_matrices(
         bs = sector_basis(params, n, N_max)
         par = np.array([0 if s.family in ("zero", "double") else 1 for s in bs])
         idx = {p: np.flatnonzero(par == p) for p in (0, 1)}
+        states = {p: [bs[i].state for i in idx[p]] for p in (0, 1)}
         block = {g: np.zeros((len(bs), len(bs))) for g in names}
         for p_out in (0, 1):
             grid = Grid.for_sector(params, n, odd=bool(p_out), m_rad=m_rad, m_ang=m_ang)
             table = FactorTable(params, grid.r, grid.phi)
-            factors = {p: _separable_factors(table, [bs[i].state for i in idx[p]]) for p in (0, 1)}
-            for g in names:
-                p_in = p_out ^ GENERATOR_PARITY[g]
-                part = _project(_terms(g, params, grid.phi), factors[p_out], factors[p_in], grid)
-                block[g][np.ix_(idx[p_out], idx[p_in])] = part
+            for p_in in (0, 1):
+                gens = [g for g in names if p_out ^ GENERATOR_PARITY[g] == p_in]
+                for g, part in project(gens, states[p_out], states[p_in], grid, table).items():
+                    block[g][np.ix_(idx[p_out], idx[p_in])] = part
         blocks.append(block)
         basis += bs
     return blocks, basis

@@ -26,7 +26,13 @@ remaining integrand is polynomial and the quadrature exact.  Radial
 reference exponents are chosen per angular sector (and per fermion
 parity, which contributes a 1/z): see ``Grid.for_sector``.  A grid's
 nodes are a radial column and an angular row, so fields sampled on
-``(grid.r, grid.phi)`` have the grid's (m_rad, m_ang) shape.
+``(grid.r, grid.phi)`` have the grid's (m_rad, m_ang) shape, and its
+weights are the outer product of 1-D radial and angular weights.
+``Grid.inner`` sums two such fields on the 2-D grid.  Integrals of
+separable functions need not: ``wavefunction_gram`` takes each entry as
+a radial Gauss sum times an angular one (as ``generators.project`` does
+for catalog states), with the normalization constants applied to the
+radial factors before any weighted product.
 """
 
 from __future__ import annotations
@@ -292,25 +298,35 @@ class Grid:
 
 def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: int = 80, m_ang: int = 80) -> np.ndarray:
     """Gram matrix of the normalized eigenfunctions with N <= pairs_max[0]
-    and n <= pairs_max[1].  Cross-sector entries use the pair grid whose
-    radial exponent keeps the integrand polynomial."""
+    and n <= pairs_max[1], ordered (N, n) with N fastest.  Cross-sector
+    entries use the pair grid whose radial exponent keeps the integrand
+    polynomial.
+
+    Psi_{N,n} is a radial factor times the angular factor A_n and the
+    grid weights are w_r x w_phi, so the (n1, n2) block is the radial
+    Gram of the levels on the n1 + n2 pair grid times the angular sum of
+    w_phi A_n1 A_n2.  The normalization constants multiply the radial
+    factors before any weighted product: at large k the weights and the
+    bare factors each leave float range, their normalized products do
+    not.  The angular nodes and weights are the same on every pair grid,
+    so each A_n is evaluated once."""
     N_max, n_max = pairs_max
-    labels = [(N, n) for n in range(n_max + 1) for N in range(N_max + 1)]
-    grids = {s: Grid.for_pair(params, s, 0, m_rad, m_ang) for s in range(2 * n_max + 1)}
-    fields: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def sample(N, n, s):
-        key = (N, n, s)
-        if key not in fields:
-            g = grids[s]
-            fields[key] = eval_wavefunction(params, N, n, g.r, g.phi)
-        return fields[key]
-
-    gram = np.zeros((len(labels), len(labels)))
-    for i, (N1, n1) in enumerate(labels):
-        for j, (N2, n2) in enumerate(labels):
-            if j < i:
-                continue
-            s = n1 + n2
-            gram[i, j] = gram[j, i] = grids[s].inner(sample(N1, n1, s), sample(N2, n2, s))
+    size = N_max + 1
+    gram = np.zeros(((n_max + 1) * size,) * 2)
+    for s in range(2 * n_max + 1):
+        grid = Grid.for_pair(params, s, 0, m_rad, m_ang)
+        if s == 0:
+            angular = [angular_parts(params, n, grid.phi)[0] for n in range(n_max + 1)]
+        sectors = range(max(0, s - n_max), min(s, n_max) + 1)
+        radial = {
+            n: np.hstack([norm_constant(params, N, n) * radial_parts(params, N, n, grid.r)[0] for N in range(size)])
+            for n in sectors
+        }
+        for n1 in sectors:
+            n2 = s - n1
+            if n1 > n2:
+                break
+            block = (radial[n1].T @ (grid.w_r * radial[n2])) * float(np.sum(grid.w_phi * angular[n1] * angular[n2]))
+            gram[n1 * size : (n1 + 1) * size, n2 * size : (n2 + 1) * size] = block
+            gram[n2 * size : (n2 + 1) * size, n1 * size : (n1 + 1) * size] = block.T
     return gram

@@ -290,27 +290,49 @@ def _binom_frac(top: Fraction, m: int) -> Fraction:
     return c
 
 
+def _common_denominator(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator D, and D."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _series_laguerre(N, alpha, z):
     """Series-sum oracle with exact rational coefficients (and exact
     rational argument), immune to the cancellation that a float series
-    suffers at large z.  The coefficients are built once per call."""
+    suffers at large z.  The coefficients are built once per call and
+    put over one common denominator D; each sample z = m/d (d a power of
+    two) is summed exactly in integers by Horner's rule as
+    sum_j D c_j m^j d^(N-j) and rounded once after dividing by D d^N."""
     af = Fraction(alpha)
-    coeffs = [Fraction(-1) ** j / math.factorial(j) * _binom_frac(af + N, N - j) for j in range(N + 1)]
+    nums, den = _common_denominator(
+        [Fraction(-1) ** j / math.factorial(j) * _binom_frac(af + N, N - j) for j in range(N + 1)]
+    )
     out = []
     for zv in np.atleast_1d(z):
-        zf = Fraction(float(zv))
-        out.append(float(sum(c * zf**j for j, c in enumerate(coeffs))))
+        m, d = float(zv).as_integer_ratio()
+        acc, d_pow = nums[N], 1
+        for c in reversed(nums[:N]):
+            d_pow *= d
+            acc = acc * m + c * d_pow
+        out.append(float(Fraction(acc, den * d_pow)))
     return np.array(out)
 
 
 def _series_jacobi(n, alpha, beta, x):
+    """Exact series oracle sum_j c_j ((x-1)/2)^j ((x+1)/2)^(n-j), summed
+    like ``_series_laguerre``: with x = m/d the two factors are
+    (m -+ d) / (2d), so the sum is an integer over D (2d)^n."""
     af, bf = Fraction(alpha), Fraction(beta)
-    coeffs = [_binom_frac(af + n, n - j) * _binom_frac(bf + n, j) for j in range(n + 1)]
+    nums, den = _common_denominator([_binom_frac(af + n, n - j) * _binom_frac(bf + n, j) for j in range(n + 1)])
     out = []
     for xv in np.atleast_1d(x):
-        xf = Fraction(float(xv))
-        lo, hi = (xf - 1) / 2, (xf + 1) / 2
-        out.append(float(sum(c * lo**j * hi ** (n - j) for j, c in enumerate(coeffs))))
+        m, d = float(xv).as_integer_ratio()
+        lo, hi = [1], [1]
+        for _ in range(n):
+            lo.append(lo[-1] * (m - d))
+            hi.append(hi[-1] * (m + d))
+        acc = sum(c * lo[j] * hi[n - j] for j, c in enumerate(nums))
+        out.append(float(Fraction(acc, den * (2 * d) ** n)))
     return np.array(out)
 
 
@@ -382,6 +404,9 @@ def _checks_specfun(config: SuiteConfig):
 
 
 def _checks_model(config: SuiteConfig):
+    """Orthonormality is an integral, taken as products of 1-D radial and
+    angular Gauss sums (``model.wavefunction_gram``); the eigenvalue
+    residual is a field identity, checked pointwise on the sector grids."""
     m_rad, m_ang = config.quad_orders
     for p in config.models():
         label = _params_label(p)
@@ -518,6 +543,11 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
 
 
 def _checks_irreps(config: SuiteConfig, workspaces: dict):
+    """Ladder and Casimir checks read the generator blocks.  The integrals
+    (the <+|-> overlaps and the cross-sector elements of block-diagonality)
+    are projected from 1-D Gauss sums with ``generators.project``; the
+    odd actions, the n = 0 family coincidence and the vanishing two-fermion
+    states are field identities, checked pointwise on the grids."""
     m_rad, m_ang = config.quad_orders
     N_max, n_max = config.truncation
     for p in config.models():
@@ -570,11 +600,10 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
         res = []
         for n in range(1, min(4, n_max) + 1):
             grid = Grid.for_sector(p, n, odd=True, m_rad=m_rad, m_ang=m_ang)
-            for N in range(1, 6):
-                plus = state_field(irreps.one_fermion_state("+", p, N - 1, n), p, grid.r, grid.phi)
-                minus = state_field(irreps.one_fermion_state("-", p, N, n), p, grid.r, grid.phi)
-                measured = grid.inner(plus, minus)
-                res.append(abs(measured - irreps.overlap(p, N, n)))
+            plus = [irreps.one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
+            minus = [irreps.one_fermion_state("-", p, N, n) for N in range(1, 6)]
+            measured = np.diag(gen.project(("1",), plus, minus, grid)["1"])
+            res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
         grid = Grid.for_sector(p, 0, odd=True, m_rad=m_rad, m_ang=m_ang)
         for N in range(1, 5):
             plus = state_field(irreps.one_fermion_state("+", p, N - 1, 0), p, grid.r, grid.phi)
@@ -613,6 +642,8 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
             "irreps.casimir",
         )
 
+        # every cross-sector element <s1|G|s2> between the level-1 states of
+        # the families of one fermion parity, one projection per generator
         res = []
         for n1, n2 in ((0, 1), (1, 2), (0, 2)):
             if max(n1, n2) > n_max:
@@ -621,20 +652,14 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
                 alpha_pair = (n1 + n2 + p.a + p.b) * p.k - (1.0 if odd else 0.0)
                 grid = Grid(p, alpha_pair, m_rad, m_ang)
                 fam = ("lower", "upper") if odd else ("zero", "double")
-                for f1 in fam:
-                    for f2 in fam:
-                        try:
-                            s1 = irreps.sp2_family_state(p, f1, 1, n1)
-                            s2 = irreps.sp2_family_state(p, f2, 1, n2)
-                        except ValueError:
-                            continue
-                        v1 = state_field(s1, p, grid.r, grid.phi)
-                        for gname in ("K0", "K+", "Y"):
-                            out = gen.apply_generator(gname, s2, p, grid.r, grid.phi)
-                            res.append(abs(grid.inner(v1, out)))
+                rows, cols = (
+                    [s.state for s in irreps.sector_basis(p, n, 1) if s.level == 1 and s.family in fam] for n in (n1, n2)
+                )
+                for m in gen.project(("K0", "K+", "Y"), rows, cols, grid).values():
+                    res.append(np.max(np.abs(m)))
         yield (
             "block-diagonality",
-            "generators do not couple different angular sectors (sampled cross-sector matrix elements vanish)",
+            "generators do not couple different angular sectors (projected cross-sector matrix elements vanish)",
             label,
             _worst(res),
             "irreps.block-diagonal",

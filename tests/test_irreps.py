@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from ttwsusy.generators import GENERATOR_NAMES, apply_generator, generator_matrices, interior_mask
+from ttwsusy.generators import GENERATOR_NAMES, apply_generator, generator_matrices, interior_mask, project
 from ttwsusy.irreps import (
     casimir_eigenvalues,
     casimir_matrices,
@@ -126,6 +126,17 @@ class TestOverlap:
             measured = grid.inner(plus, minus)
             assert measured == pytest.approx(overlap(p, N, 2), abs=1e-9)
             assert measured > 0
+
+    def test_projected_overlap_equals_sampled(self):
+        p = P_GEN
+        for n in range(1, 5):
+            grid = Grid.for_sector(p, n, odd=True, m_rad=MR, m_ang=MA)
+            plus = [one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
+            minus = [one_fermion_state("-", p, N, n) for N in range(1, 6)]
+            projected = project(("1",), plus, minus, grid)["1"]
+            fields = {id(s): state_field(s, p, grid.r, grid.phi) for s in plus + minus}
+            sampled = np.array([[grid.inner(fields[id(a)], fields[id(b)]) for b in minus] for a in plus])
+            assert np.max(np.abs(projected - sampled)) < 1e-13, n
 
     def test_formula_is_one_at_n_zero(self):
         assert overlap(P_GEN, 3, 0) == pytest.approx(1.0, rel=1e-14)
@@ -295,6 +306,28 @@ class TestBlockDiagonality:
                         for gname in ("K0", "K+", "K-", "Y"):
                             out = apply_generator(gname, s2, p, grid.r, grid.phi)
                             assert abs(grid.inner(bra, out)) < 1e-9, (n1, n2, gname)
+
+
+    @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 2), (0, 2), (1, 1)])
+    def test_projected_elements_equal_sampled(self, n1, n2):
+        # the sampled route is Grid.inner of apply_generator fields; on the
+        # same-sector pair (1, 1) the K0 and Y elements do not vanish, so the
+        # agreement is not only between two roundoff-sized numbers
+        p = P_IRR
+        for odd in (False, True):
+            grid = Grid(p, (n1 + n2 + p.a + p.b) * p.k - (1.0 if odd else 0.0), MR, MA)
+            fams = ("lower", "upper") if odd else ("zero", "double")
+            rows = [sp2_family_state(p, f, 1, n1) for f in fams if n1 > 0 or f in ("zero", "upper")]
+            cols = [sp2_family_state(p, f, 1, n2) for f in fams if n2 > 0 or f in ("zero", "upper")]
+            names = ("K0", "K+", "K-", "Y")
+            projected = project(names, rows, cols, grid)
+            bras = [state_field(s1, p, grid.r, grid.phi) for s1 in rows]
+            for gname in names:
+                kets = [apply_generator(gname, s2, p, grid.r, grid.phi) for s2 in cols]
+                sampled = np.array([[grid.inner(bra, ket) for ket in kets] for bra in bras])
+                assert np.max(np.abs(projected[gname] - sampled)) < 1e-13, (odd, gname)
+                if n1 == n2 and gname in ("K0", "Y"):
+                    assert np.max(np.abs(sampled)) > 0.1
 
 
 class TestClassification:

@@ -16,6 +16,7 @@ from ttwsusy.model import (
     weights_of,
 )
 from ttwsusy.specfun import laguerre
+from ttwsusy.verify import DEFAULT_PARAM_SETS
 
 P_UNIT = ModelParams(k=1.0, a=1.0, b=1.0, omega=1.0)
 P_GEN = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
@@ -140,6 +141,42 @@ class TestNormalization:
     def test_boundary_error(self):
         with pytest.raises(ValueError):
             eval_wavefunction(P_GEN, 0, 0, 0.0, 0.3)
+
+
+def grid_gram(params, pairs_max, m_rad=80, m_ang=80):
+    """Reference Gram matrix summed on the 2-D grid: every entry is a
+    Grid.inner of two eigenfunctions sampled on their pair grid."""
+    N_max, n_max = pairs_max
+    labels = [(N, n) for n in range(n_max + 1) for N in range(N_max + 1)]
+    grids = {s: Grid.for_pair(params, s, 0, m_rad, m_ang) for s in range(2 * n_max + 1)}
+    fields = {}
+
+    def sample(N, n, s):
+        if (N, n, s) not in fields:
+            fields[N, n, s] = eval_wavefunction(params, N, n, grids[s].r, grids[s].phi)
+        return fields[N, n, s]
+
+    gram = np.zeros((len(labels), len(labels)))
+    for i, (N1, n1) in enumerate(labels):
+        for j, (N2, n2) in enumerate(labels[i:], start=i):
+            gram[i, j] = gram[j, i] = grids[n1 + n2].inner(sample(N1, n1, n1 + n2), sample(N2, n2, n1 + n2))
+    return gram
+
+
+class TestSeparableGram:
+    @pytest.mark.parametrize("ps", DEFAULT_PARAM_SETS, ids=lambda ps: f"k={ps['k']:g}")
+    def test_equals_grid_gram(self, ps):
+        p = ModelParams(**ps)
+        gram = wavefunction_gram(p, (6, 6))
+        assert gram.shape == (49, 49)
+        assert np.max(np.abs(gram - grid_gram(p, (6, 6)))) < 1e-13
+
+    def test_large_k_stays_finite(self):
+        # alpha reaches 168 on the (6, 6) pair grid: the weights and the bare
+        # radial factors each leave float range, the normalized products do not
+        gram = wavefunction_gram(ModelParams(k=12.0, a=1.0, b=1.0, omega=1.0), (6, 6))
+        assert np.all(np.isfinite(gram))
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
 
 
 class TestGrid:

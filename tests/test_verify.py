@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,42 @@ def strict_loads(text: str) -> dict:
 def fast_report():
     """One run of the fast specfun + model subset, shared by the report tests."""
     return run(SuiteConfig(**FAST, suites=("specfun", "model")))
+
+
+def fraction_laguerre(N, alpha, z):
+    """Reference series oracle: the exact Fraction sum, rounded once."""
+    af = Fraction(alpha)
+    coeffs = [Fraction(-1) ** j / math.factorial(j) * verify._binom_frac(af + N, N - j) for j in range(N + 1)]
+    return np.array([float(sum(c * Fraction(float(zv)) ** j for j, c in enumerate(coeffs))) for zv in z])
+
+
+def fraction_jacobi(n, alpha, beta, x):
+    af, bf = Fraction(alpha), Fraction(beta)
+    coeffs = [verify._binom_frac(af + n, n - j) * verify._binom_frac(bf + n, j) for j in range(n + 1)]
+    out = []
+    for xv in x:
+        xf = Fraction(float(xv))
+        lo, hi = (xf - 1) / 2, (xf + 1) / 2
+        out.append(float(sum(c * lo**j * hi ** (n - j) for j, c in enumerate(coeffs))))
+    return np.array(out)
+
+
+class TestSeriesOracle:
+    """The integer-arithmetic oracles round the same exact rational as the
+    Fraction sums, so they agree bit for bit."""
+
+    def test_laguerre_equals_fraction_sum(self):
+        z = np.concatenate([np.linspace(0.05, 30.0, 41), [1e-300, 700.0]])
+        for N in range(13):
+            for alpha in (-0.4, 0.0, 0.7, 2.5, 10.0):
+                assert np.array_equal(verify._series_laguerre(N, alpha, z), fraction_laguerre(N, alpha, z)), (N, alpha)
+
+    def test_jacobi_equals_fraction_sum(self):
+        edge = 1.0 - 2.0**-52
+        x = np.concatenate([np.linspace(-0.999, 0.999, 41), [-edge, edge]])
+        for n in range(13):
+            for alpha, beta in ((-0.4, 0.3), (0.5, 0.5), (1.5, 0.5), (10.0, 2.0)):
+                assert np.array_equal(verify._series_jacobi(n, alpha, beta, x), fraction_jacobi(n, alpha, beta, x)), (n, alpha, beta)
 
 
 class TestSuiteConfig:
@@ -205,6 +242,22 @@ class TestRun:
         (entry,) = [c for c in strict_loads(report.to_json())["checks"] if c["name"] == "one-fermion-overlap"]
         assert entry["status"] == "non-finite" and entry["residual"] is None and entry["passed"] is False
         assert all(c.passed for c in report.checks if c is not rec)
+
+
+    def test_block_diagonality_sees_a_sector_coupling_term(self, monkeypatch):
+        terms = verify.gen._terms
+
+        # K0 + 1e-6 cos(2 k phi): cos(2 k phi) = -xi moves the angular index by one
+        def coupled(name, params, phi):
+            out = terms(name, params, phi)
+            if name == "K0":
+                out = out + [verify.gen._Term(1e-6, 0, 0, np.cos(2.0 * params.k * phi), verify.gen._EYE, 0)]
+            return out
+
+        monkeypatch.setattr(verify.gen, "_terms", coupled)
+        report = run(SuiteConfig(**FAST, suites=("irreps",)))
+        (rec,) = [c for c in report.checks if c.name == "block-diagonality"]
+        assert not rec.passed and rec.residual > 1e-9
 
 
 class TestCli:
