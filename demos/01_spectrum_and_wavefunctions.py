@@ -34,6 +34,8 @@ grid = Grid.for_pair(params, 1, 1, 64, 64)
 f = eval_wavefunction(params, 1, 1, grid.r, grid.phi)
 print(f"\n<Psi_11, Psi_11> on the Gauss grid = {grid.inner(f, f):.15f}")
 
+# each (n1, n2) block of the Gram matrix is one projection of the zero-fermion
+# states, from 1-D radial and angular Gauss sums on the n1 + n2 pair grid
 gram = wavefunction_gram(params, (5, 5), 64, 64)
 dev = np.max(np.abs(gram - np.eye(gram.shape[0])))
 print(f"Gram matrix of all states with N, n <= 5: max deviation from identity = {dev:.3e}")

@@ -11,7 +11,7 @@ import numpy as np
 from ttwsusy import (
     Grid,
     ModelParams,
-    apply_generator,
+    apply_operator,
     casimir_eigenvalues,
     classify,
     k_ladder_coeff,
@@ -22,7 +22,7 @@ from ttwsusy import (
     weights_of,
     zero_fermion_state,
 )
-from ttwsusy.states import state_field
+from ttwsusy.states import state_bundle, state_field
 
 params = ModelParams(k=2.0, a=1.0, b=1.0, omega=1.0)
 N, n = 1, 1
@@ -37,8 +37,10 @@ print(f"radial raising coefficient sqrt((N+1)(2 tau + N)) = {k_ladder_coeff('+',
 
 grid_odd = Grid.for_sector(params, n, odd=True, m_rad=64, m_ang=64)
 state = zero_fermion_state(params, N, n)
+# one bundle (values and polar derivatives) of the state serves both odd operators
+bundle = state_bundle(state, params, grid_odd.r, grid_odd.phi)
 for sign, norm2 in (("+", N + lam + 1.0), ("-", N + mu)):
-    field = apply_generator("V" + sign, state, params, grid_odd.r, grid_odd.phi)
+    field = apply_operator("V" + sign, bundle, params, grid_odd.r, grid_odd.phi)
     ref = state_field(v_action(sign, params, N, n), params, grid_odd.r, grid_odd.phi)
     print(f"V{sign}: differential action vs closed-form expansion, max |diff| = {np.max(np.abs(field - ref)):.3e}")
     print(f"     norm^2 on the grid = {grid_odd.inner(field, field):.12f} (closed form {norm2})")

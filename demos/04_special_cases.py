@@ -8,7 +8,7 @@ additionally splits into relative + centre-of-mass parts.
 
 import numpy as np
 
-from ttwsusy import ModelParams, apply_susy, supercharges, zero_fermion_state
+from ttwsusy import ModelParams, apply_operator, state_bundle, zero_fermion_state
 from ttwsusy.irreps import one_fermion_state
 from ttwsusy.special_cases import (
     CatalogTestSpinor,
@@ -35,8 +35,8 @@ def compare(p, cart_fn, title):
         h_c, q_c = cart_fn(p, cart, x, y)
         # the same operator assembly for catalog states and random spinors
         bundle = st.polar_bundle(p, r, phi)
-        h_p = apply_susy("Hs", bundle, p, r, phi)
-        q_p = apply_susy("Q", bundle, p, r, phi)
+        h_p = apply_operator("Hs", bundle, p, r, phi)
+        q_p = apply_operator("Q", bundle, p, r, phi)
         worst = max(worst, np.max(np.abs(h_c - h_p)) / np.max(np.abs(h_p)), np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1))
     print(f"{title}: max relative deviation over 200 random points = {worst:.3e}")
 
@@ -61,6 +61,6 @@ cm_vac[0, 0] = 1.0
 chi = np.exp(-0.5 * p3.omega * X**2)
 data = make_cmw_test_state(CatalogTestSpinor(st), cm_vac, p3, r, phi, X)
 h_r, q_r = cmw_rel_super(p3, data)
-q_p, _ = supercharges(st, p3, r, phi)
+q_p = apply_operator("Q", state_bundle(st, p3, r, phi), p3, r, phi)
 q_ref = embed_product_values(q_p, np.stack([chi, np.zeros_like(chi)]))
 print(f"k=3 relative supercharge vs 2 sqrt(omega) W+: max |diff| = {np.max(np.abs(q_r - q_ref)):.3e}")

@@ -11,9 +11,7 @@ checks every closed-form claim numerically.
 from .fock import jordan_wigner
 from .generators import (
     GENERATOR_NAMES,
-    apply_generator,
-    apply_hamiltonian,
-    apply_susy,
+    apply_operator,
     check_structure_constants,
     generator_matrices,
     hamiltonian_super,
@@ -22,7 +20,7 @@ from .generators import (
     oscillator_realization,
     riccati_residual,
     superpotential,
-    supercharges,
+    wavefunction_gram,
 )
 from .irreps import (
     casimir_eigenvalues,
@@ -48,7 +46,6 @@ from .model import (
     eval_wavefunction,
     norm_constant,
     susy_energy,
-    wavefunction_gram,
     weights_of,
 )
 from .specfun import QuadratureRule, gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, log_gamma

@@ -23,13 +23,18 @@ and thereby ties the supersymmetrized Hamiltonian
 
 to the deformed oscillator H_k.  Each operator is written once, as a
 table of separable terms coef r^q theta(phi) M d_r^i d_phi^j with M a
-fixed-basis fermion matrix.  The table acts analytically on catalog
-states through their derivative bundles, exactly at every sample point,
-and ``project`` contracts the same table with 1-D radial and angular
-Gauss sums between lists of states, so the algebra residuals measure the
-formulas, not a discretization.  ``project`` is the one projection
-routine: ``generator_matrices`` and verify's integral checks
-(cross-sector elements, one-fermion overlaps) all go through it.  Every
+fixed-basis fermion matrix, and ``_terms`` is the one map from an
+operator name to its table: the eight generators, H_k ("H"), "Hs",
+"Q", "Qdag" and the identity "1".  ``apply_operator`` applies a table
+analytically to a state's derivative bundle, exactly at every sample
+point, and ``project`` contracts the same table with 1-D radial and
+angular Gauss sums between lists of states, so the algebra residuals
+measure the formulas, not a discretization.  ``project`` is the one
+projection routine: ``generator_matrices``, ``wavefunction_gram`` and
+verify's other integral checks (cross-sector elements, one-fermion
+overlaps) all go through it.  ``hamiltonian_super`` stays apart on
+purpose: it builds Hs from the superpotential instead of the H_k
+potential, as the independent reference of that identity.  Every
 generator preserves the angular sector n, so the matrices are kept as
 one block per sector, and the relation, Hermiticity and Casimir checks
 each work on one block.
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .irreps import BasisState, sector_basis
+from .irreps import BasisState, sector_basis, zero_fermion_state
 from .model import Grid, ModelParams
 from .states import FERMION_NUMBER, CatalogState, FactorTable, StateBundle, state_bundle
 
@@ -57,9 +62,7 @@ __all__ = [
     "GENERATOR_PARITY",
     "OscillatorRealization",
     "RelationCheck",
-    "apply_generator",
-    "apply_hamiltonian",
-    "apply_susy",
+    "apply_operator",
     "check_structure_constants",
     "dilation_identity_residuals",
     "generator_matrices",
@@ -70,7 +73,7 @@ __all__ = [
     "project",
     "riccati_residual",
     "superpotential",
-    "supercharges",
+    "wavefunction_gram",
 ]
 
 GENERATOR_NAMES = ("K0", "K+", "K-", "Y", "V+", "V-", "W+", "W-")
@@ -188,14 +191,28 @@ def _odd_terms(params: ModelParams, phi, sign: float, kind: str) -> list[_Term]:
     return terms
 
 
+_IDENTITY = [_Term(1.0, 0, 0, 1.0, _EYE, 0)]
+
+
 def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
-    """Term table of generator ``name`` with its angular functions on phi."""
+    """Term table of operator ``name`` with its angular functions on phi:
+    a generator of GENERATOR_NAMES, ``"H"`` (H_k), ``"Hs"``, ``"Q"``,
+    ``"Qdag"`` or ``"1"`` (the identity)."""
+    if name == "1":
+        return _IDENTITY
+    if name == "H":
+        return _h_terms(params, phi)
+    if name == "Hs":
+        # H_k + 4 omega (Gamma + Y), with the explicit deformed-oscillator potential
+        return _h_terms(params, phi) + _scaled(_gamma_terms(params, phi) + _y_terms(params), 4.0 * params.omega)
+    if name in ("Q", "Qdag"):
+        return _scaled(_terms("W+" if name == "Q" else "V-", params, phi), 2.0 * math.sqrt(params.omega))
     if name == "Y":
         return _y_terms(params)
     if name in ("V+", "V-", "W+", "W-"):
         return _odd_terms(params, phi, +1.0 if name[1] == "+" else -1.0, name[0])
     if name not in ("K0", "K+", "K-"):
-        raise ValueError(f"unknown generator {name!r}")
+        raise ValueError(f"unknown operator {name!r}")
     # K0 = H_k / (4 omega) + Gamma
     k0 = _scaled(_h_terms(params, phi), 0.25 / params.omega) + _gamma_terms(params, phi)
     if name == "K0":
@@ -241,68 +258,26 @@ def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
     return (-lap + ang * bundle.val) / (4.0 * params.omega)
 
 
-def apply_generator(name: str, state: CatalogState, params: ModelParams, r, phi) -> np.ndarray:
-    """Apply one generator analytically to a catalog state; returns the
-    resulting spinor field sampled at (r, phi)."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return _apply_terms(_terms(name, params, phi), state_bundle(state, params, r, phi), r)
-
-
-def apply_hamiltonian(state: CatalogState, params: ModelParams, r, phi) -> np.ndarray:
-    """H_k applied per spinor component (no fermionic terms)."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return _apply_terms(_h_terms(params, phi), state_bundle(state, params, r, phi), r)
-
-
-def apply_susy(name: str, bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
-    """Supersymmetric operator ``name`` applied to a state's bundle at (r, phi):
-
-    'Hs':   H_k + 4 omega (Gamma + Y), with the explicit deformed-oscillator potential;
-    'Q':    2 sqrt(omega) W+;
-    'Qdag': 2 sqrt(omega) V-.
-    """
+def apply_operator(name: str, bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
+    """Operator ``name`` (any name ``_terms`` knows: a generator, "H",
+    "Hs", "Q", "Qdag" or "1") applied analytically to a state's bundle
+    at (r, phi), e.g. ``state_bundle(state, params, r, phi)``; returns
+    the resulting spinor field."""
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
-    if name == "Hs":
-        gamma_y = _gamma_terms(params, phi) + _y_terms(params)
-        terms = _h_terms(params, phi) + _scaled(gamma_y, 4.0 * params.omega)
-    elif name in ("Q", "Qdag"):
-        terms = _scaled(_terms("W+" if name == "Q" else "V-", params, phi), 2.0 * math.sqrt(params.omega))
-    else:
-        raise ValueError(f"unknown supersymmetric operator {name!r}")
-    return _apply_terms(terms, bundle, r)
+    return _apply_terms(_terms(name, params, phi), bundle, r)
 
 
-def hamiltonian_super(state: CatalogState, params: ModelParams, r, phi, route: str = "potential") -> np.ndarray:
-    """Supersymmetrized Hamiltonian Hs.
-
-    route 'potential':      H_k + 4 omega (Gamma + Y), with the explicit
-                            deformed-oscillator potential;
-    route 'superpotential': 4 omega (K0 + Y) with K0 built from the
-                            superpotential derivatives (D + omega r^2/4
-                            + Gamma).  Agreement of the two routes is the
-                            operator form of the Riccati identity.
-    """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    bundle = state_bundle(state, params, r, phi)
-    if route == "potential":
-        return apply_susy("Hs", bundle, params, r, phi)
-    if route == "superpotential":
-        d = _apply_d_superpotential(bundle, params, r, phi)
-        k0b = d + 0.25 * params.omega * r**2 * bundle.val
-        gamma_y = _apply_terms(_gamma_terms(params, phi) + _y_terms(params), bundle, r)
-        return 4.0 * params.omega * (k0b + gamma_y)
-    raise ValueError(f"unknown route {route!r}")
-
-
-def supercharges(state: CatalogState, params: ModelParams, r, phi) -> tuple[np.ndarray, np.ndarray]:
-    """(Q state, Qdag state) with Q = 2 sqrt(omega) W+ and Qdag = 2 sqrt(omega) V-."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    bundle = state_bundle(state, params, r, phi)
-    return apply_susy("Q", bundle, params, r, phi), apply_susy("Qdag", bundle, params, r, phi)
+def hamiltonian_super(bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
+    """Hs = 4 omega (K0 + Y) on a state's bundle at (r, phi), with K0
+    built from the superpotential derivatives (D + omega r^2/4 + Gamma)
+    instead of the H_k potential.  Its agreement with
+    ``apply_operator("Hs", ...)`` is the operator form of the Riccati
+    identity."""
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    d = _apply_d_superpotential(bundle, params, r, phi)
+    k0b = d + 0.25 * params.omega * r**2 * bundle.val
+    gamma_y = _apply_terms(_gamma_terms(params, phi) + _y_terms(params), bundle, r)
+    return 4.0 * params.omega * (k0b + gamma_y)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +311,14 @@ def _separable_factors(table: FactorTable, states: list[CatalogState]):
     C (states, radial keys * angular keys) holds each state's coefficient
     per (radial factor, angular spinor factor) pair, R (3, m_rad, radial
     keys) the radial factors and S (3, angular keys, 4, m_ang) the
-    angular spinor factors, each with their first two derivatives."""
+    angular spinor factors, each with their first two derivatives.
+
+    Each radial column (value and derivatives) is divided by the power
+    of two at its largest |value| and its coefficients multiplied by it.
+    Scaling by a power of two is exact, so every projected entry is the
+    same to the last bit, while the bare factors (up to z^(alpha/2), with
+    alpha the sector exponent) cannot overflow against the grid's
+    e^z / z^alpha weights before the normalization constants in C apply."""
     rad_keys: dict[tuple, int] = {}
     ang_keys: dict[tuple, int] = {}
     entries = []
@@ -350,6 +332,8 @@ def _separable_factors(table: FactorTable, states: list[CatalogState]):
     for i, rk, ak, c in entries:
         C[i, rk, ak] += c
     R = np.stack([np.hstack([table.radial(*key)[d] for key in rad_keys]) for d in range(3)])
+    exponent = np.frexp(np.max(np.abs(R[0]), axis=0))[1]
+    R, C = np.ldexp(R, -exponent), np.ldexp(C, exponent[:, None])
     S = np.zeros((3, len(ang_keys), 4, table.phi.size))
     for a, key in enumerate(ang_keys):
         for idx, *parts in table.spinor(*key):
@@ -375,15 +359,12 @@ def _project(terms: list[_Term], rows, cols, grid: Grid) -> np.ndarray:
     return C_row @ P @ C_col.T
 
 
-_IDENTITY = [_Term(1.0, 0, 0, 1.0, _EYE, 0)]
-
-
 def project(
     names, rows: list[CatalogState], cols: list[CatalogState], grid: Grid, table: FactorTable | None = None
 ) -> dict[str, np.ndarray]:
     """Matrix elements {name: <row|O|col>} between two lists of catalog
-    states on one grid, for generator names and ``"1"``, the plain
-    overlap <row|col>.
+    states on one grid, for any operator names of ``_terms`` (``"1"``
+    gives the plain overlap <row|col>).
 
     Both lists are expanded over the 1-D radial and angular spinor
     factors of ``table``, a ``FactorTable`` on the grid's nodes (a new
@@ -394,17 +375,36 @@ def project(
     table = FactorTable(grid.params, grid.r, grid.phi) if table is None else table
     f_rows = _separable_factors(table, rows)
     f_cols = f_rows if cols is rows else _separable_factors(table, cols)
-    return {g: _project(_IDENTITY if g == "1" else _terms(g, grid.params, grid.phi), f_rows, f_cols, grid) for g in names}
+    return {g: _project(_terms(g, grid.params, grid.phi), f_rows, f_cols, grid) for g in names}
+
+
+def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: int = 80, m_ang: int = 80) -> np.ndarray:
+    """Gram matrix of the normalized eigenfunctions with N <= pairs_max[0]
+    and n <= pairs_max[1], ordered (N, n) with N fastest.
+
+    The (n1, n2) block is one ``project(("1",), ...)`` of the sectors'
+    zero-fermion states on the n1 + n2 pair grid, whose radial exponent
+    keeps the integrand polynomial; the sectors of one pair grid share
+    its factor table."""
+    N_max, n_max = pairs_max
+    size = N_max + 1
+    states = [[zero_fermion_state(params, N, n) for N in range(size)] for n in range(n_max + 1)]
+    gram = np.zeros(((n_max + 1) * size,) * 2)
+    for s in range(2 * n_max + 1):
+        grid = Grid.for_pair(params, s, 0, m_rad, m_ang)
+        table = FactorTable(params, grid.r, grid.phi)
+        for n1 in range(max(0, s - n_max), s // 2 + 1):
+            n2 = s - n1
+            block = project(("1",), states[n1], states[n2], grid, table)["1"]
+            gram[n1 * size : (n1 + 1) * size, n2 * size : (n2 + 1) * size] = block
+            gram[n2 * size : (n2 + 1) * size, n1 * size : (n1 + 1) * size] = block.T
+    return gram
 
 
 def generator_matrices(
-    params: ModelParams,
-    truncation: tuple[int, int],
-    m_rad: int = 80,
-    m_ang: int = 80,
-    names: tuple[str, ...] = GENERATOR_NAMES,
+    params: ModelParams, truncation: tuple[int, int], m_rad: int = 80, m_ang: int = 80
 ) -> tuple[list[dict[str, np.ndarray]], list[BasisState]]:
-    """Matrices <i|G|j> of the requested generators over the orthonormal
+    """Matrices <i|G|j> of the eight generators over the orthonormal
     super-basis with radial level <= N_max and sector n <= n_max, as
     ``(blocks, basis)``.
 
@@ -431,12 +431,12 @@ def generator_matrices(
         par = np.array([0 if s.family in ("zero", "double") else 1 for s in bs])
         idx = {p: np.flatnonzero(par == p) for p in (0, 1)}
         states = {p: [bs[i].state for i in idx[p]] for p in (0, 1)}
-        block = {g: np.zeros((len(bs), len(bs))) for g in names}
+        block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
         for p_out in (0, 1):
             grid = Grid.for_sector(params, n, odd=bool(p_out), m_rad=m_rad, m_ang=m_ang)
             table = FactorTable(params, grid.r, grid.phi)
             for p_in in (0, 1):
-                gens = [g for g in names if p_out ^ GENERATOR_PARITY[g] == p_in]
+                gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
                 for g, part in project(gens, states[p_out], states[p_in], grid, table).items():
                     block[g][np.ix_(idx[p_out], idx[p_in])] = part
         blocks.append(block)

@@ -24,15 +24,15 @@ them onto Gauss-Laguerre x Gauss-Jacobi rules; the grid absorbs the
 z^alpha e^-z and cos^2a sin^2b envelopes into its weights so that the
 remaining integrand is polynomial and the quadrature exact.  Radial
 reference exponents are chosen per angular sector (and per fermion
-parity, which contributes a 1/z): see ``Grid.for_sector``.  A grid's
+parity, which contributes a 1/z): see ``Grid.for_pair``.  A grid's
 nodes are a radial column and an angular row, so fields sampled on
 ``(grid.r, grid.phi)`` have the grid's (m_rad, m_ang) shape, and its
 weights are the outer product of 1-D radial and angular weights.
 ``Grid.inner`` sums two such fields on the 2-D grid.  Integrals of
-separable functions need not: ``wavefunction_gram`` takes each entry as
-a radial Gauss sum times an angular one (as ``generators.project`` does
-for catalog states), with the normalization constants applied to the
-radial factors before any weighted product.
+separable functions need not: ``generators.project`` takes each entry
+as sums of products of 1-D radial and angular Gauss sums, and the Gram
+matrix of these eigenfunctions (``generators.wavefunction_gram``) is
+one such projection of the zero-fermion states.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "norm_constant",
     "radial_parts",
     "susy_energy",
-    "wavefunction_gram",
     "weights_of",
 ]
 
@@ -276,15 +275,18 @@ class Grid:
             )
 
     @classmethod
-    def for_sector(cls, params: ModelParams, n: int, odd: bool = False, m_rad: int = 80, m_ang: int = 80) -> "Grid":
-        """Grid whose radial exponent matches sector n; ``odd`` subtracts
-        the 1/z carried by a pair of one-fermion factors."""
-        return cls(params, params.sector_alpha(n) - (1.0 if odd else 0.0), m_rad, m_ang)
+    def for_pair(
+        cls, params: ModelParams, n1: int, n2: int, m_rad: int = 80, m_ang: int = 80, *, odd: bool = False
+    ) -> "Grid":
+        """Grid exact for products of sector-n1 and sector-n2 states: radial
+        exponent (n1 + n2 + a + b) k, less 1 with ``odd`` for the 1/z
+        carried by a pair of one-fermion factors."""
+        return cls(params, (n1 + n2 + params.a + params.b) * params.k - (1.0 if odd else 0.0), m_rad, m_ang)
 
     @classmethod
-    def for_pair(cls, params: ModelParams, n1: int, n2: int, m_rad: int = 80, m_ang: int = 80) -> "Grid":
-        """Grid exact for products of sector-n1 and sector-n2 scalar states."""
-        return cls(params, (n1 + n2 + params.a + params.b) * params.k, m_rad, m_ang)
+    def for_sector(cls, params: ModelParams, n: int, odd: bool = False, m_rad: int = 80, m_ang: int = 80) -> "Grid":
+        """The pair grid of sector n with itself (``for_pair(n, n)``)."""
+        return cls.for_pair(params, n, n, m_rad, m_ang, odd=odd)
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Integral of f*g over fields sampled on this grid, shape
@@ -294,39 +296,3 @@ class Grid:
         if f.shape != g.shape or f.shape[-2:] != self.w.shape:
             raise ValueError("mismatched grids: fields must be sampled on this grid")
         return float(np.sum(self.w * f * g))
-
-
-def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: int = 80, m_ang: int = 80) -> np.ndarray:
-    """Gram matrix of the normalized eigenfunctions with N <= pairs_max[0]
-    and n <= pairs_max[1], ordered (N, n) with N fastest.  Cross-sector
-    entries use the pair grid whose radial exponent keeps the integrand
-    polynomial.
-
-    Psi_{N,n} is a radial factor times the angular factor A_n and the
-    grid weights are w_r x w_phi, so the (n1, n2) block is the radial
-    Gram of the levels on the n1 + n2 pair grid times the angular sum of
-    w_phi A_n1 A_n2.  The normalization constants multiply the radial
-    factors before any weighted product: at large k the weights and the
-    bare factors each leave float range, their normalized products do
-    not.  The angular nodes and weights are the same on every pair grid,
-    so each A_n is evaluated once."""
-    N_max, n_max = pairs_max
-    size = N_max + 1
-    gram = np.zeros(((n_max + 1) * size,) * 2)
-    for s in range(2 * n_max + 1):
-        grid = Grid.for_pair(params, s, 0, m_rad, m_ang)
-        if s == 0:
-            angular = [angular_parts(params, n, grid.phi)[0] for n in range(n_max + 1)]
-        sectors = range(max(0, s - n_max), min(s, n_max) + 1)
-        radial = {
-            n: np.hstack([norm_constant(params, N, n) * radial_parts(params, N, n, grid.r)[0] for N in range(size)])
-            for n in sectors
-        }
-        for n1 in sectors:
-            n2 = s - n1
-            if n1 > n2:
-                break
-            block = (radial[n1].T @ (grid.w_r * radial[n2])) * float(np.sum(grid.w_phi * angular[n1] * angular[n2]))
-            gram[n1 * size : (n1 + 1) * size, n2 * size : (n2 + 1) * size] = block
-            gram[n2 * size : (n2 + 1) * size, n1 * size : (n1 + 1) * size] = block.T
-    return gram

@@ -35,7 +35,7 @@ import numpy as np
 from . import generators as gen
 from . import irreps, model, special_cases, specfun
 from .model import Grid, ModelParams
-from .states import state_field
+from .states import state_bundle, state_field
 
 __all__ = ["SuiteConfig", "CheckRecord", "VerificationReport", "run", "main"]
 
@@ -74,11 +74,34 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool (JSON true/false are not numbers here)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_int_pair(key: str, value, low: int) -> None:
     if not isinstance(value, (tuple, list)) or len(value) != 2 or not all(
         isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= low for m in value
     ):
         raise ValueError(f"{key} must be two integers >= {low}, got {value!r}")
+
+
+def _check_param_set(ps) -> None:
+    """A parameter set is a mapping of k, a, b and optionally omega to
+    finite real numbers that ``ModelParams`` accepts."""
+    if not isinstance(ps, dict):
+        raise ValueError(f"a parameter set must be a mapping of k, a, b, omega, got {ps!r}")
+    problems = [f"unknown key {key!r}" for key in sorted(set(ps) - {"k", "a", "b", "omega"}, key=str)]
+    problems += [f"missing key {key!r}" for key in sorted({"k", "a", "b"} - set(ps))]
+    if problems:
+        raise ValueError(f"parameter set {ps!r}: " + ", ".join(problems))
+    for key, value in ps.items():
+        if not (_is_real(value) and math.isfinite(value)):
+            raise ValueError(f"parameter set {ps!r}: {key} must be a finite real number, got {value!r}")
+    try:
+        ModelParams(**ps)
+    except ValueError as exc:
+        raise ValueError(f"parameter set {ps!r}: {exc}") from None
 
 
 @dataclass
@@ -91,15 +114,18 @@ class SuiteConfig:
     seed: int = 20260809
 
     def __post_init__(self):
-        if not self.param_sets:
-            raise ValueError("at least one parameter set is required")
+        if not isinstance(self.param_sets, (tuple, list)) or not self.param_sets:
+            raise ValueError(f"param_sets must be a nonempty list of parameter sets, got {self.param_sets!r}")
+        for ps in self.param_sets:
+            _check_param_set(ps)
+        self.param_sets = tuple(dict(ps) for ps in self.param_sets)
         _check_int_pair("truncation", self.truncation, 2)
         _check_int_pair("quad_orders", self.quad_orders, 1)
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance key {name!r}")
-            if not (math.isfinite(tol) and tol >= 0):
-                raise ValueError("tolerances must be finite and nonnegative")
+            if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
+                raise ValueError(f"tolerance {name!r} must be a finite nonnegative real number, got {tol!r}")
         bad = set(self.suites) - set(SUITES) - {"all"}
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")
@@ -127,7 +153,7 @@ class SuiteConfig:
     def from_dict(cls, data: dict) -> "SuiteConfig":
         kwargs = {}
         if "param_sets" in data:
-            kwargs["param_sets"] = tuple(dict(ps) for ps in data["param_sets"])
+            kwargs["param_sets"] = data["param_sets"]
         for key in ("truncation", "quad_orders"):
             if key in data:
                 kwargs[key] = tuple(data[key]) if isinstance(data[key], list) else data[key]
@@ -246,6 +272,13 @@ def _worst_per_name(results) -> dict[str, float]:
         for name, res in result.items():
             per_name.setdefault(name, []).append(res)
     return {name: _worst(res) for name, res in per_name.items()}
+
+
+def _images(names, state, p: ModelParams, r, phi):
+    """The state's field and its images under the named operators at the
+    broadcastable points (r, phi), all from one bundle of the state."""
+    bundle = state_bundle(state, p, r, phi)
+    return bundle.val, [gen.apply_operator(g, bundle, p, r, phi) for g in names]
 
 
 def _sectors(blocks: list, basis: list, mask: np.ndarray):
@@ -405,12 +438,12 @@ def _checks_specfun(config: SuiteConfig):
 
 def _checks_model(config: SuiteConfig):
     """Orthonormality is an integral, taken as products of 1-D radial and
-    angular Gauss sums (``model.wavefunction_gram``); the eigenvalue
+    angular Gauss sums (``generators.wavefunction_gram``); the eigenvalue
     residual is a field identity, checked pointwise on the sector grids."""
     m_rad, m_ang = config.quad_orders
     for p in config.models():
         label = _params_label(p)
-        gram = model.wavefunction_gram(p, (6, 6), m_rad, m_ang)
+        gram = gen.wavefunction_gram(p, (6, 6), m_rad, m_ang)
         res = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
         yield ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", label, res, "model.orthonormality")
 
@@ -418,9 +451,7 @@ def _checks_model(config: SuiteConfig):
         for n in range(7):
             grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
             for N in range(7):
-                st = irreps.zero_fermion_state(p, N, n)
-                hv = gen.apply_hamiltonian(st, p, grid.r, grid.phi)
-                fv = state_field(st, p, grid.r, grid.phi)
+                fv, (hv,) = _images(("H",), irreps.zero_fermion_state(p, N, n), p, grid.r, grid.phi)
                 res.append(np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv)))
         yield ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", label, _worst(res), "model.eigenvalue")
 
@@ -478,9 +509,7 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         for n in range(7):
             grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
             for N in range(7):
-                st = irreps.zero_fermion_state(p, N, n)
-                hv = gen.hamiltonian_super(st, p, grid.r, grid.phi)
-                fv = state_field(st, p, grid.r, grid.phi)
+                fv, (hv,) = _images(("Hs",), irreps.zero_fermion_state(p, N, n), p, grid.r, grid.phi)
                 target = 4.0 * p.omega * (N + n * p.k)
                 res.append(np.max(np.abs(hv - target * fv)) / max(np.max(np.abs(fv)), 1.0))
         yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, _worst(res), "algebra.spectrum")
@@ -488,8 +517,9 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         res = []
         grid = Grid.for_sector(p, 1, m_rad=m_rad, m_ang=m_ang)
         for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
-            h1 = gen.hamiltonian_super(st, p, grid.r, grid.phi, route="potential")
-            h2 = gen.hamiltonian_super(st, p, grid.r, grid.phi, route="superpotential")
+            bundle = state_bundle(st, p, grid.r, grid.phi)
+            h1 = gen.apply_operator("Hs", bundle, p, grid.r, grid.phi)
+            h2 = gen.hamiltonian_super(bundle, p, grid.r, grid.phi)
             res.append(np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0))
         yield (
             "hs-routes",
@@ -500,8 +530,7 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         )
 
         grid0 = Grid.for_sector(p, 0, m_rad=m_rad, m_ang=m_ang)
-        ground = irreps.zero_fermion_state(p, 0, 0)
-        qf, qdf = gen.supercharges(ground, p, grid0.r, grid0.phi)
+        _, (qf, qdf) = _images(("Q", "Qdag"), irreps.zero_fermion_state(p, 0, 0), p, grid0.r, grid0.phi)
         yield (
             "susy-ground",
             "Q and Qdag annihilate the ground state (unbroken supersymmetry)",
@@ -582,13 +611,13 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
             grid_e = Grid.for_sector(p, n, odd=False, m_rad=m_rad, m_ang=m_ang)
             for N in (0, 1, 3):
                 st = irreps.zero_fermion_state(p, N, n)
-                for sign in ("+", "-"):
-                    out = gen.apply_generator("V" + sign, st, p, grid.r, grid.phi)
+                _, v_outs = _images(("V+", "V-"), st, p, grid.r, grid.phi)
+                for sign, out in zip(("+", "-"), v_outs):
                     ref = state_field(irreps.v_action(sign, p, N, n), p, grid.r, grid.phi)
                     scale = max(np.max(np.abs(ref)), 1.0)
                     res.append(np.max(np.abs(out - ref)) / scale)
-                    wout = gen.apply_generator("W" + sign, st, p, grid_e.r, grid_e.phi)
-                    res.append(np.max(np.abs(wout)))
+                _, w_outs = _images(("W+", "W-"), st, p, grid_e.r, grid_e.phi)
+                res += [np.max(np.abs(wout)) for wout in w_outs]
         yield (
             "odd-action-fields",
             "V+- on zero-fermion states reproduce their closed-form expansions; W+- annihilate them",
@@ -649,8 +678,7 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
             if max(n1, n2) > n_max:
                 continue
             for odd in (False, True):
-                alpha_pair = (n1 + n2 + p.a + p.b) * p.k - (1.0 if odd else 0.0)
-                grid = Grid(p, alpha_pair, m_rad, m_ang)
+                grid = Grid.for_pair(p, n1, n2, m_rad, m_ang, odd=odd)
                 fam = ("lower", "upper") if odd else ("zero", "double")
                 rows, cols = (
                     [s.state for s in irreps.sector_basis(p, n, 1) if s.level == 1 and s.family in fam] for n in (n1, n2)
@@ -707,8 +735,8 @@ def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
         cart = st.cart_data(p, r, phi)
         h_c, q_c = cart_fn(p, cart, x, y)
         bundle = st.polar_bundle(p, r, phi)
-        h_p = gen.apply_susy("Hs", bundle, p, r, phi)
-        q_p = gen.apply_susy("Q", bundle, p, r, phi)
+        h_p = gen.apply_operator("Hs", bundle, p, r, phi)
+        q_p = gen.apply_operator("Q", bundle, p, r, phi)
         res.append(np.max(np.abs(h_c - h_p)) / max(np.max(np.abs(h_p)), 1.0))
         res.append(np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1.0))
     return _worst(res)
@@ -763,8 +791,7 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
     for st in (irreps.zero_fermion_state(p, 2, 1), irreps.one_fermion_state("+", p, 1, 1)):
         data = special_cases.make_cmw_test_state(special_cases.CatalogTestSpinor(st), cm_vac, p, r, phi, X)
         h_r, q_r = special_cases.cmw_rel_super(p, data)
-        q_p, _ = gen.supercharges(st, p, r, phi)
-        h_p = gen.hamiltonian_super(st, p, r, phi)
+        _, (q_p, h_p) = _images(("Q", "Hs"), st, p, r, phi)
         q_ref = special_cases.embed_product_values(q_p, cm_field)
         h_ref = special_cases.embed_product_values(h_p, cm_field)
         res.append(np.max(np.abs(q_r - q_ref)) / max(np.max(np.abs(q_ref)), 1.0))

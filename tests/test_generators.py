@@ -10,8 +10,8 @@ from ttwsusy.generators import (
     GENERATOR_PARITY,
     RELATIONS,
     _gamma_terms,
-    apply_generator,
-    apply_hamiltonian,
+    _separable_factors,
+    apply_operator,
     check_structure_constants,
     dilation_identity_residuals,
     generator_matrices,
@@ -19,9 +19,9 @@ from ttwsusy.generators import (
     hermiticity_residuals,
     interior_mask,
     oscillator_realization,
+    project,
     riccati_residual,
     superpotential,
-    supercharges,
 )
 from ttwsusy.irreps import (
     k_ladder_coeff,
@@ -33,7 +33,7 @@ from ttwsusy.irreps import (
     zero_fermion_state,
 )
 from ttwsusy.model import Grid, ModelParams, energy, weights_of
-from ttwsusy.states import state_field
+from ttwsusy.states import FERMION_NUMBER, FactorTable, state_bundle, state_field
 
 PARAM_SETS = [
     ModelParams(k=1.0, a=1.0, b=1.0, omega=1.0),
@@ -46,6 +46,11 @@ MR = MA = 56  # quadrature orders for the unit tests
 
 # fixed-basis components that a state of each fermion parity occupies
 PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
+
+
+def apply(name, state, p, r, phi):
+    """Operator ``name`` applied to a catalog state at (r, phi)."""
+    return apply_operator(name, state_bundle(state, p, r, phi), p, r, phi)
 
 
 def sector_grids(p, n):
@@ -98,7 +103,7 @@ class TestZeroFermionActions:
             grid, _ = sector_grids(p, n)
             for N in range(3):
                 st = zero_fermion_state(p, N, n)
-                hv = apply_hamiltonian(st, p, grid.r, grid.phi)
+                hv = apply("H", st, p, grid.r, grid.phi)
                 fv = state_field(st, p, grid.r, grid.phi)
                 assert np.max(np.abs(hv - energy(p, N, n) * fv)) / np.max(np.abs(fv)) < 1e-8
 
@@ -107,19 +112,19 @@ class TestZeroFermionActions:
         st = zero_fermion_state(p, 2, 1)
         grid, _ = sector_grids(p, 1)
         fv = state_field(st, p, grid.r, grid.phi)
-        k0 = apply_generator("K0", st, p, grid.r, grid.phi)
+        k0 = apply("K0", st, p, grid.r, grid.phi)
         w = weights_of(p, 1)
         assert np.max(np.abs(k0 - (w.tau + 2) * fv)) / np.max(np.abs(fv)) < 1e-9
-        yv = apply_generator("Y", st, p, grid.r, grid.phi)
+        yv = apply("Y", st, p, grid.r, grid.phi)
         assert np.max(np.abs(yv - w.q * fv)) / np.max(np.abs(fv)) < 1e-12
 
     def test_lowering_annihilates_ground(self):
         p = PARAM_SETS[1]
         grid_e, grid_o = sector_grids(p, 0)
         ground = zero_fermion_state(p, 0, 0)
-        assert np.max(np.abs(apply_generator("K-", ground, p, grid_e.r, grid_e.phi))) < 1e-12
-        assert np.max(np.abs(apply_generator("V-", ground, p, grid_o.r, grid_o.phi))) < 1e-12
-        assert np.max(np.abs(apply_generator("W-", ground, p, grid_o.r, grid_o.phi))) < 1e-14
+        assert np.max(np.abs(apply("K-", ground, p, grid_e.r, grid_e.phi))) < 1e-12
+        assert np.max(np.abs(apply("V-", ground, p, grid_o.r, grid_o.phi))) < 1e-12
+        assert np.max(np.abs(apply("W-", ground, p, grid_o.r, grid_o.phi))) < 1e-14
 
 
 class TestLadderVersusDifferential:
@@ -134,9 +139,9 @@ class TestLadderVersusDifferential:
                 grid = Grid.for_sector(p, n, odd=s.family in ("lower", "upper"), m_rad=MR, m_ang=MA)
                 fv = state_field(s.state, p, grid.r, grid.phi)
                 scale = np.max(np.abs(fv))
-                k0 = apply_generator("K0", s.state, p, grid.r, grid.phi)
+                k0 = apply("K0", s.state, p, grid.r, grid.phi)
                 assert np.max(np.abs(k0 - s.k0 * fv)) / scale < 1e-9, (s.family, s.level)
-                yv = apply_generator("Y", s.state, p, grid.r, grid.phi)
+                yv = apply("Y", s.state, p, grid.r, grid.phi)
                 assert np.max(np.abs(yv - s.y * fv)) / scale < 1e-9
 
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
@@ -152,11 +157,11 @@ class TestLadderVersusDifferential:
                 for level in (0, 1, 2):
                     st = sp2_family_state(p, family, level, n)
                     up = state_field(sp2_family_state(p, family, level + 1, n), p, grid.r, grid.phi)
-                    kp = apply_generator("K+", st, p, grid.r, grid.phi)
+                    kp = apply("K+", st, p, grid.r, grid.phi)
                     c = k_ladder_coeff("+", tau_f, level)
                     scale = np.max(np.abs(up))
                     assert np.max(np.abs(kp - c * up)) / scale < 1e-9, (family, level)
-                    km = apply_generator("K-", st, p, grid.r, grid.phi)
+                    km = apply("K-", st, p, grid.r, grid.phi)
                     if level == 0:
                         assert np.max(np.abs(km)) / scale < 1e-9
                     else:
@@ -170,11 +175,11 @@ class TestLadderVersusDifferential:
             for N in (0, 1, 2):
                 st = zero_fermion_state(p, N, n)
                 for sign in ("+", "-"):
-                    out = apply_generator("V" + sign, st, p, grid_o.r, grid_o.phi)
+                    out = apply("V" + sign, st, p, grid_o.r, grid_o.phi)
                     ref = state_field(v_action(sign, p, N, n), p, grid_o.r, grid_o.phi)
                     scale = max(np.max(np.abs(ref)), 1.0)
                     assert np.max(np.abs(out - ref)) / scale < 1e-9
-                    wv = apply_generator("W" + sign, st, p, grid_e.r, grid_e.phi)
+                    wv = apply("W" + sign, st, p, grid_e.r, grid_e.phi)
                     assert np.max(np.abs(wv)) < 1e-12
 
 
@@ -185,7 +190,7 @@ class TestHamiltonianSuper:
             grid, _ = sector_grids(p, n)
             for N in range(3):
                 st = zero_fermion_state(p, N, n)
-                hv = hamiltonian_super(st, p, grid.r, grid.phi)
+                hv = apply("Hs", st, p, grid.r, grid.phi)
                 fv = state_field(st, p, grid.r, grid.phi)
                 target = 4 * p.omega * (N + n * p.k)
                 assert np.max(np.abs(hv - target * fv)) / np.max(np.abs(fv)) < 1e-8
@@ -194,35 +199,62 @@ class TestHamiltonianSuper:
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
         for st in (zero_fermion_state(p, 1, 1), one_fermion_state("+", p, 0, 1), two_fermion_state(p, 1, 1)):
-            h1 = hamiltonian_super(st, p, grid.r, grid.phi, route="potential")
-            h2 = hamiltonian_super(st, p, grid.r, grid.phi, route="superpotential")
+            bundle = state_bundle(st, p, grid.r, grid.phi)
+            h1 = apply_operator("Hs", bundle, p, grid.r, grid.phi)
+            h2 = hamiltonian_super(bundle, p, grid.r, grid.phi)
             assert np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0) < 1e-10
 
     def test_ground_state_is_annihilated(self):
         p = PARAM_SETS[1]
         grid, _ = sector_grids(p, 0)
-        hv = hamiltonian_super(zero_fermion_state(p, 0, 0), p, grid.r, grid.phi)
+        hv = apply("Hs", zero_fermion_state(p, 0, 0), p, grid.r, grid.phi)
         assert np.max(np.abs(hv)) < 1e-10
 
-    def test_unknown_route(self):
+    def test_unknown_operator(self):
         p = PARAM_SETS[0]
         grid, _ = sector_grids(p, 0)
-        with pytest.raises(ValueError):
-            hamiltonian_super(zero_fermion_state(p, 0, 0), p, grid.r, grid.phi, route="magic")
+        with pytest.raises(ValueError, match="unknown operator 'magic'"):
+            apply("magic", zero_fermion_state(p, 0, 0), p, grid.r, grid.phi)
+
+
+class TestOperatorTable:
+    """The supersymmetric operators and the identity come from the same
+    term tables as the generators, pointwise and projected."""
+
+    def test_identity_returns_the_field(self):
+        p = PARAM_SETS[2]
+        grid, _ = sector_grids(p, 1)
+        bundle = state_bundle(two_fermion_state(p, 1, 1), p, grid.r, grid.phi)
+        np.testing.assert_array_equal(apply_operator("1", bundle, p, grid.r, grid.phi), bundle.val)
+
+    @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
+    def test_projected_susy_operators(self, p):
+        grid = Grid.for_sector(p, 1, m_rad=40, m_ang=40)
+        grid_o = Grid.for_sector(p, 1, odd=True, m_rad=40, m_ang=40)
+        even = [s.state for s in sector_basis(p, 1, 3) if s.family in ("zero", "double")]
+        odd = [s.state for s in sector_basis(p, 1, 3) if s.family in ("lower", "upper")]
+        m = project(("Hs", "K0", "Y"), even, even, grid)
+        np.testing.assert_allclose(m["Hs"], 4 * p.omega * (m["K0"] + m["Y"]), rtol=0, atol=1e-10)
+        # Q maps the even states onto the odd ones
+        m = project(("Q", "W+", "Qdag", "V-"), odd, even, grid_o)
+        sq = 2 * math.sqrt(p.omega)
+        np.testing.assert_allclose(m["Q"], sq * m["W+"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m["Qdag"], sq * m["V-"], rtol=0, atol=1e-12)
 
 
 class TestSupercharges:
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
     def test_ground_state_annihilation(self, p):
         grid, _ = sector_grids(p, 0)
-        qf, qdf = supercharges(zero_fermion_state(p, 0, 0), p, grid.r, grid.phi)
+        ground = zero_fermion_state(p, 0, 0)
+        qf, qdf = apply("Q", ground, p, grid.r, grid.phi), apply("Qdag", ground, p, grid.r, grid.phi)
         assert np.max(np.abs(qf)) < 1e-10
         assert np.max(np.abs(qdf)) < 1e-10
 
     def test_q_annihilates_every_zero_fermion_state(self):
         p = PARAM_SETS[1]
         grid, _ = sector_grids(p, 2)
-        qf, _ = supercharges(zero_fermion_state(p, 2, 2), p, grid.r, grid.phi)
+        qf = apply("Q", zero_fermion_state(p, 2, 2), p, grid.r, grid.phi)
         assert np.max(np.abs(qf)) < 1e-12
 
     def test_adjoint_pair_under_quadrature(self):
@@ -232,8 +264,8 @@ class TestSupercharges:
         grid_e, _ = sector_grids(p, n)
         f = one_fermion_state("-", p, 1, n)
         g = zero_fermion_state(p, 1, n)
-        qf, _ = supercharges(f, p, grid_e.r, grid_e.phi)
-        _, qdg = supercharges(g, p, grid_o.r, grid_o.phi)
+        qf = apply("Q", f, p, grid_e.r, grid_e.phi)
+        qdg = apply("Qdag", g, p, grid_o.r, grid_o.phi)
         lhs = grid_e.inner(qf, state_field(g, p, grid_e.r, grid_e.phi))
         rhs = grid_o.inner(state_field(f, p, grid_o.r, grid_o.phi), qdg)
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -319,12 +351,13 @@ class TestMatrices:
         rhs = w4 * (mats["K0"] + mats["Y"])
         assert np.max(np.abs((lhs - rhs)[np.ix_(inner, inner)])) < 1e-8
 
-    def test_matrix_of_single(self):
+    def test_every_generator_in_every_block(self):
         p = PARAM_SETS[1]
-        blocks, basis = generator_matrices(p, (2, 2), m_rad=40, m_ang=40, names=("Y",))
-        assert all(list(block) == ["Y"] for block in blocks)
+        blocks, basis = generator_matrices(p, (2, 2), m_rad=40, m_ang=40)
+        assert all(list(block) == list(GENERATOR_NAMES) for block in blocks)
         mats = dense(blocks)
-        assert mats["Y"].shape == (len(basis), len(basis))
+        # Y = N_f / 2 + const is diagonal in the orthonormal basis
+        np.testing.assert_allclose(mats["Y"], np.diag([s.y for s in basis]), rtol=0, atol=1e-12)
 
     def test_truncation_validation(self):
         with pytest.raises(ValueError):
@@ -413,7 +446,7 @@ class TestTensorGridAssembly:
                 grid = grids[col.n, p_out]
                 r, phi = np.repeat(grid.r.ravel(), grid.m_ang), np.tile(grid.phi.ravel(), grid.m_rad)
                 w = grid.w.ravel()
-                out = apply_generator(name, col.state, p, r, phi)
+                out = apply(name, col.state, p, r, phi)
                 rows = [i for i, s in enumerate(basis) if s.n == col.n and parity[i] == p_out]
                 pointwise = [np.dot(w, np.sum(state_field(basis[i].state, p, r, phi) * out, axis=0)) for i in rows]
                 assert np.max(np.abs(mats[name][rows, j] - pointwise)) <= 1e-12, (name, col.family, col.level)
@@ -430,13 +463,30 @@ class TestTensorGridAssembly:
             assert np.max(np.abs(small[name] - large[name])) <= 1e-11, name
 
     @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
+    def test_radial_rescale_is_a_power_of_two(self, p):
+        # each radial column is scaled into [1/2, 1) by a power of two, and
+        # its coefficients by the inverse: exact, so no entry moves by a bit
+        grid = Grid.for_sector(p, 2, odd=True, m_rad=40, m_ang=40)
+        table = FactorTable(p, grid.r, grid.phi)
+        states = [s.state for s in sector_basis(p, 2, 4) if s.family in ("lower", "upper")]
+        _, R, _ = _separable_factors(table, states)
+        keys = dict.fromkeys((t.N, t.n, FERMION_NUMBER[t.occ] == 1) for st in states for t in st.terms if not t.is_zero)
+        bare = np.stack([np.hstack([table.radial(*key)[d] for key in keys]) for d in range(3)])
+        peak = np.argmax(np.abs(R[0]), axis=0)
+        cols = np.arange(R.shape[2])
+        assert np.all((np.abs(R[0, peak, cols]) >= 0.5) & (np.abs(R[0, peak, cols]) < 1.0))
+        scale = bare[0, peak, cols] / R[0, peak, cols]
+        assert np.all(np.frexp(scale)[0] == 0.5)
+        np.testing.assert_array_equal(R * scale, bare)
+
+    @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
     def test_outputs_keep_parity_components(self, p):
         for n in (0, 2):
             for s in sector_basis(p, n, 3):
                 for name in GENERATOR_NAMES:
                     p_out = s.state.fermion_parity() ^ GENERATOR_PARITY[name]
                     grid = Grid.for_sector(p, n, odd=bool(p_out), m_rad=20, m_ang=20)
-                    out = apply_generator(name, s.state, p, grid.r, grid.phi)
+                    out = apply(name, s.state, p, grid.r, grid.phi)
                     assert np.all(out[PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
 
 

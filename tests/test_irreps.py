@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from ttwsusy.generators import GENERATOR_NAMES, apply_generator, generator_matrices, interior_mask, project
+from ttwsusy.generators import GENERATOR_NAMES, apply_operator, generator_matrices, interior_mask, project
 from ttwsusy.irreps import (
     casimir_eigenvalues,
     casimir_matrices,
@@ -20,13 +20,18 @@ from ttwsusy.irreps import (
     zero_fermion_state,
 )
 from ttwsusy.model import Grid, ModelParams, weights_of
-from ttwsusy.states import state_field
+from ttwsusy.states import state_bundle, state_field
 
 P_SW = ModelParams(k=2.0, a=1.0, b=1.0, omega=1.0)
 P_GEN = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
 P_IRR = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=1.0)
 
 MR = MA = 56
+
+
+def apply(name, state, p, r, phi):
+    """Operator ``name`` applied to a catalog state at (r, phi)."""
+    return apply_operator(name, state_bundle(state, p, r, phi), p, r, phi)
 
 
 class TestLadderCoefficients:
@@ -80,15 +85,15 @@ class TestTwoFermionStates:
         # n = 1, k = 2, a = b = 1
         p = P_SW
         grid = Grid.for_sector(p, 1, odd=False, m_rad=MR, m_ang=MA)
-        raw = apply_generator("V+", v_action("-", p, 1, 1), p, grid.r, grid.phi)
+        raw = apply("V+", v_action("-", p, 1, 1), p, grid.r, grid.phi)
         norm = math.sqrt(grid.inner(raw, raw))
         assert norm == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-10)
 
     def test_antisymmetry_of_double_action(self):
         p = P_GEN
         grid = Grid.for_sector(p, 1, odd=False, m_rad=MR, m_ang=MA)
-        pm = apply_generator("V+", v_action("-", p, 2, 1), p, grid.r, grid.phi)
-        mp = apply_generator("V-", v_action("+", p, 2, 1), p, grid.r, grid.phi)
+        pm = apply("V+", v_action("-", p, 2, 1), p, grid.r, grid.phi)
+        mp = apply("V-", v_action("+", p, 2, 1), p, grid.r, grid.phi)
         scale = np.max(np.abs(pm))
         assert np.max(np.abs(pm + mp)) / scale < 1e-10
 
@@ -97,7 +102,7 @@ class TestTwoFermionStates:
         lam = (1 + p.a + p.b) * p.k
         mu = p.k
         grid = Grid.for_sector(p, 1, odd=False, m_rad=MR, m_ang=MA)
-        raw = apply_generator("V+", v_action("-", p, 0, 1), p, grid.r, grid.phi)
+        raw = apply("V+", v_action("-", p, 0, 1), p, grid.r, grid.phi)
         ref = state_field(two_fermion_state(p, 0, 1), p, grid.r, grid.phi) * math.sqrt(mu * lam)
         assert np.max(np.abs(raw - ref)) / np.max(np.abs(ref)) < 1e-10
 
@@ -175,7 +180,7 @@ class TestMixing:
         p = P_GEN
         grid = Grid.for_sector(p, 1, odd=True, m_rad=MR, m_ang=MA)
         head = sp2_family_state(p, "lower", 0, 1)
-        km = apply_generator("K-", head, p, grid.r, grid.phi)
+        km = apply("K-", head, p, grid.r, grid.phi)
         assert np.max(np.abs(km)) < 1e-9
 
 
@@ -304,13 +309,13 @@ class TestBlockDiagonality:
                             continue
                         bra = state_field(s1, p, grid.r, grid.phi)
                         for gname in ("K0", "K+", "K-", "Y"):
-                            out = apply_generator(gname, s2, p, grid.r, grid.phi)
+                            out = apply(gname, s2, p, grid.r, grid.phi)
                             assert abs(grid.inner(bra, out)) < 1e-9, (n1, n2, gname)
 
 
     @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 2), (0, 2), (1, 1)])
     def test_projected_elements_equal_sampled(self, n1, n2):
-        # the sampled route is Grid.inner of apply_generator fields; on the
+        # the sampled route is Grid.inner of apply_operator fields; on the
         # same-sector pair (1, 1) the K0 and Y elements do not vanish, so the
         # agreement is not only between two roundoff-sized numbers
         p = P_IRR
@@ -323,7 +328,7 @@ class TestBlockDiagonality:
             projected = project(names, rows, cols, grid)
             bras = [state_field(s1, p, grid.r, grid.phi) for s1 in rows]
             for gname in names:
-                kets = [apply_generator(gname, s2, p, grid.r, grid.phi) for s2 in cols]
+                kets = [apply(gname, s2, p, grid.r, grid.phi) for s2 in cols]
                 sampled = np.array([[grid.inner(bra, ket) for ket in kets] for bra in bras])
                 assert np.max(np.abs(projected[gname] - sampled)) < 1e-13, (odd, gname)
                 if n1 == n2 and gname in ("K0", "Y"):

@@ -12,9 +12,9 @@ from ttwsusy.model import (
     eval_wavefunction,
     norm_constant,
     susy_energy,
-    wavefunction_gram,
     weights_of,
 )
+from ttwsusy.generators import wavefunction_gram
 from ttwsusy.specfun import laguerre
 from ttwsusy.verify import DEFAULT_PARAM_SETS
 
@@ -173,7 +173,7 @@ class TestSeparableGram:
 
     def test_large_k_stays_finite(self):
         # alpha reaches 168 on the (6, 6) pair grid: the weights and the bare
-        # radial factors each leave float range, the normalized products do not
+        # radial factors each near float range, the rescaled products do not
         gram = wavefunction_gram(ModelParams(k=12.0, a=1.0, b=1.0, omega=1.0), (6, 6))
         assert np.all(np.isfinite(gram))
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
@@ -187,6 +187,14 @@ class TestGrid:
         g = eval_wavefunction(P_GEN, 0, 0, g2.r, g2.phi)
         with pytest.raises(ValueError):
             g1.inner(f, g)
+
+    def test_radial_exponent_rule(self):
+        # (n1 + n2 + a + b) k, less 1 for a pair of one-fermion factors
+        for n1, n2, odd in ((0, 0, False), (2, 2, True), (1, 2, False), (0, 3, True)):
+            alpha = (n1 + n2 + P_GEN.a + P_GEN.b) * P_GEN.k - (1.0 if odd else 0.0)
+            assert Grid.for_pair(P_GEN, n1, n2, 8, 8, odd=odd).alpha == alpha
+        for n, odd in ((0, False), (3, True)):
+            assert Grid.for_sector(P_GEN, n, odd, 8, 8).alpha == P_GEN.sector_alpha(n) - (1.0 if odd else 0.0)
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ttwsusy.generators import apply_susy, hamiltonian_super, supercharges, superpotential
+from ttwsusy.generators import apply_operator, superpotential
 from ttwsusy.irreps import one_fermion_state, two_fermion_state, zero_fermion_state
 from ttwsusy.model import ModelParams
 from ttwsusy.special_cases import (
@@ -21,7 +21,6 @@ from ttwsusy.special_cases import (
     sw_super,
     sw_superpotential,
 )
-from ttwsusy.states import state_field
 
 P1 = ModelParams(k=1.0, a=1.0, b=1.0, omega=1.0)
 P2 = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
@@ -46,13 +45,10 @@ def make_test_states(rng, p):
 
 
 def polar_reference(st, p, r, phi):
-    if isinstance(st, CatalogTestSpinor):
-        h = hamiltonian_super(st.state, p, r, phi)
-        q, _ = supercharges(st.state, p, r, phi)
-        return h, q
-    # random spinors go through the same pointwise operator assembly
+    """(Hs, Q) of a test spinor from its polar bundle: catalog states and
+    random spinors go through the same pointwise operator assembly."""
     bundle = st.polar_bundle(p, r, phi)
-    return apply_susy("Hs", bundle, p, r, phi), apply_susy("Q", bundle, p, r, phi)
+    return apply_operator("Hs", bundle, p, r, phi), apply_operator("Q", bundle, p, r, phi)
 
 
 class TestPolyGauss:
@@ -88,11 +84,10 @@ class TestSeparableCase:
         st = CatalogTestSpinor(zero_fermion_state(P1, 2, 1))
         cart = st.cart_data(P1, r, phi)
         h_c, _ = sw_super(P1, cart, x, y)
-        from ttwsusy.generators import apply_hamiltonian
-
-        scalar = apply_hamiltonian(st.state, P1, r, phi)
+        bundle = st.polar_bundle(P1, r, phi)
+        scalar = apply_operator("H", bundle, P1, r, phi)
         shift = -2 * P1.omega * (P1.a + P1.b + 1.0)
-        fv = state_field(st.state, P1, r, phi)
+        fv = bundle.val
         assert np.max(np.abs(h_c - scalar - shift * fv)) / np.max(np.abs(scalar)) < 1e-12
 
     def test_superpotential_matches_polar(self):
@@ -194,8 +189,7 @@ class TestThreeParticleCase:
         for st in (zero_fermion_state(P3, 2, 1), one_fermion_state("+", P3, 1, 1)):
             data = make_cmw_test_state(CatalogTestSpinor(st), cm_vac, P3, r, phi, X)
             h_r, q_r = cmw_rel_super(P3, data)
-            h_p = hamiltonian_super(st, P3, r, phi)
-            q_p, _ = supercharges(st, P3, r, phi)
+            h_p, q_p = polar_reference(CatalogTestSpinor(st), P3, r, phi)
             h_ref = embed_product_values(h_p, cm_field)
             q_ref = embed_product_values(q_p, cm_field)
             assert np.max(np.abs(h_r - h_ref)) / max(np.max(np.abs(h_ref)), 1.0) < 1e-9

@@ -114,6 +114,29 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="truncation must be two integers >= 2"):
             SuiteConfig.from_dict({"truncation": as_json})
 
+    @pytest.mark.parametrize(
+        "param_sets, match",
+        [
+            ([{"k": -1, "a": 1, "b": 1}], "k must be positive"),
+            ([{"k": 1, "a": 1, "bb": 1}], "unknown key 'bb', missing key 'b'"),
+            ([{"k": 1, "a": 1}], "missing key 'b'"),
+            ([{"k": 1, "a": 1, "b": 1, "omega": True}], "omega must be a finite real number"),
+            ([{"k": "1", "a": 1, "b": 1}], "k must be a finite real number"),
+            ([{"k": math.inf, "a": 1, "b": 1}], "k must be a finite real number"),
+            ([3.0], "must be a mapping"),
+            (3.0, "param_sets must be a nonempty list"),
+        ],
+        ids=["negative-k", "unknown-key", "missing-key", "bool", "string", "inf", "not-a-mapping", "not-a-list"],
+    )
+    def test_param_set_validation(self, param_sets, match):
+        with pytest.raises(ValueError, match=match):
+            SuiteConfig.from_dict({"param_sets": param_sets})
+
+    @pytest.mark.parametrize("tol", [True, False, "1e-8", None], ids=["true", "false", "string", "null"])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        with pytest.raises(ValueError, match="tolerance 'model.eigenvalue' must be a finite nonnegative real number"):
+            SuiteConfig.from_dict({"tolerances": {"model.eigenvalue": tol}})
+
     def test_tolerance_override(self):
         cfg = SuiteConfig(tolerances={"model.orthonormality": 1e-6})
         assert cfg.tol("model.orthonormality") == 1e-6
@@ -244,6 +267,14 @@ class TestRun:
         assert all(c.passed for c in report.checks if c is not rec)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_k_passes_without_overflow(self):
+        # alpha = 168 in sector 6 at k = 12: every projected entry stays
+        # finite, so no check reads NaN or inf and numpy warns of nothing
+        params = ({"k": 12.0, "a": 1.0, "b": 1.0, "omega": 1.0},)
+        report = run(SuiteConfig(param_sets=params, suites=("algebra", "irreps")))
+        assert report.n_failed == 0, report.to_text()
+
     def test_block_diagonality_sees_a_sector_coupling_term(self, monkeypatch):
         terms = verify.gen._terms
 
@@ -340,6 +371,24 @@ class TestCli:
             main(["verify", "--config", str(path), *extra])
         assert exc.value.code == 2
         assert "truncation must be two integers >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"param_sets": [{"k": -1, "a": 1, "b": 1}]}, "k must be positive"),
+            ({"param_sets": [{"k": 1, "a": 1, "b": 1, "bb": 1}]}, "unknown key 'bb'"),
+            ({"tolerances": {"model.eigenvalue": True}}, "tolerance 'model.eigenvalue'"),
+            ({"tolerances": {"model.eigenvalue": "1e-8"}}, "tolerance 'model.eigenvalue'"),
+        ],
+        ids=["negative-k", "unknown-key", "bool-tolerance", "string-tolerance"],
+    )
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_key_rejected(self, capsys):
         with pytest.raises(SystemExit):
