@@ -331,7 +331,8 @@ def _separable_factors(table: FactorTable, states: list[CatalogState]):
     C = np.zeros((len(states), len(rad_keys), len(ang_keys)))
     for i, rk, ak, c in entries:
         C[i, rk, ak] += c
-    R = np.stack([np.hstack([table.radial(*key)[d] for key in rad_keys]) for d in range(3)])
+    radial = table.radials(rad_keys)
+    R = np.stack([np.hstack([parts[d] for parts in radial]) for d in range(3)])
     exponent = np.frexp(np.max(np.abs(R[0]), axis=0))[1]
     R, C = np.ldexp(R, -exponent), np.ldexp(C, exponent[:, None])
     S = np.zeros((3, len(ang_keys), 4, table.phi.size))

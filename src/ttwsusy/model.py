@@ -14,10 +14,12 @@ xi = -cos(2 k phi):
 
 with energies E_{N,n} = 2 omega [2N + (2n+a+b)k + 1].
 
-``radial_parts`` and ``angular_parts`` are the one evaluator of these
+``radial_levels`` and ``angular_parts`` are the one evaluator of these
 factors and of their first two polar derivatives (also with the shifted
 exponents that fermion states carry); ``eval_radial``/``eval_angular``,
 the wavefunctions and ``states.FactorTable`` all go through them.
+``radial_levels`` gives every radial level 0..N_max of one sector at
+once, from one Laguerre recurrence pass per parameter.
 
 Inner products use the measure r dr dphi.  Substituting z and xi maps
 them onto Gauss-Laguerre x Gauss-Jacobi rules; the grid absorbs the
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, log_gamma
+from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre_levels, log_gamma
 
 __all__ = [
     "Grid",
@@ -55,7 +57,7 @@ __all__ = [
     "eval_radial",
     "eval_wavefunction",
     "norm_constant",
-    "radial_parts",
+    "radial_levels",
     "susy_energy",
     "weights_of",
 ]
@@ -118,19 +120,24 @@ def weights_of(params: ModelParams, n: int) -> Weights:
     return Weights(tau, q)
 
 
-def radial_parts(params: ModelParams, N: int, n: int, r, one_fermion: bool = False):
-    """(R, dR/dr, d2R/dr2) of the radial factor of sector n at level N,
-    R = (z/omega)^p L_N^(alpha)(z) e^(-z/2) with z = omega r^2,
-    alpha = (2n+a+b)k and p = alpha/2, less 1/2 for a one-fermion
-    factor.  Requires r > 0."""
+def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion: bool = False):
+    """(R, dR/dr, d2R/dr2) of the radial factor of sector n at every level
+    N = 0..N_max, each stacked along a new first axis (shape
+    (N_max + 1, *r.shape)): R = (z/omega)^p L_N^(alpha)(z) e^(-z/2) with
+    z = omega r^2, alpha = (2n+a+b)k and p = alpha/2, less 1/2 for a
+    one-fermion factor.  The Laguerre values and their two derivatives
+    take one recurrence pass each.  Requires r > 0."""
     z = params.omega * r**2
     alpha = params.sector_alpha(n)
     p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
     pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega))
-    L = laguerre(N, alpha, z)
-    Ld = laguerre_deriv(N, alpha, z)
-    # Ld is -L_{N-1}^(alpha+1); differentiate that once more
-    Ldd = -laguerre_deriv(N - 1, alpha + 1.0, z) if N >= 1 else np.zeros_like(z)
+    L = laguerre_levels(N_max, alpha, z)
+    # d/dz L_N^(alpha) = -L_{N-1}^(alpha+1), d2/dz2 L_N^(alpha) = L_{N-2}^(alpha+2)
+    Ld, Ldd = np.zeros_like(L), np.zeros_like(L)
+    if N_max >= 1:
+        Ld[1:] = -laguerre_levels(N_max - 1, alpha + 1.0, z)
+    if N_max >= 2:
+        Ldd[2:] = laguerre_levels(N_max - 2, alpha + 2.0, z)
     g = p / z - 0.5
     R = pref * L
     Rz = pref * (g * L + Ld)
@@ -180,7 +187,7 @@ def eval_radial(params: ModelParams, N: int, n: int, z):
         raise ValueError("radial argument z = omega r^2 must be >= 0")
     inside = z > 0
     r = np.sqrt(np.where(inside, z, 1.0) / params.omega)
-    out = np.where(inside, radial_parts(params, N, n, r)[0], 0.0)
+    out = np.where(inside, radial_levels(params, N, n, r)[0][N], 0.0)
     return out if out.ndim else float(out)
 
 

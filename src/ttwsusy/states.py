@@ -25,9 +25,10 @@ discretization error anywhere.
 Every term is a radial factor (a function of r alone) times an angular
 spinor factor (angular factor times fermion trig, a function of phi
 alone).  ``FactorTable`` memoizes both, as evaluated by
-``model.radial_parts``/``angular_parts``, on any broadcastable pair
+``model.radial_levels``/``angular_parts``, on any broadcastable pair
 (r, phi), combines them by broadcasting and hands them out for the
-separable projection of the generator matrices.
+separable projection of the generator matrices.  Radial factors are
+evaluated for every level of one (sector, one-fermion) key at once.
 Equal-shape arrays sample scattered points; a grid's ``(grid.r,
 grid.phi)``, a column of radial nodes against a row of angular nodes,
 samples the whole tensor grid while evaluating each factor on the 1-D
@@ -44,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, angular_parts, radial_parts
+from .model import ModelParams, angular_parts, radial_levels
 
 __all__ = [
     "CatalogState",
@@ -187,15 +188,30 @@ class FactorTable:
         self.r = r
         self.phi = phi
         self.shape = np.broadcast_shapes(r.shape, phi.shape)
-        self._radial: dict[tuple[int, int, bool], tuple] = {}
+        self._radial: dict[tuple[int, bool], tuple] = {}
         self._angular: dict[tuple[int, int], tuple] = {}
         self._spinor: dict[tuple[int, int, int], list] = {}
 
+    def _levels(self, n: int, one_fermion: bool, top: int):
+        """Radial level stacks of sector n, levels 0..top at least."""
+        stacks = self._radial.get((n, one_fermion))
+        if stacks is None or len(stacks[0]) <= top:
+            stacks = self._radial[n, one_fermion] = radial_levels(self.params, top, n, self.r, one_fermion)
+        return stacks
+
     def radial(self, N: int, n: int, one_fermion: bool):
         """(R, dR/dr, d2R/dr2) of the radial factor on r's shape."""
-        if (N, n, one_fermion) not in self._radial:
-            self._radial[N, n, one_fermion] = radial_parts(self.params, N, n, self.r, one_fermion)
-        return self._radial[N, n, one_fermion]
+        return tuple(part[N] for part in self._levels(n, one_fermion, N))
+
+    def radials(self, keys) -> list:
+        """``radial(*key)`` for every (N, n, one_fermion) key, with one level
+        pass per (n, one_fermion) up to the highest N asked for."""
+        tops: dict[tuple[int, bool], int] = {}
+        for N, n, one_fermion in keys:
+            tops[n, one_fermion] = max(N, tops.get((n, one_fermion), N))
+        for (n, one_fermion), top in tops.items():
+            self._levels(n, one_fermion, top)
+        return [self.radial(*key) for key in keys]
 
     def spinor(self, occ: int, shift: int, m: int):
         """Nonzero fixed-basis components (index, S, dS/dphi, d2S/dphi2) on
@@ -231,8 +247,8 @@ class FactorTable:
         """Exact values and polar derivatives of the state's components,
         shape (4, *broadcast shape)."""
         out = StateBundle.zeros(self.shape)
-        for key, comps in self._angular_sums(state, derivs=True).items():
-            R, R_r, R_rr = self.radial(*key)
+        sums = self._angular_sums(state, derivs=True)
+        for (R, R_r, R_rr), comps in zip(self.radials(sums), sums.values()):
             for idx, (a0, a1, a2) in comps.items():
                 out.val[idx] += R * a0
                 out.d_r[idx] += R_r * a0
@@ -244,8 +260,8 @@ class FactorTable:
     def field(self, state: CatalogState) -> np.ndarray:
         """The state as a (4, *broadcast shape) fixed-basis spinor field."""
         vals = np.zeros((4, *self.shape))
-        for key, comps in self._angular_sums(state, derivs=False).items():
-            R = self.radial(*key)[0]
+        sums = self._angular_sums(state, derivs=False)
+        for (R, _, _), comps in zip(self.radials(sums), sums.values()):
             for idx, (a0,) in comps.items():
                 vals[idx] += R * a0
         return vals

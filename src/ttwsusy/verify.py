@@ -86,6 +86,11 @@ def _check_int_pair(key: str, value, low: int) -> None:
         raise ValueError(f"{key} must be two integers >= {low}, got {value!r}")
 
 
+def _check_object(data) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"a config must be a JSON object of config keys, got {data!r}")
+
+
 def _check_param_set(ps) -> None:
     """A parameter set is a mapping of k, a, b and optionally omega to
     finite real numbers that ``ModelParams`` accepts."""
@@ -151,6 +156,7 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
+        _check_object(data)
         kwargs = {}
         if "param_sets" in data:
             kwargs["param_sets"] = data["param_sets"]
@@ -158,11 +164,18 @@ class SuiteConfig:
             if key in data:
                 kwargs[key] = tuple(data[key]) if isinstance(data[key], list) else data[key]
         if "tolerances" in data:
+            if not isinstance(data["tolerances"], dict):
+                raise ValueError(f"tolerances must be a mapping of tolerance keys to numbers, got {data['tolerances']!r}")
             kwargs["tolerances"] = dict(data["tolerances"])
         if "suites" in data:
+            if not isinstance(data["suites"], list):
+                raise ValueError(f"suites must be a list of suite names, got {data['suites']!r}")
             kwargs["suites"] = tuple(data["suites"])
         if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
+            seed = data["seed"]
+            if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+                raise ValueError(f"seed must be an integer, got {seed!r}")
+            kwargs["seed"] = int(seed)
         return cls(**kwargs)
 
 
@@ -895,6 +908,7 @@ def _build_config(args) -> SuiteConfig:
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             data = json.load(fh)
+        _check_object(data)
     if args.param:
         data["param_sets"] = args.param
     if args.suite:

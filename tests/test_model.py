@@ -11,6 +11,7 @@ from ttwsusy.model import (
     eval_radial,
     eval_wavefunction,
     norm_constant,
+    radial_levels,
     susy_energy,
     weights_of,
 )
@@ -227,3 +228,53 @@ class TestGrid:
         p = ModelParams(k=15.0, a=1.0, b=1.0)
         with pytest.raises(ValueError, match="alpha = 210"):
             Grid.for_sector(p, 6)
+
+    def test_weight_overflow_starts_past_alpha_170(self):
+        assert np.all(np.isfinite(Grid(P_UNIT, 170.5).w))
+        for alpha in (170.7, 171.0):
+            with pytest.raises(ValueError, match=f"alpha = {alpha:g}"):
+                Grid(P_UNIT, alpha)
+
+
+def laguerre_single(n, alpha, z):
+    """L_n^(alpha)(z) by its own forward recurrence, one level at a time."""
+    z = np.asarray(z, dtype=float)
+    p_prev = np.ones_like(z)
+    if n == 0:
+        return p_prev
+    p = 1.0 + alpha - z
+    for j in range(1, n):
+        p, p_prev = ((2 * j + alpha + 1 - z) * p - (j + alpha) * p_prev) / (j + 1), p
+    return p
+
+
+def radial_parts_one_level(params, N, n, r, one_fermion):
+    """(R, dR/dr, d2R/dr2) of one radial level, evaluated level by level with
+    three single-level recurrences: the oracle for ``radial_levels``."""
+    z = params.omega * r**2
+    alpha = params.sector_alpha(n)
+    p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
+    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega))
+    L = laguerre_single(N, alpha, z)
+    Ld = -laguerre_single(N - 1, alpha + 1.0, z) if N >= 1 else np.zeros_like(z)
+    Ldd = laguerre_single(N - 2, alpha + 2.0, z) if N >= 2 else np.zeros_like(z)
+    g = p / z - 0.5
+    R = pref * L
+    Rz = pref * (g * L + Ld)
+    Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
+    return R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz
+
+
+class TestRadialLevels:
+    @pytest.mark.parametrize(
+        "p", [ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8), ModelParams(k=1.3, a=0.4, b=2.2, omega=0.7)], ids=["irr", "omega"]
+    )
+    def test_rows_equal_the_level_by_level_evaluation(self, p):
+        r = np.sqrt(np.linspace(0.05, 60.0, 31) / p.omega)[:, None]
+        for n in range(7):
+            for one_fermion in (False, True):
+                stacks = radial_levels(p, 20, n, r, one_fermion)
+                assert all(s.shape == (21, *r.shape) for s in stacks)
+                for N in range(21):
+                    for got, want in zip(stacks, radial_parts_one_level(p, N, n, r, one_fermion)):
+                        assert np.array_equal(got[N], want), (n, one_fermion, N)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ttwsusy import states
+from ttwsusy.generators import project
 from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, zero_fermion_state
-from ttwsusy.model import Grid, ModelParams
+from ttwsusy.model import Grid, ModelParams, radial_levels
 from ttwsusy.states import OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
 
 P = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
@@ -136,9 +138,36 @@ class TestBroadcastingContract:
         radial, angular = len(table._radial), len(table._angular)
         np.testing.assert_array_equal(table.field(plus), table.bundle(plus).val)
         assert (len(table._radial), len(table._angular)) == (radial, angular)
-        # the table holds only 1-D factors on the nodes, never the tensor grid
-        for parts in (*table._radial.values(), *table._angular.values()):
-            assert all(a.size in (grid.m_rad, grid.m_ang) for a in parts)
+        # the table holds only 1-D factors on the nodes, never the tensor grid:
+        # a radial key stores one (m_rad, 1) column per level, an angular key (1, m_ang) rows
+        for stack in (a for parts in table._radial.values() for a in parts):
+            assert stack.shape[1:] == grid.r.shape
+        for parts in table._angular.values():
+            assert all(a.shape == grid.phi.shape for a in parts)
+        stored = [a for parts in (*table._radial.values(), *table._angular.values()) for a in parts]
+        assert not any(a.shape[-2:] == table.shape for a in stored)
         # factors memoized for one state serve another exactly as a fresh table would
         fresh = state_field(minus, P, grid.r, grid.phi)
         np.testing.assert_array_equal(table.field(minus), fresh)
+
+    def test_one_level_pass_per_radial_key(self, monkeypatch):
+        """Every level of a (sector, one-fermion) radial key comes from one
+        ``radial_levels`` pass, however many states and terms share the key."""
+        calls = []
+
+        def counting(params, N_max, n, r, one_fermion=False):
+            calls.append((n, one_fermion))
+            return radial_levels(params, N_max, n, r, one_fermion)
+
+        monkeypatch.setattr(states, "radial_levels", counting)
+        grid = Grid.for_sector(P, 2, m_rad=20, m_ang=20)
+        table = FactorTable(P, grid.r, grid.phi)
+        basis = [s.state for s in sector_basis(P, 2, 5)]
+        even = [st for st in basis if st.fermion_parity() == 0]
+        odd = [st for st in basis if st.fermion_parity() == 1]
+        project(("1",), even, even, grid, table)
+        project(("1",), odd, odd, grid, table)
+        for st in basis:
+            table.bundle(st)
+        assert sorted(calls) == sorted(table._radial) and len(calls) == len(set(calls))
+        assert (2, False) in calls and (2, True) in calls

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -136,6 +139,21 @@ class TestSuiteConfig:
     def test_tolerance_must_be_a_real_number(self, tol):
         with pytest.raises(ValueError, match="tolerance 'model.eigenvalue' must be a finite nonnegative real number"):
             SuiteConfig.from_dict({"tolerances": {"model.eigenvalue": tol}})
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ([1], "a config must be a JSON object"),
+            ({"suites": 5}, "suites must be a list"),
+            ({"tolerances": [1]}, "tolerances must be a mapping"),
+            ({"seed": [1]}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+        ],
+        ids=["not-an-object", "suites-not-a-list", "tolerances-not-a-mapping", "seed-list", "seed-bool"],
+    )
+    def test_payload_types(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            SuiteConfig.from_dict(data)
 
     def test_tolerance_override(self):
         cfg = SuiteConfig(tolerances={"model.orthonormality": 1e-6})
@@ -390,7 +408,45 @@ class TestCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, extra, message",
+        [
+            ([1], [], "a config must be a JSON object"),
+            ([1], ["--suite", "specfun"], "a config must be a JSON object"),
+            ({"suites": 5}, [], "suites must be a list"),
+            ({"tolerances": [1]}, ["--suite", "specfun"], "tolerances must be a mapping"),
+            ({"seed": [1]}, ["--suite", "specfun"], "seed must be an integer"),
+            ({"seed": True}, ["--suite", "specfun"], "seed must be an integer"),
+        ],
+        ids=["not-an-object", "not-an-object-suite", "suites-not-a-list", "tolerances-not-a-mapping", "seed-list", "seed-bool"],
+    )
+    def test_bad_config_type_is_a_usage_error(self, tmp_path, capsys, data, extra, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(path), *extra])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_key_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--param", "k=2,a=1,b=1,zeta=3"])
         capsys.readouterr()
+
+
+def test_runs_without_scipy():
+    """A fresh process imports the package and runs the specfun and model
+    suites without importing scipy or any of its submodules."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    code = (
+        "import sys, ttwsusy\n"
+        "from ttwsusy import verify\n"
+        f"config = verify.SuiteConfig(**{FAST!r}, suites=('specfun', 'model'))\n"
+        "report = verify.run(config)\n"
+        "assert report.n_failed == 0, report.to_text()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
