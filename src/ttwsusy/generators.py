@@ -29,7 +29,10 @@ operator name to its table: the eight generators, H_k ("H"), "Hs",
 analytically to a state's derivative bundle, exactly at every sample
 point, and ``project`` contracts the same table with 1-D radial and
 angular Gauss sums between lists of states, so the algebra residuals
-measure the formulas, not a discretization.  ``project`` is the one
+measure the formulas, not a discretization.  The module keeps only the
+term tables and the Gauss sums: how states break into radial and
+angular factors is ``states.FactorTable.expand``, which ``project``
+reads.  ``project`` is the one
 projection routine: ``generator_matrices``, ``wavefunction_gram`` and
 verify's other integral checks (cross-sector elements, one-fermion
 overlaps) all go through it.  ``hamiltonian_super`` stays apart on
@@ -55,7 +58,7 @@ import numpy as np
 from . import fock
 from .irreps import BasisState, sector_basis, zero_fermion_state
 from .model import Grid, ModelParams
-from .states import FERMION_NUMBER, CatalogState, FactorTable, StateBundle, state_bundle
+from .states import CatalogState, FactorTable, StateBundle, state_bundle
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -112,16 +115,22 @@ def riccati_residual(params: ModelParams, phi, perturb_a: float = 0.0):
     if np.any(phi <= 0) or np.any(phi >= params.phi_max):
         raise ValueError("phi must be interior")
     k, a, b = params.k, params.a, params.b
-    af = a + perturb_a
     sec2 = 1.0 / np.cos(k * phi) ** 2
     csc2 = 1.0 / np.sin(k * phi) ** 2
-    f1 = af * k * np.tan(k * phi) - b * k / np.tan(k * phi)
-    f2 = af * k * k * sec2 + b * k * k * csc2
-    c = -k * (a + b)
-    lhs = -f2 + f1 * f1 + c * c
     rhs = k * k * (a * (a - 1.0) * sec2 + b * (b - 1.0) * csc2)
-    out = np.abs(lhs - rhs)
+    out = np.abs(_riccati_lhs(params, phi, a + perturb_a) - rhs)
     return out if out.ndim else float(out)
+
+
+def _riccati_lhs(params: ModelParams, phi, a: float):
+    """-F'' + F'^2 + C^2 with exponent ``a`` inside F (C keeps the model's a)."""
+    k, b = params.k, params.b
+    sec2 = 1.0 / np.cos(k * phi) ** 2
+    csc2 = 1.0 / np.sin(k * phi) ** 2
+    f1 = a * k * np.tan(k * phi) - b * k / np.tan(k * phi)
+    f2 = a * k * k * sec2 + b * k * k * csc2
+    c = -k * (params.a + params.b)
+    return -f2 + f1 * f1 + c * c
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +256,7 @@ def _apply_terms(terms: list[_Term], bundle: StateBundle, r) -> np.ndarray:
 def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
     """D = [-Laplacian - Laplacian(W) + |grad W|^2] / (4 omega), from the
     superpotential derivatives (independent of the H_k potential form)."""
-    k, a, b = params.k, params.a, params.b
-    sec2 = 1.0 / np.cos(k * phi) ** 2
-    csc2 = 1.0 / np.sin(k * phi) ** 2
-    f1 = a * k * np.tan(k * phi) - b * k / np.tan(k * phi)
-    f2 = a * k * k * sec2 + b * k * k * csc2
-    c = -k * (a + b)
-    ang = (-f2 + f1 * f1 + c * c) / r**2
+    ang = _riccati_lhs(params, phi, params.a) / r**2
     lap = bundle.d_rr + bundle.d_r / r + bundle.d_phiphi / r**2
     return (-lap + ang * bundle.val) / (4.0 * params.omega)
 
@@ -306,49 +309,15 @@ def dilation_identity_residuals(state: CatalogState, params: ModelParams, r, phi
 # Truncated matrices in the orthonormal super-basis
 
 
-def _separable_factors(table: FactorTable, states: list[CatalogState]):
-    """Expand states over products of 1-D factors on the table's nodes:
-    C (states, radial keys * angular keys) holds each state's coefficient
-    per (radial factor, angular spinor factor) pair, R (3, m_rad, radial
-    keys) the radial factors and S (3, angular keys, 4, m_ang) the
-    angular spinor factors, each with their first two derivatives.
-
-    Each radial column (value and derivatives) is divided by the power
-    of two at its largest |value| and its coefficients multiplied by it.
-    Scaling by a power of two is exact, so every projected entry is the
-    same to the last bit, while the bare factors (up to z^(alpha/2), with
-    alpha the sector exponent) cannot overflow against the grid's
-    e^z / z^alpha weights before the normalization constants in C apply."""
-    rad_keys: dict[tuple, int] = {}
-    ang_keys: dict[tuple, int] = {}
-    entries = []
-    for i, st in enumerate(states):
-        for t in st.terms:
-            if not t.is_zero:
-                rk = rad_keys.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), len(rad_keys))
-                ak = ang_keys.setdefault((t.occ, t.shift, t.angular_index), len(ang_keys))
-                entries.append((i, rk, ak, t.coeff))
-    C = np.zeros((len(states), len(rad_keys), len(ang_keys)))
-    for i, rk, ak, c in entries:
-        C[i, rk, ak] += c
-    radial = table.radials(rad_keys)
-    R = np.stack([np.hstack([parts[d] for parts in radial]) for d in range(3)])
-    exponent = np.frexp(np.max(np.abs(R[0]), axis=0))[1]
-    R, C = np.ldexp(R, -exponent), np.ldexp(C, exponent[:, None])
-    S = np.zeros((3, len(ang_keys), 4, table.phi.size))
-    for a, key in enumerate(ang_keys):
-        for idx, *parts in table.spinor(*key):
-            S[:, a, idx] = np.reshape(parts, (3, -1))
-    return C.reshape(len(states), -1), R, S
-
-
 def _project(terms: list[_Term], rows, cols, grid: Grid) -> np.ndarray:
-    """<row|O|col> from the separable factors of row and column states: a
-    term's entry between two factor pairs is the radial Gauss sum of
-    w_r R_row r^q R_col^(d_r) times the angular one of w_phi S_row . theta
-    M S_col^(d_phi)."""
-    C_row, R_row, S_row = rows
-    C_col, R_col, S_col = cols
+    """<row|O|col> from the ``FactorTable.expand`` of row and column states
+    on the grid: a term's entry between two factor pairs is the radial
+    Gauss sum of w_r R_row r^q R_col^(d_r) times the angular one of w_phi
+    S_row . theta M S_col^(d_phi)."""
+    # drop the unit axes of the grid's radial column and angular row
+    (C_row, R_row, S_row), (C_col, R_col, S_col) = (
+        (C.reshape(len(C), -1), R[:, :, 0], S[:, :, :, 0]) for C, R, S in (rows, cols)
+    )
     n_row, n_col = S_row.shape[1], S_col.shape[1]
     P = np.zeros((C_row.shape[1], C_col.shape[1]))
     for t in terms:
@@ -374,8 +343,8 @@ def project(
     So every entry is a sum of products of 1-D radial and angular Gauss
     sums: nothing is sampled on the 2-D grid."""
     table = FactorTable(grid.params, grid.r, grid.phi) if table is None else table
-    f_rows = _separable_factors(table, rows)
-    f_cols = f_rows if cols is rows else _separable_factors(table, cols)
+    f_rows = table.expand(rows)
+    f_cols = f_rows if cols is rows else table.expand(cols)
     return {g: _project(_terms(g, grid.params, grid.phi), f_rows, f_cols, grid) for g in names}
 
 

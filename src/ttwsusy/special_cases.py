@@ -272,27 +272,25 @@ class Cmw3Data:
         return _U3[0, i] * self.d_u + _U3[1, i] * self.d_v + _U3[2, i] * self.d_X
 
 
-def _product_monomials() -> list[np.ndarray]:
-    """Vacuum images of the eight transformed-mode creator monomials
-    {1, cdag_u, cdag_v, cdag_u cdag_v} x {1, cdag_X}, ordered 4*t + s.
+# Vacuum images of the eight transformed-mode creator monomials
+# {1, cdag_u, cdag_v, cdag_u cdag_v} x {1, cdag_X}, ordered 4*t + s.  The map
+# e_s x e_t -> monomial vector intertwines every operator word in the (u, v)
+# modes with its 4-dim counterpart as long as the cm factor stays in its
+# vacuum (t = 0).
+_MONOMIALS = [
+    m @ (np.linalg.matrix_power(_CD3[2], t) @ np.eye(8)[0])
+    for t in (0, 1)
+    for m in (np.eye(8), _CD3[0], _CD3[1], _CD3[0] @ _CD3[1])
+]
 
-    The map e_s x e_t -> monomial vector intertwines every operator
-    word in the (u, v) modes with its 4-dim counterpart as long as the
-    cm factor stays in its vacuum (t = 0)."""
-    vac = np.zeros(8)
-    vac[0] = 1.0
-    rel_mon = [np.eye(8), _CD3[0], _CD3[1], _CD3[0] @ _CD3[1]]
-    return [m @ (np.linalg.matrix_power(_CD3[2], t) @ vac) for t in (0, 1) for m in rel_mon]
 
-
-def embed_product_values(rel_vals: np.ndarray, cm_vals: np.ndarray) -> np.ndarray:
+def embed_product_values(rel_vals: np.ndarray, cm_vals) -> np.ndarray:
     """Map a (4, npts) relative spinor times a (2, npts) cm spinor into
     the (8, npts) particle-mode basis."""
-    monomials = _product_monomials()
     out = np.zeros((8, rel_vals.shape[1]))
     for t in (0, 1):
         for s in range(4):
-            out += np.outer(monomials[4 * t + s], rel_vals[s] * cm_vals[t])
+            out += np.outer(_MONOMIALS[4 * t + s], rel_vals[s] * cm_vals[t])
     return out
 
 
@@ -322,33 +320,21 @@ def make_cmw_test_state(
     for the cm monomials {1, cdag_X}.
     """
     u, v = r * np.cos(phi), r * np.sin(phi)
-    bundle = rel.polar_bundle(params, r, phi)
-    cart = cart_from_polar(bundle, r, phi)
-    rel_parts = {
-        "val": cart.val,
-        "d_u": cart.d_x,
-        "d_v": cart.d_y,
-        "lap2": cart.lap,
-    }
+    cart = cart_from_polar(rel.polar_bundle(params, r, phi), r, phi)
     cm_parts = [_poly1_parts(np.asarray(c, dtype=float), params.omega, X) for c in cm_coeffs]
-    monomials = _product_monomials()
-
-    def combine(rel_key, cm_index):
-        rel_f = rel_parts[rel_key]
-        out = np.zeros((8, r.size))
-        for t in (0, 1):
-            chi = cm_parts[t][cm_index]
-            for s in range(4):
-                out += np.outer(monomials[4 * t + s], rel_f[s] * chi)
-        return out
-
-    val = combine("val", 0)
-    d_u = combine("d_u", 0)
-    d_v = combine("d_v", 0)
-    lap2 = combine("lap2", 0)
-    d_X = combine("val", 1)
-    d_XX = combine("val", 2)
-    return Cmw3Data(val, d_u, d_v, d_X, lap2, d_XX, u, v, X)
+    # the cm spinor and its first two X derivatives, each as (2, npts) values
+    chi, chi_X, chi_XX = ([part[i] for part in cm_parts] for i in range(3))
+    return Cmw3Data(
+        val=embed_product_values(cart.val, chi),
+        d_u=embed_product_values(cart.d_x, chi),
+        d_v=embed_product_values(cart.d_y, chi),
+        d_X=embed_product_values(cart.val, chi_X),
+        lap2=embed_product_values(cart.lap, chi),
+        d_XX=embed_product_values(cart.val, chi_XX),
+        u=u,
+        v=v,
+        X=X,
+    )
 
 
 def cmw_super(params: ModelParams, data: Cmw3Data):

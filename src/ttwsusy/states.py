@@ -26,13 +26,18 @@ Every term is a radial factor (a function of r alone) times an angular
 spinor factor (angular factor times fermion trig, a function of phi
 alone).  ``FactorTable`` memoizes both, as evaluated by
 ``model.radial_levels``/``angular_parts``, on any broadcastable pair
-(r, phi), combines them by broadcasting and hands them out for the
-separable projection of the generator matrices.  Radial factors are
+(r, phi).  ``FactorTable.expand`` is the one place that groups terms
+by factor key: it writes a list of states as a coefficient array over
+(radial key, angular key) pairs plus the factor arrays.  A bundle or
+field is a contraction of one state's expansion, broadcast over the
+table's points; ``generators.project`` contracts the expansions of
+row and column states with 1-D Gauss sums.  Radial factors are
 evaluated for every level of one (sector, one-fermion) key at once.
 Equal-shape arrays sample scattered points; a grid's ``(grid.r,
 grid.phi)``, a column of radial nodes against a row of angular nodes,
 samples the whole tensor grid while evaluating each factor on the 1-D
-nodes only.
+nodes only.  One table per set of points serves every state sampled
+there; ``state_bundle``/``state_field`` build a one-shot table.
 
 Spinor fields themselves are plain float arrays of shape
 (4, *broadcast shape) in the fixed fermion basis: (4, n_points) for
@@ -145,10 +150,6 @@ class StateBundle:
     d_phi: np.ndarray
     d_phiphi: np.ndarray
 
-    @classmethod
-    def zeros(cls, shape: tuple[int, ...]) -> "StateBundle":
-        return cls(*(np.zeros((4, *shape)) for _ in range(5)))
-
 
 def _occupation_trig(occ: int, phi: np.ndarray):
     """Nonzero fixed-basis components as (index, t, t', t'') triples."""
@@ -176,7 +177,8 @@ class FactorTable:
     out on the whole tensor grid while every factor is evaluated on the
     1-D nodes only.  Factors are keyed without the term coefficient, so
     states sharing basis functions share their evaluation; the table
-    holds no array of the broadcast shape.
+    holds no array of the broadcast shape.  ``expand`` groups states'
+    terms over the factors, and ``bundle``/``field`` contract it.
     """
 
     def __init__(self, params: ModelParams, r, phi):
@@ -203,16 +205,6 @@ class FactorTable:
         """(R, dR/dr, d2R/dr2) of the radial factor on r's shape."""
         return tuple(part[N] for part in self._levels(n, one_fermion, N))
 
-    def radials(self, keys) -> list:
-        """``radial(*key)`` for every (N, n, one_fermion) key, with one level
-        pass per (n, one_fermion) up to the highest N asked for."""
-        tops: dict[tuple[int, bool], int] = {}
-        for N, n, one_fermion in keys:
-            tops[n, one_fermion] = max(N, tops.get((n, one_fermion), N))
-        for (n, one_fermion), top in tops.items():
-            self._levels(n, one_fermion, top)
-        return [self.radial(*key) for key in keys]
-
     def spinor(self, occ: int, shift: int, m: int):
         """Nonzero fixed-basis components (index, S, dS/dphi, d2S/dphi2) on
         phi's shape of occupation ``occ``'s fermion trig t times the
@@ -227,44 +219,77 @@ class FactorTable:
             ]
         return self._spinor[occ, shift, m]
 
-    def _angular_sums(self, state: CatalogState, derivs: bool) -> dict:
-        """Per radial factor and component, the coefficient-weighted sum of
-        the angular spinor factors (value, and with ``derivs`` d/dphi and
-        d2/dphi2) of every term that shares it."""
-        sums: dict[tuple[int, int, bool], dict[int, tuple]] = {}
-        for trm in state.terms:
-            if trm.is_zero:
+    def expand(self, states: list[CatalogState]):
+        """Expand states over products of the table's factors, as (C, R, S):
+        C (states, radial keys, angular keys) holds each state's coefficient
+        per (radial factor, angular spinor factor) pair, R (3, *r.shape,
+        radial keys) the radial factors and S (3, angular keys, 4,
+        *phi.shape) the angular spinor factors, each with their first two
+        derivatives.  A radial key is (N, n, one-fermion), an angular key
+        (occ, shift, angular index); every level of one (n, one-fermion)
+        comes from one level pass up to the highest N asked for.
+
+        Each radial key's factors are divided by the power of two at their
+        largest |value| and its coefficients multiplied by it.  Scaling by
+        a power of two is exact, so every contraction is the same to the
+        last bit, while the bare factors (up to z^(alpha/2), with alpha the
+        sector exponent) cannot overflow against a grid's e^z / z^alpha
+        weights before the normalization constants in C apply."""
+        rad_keys: dict[tuple, int] = {}
+        ang_keys: dict[tuple, int] = {}
+        entries = []
+        for i, st in enumerate(states):
+            for t in st.terms:
+                if not t.is_zero:
+                    rk = rad_keys.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), len(rad_keys))
+                    ak = ang_keys.setdefault((t.occ, t.shift, t.angular_index), len(ang_keys))
+                    entries.append((i, rk, ak, t.coeff))
+        C = np.zeros((len(states), len(rad_keys), len(ang_keys)))
+        for i, rk, ak, c in entries:
+            C[i, rk, ak] += c
+        tops: dict[tuple[int, bool], int] = {}
+        for N, n, one_fermion in rad_keys:
+            tops[n, one_fermion] = max(N, tops.get((n, one_fermion), N))
+        for (n, one_fermion), top in tops.items():
+            self._levels(n, one_fermion, top)
+        R = np.zeros((3, *self.r.shape, len(rad_keys)))
+        for j, key in enumerate(rad_keys):
+            R[..., j] = self.radial(*key)
+        exponent = np.frexp(np.max(np.abs(R[0]), axis=tuple(range(self.r.ndim)), initial=0.0))[1]
+        S = np.zeros((3, len(ang_keys), 4, *self.phi.shape))
+        for a, key in enumerate(ang_keys):
+            for idx, *parts in self.spinor(*key):
+                S[:, a, idx] = parts
+        return np.ldexp(C, exponent[:, None]), np.ldexp(R, -exponent), S
+
+    def _contract(self, state: CatalogState, orders) -> list:
+        """The state's fields for each (radial, angular) derivative order
+        of ``orders``, each of shape (4, *broadcast shape), from
+        ``expand([state])``; components no term reaches stay zero."""
+        C, R, S = self.expand([state])
+        S = S[: 1 + max(d for _, d in orders)]
+        coeff = C[0].reshape(C.shape[1], 1, C.shape[2], *(1,) * self.phi.ndim)
+        out = [np.zeros((4, *self.shape)) for _ in orders]
+        for idx in range(4):
+            if not S[:, :, idx].any():
                 continue
-            comps = sums.setdefault((trm.N, trm.n, FERMION_NUMBER[trm.occ] == 1), {})
-            c = trm.coeff
-            for idx, s0, s1, s2 in self.spinor(trm.occ, trm.shift, trm.angular_index):
-                part = (c * s0, c * s1, c * s2) if derivs else (c * s0,)
-                prev = comps.get(idx)
-                comps[idx] = part if prev is None else tuple(x + y for x, y in zip(prev, part))
-        return sums
+            # per radial key, its coefficient-weighted angular spinor factors
+            ang = np.sum(coeff * S[None, :, :, idx], axis=2)
+            # radial keys one at a time, in key order, like a loop over the
+            # terms: a BLAS contraction would reorder the sums' last bits
+            for j in range(C.shape[1]):
+                for o, (d_r, d_phi) in zip(out, orders):
+                    o[idx] += R[d_r, ..., j] * ang[j, d_phi]
+        return out
 
     def bundle(self, state: CatalogState) -> StateBundle:
         """Exact values and polar derivatives of the state's components,
         shape (4, *broadcast shape)."""
-        out = StateBundle.zeros(self.shape)
-        sums = self._angular_sums(state, derivs=True)
-        for (R, R_r, R_rr), comps in zip(self.radials(sums), sums.values()):
-            for idx, (a0, a1, a2) in comps.items():
-                out.val[idx] += R * a0
-                out.d_r[idx] += R_r * a0
-                out.d_rr[idx] += R_rr * a0
-                out.d_phi[idx] += R * a1
-                out.d_phiphi[idx] += R * a2
-        return out
+        return StateBundle(*self._contract(state, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))))
 
     def field(self, state: CatalogState) -> np.ndarray:
         """The state as a (4, *broadcast shape) fixed-basis spinor field."""
-        vals = np.zeros((4, *self.shape))
-        sums = self._angular_sums(state, derivs=False)
-        for (R, _, _), comps in zip(self.radials(sums), sums.values()):
-            for idx, (a0,) in comps.items():
-                vals[idx] += R * a0
-        return vals
+        return self._contract(state, ((0, 0),))[0]
 
 
 def state_bundle(state: CatalogState, params: ModelParams, r, phi) -> StateBundle:

@@ -27,7 +27,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from . import generators as gen
 from . import irreps, model, special_cases, specfun
 from .model import Grid, ModelParams
-from .states import state_bundle, state_field
+from .states import FactorTable
 
 __all__ = ["SuiteConfig", "CheckRecord", "VerificationReport", "run", "main"]
 
@@ -134,6 +134,11 @@ class SuiteConfig:
         bad = set(self.suites) - set(SUITES) - {"all"}
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        self.seed = int(self.seed)
 
     def tol(self, key: str) -> float:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
@@ -157,6 +162,9 @@ class SuiteConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
         _check_object(data)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("unknown config key " + ", ".join(map(repr, unknown)))
         kwargs = {}
         if "param_sets" in data:
             kwargs["param_sets"] = data["param_sets"]
@@ -172,10 +180,7 @@ class SuiteConfig:
                 raise ValueError(f"suites must be a list of suite names, got {data['suites']!r}")
             kwargs["suites"] = tuple(data["suites"])
         if "seed" in data:
-            seed = data["seed"]
-            if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
-                raise ValueError(f"seed must be an integer, got {seed!r}")
-            kwargs["seed"] = int(seed)
+            kwargs["seed"] = data["seed"]
         return cls(**kwargs)
 
 
@@ -287,11 +292,11 @@ def _worst_per_name(results) -> dict[str, float]:
     return {name: _worst(res) for name, res in per_name.items()}
 
 
-def _images(names, state, p: ModelParams, r, phi):
+def _images(names, table: FactorTable, state):
     """The state's field and its images under the named operators at the
-    broadcastable points (r, phi), all from one bundle of the state."""
-    bundle = state_bundle(state, p, r, phi)
-    return bundle.val, [gen.apply_operator(g, bundle, p, r, phi) for g in names]
+    table's points, all from one bundle of the state."""
+    bundle = table.bundle(state)
+    return bundle.val, [gen.apply_operator(g, bundle, table.params, table.r, table.phi) for g in names]
 
 
 def _sectors(blocks: list, basis: list, mask: np.ndarray):
@@ -463,8 +468,9 @@ def _checks_model(config: SuiteConfig):
         res = []
         for n in range(7):
             grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
+            table = FactorTable(p, grid.r, grid.phi)
             for N in range(7):
-                fv, (hv,) = _images(("H",), irreps.zero_fermion_state(p, N, n), p, grid.r, grid.phi)
+                fv, (hv,) = _images(("H",), table, irreps.zero_fermion_state(p, N, n))
                 res.append(np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv)))
         yield ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", label, _worst(res), "model.eigenvalue")
 
@@ -521,16 +527,18 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         res = []
         for n in range(7):
             grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
+            table = FactorTable(p, grid.r, grid.phi)
             for N in range(7):
-                fv, (hv,) = _images(("Hs",), irreps.zero_fermion_state(p, N, n), p, grid.r, grid.phi)
+                fv, (hv,) = _images(("Hs",), table, irreps.zero_fermion_state(p, N, n))
                 target = 4.0 * p.omega * (N + n * p.k)
                 res.append(np.max(np.abs(hv - target * fv)) / max(np.max(np.abs(fv)), 1.0))
         yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, _worst(res), "algebra.spectrum")
 
         res = []
         grid = Grid.for_sector(p, 1, m_rad=m_rad, m_ang=m_ang)
+        table = FactorTable(p, grid.r, grid.phi)
         for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
-            bundle = state_bundle(st, p, grid.r, grid.phi)
+            bundle = table.bundle(st)
             h1 = gen.apply_operator("Hs", bundle, p, grid.r, grid.phi)
             h2 = gen.hamiltonian_super(bundle, p, grid.r, grid.phi)
             res.append(np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0))
@@ -543,7 +551,8 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         )
 
         grid0 = Grid.for_sector(p, 0, m_rad=m_rad, m_ang=m_ang)
-        _, (qf, qdf) = _images(("Q", "Qdag"), irreps.zero_fermion_state(p, 0, 0), p, grid0.r, grid0.phi)
+        table = FactorTable(p, grid0.r, grid0.phi)
+        _, (qf, qdf) = _images(("Q", "Qdag"), table, irreps.zero_fermion_state(p, 0, 0))
         yield (
             "susy-ground",
             "Q and Qdag annihilate the ground state (unbroken supersymmetry)",
@@ -621,15 +630,17 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
         res = []
         for n in (0, 1, min(2, n_max)):
             grid = Grid.for_sector(p, n, odd=True, m_rad=m_rad, m_ang=m_ang)
+            table = FactorTable(p, grid.r, grid.phi)
             grid_e = Grid.for_sector(p, n, odd=False, m_rad=m_rad, m_ang=m_ang)
+            table_e = FactorTable(p, grid_e.r, grid_e.phi)
             for N in (0, 1, 3):
                 st = irreps.zero_fermion_state(p, N, n)
-                _, v_outs = _images(("V+", "V-"), st, p, grid.r, grid.phi)
+                _, v_outs = _images(("V+", "V-"), table, st)
                 for sign, out in zip(("+", "-"), v_outs):
-                    ref = state_field(irreps.v_action(sign, p, N, n), p, grid.r, grid.phi)
+                    ref = table.field(irreps.v_action(sign, p, N, n))
                     scale = max(np.max(np.abs(ref)), 1.0)
                     res.append(np.max(np.abs(out - ref)) / scale)
-                _, w_outs = _images(("W+", "W-"), st, p, grid_e.r, grid_e.phi)
+                _, w_outs = _images(("W+", "W-"), table_e, st)
                 res += [np.max(np.abs(wout)) for wout in w_outs]
         yield (
             "odd-action-fields",
@@ -647,14 +658,16 @@ def _checks_irreps(config: SuiteConfig, workspaces: dict):
             measured = np.diag(gen.project(("1",), plus, minus, grid)["1"])
             res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
         grid = Grid.for_sector(p, 0, odd=True, m_rad=m_rad, m_ang=m_ang)
+        table = FactorTable(p, grid.r, grid.phi)
         for N in range(1, 5):
-            plus = state_field(irreps.one_fermion_state("+", p, N - 1, 0), p, grid.r, grid.phi)
-            minus = state_field(irreps.one_fermion_state("-", p, N, 0), p, grid.r, grid.phi)
+            plus = table.field(irreps.one_fermion_state("+", p, N - 1, 0))
+            minus = table.field(irreps.one_fermion_state("-", p, N, 0))
             res.append(np.max(np.abs(plus - minus)))
         grid_e = Grid.for_sector(p, 0, odd=False, m_rad=m_rad, m_ang=m_ang)
+        table = FactorTable(p, grid_e.r, grid_e.phi)
         for N in range(3):
             two = irreps.two_fermion_state(p, N, 0)
-            res.append(0.0 if two.is_zero else np.max(np.abs(state_field(two, p, grid_e.r, grid_e.phi))))
+            res.append(0.0 if two.is_zero else np.max(np.abs(table.field(two))))
         yield (
             "one-fermion-overlap",
             "<+|-> = sqrt(N[N+(2n+a+b)k] / ([N+(n+a+b)k][N+nk])); at n = 0 the one-fermion "
@@ -801,10 +814,11 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
     chi = np.exp(-0.5 * p.omega * X**2)
     cm_field = np.stack([chi, np.zeros_like(chi)])
     res = []
+    table = FactorTable(p, r, phi)
     for st in (irreps.zero_fermion_state(p, 2, 1), irreps.one_fermion_state("+", p, 1, 1)):
         data = special_cases.make_cmw_test_state(special_cases.CatalogTestSpinor(st), cm_vac, p, r, phi, X)
         h_r, q_r = special_cases.cmw_rel_super(p, data)
-        _, (q_p, h_p) = _images(("Q", "Hs"), st, p, r, phi)
+        _, (q_p, h_p) = _images(("Q", "Hs"), table, st)
         q_ref = special_cases.embed_product_values(q_p, cm_field)
         h_ref = special_cases.embed_product_values(h_p, cm_field)
         res.append(np.max(np.abs(q_r - q_ref)) / max(np.max(np.abs(q_ref)), 1.0))

@@ -10,7 +10,6 @@ from ttwsusy.generators import (
     GENERATOR_PARITY,
     RELATIONS,
     _gamma_terms,
-    _separable_factors,
     apply_operator,
     check_structure_constants,
     dilation_identity_residuals,
@@ -469,7 +468,8 @@ class TestTensorGridAssembly:
         grid = Grid.for_sector(p, 2, odd=True, m_rad=40, m_ang=40)
         table = FactorTable(p, grid.r, grid.phi)
         states = [s.state for s in sector_basis(p, 2, 4) if s.family in ("lower", "upper")]
-        _, R, _ = _separable_factors(table, states)
+        _, R, _ = table.expand(states)
+        R = R[:, :, 0]  # the grid's radial column
         keys = dict.fromkeys((t.N, t.n, FERMION_NUMBER[t.occ] == 1) for st in states for t in st.terms if not t.is_zero)
         bare = np.stack([np.hstack([table.radial(*key)[d] for key in keys]) for d in range(3)])
         peak = np.argmax(np.abs(R[0]), axis=0)

@@ -5,9 +5,9 @@ import pytest
 
 from ttwsusy import states
 from ttwsusy.generators import project
-from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, zero_fermion_state
+from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, v_action, zero_fermion_state
 from ttwsusy.model import Grid, ModelParams, radial_levels
-from ttwsusy.states import OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
+from ttwsusy.states import FERMION_NUMBER, OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
 
 P = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
 P_IRR = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=1.0)
@@ -171,3 +171,64 @@ class TestBroadcastingContract:
             table.bundle(st)
         assert sorted(calls) == sorted(table._radial) and len(calls) == len(set(calls))
         assert (2, False) in calls and (2, True) in calls
+
+
+def sample_points(p, n_pts=30, seed=3):
+    """A sector-0 grid's nodes and scattered interior points, as (r, phi) pairs."""
+    rng = np.random.default_rng(seed)
+    grid = Grid.for_sector(p, 0, m_rad=20, m_ang=24)
+    scattered = (rng.uniform(0.3, 2.5, n_pts), rng.uniform(0.05, 0.95, n_pts) * p.phi_max)
+    return {"grid": (grid.r, grid.phi), "scattered": scattered}
+
+
+def loop_bundle(table, state):
+    """The bundle as a dict loop over the state's terms: per radial factor
+    and component, the coefficient-weighted angular spinor factors in term
+    order, then their products with the radial factors in key order."""
+    sums = {}
+    for t in state.terms:
+        if t.is_zero:
+            continue
+        comps = sums.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), {})
+        for idx, *parts in table.spinor(t.occ, t.shift, t.angular_index):
+            part = [t.coeff * x for x in parts]
+            prev = comps.get(idx)
+            comps[idx] = part if prev is None else [x + y for x, y in zip(prev, part)]
+    out = [np.zeros((4, *table.shape)) for _ in BUNDLE_FIELDS]
+    for key, comps in sums.items():
+        R, R_r, R_rr = table.radial(*key)
+        for idx, (a0, a1, a2) in comps.items():
+            for o, value in zip(out, (R * a0, R_r * a0, R_rr * a0, R * a1, R * a2)):
+                o[idx] += value
+    return out
+
+
+class TestExpansion:
+    """``FactorTable.expand`` is the one grouping of catalog terms by factor
+    key; bundles and fields are contractions of it."""
+
+    @pytest.mark.parametrize("where", ["grid", "scattered"])
+    def test_zero_states_give_zero_fields(self, where):
+        table = FactorTable(P, *sample_points(P)[where])
+        for state in (CatalogState.zero(), v_action("-", P, 0, 0)):
+            C, R, S = table.expand([state])
+            assert C.shape == (1, 0, 0) and R.shape[-1] == 0 and S.shape[1] == 0
+            bundle = table.bundle(state)
+            for name in BUNDLE_FIELDS:
+                value = getattr(bundle, name)
+                assert value.shape == (4, *table.shape) and not value.any(), name
+            field = table.field(state)
+            assert field.shape == (4, *table.shape) and not field.any()
+
+    @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
+    @pytest.mark.parametrize("where", ["grid", "scattered"])
+    def test_bundle_matches_term_loop_bitwise(self, p, where):
+        points = sample_points(p)[where]
+        for n in (0, 2):
+            for s in sector_basis(p, n, 3):
+                table = FactorTable(p, *points)
+                bundle = table.bundle(s.state)
+                reference = loop_bundle(FactorTable(p, *points), s.state)
+                for name, ref in zip(BUNDLE_FIELDS, reference):
+                    assert np.array_equal(getattr(bundle, name), ref), (n, s.family, s.level, name)
+                assert np.array_equal(table.field(s.state), reference[0]), (n, s.family, s.level)

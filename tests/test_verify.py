@@ -433,6 +433,26 @@ class TestCli:
             main(["verify", "--param", "k=2,a=1,b=1,zeta=3"])
         capsys.readouterr()
 
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
+        # a misspelt key must not fall back to the default it meant to override
+        data = {"truncaton": [3, 2], "quad_orderz": [4, 4]}
+        with pytest.raises(ValueError, match="unknown config key 'quad_orderz', 'truncaton'"):
+            SuiteConfig.from_dict(data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(path)])
+        assert exc.value.code == 2
+        assert "unknown config key 'quad_orderz', 'truncaton'" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SuiteConfig(seed=-1)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1", "--suite", "algebra"])
+        assert exc.value.code == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+
 
 def test_runs_without_scipy():
     """A fresh process imports the package and runs the specfun and model
