@@ -231,14 +231,16 @@ def eval_wavefunction(params: ModelParams, N: int, n: int, r, phi):
 # Quadrature grids
 
 
+# keyed on the exact exponents: a rule built for a rounded exponent would
+# integrate against a weight the grid does not divide out
 @lru_cache(maxsize=256)
-def _laguerre_rule(order: int, alpha_key: float):
-    return gauss_rule("gauss-laguerre", order, alpha=alpha_key)
+def _laguerre_rule(order: int, alpha: float):
+    return gauss_rule("gauss-laguerre", order, alpha=alpha)
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(order: int, alpha_key: float, beta_key: float):
-    return gauss_rule("gauss-jacobi", order, alpha=alpha_key, beta=beta_key)
+def _jacobi_rule(order: int, alpha: float, beta: float):
+    return gauss_rule("gauss-jacobi", order, alpha=alpha, beta=beta)
 
 
 class Grid:
@@ -265,8 +267,8 @@ class Grid:
         self.m_rad = m_rad
         self.m_ang = m_ang
 
-        rad = _laguerre_rule(m_rad, round(self.alpha, 12))
-        ang = _jacobi_rule(m_ang, round(params.a - 0.5, 12), round(params.b - 0.5, 12))
+        rad = _laguerre_rule(m_rad, self.alpha)
+        ang = _jacobi_rule(m_ang, params.a - 0.5, params.b - 0.5)
         self.r = np.sqrt(rad.nodes / params.omega)[:, None]
         self.phi = (np.arccos(-ang.nodes) / (2.0 * params.k))[None, :]
         # plain weights: sum_i wz_i f(z_i) == integral f dz / (2 omega)

@@ -15,10 +15,11 @@ its last level), the parameter-shift derivative identities
 rules with their accuracy contract (an m-point rule integrates
 polynomials of degree <= 2m-1 against its weight exactly, to
 roundoff).  The rules are built here, in numpy: Golub-Welsch nodes
-from the eigenvalues of the Jacobi matrix, one Newton step, and
-weights from the derivative of the orthogonal polynomial at the
-refined nodes.  Nothing here, and so nothing in the package, imports
-scipy.
+from the eigenvalues of the Jacobi matrix (taken as singular values of
+the matrix shifted to be positive semidefinite, see ``_nodes``), one
+Newton step, and weights from the derivative of the orthogonal
+polynomial at the refined nodes.  Nothing here, and so nothing in the
+package, imports scipy.
 """
 
 from __future__ import annotations
@@ -143,9 +144,23 @@ def _laguerre_normalised(m: int, alpha: float, x: np.ndarray):
 
 
 def _nodes(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of the symmetric tridiagonal Jacobi matrix;
-    ``eigvalsh`` reads its lower triangle only."""
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    """Eigenvalues (ascending) of the symmetric tridiagonal Jacobi matrix.
+
+    The matrix less its Gershgorin lower bound s is positive
+    semidefinite, so its eigenvalues are s plus the singular values of
+    the shifted matrix.  Those come from LAPACK's gesdd, which for
+    orders up to about 160 runs on the calling thread; ``eigvalsh``
+    wakes OpenBLAS's thread pool from order 72 on, whose spinning
+    threads cost more CPU than the rule and take the second core from
+    a parallel run.  Above order 160 gesdd threads too, which costs
+    speed only.  The Newton step of ``_refined`` polishes the nodes
+    either way."""
+    radius = np.zeros_like(diag)
+    radius[1:] += np.abs(off)
+    radius[:-1] += np.abs(off)
+    shift = float(np.min(diag - radius))
+    shifted = np.diag(diag - shift) + np.diag(off, -1) + np.diag(off, 1)
+    return shift + np.linalg.svd(shifted, compute_uv=False)[::-1]
 
 
 def _refined(x, p, dp, sigma, drift, c: float, mu0: float):
@@ -216,10 +231,11 @@ def gauss_rule(kind: str, order: int, alpha: float = 0.0, beta: float = 0.0) -> 
 
     The nodes are the eigenvalues of the Jacobi matrix of the weight's
     three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969), refined
-    by one Newton step; the weights follow from p_m' at the refined nodes
-    and the weight's mass mu0 (Gamma(alpha + 1), or 2^(alpha+beta+1)
-    B(alpha + 1, beta + 1)).  Past the float range mu0, and with it every
-    weight, is inf."""
+    by one Newton step; ``_nodes`` says why the eigenvalues come from an
+    SVD.  The weights follow from p_m' at the refined nodes and the
+    weight's mass mu0 (Gamma(alpha + 1), or 2^(alpha+beta+1) B(alpha + 1,
+    beta + 1)).  Past the float range mu0, and with it every weight, is
+    inf."""
     if order < 1:
         raise ValueError("gauss_rule requires order >= 1")
     if kind == "gauss-laguerre":

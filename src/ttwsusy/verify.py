@@ -1,10 +1,22 @@
 """Verification-suite orchestration, configuration and reporting.
 
-``run`` executes the selected check suites in dependency order
-(specfun -> model -> algebra -> irreps -> special-cases) over a list
-of parameter sets, records one residual per check, and never aborts on
-a failed check.  Reports are deterministic for a fixed config and seed
-(wall-clock fields aside) and can be rendered as JSON or a text table.
+``run`` executes the selected check suites over a list of parameter
+sets, records one residual per check, and never aborts on a failed
+check.  The report lists the suites in dependency order (specfun ->
+model -> algebra -> irreps -> special-cases), each suite's checks in
+parameter-set order.  Reports are deterministic for a fixed config and
+seed (wall-clock fields aside) and can be rendered as JSON or a text
+table.
+
+The parameter sets share nothing but the order of the report.  So the
+model, algebra and irreps checks of one set run as one job
+(``_set_job``) with its own matrix workspace, and with several sets and
+several usable CPUs the jobs run in forked worker processes while this
+process runs specfun, the parameter-free oscillator-realization check
+and special-cases (whose sets draw their points from one random
+generator in sequence).  With one set, one usable CPU or no fork start
+method the jobs run here, one after the other; the records are the
+same either way.
 
 Command line:
 
@@ -27,8 +39,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,6 +51,8 @@ from .states import FactorTable
 __all__ = ["SuiteConfig", "CheckRecord", "VerificationReport", "run", "main"]
 
 SUITES = ("specfun", "model", "algebra", "irreps", "special-cases")
+# the suites whose checks of one parameter set form one job
+PER_SET_SUITES = ("model", "algebra", "irreps")
 
 DEFAULT_PARAM_SETS = (
     {"k": 1.0, "a": 1.0, "b": 1.0, "omega": 1.0},
@@ -334,14 +347,18 @@ class _Workspace:
 # Individual checks.  Each yields (name, claim, params_label, residual, tol_key).
 
 
-def _binom_frac(top: Fraction, m: int) -> Fraction:
-    c = Fraction(1)
+# The series oracles import ``fractions`` when they run: it loads ``decimal``,
+# 0.45 MB of peak memory that runs without the specfun suite need not pay.
+
+
+def _binom_frac(top: numbers.Rational, m: int) -> numbers.Rational:
+    c = 1
     for i in range(1, m + 1):
         c *= (top - m + i) / i
     return c
 
 
-def _common_denominator(coeffs: list[Fraction]) -> tuple[list[int], int]:
+def _common_denominator(coeffs: list[numbers.Rational]) -> tuple[list[int], int]:
     """Integer numerators over one common denominator D, and D."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -354,6 +371,8 @@ def _series_laguerre(N, alpha, z):
     put over one common denominator D; each sample z = m/d (d a power of
     two) is summed exactly in integers by Horner's rule as
     sum_j D c_j m^j d^(N-j) and rounded once after dividing by D d^N."""
+    from fractions import Fraction
+
     af = Fraction(alpha)
     nums, den = _common_denominator(
         [Fraction(-1) ** j / math.factorial(j) * _binom_frac(af + N, N - j) for j in range(N + 1)]
@@ -373,6 +392,8 @@ def _series_jacobi(n, alpha, beta, x):
     """Exact series oracle sum_j c_j ((x-1)/2)^j ((x+1)/2)^(n-j), summed
     like ``_series_laguerre``: with x = m/d the two factors are
     (m -+ d) / (2d), so the sum is an integer over D (2d)^n."""
+    from fractions import Fraction
+
     af, bf = Fraction(alpha), Fraction(beta)
     nums, den = _common_denominator([_binom_frac(af + n, n - j) * _binom_frac(bf + n, j) for j in range(n + 1)])
     out = []
@@ -469,7 +490,8 @@ def _checks_model(config: SuiteConfig):
         for n in range(7):
             grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
             table = FactorTable(p, grid.r, grid.phi)
-            for N in range(7):
+            # top level first: the table's one radial pass then serves every N
+            for N in reversed(range(7)):
                 fv, (hv,) = _images(("H",), table, irreps.zero_fermion_state(p, N, n))
                 res.append(np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv)))
         yield ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", label, _worst(res), "model.eigenvalue")
@@ -528,7 +550,7 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         for n in range(7):
             grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
             table = FactorTable(p, grid.r, grid.phi)
-            for N in range(7):
+            for N in reversed(range(7)):  # top level first, as in eigenvalue-residual
                 fv, (hv,) = _images(("Hs",), table, irreps.zero_fermion_state(p, N, n))
                 target = 4.0 * p.omega * (N + n * p.k)
                 res.append(np.max(np.abs(hv - target * fv)) / max(np.max(np.abs(fv)), 1.0))
@@ -580,6 +602,10 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
             "algebra.conditions",
         )
 
+
+def _checks_oscillator():
+    """The algebra suite's parameter-free check, reported after its
+    per-set checks."""
     osc = gen.oscillator_realization(nu=1, cutoff=12)
     # the structure relations include {V-, W+} = K0 + Y, i.e. {Q, Qdag} = Hs
     res = [c.residual for c in gen.check_structure_constants(osc.mats, osc.interior)]
@@ -837,65 +863,176 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
 # Runner and CLI
 
 
-def run(config: SuiteConfig) -> VerificationReport:
-    """Execute the selected suites; failures are recorded, never raised.
+def _suite_failure(suite: str, error: str, wall_ms: float) -> CheckRecord:
+    return CheckRecord(
+        name=f"{suite}-suite",
+        suite=suite,
+        claim="suite executed without errors",
+        params=None,
+        residual=float("inf"),
+        tolerance=0.0,
+        passed=False,
+        wall_ms=wall_ms,
+        error=error,
+    )
 
-    Each check is timed from the previous record to the moment its suite
-    yields it, minus any generator-matrix build that happened in between:
-    those builds are reported per parameter set in ``matrices_ms``.  A
-    suite that raises keeps the checks it already yielded and adds a
-    failed ``<suite>-suite`` record.
-    """
-    workspaces = {_params_label(p): _Workspace(p, config) for p in config.models()}
-    producers = {
-        "specfun": lambda: _checks_specfun(config),
-        "model": lambda: _checks_model(config),
-        "algebra": lambda: _checks_algebra(config, workspaces),
-        "irreps": lambda: _checks_irreps(config, workspaces),
-        "special-cases": lambda: _checks_special(config),
-    }
 
-    records: list[CheckRecord] = []
+def _stopwatch(workspace: _Workspace | None = None):
+    """A clock whose every reading is the ms since its previous reading (or
+    its start), less the workspace's generator-matrix builds in between."""
     t_prev, built_prev = time.perf_counter(), 0.0
 
     def elapsed_ms() -> float:
         nonlocal t_prev, built_prev
-        now, built = time.perf_counter(), sum(ws.build_ms for ws in workspaces.values())
+        now, built = time.perf_counter(), workspace.build_ms if workspace else 0.0
         out = (now - t_prev) * 1e3 - (built - built_prev)
         t_prev, built_prev = now, built
         return out
 
-    for suite in config.selected():
-        try:
-            for name, claim, plabel, residual, tol_key in producers[suite]():
-                tol = config.tol(tol_key)
-                records.append(
-                    CheckRecord(
-                        name=name,
-                        suite=suite,
-                        claim=claim,
-                        params=plabel,
-                        residual=float(residual),
-                        tolerance=tol,
-                        passed=bool(residual <= tol),
-                        wall_ms=elapsed_ms(),
-                    )
-                )
-        except Exception:
+    return elapsed_ms
+
+
+def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> tuple[list[CheckRecord], bool]:
+    """The records of one suite's checks from ``produce()``, and whether the
+    suite raised: then it keeps the checks it already yielded and ends
+    with a failed ``<suite>-suite`` record."""
+    records = []
+    try:
+        for name, claim, plabel, residual, tol_key in produce():
+            tol = config.tol(tol_key)
             records.append(
                 CheckRecord(
-                    name=f"{suite}-suite",
+                    name=name,
                     suite=suite,
-                    claim="suite executed without errors",
-                    params=None,
-                    residual=float("inf"),
-                    tolerance=0.0,
-                    passed=False,
+                    claim=claim,
+                    params=plabel,
+                    residual=float(residual),
+                    tolerance=tol,
+                    passed=bool(residual <= tol),
                     wall_ms=elapsed_ms(),
-                    error=traceback.format_exc(limit=2).strip().splitlines()[-1],
                 )
             )
-    matrices_ms = {label: ws.build_ms for label, ws in workspaces.items() if ws.build_ms}
+    except Exception:
+        records.append(_suite_failure(suite, traceback.format_exc(limit=2).strip().splitlines()[-1], elapsed_ms()))
+        return records, True
+    return records, False
+
+
+def _set_job(config: SuiteConfig, index: int) -> tuple[dict, float]:
+    """The selected model, algebra and irreps checks of parameter set
+    ``index``, with a workspace of their own: {suite: (records, raised)},
+    and the set's generator-matrix build time in ms.  ``run`` calls it in
+    this process or in a forked worker; the records are the same."""
+    one = replace(config, param_sets=(config.param_sets[index],))
+    (p,) = one.models()
+    workspace = _Workspace(p, one)
+    workspaces = {_params_label(p): workspace}
+    producers = {
+        "model": lambda: _checks_model(one),
+        "algebra": lambda: _checks_algebra(one, workspaces),
+        "irreps": lambda: _checks_irreps(one, workspaces),
+    }
+    elapsed_ms = _stopwatch(workspace)
+    results = {suite: _collect(suite, producers[suite], one, elapsed_ms) for suite in one.selected() if suite in producers}
+    return results, workspace.build_ms
+
+
+def _parent_checks(config: SuiteConfig) -> dict:
+    """The checks that are not per-set jobs: specfun, the algebra suite's
+    parameter-free oscillator check and special-cases, whose sets draw
+    their points from one random generator in sequence.  {suite:
+    (records, raised)}."""
+    producers = {
+        "specfun": lambda: _checks_specfun(config),
+        "algebra": _checks_oscillator,
+        "special-cases": lambda: _checks_special(config),
+    }
+    elapsed_ms = _stopwatch()
+    return {suite: _collect(suite, producers[suite], config, elapsed_ms) for suite in config.selected() if suite in producers}
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _job_result(config: SuiteConfig, future) -> tuple[dict, float]:
+    """A job's result from its future.  A job whose worker died, or that
+    could not be queued, fails each of its suites with one
+    ``<suite>-suite`` record."""
+    try:
+        return future.result()
+    except Exception as exc:
+        error = f"worker process failed: {type(exc).__name__}: {exc}"
+        return {s: ([_suite_failure(s, error, 0.0)], True) for s in config.selected() if s in PER_SET_SUITES}, 0.0
+
+
+def _run_jobs(config: SuiteConfig, jobs: range) -> tuple[dict, list]:
+    """(``_parent_checks``, the ``_set_job`` result of every job index).
+
+    With more than one job and usable CPU, the jobs go to a pool of
+    min(jobs, usable CPUs) forked workers while this process runs its own
+    checks.  Fork, not spawn: a worker starts from this process's state,
+    the config and any monkeypatches included, without paying for a
+    fresh import.  (Python 3.12 and later warn when a process that runs
+    threads, such as OpenBLAS's pool, forks.)  Otherwise the jobs run
+    here, one after the other."""
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        # imported here, so that importing the package does not load them
+        import concurrent.futures
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = []
+                for i in jobs:
+                    try:
+                        futures.append(pool.submit(_set_job, config, i))
+                    except Exception as exc:  # no worker could be started, or the pool broke first
+                        futures.append(concurrent.futures.Future())
+                        futures[-1].set_exception(exc)
+                parent = _parent_checks(config)
+                return parent, [_job_result(config, f) for f in futures]
+    return _parent_checks(config), [_set_job(config, i) for i in jobs]
+
+
+def run(config: SuiteConfig) -> VerificationReport:
+    """Execute the selected suites; failures are recorded, never raised.
+
+    The model, algebra and irreps checks of each parameter set run as one
+    job, in forked workers when there are several sets and several
+    usable CPUs (see ``_run_jobs``); the rest run in this process.  The
+    records are merged suite by suite, each suite's in parameter-set
+    order, with the oscillator check after the algebra suite's per-set
+    checks.
+
+    Each check is timed from the previous record of its process's stream
+    (this process's checks, or one job's) to the moment its suite yields
+    it, minus any generator-matrix build that happened in between: those
+    builds are reported per parameter set in ``matrices_ms``.  A suite
+    that raises in a set keeps its records of the earlier sets and the
+    checks it already yielded in that set, and adds one failed
+    ``<suite>-suite`` record; its later sets, and the oscillator check
+    after a failed algebra set, are dropped.  A job whose worker dies
+    fails each of its suites in the same way.
+    """
+    jobs = range(len(config.param_sets)) if set(PER_SET_SUITES) & set(config.selected()) else range(0)
+    parent, per_set = _run_jobs(config, jobs)
+    records: list[CheckRecord] = []
+    for suite in config.selected():
+        raised = False
+        if suite in PER_SET_SUITES:
+            for results, _ in per_set:
+                suite_records, raised = results[suite]
+                records += suite_records
+                if raised:
+                    break
+        if not raised and suite in parent:
+            records += parent[suite][0]
+    matrices_ms = {_params_label(p): build_ms for p, (_, build_ms) in zip(config.models(), per_set) if build_ms}
     return VerificationReport(config, records, matrices_ms)
 
 

@@ -223,6 +223,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             grid.inner(f[..., :-1], g[..., :-1])
 
+    def test_rules_use_the_exact_exponents(self):
+        # alpha = (2 + a + b) k is irrational at k = sqrt 2; a rule built for
+        # alpha rounded to 12 digits put this entry off by 6.9e-13
+        p = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8)
+        grid = Grid.for_sector(p, 1)
+        alpha = p.sector_alpha(1)
+        R = radial_levels(p, 0, 1, grid.r)[0][0]
+        norm2 = 2.0 * p.omega ** (alpha + 1.0) / math.gamma(alpha + 1.0)
+        assert abs(float(np.sum(grid.w_r * R * R)) * norm2 - 1.0) <= 1e-14
+
     def test_weight_overflow_names_alpha(self):
         # alpha = (2n + a + b) k = 210 at n = 6: Gamma(alpha + 1) overflows
         p = ModelParams(k=15.0, a=1.0, b=1.0)

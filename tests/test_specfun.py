@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ttwsusy import specfun
 from ttwsusy.specfun import gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, laguerre_levels, log_gamma
 
 EPS = np.finfo(float).eps
@@ -225,6 +226,16 @@ class TestGaussRules:
                 assert rule.nodes[0] > 0
             else:
                 assert rule.nodes[0] > -1 and rule.nodes[-1] < 1
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 80, 161])
+    def test_nodes_are_the_jacobi_matrix_eigenvalues(self, m):
+        # random diagonals of both signs: the Gershgorin shift is negative
+        rng = np.random.default_rng(m)
+        diag, off = rng.uniform(-50.0, 50.0, m), rng.uniform(-20.0, 20.0, m - 1)
+        ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+        nodes = specfun._nodes(diag, off)
+        assert np.all(np.diff(nodes) >= 0)
+        np.testing.assert_allclose(nodes, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
     def test_errors(self):
         with pytest.raises(ValueError):

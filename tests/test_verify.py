@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ttwsusy import verify
+from ttwsusy import states, verify
 from ttwsusy.verify import DEFAULT_TOLERANCES, SuiteConfig, main, run
 
 FAST = dict(
@@ -309,6 +309,133 @@ class TestRun:
         assert not rec.passed and rec.residual > 1e-9
 
 
+TWO_SETS = dict(
+    param_sets=({"k": 1.0, "a": 1.0, "b": 1.0, "omega": 1.0}, {"k": 2.0, "a": 1.5, "b": 2.5, "omega": 1.0}),
+    truncation=(3, 2),
+    quad_orders=(40, 40),
+    seed=7,
+)
+
+
+def record_bits(report):
+    return [(c.name, c.suite, c.params, float(c.residual).hex(), c.tolerance, c.passed, c.error) for c in report.checks]
+
+
+def report_body(report) -> str:
+    return json.dumps(strip_volatile(strict_loads(report.to_json())), indent=2, sort_keys=True)
+
+
+class TestParallelRun:
+    """The per-set jobs give the same records in forked workers as in this
+    process; the pool is forced by patching the usable-CPU count."""
+
+    def run_both(self, monkeypatch, tmp_path, config):
+        """(in-process report, pooled report, pids that built matrices in the pooled run)."""
+        build = verify.gen.generator_matrices
+
+        def marked_build(*args, **kwargs):
+            (tmp_path / str(os.getpid())).touch()
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(verify.gen, "generator_matrices", marked_build)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        serial = run(config)
+        assert {f.name for f in tmp_path.iterdir()} <= {str(os.getpid())}
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        pooled = run(config)
+        return serial, pooled, {int(f.name) for f in tmp_path.iterdir()} - {os.getpid()}
+
+    def test_pool_gives_the_in_process_records(self, monkeypatch, tmp_path):
+        serial, pooled, workers = self.run_both(monkeypatch, tmp_path, SuiteConfig(**TWO_SETS))
+        assert workers, "no worker process built a matrix"
+        assert serial.n_failed == 0, serial.to_text()
+        assert record_bits(pooled) == record_bits(serial)
+        assert report_body(pooled) == report_body(serial)
+        assert list(pooled.matrices_ms) == list(serial.matrices_ms) == [c.params for c in serial.checks if c.name == "riccati"]
+        suites = [c.suite for c in serial.checks]
+        assert suites == sorted(suites, key=verify.SUITES.index)
+        assert [c.name for c in serial.checks if c.suite == "algebra"][-1] == "oscillator-realization"
+
+    def test_suite_error_in_second_set(self, monkeypatch, tmp_path):
+        residuals = verify.gen.dilation_identity_residuals
+
+        def failing(state, p, r, phi):
+            if p.k == 2.0:
+                raise RuntimeError("planted failure")
+            return residuals(state, p, r, phi)
+
+        monkeypatch.setattr(verify.gen, "dilation_identity_residuals", failing)
+        serial, pooled, _ = self.run_both(monkeypatch, tmp_path, SuiteConfig(**TWO_SETS))
+        assert record_bits(pooled) == record_bits(serial)
+        assert report_body(pooled) == report_body(serial)
+        algebra = [c for c in serial.checks if c.suite == "algebra"]
+        first, second = (c.params for c in serial.checks if c.name == "riccati")
+        # set 1 complete, set 2 up to the failing check, one suite record, no oscillator check
+        assert [c.name for c in algebra if c.params == first][-1] == "scaling-conditions"
+        assert [c.name for c in algebra if c.params == second][-1] == "susy-anticommutator"
+        assert algebra[-1].name == "algebra-suite" and "planted failure" in algebra[-1].error
+        assert "oscillator-realization" not in [c.name for c in algebra]
+        assert all(c.passed for c in serial.checks if c.suite != "algebra")
+
+    def test_dead_worker_fails_its_suites(self):
+        """A worker that exits mid-job gives failed ``<suite>-suite`` records,
+        not an exception; run in a fresh process, so a hang meets a timeout."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+        code = (
+            "import json, os\n"
+            "from ttwsusy import verify\n"
+            "parent, checks_model = os.getpid(), verify._checks_model\n"
+            "def dying(config):\n"
+            "    if os.getpid() != parent and config.param_sets[0]['k'] == 1.0:\n"
+            "        os._exit(3)\n"
+            "    return checks_model(config)\n"
+            "verify._checks_model = dying\n"
+            "verify._usable_cpus = lambda: 2\n"
+            f"config = verify.SuiteConfig(**{TWO_SETS!r}, suites=('specfun', 'model', 'algebra', 'irreps'))\n"
+            "print(json.dumps([c.to_dict() for c in verify.run(config).checks]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        checks = json.loads(proc.stdout.strip().splitlines()[-1])
+        # the first set's job is lost, so each per-set suite ends there
+        assert [c["name"] for c in checks if c["suite"] != "specfun"] == ["model-suite", "algebra-suite", "irreps-suite"]
+        for c in checks:
+            assert c["passed"] == (c["suite"] == "specfun"), c["name"]
+        assert all("worker process failed" in c["error"] for c in checks if c["suite"] != "specfun")
+
+
+class TestRadialPasses:
+    """The pointwise loops over N ask each grid's table for its top level
+    first, so one radial pass per sector grid serves all seven states."""
+
+    @staticmethod
+    def passes_per_check(monkeypatch, checks):
+        """{check name: radial_levels calls made while computing it}."""
+        calls = []
+        levels = states.radial_levels
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return levels(*args, **kwargs)
+
+        monkeypatch.setattr(states, "radial_levels", counted)
+        out, seen = {}, 0
+        for name, *_ in checks:
+            out[name], seen = len(calls) - seen, len(calls)
+        return out
+
+    def test_eigenvalue_residual(self, monkeypatch):
+        config = SuiteConfig(**FAST)
+        assert self.passes_per_check(monkeypatch, verify._checks_model(config))["eigenvalue-residual"] == 7
+
+    def test_spectrum(self, monkeypatch):
+        config = SuiteConfig(**FAST)
+        (p,) = config.models()
+        workspaces = {verify._params_label(p): verify._Workspace(p, config)}
+        assert self.passes_per_check(monkeypatch, verify._checks_algebra(config, workspaces))["spectrum"] == 7
+
+
 class TestCli:
     def test_exit_zero_on_success(self, capsys):
         rc = main(["verify", "--suite", "model", "--param", "k=2,a=1.5,b=2.5"])
@@ -456,17 +583,22 @@ class TestCli:
 
 def test_runs_without_scipy():
     """A fresh process imports the package and runs the specfun and model
-    suites without importing scipy or any of its submodules."""
+    suites of one parameter set without importing scipy or any of its
+    submodules.  Neither importing the package nor a run that needs no
+    worker pool loads multiprocessing or concurrent.futures."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
     code = (
         "import sys, ttwsusy\n"
         "from ttwsusy import verify\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))\n"
+        "print(loaded())\n"
         f"config = verify.SuiteConfig(**{FAST!r}, suites=('specfun', 'model'))\n"
         "report = verify.run(config)\n"
         "assert report.n_failed == 0, report.to_text()\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(loaded())\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
