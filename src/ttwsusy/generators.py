@@ -27,9 +27,13 @@ fixed-basis fermion matrix, and ``_terms`` is the one map from an
 operator name to its table: the eight generators, H_k ("H"), "Hs",
 "Q", "Qdag" and the identity "1".  ``apply_operator`` applies a table
 analytically to a state's derivative bundle, exactly at every sample
-point, and ``project`` contracts the same table with 1-D radial and
-angular Gauss sums between lists of states, so the algebra residuals
-measure the formulas, not a discretization.  The module keeps only the
+point (``apply_operators`` for the states of one ``FactorTable``, which
+keeps the tables); every fermion matrix has at most one nonzero per
+row and acts as that row map on the spinor components the bundle
+reaches, and nowhere else.  ``project`` contracts the same table with
+1-D radial and angular Gauss sums between lists of states, each
+distinct moment once, so the algebra residuals measure the formulas,
+not a discretization.  The module keeps only the
 term tables and the Gauss sums: how states break into radial and
 angular factors is ``states.FactorTable.expand``, which ``project``
 reads.  ``project`` is the one
@@ -66,6 +70,7 @@ __all__ = [
     "OscillatorRealization",
     "RelationCheck",
     "apply_operator",
+    "apply_operators",
     "check_structure_constants",
     "dilation_identity_residuals",
     "generator_matrices",
@@ -88,6 +93,18 @@ _NXX, _NYY = _BDX @ _BX, _BDY @ _BY
 _NXY_YX = _BDX @ _BY + _BDY @ _BX
 _FNUM = _NXX + _NYY
 _EYE = np.eye(4)
+
+
+def _row_map(m: np.ndarray) -> tuple:
+    """The nonzeros of a fermion matrix as (row, column, value) triples, row-major."""
+    rows, cols = np.nonzero(m)
+    return tuple(zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()))
+
+
+# Each fixed-basis fermion matrix has at most one nonzero per row, so it
+# acts on a spinor as a signed row map: component i of M f is M[i, j] f_j.
+# Every term of ``_terms`` carries one of these matrices.
+_ROW_MAPS = {id(m): _row_map(m) for m in (_BX, _BY, _BDX, _BDY, _NXX, _NYY, _NXY_YX, _FNUM, _EYE)}
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +252,46 @@ def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
     ]
 
 
+def _groups(terms: list[_Term]) -> list[tuple]:
+    """The table's terms grouped by (fermion matrix, d_r, d_phi), as
+    (row map, d_r, d_phi, terms) in order of first appearance."""
+    by_key: dict[tuple, list] = {}
+    for t in terms:
+        by_key.setdefault((id(t.fermion), t.d_r, t.d_phi), []).append(t)
+    return [(_ROW_MAPS[m_id], d_r, d_phi, ts) for (m_id, d_r, d_phi), ts in by_key.items()]
+
+
+def _apply_groups(groups: list[tuple], bundle: StateBundle, r) -> np.ndarray:
+    """Pointwise sum of the grouped terms on a state's bundle at radii r.
+    A group's coefficients are summed first, into one array.  Each
+    fermion matrix acts as its row map on the components the bundle
+    reaches only: a group that maps none of them is skipped before its
+    coefficient array is formed, and no other component is read."""
+    derivs = {(0, 0): bundle.val, (1, 0): bundle.d_r, (2, 0): bundle.d_rr, (0, 1): bundle.d_phi, (0, 2): bundle.d_phiphi}
+    out = np.zeros_like(bundle.val)
+    for rows, d_r, d_phi, terms in groups:
+        hits = [(i, j, v) for i, j, v in rows if j in bundle.reached]
+        if not hits:
+            continue
+        c = 0.0
+        for t in terms:
+            c = c + t.coef * r**t.r_pow * t.theta
+        for i, j, v in hits:
+            part = c * derivs[d_r, d_phi][j]
+            # the products a dense 4 x 4 matmul would add are exact zeros
+            if v == 1.0:
+                out[i] += part
+            elif v == -1.0:
+                out[i] -= part
+            else:
+                out[i] += v * part
+    return out
+
+
 def _apply_terms(terms: list[_Term], bundle: StateBundle, r) -> np.ndarray:
     """Pointwise sum of the terms (angular functions sampled on the
-    bundle's angles) on a state's bundle at radii r; the coefficients of
-    terms that share a fermion matrix and a derivative are summed first."""
-    derivs = {(0, 0): bundle.val, (1, 0): bundle.d_r, (2, 0): bundle.d_rr, (0, 1): bundle.d_phi, (0, 2): bundle.d_phiphi}
-    fermions = {id(t.fermion): t.fermion for t in terms}
-    coeffs: dict[tuple, np.ndarray] = {}
-    for t in terms:
-        key = (id(t.fermion), t.d_r, t.d_phi)
-        coeffs[key] = coeffs.get(key, 0.0) + t.coef * r**t.r_pow * t.theta
-    out = np.zeros_like(bundle.val)
-    for (m_id, d_r, d_phi), c in coeffs.items():
-        part = c * derivs[d_r, d_phi]
-        # one matmul on a reshaped view; np.tensordot measured twice as slow
-        out += part if fermions[m_id] is _EYE else (fermions[m_id] @ part.reshape(4, -1)).reshape(part.shape)
-    return out
+    bundle's angles) on a state's bundle at radii r."""
+    return _apply_groups(_groups(terms), bundle, r)
 
 
 def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
@@ -268,6 +309,19 @@ def apply_operator(name: str, bundle: StateBundle, params: ModelParams, r, phi) 
     the resulting spinor field."""
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     return _apply_terms(_terms(name, params, phi), bundle, r)
+
+
+def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[np.ndarray]:
+    """``apply_operator`` of each name on a bundle of ``table`` at the
+    table's points.  Each operator's grouped term table is built on first
+    use and kept on the table, so every state sampled there shares its
+    angular functions.  The coefficient arrays, of the grid's 2-D shape,
+    are formed per application and not kept."""
+    ops = table.operators
+    for name in names:
+        if name not in ops:
+            ops[name] = _groups(_terms(name, table.params, table.phi))
+    return [_apply_groups(ops[name], bundle, table.r) for name in names]
 
 
 def hamiltonian_super(bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
@@ -309,24 +363,42 @@ def dilation_identity_residuals(state: CatalogState, params: ModelParams, r, phi
 # Truncated matrices in the orthonormal super-basis
 
 
-def _project(terms: list[_Term], rows, cols, grid: Grid) -> np.ndarray:
-    """<row|O|col> from the ``FactorTable.expand`` of row and column states
-    on the grid: a term's entry between two factor pairs is the radial
-    Gauss sum of w_r R_row r^q R_col^(d_r) times the angular one of w_phi
-    S_row . theta M S_col^(d_phi)."""
+def _radial_moment(R_row, R_col, grid: Grid, r_pow: int, d_r: int) -> np.ndarray:
+    """Radial Gauss sums of w_r R_row r^r_pow R_col^(d_r) between factors."""
+    return R_row[0].T @ (grid.w_r * grid.r**r_pow * R_col[d_r])
+
+
+def _project(names, rows, cols, grid: Grid) -> dict[str, np.ndarray]:
+    """{name: <row|O|col>} from the ``FactorTable.expand`` of row and
+    column states on the grid: a term's entry between two factor pairs is
+    the radial Gauss sum of w_r R_row r^q R_col^(d_r) times the angular
+    one of w_phi S_row . theta M S_col^(d_phi).  Each distinct radial
+    moment (r^q, d_r) and angular moment (theta, M, d_phi) is formed once
+    and shared by every term of every operator."""
     # drop the unit axes of the grid's radial column and angular row
     (C_row, R_row, S_row), (C_col, R_col, S_col) = (
         (C.reshape(len(C), -1), R[:, :, 0], S[:, :, :, 0]) for C, R, S in (rows, cols)
     )
     n_row, n_col = S_row.shape[1], S_col.shape[1]
-    P = np.zeros((C_row.shape[1], C_col.shape[1]))
-    for t in terms:
-        rad = R_row[0].T @ (grid.w_r * grid.r**t.r_pow * R_col[t.d_r])
-        weighted = (S_row[0] * (grid.w_phi * t.theta)).reshape(n_row, -1)
-        ang = weighted @ (t.fermion @ S_col[t.d_phi]).reshape(n_col, -1).T
-        # np.kron(rad, ang) by broadcasting: the same products, without kron's per-call overhead
-        P += t.coef * (rad[:, None, :, None] * ang[None, :, None, :]).reshape(P.shape)
-    return C_row @ P @ C_col.T
+    rads: dict[tuple, np.ndarray] = {}
+    angs: dict[tuple, np.ndarray] = {}
+    out = {}
+    for name in names:
+        P = np.zeros((C_row.shape[1], C_col.shape[1]))
+        for t in _terms(name, grid.params, grid.phi):
+            rad = rads.get((t.r_pow, t.d_r))
+            if rad is None:
+                rad = rads[t.r_pow, t.d_r] = _radial_moment(R_row, R_col, grid, t.r_pow, t.d_r)
+            # keyed on values: equal angular functions of different operators share a moment
+            a_key = (np.asarray(t.theta).tobytes(), t.fermion.tobytes(), t.d_phi)
+            ang = angs.get(a_key)
+            if ang is None:
+                weighted = (S_row[0] * (grid.w_phi * t.theta)).reshape(n_row, -1)
+                ang = angs[a_key] = weighted @ (t.fermion @ S_col[t.d_phi]).reshape(n_col, -1).T
+            # np.kron(rad, ang) by broadcasting: the same products, without kron's per-call overhead
+            P += t.coef * (rad[:, None, :, None] * ang[None, :, None, :]).reshape(P.shape)
+        out[name] = C_row @ P @ C_col.T
+    return out
 
 
 def project(
@@ -339,13 +411,13 @@ def project(
     Both lists are expanded over the 1-D radial and angular spinor
     factors of ``table``, a ``FactorTable`` on the grid's nodes (a new
     one by default; pass one to share its factors between calls on the
-    grid), and each operator is one ``_project`` call on its term table.
-    So every entry is a sum of products of 1-D radial and angular Gauss
-    sums: nothing is sampled on the 2-D grid."""
+    grid), and ``_project`` contracts the expansions with every
+    operator's term table.  So every entry is a sum of products of 1-D
+    radial and angular Gauss sums: nothing is sampled on the 2-D grid."""
     table = FactorTable(grid.params, grid.r, grid.phi) if table is None else table
     f_rows = table.expand(rows)
     f_cols = f_rows if cols is rows else table.expand(cols)
-    return {g: _project(_terms(g, grid.params, grid.phi), f_rows, f_cols, grid) for g in names}
+    return _project(names, f_rows, f_cols, grid)
 
 
 def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: int = 80, m_ang: int = 80) -> np.ndarray:
@@ -405,9 +477,10 @@ def generator_matrices(
         for p_out in (0, 1):
             grid = Grid.for_sector(params, n, odd=bool(p_out), m_rad=m_rad, m_ang=m_ang)
             table = FactorTable(params, grid.r, grid.phi)
+            expanded = {p: table.expand(states[p]) for p in (0, 1)}
             for p_in in (0, 1):
                 gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
-                for g, part in project(gens, states[p_out], states[p_in], grid, table).items():
+                for g, part in _project(gens, expanded[p_out], expanded[p_in], grid).items():
                     block[g][np.ix_(idx[p_out], idx[p_in])] = part
         blocks.append(block)
         basis += bs

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre_levels, log_gamma
+from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre_levels
 
 __all__ = [
     "Grid",
@@ -211,7 +211,7 @@ def norm_constant(params: ModelParams, N: int, n: int) -> float:
         raise ValueError("quantum numbers must be nonnegative")
     a, b, k = params.a, params.b, params.k
     alpha = params.sector_alpha(n)
-    lg = log_gamma([N + 1.0, N + alpha + 1.0, n + 1.0, a + b + n, a + n + 0.5, b + n + 0.5])
+    lg = [math.lgamma(x) for x in (N + 1.0, N + alpha + 1.0, n + 1.0, a + b + n, a + n + 0.5, b + n + 0.5)]
     log_rad = 0.5 * (math.log(2.0) + (alpha + 1.0) * math.log(params.omega) + lg[0] - lg[1])
     log_ang = 0.5 * (math.log(2.0 * k) + lg[2] + math.log(2 * n + a + b) + lg[3] - lg[4] - lg[5])
     return (-1.0) ** N * math.exp(log_rad + log_ang)

@@ -46,7 +46,7 @@ scattered points, (4, m_rad, m_ang) on a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class CatalogState:
         return CatalogState(self.terms + other.terms).simplify()
 
     def scaled(self, c: float) -> "CatalogState":
-        return CatalogState(tuple(replace(t, coeff=c * t.coeff) for t in self.terms))
+        return CatalogState(tuple(CatalogTerm(c * t.coeff, t.N, t.n, t.shift, t.occ) for t in self.terms))
 
     def simplify(self) -> "CatalogState":
         acc: dict[tuple, float] = {}
@@ -142,13 +142,17 @@ class CatalogState:
 
 @dataclass
 class StateBundle:
-    """Values and polar derivatives of the four fixed-basis components."""
+    """Values and polar derivatives of the four fixed-basis components.
+
+    ``reached`` lists the components that may be nonzero; every other
+    component is zero with its derivatives."""
 
     val: np.ndarray
     d_r: np.ndarray
     d_rr: np.ndarray
     d_phi: np.ndarray
     d_phiphi: np.ndarray
+    reached: tuple[int, ...] = (0, 1, 2, 3)
 
 
 def _occupation_trig(occ: int, phi: np.ndarray):
@@ -193,6 +197,8 @@ class FactorTable:
         self._radial: dict[tuple[int, bool], tuple] = {}
         self._angular: dict[tuple[int, int], tuple] = {}
         self._spinor: dict[tuple[int, int, int], list] = {}
+        # operator term tables on these points, built and read by generators
+        self.operators: dict[str, list] = {}
 
     def _levels(self, n: int, one_fermion: bool, top: int):
         """Radial level stacks of sector n, levels 0..top at least."""
@@ -262,17 +268,17 @@ class FactorTable:
                 S[:, a, idx] = parts
         return np.ldexp(C, exponent[:, None]), np.ldexp(R, -exponent), S
 
-    def _contract(self, state: CatalogState, orders) -> list:
+    def _contract(self, state: CatalogState, orders) -> tuple[list, tuple[int, ...]]:
         """The state's fields for each (radial, angular) derivative order
         of ``orders``, each of shape (4, *broadcast shape), from
-        ``expand([state])``; components no term reaches stay zero."""
+        ``expand([state])``, and the components some term reaches; the
+        others stay zero."""
         C, R, S = self.expand([state])
         S = S[: 1 + max(d for _, d in orders)]
         coeff = C[0].reshape(C.shape[1], 1, C.shape[2], *(1,) * self.phi.ndim)
         out = [np.zeros((4, *self.shape)) for _ in orders]
-        for idx in range(4):
-            if not S[:, :, idx].any():
-                continue
+        reached = tuple(idx for idx in range(4) if S[:, :, idx].any())
+        for idx in reached:
             # per radial key, its coefficient-weighted angular spinor factors
             ang = np.sum(coeff * S[None, :, :, idx], axis=2)
             # radial keys one at a time, in key order, like a loop over the
@@ -280,16 +286,17 @@ class FactorTable:
             for j in range(C.shape[1]):
                 for o, (d_r, d_phi) in zip(out, orders):
                     o[idx] += R[d_r, ..., j] * ang[j, d_phi]
-        return out
+        return out, reached
 
     def bundle(self, state: CatalogState) -> StateBundle:
         """Exact values and polar derivatives of the state's components,
         shape (4, *broadcast shape)."""
-        return StateBundle(*self._contract(state, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))))
+        fields, reached = self._contract(state, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2)))
+        return StateBundle(*fields, reached)
 
     def field(self, state: CatalogState) -> np.ndarray:
         """The state as a (4, *broadcast shape) fixed-basis spinor field."""
-        return self._contract(state, ((0, 0),))[0]
+        return self._contract(state, ((0, 0),))[0][0]
 
 
 def state_bundle(state: CatalogState, params: ModelParams, r, phi) -> StateBundle:

@@ -309,7 +309,7 @@ def _images(names, table: FactorTable, state):
     """The state's field and its images under the named operators at the
     table's points, all from one bundle of the state."""
     bundle = table.bundle(state)
-    return bundle.val, [gen.apply_operator(g, bundle, table.params, table.r, table.phi) for g in names]
+    return bundle.val, gen.apply_operators(names, bundle, table)
 
 
 def _sectors(blocks: list, basis: list, mask: np.ndarray):
@@ -370,7 +370,8 @@ def _series_laguerre(N, alpha, z):
     suffers at large z.  The coefficients are built once per call and
     put over one common denominator D; each sample z = m/d (d a power of
     two) is summed exactly in integers by Horner's rule as
-    sum_j D c_j m^j d^(N-j) and rounded once after dividing by D d^N."""
+    sum_j D c_j m^j d^(N-j) and rounded once by the correctly rounded
+    integer division by D d^N."""
     from fractions import Fraction
 
     af = Fraction(alpha)
@@ -384,7 +385,7 @@ def _series_laguerre(N, alpha, z):
         for c in reversed(nums[:N]):
             d_pow *= d
             acc = acc * m + c * d_pow
-        out.append(float(Fraction(acc, den * d_pow)))
+        out.append(acc / (den * d_pow))
     return np.array(out)
 
 
@@ -404,7 +405,7 @@ def _series_jacobi(n, alpha, beta, x):
             lo.append(lo[-1] * (m - d))
             hi.append(hi[-1] * (m + d))
         acc = sum(c * lo[j] * hi[n - j] for j, c in enumerate(nums))
-        out.append(float(Fraction(acc, den * (2 * d) ** n)))
+        out.append(acc / (den * (2 * d) ** n))
     return np.array(out)
 
 
@@ -561,7 +562,7 @@ def _checks_algebra(config: SuiteConfig, workspaces: dict):
         table = FactorTable(p, grid.r, grid.phi)
         for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
             bundle = table.bundle(st)
-            h1 = gen.apply_operator("Hs", bundle, p, grid.r, grid.phi)
+            (h1,) = gen.apply_operators(("Hs",), bundle, table)
             h2 = gen.hamiltonian_super(bundle, p, grid.r, grid.phi)
             res.append(np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0))
         yield (

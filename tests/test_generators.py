@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import ttwsusy.generators as gen
 from ttwsusy.fock import annihilators
 from ttwsusy.generators import (
     GENERATOR_NAMES,
     GENERATOR_PARITY,
     RELATIONS,
+    _EYE,
+    _ROW_MAPS,
     _gamma_terms,
+    _terms,
     apply_operator,
+    apply_operators,
     check_structure_constants,
     dilation_identity_residuals,
     generator_matrices,
@@ -32,7 +37,9 @@ from ttwsusy.irreps import (
     zero_fermion_state,
 )
 from ttwsusy.model import Grid, ModelParams, energy, weights_of
-from ttwsusy.states import FERMION_NUMBER, FactorTable, state_bundle, state_field
+from ttwsusy.special_cases import random_polygauss
+from ttwsusy.states import FERMION_NUMBER, FactorTable, StateBundle, state_bundle, state_field
+from ttwsusy.verify import SuiteConfig
 
 PARAM_SETS = [
     ModelParams(k=1.0, a=1.0, b=1.0, omega=1.0),
@@ -573,3 +580,185 @@ class TestOscillatorRealization:
             oscillator_realization(nu=0)
         with pytest.raises(ValueError):
             oscillator_realization(nu=1, cutoff=3)
+
+
+# ---------------------------------------------------------------------------
+# Sparse evaluation of the term tables against dense references
+
+OPERATOR_NAMES = (*GENERATOR_NAMES, "H", "Hs", "Q", "Qdag", "1")
+FAMILY_COMPONENTS = {"zero": (0,), "lower": (1, 2), "upper": (1, 2), "double": (3,)}
+
+
+def dense_apply(terms, bundle, r):
+    """The terms on a bundle with every fermion matrix a dense 4 x 4
+    product over all four components."""
+    derivs = {(0, 0): bundle.val, (1, 0): bundle.d_r, (2, 0): bundle.d_rr, (0, 1): bundle.d_phi, (0, 2): bundle.d_phiphi}
+    fermions = {id(t.fermion): t.fermion for t in terms}
+    coeffs = {}
+    for t in terms:
+        key = (id(t.fermion), t.d_r, t.d_phi)
+        coeffs[key] = coeffs.get(key, 0.0) + t.coef * r**t.r_pow * t.theta
+    out = np.zeros_like(bundle.val)
+    for (m_id, d_r, d_phi), c in coeffs.items():
+        part = c * derivs[d_r, d_phi]
+        out += part if fermions[m_id] is _EYE else (fermions[m_id] @ part.reshape(4, -1)).reshape(part.shape)
+    return out
+
+
+def per_term_project(terms, rows, cols, grid):
+    """<row|O|col> with every radial and angular moment formed afresh for
+    each term and each fermion matrix applied as a dense product."""
+    (C_row, R_row, S_row), (C_col, R_col, S_col) = (
+        (C.reshape(len(C), -1), R[:, :, 0], S[:, :, :, 0]) for C, R, S in (rows, cols)
+    )
+    n_row, n_col = S_row.shape[1], S_col.shape[1]
+    P = np.zeros((C_row.shape[1], C_col.shape[1]))
+    for t in terms:
+        rad = R_row[0].T @ (grid.w_r * grid.r**t.r_pow * R_col[t.d_r])
+        weighted = (S_row[0] * (grid.w_phi * t.theta)).reshape(n_row, -1)
+        ang = weighted @ (t.fermion @ S_col[t.d_phi]).reshape(n_col, -1).T
+        P += t.coef * (rad[:, None, :, None] * ang[None, :, None, :]).reshape(P.shape)
+    return C_row @ P @ C_col.T
+
+
+def family_states(p, n=2, level=1):
+    """{family: the level's state of that family in sector n}."""
+    return {s.family: s.state for s in sector_basis(p, n, level + 1) if s.level == level}
+
+
+class TestSparseTerms:
+    """The row-map evaluation of ``_terms`` gives the bits of the dense one."""
+
+    def test_fermion_matrices_are_row_maps(self):
+        p = PARAM_SETS[2]
+        phi = np.linspace(0.1, 0.9, 5) * p.phi_max
+        fermions = {id(t.fermion): t.fermion for name in OPERATOR_NAMES for t in _terms(name, p, phi)}
+        assert len(fermions) == 9
+        for m_id, m in fermions.items():
+            assert np.all(np.count_nonzero(m, axis=1) <= 1)
+            # precomputed at import, and exactly the matrix's nonzeros
+            dense = np.zeros((4, 4))
+            for i, j, v in _ROW_MAPS[m_id]:
+                dense[i, j] = v
+            np.testing.assert_array_equal(dense, m)
+
+    @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
+    def test_images_equal_dense_reference(self, p):
+        grid, grid_o = sector_grids(p, 2)
+        for family, state in family_states(p).items():
+            g = grid_o if family in ("lower", "upper") else grid
+            table = FactorTable(p, g.r, g.phi)
+            bundle = table.bundle(state)
+            assert bundle.reached == FAMILY_COMPONENTS[family]
+            shared = apply_operators(OPERATOR_NAMES, bundle, table)
+            for name, image in zip(OPERATOR_NAMES, shared):
+                ref = dense_apply(_terms(name, p, g.phi), bundle, g.r)
+                assert np.array_equal(image, ref), (family, name)
+                assert np.array_equal(apply_operator(name, bundle, p, g.r, g.phi), ref), (family, name)
+
+    def test_full_bundles_equal_dense_reference(self):
+        # a bundle built outside a table reaches all four components
+        p = PARAM_SETS[1]
+        rng = np.random.default_rng(4)
+        r = rng.uniform(0.5, 2.0, 30)
+        phi = rng.uniform(0.1, 0.9, 30) * p.phi_max
+        bundle = random_polygauss(rng, p.omega).polar_bundle(p, r, phi)
+        assert bundle.reached == (0, 1, 2, 3)
+        for name in OPERATOR_NAMES:
+            assert np.array_equal(apply_operator(name, bundle, p, r, phi), dense_apply(_terms(name, p, phi), bundle, r))
+
+    def test_inf_in_a_reached_component_stays_visible(self):
+        p = PARAM_SETS[2]
+        grid, grid_o = sector_grids(p, 2)
+        for family, state in family_states(p).items():
+            g = grid_o if family in ("lower", "upper") else grid
+            table = FactorTable(p, g.r, g.phi)
+            for j in FAMILY_COMPONENTS[family]:
+                bundle = table.bundle(state)
+                bundle.val[j, 3, 5] = np.inf
+                with np.errstate(invalid="ignore"):
+                    images = apply_operators(OPERATOR_NAMES, bundle, table)
+                for name, image in zip(OPERATOR_NAMES, images):
+                    reads_j = any(
+                        t.d_r == t.d_phi == 0 and any(src == j for _, src, _ in _ROW_MAPS[id(t.fermion)])
+                        for t in _terms(name, p, g.phi)
+                    )
+                    if reads_j:
+                        assert not np.all(np.isfinite(image)), (family, j, name)
+
+    def test_zero_fermion_image_writes_component_zero_only(self):
+        p = PARAM_SETS[2]
+        grid, _ = sector_grids(p, 1)
+        table = FactorTable(p, grid.r, grid.phi)
+        bundle = table.bundle(zero_fermion_state(p, 2, 1))
+        assert bundle.reached == (0,)
+        clean = apply_operator("Hs", bundle, p, grid.r, grid.phi)
+        # NaN in the unreached components is never read
+        fields = [f.copy() for f in (bundle.val, bundle.d_r, bundle.d_rr, bundle.d_phi, bundle.d_phiphi)]
+        for f in fields:
+            f[1:] = np.nan
+        image = apply_operator("Hs", StateBundle(*fields, bundle.reached), p, grid.r, grid.phi)
+        assert np.array_equal(image, clean)
+        assert not image[1:].any() and np.all(np.isfinite(image[0])) and image[0].any()
+
+    @pytest.mark.parametrize("ps", SuiteConfig().param_sets, ids=lambda ps: "k={k:g}".format(**ps))
+    def test_shared_moments_equal_per_term_projection(self, ps):
+        p = ModelParams(**ps)
+        for n in range(4):
+            bs = sector_basis(p, n, 3)
+            states = {par: [s.state for s in bs if s.state.fermion_parity() == par] for par in (0, 1)}
+            for p_out in (0, 1):
+                grid = Grid.for_sector(p, n, odd=bool(p_out), m_rad=MR, m_ang=MA)
+                table = FactorTable(p, grid.r, grid.phi)
+                for p_in in (0, 1):
+                    rows, cols = states[p_out], states[p_in]
+                    shared = project(OPERATOR_NAMES, rows, cols, grid, table)
+                    f_rows, f_cols = table.expand(rows), table.expand(cols)
+                    for name in OPERATOR_NAMES:
+                        ref = per_term_project(_terms(name, p, grid.phi), f_rows, f_cols, grid)
+                        assert np.array_equal(shared[name], ref), (n, p_out, p_in, name)
+
+
+class TestWorkCounts:
+    """Each projection forms each distinct moment once, and each table
+    builds an operator's term table once."""
+
+    def test_one_radial_moment_per_key_and_projection(self, monkeypatch):
+        per_call = []
+        moment, projection = gen._radial_moment, gen._project
+
+        def counted_moment(R_row, R_col, grid, r_pow, d_r):
+            per_call[-1][1].append((r_pow, d_r))
+            return moment(R_row, R_col, grid, r_pow, d_r)
+
+        def counted_project(names, rows, cols, grid):
+            per_call.append((names, []))
+            return projection(names, rows, cols, grid)
+
+        monkeypatch.setattr(gen, "_radial_moment", counted_moment)
+        monkeypatch.setattr(gen, "_project", counted_project)
+        p = PARAM_SETS[2]
+        generator_matrices(p, (8, 6), MR, MA)
+        # 7 sectors, 2 row parities, 2 column parities
+        assert len(per_call) == 28
+        phi = np.linspace(0.1, 0.9, 5) * p.phi_max
+        for names, keys in per_call:
+            assert len(keys) == len(set(keys))
+            terms = [t for name in names for t in _terms(name, p, phi)]
+            assert set(keys) == {(t.r_pow, t.d_r) for t in terms}
+            assert len(keys) < len(terms)
+
+    def test_one_term_table_per_factor_table(self, monkeypatch):
+        calls = []
+
+        def counted(name, params, phi):
+            calls.append(name)
+            return _terms(name, params, phi)
+
+        monkeypatch.setattr(gen, "_terms", counted)
+        p = PARAM_SETS[2]
+        grid, _ = sector_grids(p, 1)
+        table = FactorTable(p, grid.r, grid.phi)
+        for N in range(4):
+            apply_operators(("H", "Hs"), table.bundle(zero_fermion_state(p, N, 1)), table)
+        assert calls == ["H", "Hs"]
