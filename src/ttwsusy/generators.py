@@ -470,7 +470,7 @@ def generator_matrices(
     blocks, basis = [], []
     for n in range(n_max + 1):
         bs = sector_basis(params, n, N_max)
-        par = np.array([0 if s.family in ("zero", "double") else 1 for s in bs])
+        par = np.array([s.state.fermion_parity() for s in bs])
         idx = {p: np.flatnonzero(par == p) for p in (0, 1)}
         states = {p: [bs[i].state for i in idx[p]] for p in (0, 1)}
         block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}

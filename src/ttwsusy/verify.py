@@ -10,13 +10,17 @@ table.
 
 The parameter sets share nothing but the order of the report.  So the
 model, algebra and irreps checks of one set run as one job
-(``_set_job``) with its own matrix workspace, and with several sets and
-several usable CPUs the jobs run in forked worker processes while this
-process runs specfun, the parameter-free oscillator-realization check
-and special-cases (whose sets draw their points from one random
+(``_set_job``) on one workspace (``_Workspace``), which holds the set's
+parameters, config, label and generator matrices and builds all of its
+grids and factor tables at the configured orders.  With several sets
+and several usable CPUs the jobs run in forked worker processes while
+this process runs specfun, the parameter-free oscillator-realization
+check and special-cases (whose sets draw their points from one random
 generator in sequence).  With one set, one usable CPU or no fork start
 method the jobs run here, one after the other; the records are the
-same either way.
+same either way.  A suite that raises in one set ends that set's part
+with a failed ``<suite>-suite`` record and keeps every other record
+(see ``run``).
 
 Command line:
 
@@ -39,7 +43,8 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -139,11 +144,18 @@ class SuiteConfig:
         self.param_sets = tuple(dict(ps) for ps in self.param_sets)
         _check_int_pair("truncation", self.truncation, 2)
         _check_int_pair("quad_orders", self.quad_orders, 1)
+        self.truncation, self.quad_orders = tuple(self.truncation), tuple(self.quad_orders)
+        if not isinstance(self.tolerances, Mapping):
+            raise ValueError(f"tolerances must be a mapping of tolerance keys to numbers, got {self.tolerances!r}")
+        self.tolerances = dict(self.tolerances)
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance key {name!r}")
             if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
                 raise ValueError(f"tolerance {name!r} must be a finite nonnegative real number, got {tol!r}")
+        if not isinstance(self.suites, (tuple, list)) or not all(isinstance(s, str) for s in self.suites):
+            raise ValueError(f"suites must be a list of suite names, got {self.suites!r}")
+        self.suites = tuple(self.suites)
         bad = set(self.suites) - set(SUITES) - {"all"}
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")
@@ -178,23 +190,7 @@ class SuiteConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError("unknown config key " + ", ".join(map(repr, unknown)))
-        kwargs = {}
-        if "param_sets" in data:
-            kwargs["param_sets"] = data["param_sets"]
-        for key in ("truncation", "quad_orders"):
-            if key in data:
-                kwargs[key] = tuple(data[key]) if isinstance(data[key], list) else data[key]
-        if "tolerances" in data:
-            if not isinstance(data["tolerances"], dict):
-                raise ValueError(f"tolerances must be a mapping of tolerance keys to numbers, got {data['tolerances']!r}")
-            kwargs["tolerances"] = dict(data["tolerances"])
-        if "suites" in data:
-            if not isinstance(data["suites"], list):
-                raise ValueError(f"suites must be a list of suite names, got {data['suites']!r}")
-            kwargs["suites"] = tuple(data["suites"])
-        if "seed" in data:
-            kwargs["seed"] = data["seed"]
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass
@@ -323,14 +319,27 @@ def _sectors(blocks: list, basis: list, mask: np.ndarray):
 
 
 class _Workspace:
-    """Per-parameter-set cache of expensive intermediates."""
+    """What the checks of one parameter set read: its ``params``, the
+    ``config``, the report ``label``, the lazily built generator
+    ``matrices`` and its quadrature grids, all at the configured orders."""
 
     def __init__(self, params: ModelParams, config: SuiteConfig):
         self.params = params
         self.config = config
+        self.label = _params_label(params)
         self._blocks = None
         self._basis = None
         self.build_ms = 0.0
+
+    def grid(self, n1: int, n2: int | None = None, odd: bool = False) -> Grid:
+        """``Grid.for_pair(n1, n2)`` (n2 defaults to n1), built afresh."""
+        m_rad, m_ang = self.config.quad_orders
+        return Grid.for_pair(self.params, n1, n1 if n2 is None else n2, m_rad, m_ang, odd=odd)
+
+    def table(self, n: int, odd: bool = False) -> FactorTable:
+        """A fresh ``FactorTable`` on ``grid(n, odd=odd)``."""
+        grid = self.grid(n, odd=odd)
+        return FactorTable(self.params, grid.r, grid.phi)
 
     @property
     def matrices(self):
@@ -476,132 +485,123 @@ def _checks_specfun(config: SuiteConfig):
     )
 
 
-def _checks_model(config: SuiteConfig):
+def _checks_model(ws: _Workspace):
     """Orthonormality is an integral, taken as products of 1-D radial and
     angular Gauss sums (``generators.wavefunction_gram``); the eigenvalue
     residual is a field identity, checked pointwise on the sector grids."""
-    m_rad, m_ang = config.quad_orders
-    for p in config.models():
-        label = _params_label(p)
-        gram = gen.wavefunction_gram(p, (6, 6), m_rad, m_ang)
-        res = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-        yield ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", label, res, "model.orthonormality")
+    p, label = ws.params, ws.label
+    gram = gen.wavefunction_gram(p, (6, 6), *ws.config.quad_orders)
+    res = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    yield ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", label, res, "model.orthonormality")
 
-        res = []
-        for n in range(7):
-            grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
-            table = FactorTable(p, grid.r, grid.phi)
-            # top level first: the table's one radial pass then serves every N
-            for N in reversed(range(7)):
-                fv, (hv,) = _images(("H",), table, irreps.zero_fermion_state(p, N, n))
-                res.append(np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv)))
-        yield ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", label, _worst(res), "model.eigenvalue")
+    res = []
+    for n in range(7):
+        table = ws.table(n)
+        # top level first: the table's one radial pass then serves every N
+        for N in reversed(range(7)):
+            fv, (hv,) = _images(("H",), table, irreps.zero_fermion_state(p, N, n))
+            res.append(np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv)))
+    yield ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", label, _worst(res), "model.eigenvalue")
 
-        res = []
-        for n in range(9):
-            w = model.weights_of(p, n)
-            res.append(abs(w.tau + w.q - n * p.k))
-            for N in range(9):
-                res.append(abs(model.susy_energy(p, N, n) - (model.energy(p, N, n) - model.energy(p, 0, 0))))
-                res.append(abs(model.susy_energy(p, N, n) - 4.0 * p.omega * (N + n * p.k)) / (1.0 + 4 * p.omega * (N + n * p.k)))
-        yield (
-            "spectrum-identities",
-            "E_{N,n} - E_{0,0} = 4 omega (N + nk); tau + q = nk (zero exactly at n = 0)",
-            label,
-            _worst(res),
-            "model.identity",
-        )
+    res = []
+    for n in range(9):
+        w = model.weights_of(p, n)
+        res.append(abs(w.tau + w.q - n * p.k))
+        for N in range(9):
+            res.append(abs(model.susy_energy(p, N, n) - (model.energy(p, N, n) - model.energy(p, 0, 0))))
+            res.append(abs(model.susy_energy(p, N, n) - 4.0 * p.omega * (N + n * p.k)) / (1.0 + 4 * p.omega * (N + n * p.k)))
+    yield (
+        "spectrum-identities",
+        "E_{N,n} - E_{0,0} = 4 omega (N + nk); tau + q = nk (zero exactly at n = 0)",
+        label,
+        _worst(res),
+        "model.identity",
+    )
 
 
-def _checks_algebra(config: SuiteConfig, workspaces: dict):
-    m_rad, m_ang = config.quad_orders
-    for p in config.models():
-        label = _params_label(p)
-        phi = np.linspace(p.phi_max / 51.0, p.phi_max * 50.0 / 51.0, 50)
-        yield (
-            "riccati",
-            "-F'' + F'^2 + C^2 = k^2 [a(a-1) sec^2(k phi) + b(b-1) csc^2(k phi)] for "
-            "F = -a ln cos(k phi) - b ln sin(k phi), C = -k(a+b)",
-            label,
-            float(np.max(gen.riccati_residual(p, phi))),
-            "algebra.riccati",
-        )
-        measured = float(np.max(gen.riccati_residual(p, phi, perturb_a=0.01)))
-        shortfall = float(np.maximum(0.0, 1e-3 - measured))
-        yield (
-            "riccati-control",
-            "perturbing a -> a+0.01 inside F must break the identity by more than 1e-3 (shortfall reported)",
-            label,
-            shortfall,
-            "algebra.riccati-control",
-        )
+def _checks_algebra(ws: _Workspace):
+    p, label = ws.params, ws.label
+    phi = np.linspace(p.phi_max / 51.0, p.phi_max * 50.0 / 51.0, 50)
+    yield (
+        "riccati",
+        "-F'' + F'^2 + C^2 = k^2 [a(a-1) sec^2(k phi) + b(b-1) csc^2(k phi)] for "
+        "F = -a ln cos(k phi) - b ln sin(k phi), C = -k(a+b)",
+        label,
+        float(np.max(gen.riccati_residual(p, phi))),
+        "algebra.riccati",
+    )
+    measured = float(np.max(gen.riccati_residual(p, phi, perturb_a=0.01)))
+    shortfall = float(np.maximum(0.0, 1e-3 - measured))
+    yield (
+        "riccati-control",
+        "perturbing a -> a+0.01 inside F must break the identity by more than 1e-3 (shortfall reported)",
+        label,
+        shortfall,
+        "algebra.riccati-control",
+    )
 
-        blocks, basis = workspaces[label].matrices
-        interior = gen.interior_mask(basis, config.truncation)
-        structure = _worst_per_name(
-            {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
-            for _, block, inner in _sectors(blocks, basis, interior)
-        )
-        for name, res in structure.items():
-            yield (f"structure[{name}]", name, label, res, "algebra.structure")
-        for name, res in _worst_per_name(gen.hermiticity_residuals(block) for block in blocks).items():
-            yield (f"hermiticity[{name}]", name, label, res, "algebra.hermiticity")
+    blocks, basis = ws.matrices
+    interior = gen.interior_mask(basis, ws.config.truncation)
+    structure = _worst_per_name(
+        {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
+        for _, block, inner in _sectors(blocks, basis, interior)
+    )
+    for name, res in structure.items():
+        yield (f"structure[{name}]", name, label, res, "algebra.structure")
+    for name, res in _worst_per_name(gen.hermiticity_residuals(block) for block in blocks).items():
+        yield (f"hermiticity[{name}]", name, label, res, "algebra.hermiticity")
 
-        res = []
-        for n in range(7):
-            grid = Grid.for_sector(p, n, m_rad=m_rad, m_ang=m_ang)
-            table = FactorTable(p, grid.r, grid.phi)
-            for N in reversed(range(7)):  # top level first, as in eigenvalue-residual
-                fv, (hv,) = _images(("Hs",), table, irreps.zero_fermion_state(p, N, n))
-                target = 4.0 * p.omega * (N + n * p.k)
-                res.append(np.max(np.abs(hv - target * fv)) / max(np.max(np.abs(fv)), 1.0))
-        yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, _worst(res), "algebra.spectrum")
+    res = []
+    for n in range(7):
+        table = ws.table(n)
+        for N in reversed(range(7)):  # top level first, as in eigenvalue-residual
+            fv, (hv,) = _images(("Hs",), table, irreps.zero_fermion_state(p, N, n))
+            target = 4.0 * p.omega * (N + n * p.k)
+            res.append(np.max(np.abs(hv - target * fv)) / max(np.max(np.abs(fv)), 1.0))
+    yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, _worst(res), "algebra.spectrum")
 
-        res = []
-        grid = Grid.for_sector(p, 1, m_rad=m_rad, m_ang=m_ang)
-        table = FactorTable(p, grid.r, grid.phi)
-        for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
-            bundle = table.bundle(st)
-            (h1,) = gen.apply_operators(("Hs",), bundle, table)
-            h2 = gen.hamiltonian_super(bundle, p, grid.r, grid.phi)
-            res.append(np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0))
-        yield (
-            "hs-routes",
-            "H_k + 4 omega (Gamma + Y) equals 4 omega (K0 + Y) built from the superpotential",
-            label,
-            _worst(res),
-            "algebra.routes",
-        )
+    res = []
+    table = ws.table(1)
+    for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
+        bundle = table.bundle(st)
+        (h1,) = gen.apply_operators(("Hs",), bundle, table)
+        h2 = gen.hamiltonian_super(bundle, p, table.r, table.phi)
+        res.append(np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0))
+    yield (
+        "hs-routes",
+        "H_k + 4 omega (Gamma + Y) equals 4 omega (K0 + Y) built from the superpotential",
+        label,
+        _worst(res),
+        "algebra.routes",
+    )
 
-        grid0 = Grid.for_sector(p, 0, m_rad=m_rad, m_ang=m_ang)
-        table = FactorTable(p, grid0.r, grid0.phi)
-        _, (qf, qdf) = _images(("Q", "Qdag"), table, irreps.zero_fermion_state(p, 0, 0))
-        yield (
-            "susy-ground",
-            "Q and Qdag annihilate the ground state (unbroken supersymmetry)",
-            label,
-            _worst([np.max(np.abs(qf)), np.max(np.abs(qdf))]),
-            "algebra.susy-ground",
-        )
+    _, (qf, qdf) = _images(("Q", "Qdag"), ws.table(0), irreps.zero_fermion_state(p, 0, 0))
+    yield (
+        "susy-ground",
+        "Q and Qdag annihilate the ground state (unbroken supersymmetry)",
+        label,
+        _worst([np.max(np.abs(qf)), np.max(np.abs(qdf))]),
+        "algebra.susy-ground",
+    )
 
-        # {Q, Qdag} = Hs is 4 omega times the structure relation {V-, W+} = K0 + Y
-        anti = structure["{V-,W+} = +1 K0 +1 Y"]
-        yield ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", label, 4.0 * p.omega * anti, "algebra.susy-anticommutator")
+    # {Q, Qdag} = Hs is 4 omega times the structure relation {V-, W+} = K0 + Y
+    anti = structure["{V-,W+} = +1 K0 +1 Y"]
+    yield ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", label, 4.0 * p.omega * anti, "algebra.susy-anticommutator")
 
-        rng = np.random.default_rng(config.seed)
-        r = rng.uniform(0.5, 2.0, 40)
-        phi_s = rng.uniform(0.1, 0.9, 40) * p.phi_max
-        res = []
-        for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("-", p, 1, 1)):
-            d = gen.dilation_identity_residuals(st, p, r, phi_s)
-            res += [d["D"], d["Gamma"]]
-        yield (
-            "scaling-conditions",
-            "D and Gamma are homogeneous of degree -2 in r (integrated form of [r d_r, O] = -2 O)",
-            label,
-            _worst(res),
-            "algebra.conditions",
-        )
+    rng = np.random.default_rng(ws.config.seed)
+    r = rng.uniform(0.5, 2.0, 40)
+    phi_s = rng.uniform(0.1, 0.9, 40) * p.phi_max
+    res = []
+    for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("-", p, 1, 1)):
+        d = gen.dilation_identity_residuals(st, p, r, phi_s)
+        res += [d["D"], d["Gamma"]]
+    yield (
+        "scaling-conditions",
+        "D and Gamma are homogeneous of degree -2 in r (integrated form of [r d_r, O] = -2 O)",
+        label,
+        _worst(res),
+        "algebra.conditions",
+    )
 
 
 def _checks_oscillator():
@@ -620,131 +620,122 @@ def _checks_oscillator():
     )
 
 
-def _checks_irreps(config: SuiteConfig, workspaces: dict):
+def _checks_irreps(ws: _Workspace):
     """Ladder and Casimir checks read the generator blocks.  The integrals
     (the <+|-> overlaps and the cross-sector elements of block-diagonality)
     are projected from 1-D Gauss sums with ``generators.project``; the
     odd actions, the n = 0 family coincidence and the vanishing two-fermion
     states are field identities, checked pointwise on the grids."""
-    m_rad, m_ang = config.quad_orders
-    N_max, n_max = config.truncation
-    for p in config.models():
-        label = _params_label(p)
-        blocks, basis = workspaces[label].matrices
-        tau_off = {"zero": 0.0, "lower": -0.5, "upper": 0.5, "double": 0.0}
+    p, label = ws.params, ws.label
+    N_max, n_max = ws.config.truncation
+    blocks, basis = ws.matrices
+    tau_off = {"zero": 0.0, "lower": -0.5, "upper": 0.5, "double": 0.0}
 
-        res = []
-        sign_ok = True
-        for n, block in enumerate(blocks):
-            states = [s for s in basis if s.n == n]
-            index = {(s.family, s.level): i for i, s in enumerate(states)}
-            for s in states:
-                if s.level + 1 > N_max:
-                    continue
-                tau_fam = irreps.weights_of(p, n).tau + tau_off[s.family]
-                expect = irreps.k_ladder_coeff("+", tau_fam, s.level)
-                measured = block["K+"][index[s.family, s.level + 1], index[s.family, s.level]]
-                sign_ok = sign_ok and measured > 0
-                res.append(abs(measured - expect) / expect)
-        yield (
-            "ladder-matrix-elements",
-            "K+ rungs equal sqrt((N+1)(2 tau + N)) with positive sign in every tower",
-            label,
-            _worst(res) if sign_ok else float("inf"),
-            "irreps.ladder",
-        )
-
-        res = []
-        for n in (0, 1, min(2, n_max)):
-            grid = Grid.for_sector(p, n, odd=True, m_rad=m_rad, m_ang=m_ang)
-            table = FactorTable(p, grid.r, grid.phi)
-            grid_e = Grid.for_sector(p, n, odd=False, m_rad=m_rad, m_ang=m_ang)
-            table_e = FactorTable(p, grid_e.r, grid_e.phi)
-            for N in (0, 1, 3):
-                st = irreps.zero_fermion_state(p, N, n)
-                _, v_outs = _images(("V+", "V-"), table, st)
-                for sign, out in zip(("+", "-"), v_outs):
-                    ref = table.field(irreps.v_action(sign, p, N, n))
-                    scale = max(np.max(np.abs(ref)), 1.0)
-                    res.append(np.max(np.abs(out - ref)) / scale)
-                _, w_outs = _images(("W+", "W-"), table_e, st)
-                res += [np.max(np.abs(wout)) for wout in w_outs]
-        yield (
-            "odd-action-fields",
-            "V+- on zero-fermion states reproduce their closed-form expansions; W+- annihilate them",
-            label,
-            _worst(res),
-            "irreps.odd-action",
-        )
-
-        res = []
-        for n in range(1, min(4, n_max) + 1):
-            grid = Grid.for_sector(p, n, odd=True, m_rad=m_rad, m_ang=m_ang)
-            plus = [irreps.one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
-            minus = [irreps.one_fermion_state("-", p, N, n) for N in range(1, 6)]
-            measured = np.diag(gen.project(("1",), plus, minus, grid)["1"])
-            res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
-        grid = Grid.for_sector(p, 0, odd=True, m_rad=m_rad, m_ang=m_ang)
-        table = FactorTable(p, grid.r, grid.phi)
-        for N in range(1, 5):
-            plus = table.field(irreps.one_fermion_state("+", p, N - 1, 0))
-            minus = table.field(irreps.one_fermion_state("-", p, N, 0))
-            res.append(np.max(np.abs(plus - minus)))
-        grid_e = Grid.for_sector(p, 0, odd=False, m_rad=m_rad, m_ang=m_ang)
-        table = FactorTable(p, grid_e.r, grid_e.phi)
-        for N in range(3):
-            two = irreps.two_fermion_state(p, N, 0)
-            res.append(0.0 if two.is_zero else np.max(np.abs(table.field(two))))
-        yield (
-            "one-fermion-overlap",
-            "<+|-> = sqrt(N[N+(2n+a+b)k] / ([N+(n+a+b)k][N+nk])); at n = 0 the one-fermion "
-            "families coincide and the two-fermion states vanish",
-            label,
-            _worst(res),
-            "irreps.overlap",
-        )
-
-        # C2, C3 and [C2, G] one sector block at a time
-        interior2 = gen.interior_mask(basis, config.truncation, depth=2)
-        res = []
-        for n, block, inner in _sectors(blocks, basis, interior2):
-            c2, c3 = irreps.casimir_matrices(block)
-            c2_th, c3_th = irreps.casimir_eigenvalues(p, n)
-            eye = np.eye(int(inner.sum()))
-            res.append(np.max(np.abs(c2[np.ix_(inner, inner)] - c2_th * eye)))
-            res.append(np.max(np.abs(c3[np.ix_(inner, inner)] - c3_th * eye)))
-            for gname in gen.GENERATOR_NAMES:
-                g = block[gname]
-                res.append(np.max(np.abs(c2[inner] @ g[:, inner] - g[inner] @ c2[:, inner])))
-        yield (
-            "casimir",
-            "C2 and C3 are scalar n(n+a+b)k^2 and -(a+b)n(n+a+b)k^3/2 per sector (zero at n = 0); C2 commutes with all generators",
-            label,
-            _worst(res),
-            "irreps.casimir",
-        )
-
-        # every cross-sector element <s1|G|s2> between the level-1 states of
-        # the families of one fermion parity, one projection per generator
-        res = []
-        for n1, n2 in ((0, 1), (1, 2), (0, 2)):
-            if max(n1, n2) > n_max:
+    res = []
+    sign_ok = True
+    for n, block in enumerate(blocks):
+        states = [s for s in basis if s.n == n]
+        index = {(s.family, s.level): i for i, s in enumerate(states)}
+        for s in states:
+            if s.level + 1 > N_max:
                 continue
-            for odd in (False, True):
-                grid = Grid.for_pair(p, n1, n2, m_rad, m_ang, odd=odd)
-                fam = ("lower", "upper") if odd else ("zero", "double")
-                rows, cols = (
-                    [s.state for s in irreps.sector_basis(p, n, 1) if s.level == 1 and s.family in fam] for n in (n1, n2)
-                )
-                for m in gen.project(("K0", "K+", "Y"), rows, cols, grid).values():
-                    res.append(np.max(np.abs(m)))
-        yield (
-            "block-diagonality",
-            "generators do not couple different angular sectors (projected cross-sector matrix elements vanish)",
-            label,
-            _worst(res),
-            "irreps.block-diagonal",
-        )
+            tau_fam = irreps.weights_of(p, n).tau + tau_off[s.family]
+            expect = irreps.k_ladder_coeff("+", tau_fam, s.level)
+            measured = block["K+"][index[s.family, s.level + 1], index[s.family, s.level]]
+            sign_ok = sign_ok and measured > 0
+            res.append(abs(measured - expect) / expect)
+    yield (
+        "ladder-matrix-elements",
+        "K+ rungs equal sqrt((N+1)(2 tau + N)) with positive sign in every tower",
+        label,
+        _worst(res) if sign_ok else float("inf"),
+        "irreps.ladder",
+    )
+
+    res = []
+    for n in (0, 1, min(2, n_max)):
+        table, table_e = ws.table(n, odd=True), ws.table(n)
+        for N in (0, 1, 3):
+            st = irreps.zero_fermion_state(p, N, n)
+            _, v_outs = _images(("V+", "V-"), table, st)
+            for sign, out in zip(("+", "-"), v_outs):
+                ref = table.field(irreps.v_action(sign, p, N, n))
+                scale = max(np.max(np.abs(ref)), 1.0)
+                res.append(np.max(np.abs(out - ref)) / scale)
+            _, w_outs = _images(("W+", "W-"), table_e, st)
+            res += [np.max(np.abs(wout)) for wout in w_outs]
+    yield (
+        "odd-action-fields",
+        "V+- on zero-fermion states reproduce their closed-form expansions; W+- annihilate them",
+        label,
+        _worst(res),
+        "irreps.odd-action",
+    )
+
+    res = []
+    for n in range(1, min(4, n_max) + 1):
+        plus = [irreps.one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
+        minus = [irreps.one_fermion_state("-", p, N, n) for N in range(1, 6)]
+        measured = np.diag(gen.project(("1",), plus, minus, ws.grid(n, odd=True))["1"])
+        res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
+    table = ws.table(0, odd=True)
+    for N in range(1, 5):
+        plus = table.field(irreps.one_fermion_state("+", p, N - 1, 0))
+        minus = table.field(irreps.one_fermion_state("-", p, N, 0))
+        res.append(np.max(np.abs(plus - minus)))
+    table = ws.table(0)
+    for N in range(3):
+        two = irreps.two_fermion_state(p, N, 0)
+        res.append(0.0 if two.is_zero else np.max(np.abs(table.field(two))))
+    yield (
+        "one-fermion-overlap",
+        "<+|-> = sqrt(N[N+(2n+a+b)k] / ([N+(n+a+b)k][N+nk])); at n = 0 the one-fermion "
+        "families coincide and the two-fermion states vanish",
+        label,
+        _worst(res),
+        "irreps.overlap",
+    )
+
+    # C2, C3 and [C2, G] one sector block at a time
+    interior2 = gen.interior_mask(basis, ws.config.truncation, depth=2)
+    res = []
+    for n, block, inner in _sectors(blocks, basis, interior2):
+        c2, c3 = irreps.casimir_matrices(block)
+        c2_th, c3_th = irreps.casimir_eigenvalues(p, n)
+        eye = np.eye(int(inner.sum()))
+        res.append(np.max(np.abs(c2[np.ix_(inner, inner)] - c2_th * eye)))
+        res.append(np.max(np.abs(c3[np.ix_(inner, inner)] - c3_th * eye)))
+        for gname in gen.GENERATOR_NAMES:
+            g = block[gname]
+            res.append(np.max(np.abs(c2[inner] @ g[:, inner] - g[inner] @ c2[:, inner])))
+    yield (
+        "casimir",
+        "C2 and C3 are scalar n(n+a+b)k^2 and -(a+b)n(n+a+b)k^3/2 per sector (zero at n = 0); C2 commutes with all generators",
+        label,
+        _worst(res),
+        "irreps.casimir",
+    )
+
+    # every cross-sector element <s1|G|s2> between the level-1 states of
+    # one fermion parity, one projection per generator
+    res = []
+    for n1, n2 in ((0, 1), (1, 2), (0, 2)):
+        if max(n1, n2) > n_max:
+            continue
+        for odd in (False, True):
+            rows, cols = (
+                [s.state for s in irreps.sector_basis(p, n, 1) if s.level == 1 and s.state.fermion_parity() == odd]
+                for n in (n1, n2)
+            )
+            for m in gen.project(("K0", "K+", "Y"), rows, cols, ws.grid(n1, n2, odd=odd)).values():
+                res.append(np.max(np.abs(m)))
+    yield (
+        "block-diagonality",
+        "generators do not couple different angular sectors (projected cross-sector matrix elements vanish)",
+        label,
+        _worst(res),
+        "irreps.block-diagonal",
+    )
 
 
 def _checks_special(config: SuiteConfig):
@@ -783,13 +774,11 @@ def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
         special_cases.random_polygauss(rng, p.omega),
         special_cases.random_polygauss(rng, p.omega),
     ]
+    table = FactorTable(p, r, phi)
     res = []
     for st in states:
-        cart = st.cart_data(p, r, phi)
-        h_c, q_c = cart_fn(p, cart, x, y)
-        bundle = st.polar_bundle(p, r, phi)
-        h_p = gen.apply_operator("Hs", bundle, p, r, phi)
-        q_p = gen.apply_operator("Q", bundle, p, r, phi)
+        h_c, q_c = cart_fn(p, st.cart_data(p, r, phi), x, y)
+        h_p, q_p = gen.apply_operators(("Hs", "Q"), st.polar_bundle(p, r, phi), table)
         res.append(np.max(np.abs(h_c - h_p)) / max(np.max(np.abs(h_p)), 1.0))
         res.append(np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1.0))
     return _worst(res)
@@ -893,10 +882,10 @@ def _stopwatch(workspace: _Workspace | None = None):
     return elapsed_ms
 
 
-def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> tuple[list[CheckRecord], bool]:
-    """The records of one suite's checks from ``produce()``, and whether the
-    suite raised: then it keeps the checks it already yielded and ends
-    with a failed ``<suite>-suite`` record."""
+def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> list[CheckRecord]:
+    """The records of one suite's checks from ``produce()``.  A suite that
+    raises keeps the checks it already yielded and ends with a failed
+    ``<suite>-suite`` record."""
     records = []
     try:
         for name, claim, plabel, residual, tol_key in produce():
@@ -915,34 +904,30 @@ def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> tuple[list
             )
     except Exception:
         records.append(_suite_failure(suite, traceback.format_exc(limit=2).strip().splitlines()[-1], elapsed_ms()))
-        return records, True
-    return records, False
+    return records
 
 
 def _set_job(config: SuiteConfig, index: int) -> tuple[dict, float]:
     """The selected model, algebra and irreps checks of parameter set
-    ``index``, with a workspace of their own: {suite: (records, raised)},
-    and the set's generator-matrix build time in ms.  ``run`` calls it in
-    this process or in a forked worker; the records are the same."""
-    one = replace(config, param_sets=(config.param_sets[index],))
-    (p,) = one.models()
-    workspace = _Workspace(p, one)
-    workspaces = {_params_label(p): workspace}
+    ``index``, on one workspace: {suite: records}, and the set's
+    generator-matrix build time in ms.  ``run`` calls it in this process
+    or in a forked worker; the records are the same."""
+    ws = _Workspace(ModelParams(**config.param_sets[index]), config)
     producers = {
-        "model": lambda: _checks_model(one),
-        "algebra": lambda: _checks_algebra(one, workspaces),
-        "irreps": lambda: _checks_irreps(one, workspaces),
+        "model": lambda: _checks_model(ws),
+        "algebra": lambda: _checks_algebra(ws),
+        "irreps": lambda: _checks_irreps(ws),
     }
-    elapsed_ms = _stopwatch(workspace)
-    results = {suite: _collect(suite, producers[suite], one, elapsed_ms) for suite in one.selected() if suite in producers}
-    return results, workspace.build_ms
+    elapsed_ms = _stopwatch(ws)
+    results = {suite: _collect(suite, producers[suite], config, elapsed_ms) for suite in config.selected() if suite in producers}
+    return results, ws.build_ms
 
 
 def _parent_checks(config: SuiteConfig) -> dict:
     """The checks that are not per-set jobs: specfun, the algebra suite's
     parameter-free oscillator check and special-cases, whose sets draw
     their points from one random generator in sequence.  {suite:
-    (records, raised)}."""
+    records}."""
     producers = {
         "specfun": lambda: _checks_specfun(config),
         "algebra": _checks_oscillator,
@@ -967,7 +952,7 @@ def _job_result(config: SuiteConfig, future) -> tuple[dict, float]:
         return future.result()
     except Exception as exc:
         error = f"worker process failed: {type(exc).__name__}: {exc}"
-        return {s: ([_suite_failure(s, error, 0.0)], True) for s in config.selected() if s in PER_SET_SUITES}, 0.0
+        return {s: [_suite_failure(s, error, 0.0)] for s in config.selected() if s in PER_SET_SUITES}, 0.0
 
 
 def _run_jobs(config: SuiteConfig, jobs: range) -> tuple[dict, list]:
@@ -1004,35 +989,30 @@ def run(config: SuiteConfig) -> VerificationReport:
     """Execute the selected suites; failures are recorded, never raised.
 
     The model, algebra and irreps checks of each parameter set run as one
-    job, in forked workers when there are several sets and several
-    usable CPUs (see ``_run_jobs``); the rest run in this process.  The
-    records are merged suite by suite, each suite's in parameter-set
-    order, with the oscillator check after the algebra suite's per-set
-    checks.
+    job on one workspace, in forked workers when there are several sets
+    and several usable CPUs (see ``_run_jobs``); the rest run in this
+    process.  The records are merged by one rule: suite by suite, each
+    set job's records in parameter-set order, then this process's, so the
+    oscillator check comes after the algebra suite's per-set checks.
 
     Each check is timed from the previous record of its process's stream
     (this process's checks, or one job's) to the moment its suite yields
     it, minus any generator-matrix build that happened in between: those
     builds are reported per parameter set in ``matrices_ms``.  A suite
-    that raises in a set keeps its records of the earlier sets and the
-    checks it already yielded in that set, and adds one failed
-    ``<suite>-suite`` record; its later sets, and the oscillator check
-    after a failed algebra set, are dropped.  A job whose worker dies
-    fails each of its suites in the same way.
+    that raises in one set keeps the checks it already yielded there and
+    ends that set's part with one failed ``<suite>-suite`` record; the
+    other sets and this process's checks of the suite are kept, since
+    they do not depend on it.  A job whose worker dies fails each of its
+    suites with one such record.  A run in which no suite raises is not
+    touched by this rule: its report lists every check in the order above.
     """
     jobs = range(len(config.param_sets)) if set(PER_SET_SUITES) & set(config.selected()) else range(0)
     parent, per_set = _run_jobs(config, jobs)
     records: list[CheckRecord] = []
     for suite in config.selected():
-        raised = False
-        if suite in PER_SET_SUITES:
-            for results, _ in per_set:
-                suite_records, raised = results[suite]
-                records += suite_records
-                if raised:
-                    break
-        if not raised and suite in parent:
-            records += parent[suite][0]
+        for results, _ in per_set:
+            records += results.get(suite, [])
+        records += parent.get(suite, [])
     matrices_ms = {_params_label(p): build_ms for p, (_, build_ms) in zip(config.models(), per_set) if build_ms}
     return VerificationReport(config, records, matrices_ms)
 
@@ -1089,16 +1069,18 @@ def main(argv=None) -> int:
 
     try:
         config = _build_config(args)
+        # opened before the run, so that a path that cannot be written is a usage error
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         parser.error(str(exc))
 
     report = run(config)
     rendered = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-    else:
+    if out is None:
         print(rendered)
+    else:
+        with out:
+            out.write(rendered + "\n")
     return min(report.n_failed, 120)
 
 

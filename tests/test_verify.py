@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -154,6 +155,25 @@ class TestSuiteConfig:
     def test_payload_types(self, data, match):
         with pytest.raises(ValueError, match=match):
             SuiteConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"tolerances": [1]}, "tolerances must be a mapping"),
+            ({"suites": 5}, "suites must be a list"),
+            ({"suites": "model"}, "suites must be a list"),
+            ({"suites": [["model"]]}, "suites must be a list"),
+        ],
+        ids=["tolerances-list", "suites-int", "suites-string", "suites-nested"],
+    )
+    def test_constructor_checks_types(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SuiteConfig(**kwargs)
+
+    def test_constructor_makes_tuples(self):
+        cfg = SuiteConfig(truncation=[3, 2], quad_orders=[40, 40], suites=["model"], tolerances={"model.identity": 1e-9})
+        assert (cfg.truncation, cfg.quad_orders, cfg.suites) == ((3, 2), (40, 40), ("model",))
+        assert cfg == SuiteConfig.from_dict({"truncation": [3, 2], "quad_orders": [40, 40], "suites": ["model"], "tolerances": {"model.identity": 1e-9}})
 
     def test_tolerance_override(self):
         cfg = SuiteConfig(tolerances={"model.orthonormality": 1e-6})
@@ -368,27 +388,42 @@ class TestParallelRun:
         serial, pooled, _ = self.run_both(monkeypatch, tmp_path, SuiteConfig(**TWO_SETS))
         assert record_bits(pooled) == record_bits(serial)
         assert report_body(pooled) == report_body(serial)
-        algebra = [c for c in serial.checks if c.suite == "algebra"]
+        algebra = [c.name for c in serial.checks if c.suite == "algebra"]
         first, second = (c.params for c in serial.checks if c.name == "riccati")
-        # set 1 complete, set 2 up to the failing check, one suite record, no oscillator check
-        assert [c.name for c in algebra if c.params == first][-1] == "scaling-conditions"
-        assert [c.name for c in algebra if c.params == second][-1] == "susy-anticommutator"
-        assert algebra[-1].name == "algebra-suite" and "planted failure" in algebra[-1].error
-        assert "oscillator-realization" not in [c.name for c in algebra]
-        assert all(c.passed for c in serial.checks if c.suite != "algebra")
+        # set 1 complete; set 2 up to the failing check, then its suite record; the oscillator check last
+        set1 = [c.name for c in serial.checks if c.suite == "algebra" and c.params == first]
+        assert algebra[: len(set1)] == set1 and set1[-1] == "scaling-conditions"
+        set2 = algebra[len(set1) : -1]
+        assert set2[-2:] == ["susy-anticommutator", "algebra-suite"]
+        assert set2[:-1] == [c.name for c in serial.checks if c.suite == "algebra" and c.params == second]
+        assert algebra[-1] == "oscillator-realization"
+        (failed,) = [c for c in serial.checks if not c.passed]
+        assert failed.name == "algebra-suite" and "planted failure" in failed.error
 
-    def test_dead_worker_fails_its_suites(self):
+    def test_dead_worker_fails_its_suites(self, tmp_path):
         """A worker that exits mid-job gives failed ``<suite>-suite`` records,
-        not an exception; run in a fresh process, so a hang meets a timeout."""
+        not an exception; run in a fresh process, so a hang meets a timeout.
+        The first set's worker exits only once the second set's result has
+        reached this process, so that job is not lost with the pool."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+        flag = str(tmp_path / "second-set-done")
         code = (
-            "import json, os\n"
+            "import concurrent.futures, json, os, time\n"
             "from ttwsusy import verify\n"
             "parent, checks_model = os.getpid(), verify._checks_model\n"
-            "def dying(config):\n"
-            "    if os.getpid() != parent and config.param_sets[0]['k'] == 1.0:\n"
+            "submit = concurrent.futures.ProcessPoolExecutor.submit\n"
+            "def tracked(pool, fn, config, index):\n"
+            "    future = submit(pool, fn, config, index)\n"
+            "    if index == 1:\n"
+            f"        future.add_done_callback(lambda _: open({flag!r}, 'w').close())\n"
+            "    return future\n"
+            "def dying(ws):\n"
+            "    if os.getpid() != parent and ws.params.k == 1.0:\n"
+            f"        while not os.path.exists({flag!r}):\n"
+            "            time.sleep(0.01)\n"
             "        os._exit(3)\n"
-            "    return checks_model(config)\n"
+            "    return checks_model(ws)\n"
+            "concurrent.futures.ProcessPoolExecutor.submit = tracked\n"
             "verify._checks_model = dying\n"
             "verify._usable_cpus = lambda: 2\n"
             f"config = verify.SuiteConfig(**{TWO_SETS!r}, suites=('specfun', 'model', 'algebra', 'irreps'))\n"
@@ -398,11 +433,38 @@ class TestParallelRun:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         checks = json.loads(proc.stdout.strip().splitlines()[-1])
-        # the first set's job is lost, so each per-set suite ends there
-        assert [c["name"] for c in checks if c["suite"] != "specfun"] == ["model-suite", "algebra-suite", "irreps-suite"]
+        second = "k=2, a=1.5, b=2.5, omega=1"
+        # the first set's job is lost: each per-set suite opens with its failure, then the second set's records
+        for suite in ("model", "algebra", "irreps"):
+            names, params = zip(*((c["name"], c["params"]) for c in checks if c["suite"] == suite))
+            assert names[0] == f"{suite}-suite"
+            tail = params[1:-1] if suite == "algebra" else params[1:]
+            assert tail and set(tail) == {second}, suite
+        assert [c["name"] for c in checks if c["suite"] == "algebra"][-1] == "oscillator-realization"
         for c in checks:
-            assert c["passed"] == (c["suite"] == "specfun"), c["name"]
-        assert all("worker process failed" in c["error"] for c in checks if c["suite"] != "specfun")
+            assert c["passed"] == (not c["name"].endswith("-suite")), c["name"]
+            if not c["passed"]:
+                assert "worker process failed" in c["error"]
+
+    def test_set_job_grids_use_the_configured_orders(self, monkeypatch):
+        """Every grid a parameter set's checks build, directly or through
+        the generator and Gram builders, is at the configured orders."""
+        init = verify.Grid.__init__
+        orders = []
+
+        def recording(self, *args, **kwargs):
+            bound = inspect.signature(init).bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            orders.append((bound.arguments["m_rad"], bound.arguments["m_ang"]))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(verify.Grid, "__init__", recording)
+        config = SuiteConfig(**FAST)
+        assert config.quad_orders == (40, 40)
+        results, _ = verify._set_job(config, 0)
+        assert list(results) == list(verify.PER_SET_SUITES)
+        assert all(c.passed for records in results.values() for c in records)
+        assert orders and set(orders) == {(40, 40)}
 
 
 class TestRadialPasses:
@@ -425,15 +487,17 @@ class TestRadialPasses:
             out[name], seen = len(calls) - seen, len(calls)
         return out
 
-    def test_eigenvalue_residual(self, monkeypatch):
-        config = SuiteConfig(**FAST)
-        assert self.passes_per_check(monkeypatch, verify._checks_model(config))["eigenvalue-residual"] == 7
-
-    def test_spectrum(self, monkeypatch):
+    @staticmethod
+    def workspace():
         config = SuiteConfig(**FAST)
         (p,) = config.models()
-        workspaces = {verify._params_label(p): verify._Workspace(p, config)}
-        assert self.passes_per_check(monkeypatch, verify._checks_algebra(config, workspaces))["spectrum"] == 7
+        return verify._Workspace(p, config)
+
+    def test_eigenvalue_residual(self, monkeypatch):
+        assert self.passes_per_check(monkeypatch, verify._checks_model(self.workspace()))["eigenvalue-residual"] == 7
+
+    def test_spectrum(self, monkeypatch):
+        assert self.passes_per_check(monkeypatch, verify._checks_algebra(self.workspace()))["spectrum"] == 7
 
 
 class TestCli:
@@ -474,6 +538,15 @@ class TestCli:
         doc = strict_loads(out.read_text())
         assert doc["config"]["seed"] == 3
         capsys.readouterr()
+
+    def test_out_into_missing_directory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "run", lambda config: ran.append(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "specfun", "--out", str(tmp_path / "missing" / "r.json")])
+        assert exc.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not ran, "the suites ran before the output path was checked"
 
     def test_env_var_config(self, tmp_path, monkeypatch, capsys):
         cfg = dict(FAST)
@@ -541,11 +614,20 @@ class TestCli:
             ([1], [], "a config must be a JSON object"),
             ([1], ["--suite", "specfun"], "a config must be a JSON object"),
             ({"suites": 5}, [], "suites must be a list"),
+            ({"suites": [["model"]]}, [], "suites must be a list"),
             ({"tolerances": [1]}, ["--suite", "specfun"], "tolerances must be a mapping"),
             ({"seed": [1]}, ["--suite", "specfun"], "seed must be an integer"),
             ({"seed": True}, ["--suite", "specfun"], "seed must be an integer"),
         ],
-        ids=["not-an-object", "not-an-object-suite", "suites-not-a-list", "tolerances-not-a-mapping", "seed-list", "seed-bool"],
+        ids=[
+            "not-an-object",
+            "not-an-object-suite",
+            "suites-not-a-list",
+            "suites-nested",
+            "tolerances-not-a-mapping",
+            "seed-list",
+            "seed-bool",
+        ],
     )
     def test_bad_config_type_is_a_usage_error(self, tmp_path, capsys, data, extra, message):
         path = tmp_path / "cfg.json"
