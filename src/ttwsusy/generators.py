@@ -113,10 +113,9 @@ _ROW_MAPS = {id(m): _row_map(m) for m in (_BX, _BY, _BDX, _BDY, _NXX, _NYY, _NXY
 
 def superpotential(params: ModelParams, r, phi):
     """W(r, phi) = C ln r + F(phi) with the model solution F, C."""
+    params.require_interior(r, phi)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if np.any(r <= 0) or np.any(phi <= 0) or np.any(phi >= params.phi_max):
-        raise ValueError("superpotential requires interior points")
     k, a, b = params.k, params.a, params.b
     out = -k * (a + b) * np.log(r) - a * np.log(np.cos(k * phi)) - b * np.log(np.sin(k * phi))
     return out if out.ndim else float(out)
@@ -128,9 +127,8 @@ def riccati_residual(params: ModelParams, phi, perturb_a: float = 0.0):
     ``perturb_a`` shifts a inside F only; the unperturbed equation is a
     closed-form identity, so a nonzero shift must produce a visible
     residual (sensitivity control)."""
+    params.require_interior(phi=phi)
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi <= 0) or np.any(phi >= params.phi_max):
-        raise ValueError("phi must be interior")
     k, a, b = params.k, params.a, params.b
     sec2 = 1.0 / np.cos(k * phi) ** 2
     csc2 = 1.0 / np.sin(k * phi) ** 2

@@ -49,7 +49,15 @@ __all__ = [
     "zero_fermion_state",
 ]
 
-FAMILIES = ("zero", "lower", "upper", "double")
+# the sp(2,R) towers of a sector in basis order, each with the (tau, q)
+# offsets of its lowest weight from the sector's (tau, q)
+FAMILIES = {"zero": (0.0, 0.0), "lower": (-0.5, 0.5), "upper": (0.5, 0.5), "double": (0.0, 1.0)}
+
+
+def _families(n: int) -> tuple[str, ...]:
+    """The towers of sector n: all four, but only zero and upper in the
+    atypical n = 0 sector, whose lower and two-fermion towers are empty."""
+    return ("zero", "upper") if n == 0 else tuple(FAMILIES)
 
 
 def _lam_mu(params: ModelParams, n: int) -> tuple[float, float]:
@@ -152,11 +160,13 @@ def sp2_family_state(params: ModelParams, family: str, level: int, n: int) -> Ca
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family not in _families(n):
+        raise ValueError(f"the {family} tower is empty for n = 0")
     if family == "zero":
         return zero_fermion_state(params, level, n)
     if family == "double":
-        if n == 0:
-            raise ValueError("two-fermion tower is empty for n = 0")
         return two_fermion_state(params, level, n)
     if family == "upper":
         if n == 0:
@@ -165,15 +175,12 @@ def sp2_family_state(params: ModelParams, family: str, level: int, n: int) -> Ca
         return one_fermion_state("-", params, level + 1, n).scaled(g_N) + one_fermion_state(
             "+", params, level, n
         ).scaled(d_N)
-    if family == "lower":
-        if n == 0:
-            raise ValueError("lower one-fermion tower is absent for n = 0")
-        a_N, b_N, _, _ = mixing_coeffs(params, level, n)
-        state = one_fermion_state("-", params, level, n).scaled(a_N)
-        if level >= 1:
-            state = state + one_fermion_state("+", params, level - 1, n).scaled(b_N)
-        return state
-    raise ValueError(f"unknown family {family!r}")
+    # lower
+    a_N, b_N, _, _ = mixing_coeffs(params, level, n)
+    state = one_fermion_state("-", params, level, n).scaled(a_N)
+    if level >= 1:
+        state = state + one_fermion_state("+", params, level - 1, n).scaled(b_N)
+    return state
 
 
 @dataclass(frozen=True)
@@ -191,11 +198,9 @@ class BasisState:
 def sector_basis(params: ModelParams, n: int, levels: int) -> list[BasisState]:
     """Orthonormal super-basis of sector n up to radial level ``levels``."""
     w = weights_of(params, n)
-    families = ("zero", "upper") if n == 0 else FAMILIES
-    offsets = {"zero": (0.0, 0.0), "lower": (-0.5, 0.5), "upper": (0.5, 0.5), "double": (0.0, 1.0)}
     out = []
-    for family in families:
-        dk0, dy = offsets[family]
+    for family in _families(n):
+        dk0, dy = FAMILIES[family]
         for level in range(levels + 1):
             out.append(
                 BasisState(
@@ -255,8 +260,5 @@ def classify(params: ModelParams, n: int) -> IrrepLabel:
     (2n+a+b)^2 k^2 of the angular integral of motion."""
     w = weights_of(params, n)
     x_eig = (2 * n + params.a + params.b) ** 2 * params.k**2
-    if n == 0:
-        blocks = ((w.tau, w.q), (w.tau + 0.5, w.q + 0.5))
-        return IrrepLabel(n, "atypical-LWS", blocks, x_eig)
-    blocks = ((w.tau, w.q), (w.tau - 0.5, w.q + 0.5), (w.tau + 0.5, w.q + 0.5), (w.tau, w.q + 1.0))
-    return IrrepLabel(n, "non-LWS", blocks, x_eig)
+    blocks = tuple((w.tau + FAMILIES[f][0], w.q + FAMILIES[f][1]) for f in _families(n))
+    return IrrepLabel(n, "atypical-LWS" if n == 0 else "non-LWS", blocks, x_eig)

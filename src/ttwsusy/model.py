@@ -40,6 +40,7 @@ one such projection of the zero-fermion states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,7 +66,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Deformation k, coupling exponents a, b and oscillator frequency."""
+    """Deformation k, coupling exponents a, b and oscillator frequency: finite
+    reals > 0 (the constructor raises ``ValueError`` on anything else)."""
 
     k: float
     a: float
@@ -73,6 +75,10 @@ class ModelParams:
     omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("k", "a", "b", "omega"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if not self.k > 0:
             raise ValueError("k must be positive")
         if not self.omega > 0:
@@ -89,6 +95,14 @@ class ModelParams:
     @property
     def phi_max(self) -> float:
         return math.pi / (2.0 * self.k)
+
+    def require_interior(self, r=None, phi=None) -> None:
+        """Raise ``ValueError`` unless every given r is finite and positive and
+        every given phi lies strictly inside (0, pi/(2k)); NaN is neither."""
+        if r is not None and not np.all(np.greater(r, 0) & np.less(r, math.inf)):
+            raise ValueError("r must be finite and positive")
+        if phi is not None and not np.all(np.greater(phi, 0) & np.less(phi, self.phi_max)):
+            raise ValueError("phi must lie strictly inside (0, pi/(2k))")
 
     def sector_alpha(self, n: int) -> float:
         """Laguerre parameter (2n+a+b)k of the angular sector n."""
@@ -183,8 +197,8 @@ def angular_parts(params: ModelParams, m: int, phi, shift: int = 0):
 def eval_radial(params: ModelParams, N: int, n: int, z):
     """Unnormalized radial factor (z/omega)^((n+(a+b)/2)k) L_N^(alpha)(z) e^(-z/2)."""
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("radial argument z = omega r^2 must be >= 0")
+    if not np.all((z >= 0) & (z < math.inf)):
+        raise ValueError("radial argument z = omega r^2 must be finite and >= 0")
     inside = z > 0
     r = np.sqrt(np.where(inside, z, 1.0) / params.omega)
     out = np.where(inside, radial_levels(params, N, n, r)[0][N], 0.0)
@@ -193,10 +207,8 @@ def eval_radial(params: ModelParams, N: int, n: int, z):
 
 def eval_angular(params: ModelParams, n: int, phi):
     """Unnormalized angular factor cos^a sin^b P_n^((a-1/2, b-1/2))(xi)."""
-    phi = np.asarray(phi, dtype=float)
-    if np.any(phi <= 0) or np.any(phi >= params.phi_max):
-        raise ValueError("phi must lie strictly inside (0, pi/(2k))")
-    out = np.asarray(angular_parts(params, n, phi)[0])
+    params.require_interior(phi=phi)
+    out = np.asarray(angular_parts(params, n, np.asarray(phi, dtype=float))[0])
     return out if out.ndim else float(out)
 
 
@@ -219,10 +231,8 @@ def norm_constant(params: ModelParams, N: int, n: int) -> float:
 
 def eval_wavefunction(params: ModelParams, N: int, n: int, r, phi):
     """Normalized eigenfunction Psi_{N,n}(r, phi) at interior points."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("r must be positive")
-    z = params.omega * r**2
+    params.require_interior(r=r)
+    z = params.omega * np.asarray(r, dtype=float) ** 2
     out = norm_constant(params, N, n) * eval_radial(params, N, n, z) * eval_angular(params, n, phi)
     return out if np.ndim(out) else float(out)
 
@@ -260,8 +270,8 @@ class Grid:
     """
 
     def __init__(self, params: ModelParams, alpha: float, m_rad: int = 80, m_ang: int = 80):
-        if alpha <= -1.0:
-            raise ValueError("radial reference exponent must exceed -1")
+        if not -1.0 < alpha < math.inf:
+            raise ValueError("radial reference exponent must be finite and exceed -1")
         self.params = params
         self.alpha = float(alpha)
         self.m_rad = m_rad

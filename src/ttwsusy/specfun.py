@@ -42,10 +42,10 @@ __all__ = [
 
 
 def log_gamma(x):
-    """ln Gamma(x) for x > 0 (scalar or array)."""
+    """ln Gamma(x) for finite x > 0 (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValueError("log_gamma requires finite x > 0")
     if x.ndim == 0:
         return math.lgamma(x)
     return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
@@ -56,8 +56,8 @@ def laguerre_levels(n_max: int, alpha: float, z):
     recurrence pass, stacked along a new first axis: shape (n_max + 1, *z.shape)."""
     if n_max < 0:
         raise ValueError("laguerre requires n >= 0")
-    if alpha <= -1.0:
-        raise ValueError("laguerre requires alpha > -1")
+    if not -1.0 < alpha < math.inf:
+        raise ValueError("laguerre requires finite alpha > -1")
     z = np.asarray(z, dtype=float)
     out = np.empty((n_max + 1, *z.shape))
     out[0] = 1.0
@@ -88,10 +88,10 @@ def jacobi(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^(alpha,beta)(x) on [-1, 1] by recurrence."""
     if n < 0:
         raise ValueError("jacobi requires n >= 0")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("jacobi requires alpha, beta > -1")
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise ValueError("jacobi requires finite alpha, beta > -1")
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+    if not np.all(np.abs(x) <= 1.0 + 1e-12):
         raise ValueError("jacobi argument must lie in [-1, 1]")
     p_prev = np.ones_like(x)
     if n == 0:
@@ -239,12 +239,12 @@ def gauss_rule(kind: str, order: int, alpha: float = 0.0, beta: float = 0.0) -> 
     if order < 1:
         raise ValueError("gauss_rule requires order >= 1")
     if kind == "gauss-laguerre":
-        if alpha <= -1.0:
-            raise ValueError("gauss-laguerre weight requires alpha > -1")
+        if not -1.0 < alpha < math.inf:
+            raise ValueError("gauss-laguerre weight requires finite alpha > -1")
         nodes, weights = _laguerre_rule(order, alpha)
     elif kind == "gauss-jacobi":
-        if alpha <= -1.0 or beta <= -1.0:
-            raise ValueError("gauss-jacobi weight requires alpha, beta > -1")
+        if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+            raise ValueError("gauss-jacobi weight requires finite alpha, beta > -1")
         nodes, weights = _jacobi_rule(order, alpha, beta)
     else:
         raise ValueError(f"unknown quadrature kind {kind!r}")

@@ -14,7 +14,10 @@ one-dimensional centre-of-mass superoscillator.
 The checks apply both constructions to generic test spinors: catalog
 basis states pulled back through the coordinate maps, plus random
 polynomial x Gaussian spinors, so agreement is tested well beyond the
-eigenstates.  Derivatives are analytic on both sides; second
+eigenstates.  A catalog state's polar bundle comes from the
+``states.FactorTable`` of its sample points, and ``cart_from_polar``
+turns it into the cartesian data; a ``PolyGaussSpinor`` gives both
+forms itself.  Derivatives are analytic on both sides; second
 derivatives only ever enter through the Laplacian, which is computed
 in polar form and shared.
 """
@@ -28,14 +31,14 @@ import numpy as np
 
 from . import fock
 from .model import ModelParams
-from .states import CatalogState, StateBundle, state_bundle
+from .states import StateBundle
 
 __all__ = [
     "CartData",
-    "CatalogTestSpinor",
     "PolyGaussSpinor",
     "bc2_super",
     "bc2_superpotential",
+    "cart_from_polar",
     "cm_super",
     "cmw_mode_matrices",
     "cmw_rel_super",
@@ -72,24 +75,12 @@ class CartData:
 
 
 def cart_from_polar(bundle: StateBundle, r: np.ndarray, phi: np.ndarray) -> CartData:
+    """The cartesian data of a spinor from its polar bundle at the points (r, phi)."""
     c, s = np.cos(phi), np.sin(phi)
     d_x = c * bundle.d_r - (s / r) * bundle.d_phi
     d_y = s * bundle.d_r + (c / r) * bundle.d_phi
     lap = bundle.d_rr + bundle.d_r / r + bundle.d_phiphi / r**2
     return CartData(bundle.val, d_x, d_y, lap)
-
-
-class CatalogTestSpinor:
-    """Catalog state used as a test spinor (polar derivatives native)."""
-
-    def __init__(self, state: CatalogState):
-        self.state = state
-
-    def polar_bundle(self, params: ModelParams, r, phi) -> StateBundle:
-        return state_bundle(self.state, params, r, phi)
-
-    def cart_data(self, params: ModelParams, r, phi) -> CartData:
-        return cart_from_polar(self.polar_bundle(params, r, phi), r, phi)
 
 
 def _poly2_parts(c: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -173,7 +164,7 @@ def sw_super(params: ModelParams, cart: CartData, x: np.ndarray, y: np.ndarray):
     """
     if params.k != 1.0:
         raise ValueError("sw_super requires k = 1")
-    if np.any(x <= 0) or np.any(y <= 0):
+    if not np.all((x > 0) & (x < math.inf) & (y > 0) & (y < math.inf)):
         raise ValueError("axis points are outside the domain")
     a, b, w = params.a, params.b, params.omega
     scal = -cart.lap + (w * w * (x**2 + y**2) + a * a / x**2 + b * b / y**2 - 2.0 * w * (a + b + 1.0)) * cart.val
@@ -201,7 +192,7 @@ def bc2_super(params: ModelParams, cart: CartData, x: np.ndarray, y: np.ndarray)
     """Cartesian supersymmetrized Hamiltonian and supercharge at k = 2."""
     if params.k != 2.0:
         raise ValueError("bc2_super requires k = 2")
-    if np.any(y <= 0) or np.any(y >= x):
+    if not np.all((y > 0) & (y < x) & (x < math.inf)):
         raise ValueError("points must satisfy 0 < y < x")
     a, b, w = params.a, params.b, params.omega
     xm, xp = x - y, x + y
@@ -310,17 +301,18 @@ def _poly1_parts(h: np.ndarray, omega: float, X: np.ndarray):
 
 
 def make_cmw_test_state(
-    rel, cm_coeffs: np.ndarray, params: ModelParams, r: np.ndarray, phi: np.ndarray, X: np.ndarray
+    rel: StateBundle, cm_coeffs: np.ndarray, params: ModelParams, r: np.ndarray, phi: np.ndarray, X: np.ndarray
 ) -> Cmw3Data:
     """Product test state (rel spinor in (u, v)) x (cm spinor in X),
     written in the particle-mode occupation basis.
 
-    ``rel`` provides 4 components over the transformed-mode monomials
-    {1, cdag_u, cdag_v, cdag_u cdag_v}; ``cm_coeffs`` has shape (2, D)
-    for the cm monomials {1, cdag_X}.
+    ``rel`` is the relative spinor's polar bundle at (r, phi): 4
+    components over the transformed-mode monomials {1, cdag_u, cdag_v,
+    cdag_u cdag_v}; ``cm_coeffs`` has shape (2, D) for the cm monomials
+    {1, cdag_X}.
     """
     u, v = r * np.cos(phi), r * np.sin(phi)
-    cart = cart_from_polar(rel.polar_bundle(params, r, phi), r, phi)
+    cart = cart_from_polar(rel, r, phi)
     cm_parts = [_poly1_parts(np.asarray(c, dtype=float), params.omega, X) for c in cm_coeffs]
     # the cm spinor and its first two X derivatives, each as (2, npts) values
     chi, chi_X, chi_XX = ([part[i] for part in cm_parts] for i in range(3))
@@ -341,21 +333,19 @@ def cmw_super(params: ModelParams, data: Cmw3Data):
     """Three-particle supersymmetrized Hamiltonian and supercharge.
 
     Pairwise coordinates are x_ij = x_i - x_j and the three-body ones
-    y_ij = x_i + x_j - 2 x_m (m the remaining index); all must be
-    nonzero at the sample points.
+    y_ij = x_i + x_j - 2 x_m (m the remaining index); the particle
+    coordinates must be finite and all of these nonzero at the sample
+    points.
     """
     a, b, w = params.a, params.b, params.omega
     xs = data.particles
-    x_ij = {}
-    y_ij = {}
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            m = 3 - i - j
-            x_ij[i, j] = xs[i] - xs[j]
-            y_ij[i, j] = xs[i] + xs[j] - 2.0 * xs[m]
-    if any(np.any(np.abs(c) < 1e-12) for c in list(x_ij.values()) + list(y_ij.values())):
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("coincidence points are outside the domain")
+    # the ordered pairs i != j; the remaining index is m = 3 - i - j
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    x_ij = {(i, j): xs[i] - xs[j] for i, j in pairs}
+    y_ij = {(i, j): xs[i] + xs[j] - 2.0 * xs[3 - i - j] for i, j in pairs}
+    if not all(np.all(np.abs(c) >= 1e-12) for c in [*x_ij.values(), *y_ij.values()]):
         raise ValueError("coincidence points are outside the domain")
 
     lap3 = data.lap2 + data.d_XX
@@ -363,25 +353,19 @@ def cmw_super(params: ModelParams, data: Cmw3Data):
         -lap3
         + (
             w * w * np.sum(xs**2, axis=0)
-            + a * a * sum(1.0 / x_ij[i, j] ** 2 for i in range(3) for j in range(3) if i != j)
-            + 3.0 * b * b * sum(1.0 / y_ij[i, j] ** 2 for i in range(3) for j in range(3) if i != j)
+            + a * a * sum(1.0 / x_ij[ij] ** 2 for ij in pairs)
+            + 3.0 * b * b * sum(1.0 / y_ij[ij] ** 2 for ij in pairs)
             - 3.0 * w * (2.0 * a + 2.0 * b + 1.0)
         )
         * data.val
     )
     ferm = 2.0 * w * (sum(_BD3[i] @ _B3[i] for i in range(3)) @ data.val)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            ferm += a / x_ij[i, j] ** 2 * (_comm(_BD3[i], _B3[i] - _B3[j]) @ data.val)
-    for i in range(3):
-        for j in range(3):
-            for m in range(3):
-                if len({i, j, m}) < 3:
-                    continue
-                op = _comm(_BD3[i], _B3[i] + _B3[j] - 2.0 * _B3[m]) - _comm(_BD3[m], _B3[i] + _B3[j] - 2.0 * _B3[m])
-                ferm += b / y_ij[i, j] ** 2 * (op @ data.val)
+    for i, j in pairs:
+        ferm += a / x_ij[i, j] ** 2 * (_comm(_BD3[i], _B3[i] - _B3[j]) @ data.val)
+    for i, j in pairs:
+        m = 3 - i - j
+        op = _comm(_BD3[i], _B3[i] + _B3[j] - 2.0 * _B3[m]) - _comm(_BD3[m], _B3[i] + _B3[j] - 2.0 * _B3[m])
+        ferm += b / y_ij[i, j] ** 2 * (op @ data.val)
     h = scal + ferm
 
     q = np.zeros_like(data.val)

@@ -186,14 +186,11 @@ class FactorTable:
     """
 
     def __init__(self, params: ModelParams, r, phi):
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        if np.any(r <= 0) or np.any(phi <= 0) or np.any(phi >= params.phi_max):
-            raise ValueError("sample points must lie strictly inside the domain")
+        params.require_interior(r, phi)
         self.params = params
-        self.r = r
-        self.phi = phi
-        self.shape = np.broadcast_shapes(r.shape, phi.shape)
+        self.r = np.asarray(r, dtype=float)
+        self.phi = np.asarray(phi, dtype=float)
+        self.shape = np.broadcast_shapes(self.r.shape, self.phi.shape)
         self._radial: dict[tuple[int, bool], tuple] = {}
         self._angular: dict[tuple[int, int], tuple] = {}
         self._spinor: dict[tuple[int, int, int], list] = {}

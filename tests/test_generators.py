@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,7 +91,32 @@ class TestSuperpotential:
             superpotential(p, 0.0, 0.1)
 
 
+    @pytest.mark.parametrize(
+        "r, phi, match",
+        [
+            (math.nan, 0.3, "r must be finite and positive"),
+            (math.inf, 0.3, "r must be finite and positive"),
+            (-1.0, 0.3, "r must be finite and positive"),
+            (1.0, math.nan, "phi must lie strictly inside"),
+            (1.0, math.inf, "phi must lie strictly inside"),
+            (1.0, 0.8, "phi must lie strictly inside"),
+            (1.0, [0.3, math.nan], "phi must lie strictly inside"),
+        ],
+        ids=["r-nan", "r-inf", "r-negative", "phi-nan", "phi-inf", "phi-past-max", "phi-nan-in-array"],
+    )
+    def test_domain_probes(self, r, phi, match):
+        with pytest.raises(ValueError, match=match):
+            superpotential(ModelParams(k=2.0, a=1.5, b=2.5), r, phi)
+
+
 class TestRiccati:
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 0.0, 0.8, [0.3, math.nan]], ids=["nan", "inf", "zero", "past-max", "nan-in-array"])
+    def test_domain_probes(self, phi):
+        p = ModelParams(k=2.0, a=1.5, b=2.5)
+        for perturb_a in (0.0, 0.01):
+            with pytest.raises(ValueError, match=re.escape("phi must lie strictly inside (0, pi/(2k))")):
+                riccati_residual(p, phi, perturb_a)
+
     @pytest.mark.parametrize("p", PARAM_SETS + [ModelParams(k=2.5, a=0.8, b=1.3)], ids=IDS + ["k=2.5"])
     def test_identity_holds(self, p):
         phi = np.linspace(p.phi_max / 51, 50 * p.phi_max / 51, 50)

@@ -356,5 +356,11 @@ class TestClassification:
             (w.tau, w.q + 1.0),
         }
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_blocks_are_the_lowest_weights_of_the_basis_towers(self, n):
+        # both read one tower table: the same floats, not merely close ones
+        lowest = [(s.k0, s.y) for s in sector_basis(P_IRR, n, 2) if s.level == 0]
+        assert classify(P_IRR, n).blocks == tuple(lowest)
+
     def test_motion_integral_eigenvalue(self):
         assert classify(P_SW, 1).motion_integral_eigenvalue == pytest.approx(64.0)

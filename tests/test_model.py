@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,65 @@ class TestParams:
     def test_warn_regime_flag(self):
         assert not P_GEN.warn_regime
         assert ModelParams(k=1.0, a=0.4, b=1.0).warn_regime
+
+    @pytest.mark.parametrize("name", ["k", "a", "b", "omega"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1", True, None], ids=["inf", "-inf", "nan", "string", "bool", "none"])
+    def test_each_parameter_is_a_finite_real_number(self, name, value):
+        kwargs = {"k": 1.0, "a": 1.0, "b": 1.0, "omega": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got {re.escape(repr(value))}$"):
+            ModelParams(**kwargs)
+
+    def test_integers_and_numpy_floats_are_accepted(self):
+        p = ModelParams(k=np.float64(2.0), a=1, b=np.int64(2))
+        assert p.phi_max == math.pi / 4
+
+
+# every probe lies outside the interior: NaN, an infinity, or out of range
+R_PROBES = [math.nan, math.inf, 0.0, -1.0, [1.0, math.nan]]
+R_IDS = ["nan", "inf", "zero", "negative", "nan-in-array"]
+PHI_PROBES = [math.nan, math.inf, -math.inf, 0.0, P_GEN.phi_max, 1.0, [0.3, math.nan]]
+PHI_IDS = ["nan", "inf", "-inf", "zero", "phi-max", "past-phi-max", "nan-in-array"]
+R_MESSAGE = "^r must be finite and positive$"
+PHI_MESSAGE = re.escape("phi must lie strictly inside (0, pi/(2k))")
+
+
+class TestDomainGuards:
+    """Every model entry point rejects a point outside r > 0, 0 < phi <
+    pi/(2k) with ``ModelParams.require_interior``'s ``ValueError``."""
+
+    def test_interior_points_pass(self):
+        P_GEN.require_interior(np.array([0.1, 3.0]), np.array([0.01, P_GEN.phi_max - 1e-9]))
+        P_GEN.require_interior(r=1.0)
+        P_GEN.require_interior(phi=0.2)
+
+    @pytest.mark.parametrize("r", R_PROBES, ids=R_IDS)
+    def test_radius_probes(self, r):
+        for call in (
+            lambda: P_GEN.require_interior(r=r),
+            lambda: eval_wavefunction(P_GEN, 1, 1, r, 0.3),
+        ):
+            with pytest.raises(ValueError, match=R_MESSAGE):
+                call()
+
+    @pytest.mark.parametrize("phi", PHI_PROBES, ids=PHI_IDS)
+    def test_angle_probes(self, phi):
+        for call in (
+            lambda: P_GEN.require_interior(phi=phi),
+            lambda: eval_angular(P_GEN, 1, phi),
+            lambda: eval_wavefunction(P_GEN, 1, 1, 1.0, phi),
+        ):
+            with pytest.raises(ValueError, match=PHI_MESSAGE):
+                call()
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0, [1.0, math.nan]], ids=["nan", "inf", "negative", "nan-in-array"])
+    def test_radial_argument_probes(self, z):
+        with pytest.raises(ValueError, match=re.escape("radial argument z = omega r^2 must be finite and >= 0")):
+            eval_radial(P_GEN, 1, 1, z)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, -3.0], ids=["nan", "inf", "minus-one", "below"])
+    def test_grid_exponent_probes(self, alpha):
+        with pytest.raises(ValueError, match="radial reference exponent must be finite and exceed -1"):
+            Grid(P_GEN, alpha, 8, 8)
 
 
 class TestSpectrum:

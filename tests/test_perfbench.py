@@ -2,12 +2,25 @@
 name, so a public name it needs that goes missing must fail here, not in
 ``perfbench/run.py --trace 1``."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_resolves():
+    """The tracer looks up every ``__all__`` name of every layer with
+    ``getattr``; a stale entry would crash each traced run."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {layer: importlib.import_module(f"ttwsusy.{layer}") for layer in tracer.LAYERS}
+    stale = [f"{layer}.{name}" for layer, mod in modules.items() for name in mod.__all__ if not hasattr(mod, name)]
+    assert stale == []
 
 
 def test_tracer_installs_and_reports():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,11 @@ class TestLogGamma:
             log_gamma(-3.0)
         with pytest.raises(ValueError, match="x > 0"):
             log_gamma([2.0, 1.0, -0.5])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [2.0, math.nan]], ids=["nan", "inf", "nan-in-array"])
+    def test_nonfinite_probes(self, x):
+        with pytest.raises(ValueError, match="log_gamma requires finite x > 0"):
+            log_gamma(x)
 
     def test_scalar_and_array_contract(self):
         assert isinstance(log_gamma(3.0), float)
@@ -148,6 +154,28 @@ class TestJacobi:
             jacobi(2, 0.5, 0.5, 1.5)
         with pytest.raises(ValueError):
             jacobi(2, -1.2, 0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "minus-one"])
+    def test_parameter_probes(self, bad):
+        for ab in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="jacobi requires finite alpha, beta > -1"):
+                jacobi(2, *ab, 0.0)
+            with pytest.raises(ValueError, match="gauss-jacobi weight requires finite alpha, beta > -1"):
+                gauss_rule("gauss-jacobi", 5, *ab)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.5, [0.2, math.nan]], ids=["nan", "inf", "below", "nan-in-array"])
+    def test_argument_probes(self, x):
+        with pytest.raises(ValueError, match=re.escape("jacobi argument must lie in [-1, 1]")):
+            jacobi(2, 0.5, 0.5, x)
+
+
+class TestLaguerreParameter:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, -2.5], ids=["nan", "inf", "minus-one", "below"])
+    def test_probes(self, alpha):
+        with pytest.raises(ValueError, match="laguerre requires finite alpha > -1"):
+            laguerre_levels(3, alpha, 1.0)
+        with pytest.raises(ValueError, match="gauss-laguerre weight requires finite alpha > -1"):
+            gauss_rule("gauss-laguerre", 5, alpha=alpha)
 
 
 class TestDerivatives:

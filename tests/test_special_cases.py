@@ -7,10 +7,10 @@ from ttwsusy.generators import apply_operator, superpotential
 from ttwsusy.irreps import one_fermion_state, two_fermion_state, zero_fermion_state
 from ttwsusy.model import ModelParams
 from ttwsusy.special_cases import (
-    CatalogTestSpinor,
     PolyGaussSpinor,
     bc2_super,
     bc2_superpotential,
+    cart_from_polar,
     cm_super,
     cmw_mode_matrices,
     cmw_rel_super,
@@ -21,6 +21,7 @@ from ttwsusy.special_cases import (
     sw_super,
     sw_superpotential,
 )
+from ttwsusy.states import FactorTable, state_bundle
 
 P1 = ModelParams(k=1.0, a=1.0, b=1.0, omega=1.0)
 P2 = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
@@ -33,21 +34,33 @@ def interior_points(rng, p, n):
     return r, phi, r * np.cos(phi), r * np.sin(phi)
 
 
-def make_test_states(rng, p):
-    return [
-        CatalogTestSpinor(zero_fermion_state(p, 1, 1)),
-        CatalogTestSpinor(one_fermion_state("+", p, 0, 1)),
-        CatalogTestSpinor(one_fermion_state("-", p, 1, 2)),
-        CatalogTestSpinor(two_fermion_state(p, 1, 1)),
-        random_polygauss(rng, p.omega),
-        random_polygauss(rng, p.omega),
+def make_test_spinors(rng, p, r, phi):
+    """(cartesian data, polar bundle) of each test spinor at (r, phi): four
+    catalog states, bundled on one factor table, then two random spinors."""
+    table = FactorTable(p, r, phi)
+    catalog = [
+        table.bundle(st)
+        for st in (
+            zero_fermion_state(p, 1, 1),
+            one_fermion_state("+", p, 0, 1),
+            one_fermion_state("-", p, 1, 2),
+            two_fermion_state(p, 1, 1),
+        )
+    ]
+    polygauss = [random_polygauss(rng, p.omega) for _ in range(2)]
+    return [(cart_from_polar(b, r, phi), b) for b in catalog] + [
+        (g.cart_data(p, r, phi), g.polar_bundle(p, r, phi)) for g in polygauss
     ]
 
 
-def polar_reference(st, p, r, phi):
+def catalog_cart(state, p, r, phi):
+    """Cartesian data of a catalog state from its polar bundle."""
+    return cart_from_polar(state_bundle(state, p, r, phi), r, phi)
+
+
+def polar_reference(bundle, p, r, phi):
     """(Hs, Q) of a test spinor from its polar bundle: catalog states and
     random spinors go through the same pointwise operator assembly."""
-    bundle = st.polar_bundle(p, r, phi)
     return apply_operator("Hs", bundle, p, r, phi), apply_operator("Q", bundle, p, r, phi)
 
 
@@ -69,10 +82,9 @@ class TestSeparableCase:
     def test_agreement_with_polar_form(self):
         rng = np.random.default_rng(1)
         r, phi, x, y = interior_points(rng, P1, 200)
-        for st in make_test_states(rng, P1):
-            cart = st.cart_data(P1, r, phi)
+        for cart, bundle in make_test_spinors(rng, P1, r, phi):
             h_c, q_c = sw_super(P1, cart, x, y)
-            h_p, q_p = polar_reference(st, P1, r, phi)
+            h_p, q_p = polar_reference(bundle, P1, r, phi)
             assert np.max(np.abs(h_c - h_p)) / max(np.max(np.abs(h_p)), 1.0) < 1e-9
             assert np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1.0) < 1e-9
 
@@ -81,10 +93,9 @@ class TestSeparableCase:
         # by -2 omega (a+b+1)
         rng = np.random.default_rng(2)
         r, phi, x, y = interior_points(rng, P1, 100)
-        st = CatalogTestSpinor(zero_fermion_state(P1, 2, 1))
-        cart = st.cart_data(P1, r, phi)
+        bundle = state_bundle(zero_fermion_state(P1, 2, 1), P1, r, phi)
+        cart = cart_from_polar(bundle, r, phi)
         h_c, _ = sw_super(P1, cart, x, y)
-        bundle = st.polar_bundle(P1, r, phi)
         scalar = apply_operator("H", bundle, P1, r, phi)
         shift = -2 * P1.omega * (P1.a + P1.b + 1.0)
         fv = bundle.val
@@ -98,21 +109,29 @@ class TestSeparableCase:
     def test_requires_unit_k_and_interior(self):
         rng = np.random.default_rng(4)
         r, phi, x, y = interior_points(rng, P1, 5)
-        cart = CatalogTestSpinor(zero_fermion_state(P1, 0, 0)).cart_data(P1, r, phi)
+        cart = catalog_cart(zero_fermion_state(P1, 0, 0), P1, r, phi)
         with pytest.raises(ValueError):
             sw_super(P2, cart, x, y)
         with pytest.raises(ValueError):
             sw_super(P1, cart, x - x, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_axis_point_probes(self, bad):
+        rng = np.random.default_rng(4)
+        r, phi, x, y = interior_points(rng, P1, 5)
+        cart = catalog_cart(zero_fermion_state(P1, 0, 0), P1, r, phi)
+        for xs, ys in ((np.where(np.arange(5) == 2, bad, x), y), (x, np.where(np.arange(5) == 2, bad, y))):
+            with pytest.raises(ValueError, match="axis points are outside the domain"):
+                sw_super(P1, cart, xs, ys)
 
 
 class TestPairSector:
     def test_agreement_with_polar_form(self):
         rng = np.random.default_rng(5)
         r, phi, x, y = interior_points(rng, P2, 200)
-        for st in make_test_states(rng, P2):
-            cart = st.cart_data(P2, r, phi)
+        for cart, bundle in make_test_spinors(rng, P2, r, phi):
             h_c, q_c = bc2_super(P2, cart, x, y)
-            h_p, q_p = polar_reference(st, P2, r, phi)
+            h_p, q_p = polar_reference(bundle, P2, r, phi)
             assert np.max(np.abs(h_c - h_p)) / max(np.max(np.abs(h_p)), 1.0) < 1e-9
             assert np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1.0) < 1e-9
 
@@ -134,9 +153,18 @@ class TestPairSector:
     def test_sector_validation(self):
         rng = np.random.default_rng(8)
         r, phi, x, y = interior_points(rng, P2, 5)
-        cart = CatalogTestSpinor(zero_fermion_state(P2, 0, 0)).cart_data(P2, r, phi)
+        cart = catalog_cart(zero_fermion_state(P2, 0, 0), P2, r, phi)
         with pytest.raises(ValueError):
             bc2_super(P2, cart, y, x)  # y > x violates the sector
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_sector_point_probes(self, bad):
+        rng = np.random.default_rng(8)
+        r, phi, x, y = interior_points(rng, P2, 5)
+        cart = catalog_cart(zero_fermion_state(P2, 0, 0), P2, r, phi)
+        for xs, ys in ((np.where(np.arange(5) == 2, bad, x), y), (x, np.where(np.arange(5) == 2, bad, y))):
+            with pytest.raises(ValueError, match="points must satisfy 0 < y < x"):
+                bc2_super(P2, cart, xs, ys)
 
 
 class TestThreeParticleCase:
@@ -168,9 +196,9 @@ class TestThreeParticleCase:
     def test_split_into_relative_and_cm_parts(self, sample):
         rng, r, phi, X = sample
         for rel in (
-            CatalogTestSpinor(zero_fermion_state(P3, 1, 1)),
-            CatalogTestSpinor(one_fermion_state("+", P3, 0, 2)),
-            random_polygauss(rng, P3.omega),
+            state_bundle(zero_fermion_state(P3, 1, 1), P3, r, phi),
+            state_bundle(one_fermion_state("+", P3, 0, 2), P3, r, phi),
+            random_polygauss(rng, P3.omega).polar_bundle(P3, r, phi),
         ):
             cm = rng.uniform(-1, 1, size=(2, 3))
             data = make_cmw_test_state(rel, cm, P3, r, phi, X)
@@ -187,9 +215,10 @@ class TestThreeParticleCase:
         chi = np.exp(-0.5 * P3.omega * X**2)
         cm_field = np.stack([chi, np.zeros_like(chi)])
         for st in (zero_fermion_state(P3, 2, 1), one_fermion_state("+", P3, 1, 1)):
-            data = make_cmw_test_state(CatalogTestSpinor(st), cm_vac, P3, r, phi, X)
+            bundle = state_bundle(st, P3, r, phi)
+            data = make_cmw_test_state(bundle, cm_vac, P3, r, phi, X)
             h_r, q_r = cmw_rel_super(P3, data)
-            h_p, q_p = polar_reference(CatalogTestSpinor(st), P3, r, phi)
+            h_p, q_p = polar_reference(bundle, P3, r, phi)
             h_ref = embed_product_values(h_p, cm_field)
             q_ref = embed_product_values(q_p, cm_field)
             assert np.max(np.abs(h_r - h_ref)) / max(np.max(np.abs(h_ref)), 1.0) < 1e-9
@@ -201,7 +230,7 @@ class TestThreeParticleCase:
         _, r, phi, X = sample
         cm_vac = np.zeros((2, 2))
         cm_vac[0, 0] = 1.0
-        data = make_cmw_test_state(CatalogTestSpinor(zero_fermion_state(P3, 0, 0)), cm_vac, P3, r, phi, X)
+        data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), cm_vac, P3, r, phi, X)
         h_c, q_c = cm_super(P3, data)
         assert np.max(np.abs(h_c)) < 1e-12
         assert np.max(np.abs(q_c)) < 1e-12
@@ -217,14 +246,22 @@ class TestThreeParticleCase:
         _, r, phi, X = sample
         cm = np.zeros((2, 2))
         cm[0, 1] = 1.0  # X exp(-omega X^2 / 2)
-        data = make_cmw_test_state(CatalogTestSpinor(zero_fermion_state(P3, 0, 0)), cm, P3, r, phi, X)
+        data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), cm, P3, r, phi, X)
         h_c, _ = cm_super(P3, data)
         target = 2.0 * P3.omega * data.val
         assert np.max(np.abs(h_c - target)) / np.max(np.abs(data.val)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_points_rejected(self, sample, bad):
+        _, r, phi, X = sample
+        data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), np.eye(2), P3, r, phi, X)
+        data.X[0] = bad
+        with pytest.raises(ValueError, match="coincidence points are outside the domain"):
+            cmw_super(P3, data)
+
     def test_coincidence_points_rejected(self, sample):
         rng, r, phi, X = sample
-        data = make_cmw_test_state(CatalogTestSpinor(zero_fermion_state(P3, 0, 0)), np.eye(2), P3, r, phi, X)
+        data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), np.eye(2), P3, r, phi, X)
         data.u[0] = 0.0  # forces x1 = x2 at the first sample point
         with pytest.raises(ValueError):
             cmw_super(P3, data)

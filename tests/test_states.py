@@ -16,6 +16,32 @@ BUNDLE_FIELDS = ("val", "d_r", "d_rr", "d_phi", "d_phiphi")
 PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
 
 
+class TestDomainGuard:
+    """A factor table, and so every bundle and field, takes only interior
+    points: NaN, an infinity or an edge point raises ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "r, phi, match",
+        [
+            (math.nan, 0.3, "r must be finite and positive"),
+            (math.inf, 0.3, "r must be finite and positive"),
+            (0.0, 0.3, "r must be finite and positive"),
+            ([1.0, math.nan], [0.3, 0.4], "r must be finite and positive"),
+            (1.0, math.nan, "phi must lie strictly inside"),
+            (1.0, math.inf, "phi must lie strictly inside"),
+            (1.0, 0.0, "phi must lie strictly inside"),
+            (1.0, P.phi_max, "phi must lie strictly inside"),
+            ([1.0, 1.2], [0.3, math.nan], "phi must lie strictly inside"),
+        ],
+        ids=["r-nan", "r-inf", "r-zero", "r-nan-in-array", "phi-nan", "phi-inf", "phi-zero", "phi-max", "phi-nan-in-array"],
+    )
+    def test_probes(self, r, phi, match):
+        st = CatalogState.of(term(1.0, 1, 1, OCC_VAC))
+        for call in (lambda: FactorTable(P, r, phi), lambda: state_bundle(st, P, r, phi), lambda: state_field(st, P, r, phi)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+
 class TestCatalogAlgebra:
     def test_sentinel_terms_are_zero(self):
         assert term(1.0, -1, 2, OCC_VAC).is_zero

@@ -569,6 +569,21 @@ class TestCli:
             main(["verify", "--param", "k=2,a=1.5"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "param, message",
+        [
+            ("k=2,a=1.5", "parameter set {'k': 2.0, 'a': 1.5, 'omega': 1.0}: missing key 'b'"),
+            ("k=2,a=1,b=1,zeta=3", "parameter set {'k': 2.0, 'a': 1.0, 'b': 1.0, 'zeta': 3.0, 'omega': 1.0}: unknown key 'zeta'"),
+            ("k=inf,a=1,b=1", "parameter set {'k': inf, 'a': 1.0, 'b': 1.0, 'omega': 1.0}: k must be a finite real number, got inf"),
+        ],
+        ids=["missing-key", "unknown-key", "inf"],
+    )
+    def test_param_keys_are_checked_by_suite_config(self, capsys, param, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--param", param])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_quad_orders_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"quad_orders": [0, 0]}))
