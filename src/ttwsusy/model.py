@@ -140,12 +140,14 @@ def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion: bool 
     (N_max + 1, *r.shape)): R = (z/omega)^p L_N^(alpha)(z) e^(-z/2) with
     z = omega r^2, alpha = (2n+a+b)k and p = alpha/2, less 1/2 for a
     one-fermion factor.  The Laguerre values and their two derivatives
-    take one recurrence pass each.  Requires r > 0."""
+    take one recurrence pass each.  Requires r > 0; a non-finite r raises
+    ``laguerre_levels``' ValueError."""
     z = params.omega * r**2
     alpha = params.sector_alpha(n)
     p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
-    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega))
+    # the first pass rejects a non-finite z before the prefactor is formed
     L = laguerre_levels(N_max, alpha, z)
+    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega))
     # d/dz L_N^(alpha) = -L_{N-1}^(alpha+1), d2/dz2 L_N^(alpha) = L_{N-2}^(alpha+2)
     Ld, Ldd = np.zeros_like(L), np.zeros_like(L)
     if N_max >= 1:

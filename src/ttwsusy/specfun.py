@@ -51,14 +51,23 @@ def log_gamma(x):
     return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
+def _finite_z(z) -> np.ndarray:
+    """z as a float array, which must be finite everywhere."""
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("laguerre requires finite z")
+    return z
+
+
 def laguerre_levels(n_max: int, alpha: float, z):
     """Every level L_0^(alpha)(z), ..., L_{n_max}^(alpha)(z) from one forward
-    recurrence pass, stacked along a new first axis: shape (n_max + 1, *z.shape)."""
+    recurrence pass, stacked along a new first axis: shape (n_max + 1, *z.shape).
+    Requires finite z."""
     if n_max < 0:
         raise ValueError("laguerre requires n >= 0")
     if not -1.0 < alpha < math.inf:
         raise ValueError("laguerre requires finite alpha > -1")
-    z = np.asarray(z, dtype=float)
+    z = _finite_z(z)
     out = np.empty((n_max + 1, *z.shape))
     out[0] = 1.0
     if n_max >= 1:
@@ -76,10 +85,9 @@ def laguerre(n: int, alpha: float, z):
 
 
 def laguerre_deriv(n: int, alpha: float, z):
-    """dL_n^(alpha)/dz; identically zero for n = 0."""
+    """dL_n^(alpha)/dz; identically zero for n = 0.  Requires finite z."""
     if n == 0:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
+        out = np.zeros_like(_finite_z(z))
         return out if out.ndim else 0.0
     return -laguerre(n - 1, alpha + 1.0, z)
 

@@ -143,7 +143,10 @@ class PolyGaussSpinor:
         return StateBundle(val, d_r, d_rr, d_p, d_pp)
 
 
-def random_polygauss(rng: np.random.Generator, omega: float, degree: int = 3, components: int = 4) -> PolyGaussSpinor:
+def random_polygauss(rng, omega: float, degree: int = 3, components: int = 4) -> PolyGaussSpinor:
+    """A ``PolyGaussSpinor`` with coefficients uniform in [-1, 1), drawn by
+    ``rng.uniform(low, high, size)``: any generator with numpy's ``uniform``
+    method, a numpy ``Generator`` or the suite's own seeded stream."""
     return PolyGaussSpinor(rng.uniform(-1.0, 1.0, size=(components, degree + 1, degree + 1)), omega)
 
 

@@ -6,7 +6,11 @@ check.  The report lists the suites in dependency order (specfun ->
 model -> algebra -> irreps -> special-cases), each suite's checks in
 parameter-set order.  Reports are deterministic for a fixed config and
 seed (wall-clock fields aside) and can be rendered as JSON or a text
-table.
+table.  The seeded sample points (``scaling-conditions`` and
+special-cases) come from the package's own ``_rng.UniformStream``, which
+draws exactly what ``numpy.random.default_rng(seed).uniform`` draws; so
+the points are fixed by the seed alone, and no run loads
+``numpy.random``.
 
 The parameter sets share nothing but the order of the report.  So the
 model, algebra and irreps checks of one set run as one job
@@ -51,6 +55,7 @@ import numpy as np
 
 from . import generators as gen
 from . import irreps, model, special_cases, specfun
+from ._rng import UniformStream
 from .model import Grid, ModelParams
 from .states import FactorTable
 
@@ -562,27 +567,18 @@ def _checks_algebra(ws: _Workspace):
     res = [_deviation(hv, 4.0 * p.omega * (N + n * p.k) * fv, fv) for N, n, fv, hv in _sector_images(ws, "Hs")]
     yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, _worst(res), "algebra.spectrum")
 
-    res = []
-    table = ws.table(1)
-    for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
-        bundle = table.bundle(st)
-        (h1,) = gen.apply_operators(("Hs",), bundle, table)
-        h2 = gen.hamiltonian_super(bundle, p, table.r, table.phi)
-        res.append(_deviation(h1, h2, h1))
     yield (
         "hs-routes",
         "H_k + 4 omega (Gamma + Y) equals 4 omega (K0 + Y) built from the superpotential",
         label,
-        _worst(res),
+        _worst(_hs_routes(ws)),
         "algebra.routes",
     )
-
-    _, (qf, qdf) = _images(("Q", "Qdag"), ws.table(0), irreps.zero_fermion_state(p, 0, 0))
     yield (
         "susy-ground",
         "Q and Qdag annihilate the ground state (unbroken supersymmetry)",
         label,
-        _worst([np.max(np.abs(qf)), np.max(np.abs(qdf))]),
+        _worst(_susy_ground(ws)),
         "algebra.susy-ground",
     )
 
@@ -590,7 +586,7 @@ def _checks_algebra(ws: _Workspace):
     anti = structure["{V-,W+} = +1 K0 +1 Y"]
     yield ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", label, 4.0 * p.omega * anti, "algebra.susy-anticommutator")
 
-    rng = np.random.default_rng(ws.config.seed)
+    rng = UniformStream(ws.config.seed)
     r = rng.uniform(0.5, 2.0, 40)
     phi_s = rng.uniform(0.1, 0.9, 40) * p.phi_max
     res = []
@@ -604,6 +600,25 @@ def _checks_algebra(ws: _Workspace):
         _worst(res),
         "algebra.conditions",
     )
+
+
+def _hs_routes(ws: _Workspace) -> list:
+    """Deviations of the operator-table Hs from ``hamiltonian_super`` on two
+    sector-1 states."""
+    p, table = ws.params, ws.table(1)
+    res = []
+    for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
+        bundle = table.bundle(st)
+        (h1,) = gen.apply_operators(("Hs",), bundle, table)
+        h2 = gen.hamiltonian_super(bundle, p, table.r, table.phi)
+        res.append(_deviation(h1, h2, h1))
+    return res
+
+
+def _susy_ground(ws: _Workspace) -> list:
+    """max |Q psi_0| and max |Qdag psi_0| on the sector-0 grid."""
+    _, images = _images(("Q", "Qdag"), ws.table(0), irreps.zero_fermion_state(ws.params, 0, 0))
+    return [np.max(np.abs(f)) for f in images]
 
 
 def _checks_oscillator():
@@ -653,47 +668,19 @@ def _checks_irreps(ws: _Workspace):
         "irreps.ladder",
     )
 
-    res = []
-    for n in (0, 1, min(2, n_max)):
-        table, table_e = ws.table(n, odd=True), ws.table(n)
-        for N in (0, 1, 3):
-            st = irreps.zero_fermion_state(p, N, n)
-            _, v_outs = _images(("V+", "V-"), table, st)
-            for sign, out in zip(("+", "-"), v_outs):
-                ref = table.field(irreps.v_action(sign, p, N, n))
-                scale = max(np.max(np.abs(ref)), 1.0)
-                res.append(np.max(np.abs(out - ref)) / scale)
-            _, w_outs = _images(("W+", "W-"), table_e, st)
-            res += [np.max(np.abs(wout)) for wout in w_outs]
     yield (
         "odd-action-fields",
         "V+- on zero-fermion states reproduce their closed-form expansions; W+- annihilate them",
         label,
-        _worst(res),
+        _worst(_odd_action_fields(ws)),
         "irreps.odd-action",
     )
-
-    res = []
-    for n in range(1, min(4, n_max) + 1):
-        plus = [irreps.one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
-        minus = [irreps.one_fermion_state("-", p, N, n) for N in range(1, 6)]
-        measured = np.diag(gen.project(("1",), plus, minus, ws.grid(n, odd=True))["1"])
-        res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
-    table = ws.table(0, odd=True)
-    for N in range(1, 5):
-        plus = table.field(irreps.one_fermion_state("+", p, N - 1, 0))
-        minus = table.field(irreps.one_fermion_state("-", p, N, 0))
-        res.append(np.max(np.abs(plus - minus)))
-    table = ws.table(0)
-    for N in range(3):
-        two = irreps.two_fermion_state(p, N, 0)
-        res.append(0.0 if two.is_zero else np.max(np.abs(table.field(two))))
     yield (
         "one-fermion-overlap",
         "<+|-> = sqrt(N[N+(2n+a+b)k] / ([N+(n+a+b)k][N+nk])); at n = 0 the one-fermion "
         "families coincide and the two-fermion states vanish",
         label,
-        _worst(res),
+        _worst(_one_fermion_overlap(ws)),
         "irreps.overlap",
     )
 
@@ -739,8 +726,50 @@ def _checks_irreps(ws: _Workspace):
     )
 
 
+def _odd_action_fields(ws: _Workspace) -> list:
+    """Deviations of V+- images of zero-fermion states from their
+    closed-form expansions, and max |W+- psi|, in sectors 0, 1 and 2."""
+    p = ws.params
+    res = []
+    for n in (0, 1, min(2, ws.config.truncation[1])):
+        table, table_e = ws.table(n, odd=True), ws.table(n)
+        for N in (0, 1, 3):
+            st = irreps.zero_fermion_state(p, N, n)
+            _, v_outs = _images(("V+", "V-"), table, st)
+            for sign, out in zip(("+", "-"), v_outs):
+                ref = table.field(irreps.v_action(sign, p, N, n))
+                scale = max(np.max(np.abs(ref)), 1.0)
+                res.append(np.max(np.abs(out - ref)) / scale)
+            _, w_outs = _images(("W+", "W-"), table_e, st)
+            res += [np.max(np.abs(wout)) for wout in w_outs]
+    return res
+
+
+def _one_fermion_overlap(ws: _Workspace) -> list:
+    """Projected <+|-> overlaps against ``irreps.overlap``; at n = 0 the
+    pointwise coincidence of the one-fermion families and the vanishing
+    of the two-fermion states."""
+    p = ws.params
+    res = []
+    for n in range(1, min(4, ws.config.truncation[1]) + 1):
+        plus = [irreps.one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
+        minus = [irreps.one_fermion_state("-", p, N, n) for N in range(1, 6)]
+        measured = np.diag(gen.project(("1",), plus, minus, ws.grid(n, odd=True))["1"])
+        res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
+    table = ws.table(0, odd=True)
+    for N in range(1, 5):
+        plus = table.field(irreps.one_fermion_state("+", p, N - 1, 0))
+        minus = table.field(irreps.one_fermion_state("-", p, N, 0))
+        res.append(np.max(np.abs(plus - minus)))
+    table = ws.table(0)
+    for N in range(3):
+        two = irreps.two_fermion_state(p, N, 0)
+        res.append(0.0 if two.is_zero else np.max(np.abs(table.field(two))))
+    return res
+
+
 def _checks_special(config: SuiteConfig):
-    rng = np.random.default_rng(config.seed)
+    rng = UniformStream(config.seed)
     n_pts = 200
     for p in config.models():
         label = _params_label(p)

@@ -91,6 +91,12 @@ class TestDomainGuards:
         with pytest.raises(ValueError, match=re.escape("radial argument z = omega r^2 must be finite and >= 0")):
             eval_radial(P_GEN, 1, 1, z)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([math.inf, 0.5])], ids=["nan", "inf", "nan-in-array", "inf-in-array"])
+    def test_radial_levels_probes(self, r):
+        for one_fermion in (False, True):
+            with pytest.raises(ValueError, match="laguerre requires finite z"):
+                radial_levels(P_GEN, 2, 1, r, one_fermion)
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, -3.0], ids=["nan", "inf", "minus-one", "below"])
     def test_grid_exponent_probes(self, alpha):
         with pytest.raises(ValueError, match="radial reference exponent must be finite and exceed -1"):

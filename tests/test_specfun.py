@@ -129,6 +129,24 @@ class TestLaguerreLevels:
         with pytest.raises(ValueError):
             laguerre_levels(3, -1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "z",
+        [math.nan, math.inf, -math.inf, np.array([0.5, math.nan]), np.array([[1.0], [math.inf]]), np.array([-math.inf, 2.0])],
+        ids=["nan", "inf", "-inf", "nan-in-array", "inf-in-array", "-inf-in-array"],
+    )
+    def test_non_finite_argument(self, z):
+        """A NaN or infinite z raises the ValueError that names z, at every
+        degree and for the derivative, whose n = 0 branch does no recurrence."""
+        for call in (
+            lambda: laguerre_levels(3, 0.5, z),
+            lambda: laguerre(3, 0.5, z),
+            lambda: laguerre(0, 0.5, z),
+            lambda: laguerre_deriv(0, 0.5, z),
+            lambda: laguerre_deriv(2, 0.5, z),
+        ):
+            with pytest.raises(ValueError, match="laguerre requires finite z"):
+                call()
+
 
 class TestJacobi:
     def test_degree_zero_is_one(self):

@@ -679,23 +679,34 @@ class TestCli:
 
 
 def test_runs_without_scipy():
-    """A fresh process imports the package and runs the specfun and model
-    suites of one parameter set without importing scipy or any of its
-    submodules.  Neither importing the package nor a run that needs no
-    worker pool loads multiprocessing or concurrent.futures."""
+    """A fresh process imports the package and runs all five suites, first
+    for one parameter set (in-process), then for two sets in a forced
+    worker pool, without importing scipy, any of its submodules or
+    ``numpy.random``, in this process or in a set job's worker.  Neither
+    importing the package nor the run that needs no worker pool loads
+    multiprocessing or concurrent.futures."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
     code = (
         "import sys, ttwsusy\n"
         "from ttwsusy import verify\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))\n"
-        "print(loaded())\n"
-        f"config = verify.SuiteConfig(**{FAST!r}, suites=('specfun', 'model'))\n"
-        "report = verify.run(config)\n"
+        "def loaded(*prefixes):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy',) + prefixes or m.startswith('numpy.random'))\n"
+        "checks_irreps = verify._checks_irreps\n"
+        "def irreps_then_modules(ws):\n"
+        "    yield from checks_irreps(ws)\n"
+        "    assert not loaded(), loaded()\n"
+        "verify._checks_irreps = irreps_then_modules\n"
+        "print(loaded('multiprocessing', 'concurrent'))\n"
+        f"report = verify.run(verify.SuiteConfig(**{FAST!r}))\n"
         "assert report.n_failed == 0, report.to_text()\n"
+        "print(loaded('multiprocessing', 'concurrent'))\n"
+        "verify._usable_cpus = lambda: 2\n"
+        f"report = verify.run(verify.SuiteConfig(**{TWO_SETS!r}))\n"
+        "assert report.n_failed == 0, report.to_text()\n"
+        "assert 'concurrent.futures' in sys.modules\n"
         "print(loaded())\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+    assert proc.stdout.strip().splitlines()[-3:] == ["[]", "[]", "[]"]
