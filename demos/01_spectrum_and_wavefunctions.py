@@ -6,7 +6,17 @@ the Gauss grid, and prints the spectrum with its supersymmetric shift.
 
 import numpy as np
 
-from ttwsusy import Grid, ModelParams, energy, eval_wavefunction, susy_energy, wavefunction_gram, weights_of
+from ttwsusy import (
+    Grid,
+    ModelParams,
+    energy,
+    eval_wavefunction,
+    project,
+    susy_energy,
+    wavefunction_gram,
+    weights_of,
+    zero_fermion_state,
+)
 
 params = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
 print(f"model: k={params.k}, a={params.a}, b={params.b}, omega={params.omega}")
@@ -29,10 +39,11 @@ r = np.linspace(0.2, 3.0, 8)
 print(f"\nPsi_{{1,1}} along phi = {phi0:.3f}:")
 print("  " + "  ".join(f"{v:+.4f}" for v in eval_wavefunction(params, 1, 1, r, np.full_like(r, phi0))))
 
-# quadrature normalization: one state, then the whole Gram matrix
+# quadrature normalization: one state, then the whole Gram matrix, each
+# entry from 1-D radial and angular Gauss sums
 grid = Grid.for_pair(params, 1, 1, 64, 64)
-f = eval_wavefunction(params, 1, 1, grid.r, grid.phi)
-print(f"\n<Psi_11, Psi_11> on the Gauss grid = {grid.inner(f, f):.15f}")
+psi = [zero_fermion_state(params, 1, 1)]
+print(f"\n<Psi_11, Psi_11> on the Gauss grid = {project(('1',), psi, psi, grid)['1'][0, 0]:.15f}")
 
 # each (n1, n2) block of the Gram matrix is one projection of the zero-fermion
 # states, from 1-D radial and angular Gauss sums on the n1 + n2 pair grid

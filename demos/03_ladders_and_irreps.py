@@ -9,20 +9,21 @@ eigenvalues.
 import numpy as np
 
 from ttwsusy import (
+    FactorTable,
     Grid,
     ModelParams,
-    apply_operator,
+    apply_operators,
     casimir_eigenvalues,
     classify,
     k_ladder_coeff,
     mixing_coeffs,
     overlap,
+    project,
     two_fermion_state,
     v_action,
     weights_of,
     zero_fermion_state,
 )
-from ttwsusy.states import state_bundle, state_field
 
 params = ModelParams(k=2.0, a=1.0, b=1.0, omega=1.0)
 N, n = 1, 1
@@ -35,23 +36,24 @@ w = weights_of(params, n)
 print(f"weights: tau = {w.tau}, q = {w.q}")
 print(f"radial raising coefficient sqrt((N+1)(2 tau + N)) = {k_ladder_coeff('+', w.tau, N):.6f}\n")
 
-grid_odd = Grid.for_sector(params, n, odd=True, m_rad=64, m_ang=64)
-state = zero_fermion_state(params, N, n)
+grid_odd = Grid.for_pair(params, n, n, 64, 64, odd=True)
+table = FactorTable(params, grid_odd.r, grid_odd.phi)
 # one bundle (values and polar derivatives) of the state serves both odd operators
-bundle = state_bundle(state, params, grid_odd.r, grid_odd.phi)
-for sign, norm2 in (("+", N + lam + 1.0), ("-", N + mu)):
-    field = apply_operator("V" + sign, bundle, params, grid_odd.r, grid_odd.phi)
-    ref = state_field(v_action(sign, params, N, n), params, grid_odd.r, grid_odd.phi)
+images = apply_operators(("V+", "V-"), table.bundle(zero_fermion_state(params, N, n)), table)
+for (sign, norm2), field in zip((("+", N + lam + 1.0), ("-", N + mu)), images):
+    expansion = [v_action(sign, params, N, n)]
+    ref = table.field(expansion[0])
     print(f"V{sign}: differential action vs closed-form expansion, max |diff| = {np.max(np.abs(field - ref)):.3e}")
-    print(f"     norm^2 on the grid = {grid_odd.inner(field, field):.12f} (closed form {norm2})")
+    measured = project(("1",), expansion, expansion, grid_odd)["1"][0, 0]
+    print(f"     norm^2 of the expansion on the grid = {measured:.12f} (closed form {norm2})")
 
 print(f"\noverlap of the two one-fermion states at equal weight: {overlap(params, N, n):.9f}")
 print("recombination into orthonormal towers, coefficients (alpha, beta, gamma, delta):")
 print("  " + ", ".join(f"{c:+.6f}" for c in mixing_coeffs(params, N, n)))
 
-grid_even = Grid.for_sector(params, n, odd=False, m_rad=64, m_ang=64)
-two = state_field(two_fermion_state(params, N, n), params, grid_even.r, grid_even.phi)
-print(f"\ntwo-fermion state norm = {grid_even.inner(two, two):.12f}")
+grid_even = Grid.for_pair(params, n, n, 64, 64)
+two = [two_fermion_state(params, N, n)]
+print(f"\ntwo-fermion state norm = {project(('1',), two, two, grid_even)['1'][0, 0]:.12f}")
 print(f"two-fermion tower at n = 0 is empty: {two_fermion_state(params, N, 0).is_zero}")
 
 print("\nsector classification:")

@@ -8,7 +8,7 @@ additionally splits into relative + centre-of-mass parts.
 
 import numpy as np
 
-from ttwsusy import ModelParams, apply_operator, state_bundle, zero_fermion_state
+from ttwsusy import FactorTable, ModelParams, apply_operators, zero_fermion_state
 from ttwsusy.irreps import one_fermion_state
 from ttwsusy.special_cases import (
     bc2_super,
@@ -32,14 +32,14 @@ def compare(p, cart_fn, title):
     worst = 0.0
     # a catalog state's cartesian data comes from its polar bundle; a random
     # polynomial x Gaussian spinor gives both forms itself
-    catalog = state_bundle(zero_fermion_state(p, 1, 1), p, r, phi)
+    table = FactorTable(p, r, phi)
+    catalog = table.bundle(zero_fermion_state(p, 1, 1))
     gauss = random_polygauss(rng, p.omega)
     spinors = [(cart_from_polar(catalog, r, phi), catalog), (gauss.cart_data(p, r, phi), gauss.polar_bundle(p, r, phi))]
     for cart, bundle in spinors:
         h_c, q_c = cart_fn(p, cart, x, y)
         # the same operator assembly for catalog states and random spinors
-        h_p = apply_operator("Hs", bundle, p, r, phi)
-        q_p = apply_operator("Q", bundle, p, r, phi)
+        h_p, q_p = apply_operators(("Hs", "Q"), bundle, table)
         worst = max(worst, np.max(np.abs(h_c - h_p)) / np.max(np.abs(h_p)), np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1))
     print(f"{title}: max relative deviation over 200 random points = {worst:.3e}")
 
@@ -62,9 +62,10 @@ st = zero_fermion_state(p3, 2, 1)
 cm_vac = np.zeros((2, 2))
 cm_vac[0, 0] = 1.0
 chi = np.exp(-0.5 * p3.omega * X**2)
-bundle = state_bundle(st, p3, r, phi)
+table = FactorTable(p3, r, phi)
+bundle = table.bundle(st)
 data = make_cmw_test_state(bundle, cm_vac, p3, r, phi, X)
 h_r, q_r = cmw_rel_super(p3, data)
-q_p = apply_operator("Q", bundle, p3, r, phi)
+(q_p,) = apply_operators(("Q",), bundle, table)
 q_ref = embed_product_values(q_p, np.stack([chi, np.zeros_like(chi)]))
 print(f"k=3 relative supercharge vs 2 sqrt(omega) W+: max |diff| = {np.max(np.abs(q_r - q_ref)):.3e}")

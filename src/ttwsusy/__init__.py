@@ -11,13 +11,14 @@ checks every closed-form claim numerically.
 from .fock import jordan_wigner
 from .generators import (
     GENERATOR_NAMES,
-    apply_operator,
+    apply_operators,
     check_structure_constants,
     generator_matrices,
     hamiltonian_super,
     hermiticity_residuals,
     interior_mask,
     oscillator_realization,
+    project,
     riccati_residual,
     superpotential,
     wavefunction_gram,
@@ -49,7 +50,7 @@ from .model import (
     weights_of,
 )
 from .specfun import QuadratureRule, gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, log_gamma
-from .states import CatalogState, CatalogTerm, state_bundle, state_field
+from .states import CatalogState, CatalogTerm, FactorTable, state_bundle, state_field
 from .verify import SuiteConfig, VerificationReport, run
 
 __version__ = "0.1.0"

@@ -25,12 +25,12 @@ to the deformed oscillator H_k.  Each operator is written once, as a
 table of separable terms coef r^q theta(phi) M d_r^i d_phi^j with M a
 fixed-basis fermion matrix, and ``_terms`` is the one map from an
 operator name to its table: the eight generators, H_k ("H"), "Hs",
-"Q", "Qdag" and the identity "1".  ``apply_operator`` applies a table
-analytically to a state's derivative bundle, exactly at every sample
-point (``apply_operators`` for the states of one ``FactorTable``, which
-keeps the tables); every fermion matrix has at most one nonzero per
-row and acts as that row map on the spinor components the bundle
-reaches, and nowhere else.  ``project`` contracts the same table with
+"Q", "Qdag" and the identity "1".  ``apply_operators`` is the one
+pointwise route: it applies tables analytically to the derivative
+bundle of a state of one ``FactorTable``, exactly at every sample
+point, and keeps the tables on the ``FactorTable``; every fermion
+matrix has at most one nonzero per row and acts as that row map on
+the spinor components the bundle reaches, and nowhere else.  ``project`` contracts the same table with
 1-D radial and angular Gauss sums between lists of states, each
 distinct moment once, so the algebra residuals measure the formulas,
 not a discretization.  The module keeps only the
@@ -69,7 +69,6 @@ __all__ = [
     "GENERATOR_PARITY",
     "OscillatorRealization",
     "RelationCheck",
-    "apply_operator",
     "apply_operators",
     "check_structure_constants",
     "dilation_identity_residuals",
@@ -300,21 +299,14 @@ def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
     return (-lap + ang * bundle.val) / (4.0 * params.omega)
 
 
-def apply_operator(name: str, bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
-    """Operator ``name`` (any name ``_terms`` knows: a generator, "H",
-    "Hs", "Q", "Qdag" or "1") applied analytically to a state's bundle
-    at (r, phi), e.g. ``state_bundle(state, params, r, phi)``; returns
-    the resulting spinor field."""
-    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
-    return _apply_terms(_terms(name, params, phi), bundle, r)
-
-
 def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[np.ndarray]:
-    """``apply_operator`` of each name on a bundle of ``table`` at the
-    table's points.  Each operator's grouped term table is built on first
-    use and kept on the table, so every state sampled there shares its
-    angular functions.  The coefficient arrays, of the grid's 2-D shape,
-    are formed per application and not kept."""
+    """Each named operator (any name ``_terms`` knows: a generator, "H",
+    "Hs", "Q", "Qdag" or "1") applied analytically to a bundle of
+    ``table`` (``table.bundle(state)``) at the table's points, as a list
+    of spinor fields.  Each operator's grouped term table is built on
+    first use and kept on the table, so every state sampled there shares
+    its angular functions.  The coefficient arrays, of the grid's 2-D
+    shape, are formed per application and not kept."""
     ops = table.operators
     for name in names:
         if name not in ops:
@@ -326,7 +318,7 @@ def hamiltonian_super(bundle: StateBundle, params: ModelParams, r, phi) -> np.nd
     """Hs = 4 omega (K0 + Y) on a state's bundle at (r, phi), with K0
     built from the superpotential derivatives (D + omega r^2/4 + Gamma)
     instead of the H_k potential.  Its agreement with
-    ``apply_operator("Hs", ...)`` is the operator form of the Riccati
+    ``apply_operators(("Hs",), ...)`` is the operator form of the Riccati
     identity."""
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     d = _apply_d_superpotential(bundle, params, r, phi)
@@ -399,20 +391,17 @@ def _project(names, rows, cols, grid: Grid) -> dict[str, np.ndarray]:
     return out
 
 
-def project(
-    names, rows: list[CatalogState], cols: list[CatalogState], grid: Grid, table: FactorTable | None = None
-) -> dict[str, np.ndarray]:
+def project(names, rows: list[CatalogState], cols: list[CatalogState], grid: Grid) -> dict[str, np.ndarray]:
     """Matrix elements {name: <row|O|col>} between two lists of catalog
     states on one grid, for any operator names of ``_terms`` (``"1"``
     gives the plain overlap <row|col>).
 
     Both lists are expanded over the 1-D radial and angular spinor
-    factors of ``table``, a ``FactorTable`` on the grid's nodes (a new
-    one by default; pass one to share its factors between calls on the
-    grid), and ``_project`` contracts the expansions with every
-    operator's term table.  So every entry is a sum of products of 1-D
-    radial and angular Gauss sums: nothing is sampled on the 2-D grid."""
-    table = FactorTable(grid.params, grid.r, grid.phi) if table is None else table
+    factors of a ``FactorTable`` on the grid's nodes, and ``_project``
+    contracts the expansions with every operator's term table.  So every
+    entry is a sum of products of 1-D radial and angular Gauss sums:
+    nothing is sampled on the 2-D grid."""
+    table = FactorTable(grid.params, grid.r, grid.phi)
     f_rows = table.expand(rows)
     f_cols = f_rows if cols is rows else table.expand(cols)
     return _project(names, f_rows, f_cols, grid)
@@ -424,18 +413,16 @@ def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: in
 
     The (n1, n2) block is one ``project(("1",), ...)`` of the sectors'
     zero-fermion states on the n1 + n2 pair grid, whose radial exponent
-    keeps the integrand polynomial; the sectors of one pair grid share
-    its factor table."""
+    keeps the integrand polynomial."""
     N_max, n_max = pairs_max
     size = N_max + 1
     states = [[zero_fermion_state(params, N, n) for N in range(size)] for n in range(n_max + 1)]
     gram = np.zeros(((n_max + 1) * size,) * 2)
     for s in range(2 * n_max + 1):
         grid = Grid.for_pair(params, s, 0, m_rad, m_ang)
-        table = FactorTable(params, grid.r, grid.phi)
         for n1 in range(max(0, s - n_max), s // 2 + 1):
             n2 = s - n1
-            block = project(("1",), states[n1], states[n2], grid, table)["1"]
+            block = project(("1",), states[n1], states[n2], grid)["1"]
             gram[n1 * size : (n1 + 1) * size, n2 * size : (n2 + 1) * size] = block
             gram[n2 * size : (n2 + 1) * size, n1 * size : (n1 + 1) * size] = block.T
     return gram
@@ -457,9 +444,9 @@ def generator_matrices(
     way.  Rows of fermion parity p are integrated on the sector grid of
     parity p.  A basis state is a short sum of radial times angular
     spinor factors, a generator a table of separable terms and the grid
-    weights an outer product, so each entry is a sum of products of 1-D
-    radial and angular Gauss sums (``project``); nothing is sampled on
-    the 2-D grid.
+    weights a product of 1-D radial and angular weights, so each entry
+    is a sum of products of 1-D radial and angular Gauss sums
+    (``project``); nothing is sampled on the 2-D grid.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
@@ -473,7 +460,7 @@ def generator_matrices(
         states = {p: [bs[i].state for i in idx[p]] for p in (0, 1)}
         block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
         for p_out in (0, 1):
-            grid = Grid.for_sector(params, n, odd=bool(p_out), m_rad=m_rad, m_ang=m_ang)
+            grid = Grid.for_pair(params, n, n, m_rad, m_ang, odd=bool(p_out))
             table = FactorTable(params, grid.r, grid.phi)
             expanded = {p: table.expand(states[p]) for p in (0, 1)}
             for p_in in (0, 1):

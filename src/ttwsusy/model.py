@@ -26,15 +26,15 @@ them onto Gauss-Laguerre x Gauss-Jacobi rules; the grid absorbs the
 z^alpha e^-z and cos^2a sin^2b envelopes into its weights so that the
 remaining integrand is polynomial and the quadrature exact.  Radial
 reference exponents are chosen per angular sector (and per fermion
-parity, which contributes a 1/z): see ``Grid.for_pair``.  A grid's
-nodes are a radial column and an angular row, so fields sampled on
-``(grid.r, grid.phi)`` have the grid's (m_rad, m_ang) shape, and its
-weights are the outer product of 1-D radial and angular weights.
-``Grid.inner`` sums two such fields on the 2-D grid.  Integrals of
-separable functions need not: ``generators.project`` takes each entry
-as sums of products of 1-D radial and angular Gauss sums, and the Gram
-matrix of these eigenfunctions (``generators.wavefunction_gram``) is
-one such projection of the zero-fermion states.
+parity, which contributes a 1/z): see ``Grid.for_pair``.  A grid holds
+1-D arrays only: its nodes and weights are a radial column and an
+angular row, so fields sampled on ``(grid.r, grid.phi)`` have the
+(m_rad, m_ang) shape while each factor is evaluated on the 1-D nodes.
+Integrals are never summed on the 2-D grid: ``generators.project``
+takes each entry as sums of products of 1-D radial and angular Gauss
+sums, and the Gram matrix of these eigenfunctions
+(``generators.wavefunction_gram``) is one such projection of the
+zero-fermion states.
 """
 
 from __future__ import annotations
@@ -85,12 +85,6 @@ class ModelParams:
             raise ValueError("omega must be positive")
         if not (self.a > 0 and self.b > 0):
             raise ValueError("a and b must be positive for normalizable states")
-
-    @property
-    def warn_regime(self) -> bool:
-        """True when a or b lies in (0, 1/2]: normalizable but the
-        angular quadrature weight exponents drop below zero."""
-        return min(self.a, self.b) <= 0.5
 
     @property
     def phi_max(self) -> float:
@@ -234,8 +228,8 @@ def norm_constant(params: ModelParams, N: int, n: int) -> float:
 def eval_wavefunction(params: ModelParams, N: int, n: int, r, phi):
     """Normalized eigenfunction Psi_{N,n}(r, phi) at interior points."""
     params.require_interior(r=r)
-    z = params.omega * np.asarray(r, dtype=float) ** 2
-    out = norm_constant(params, N, n) * eval_radial(params, N, n, z) * eval_angular(params, n, phi)
+    radial = radial_levels(params, N, n, np.asarray(r, dtype=float))[0][N]
+    out = norm_constant(params, N, n) * radial * eval_angular(params, n, phi)
     return out if np.ndim(out) else float(out)
 
 
@@ -258,14 +252,14 @@ def _jacobi_rule(order: int, alpha: float, beta: float):
 class Grid:
     """Tensor quadrature grid for the measure r dr dphi.
 
-    ``r``/``w_r`` hold the radial nodes/weights as (m_rad, 1) columns,
-    ``phi``/``w_phi`` the angular ones as (1, m_ang) rows and ``w = w_r *
-    w_phi`` the (m_rad, m_ang) weights, so ``f(..., grid.r, grid.phi)``
-    samples any product of a radial and an angular factor on the whole
-    grid while evaluating each factor on the 1-D nodes only.
+    ``r``/``w_r`` hold the radial nodes/weights as (m_rad, 1) columns and
+    ``phi``/``w_phi`` the angular ones as (1, m_ang) rows; the grid keeps
+    no (m_rad, m_ang) array.  ``f(..., grid.r, grid.phi)`` samples any
+    product of a radial and an angular factor on the whole grid while
+    evaluating each factor on the 1-D nodes only.
 
-    ``alpha`` is the radial reference exponent: sums against the plain
-    weights are exact whenever the integrand has the form
+    ``alpha`` is the radial reference exponent: sums against the product
+    weights w_r w_phi are exact whenever the integrand has the form
     z^alpha e^-z * poly(z)  x  cos^2a sin^2b * poly(xi)
     (shifted angular envelopes contribute (1-xi^2)/4 polynomial
     factors and stay exact).
@@ -288,8 +282,7 @@ class Grid:
         wz = np.exp(np.log(rad.weights) + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
         wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
         self.w_r, self.w_phi = wz[:, None], wphi[None, :]
-        self.w = self.w_r * self.w_phi
-        if not np.all(np.isfinite(self.w)):
+        if not (np.all(np.isfinite(wz)) and np.all(np.isfinite(wphi))):
             raise ValueError(
                 f"quadrature weights overflow at radial exponent alpha = {self.alpha:g}: "
                 "the Gauss-Laguerre rule needs Gamma(alpha + 1), which is out of float range past alpha ~ 171"
@@ -303,17 +296,3 @@ class Grid:
         exponent (n1 + n2 + a + b) k, less 1 with ``odd`` for the 1/z
         carried by a pair of one-fermion factors."""
         return cls(params, (n1 + n2 + params.a + params.b) * params.k - (1.0 if odd else 0.0), m_rad, m_ang)
-
-    @classmethod
-    def for_sector(cls, params: ModelParams, n: int, odd: bool = False, m_rad: int = 80, m_ang: int = 80) -> "Grid":
-        """The pair grid of sector n with itself (``for_pair(n, n)``)."""
-        return cls.for_pair(params, n, n, m_rad, m_ang, odd=odd)
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Integral of f*g over fields sampled on this grid, shape
-        (m_rad, m_ang) or (4, m_rad, m_ang); spinor components are summed."""
-        f = np.asarray(f)
-        g = np.asarray(g)
-        if f.shape != g.shape or f.shape[-2:] != self.w.shape:
-            raise ValueError("mismatched grids: fields must be sampled on this grid")
-        return float(np.sum(self.w * f * g))

@@ -37,7 +37,8 @@ Equal-shape arrays sample scattered points; a grid's ``(grid.r,
 grid.phi)``, a column of radial nodes against a row of angular nodes,
 samples the whole tensor grid while evaluating each factor on the 1-D
 nodes only.  One table per set of points serves every state sampled
-there; ``state_bundle``/``state_field`` build a one-shot table.
+there, and ``generators.apply_operators`` applies operators to its
+bundles; ``state_bundle``/``state_field`` build a one-shot table.
 
 Spinor fields themselves are plain float arrays of shape
 (4, *broadcast shape) in the fixed fermion basis: (4, n_points) for

@@ -375,37 +375,18 @@ class _Workspace:
 # Individual checks.  Each yields (name, claim, params_label, residual, tol_key).
 
 
-# The series oracles import ``fractions`` when they run: it loads ``decimal``,
-# 0.45 MB of peak memory that runs without the specfun suite need not pay.
-
-
-def _binom_frac(top: numbers.Rational, m: int) -> numbers.Rational:
-    c = 1
-    for i in range(1, m + 1):
-        c *= (top - m + i) / i
-    return c
-
-
-def _common_denominator(coeffs: list[numbers.Rational]) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator D, and D."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _series_laguerre(N, alpha, z):
     """Series-sum oracle with exact rational coefficients (and exact
     rational argument), immune to the cancellation that a float series
-    suffers at large z.  The coefficients are built once per call and
-    put over one common denominator D; each sample z = m/d (d a power of
-    two) is summed exactly in integers by Horner's rule as
-    sum_j D c_j m^j d^(N-j) and rounded once by the correctly rounded
-    integer division by D d^N."""
-    from fractions import Fraction
-
-    af = Fraction(alpha)
-    nums, den = _common_denominator(
-        [Fraction(-1) ** j / math.factorial(j) * _binom_frac(af + N, N - j) for j in range(N + 1)]
-    )
+    suffers at large z.  With alpha = p/q the coefficients of
+    sum_j c_j z^j are integers over D = N! q^N:
+    D c_j = (-1)^j C(N, j) q^j prod_{i=j+1..N} (p + i q).  Each sample
+    z = m/d (d a power of two) is summed exactly in integers by Horner's
+    rule as sum_j D c_j m^j d^(N-j) and rounded once by the correctly
+    rounded integer division by D d^N."""
+    p, q = float(alpha).as_integer_ratio()
+    nums = [(-1) ** j * math.comb(N, j) * q**j * math.prod(p + i * q for i in range(j + 1, N + 1)) for j in range(N + 1)]
+    den = math.factorial(N) * q**N
     out = []
     for zv in np.atleast_1d(z):
         m, d = float(zv).as_integer_ratio()
@@ -419,12 +400,22 @@ def _series_laguerre(N, alpha, z):
 
 def _series_jacobi(n, alpha, beta, x):
     """Exact series oracle sum_j c_j ((x-1)/2)^j ((x+1)/2)^(n-j), summed
-    like ``_series_laguerre``: with x = m/d the two factors are
+    like ``_series_laguerre``.  With alpha = p/q and beta = s/t the
+    coefficients are integers over D = n! q^n t^n:
+    D c_j = C(n, j) q^j t^(n-j) prod_{i=j+1..n} (p + i q)
+    prod_{i=n-j+1..n} (s + i t).  With x = m/d the two factors are
     (m -+ d) / (2d), so the sum is an integer over D (2d)^n."""
-    from fractions import Fraction
-
-    af, bf = Fraction(alpha), Fraction(beta)
-    nums, den = _common_denominator([_binom_frac(af + n, n - j) * _binom_frac(bf + n, j) for j in range(n + 1)])
+    p, q = float(alpha).as_integer_ratio()
+    s, t = float(beta).as_integer_ratio()
+    nums = [
+        math.comb(n, j)
+        * q**j
+        * t ** (n - j)
+        * math.prod(p + i * q for i in range(j + 1, n + 1))
+        * math.prod(s + i * t for i in range(n - j + 1, n + 1))
+        for j in range(n + 1)
+    ]
+    den = math.factorial(n) * q**n * t**n
     out = []
     for xv in np.atleast_1d(x):
         m, d = float(xv).as_integer_ratio()
@@ -644,7 +635,7 @@ def _checks_irreps(ws: _Workspace):
     odd actions, the n = 0 family coincidence and the vanishing two-fermion
     states are field identities, checked pointwise on the grids."""
     p, label = ws.params, ws.label
-    N_max, n_max = ws.config.truncation
+    N_max = ws.config.truncation[0]
     blocks, basis = ws.matrices
 
     res = []
@@ -708,8 +699,6 @@ def _checks_irreps(ws: _Workspace):
     # one fermion parity, one projection per generator
     res = []
     for n1, n2 in ((0, 1), (1, 2), (0, 2)):
-        if max(n1, n2) > n_max:
-            continue
         for odd in (False, True):
             rows, cols = (
                 [s.state for s in irreps.sector_basis(p, n, 1) if s.level == 1 and s.state.fermion_parity() == odd]
@@ -731,7 +720,7 @@ def _odd_action_fields(ws: _Workspace) -> list:
     closed-form expansions, and max |W+- psi|, in sectors 0, 1 and 2."""
     p = ws.params
     res = []
-    for n in (0, 1, min(2, ws.config.truncation[1])):
+    for n in (0, 1, 2):
         table, table_e = ws.table(n, odd=True), ws.table(n)
         for N in (0, 1, 3):
             st = irreps.zero_fermion_state(p, N, n)

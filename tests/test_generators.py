@@ -15,7 +15,6 @@ from ttwsusy.generators import (
     _ROW_MAPS,
     _gamma_terms,
     _terms,
-    apply_operator,
     apply_operators,
     check_structure_constants,
     dilation_identity_residuals,
@@ -39,8 +38,10 @@ from ttwsusy.irreps import (
 )
 from ttwsusy.model import Grid, ModelParams, energy, weights_of
 from ttwsusy.special_cases import random_polygauss
-from ttwsusy.states import FERMION_NUMBER, FactorTable, StateBundle, state_bundle, state_field
+from ttwsusy.states import FERMION_NUMBER, FactorTable, StateBundle, state_field
 from ttwsusy.verify import SuiteConfig
+
+from sampled import sampled_inner
 
 PARAM_SETS = [
     ModelParams(k=1.0, a=1.0, b=1.0, omega=1.0),
@@ -57,13 +58,15 @@ PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
 
 def apply(name, state, p, r, phi):
     """Operator ``name`` applied to a catalog state at (r, phi)."""
-    return apply_operator(name, state_bundle(state, p, r, phi), p, r, phi)
+    table = FactorTable(p, r, phi)
+    (image,) = apply_operators((name,), table.bundle(state), table)
+    return image
 
 
 def sector_grids(p, n):
     return (
-        Grid.for_sector(p, n, odd=False, m_rad=MR, m_ang=MA),
-        Grid.for_sector(p, n, odd=True, m_rad=MR, m_ang=MA),
+        Grid.for_pair(p, n, n, MR, MA, odd=False),
+        Grid.for_pair(p, n, n, MR, MA, odd=True),
     )
 
 
@@ -168,7 +171,7 @@ class TestLadderVersusDifferential:
         for n in (0, 1, 2):
             w = weights_of(p, n)
             for s in sector_basis(p, n, 2):
-                grid = Grid.for_sector(p, n, odd=s.family in ("lower", "upper"), m_rad=MR, m_ang=MA)
+                grid = Grid.for_pair(p, n, n, MR, MA, odd=s.family in ("lower", "upper"))
                 fv = state_field(s.state, p, grid.r, grid.phi)
                 scale = np.max(np.abs(fv))
                 k0 = apply("K0", s.state, p, grid.r, grid.phi)
@@ -184,7 +187,7 @@ class TestLadderVersusDifferential:
             families = ("zero", "upper") if n == 0 else ("zero", "lower", "upper", "double")
             for family in families:
                 odd = family in ("lower", "upper")
-                grid = Grid.for_sector(p, n, odd=odd, m_rad=MR, m_ang=MA)
+                grid = Grid.for_pair(p, n, n, MR, MA, odd=odd)
                 tau_f = tau + tau_off[family]
                 for level in (0, 1, 2):
                     st = sp2_family_state(p, family, level, n)
@@ -230,9 +233,10 @@ class TestHamiltonianSuper:
     def test_routes_agree(self):
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
+        table = FactorTable(p, grid.r, grid.phi)
         for st in (zero_fermion_state(p, 1, 1), one_fermion_state("+", p, 0, 1), two_fermion_state(p, 1, 1)):
-            bundle = state_bundle(st, p, grid.r, grid.phi)
-            h1 = apply_operator("Hs", bundle, p, grid.r, grid.phi)
+            bundle = table.bundle(st)
+            (h1,) = apply_operators(("Hs",), bundle, table)
             h2 = hamiltonian_super(bundle, p, grid.r, grid.phi)
             assert np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0) < 1e-10
 
@@ -256,13 +260,14 @@ class TestOperatorTable:
     def test_identity_returns_the_field(self):
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
-        bundle = state_bundle(two_fermion_state(p, 1, 1), p, grid.r, grid.phi)
-        np.testing.assert_array_equal(apply_operator("1", bundle, p, grid.r, grid.phi), bundle.val)
+        table = FactorTable(p, grid.r, grid.phi)
+        bundle = table.bundle(two_fermion_state(p, 1, 1))
+        np.testing.assert_array_equal(apply_operators(("1",), bundle, table)[0], bundle.val)
 
     @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
     def test_projected_susy_operators(self, p):
-        grid = Grid.for_sector(p, 1, m_rad=40, m_ang=40)
-        grid_o = Grid.for_sector(p, 1, odd=True, m_rad=40, m_ang=40)
+        grid = Grid.for_pair(p, 1, 1, 40, 40)
+        grid_o = Grid.for_pair(p, 1, 1, 40, 40, odd=True)
         even = [s.state for s in sector_basis(p, 1, 3) if s.family in ("zero", "double")]
         odd = [s.state for s in sector_basis(p, 1, 3) if s.family in ("lower", "upper")]
         m = project(("Hs", "K0", "Y"), even, even, grid)
@@ -298,8 +303,8 @@ class TestSupercharges:
         g = zero_fermion_state(p, 1, n)
         qf = apply("Q", f, p, grid_e.r, grid_e.phi)
         qdg = apply("Qdag", g, p, grid_o.r, grid_o.phi)
-        lhs = grid_e.inner(qf, state_field(g, p, grid_e.r, grid_e.phi))
-        rhs = grid_o.inner(state_field(f, p, grid_o.r, grid_o.phi), qdg)
+        lhs = sampled_inner(grid_e, qf, state_field(g, p, grid_e.r, grid_e.phi))
+        rhs = sampled_inner(grid_o, state_field(f, p, grid_o.r, grid_o.phi), qdg)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -466,7 +471,7 @@ class TestTensorGridAssembly:
         blocks, basis = generator_matrices(p, trunc, m_rad=m_rad, m_ang=m_ang)
         mats = dense(blocks)
         grids = {
-            (n, q): Grid.for_sector(p, n, odd=bool(q), m_rad=m_rad, m_ang=m_ang)
+            (n, q): Grid.for_pair(p, n, n, m_rad, m_ang, odd=bool(q))
             for n in range(trunc[1] + 1)
             for q in (0, 1)
         }
@@ -477,7 +482,7 @@ class TestTensorGridAssembly:
                 p_out = parity[j] ^ GENERATOR_PARITY[name]
                 grid = grids[col.n, p_out]
                 r, phi = np.repeat(grid.r.ravel(), grid.m_ang), np.tile(grid.phi.ravel(), grid.m_rad)
-                w = grid.w.ravel()
+                w = (grid.w_r * grid.w_phi).ravel()
                 out = apply(name, col.state, p, r, phi)
                 rows = [i for i, s in enumerate(basis) if s.n == col.n and parity[i] == p_out]
                 pointwise = [np.dot(w, np.sum(state_field(basis[i].state, p, r, phi) * out, axis=0)) for i in rows]
@@ -498,7 +503,7 @@ class TestTensorGridAssembly:
     def test_radial_rescale_is_a_power_of_two(self, p):
         # each radial column is scaled into [1/2, 1) by a power of two, and
         # its coefficients by the inverse: exact, so no entry moves by a bit
-        grid = Grid.for_sector(p, 2, odd=True, m_rad=40, m_ang=40)
+        grid = Grid.for_pair(p, 2, 2, 40, 40, odd=True)
         table = FactorTable(p, grid.r, grid.phi)
         states = [s.state for s in sector_basis(p, 2, 4) if s.family in ("lower", "upper")]
         _, R, _ = table.expand(states)
@@ -518,7 +523,7 @@ class TestTensorGridAssembly:
             for s in sector_basis(p, n, 3):
                 for name in GENERATOR_NAMES:
                     p_out = s.state.fermion_parity() ^ GENERATOR_PARITY[name]
-                    grid = Grid.for_sector(p, n, odd=bool(p_out), m_rad=20, m_ang=20)
+                    grid = Grid.for_pair(p, n, n, 20, 20, odd=bool(p_out))
                     out = apply(name, s.state, p, grid.r, grid.phi)
                     assert np.all(out[PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
 
@@ -680,7 +685,9 @@ class TestSparseTerms:
             for name, image in zip(OPERATOR_NAMES, shared):
                 ref = dense_apply(_terms(name, p, g.phi), bundle, g.r)
                 assert np.array_equal(image, ref), (family, name)
-                assert np.array_equal(apply_operator(name, bundle, p, g.r, g.phi), ref), (family, name)
+                # alone, on a table that keeps no other operator
+                (alone,) = apply_operators((name,), bundle, FactorTable(p, g.r, g.phi))
+                assert np.array_equal(alone, ref), (family, name)
 
     def test_full_bundles_equal_dense_reference(self):
         # a bundle built outside a table reaches all four components
@@ -690,8 +697,9 @@ class TestSparseTerms:
         phi = rng.uniform(0.1, 0.9, 30) * p.phi_max
         bundle = random_polygauss(rng, p.omega).polar_bundle(p, r, phi)
         assert bundle.reached == (0, 1, 2, 3)
-        for name in OPERATOR_NAMES:
-            assert np.array_equal(apply_operator(name, bundle, p, r, phi), dense_apply(_terms(name, p, phi), bundle, r))
+        images = apply_operators(OPERATOR_NAMES, bundle, FactorTable(p, r, phi))
+        for name, image in zip(OPERATOR_NAMES, images):
+            assert np.array_equal(image, dense_apply(_terms(name, p, phi), bundle, r)), name
 
     def test_inf_in_a_reached_component_stays_visible(self):
         p = PARAM_SETS[2]
@@ -718,12 +726,12 @@ class TestSparseTerms:
         table = FactorTable(p, grid.r, grid.phi)
         bundle = table.bundle(zero_fermion_state(p, 2, 1))
         assert bundle.reached == (0,)
-        clean = apply_operator("Hs", bundle, p, grid.r, grid.phi)
+        (clean,) = apply_operators(("Hs",), bundle, table)
         # NaN in the unreached components is never read
         fields = [f.copy() for f in (bundle.val, bundle.d_r, bundle.d_rr, bundle.d_phi, bundle.d_phiphi)]
         for f in fields:
             f[1:] = np.nan
-        image = apply_operator("Hs", StateBundle(*fields, bundle.reached), p, grid.r, grid.phi)
+        (image,) = apply_operators(("Hs",), StateBundle(*fields, bundle.reached), table)
         assert np.array_equal(image, clean)
         assert not image[1:].any() and np.all(np.isfinite(image[0])) and image[0].any()
 
@@ -734,11 +742,11 @@ class TestSparseTerms:
             bs = sector_basis(p, n, 3)
             states = {par: [s.state for s in bs if s.state.fermion_parity() == par] for par in (0, 1)}
             for p_out in (0, 1):
-                grid = Grid.for_sector(p, n, odd=bool(p_out), m_rad=MR, m_ang=MA)
+                grid = Grid.for_pair(p, n, n, MR, MA, odd=bool(p_out))
                 table = FactorTable(p, grid.r, grid.phi)
                 for p_in in (0, 1):
                     rows, cols = states[p_out], states[p_in]
-                    shared = project(OPERATOR_NAMES, rows, cols, grid, table)
+                    shared = project(OPERATOR_NAMES, rows, cols, grid)
                     f_rows, f_cols = table.expand(rows), table.expand(cols)
                     for name in OPERATOR_NAMES:
                         ref = per_term_project(_terms(name, p, grid.phi), f_rows, f_cols, grid)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from ttwsusy.generators import GENERATOR_NAMES, apply_operator, generator_matrices, interior_mask, project
+from ttwsusy.generators import GENERATOR_NAMES, apply_operators, generator_matrices, interior_mask, project
 from ttwsusy.irreps import (
     casimir_eigenvalues,
     casimir_matrices,
@@ -20,7 +20,9 @@ from ttwsusy.irreps import (
     zero_fermion_state,
 )
 from ttwsusy.model import Grid, ModelParams, weights_of
-from ttwsusy.states import state_bundle, state_field
+from ttwsusy.states import FactorTable, state_field
+
+from sampled import sampled_inner
 
 P_SW = ModelParams(k=2.0, a=1.0, b=1.0, omega=1.0)
 P_GEN = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
@@ -31,7 +33,9 @@ MR = MA = 56
 
 def apply(name, state, p, r, phi):
     """Operator ``name`` applied to a catalog state at (r, phi)."""
-    return apply_operator(name, state_bundle(state, p, r, phi), p, r, phi)
+    table = FactorTable(p, r, phi)
+    (image,) = apply_operators((name,), table.bundle(state), table)
+    return image
 
 
 class TestLadderCoefficients:
@@ -62,18 +66,18 @@ class TestOddActionExpansions:
     def test_norms_match_quadrature(self, p):
         lam = (1 + p.a + p.b) * p.k
         mu = 1 * p.k
-        grid = Grid.for_sector(p, 1, odd=True, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=True)
         for N in (0, 1, 3):
             plus = state_field(v_action("+", p, N, 1), p, grid.r, grid.phi)
-            assert grid.inner(plus, plus) == pytest.approx(N + lam + 1.0, rel=1e-11)
+            assert sampled_inner(grid, plus, plus) == pytest.approx(N + lam + 1.0, rel=1e-11)
             minus = state_field(v_action("-", p, N, 1), p, grid.r, grid.phi)
-            assert grid.inner(minus, minus) == pytest.approx(N + mu, rel=1e-11)
+            assert sampled_inner(grid, minus, minus) == pytest.approx(N + mu, rel=1e-11)
 
     def test_normalized_states_have_unit_norm(self):
-        grid = Grid.for_sector(P_GEN, 2, odd=True, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(P_GEN, 2, 2, MR, MA, odd=True)
         for sign in ("+", "-"):
             f = state_field(one_fermion_state(sign, P_GEN, 1, 2), P_GEN, grid.r, grid.phi)
-            assert grid.inner(f, f) == pytest.approx(1.0, abs=1e-11)
+            assert sampled_inner(grid, f, f) == pytest.approx(1.0, abs=1e-11)
 
 
 class TestTwoFermionStates:
@@ -84,14 +88,14 @@ class TestTwoFermionStates:
         # ||V+V- |tau, tau+N, q>|| = sqrt(n (n+a+b) k^2) = 2 sqrt(3) at
         # n = 1, k = 2, a = b = 1
         p = P_SW
-        grid = Grid.for_sector(p, 1, odd=False, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=False)
         raw = apply("V+", v_action("-", p, 1, 1), p, grid.r, grid.phi)
-        norm = math.sqrt(grid.inner(raw, raw))
+        norm = math.sqrt(sampled_inner(grid, raw, raw))
         assert norm == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-10)
 
     def test_antisymmetry_of_double_action(self):
         p = P_GEN
-        grid = Grid.for_sector(p, 1, odd=False, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=False)
         pm = apply("V+", v_action("-", p, 2, 1), p, grid.r, grid.phi)
         mp = apply("V-", v_action("+", p, 2, 1), p, grid.r, grid.phi)
         scale = np.max(np.abs(pm))
@@ -101,15 +105,15 @@ class TestTwoFermionStates:
         p = P_GEN
         lam = (1 + p.a + p.b) * p.k
         mu = p.k
-        grid = Grid.for_sector(p, 1, odd=False, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=False)
         raw = apply("V+", v_action("-", p, 0, 1), p, grid.r, grid.phi)
         ref = state_field(two_fermion_state(p, 0, 1), p, grid.r, grid.phi) * math.sqrt(mu * lam)
         assert np.max(np.abs(raw - ref)) / np.max(np.abs(ref)) < 1e-10
 
     def test_unit_norm(self):
-        grid = Grid.for_sector(P_IRR, 2, odd=False, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(P_IRR, 2, 2, MR, MA, odd=False)
         f = state_field(two_fermion_state(P_IRR, 1, 2), P_IRR, grid.r, grid.phi)
-        assert grid.inner(f, f) == pytest.approx(1.0, abs=1e-11)
+        assert sampled_inner(grid, f, f) == pytest.approx(1.0, abs=1e-11)
 
 
 class TestOverlap:
@@ -124,30 +128,30 @@ class TestOverlap:
 
     def test_quadrature_oracle(self):
         p = P_IRR
-        grid = Grid.for_sector(p, 2, odd=True, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(p, 2, 2, MR, MA, odd=True)
         for N in (1, 2, 4):
             plus = state_field(one_fermion_state("+", p, N - 1, 2), p, grid.r, grid.phi)
             minus = state_field(one_fermion_state("-", p, N, 2), p, grid.r, grid.phi)
-            measured = grid.inner(plus, minus)
+            measured = sampled_inner(grid, plus, minus)
             assert measured == pytest.approx(overlap(p, N, 2), abs=1e-9)
             assert measured > 0
 
     def test_projected_overlap_equals_sampled(self):
         p = P_GEN
         for n in range(1, 5):
-            grid = Grid.for_sector(p, n, odd=True, m_rad=MR, m_ang=MA)
+            grid = Grid.for_pair(p, n, n, MR, MA, odd=True)
             plus = [one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
             minus = [one_fermion_state("-", p, N, n) for N in range(1, 6)]
             projected = project(("1",), plus, minus, grid)["1"]
             fields = {id(s): state_field(s, p, grid.r, grid.phi) for s in plus + minus}
-            sampled = np.array([[grid.inner(fields[id(a)], fields[id(b)]) for b in minus] for a in plus])
+            sampled = np.array([[sampled_inner(grid, fields[id(a)], fields[id(b)]) for b in minus] for a in plus])
             assert np.max(np.abs(projected - sampled)) < 1e-13, n
 
     def test_formula_is_one_at_n_zero(self):
         assert overlap(P_GEN, 3, 0) == pytest.approx(1.0, rel=1e-14)
 
     def test_families_coincide_at_n_zero(self):
-        grid = Grid.for_sector(P_GEN, 0, odd=True, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(P_GEN, 0, 0, MR, MA, odd=True)
         for N in (1, 2, 3):
             plus = state_field(one_fermion_state("+", P_GEN, N - 1, 0), P_GEN, grid.r, grid.phi)
             minus = state_field(one_fermion_state("-", P_GEN, N, 0), P_GEN, grid.r, grid.phi)
@@ -170,15 +174,15 @@ class TestMixing:
     @pytest.mark.parametrize("p", [P_GEN, P_IRR], ids=["k=2", "k=sqrt2"])
     def test_tower_states_are_orthonormal(self, p):
         n = 1
-        grid = Grid.for_sector(p, n, odd=True, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(p, n, n, MR, MA, odd=True)
         states = [sp2_family_state(p, fam, lv, n) for fam in ("lower", "upper") for lv in range(3)]
         fields = [state_field(s, p, grid.r, grid.phi) for s in states]
-        gram = np.array([[grid.inner(f, g) for g in fields] for f in fields])
+        gram = np.array([[sampled_inner(grid, f, g) for g in fields] for f in fields])
         assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-9
 
     def test_lower_tower_head_is_lowest_weight(self):
         p = P_GEN
-        grid = Grid.for_sector(p, 1, odd=True, m_rad=MR, m_ang=MA)
+        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=True)
         head = sp2_family_state(p, "lower", 0, 1)
         km = apply("K-", head, p, grid.r, grid.phi)
         assert np.max(np.abs(km)) < 1e-9
@@ -194,10 +198,10 @@ class TestSectorBasis:
         for n in (0, 1):
             basis = sector_basis(p, n, 2)
             for odd in (False, True):
-                grid = Grid.for_sector(p, n, odd=odd, m_rad=MR, m_ang=MA)
+                grid = Grid.for_pair(p, n, n, MR, MA, odd=odd)
                 sel = [s for s in basis if (s.family in ("lower", "upper")) == odd]
                 fields = [state_field(s.state, p, grid.r, grid.phi) for s in sel]
-                gram = np.array([[grid.inner(f, g) for g in fields] for f in fields])
+                gram = np.array([[sampled_inner(grid, f, g) for g in fields] for f in fields])
                 assert np.max(np.abs(gram - np.eye(len(sel)))) < 1e-9, (n, odd)
 
     def test_invalid_family_requests(self):
@@ -310,12 +314,12 @@ class TestBlockDiagonality:
                         bra = state_field(s1, p, grid.r, grid.phi)
                         for gname in ("K0", "K+", "K-", "Y"):
                             out = apply(gname, s2, p, grid.r, grid.phi)
-                            assert abs(grid.inner(bra, out)) < 1e-9, (n1, n2, gname)
+                            assert abs(sampled_inner(grid, bra, out)) < 1e-9, (n1, n2, gname)
 
 
     @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 2), (0, 2), (1, 1)])
     def test_projected_elements_equal_sampled(self, n1, n2):
-        # the sampled route is Grid.inner of apply_operator fields; on the
+        # the sampled route sums apply_operators fields on the 2-D grid; on the
         # same-sector pair (1, 1) the K0 and Y elements do not vanish, so the
         # agreement is not only between two roundoff-sized numbers
         p = P_IRR
@@ -329,7 +333,7 @@ class TestBlockDiagonality:
             bras = [state_field(s1, p, grid.r, grid.phi) for s1 in rows]
             for gname in names:
                 kets = [apply(gname, s2, p, grid.r, grid.phi) for s2 in cols]
-                sampled = np.array([[grid.inner(bra, ket) for ket in kets] for bra in bras])
+                sampled = np.array([[sampled_inner(grid, bra, ket) for ket in kets] for bra in bras])
                 assert np.max(np.abs(projected[gname] - sampled)) < 1e-13, (odd, gname)
                 if n1 == n2 and gname in ("K0", "Y"):
                     assert np.max(np.abs(sampled)) > 0.1

@@ -20,6 +20,8 @@ from ttwsusy.generators import wavefunction_gram
 from ttwsusy.specfun import laguerre
 from ttwsusy.verify import DEFAULT_PARAM_SETS
 
+from sampled import sampled_inner
+
 P_UNIT = ModelParams(k=1.0, a=1.0, b=1.0, omega=1.0)
 P_GEN = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
 
@@ -32,10 +34,6 @@ class TestParams:
             ModelParams(k=1.0, a=1.0, b=1.0, omega=-2.0)
         with pytest.raises(ValueError):
             ModelParams(k=1.0, a=-0.3, b=1.0)
-
-    def test_warn_regime_flag(self):
-        assert not P_GEN.warn_regime
-        assert ModelParams(k=1.0, a=0.4, b=1.0).warn_regime
 
     @pytest.mark.parametrize("name", ["k", "a", "b", "omega"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1", True, None], ids=["inf", "-inf", "nan", "string", "bool", "none"])
@@ -187,13 +185,13 @@ class TestNormalization:
     def test_unit_norm(self):
         grid = Grid.for_pair(P_GEN, 0, 0, 48, 48)
         f = eval_wavefunction(P_GEN, 0, 0, grid.r, grid.phi)
-        assert grid.inner(f, f) == pytest.approx(1.0, abs=1e-10)
+        assert sampled_inner(grid, f, f) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonality(self):
         grid = Grid.for_pair(P_GEN, 0, 0, 48, 48)
         f = eval_wavefunction(P_GEN, 0, 0, grid.r, grid.phi)
         g = eval_wavefunction(P_GEN, 1, 0, grid.r, grid.phi)
-        assert grid.inner(f, g) == pytest.approx(0.0, abs=1e-10)
+        assert sampled_inner(grid, f, g) == pytest.approx(0.0, abs=1e-10)
 
     def test_gram_identity(self):
         gram = wavefunction_gram(P_GEN, (4, 4), 64, 64)
@@ -209,10 +207,19 @@ class TestNormalization:
         with pytest.raises(ValueError):
             eval_wavefunction(P_GEN, 0, 0, 0.0, 0.3)
 
+    def test_radial_factor_is_taken_at_the_given_r(self):
+        # no round trip r -> z = omega r^2 -> sqrt(z / omega), which moves
+        # some radii by an ulp
+        p = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.7)
+        r = np.linspace(0.05, 4.0, 2001)
+        phi = np.full_like(r, 0.3)
+        expect = norm_constant(p, 2, 1) * radial_levels(p, 2, 1, r)[0][2] * eval_angular(p, 1, phi)
+        assert np.array_equal(eval_wavefunction(p, 2, 1, r, phi), expect)
+
 
 def grid_gram(params, pairs_max, m_rad=80, m_ang=80):
-    """Reference Gram matrix summed on the 2-D grid: every entry is a
-    Grid.inner of two eigenfunctions sampled on their pair grid."""
+    """Reference Gram matrix summed on the 2-D grid: every entry is the
+    sampled inner product of two eigenfunctions on their pair grid."""
     N_max, n_max = pairs_max
     labels = [(N, n) for n in range(n_max + 1) for N in range(N_max + 1)]
     grids = {s: Grid.for_pair(params, s, 0, m_rad, m_ang) for s in range(2 * n_max + 1)}
@@ -226,7 +233,7 @@ def grid_gram(params, pairs_max, m_rad=80, m_ang=80):
     gram = np.zeros((len(labels), len(labels)))
     for i, (N1, n1) in enumerate(labels):
         for j, (N2, n2) in enumerate(labels[i:], start=i):
-            gram[i, j] = gram[j, i] = grids[n1 + n2].inner(sample(N1, n1, n1 + n2), sample(N2, n2, n1 + n2))
+            gram[i, j] = gram[j, i] = sampled_inner(grids[n1 + n2], sample(N1, n1, n1 + n2), sample(N2, n2, n1 + n2))
     return gram
 
 
@@ -248,12 +255,12 @@ class TestSeparableGram:
 
 class TestGrid:
     def test_mismatched_grids_rejected(self):
-        g1 = Grid.for_sector(P_GEN, 0, m_rad=24, m_ang=24)
-        g2 = Grid.for_sector(P_GEN, 0, m_rad=32, m_ang=32)
+        g1 = Grid.for_pair(P_GEN, 0, 0, 24, 24)
+        g2 = Grid.for_pair(P_GEN, 0, 0, 32, 32)
         f = eval_wavefunction(P_GEN, 0, 0, g1.r, g1.phi)
         g = eval_wavefunction(P_GEN, 0, 0, g2.r, g2.phi)
         with pytest.raises(ValueError):
-            g1.inner(f, g)
+            sampled_inner(g1, f, g)
 
     def test_radial_exponent_rule(self):
         # (n1 + n2 + a + b) k, less 1 for a pair of one-fermion factors
@@ -261,39 +268,42 @@ class TestGrid:
             alpha = (n1 + n2 + P_GEN.a + P_GEN.b) * P_GEN.k - (1.0 if odd else 0.0)
             assert Grid.for_pair(P_GEN, n1, n2, 8, 8, odd=odd).alpha == alpha
         for n, odd in ((0, False), (3, True)):
-            assert Grid.for_sector(P_GEN, n, odd, 8, 8).alpha == P_GEN.sector_alpha(n) - (1.0 if odd else 0.0)
+            assert Grid.for_pair(P_GEN, n, n, 8, 8, odd=odd).alpha == P_GEN.sector_alpha(n) - (1.0 if odd else 0.0)
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             Grid(P_GEN, -1.5)
 
     def test_tensor_form(self):
-        grid = Grid.for_sector(P_GEN, 1, m_rad=12, m_ang=10)
-        assert (grid.r.shape, grid.phi.shape, grid.w.shape) == ((12, 1), (1, 10), (12, 10))
+        grid = Grid.for_pair(P_GEN, 1, 1, 12, 10)
+        assert (grid.r.shape, grid.phi.shape) == ((12, 1), (1, 10))
         f = eval_wavefunction(P_GEN, 0, 1, grid.r, grid.phi)
-        assert f.shape == grid.w.shape
+        assert f.shape == (12, 10)
 
-    def test_weights_are_product_of_1d_weights(self):
-        grid = Grid.for_sector(P_GEN, 2, odd=True, m_rad=12, m_ang=10)
-        assert (grid.w_r.shape, grid.w_phi.shape) == ((12, 1), (1, 10))
-        np.testing.assert_array_equal(grid.w, np.outer(grid.w_r, grid.w_phi))
+    def test_grid_holds_only_1d_arrays(self):
+        # every array is a radial column or an angular row: no grid builds
+        # an (m_rad, m_ang) array
+        grid = Grid.for_pair(P_GEN, 2, 2, 12, 10, odd=True)
+        arrays = {name: v.shape for name, v in vars(grid).items() if isinstance(v, np.ndarray)}
+        assert {"r", "phi", "w_r", "w_phi"} <= set(arrays)
+        assert all(shape in ((12, 1), (1, 10)) for shape in arrays.values()), arrays
 
     def test_spinor_inner_sums_components(self):
-        grid = Grid.for_sector(P_GEN, 0, m_rad=16, m_ang=12)
+        grid = Grid.for_pair(P_GEN, 0, 0, 16, 12)
         rng = np.random.default_rng(5)
         f, g = rng.uniform(0.5, 1.5, size=(2, 4, 16, 12))
-        per_component = sum(grid.inner(f[i], g[i]) for i in range(4))
-        assert grid.inner(f, g) == pytest.approx(per_component, rel=1e-14)
+        per_component = sum(sampled_inner(grid, f[i], g[i]) for i in range(4))
+        assert sampled_inner(grid, f, g) == pytest.approx(per_component, rel=1e-14)
         with pytest.raises(ValueError):
-            grid.inner(f, g[:3])
+            sampled_inner(grid, f, g[:3])
         with pytest.raises(ValueError):
-            grid.inner(f[..., :-1], g[..., :-1])
+            sampled_inner(grid, f[..., :-1], g[..., :-1])
 
     def test_rules_use_the_exact_exponents(self):
         # alpha = (2 + a + b) k is irrational at k = sqrt 2; a rule built for
         # alpha rounded to 12 digits put this entry off by 6.9e-13
         p = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8)
-        grid = Grid.for_sector(p, 1)
+        grid = Grid.for_pair(p, 1, 1)
         alpha = p.sector_alpha(1)
         R = radial_levels(p, 0, 1, grid.r)[0][0]
         norm2 = 2.0 * p.omega ** (alpha + 1.0) / math.gamma(alpha + 1.0)
@@ -303,10 +313,11 @@ class TestGrid:
         # alpha = (2n + a + b) k = 210 at n = 6: Gamma(alpha + 1) overflows
         p = ModelParams(k=15.0, a=1.0, b=1.0)
         with pytest.raises(ValueError, match="alpha = 210"):
-            Grid.for_sector(p, 6)
+            Grid.for_pair(p, 6, 6)
 
     def test_weight_overflow_starts_past_alpha_170(self):
-        assert np.all(np.isfinite(Grid(P_UNIT, 170.5).w))
+        grid = Grid(P_UNIT, 170.5)
+        assert np.all(np.isfinite(grid.w_r)) and np.all(np.isfinite(grid.w_phi))
         for alpha in (170.7, 171.0):
             with pytest.raises(ValueError, match=f"alpha = {alpha:g}"):
                 Grid(P_UNIT, alpha)

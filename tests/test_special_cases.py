@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ttwsusy.generators import apply_operator, superpotential
+from ttwsusy.generators import apply_operators, superpotential
 from ttwsusy.irreps import one_fermion_state, two_fermion_state, zero_fermion_state
 from ttwsusy.model import ModelParams
 from ttwsusy.special_cases import (
@@ -61,7 +61,7 @@ def catalog_cart(state, p, r, phi):
 def polar_reference(bundle, p, r, phi):
     """(Hs, Q) of a test spinor from its polar bundle: catalog states and
     random spinors go through the same pointwise operator assembly."""
-    return apply_operator("Hs", bundle, p, r, phi), apply_operator("Q", bundle, p, r, phi)
+    return apply_operators(("Hs", "Q"), bundle, FactorTable(p, r, phi))
 
 
 class TestPolyGauss:
@@ -93,10 +93,11 @@ class TestSeparableCase:
         # by -2 omega (a+b+1)
         rng = np.random.default_rng(2)
         r, phi, x, y = interior_points(rng, P1, 100)
-        bundle = state_bundle(zero_fermion_state(P1, 2, 1), P1, r, phi)
+        table = FactorTable(P1, r, phi)
+        bundle = table.bundle(zero_fermion_state(P1, 2, 1))
         cart = cart_from_polar(bundle, r, phi)
         h_c, _ = sw_super(P1, cart, x, y)
-        scalar = apply_operator("H", bundle, P1, r, phi)
+        (scalar,) = apply_operators(("H",), bundle, table)
         shift = -2 * P1.omega * (P1.a + P1.b + 1.0)
         fv = bundle.val
         assert np.max(np.abs(h_c - scalar - shift * fv)) / np.max(np.abs(scalar)) < 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ttwsusy import states
-from ttwsusy.generators import project
 from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, v_action, zero_fermion_state
 from ttwsusy.model import Grid, ModelParams, radial_levels
 from ttwsusy.states import FERMION_NUMBER, OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
@@ -121,7 +120,7 @@ def basis_grids(p, n_max, m=40):
     """(state, parity, grid) for every basis state of sectors 0..n_max at
     truncation level 3, on the sector grid of the state's fermion parity."""
     for n in range(n_max + 1):
-        grids = {q: Grid.for_sector(p, n, odd=bool(q), m_rad=m, m_ang=m) for q in (0, 1)}
+        grids = {q: Grid.for_pair(p, n, n, m, m, odd=bool(q)) for q in (0, 1)}
         for s in sector_basis(p, n, 3):
             parity = s.state.fermion_parity()
             yield s, parity, grids[parity]
@@ -157,7 +156,7 @@ class TestBroadcastingContract:
             assert np.any(bundle.val[PARITY_COMPONENTS[parity]] != 0.0)
 
     def test_table_reuses_factors_across_states(self):
-        grid = Grid.for_sector(P, 2, odd=True, m_rad=20, m_ang=20)
+        grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
         table = FactorTable(P, grid.r, grid.phi)
         plus, minus = one_fermion_state("+", P, 1, 2), one_fermion_state("-", P, 2, 2)
         table.bundle(plus)
@@ -186,13 +185,13 @@ class TestBroadcastingContract:
             return radial_levels(params, N_max, n, r, one_fermion)
 
         monkeypatch.setattr(states, "radial_levels", counting)
-        grid = Grid.for_sector(P, 2, m_rad=20, m_ang=20)
+        grid = Grid.for_pair(P, 2, 2, 20, 20)
         table = FactorTable(P, grid.r, grid.phi)
         basis = [s.state for s in sector_basis(P, 2, 5)]
         even = [st for st in basis if st.fermion_parity() == 0]
         odd = [st for st in basis if st.fermion_parity() == 1]
-        project(("1",), even, even, grid, table)
-        project(("1",), odd, odd, grid, table)
+        table.expand(even)
+        table.expand(odd)
         for st in basis:
             table.bundle(st)
         assert sorted(calls) == sorted(table._radial) and len(calls) == len(set(calls))
@@ -202,7 +201,7 @@ class TestBroadcastingContract:
 def sample_points(p, n_pts=30, seed=3):
     """A sector-0 grid's nodes and scattered interior points, as (r, phi) pairs."""
     rng = np.random.default_rng(seed)
-    grid = Grid.for_sector(p, 0, m_rad=20, m_ang=24)
+    grid = Grid.for_pair(p, 0, 0, 20, 24)
     scattered = (rng.uniform(0.3, 2.5, n_pts), rng.uniform(0.05, 0.95, n_pts) * p.phi_max)
     return {"grid": (grid.r, grid.phi), "scattered": scattered}
 

@@ -43,16 +43,24 @@ def fast_report():
     return run(SuiteConfig(**FAST, suites=("specfun", "model")))
 
 
+def binom_frac(top: Fraction, m: int) -> Fraction:
+    """C(top, m) for a rational top, as an exact Fraction."""
+    c = Fraction(1)
+    for i in range(1, m + 1):
+        c *= (top - m + i) / i
+    return c
+
+
 def fraction_laguerre(N, alpha, z):
     """Reference series oracle: the exact Fraction sum, rounded once."""
     af = Fraction(alpha)
-    coeffs = [Fraction(-1) ** j / math.factorial(j) * verify._binom_frac(af + N, N - j) for j in range(N + 1)]
+    coeffs = [Fraction(-1) ** j / math.factorial(j) * binom_frac(af + N, N - j) for j in range(N + 1)]
     return np.array([float(sum(c * Fraction(float(zv)) ** j for j, c in enumerate(coeffs))) for zv in z])
 
 
 def fraction_jacobi(n, alpha, beta, x):
     af, bf = Fraction(alpha), Fraction(beta)
-    coeffs = [verify._binom_frac(af + n, n - j) * verify._binom_frac(bf + n, j) for j in range(n + 1)]
+    coeffs = [binom_frac(af + n, n - j) * binom_frac(bf + n, j) for j in range(n + 1)]
     out = []
     for xv in x:
         xf = Fraction(float(xv))
@@ -63,19 +71,20 @@ def fraction_jacobi(n, alpha, beta, x):
 
 class TestSeriesOracle:
     """The integer-arithmetic oracles round the same exact rational as the
-    Fraction sums, so they agree bit for bit."""
+    Fraction sums, so they agree bit for bit: on the specfun suite's
+    parameters and on exponents with large denominators."""
 
     def test_laguerre_equals_fraction_sum(self):
         z = np.concatenate([np.linspace(0.05, 30.0, 41), [1e-300, 700.0]])
         for N in range(13):
-            for alpha in (-0.4, 0.0, 0.7, 2.5, 10.0):
+            for alpha in (-0.4, 0.0, 0.7, 2.5, 10.0, 1 / 3, math.sqrt(2.0), 1e-3):
                 assert np.array_equal(verify._series_laguerre(N, alpha, z), fraction_laguerre(N, alpha, z)), (N, alpha)
 
     def test_jacobi_equals_fraction_sum(self):
         edge = 1.0 - 2.0**-52
         x = np.concatenate([np.linspace(-0.999, 0.999, 41), [-edge, edge]])
         for n in range(13):
-            for alpha, beta in ((-0.4, 0.3), (0.5, 0.5), (1.5, 0.5), (10.0, 2.0)):
+            for alpha, beta in ((-0.4, 0.3), (0.5, 0.5), (1.5, 0.5), (10.0, 2.0), (1 / 3, math.sqrt(2.0)), (1e-3, 1 / 3)):
                 assert np.array_equal(verify._series_jacobi(n, alpha, beta, x), fraction_jacobi(n, alpha, beta, x)), (n, alpha, beta)
 
 
@@ -681,8 +690,9 @@ class TestCli:
 def test_runs_without_scipy():
     """A fresh process imports the package and runs all five suites, first
     for one parameter set (in-process), then for two sets in a forced
-    worker pool, without importing scipy, any of its submodules or
-    ``numpy.random``, in this process or in a set job's worker.  Neither
+    worker pool, without importing scipy, any of its submodules,
+    ``numpy.random`` or ``fractions`` (the series oracles sum in plain
+    integers), in this process or in a set job's worker.  Neither
     importing the package nor the run that needs no worker pool loads
     multiprocessing or concurrent.futures."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
@@ -690,7 +700,7 @@ def test_runs_without_scipy():
         "import sys, ttwsusy\n"
         "from ttwsusy import verify\n"
         "def loaded(*prefixes):\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy',) + prefixes or m.startswith('numpy.random'))\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions') + prefixes or m.startswith('numpy.random'))\n"
         "checks_irreps = verify._checks_irreps\n"
         "def irreps_then_modules(ws):\n"
         "    yield from checks_irreps(ws)\n"
