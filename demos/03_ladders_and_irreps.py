@@ -39,12 +39,12 @@ print(f"radial raising coefficient sqrt((N+1)(2 tau + N)) = {k_ladder_coeff('+',
 grid_odd = Grid.for_pair(params, n, n, 64, 64, odd=True)
 table = FactorTable(params, grid_odd.r, grid_odd.phi)
 # one bundle (values and polar derivatives) of the state serves both odd operators
-images = apply_operators(("V+", "V-"), table.bundle(zero_fermion_state(params, N, n)), table)
-for (sign, norm2), field in zip((("+", N + lam + 1.0), ("-", N + mu)), images):
-    expansion = [v_action(sign, params, N, n)]
-    ref = table.field(expansion[0])
+(bundle,) = table.bundles([zero_fermion_state(params, N, n)])
+images = apply_operators(("V+", "V-"), bundle, table)
+expansions = [v_action(sign, params, N, n) for sign in ("+", "-")]
+for (sign, norm2), field, expansion, ref in zip((("+", N + lam + 1.0), ("-", N + mu)), images, expansions, table.fields(expansions)):
     print(f"V{sign}: differential action vs closed-form expansion, max |diff| = {np.max(np.abs(field - ref)):.3e}")
-    measured = project(("1",), expansion, expansion, grid_odd)["1"][0, 0]
+    measured = project(("1",), [expansion], [expansion], grid_odd)["1"][0, 0]
     print(f"     norm^2 of the expansion on the grid = {measured:.12f} (closed form {norm2})")
 
 print(f"\noverlap of the two one-fermion states at equal weight: {overlap(params, N, n):.9f}")

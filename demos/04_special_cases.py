@@ -33,7 +33,7 @@ def compare(p, cart_fn, title):
     # a catalog state's cartesian data comes from its polar bundle; a random
     # polynomial x Gaussian spinor gives both forms itself
     table = FactorTable(p, r, phi)
-    catalog = table.bundle(zero_fermion_state(p, 1, 1))
+    (catalog,) = table.bundles([zero_fermion_state(p, 1, 1)])
     gauss = random_polygauss(rng, p.omega)
     spinors = [(cart_from_polar(catalog, r, phi), catalog), (gauss.cart_data(p, r, phi), gauss.polar_bundle(p, r, phi))]
     for cart, bundle in spinors:
@@ -63,7 +63,7 @@ cm_vac = np.zeros((2, 2))
 cm_vac[0, 0] = 1.0
 chi = np.exp(-0.5 * p3.omega * X**2)
 table = FactorTable(p3, r, phi)
-bundle = table.bundle(st)
+(bundle,) = table.bundles([st])
 data = make_cmw_test_state(bundle, cm_vac, p3, r, phi, X)
 h_r, q_r = cmw_rel_super(p3, data)
 (q_p,) = apply_operators(("Q",), bundle, table)

@@ -302,7 +302,7 @@ def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
 def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[np.ndarray]:
     """Each named operator (any name ``_terms`` knows: a generator, "H",
     "Hs", "Q", "Qdag" or "1") applied analytically to a bundle of
-    ``table`` (``table.bundle(state)``) at the table's points, as a list
+    ``table`` (from ``table.bundles``) at the table's points, as a list
     of spinor fields.  Each operator's grouped term table is built on
     first use and kept on the table, so every state sampled there shares
     its angular functions.  The coefficient arrays, of the grid's 2-D

@@ -2,7 +2,7 @@
 
 A catalog state is a finite linear combination of factorized basis
 functions closed under the action of all eight superalgebra
-generators.  Each term is labelled by (N, n, shift, occ):
+generators.  Each term is labelled by (N, n, occ):
 
     occ 0 (vacuum):   Z_N^((2n+a+b)k)(z)          Phi_n^(a,b)(phi)        |00>
     occ 1 (xbar):     z^(-1/2) Z_N^((2n+a+b)k)(z) Phi_n^(a,b)(phi)        bdag_xbar|0>
@@ -10,35 +10,36 @@ generators.  Each term is labelled by (N, n, shift, occ):
     occ 3 (xbar ybar):          Z_N^((2n+a+b)k)(z) Phi_{n-1}^(a+1,b+1)    bdag_xbar bdag_ybar|0>
 
 where Z and Phi are the radial/angular eigenfunction factors.  The
-``shift`` field records the (a,b) -> (a+1,b+1) shift explicitly; terms
-with a negative radial or angular index are the zero function (the
-ladder expansions use that sentinel implicitly).
+occupation fixes the (a,b) -> (a+1,b+1) shift of the angular factor;
+terms with a negative radial or angular index are the zero function
+(the ladder expansions use that sentinel implicitly).
 
 Because the barred fermion modes depend on phi, a term's fixed-basis
 spinor components pick up cos(phi)/sin(phi) factors, and the angular
-derivative acts on those too.  ``state_bundle`` returns the exact
-values and first/second polar derivatives of every fixed-basis
-component on a set of sample points; the generator module applies
-its differential operators to these bundles, so there is no
-discretization error anywhere.
+derivative acts on those too.  A state's bundle holds the exact values
+and first/second polar derivatives of every fixed-basis component on a
+set of sample points; the generator module applies its differential
+operators to these bundles, so there is no discretization error
+anywhere.
 
 Every term is a radial factor (a function of r alone) times an angular
 spinor factor (angular factor times fermion trig, a function of phi
-alone).  ``FactorTable`` memoizes both, as evaluated by
+alone).  ``FactorTable.expand`` is the one place that groups terms by
+factor key and evaluates the factors, through
 ``model.radial_levels``/``angular_parts``, on any broadcastable pair
-(r, phi).  ``FactorTable.expand`` is the one place that groups terms
-by factor key: it writes a list of states as a coefficient array over
-(radial key, angular key) pairs plus the factor arrays.  A bundle or
-field is a contraction of one state's expansion, broadcast over the
-table's points; ``generators.project`` contracts the expansions of
-row and column states with 1-D Gauss sums.  Radial factors are
-evaluated for every level of one (sector, one-fermion) key at once.
+(r, phi): it writes a list of states as a coefficient array over
+(radial key, angular key) pairs plus the factor arrays, each factor
+evaluated once per call and kept by no one after it.  Radial factors
+are evaluated for every level of one (sector, one-fermion) key at once.
+``FactorTable.bundles``/``fields`` contract one expansion, a state at a
+time, broadcast over the table's points; ``generators.project``
+contracts the expansions of row and column states with 1-D Gauss sums.
 Equal-shape arrays sample scattered points; a grid's ``(grid.r,
 grid.phi)``, a column of radial nodes against a row of angular nodes,
 samples the whole tensor grid while evaluating each factor on the 1-D
-nodes only.  One table per set of points serves every state sampled
-there, and ``generators.apply_operators`` applies operators to its
-bundles; ``state_bundle``/``state_field`` build a one-shot table.
+nodes only.  ``generators.apply_operators`` applies operators to a
+table's bundles; ``state_bundle``/``state_field`` build a one-shot
+table.
 
 Spinor fields themselves are plain float arrays of shape
 (4, *broadcast shape) in the fixed fermion basis: (4, n_points) for
@@ -70,7 +71,7 @@ OCC_VAC, OCC_XBAR, OCC_YBAR, OCC_XYBAR = 0, 1, 2, 3
 
 FERMION_NUMBER = {OCC_VAC: 0, OCC_XBAR: 1, OCC_YBAR: 1, OCC_XYBAR: 2}
 
-# default (a,b) shift per occupation, following the ladder expansions
+# (a,b) shift of the angular factor per occupation, following the ladder expansions
 _OCC_SHIFT = {OCC_VAC: 0, OCC_XBAR: 0, OCC_YBAR: 1, OCC_XYBAR: 1}
 
 
@@ -79,21 +80,19 @@ class CatalogTerm:
     coeff: float
     N: int
     n: int
-    shift: int
     occ: int
 
     @property
     def angular_index(self) -> int:
-        return self.n - self.shift
+        return self.n - _OCC_SHIFT[self.occ]
 
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0.0 or self.N < 0 or self.angular_index < 0
 
 
-def term(coeff: float, N: int, n: int, occ: int, shift: int | None = None) -> CatalogTerm:
-    """Catalog term with the occupation's conventional (a,b) shift."""
-    return CatalogTerm(float(coeff), N, n, _OCC_SHIFT[occ] if shift is None else shift, occ)
+def term(coeff: float, N: int, n: int, occ: int) -> CatalogTerm:
+    return CatalogTerm(float(coeff), N, n, occ)
 
 
 @dataclass(frozen=True)
@@ -114,18 +113,16 @@ class CatalogState:
         return CatalogState(self.terms + other.terms).simplify()
 
     def scaled(self, c: float) -> "CatalogState":
-        return CatalogState(tuple(CatalogTerm(c * t.coeff, t.N, t.n, t.shift, t.occ) for t in self.terms))
+        return CatalogState(tuple(CatalogTerm(c * t.coeff, t.N, t.n, t.occ) for t in self.terms))
 
     def simplify(self) -> "CatalogState":
         acc: dict[tuple, float] = {}
         for t in self.terms:
             if t.is_zero:
                 continue
-            key = (t.N, t.n, t.shift, t.occ)
+            key = (t.N, t.n, t.occ)
             acc[key] = acc.get(key, 0.0) + t.coeff
-        return CatalogState(
-            tuple(CatalogTerm(c, N, n, shift, occ) for (N, n, shift, occ), c in acc.items() if c != 0.0)
-        )
+        return CatalogState(tuple(CatalogTerm(c, *key) for key, c in acc.items() if c != 0.0))
 
     @property
     def is_zero(self) -> bool:
@@ -174,16 +171,17 @@ def _occupation_trig(occ: int, phi: np.ndarray):
 
 
 class FactorTable:
-    """Memoized radial factors and angular spinor factors on one set of points.
+    """One set of points at which states are expanded and sampled.
 
     ``r`` and ``phi`` are any broadcastable pair: equal-shape arrays for
     scattered points, or a grid's column of radial nodes and row of
     angular nodes (``grid.r``, ``grid.phi``), in which case fields come
     out on the whole tensor grid while every factor is evaluated on the
-    1-D nodes only.  Factors are keyed without the term coefficient, so
-    states sharing basis functions share their evaluation; the table
-    holds no array of the broadcast shape.  ``expand`` groups states'
-    terms over the factors, and ``bundle``/``field`` contract it.
+    1-D nodes only.  ``expand`` evaluates the factors of the states it
+    is given, keyed without the term coefficient, so states sharing
+    basis functions share their evaluation within the call; the table
+    keeps no factor between calls.  ``bundles``/``fields`` contract one
+    expansion a state at a time.
     """
 
     def __init__(self, params: ModelParams, r, phi):
@@ -192,46 +190,20 @@ class FactorTable:
         self.r = np.asarray(r, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
         self.shape = np.broadcast_shapes(self.r.shape, self.phi.shape)
-        self._radial: dict[tuple[int, bool], tuple] = {}
-        self._angular: dict[tuple[int, int], tuple] = {}
-        self._spinor: dict[tuple[int, int, int], list] = {}
         # operator term tables on these points, built and read by generators
         self.operators: dict[str, list] = {}
-
-    def _levels(self, n: int, one_fermion: bool, top: int):
-        """Radial level stacks of sector n, levels 0..top at least."""
-        stacks = self._radial.get((n, one_fermion))
-        if stacks is None or len(stacks[0]) <= top:
-            stacks = self._radial[n, one_fermion] = radial_levels(self.params, top, n, self.r, one_fermion)
-        return stacks
-
-    def radial(self, N: int, n: int, one_fermion: bool):
-        """(R, dR/dr, d2R/dr2) of the radial factor on r's shape."""
-        return tuple(part[N] for part in self._levels(n, one_fermion, N))
-
-    def spinor(self, occ: int, shift: int, m: int):
-        """Nonzero fixed-basis components (index, S, dS/dphi, d2S/dphi2) on
-        phi's shape of occupation ``occ``'s fermion trig t times the
-        angular factor A of index m and (a,b) shift: S = t A."""
-        if (occ, shift, m) not in self._spinor:
-            if (shift, m) not in self._angular:
-                self._angular[shift, m] = angular_parts(self.params, m, self.phi, shift)
-            A0, A1, A2 = self._angular[shift, m]
-            self._spinor[occ, shift, m] = [
-                (idx, t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2)
-                for idx, t, t1, t2 in _occupation_trig(occ, self.phi)
-            ]
-        return self._spinor[occ, shift, m]
 
     def expand(self, states: list[CatalogState]):
         """Expand states over products of the table's factors, as (C, R, S):
         C (states, radial keys, angular keys) holds each state's coefficient
         per (radial factor, angular spinor factor) pair, R (3, *r.shape,
         radial keys) the radial factors and S (3, angular keys, 4,
-        *phi.shape) the angular spinor factors, each with their first two
-        derivatives.  A radial key is (N, n, one-fermion), an angular key
-        (occ, shift, angular index); every level of one (n, one-fermion)
-        comes from one level pass up to the highest N asked for.
+        *phi.shape) the angular spinor factors S = t A, the fermion trig t
+        of the occupation times the angular factor A, each with their first
+        two derivatives.  A radial key is (N, n, one-fermion), an angular
+        key (occ, angular index).  Every level of one (n, one-fermion) comes
+        from one ``radial_levels`` pass up to the highest N asked for, and
+        each (shift, angular index) from one ``angular_parts`` call.
 
         Each radial key's factors are divided by the power of two at their
         largest |value| and its coefficients multiplied by it.  Scaling by
@@ -239,62 +211,81 @@ class FactorTable:
         last bit, while the bare factors (up to z^(alpha/2), with alpha the
         sector exponent) cannot overflow against a grid's e^z / z^alpha
         weights before the normalization constants in C apply."""
+        return self._expand(states)[:3]
+
+    def _expand(self, states: list[CatalogState]):
+        """``expand``'s (C, R, S) and, per state, the indices of its radial
+        and of its angular keys in the order its terms first name them."""
         rad_keys: dict[tuple, int] = {}
         ang_keys: dict[tuple, int] = {}
-        entries = []
+        entries, own = [], []
         for i, st in enumerate(states):
+            rad, ang = {}, {}
             for t in st.terms:
                 if not t.is_zero:
                     rk = rad_keys.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), len(rad_keys))
-                    ak = ang_keys.setdefault((t.occ, t.shift, t.angular_index), len(ang_keys))
+                    ak = ang_keys.setdefault((t.occ, t.angular_index), len(ang_keys))
+                    rad[rk] = ang[ak] = None
                     entries.append((i, rk, ak, t.coeff))
+            own.append((list(rad), list(ang)))
         C = np.zeros((len(states), len(rad_keys), len(ang_keys)))
         for i, rk, ak, c in entries:
             C[i, rk, ak] += c
         tops: dict[tuple[int, bool], int] = {}
         for N, n, one_fermion in rad_keys:
             tops[n, one_fermion] = max(N, tops.get((n, one_fermion), N))
-        for (n, one_fermion), top in tops.items():
-            self._levels(n, one_fermion, top)
+        levels = {(n, one): radial_levels(self.params, top, n, self.r, one) for (n, one), top in tops.items()}
         R = np.zeros((3, *self.r.shape, len(rad_keys)))
-        for j, key in enumerate(rad_keys):
-            R[..., j] = self.radial(*key)
+        for j, (N, n, one_fermion) in enumerate(rad_keys):
+            R[..., j] = [part[N] for part in levels[n, one_fermion]]
         exponent = np.frexp(np.max(np.abs(R[0]), axis=tuple(range(self.r.ndim)), initial=0.0))[1]
+        angular: dict[tuple[int, int], tuple] = {}
         S = np.zeros((3, len(ang_keys), 4, *self.phi.shape))
-        for a, key in enumerate(ang_keys):
-            for idx, *parts in self.spinor(*key):
-                S[:, a, idx] = parts
-        return np.ldexp(C, exponent[:, None]), np.ldexp(R, -exponent), S
+        for a, (occ, m) in enumerate(ang_keys):
+            shift = _OCC_SHIFT[occ]
+            if (shift, m) not in angular:
+                angular[shift, m] = angular_parts(self.params, m, self.phi, shift)
+            A0, A1, A2 = angular[shift, m]
+            for idx, t, t1, t2 in _occupation_trig(occ, self.phi):
+                S[:, a, idx] = t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2
+        return np.ldexp(C, exponent[:, None]), np.ldexp(R, -exponent), S, own
 
-    def _contract(self, state: CatalogState, orders) -> tuple[list, tuple[int, ...]]:
-        """The state's fields for each (radial, angular) derivative order
-        of ``orders``, each of shape (4, *broadcast shape), from
-        ``expand([state])``, and the components some term reaches; the
-        others stay zero."""
-        C, R, S = self.expand([state])
+    def _contractions(self, states: list[CatalogState], orders):
+        """Per state, its fields for each (radial, angular) derivative order
+        of ``orders``, each of shape (4, *broadcast shape), and the
+        components some term reaches (the others stay zero), one state at a
+        time from one ``_expand(states)``.  A state's sums run over its own
+        keys in its own order, as a loop over its terms does, so its fields
+        are the same to the last bit whatever states share the call."""
+        C, R, S, own = self._expand(states)
         S = S[: 1 + max(d for _, d in orders)]
-        coeff = C[0].reshape(C.shape[1], 1, C.shape[2], *(1,) * self.phi.ndim)
-        out = [np.zeros((4, *self.shape)) for _ in orders]
-        reached = tuple(idx for idx in range(4) if S[:, :, idx].any())
-        for idx in reached:
-            # per radial key, its coefficient-weighted angular spinor factors
-            ang = np.sum(coeff * S[None, :, :, idx], axis=2)
-            # radial keys one at a time, in key order, like a loop over the
-            # terms: a BLAS contraction would reorder the sums' last bits
-            for j in range(C.shape[1]):
-                for o, (d_r, d_phi) in zip(out, orders):
-                    o[idx] += R[d_r, ..., j] * ang[j, d_phi]
-        return out, reached
+        for c, (rad, ang) in zip(C, own):
+            coeff = c[rad][:, ang].reshape(len(rad), 1, len(ang), *(1,) * self.phi.ndim)
+            spinors = S[:, ang]
+            out = [np.zeros((4, *self.shape)) for _ in orders]
+            reached = tuple(idx for idx in range(4) if spinors[:, :, idx].any())
+            for idx in reached:
+                # per radial key, its coefficient-weighted angular spinor factors
+                weighted = np.sum(coeff * spinors[None, :, :, idx], axis=2)
+                # radial keys one at a time, like a loop over the terms: a
+                # BLAS contraction would reorder the sums' last bits
+                for j, col in enumerate(rad):
+                    for o, (d_r, d_phi) in zip(out, orders):
+                        o[idx] += R[d_r, ..., col] * weighted[j, d_phi]
+            yield out, reached
 
-    def bundle(self, state: CatalogState) -> StateBundle:
-        """Exact values and polar derivatives of the state's components,
-        shape (4, *broadcast shape)."""
-        fields, reached = self._contract(state, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2)))
-        return StateBundle(*fields, reached)
+    def bundles(self, states: list[CatalogState]):
+        """Each state's exact values and polar derivatives of its
+        components, shape (4, *broadcast shape), as a ``StateBundle`` per
+        state, made when the iteration reaches it."""
+        for fields, reached in self._contractions(states, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))):
+            yield StateBundle(*fields, reached)
 
-    def field(self, state: CatalogState) -> np.ndarray:
-        """The state as a (4, *broadcast shape) fixed-basis spinor field."""
-        return self._contract(state, ((0, 0),))[0][0]
+    def fields(self, states: list[CatalogState]):
+        """Each state as a (4, *broadcast shape) fixed-basis spinor field,
+        made when the iteration reaches it."""
+        for (field,), _ in self._contractions(states, ((0, 0),)):
+            yield field
 
 
 def state_bundle(state: CatalogState, params: ModelParams, r, phi) -> StateBundle:
@@ -305,10 +296,10 @@ def state_bundle(state: CatalogState, params: ModelParams, r, phi) -> StateBundl
     nodes against a row of angular nodes samples the tensor grid they
     span, with every factor evaluated on the 1-D nodes (see
     ``FactorTable``)."""
-    return FactorTable(params, r, phi).bundle(state)
+    return next(FactorTable(params, r, phi).bundles([state]))
 
 
 def state_field(state: CatalogState, params: ModelParams, r, phi) -> np.ndarray:
     """Sample the state as a (4, *broadcast shape) fixed-basis spinor field
     at the broadcastable points (r, phi); see ``FactorTable``."""
-    return FactorTable(params, r, phi).field(state)
+    return next(FactorTable(params, r, phi).fields([state]))

@@ -309,22 +309,15 @@ def _worst_per_name(results) -> dict[str, float]:
     return {name: _worst(res) for name, res in per_name.items()}
 
 
-def _images(names, table: FactorTable, state):
-    """The state's field and its images under the named operators at the
-    table's points, all from one bundle of the state."""
-    bundle = table.bundle(state)
-    return bundle.val, gen.apply_operators(names, bundle, table)
-
-
 def _sector_images(ws: _Workspace, name: str):
     """(N, n, field, image) of Psi_{N,n}|0> under the named operator for N, n
-    in 0..6, on sector n's grid; top level first, so that each sector
-    table's one radial pass serves every N."""
+    in 0..6, on sector n's grid, whose table expands all seven states in
+    one call."""
     for n in range(7):
         table = ws.table(n)
-        for N in reversed(range(7)):
-            fv, (image,) = _images((name,), table, irreps.zero_fermion_state(ws.params, N, n))
-            yield N, n, fv, image
+        for N, bundle in enumerate(table.bundles([irreps.zero_fermion_state(ws.params, N, n) for N in range(7)])):
+            (image,) = gen.apply_operators((name,), bundle, table)
+            yield N, n, bundle.val, image
 
 
 def _sectors(blocks: list, basis: list, mask: np.ndarray):
@@ -595,11 +588,10 @@ def _checks_algebra(ws: _Workspace):
 
 def _hs_routes(ws: _Workspace) -> list:
     """Deviations of the operator-table Hs from ``hamiltonian_super`` on two
-    sector-1 states."""
+    sector-1 states, both expanded in one call."""
     p, table = ws.params, ws.table(1)
     res = []
-    for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)):
-        bundle = table.bundle(st)
+    for bundle in table.bundles([irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)]):
         (h1,) = gen.apply_operators(("Hs",), bundle, table)
         h2 = gen.hamiltonian_super(bundle, p, table.r, table.phi)
         res.append(_deviation(h1, h2, h1))
@@ -608,8 +600,9 @@ def _hs_routes(ws: _Workspace) -> list:
 
 def _susy_ground(ws: _Workspace) -> list:
     """max |Q psi_0| and max |Qdag psi_0| on the sector-0 grid."""
-    _, images = _images(("Q", "Qdag"), ws.table(0), irreps.zero_fermion_state(ws.params, 0, 0))
-    return [np.max(np.abs(f)) for f in images]
+    table = ws.table(0)
+    (bundle,) = table.bundles([irreps.zero_fermion_state(ws.params, 0, 0)])
+    return [np.max(np.abs(f)) for f in gen.apply_operators(("Q", "Qdag"), bundle, table)]
 
 
 def _checks_oscillator():
@@ -717,27 +710,26 @@ def _checks_irreps(ws: _Workspace):
 
 def _odd_action_fields(ws: _Workspace) -> list:
     """Deviations of V+- images of zero-fermion states from their
-    closed-form expansions, and max |W+- psi|, in sectors 0, 1 and 2."""
+    closed-form expansions, and max |W+- psi|, in sectors 0, 1 and 2.
+    Each table expands its states in one call: the odd grid's the
+    zero-fermion states and, in another, their closed-form images."""
     p = ws.params
     res = []
     for n in (0, 1, 2):
         table, table_e = ws.table(n, odd=True), ws.table(n)
-        for N in (0, 1, 3):
-            st = irreps.zero_fermion_state(p, N, n)
-            _, v_outs = _images(("V+", "V-"), table, st)
-            for sign, out in zip(("+", "-"), v_outs):
-                ref = table.field(irreps.v_action(sign, p, N, n))
-                scale = max(np.max(np.abs(ref)), 1.0)
-                res.append(np.max(np.abs(out - ref)) / scale)
-            _, w_outs = _images(("W+", "W-"), table_e, st)
-            res += [np.max(np.abs(wout)) for wout in w_outs]
+        states = [irreps.zero_fermion_state(p, N, n) for N in (0, 1, 3)]
+        refs = table.fields([irreps.v_action(sign, p, N, n) for N in (0, 1, 3) for sign in ("+", "-")])
+        for bundle in table.bundles(states):
+            res += [_deviation(out, ref, ref) for out, ref in zip(gen.apply_operators(("V+", "V-"), bundle, table), refs)]
+        for bundle in table_e.bundles(states):
+            res += [np.max(np.abs(wout)) for wout in gen.apply_operators(("W+", "W-"), bundle, table_e)]
     return res
 
 
 def _one_fermion_overlap(ws: _Workspace) -> list:
     """Projected <+|-> overlaps against ``irreps.overlap``; at n = 0 the
     pointwise coincidence of the one-fermion families and the vanishing
-    of the two-fermion states."""
+    of the two-fermion states, each family of fields from one call."""
     p = ws.params
     res = []
     for n in range(1, min(4, ws.config.truncation[1]) + 1):
@@ -745,15 +737,11 @@ def _one_fermion_overlap(ws: _Workspace) -> list:
         minus = [irreps.one_fermion_state("-", p, N, n) for N in range(1, 6)]
         measured = np.diag(gen.project(("1",), plus, minus, ws.grid(n, odd=True))["1"])
         res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
-    table = ws.table(0, odd=True)
-    for N in range(1, 5):
-        plus = table.field(irreps.one_fermion_state("+", p, N - 1, 0))
-        minus = table.field(irreps.one_fermion_state("-", p, N, 0))
-        res.append(np.max(np.abs(plus - minus)))
-    table = ws.table(0)
-    for N in range(3):
-        two = irreps.two_fermion_state(p, N, 0)
-        res.append(0.0 if two.is_zero else np.max(np.abs(table.field(two))))
+    pairs = [(irreps.one_fermion_state("+", p, N - 1, 0), irreps.one_fermion_state("-", p, N, 0)) for N in range(1, 5)]
+    fields = ws.table(0, odd=True).fields([st for pair in pairs for st in pair])
+    # one iterator zipped with itself: consecutive (+, -) fields
+    res += [np.max(np.abs(plus - minus)) for plus, minus in zip(fields, fields)]
+    res += [np.max(np.abs(two)) for two in ws.table(0).fields([irreps.two_fermion_state(p, N, 0) for N in range(3)])]
     return res
 
 
@@ -795,7 +783,7 @@ def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
     polygauss = [special_cases.random_polygauss(rng, p.omega) for _ in range(2)]
     # (cartesian data, polar bundle) of each test spinor, made as the loop reaches it
     spinors = itertools.chain(
-        ((special_cases.cart_from_polar(b, r, phi), b) for b in map(table.bundle, catalog)),
+        ((special_cases.cart_from_polar(b, r, phi), b) for b in table.bundles(catalog)),
         ((g.cart_data(p, r, phi), g.polar_bundle(p, r, phi)) for g in polygauss),
     )
     res = []
@@ -817,12 +805,11 @@ def _cmw_split(p: ModelParams, rel, cm: np.ndarray, r, phi, X) -> list:
     return [_deviation(h_f - h_r, h_c, h_f), _deviation(q_f - q_r, q_c, q_f)]
 
 
-def _cmw_rel_vs_polar(table: FactorTable, state, cm_vac: np.ndarray, X) -> list:
+def _cmw_rel_vs_polar(table: FactorTable, bundle, cm_vac: np.ndarray, X) -> list:
     """Relative deviations of the relative part's Q and Hs from the polar
-    k = 3 ones, on the catalog state times the cm vacuum: the state's one
+    k = 3 ones, on a catalog state times the cm vacuum: the state's one
     bundle from ``table`` is both embedded and applied."""
     p, r, phi = table.params, table.r, table.phi
-    bundle = table.bundle(state)
     h_r, q_r = special_cases.cmw_rel_super(p, special_cases.make_cmw_test_state(bundle, cm_vac, p, r, phi, X))
     chi = np.exp(-0.5 * p.omega * X**2)
     cm_field = np.stack([chi, np.zeros_like(chi)])
@@ -857,24 +844,30 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
     yield ("cmw-trig-resummation", "the six angular centers resum to the k = 3 sec^2/csc^2 structure", label, res, "special.pointwise")
 
     table = FactorTable(p, r, phi)
+    # the table's one call: two split states, two relative-vs-polar states, then the ground state
+    bundles = table.bundles(
+        [
+            irreps.zero_fermion_state(p, 1, 1),
+            irreps.one_fermion_state("+", p, 0, 2),
+            irreps.zero_fermion_state(p, 2, 1),
+            irreps.one_fermion_state("+", p, 1, 1),
+            irreps.zero_fermion_state(p, 0, 0),
+        ]
+    )
     gauss = special_cases.random_polygauss(rng, p.omega)
     res = []
-    for rel in (
-        table.bundle(irreps.zero_fermion_state(p, 1, 1)),
-        table.bundle(irreps.one_fermion_state("+", p, 0, 2)),
-        gauss.polar_bundle(p, r, phi),
-    ):
+    for rel in (next(bundles), next(bundles), gauss.polar_bundle(p, r, phi)):
         res += _cmw_split(p, rel, rng.uniform(-1.0, 1.0, size=(2, 3)), r, phi, X)
     yield ("cmw-split", "Hs and Q of the three-particle model split into relative + centre-of-mass parts", label, _worst(res), "special.pointwise")
 
     cm_vac = np.zeros((2, 2))
     cm_vac[0, 0] = 1.0
     res = []
-    for st in (irreps.zero_fermion_state(p, 2, 1), irreps.one_fermion_state("+", p, 1, 1)):
-        res += _cmw_rel_vs_polar(table, st, cm_vac, X)
+    for bundle in (next(bundles), next(bundles)):
+        res += _cmw_rel_vs_polar(table, bundle, cm_vac, X)
     yield ("cmw-rel-vs-polar", "the relative part reproduces the polar k = 3 construction; Q_rel = 2 sqrt(omega) W+", label, _worst(res), "special.pointwise")
 
-    data = special_cases.make_cmw_test_state(table.bundle(irreps.zero_fermion_state(p, 0, 0)), cm_vac, p, r, phi, X)
+    data = special_cases.make_cmw_test_state(next(bundles), cm_vac, p, r, phi, X)
     h_c, q_c = special_cases.cm_super(p, data)
     res = _worst([np.max(np.abs(h_c)), np.max(np.abs(q_c))])
     yield ("cmw-cm-ground", "the centre-of-mass superoscillator annihilates its Gaussian ground state", label, res, "special.pointwise")

@@ -36,7 +36,7 @@ from ttwsusy.irreps import (
     v_action,
     zero_fermion_state,
 )
-from ttwsusy.model import Grid, ModelParams, energy, weights_of
+from ttwsusy.model import Grid, ModelParams, energy, radial_levels, weights_of
 from ttwsusy.special_cases import random_polygauss
 from ttwsusy.states import FERMION_NUMBER, FactorTable, StateBundle, state_field
 from ttwsusy.verify import SuiteConfig
@@ -59,7 +59,8 @@ PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
 def apply(name, state, p, r, phi):
     """Operator ``name`` applied to a catalog state at (r, phi)."""
     table = FactorTable(p, r, phi)
-    (image,) = apply_operators((name,), table.bundle(state), table)
+    (bundle,) = table.bundles([state])
+    (image,) = apply_operators((name,), bundle, table)
     return image
 
 
@@ -234,8 +235,7 @@ class TestHamiltonianSuper:
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
-        for st in (zero_fermion_state(p, 1, 1), one_fermion_state("+", p, 0, 1), two_fermion_state(p, 1, 1)):
-            bundle = table.bundle(st)
+        for bundle in table.bundles([zero_fermion_state(p, 1, 1), one_fermion_state("+", p, 0, 1), two_fermion_state(p, 1, 1)]):
             (h1,) = apply_operators(("Hs",), bundle, table)
             h2 = hamiltonian_super(bundle, p, grid.r, grid.phi)
             assert np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0) < 1e-10
@@ -261,7 +261,7 @@ class TestOperatorTable:
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
-        bundle = table.bundle(two_fermion_state(p, 1, 1))
+        (bundle,) = table.bundles([two_fermion_state(p, 1, 1)])
         np.testing.assert_array_equal(apply_operators(("1",), bundle, table)[0], bundle.val)
 
     @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
@@ -509,7 +509,8 @@ class TestTensorGridAssembly:
         _, R, _ = table.expand(states)
         R = R[:, :, 0]  # the grid's radial column
         keys = dict.fromkeys((t.N, t.n, FERMION_NUMBER[t.occ] == 1) for st in states for t in st.terms if not t.is_zero)
-        bare = np.stack([np.hstack([table.radial(*key)[d] for key in keys]) for d in range(3)])
+        # the bare factors, evaluated apart from the table
+        bare = np.stack([np.hstack([radial_levels(p, N, n, grid.r, one)[d][N] for N, n, one in keys]) for d in range(3)])
         peak = np.argmax(np.abs(R[0]), axis=0)
         cols = np.arange(R.shape[2])
         assert np.all((np.abs(R[0, peak, cols]) >= 0.5) & (np.abs(R[0, peak, cols]) < 1.0))
@@ -679,7 +680,7 @@ class TestSparseTerms:
         for family, state in family_states(p).items():
             g = grid_o if family in ("lower", "upper") else grid
             table = FactorTable(p, g.r, g.phi)
-            bundle = table.bundle(state)
+            (bundle,) = table.bundles([state])
             assert bundle.reached == FAMILY_COMPONENTS[family]
             shared = apply_operators(OPERATOR_NAMES, bundle, table)
             for name, image in zip(OPERATOR_NAMES, shared):
@@ -707,8 +708,9 @@ class TestSparseTerms:
         for family, state in family_states(p).items():
             g = grid_o if family in ("lower", "upper") else grid
             table = FactorTable(p, g.r, g.phi)
-            for j in FAMILY_COMPONENTS[family]:
-                bundle = table.bundle(state)
+            components = FAMILY_COMPONENTS[family]
+            # a fresh bundle per component, as each gets its own inf
+            for j, bundle in zip(components, table.bundles([state] * len(components))):
                 bundle.val[j, 3, 5] = np.inf
                 with np.errstate(invalid="ignore"):
                     images = apply_operators(OPERATOR_NAMES, bundle, table)
@@ -724,7 +726,7 @@ class TestSparseTerms:
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
-        bundle = table.bundle(zero_fermion_state(p, 2, 1))
+        (bundle,) = table.bundles([zero_fermion_state(p, 2, 1)])
         assert bundle.reached == (0,)
         (clean,) = apply_operators(("Hs",), bundle, table)
         # NaN in the unreached components is never read
@@ -793,6 +795,6 @@ class TestWorkCounts:
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
-        for N in range(4):
-            apply_operators(("H", "Hs"), table.bundle(zero_fermion_state(p, N, 1)), table)
+        for bundle in table.bundles([zero_fermion_state(p, N, 1) for N in range(4)]):
+            apply_operators(("H", "Hs"), bundle, table)
         assert calls == ["H", "Hs"]

@@ -34,7 +34,8 @@ MR = MA = 56
 def apply(name, state, p, r, phi):
     """Operator ``name`` applied to a catalog state at (r, phi)."""
     table = FactorTable(p, r, phi)
-    (image,) = apply_operators((name,), table.bundle(state), table)
+    (bundle,) = table.bundles([state])
+    (image,) = apply_operators((name,), bundle, table)
     return image
 
 

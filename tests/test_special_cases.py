@@ -38,15 +38,14 @@ def make_test_spinors(rng, p, r, phi):
     """(cartesian data, polar bundle) of each test spinor at (r, phi): four
     catalog states, bundled on one factor table, then two random spinors."""
     table = FactorTable(p, r, phi)
-    catalog = [
-        table.bundle(st)
-        for st in (
+    catalog = table.bundles(
+        [
             zero_fermion_state(p, 1, 1),
             one_fermion_state("+", p, 0, 1),
             one_fermion_state("-", p, 1, 2),
             two_fermion_state(p, 1, 1),
-        )
-    ]
+        ]
+    )
     polygauss = [random_polygauss(rng, p.omega) for _ in range(2)]
     return [(cart_from_polar(b, r, phi), b) for b in catalog] + [
         (g.cart_data(p, r, phi), g.polar_bundle(p, r, phi)) for g in polygauss
@@ -94,7 +93,7 @@ class TestSeparableCase:
         rng = np.random.default_rng(2)
         r, phi, x, y = interior_points(rng, P1, 100)
         table = FactorTable(P1, r, phi)
-        bundle = table.bundle(zero_fermion_state(P1, 2, 1))
+        (bundle,) = table.bundles([zero_fermion_state(P1, 2, 1)])
         cart = cart_from_polar(bundle, r, phi)
         h_c, _ = sw_super(P1, cart, x, y)
         (scalar,) = apply_operators(("H",), bundle, table)

@@ -5,7 +5,8 @@ import pytest
 
 from ttwsusy import states
 from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, v_action, zero_fermion_state
-from ttwsusy.model import Grid, ModelParams, radial_levels
+from ttwsusy.generators import apply_operators
+from ttwsusy.model import Grid, ModelParams, angular_parts, radial_levels
 from ttwsusy.states import FERMION_NUMBER, OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
 
 P = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
@@ -150,52 +151,83 @@ class TestBroadcastingContract:
         for s, parity, grid in basis_grids(p, 3):
             assert parity == (0 if s.family in ("zero", "double") else 1)
             other = PARITY_COMPONENTS[1 - parity]
-            bundle = FactorTable(p, grid.r, grid.phi).bundle(s.state)
+            (bundle,) = FactorTable(p, grid.r, grid.phi).bundles([s.state])
             for name in BUNDLE_FIELDS:
                 assert np.all(getattr(bundle, name)[other] == 0.0), (s.family, s.level, name)
             assert np.any(bundle.val[PARITY_COMPONENTS[parity]] != 0.0)
 
-    def test_table_reuses_factors_across_states(self):
+    def test_table_reuses_factors_across_states(self, monkeypatch):
+        """States that share factor keys in one call share their evaluation,
+        and each state's arrays are those of a one-state table."""
         grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
+        pair = [one_fermion_state("+", P, 1, 2), one_fermion_state("-", P, 2, 2)]
+        alone = [state_bundle(st, P, grid.r, grid.phi) for st in pair]
+        calls = count_factor_passes(monkeypatch)
         table = FactorTable(P, grid.r, grid.phi)
-        plus, minus = one_fermion_state("+", P, 1, 2), one_fermion_state("-", P, 2, 2)
-        table.bundle(plus)
-        radial, angular = len(table._radial), len(table._angular)
-        np.testing.assert_array_equal(table.field(plus), table.bundle(plus).val)
-        assert (len(table._radial), len(table._angular)) == (radial, angular)
-        # the table holds only 1-D factors on the nodes, never the tensor grid:
-        # a radial key stores one (m_rad, 1) column per level, an angular key (1, m_ang) rows
-        for stack in (a for parts in table._radial.values() for a in parts):
-            assert stack.shape[1:] == grid.r.shape
-        for parts in table._angular.values():
-            assert all(a.shape == grid.phi.shape for a in parts)
-        stored = [a for parts in (*table._radial.values(), *table._angular.values()) for a in parts]
-        assert not any(a.shape[-2:] == table.shape for a in stored)
-        # factors memoized for one state serve another exactly as a fresh table would
-        fresh = state_field(minus, P, grid.r, grid.phi)
-        np.testing.assert_array_equal(table.field(minus), fresh)
+        for bundle, ref in zip(table.bundles(pair), alone):
+            for name in BUNDLE_FIELDS:
+                np.testing.assert_array_equal(getattr(bundle, name), getattr(ref, name))
+        # both states name the radial key (2, one-fermion) and the angular keys (0, 2) and (1, 1)
+        assert calls == {"radial": [(2, True, 2)], "angular": [(0, 2), (1, 1)]}
 
     def test_one_level_pass_per_radial_key(self, monkeypatch):
-        """Every level of a (sector, one-fermion) radial key comes from one
-        ``radial_levels`` pass, however many states and terms share the key."""
-        calls = []
-
-        def counting(params, N_max, n, r, one_fermion=False):
-            calls.append((n, one_fermion))
-            return radial_levels(params, N_max, n, r, one_fermion)
-
-        monkeypatch.setattr(states, "radial_levels", counting)
+        """Within each call, every level of a (sector, one-fermion) radial key
+        comes from one ``radial_levels`` pass up to the highest N asked for,
+        and each (shift, angular index) from one ``angular_parts`` call,
+        however many states and terms share the key."""
         grid = Grid.for_pair(P, 2, 2, 20, 20)
-        table = FactorTable(P, grid.r, grid.phi)
         basis = [s.state for s in sector_basis(P, 2, 5)]
         even = [st for st in basis if st.fermion_parity() == 0]
         odd = [st for st in basis if st.fermion_parity() == 1]
-        table.expand(even)
-        table.expand(odd)
-        for st in basis:
-            table.bundle(st)
-        assert sorted(calls) == sorted(table._radial) and len(calls) == len(set(calls))
-        assert (2, False) in calls and (2, True) in calls
+        calls = count_factor_passes(monkeypatch)
+        table = FactorTable(P, grid.r, grid.phi)
+        for states_, call in (
+            (even, table.expand),
+            (odd, table.expand),
+            (basis, lambda sts: list(table.bundles(sts))),
+            (basis, lambda sts: list(table.fields(sts))),
+        ):
+            calls["radial"].clear()
+            calls["angular"].clear()
+            call(states_)
+            terms = [t for st in states_ for t in st.terms if not t.is_zero]
+            tops = {}
+            for t in terms:
+                key = (t.n, FERMION_NUMBER[t.occ] == 1)
+                tops[key] = max(t.N, tops.get(key, t.N))
+            assert sorted(calls["radial"]) == sorted((*key, top) for key, top in tops.items())
+            angular = {(t.n - t.angular_index, t.angular_index) for t in terms}
+            assert sorted(calls["angular"]) == sorted(angular)
+        assert [key[:2] for key in calls["radial"]] == [(2, False), (2, True)]
+
+    def test_table_keeps_no_factors_between_calls(self):
+        grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
+        table = FactorTable(P, grid.r, grid.phi)
+        states_ = [s.state for s in sector_basis(P, 2, 3) if s.state.fermion_parity() == 1]
+        table.expand(states_)
+        for bundle in table.bundles(states_):
+            apply_operators(("Hs",), bundle, table)
+        list(table.fields(states_))
+        assert sorted(vars(table)) == ["operators", "params", "phi", "r", "shape"]
+        assert list(table.operators) == ["Hs"]
+
+
+def count_factor_passes(monkeypatch):
+    """Record each ``radial_levels`` pass of the states module as (n,
+    one-fermion, N_max) and each ``angular_parts`` call as (shift, index)."""
+    calls = {"radial": [], "angular": []}
+
+    def radial(params, N_max, n, r, one_fermion=False):
+        calls["radial"].append((n, one_fermion, N_max))
+        return radial_levels(params, N_max, n, r, one_fermion)
+
+    def angular(params, m, phi, shift=0):
+        calls["angular"].append((shift, m))
+        return angular_parts(params, m, phi, shift)
+
+    monkeypatch.setattr(states, "radial_levels", radial)
+    monkeypatch.setattr(states, "angular_parts", angular)
+    return calls
 
 
 def sample_points(p, n_pts=30, seed=3):
@@ -206,22 +238,25 @@ def sample_points(p, n_pts=30, seed=3):
     return {"grid": (grid.r, grid.phi), "scattered": scattered}
 
 
-def loop_bundle(table, state):
-    """The bundle as a dict loop over the state's terms: per radial factor
-    and component, the coefficient-weighted angular spinor factors in term
-    order, then their products with the radial factors in key order."""
+def loop_bundle(p, r, phi, state):
+    """The bundle as a dict loop over the state's terms, with every factor
+    evaluated by ``radial_levels``/``angular_parts`` apart from any table:
+    per radial factor and component, the coefficient-weighted angular
+    spinor factors in term order, then their products with the radial
+    factors in key order."""
     sums = {}
     for t in state.terms:
         if t.is_zero:
             continue
         comps = sums.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), {})
-        for idx, *parts in table.spinor(t.occ, t.shift, t.angular_index):
-            part = [t.coeff * x for x in parts]
+        A0, A1, A2 = angular_parts(p, t.angular_index, phi, t.n - t.angular_index)
+        for idx, f, f1, f2 in states._occupation_trig(t.occ, phi):
+            part = [t.coeff * x for x in (f * A0, f1 * A0 + f * A1, f2 * A0 + 2.0 * f1 * A1 + f * A2)]
             prev = comps.get(idx)
             comps[idx] = part if prev is None else [x + y for x, y in zip(prev, part)]
-    out = [np.zeros((4, *table.shape)) for _ in BUNDLE_FIELDS]
-    for key, comps in sums.items():
-        R, R_r, R_rr = table.radial(*key)
+    out = [np.zeros((4, *np.broadcast_shapes(r.shape, phi.shape))) for _ in BUNDLE_FIELDS]
+    for (N, n, one_fermion), comps in sums.items():
+        R, R_r, R_rr = (part[N] for part in radial_levels(p, N, n, r, one_fermion))
         for idx, (a0, a1, a2) in comps.items():
             for o, value in zip(out, (R * a0, R_r * a0, R_rr * a0, R * a1, R * a2)):
                 o[idx] += value
@@ -235,14 +270,14 @@ class TestExpansion:
     @pytest.mark.parametrize("where", ["grid", "scattered"])
     def test_zero_states_give_zero_fields(self, where):
         table = FactorTable(P, *sample_points(P)[where])
-        for state in (CatalogState.zero(), v_action("-", P, 0, 0)):
+        zeros = [CatalogState.zero(), v_action("-", P, 0, 0)]
+        for state in zeros:
             C, R, S = table.expand([state])
             assert C.shape == (1, 0, 0) and R.shape[-1] == 0 and S.shape[1] == 0
-            bundle = table.bundle(state)
+        for bundle, field in zip(table.bundles(zeros), table.fields(zeros)):
             for name in BUNDLE_FIELDS:
                 value = getattr(bundle, name)
                 assert value.shape == (4, *table.shape) and not value.any(), name
-            field = table.field(state)
             assert field.shape == (4, *table.shape) and not field.any()
 
     @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
@@ -252,8 +287,30 @@ class TestExpansion:
         for n in (0, 2):
             for s in sector_basis(p, n, 3):
                 table = FactorTable(p, *points)
-                bundle = table.bundle(s.state)
-                reference = loop_bundle(FactorTable(p, *points), s.state)
+                (bundle,) = table.bundles([s.state])
+                reference = loop_bundle(p, *points, s.state)
                 for name, ref in zip(BUNDLE_FIELDS, reference):
                     assert np.array_equal(getattr(bundle, name), ref), (n, s.family, s.level, name)
-                assert np.array_equal(table.field(s.state), reference[0]), (n, s.family, s.level)
+                (field,) = table.fields([s.state])
+                assert np.array_equal(field, reference[0]), (n, s.family, s.level)
+
+    @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
+    @pytest.mark.parametrize("where", ["grid", "scattered"])
+    def test_batch_matches_term_loop_bitwise(self, p, where):
+        """One call for a batch whose states name shared keys in different
+        orders gives each state the bits of its own term loop."""
+        points = sample_points(p)[where]
+        n = 2
+        batch = [v_action(sign, p, N, n) for N in (3, 1, 0) for sign in ("+", "-")]
+        batch += [one_fermion_state(sign, p, N, n) for N in (0, 1, 2) for sign in ("+", "-")]
+        # four radial keys, then the same terms backwards
+        wide = batch[0] + batch[2]
+        batch += [wide, CatalogState(wide.terms[::-1])]
+        orders = [[(t.N, t.occ) for t in st.terms] for st in batch]
+        assert orders[-1] == orders[-2][::-1] and orders[3][:2] == orders[4][1::-1]
+        table = FactorTable(p, *points)
+        for i, (st, bundle, field) in enumerate(zip(batch, table.bundles(batch), table.fields(batch))):
+            reference = loop_bundle(p, *points, st)
+            for name, ref in zip(BUNDLE_FIELDS, reference):
+                assert np.array_equal(getattr(bundle, name), ref), (i, name)
+            assert np.array_equal(field, reference[0]), i

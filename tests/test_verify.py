@@ -477,8 +477,9 @@ class TestParallelRun:
 
 
 class TestRadialPasses:
-    """The pointwise loops over N ask each grid's table for its top level
-    first, so one radial pass per sector grid serves all seven states."""
+    """Each pointwise check hands a table all of its states in one call,
+    so one radial pass per (sector, one-fermion) key of that call serves
+    every level."""
 
     @staticmethod
     def passes_per_check(monkeypatch, checks):
@@ -507,6 +508,17 @@ class TestRadialPasses:
 
     def test_spectrum(self, monkeypatch):
         assert self.passes_per_check(monkeypatch, verify._checks_algebra(self.workspace()))["spectrum"] == 7
+
+    def test_odd_action_fields(self, monkeypatch):
+        # per sector n = 0, 1, 2: the odd grid's zero-fermion bundles, its
+        # closed-form V images and the even grid's bundles, one pass each
+        assert self.passes_per_check(monkeypatch, verify._checks_irreps(self.workspace()))["odd-action-fields"] == 9
+
+    def test_one_fermion_overlap(self, monkeypatch):
+        # rows and columns of each projected sector n = 1, 2, then one pass
+        # for all eight n = 0 one-fermion fields (the n = 0 two-fermion
+        # states vanish, so their call evaluates no factor)
+        assert self.passes_per_check(monkeypatch, verify._checks_irreps(self.workspace()))["one-fermion-overlap"] == 5
 
 
 class TestCli:
