@@ -30,16 +30,16 @@ pointwise route: it applies tables analytically to the derivative
 bundle of a state of one ``FactorTable``, exactly at every sample
 point, and keeps the tables on the ``FactorTable``; every fermion
 matrix has at most one nonzero per row and acts as that row map on
-the spinor components the bundle reaches, and nowhere else.  ``project`` contracts the same table with
-1-D radial and angular Gauss sums between lists of states, each
-distinct moment once, so the algebra residuals measure the formulas,
-not a discretization.  The module keeps only the
-term tables and the Gauss sums: how states break into radial and
-angular factors is ``states.FactorTable.expand``, which ``project``
-reads.  ``project`` is the one
-projection routine: ``generator_matrices``, ``wavefunction_gram`` and
-verify's other integral checks (cross-sector elements, one-fermion
-overlaps) all go through it.  ``hamiltonian_super`` stays apart on
+the spinor components the bundle reaches, and nowhere else.
+``_project``, the one projection routine, contracts the same table
+with 1-D radial and angular Gauss sums between two expansions of
+states, each distinct moment once, so the algebra residuals measure
+the formulas, not a discretization.  How states break into radial and
+angular factors is ``states.FactorTable.expand``, one call per grid:
+``generator_matrices`` expands a sector grid's even and odd states in
+one, and ``project`` a row and a column list, as ``wavefunction_gram``
+and verify's other integral checks (cross-sector elements, one-fermion
+overlaps) use it.  ``hamiltonian_super`` stays apart on
 purpose: it builds Hs from the superpotential instead of the H_k
 potential, as the independent reference of that identity.  Every
 generator preserves the angular sector n, so the matrices are kept as
@@ -396,15 +396,12 @@ def project(names, rows: list[CatalogState], cols: list[CatalogState], grid: Gri
     states on one grid, for any operator names of ``_terms`` (``"1"``
     gives the plain overlap <row|col>).
 
-    Both lists are expanded over the 1-D radial and angular spinor
-    factors of a ``FactorTable`` on the grid's nodes, and ``_project``
+    Both lists are expanded, in one call, over the 1-D radial and angular
+    spinor factors of a ``FactorTable`` on the grid's nodes, and ``_project``
     contracts the expansions with every operator's term table.  So every
     entry is a sum of products of 1-D radial and angular Gauss sums:
     nothing is sampled on the 2-D grid."""
-    table = FactorTable(grid.params, grid.r, grid.phi)
-    f_rows = table.expand(rows)
-    f_cols = f_rows if cols is rows else table.expand(cols)
-    return _project(names, f_rows, f_cols, grid)
+    return _project(names, *FactorTable(grid.params, grid.r, grid.phi).expand(rows, cols), grid)
 
 
 def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: int = 80, m_ang: int = 80) -> np.ndarray:
@@ -446,7 +443,8 @@ def generator_matrices(
     spinor factors, a generator a table of separable terms and the grid
     weights a product of 1-D radial and angular weights, so each entry
     is a sum of products of 1-D radial and angular Gauss sums
-    (``project``); nothing is sampled on the 2-D grid.
+    (``_project``, on one expansion of each sector grid's even and odd
+    states); nothing is sampled on the 2-D grid.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
@@ -455,18 +453,16 @@ def generator_matrices(
     blocks, basis = [], []
     for n in range(n_max + 1):
         bs = sector_basis(params, n, N_max)
-        par = np.array([s.state.fermion_parity() for s in bs])
-        idx = {p: np.flatnonzero(par == p) for p in (0, 1)}
-        states = {p: [bs[i].state for i in idx[p]] for p in (0, 1)}
+        # the sector's even and its odd states, as indices into bs
+        parts = [[i for i, s in enumerate(bs) if s.state.fermion_parity() == p] for p in (0, 1)]
         block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
         for p_out in (0, 1):
             grid = Grid.for_pair(params, n, n, m_rad, m_ang, odd=bool(p_out))
-            table = FactorTable(params, grid.r, grid.phi)
-            expanded = {p: table.expand(states[p]) for p in (0, 1)}
+            expanded = list(FactorTable(params, grid.r, grid.phi).expand(*([bs[i].state for i in part] for part in parts)))
             for p_in in (0, 1):
                 gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
                 for g, part in _project(gens, expanded[p_out], expanded[p_in], grid).items():
-                    block[g][np.ix_(idx[p_out], idx[p_in])] = part
+                    block[g][np.ix_(parts[p_out], parts[p_in])] = part
         blocks.append(block)
         basis += bs
     return blocks, basis

@@ -27,13 +27,13 @@ spinor factor (angular factor times fermion trig, a function of phi
 alone).  ``FactorTable.expand`` is the one place that groups terms by
 factor key and evaluates the factors, through
 ``model.radial_levels``/``angular_parts``, on any broadcastable pair
-(r, phi): it writes a list of states as a coefficient array over
-(radial key, angular key) pairs plus the factor arrays, each factor
-evaluated once per call and kept by no one after it.  Radial factors
-are evaluated for every level of one (sector, one-fermion) key at once.
-``FactorTable.bundles``/``fields`` contract one expansion, a state at a
-time, broadcast over the table's points; ``generators.project``
-contracts the expansions of row and column states with 1-D Gauss sums.
+(r, phi): it writes each group of states it is given as a coefficient
+array over (radial key, angular key) pairs plus the factor arrays, each
+factor evaluated once per call and kept by no one after it.  Radial
+factors are evaluated for every level of one (sector, one-fermion) key
+at once.  ``FactorTable.bundles``/``fields`` contract one call, a state
+per group, broadcast over the table's points; ``generators`` contracts
+the groups of row and column states with 1-D Gauss sums.
 Equal-shape arrays sample scattered points; a grid's ``(grid.r,
 grid.phi)``, a column of radial nodes against a row of angular nodes,
 samples the whole tensor grid while evaluating each factor on the 1-D
@@ -177,11 +177,11 @@ class FactorTable:
     scattered points, or a grid's column of radial nodes and row of
     angular nodes (``grid.r``, ``grid.phi``), in which case fields come
     out on the whole tensor grid while every factor is evaluated on the
-    1-D nodes only.  ``expand`` evaluates the factors of the states it
-    is given, keyed without the term coefficient, so states sharing
-    basis functions share their evaluation within the call; the table
-    keeps no factor between calls.  ``bundles``/``fields`` contract one
-    expansion a state at a time.
+    1-D nodes only.  ``expand`` evaluates the factors of the groups of
+    states it is given, keyed without the term coefficient, so states
+    sharing basis functions share their evaluation within the call,
+    whatever group they are in; the table keeps no factor between calls.
+    ``bundles``/``fields`` contract one call a state at a time.
     """
 
     def __init__(self, params: ModelParams, r, phi):
@@ -193,17 +193,21 @@ class FactorTable:
         # operator term tables on these points, built and read by generators
         self.operators: dict[str, list] = {}
 
-    def expand(self, states: list[CatalogState]):
-        """Expand states over products of the table's factors, as (C, R, S):
+    def expand(self, *groups: list[CatalogState]):
+        """Expand each group of states over products of the table's factors,
+        as one (C, R, S) per group, made when the iteration reaches it:
         C (states, radial keys, angular keys) holds each state's coefficient
         per (radial factor, angular spinor factor) pair, R (3, *r.shape,
         radial keys) the radial factors and S (3, angular keys, 4,
         *phi.shape) the angular spinor factors S = t A, the fermion trig t
         of the occupation times the angular factor A, each with their first
         two derivatives.  A radial key is (N, n, one-fermion), an angular
-        key (occ, angular index).  Every level of one (n, one-fermion) comes
-        from one ``radial_levels`` pass up to the highest N asked for, and
-        each (shift, angular index) from one ``angular_parts`` call.
+        key (occ, angular index); a group's keys are its own, in the order
+        its terms first name them.  Every level of one (n, one-fermion) comes
+        from one ``radial_levels`` pass up to the highest N any group asks
+        for, and each (shift, angular index) from one ``angular_parts`` call;
+        a group's arrays are C-contiguous and equal to the last bit to those
+        of a call with that group alone.
 
         Each radial key's factors are divided by the power of two at their
         largest |value| and its coefficients multiplied by it.  Scaling by
@@ -211,34 +215,27 @@ class FactorTable:
         last bit, while the bare factors (up to z^(alpha/2), with alpha the
         sector exponent) cannot overflow against a grid's e^z / z^alpha
         weights before the normalization constants in C apply."""
-        return self._expand(states)[:3]
-
-    def _expand(self, states: list[CatalogState]):
-        """``expand``'s (C, R, S) and, per state, the indices of its radial
-        and of its angular keys in the order its terms first name them."""
         rad_keys: dict[tuple, int] = {}
         ang_keys: dict[tuple, int] = {}
-        entries, own = [], []
-        for i, st in enumerate(states):
-            rad, ang = {}, {}
-            for t in st.terms:
-                if not t.is_zero:
-                    rk = rad_keys.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), len(rad_keys))
-                    ak = ang_keys.setdefault((t.occ, t.angular_index), len(ang_keys))
-                    rad[rk] = ang[ak] = None
-                    entries.append((i, rk, ak, t.coeff))
-            own.append((list(rad), list(ang)))
-        C = np.zeros((len(states), len(rad_keys), len(ang_keys)))
-        for i, rk, ak, c in entries:
-            C[i, rk, ak] += c
-        tops: dict[tuple[int, bool], int] = {}
-        for N, n, one_fermion in rad_keys:
-            tops[n, one_fermion] = max(N, tops.get((n, one_fermion), N))
+        # per group: its size, its keys (the call's indices, in the group's order) and its (state, key, key, coeff) entries by group index
+        own = []
+        for states in groups:
+            rad, ang, entries = {}, {}, []
+            for i, st in enumerate(states):
+                for t in st.terms:
+                    if not t.is_zero:
+                        rk = rad_keys.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), len(rad_keys))
+                        ak = ang_keys.setdefault((t.occ, t.angular_index), len(ang_keys))
+                        entries.append((i, rad.setdefault(rk, len(rad)), ang.setdefault(ak, len(ang)), t.coeff))
+            own.append((len(states), list(rad), list(ang), entries))
+        # the highest N of each (n, one-fermion), which sorting puts last
+        tops = {(n, one_fermion): N for N, n, one_fermion in sorted(rad_keys)}
         levels = {(n, one): radial_levels(self.params, top, n, self.r, one) for (n, one), top in tops.items()}
         R = np.zeros((3, *self.r.shape, len(rad_keys)))
         for j, (N, n, one_fermion) in enumerate(rad_keys):
             R[..., j] = [part[N] for part in levels[n, one_fermion]]
         exponent = np.frexp(np.max(np.abs(R[0]), axis=tuple(range(self.r.ndim)), initial=0.0))[1]
+        R = np.ldexp(R, -exponent)
         angular: dict[tuple[int, int], tuple] = {}
         S = np.zeros((3, len(ang_keys), 4, *self.phi.shape))
         for a, (occ, m) in enumerate(ang_keys):
@@ -248,20 +245,24 @@ class FactorTable:
             A0, A1, A2 = angular[shift, m]
             for idx, t, t1, t2 in _occupation_trig(occ, self.phi):
                 S[:, a, idx] = t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2
-        return np.ldexp(C, exponent[:, None]), np.ldexp(R, -exponent), S, own
+        for size, rad, ang, entries in own:
+            C = np.zeros((size, len(rad), len(ang)))
+            for i, rk, ak, c in entries:
+                C[i, rk, ak] += c
+            # C-contiguous copies, as a call with this group alone makes: fancy-index slices are not, and move BLAS sums' last bits
+            yield np.ldexp(C, exponent[rad][:, None]), np.take(R, rad, axis=-1), np.take(S, ang, axis=1)
 
     def _contractions(self, states: list[CatalogState], orders):
         """Per state, its fields for each (radial, angular) derivative order
         of ``orders``, each of shape (4, *broadcast shape), and the
         components some term reaches (the others stay zero), one state at a
-        time from one ``_expand(states)``.  A state's sums run over its own
-        keys in its own order, as a loop over its terms does, so its fields
-        are the same to the last bit whatever states share the call."""
-        C, R, S, own = self._expand(states)
-        S = S[: 1 + max(d for _, d in orders)]
-        for c, (rad, ang) in zip(C, own):
-            coeff = c[rad][:, ang].reshape(len(rad), 1, len(ang), *(1,) * self.phi.ndim)
-            spinors = S[:, ang]
+        time from one ``expand`` with each state its own group.  A state's
+        sums run over its own keys in its own order, as a loop over its
+        terms does, so its fields are the same to the last bit whatever
+        states share the call."""
+        for C, R, S in self.expand(*([st] for st in states)):
+            coeff = C[0].reshape(C.shape[1], 1, C.shape[2], *(1,) * self.phi.ndim)
+            spinors = S[: 1 + max(d for _, d in orders)]
             out = [np.zeros((4, *self.shape)) for _ in orders]
             reached = tuple(idx for idx in range(4) if spinors[:, :, idx].any())
             for idx in reached:
@@ -269,9 +270,9 @@ class FactorTable:
                 weighted = np.sum(coeff * spinors[None, :, :, idx], axis=2)
                 # radial keys one at a time, like a loop over the terms: a
                 # BLAS contraction would reorder the sums' last bits
-                for j, col in enumerate(rad):
+                for j in range(len(coeff)):
                     for o, (d_r, d_phi) in zip(out, orders):
-                        o[idx] += R[d_r, ..., col] * weighted[j, d_phi]
+                        o[idx] += R[d_r, ..., j] * weighted[j, d_phi]
             yield out, reached
 
     def bundles(self, states: list[CatalogState]):

@@ -688,13 +688,13 @@ def _checks_irreps(ws: _Workspace):
         "irreps.casimir",
     )
 
-    # every cross-sector element <s1|G|s2> between the level-1 states of
-    # one fermion parity, one projection per generator
+    # every cross-sector element <s1|G|s2> between the basis's level-1
+    # states of one fermion parity, one projection per generator
     res = []
     for n1, n2 in ((0, 1), (1, 2), (0, 2)):
         for odd in (False, True):
             rows, cols = (
-                [s.state for s in irreps.sector_basis(p, n, 1) if s.level == 1 and s.state.fermion_parity() == odd]
+                [s.state for s in basis if s.n == n and s.level == 1 and s.state.fermion_parity() == odd]
                 for n in (n1, n2)
             )
             for m in gen.project(("K0", "K+", "Y"), rows, cols, ws.grid(n1, n2, odd=odd)).values():
@@ -745,26 +745,28 @@ def _one_fermion_overlap(ws: _Workspace) -> list:
     return res
 
 
+# k -> (check-name prefix, cartesian Hs and Q, cartesian superpotential), and the claims of its two checks
+_CARTESIAN = {1.0: ("sw", special_cases.sw_super, special_cases.sw_superpotential), 2.0: ("bc2", special_cases.bc2_super, special_cases.bc2_superpotential)}
+_CLAIMS = {
+    1.0: ("cartesian Hs and Q at k = 1 equal the polar construction", "-a ln|x| - b ln|y| equals the polar superpotential at k = 1"),
+    2.0: ("cartesian Hs and Q at k = 2 equal the polar construction on 0 < y < x", "pair/axis superpotential equals the polar one plus the constant b ln 2"),
+}
+
+
 def _checks_special(config: SuiteConfig):
     rng = UniformStream(config.seed)
     n_pts = 200
     for p in config.models():
         label = _params_label(p)
-        if p.k == 1.0:
-            yield ("sw-pointwise", "cartesian Hs and Q at k = 1 equal the polar construction", label, _cartesian_agreement(p, special_cases.sw_super, rng, n_pts), "special.pointwise")
+        if p.k in _CARTESIAN:
+            (prefix, super_fn, superpotential), claims = _CARTESIAN[p.k], _CLAIMS[p.k]
+            yield (f"{prefix}-pointwise", claims[0], label, _cartesian_agreement(p, super_fn, rng, n_pts), "special.pointwise")
             r = rng.uniform(0.5, 2.0, 50)
             phi = rng.uniform(0.1, 0.9, 50) * p.phi_max
             x, y = r * np.cos(phi), r * np.sin(phi)
-            res = float(np.max(np.abs(special_cases.sw_superpotential(p, x, y) - gen.superpotential(p, r, phi))))
-            yield ("sw-superpotential", "-a ln|x| - b ln|y| equals the polar superpotential at k = 1", label, res, "special.pointwise")
-        elif p.k == 2.0:
-            yield ("bc2-pointwise", "cartesian Hs and Q at k = 2 equal the polar construction on 0 < y < x", label, _cartesian_agreement(p, special_cases.bc2_super, rng, n_pts), "special.pointwise")
-            r = rng.uniform(0.5, 2.0, 50)
-            phi = rng.uniform(0.1, 0.9, 50) * p.phi_max
-            x, y = r * np.cos(phi), r * np.sin(phi)
-            diff = special_cases.bc2_superpotential(p, x, y) - gen.superpotential(p, r, phi)
-            res = float(np.max(np.abs(diff - p.b * math.log(2.0))))
-            yield ("bc2-superpotential", "pair/axis superpotential equals the polar one plus the constant b ln 2", label, res, "special.pointwise")
+            # the pair/axis superpotential exceeds the polar one by b ln 2
+            diff = superpotential(p, x, y) - gen.superpotential(p, r, phi) - (p.b * math.log(2.0) if p.k == 2.0 else 0.0)
+            yield (f"{prefix}-superpotential", claims[1], label, float(np.max(np.abs(diff))), "special.pointwise")
         elif p.k == 3.0:
             yield from _checks_cmw(p, label, rng, n_pts)
 

@@ -1,21 +1,24 @@
-"""Write the JSON report bodies of a fixed set of verification runs.
+"""Write the JSON report bodies of a fixed set of verification runs, or
+compare two such files.
 
     PYTHONPATH=src python tests/report_bodies.py OUT.json
+    python tests/report_bodies.py OLD.json NEW.json
 
 Each run is a perfbench workload at a fixed seed: acceptance at seeds 1
 and 20260809, truncation-16x10 at seed 1 and pointwise at seed 7.  The
 timings (every check's ``wall_ms`` and the report's ``matrices_ms``) are
 dropped, so a change that keeps every residual gives a byte-identical
-file: ``cmp`` the files written before and after it.  Not a pytest
-module (pytest collects only test_*.py); the four runs take a few seconds.
+file.  Given two files, the script prints, per run, each check whose
+record differs (or is in one file only) as ``run: name [params]``, and
+each other differing part of the body as ``run: part``; it exits 1 when
+anything differs.  Not a pytest module (pytest collects only
+test_*.py); the four runs take a few seconds.
 """
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
-
-from ttwsusy.verify import SuiteConfig, run
 
 RUNS = (("acceptance", 1), ("acceptance", 20260809), ("truncation-16x10", 1), ("pointwise", 7))
 
@@ -29,6 +32,9 @@ def _workloads():
 
 def report_body(payload: dict) -> dict:
     """The run's JSON report without its timings."""
+    # imported here, so that comparing two files needs no PYTHONPATH
+    from ttwsusy.verify import SuiteConfig, run
+
     body = json.loads(run(SuiteConfig.from_dict(payload)).to_json())
     del body["matrices_ms"]
     for check in body["checks"]:
@@ -36,9 +42,31 @@ def report_body(payload: dict) -> dict:
     return body
 
 
+def differences(old: dict, new: dict) -> list[str]:
+    """``run: name [params]`` for each check record that differs between
+    two files' bodies, and ``run: part`` for each other differing part."""
+    out = []
+    for run_name in sorted(old.keys() | new.keys()):
+        a, b = old.get(run_name, {}), new.get(run_name, {})
+        checks = [{}, {}]
+        for records, body in zip(checks, (a, b)):
+            for c in body.get("checks", []):
+                records.setdefault((c["name"], c["params"]), []).append(c)
+        for name, params in sorted(checks[0].keys() | checks[1].keys(), key=str):
+            if checks[0].get((name, params)) != checks[1].get((name, params)):
+                out.append(f"{run_name}: {name} [{params}]")
+        out += [f"{run_name}: {part}" for part in sorted((a.keys() | b.keys()) - {"checks"}) if a.get(part) != b.get(part)]
+    return out
+
+
 def main(argv) -> int:
+    if len(argv) == 2:
+        old, new = (json.loads(Path(path).read_text()) for path in argv)
+        diff = differences(old, new)
+        print("\n".join(diff) if diff else "no run differs")
+        return 1 if diff else 0
     if len(argv) != 1:
-        print("usage: python tests/report_bodies.py OUT.json", file=sys.stderr)
+        print("usage: python tests/report_bodies.py OUT.json | OLD.json NEW.json", file=sys.stderr)
         return 2
     workloads = _workloads()
     bodies = {f"{name}@{seed}": report_body(workloads.config_dict(name, seed)) for name, seed in RUNS}

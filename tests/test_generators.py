@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import ttwsusy.generators as gen
+import ttwsusy.states as states_module
 from ttwsusy.fock import annihilators
 from ttwsusy.generators import (
     GENERATOR_NAMES,
@@ -506,7 +507,7 @@ class TestTensorGridAssembly:
         grid = Grid.for_pair(p, 2, 2, 40, 40, odd=True)
         table = FactorTable(p, grid.r, grid.phi)
         states = [s.state for s in sector_basis(p, 2, 4) if s.family in ("lower", "upper")]
-        _, R, _ = table.expand(states)
+        ((_, R, _),) = table.expand(states)
         R = R[:, :, 0]  # the grid's radial column
         keys = dict.fromkeys((t.N, t.n, FERMION_NUMBER[t.occ] == 1) for st in states for t in st.terms if not t.is_zero)
         # the bare factors, evaluated apart from the table
@@ -749,7 +750,7 @@ class TestSparseTerms:
                 for p_in in (0, 1):
                     rows, cols = states[p_out], states[p_in]
                     shared = project(OPERATOR_NAMES, rows, cols, grid)
-                    f_rows, f_cols = table.expand(rows), table.expand(cols)
+                    f_rows, f_cols = table.expand(rows, cols)
                     for name in OPERATOR_NAMES:
                         ref = per_term_project(_terms(name, p, grid.phi), f_rows, f_cols, grid)
                         assert np.array_equal(shared[name], ref), (n, p_out, p_in, name)
@@ -783,6 +784,24 @@ class TestWorkCounts:
             terms = [t for name in names for t in _terms(name, p, phi)]
             assert set(keys) == {(t.r_pow, t.d_r) for t in terms}
             assert len(keys) < len(terms)
+
+    def test_one_angular_call_per_factor_and_sector_grid(self, monkeypatch):
+        # each sector grid's table expands both parities in one call, so
+        # each (shift, angular index) is evaluated once per grid
+        calls = []
+        parts = states_module.angular_parts
+
+        def counted(params, m, phi, shift=0):
+            calls.append((shift, m))
+            return parts(params, m, phi, shift)
+
+        monkeypatch.setattr(states_module, "angular_parts", counted)
+        n_max = 6
+        generator_matrices(PARAM_SETS[2], (8, n_max), MR, MA)
+        # sector n names (0, n) and, from n = 1 on, (1, n - 1), on both its grids
+        expected = [(0, n) for n in range(n_max + 1)] + [(1, n - 1) for n in range(1, n_max + 1)]
+        assert len(calls) == 2 + 4 * n_max == 26
+        assert sorted(calls) == sorted(2 * expected)
 
     def test_one_term_table_per_factor_table(self, monkeypatch):
         calls = []

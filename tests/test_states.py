@@ -182,8 +182,9 @@ class TestBroadcastingContract:
         calls = count_factor_passes(monkeypatch)
         table = FactorTable(P, grid.r, grid.phi)
         for states_, call in (
-            (even, table.expand),
-            (odd, table.expand),
+            (even, lambda sts: list(table.expand(sts))),
+            (odd, lambda sts: list(table.expand(sts))),
+            (basis, lambda _: list(table.expand(even, odd))),
             (basis, lambda sts: list(table.bundles(sts))),
             (basis, lambda sts: list(table.fields(sts))),
         ):
@@ -204,7 +205,7 @@ class TestBroadcastingContract:
         grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
         table = FactorTable(P, grid.r, grid.phi)
         states_ = [s.state for s in sector_basis(P, 2, 3) if s.state.fermion_parity() == 1]
-        table.expand(states_)
+        list(table.expand(states_))
         for bundle in table.bundles(states_):
             apply_operators(("Hs",), bundle, table)
         list(table.fields(states_))
@@ -272,13 +273,28 @@ class TestExpansion:
         table = FactorTable(P, *sample_points(P)[where])
         zeros = [CatalogState.zero(), v_action("-", P, 0, 0)]
         for state in zeros:
-            C, R, S = table.expand([state])
+            ((C, R, S),) = table.expand([state])
             assert C.shape == (1, 0, 0) and R.shape[-1] == 0 and S.shape[1] == 0
         for bundle, field in zip(table.bundles(zeros), table.fields(zeros)):
             for name in BUNDLE_FIELDS:
                 value = getattr(bundle, name)
                 assert value.shape == (4, *table.shape) and not value.any(), name
             assert field.shape == (4, *table.shape) and not field.any()
+
+    @pytest.mark.parametrize("where", ["grid", "scattered"])
+    def test_groups_equal_separate_calls(self, where):
+        """One call with groups that share keys, named in different orders,
+        gives each group C-contiguous arrays equal to the last bit to those
+        of a call with that group alone."""
+        table = FactorTable(P_IRR, *sample_points(P_IRR)[where])
+        plus = [one_fermion_state("+", P_IRR, N - 1, 2) for N in range(1, 4)]
+        minus = [one_fermion_state("-", P_IRR, N, 2) for N in (3, 1, 2)]
+        even = [zero_fermion_state(P_IRR, 2, 2), two_fermion_state(P_IRR, 1, 2)]
+        groups = (plus, minus, even, [CatalogState.zero()], plus)
+        for i, (group, arrays) in enumerate(zip(groups, table.expand(*groups))):
+            (alone,) = FactorTable(P_IRR, table.r, table.phi).expand(group)
+            for name, got, ref in zip("CRS", arrays, alone):
+                assert got.flags.c_contiguous and np.array_equal(got, ref), (i, name)
 
     @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
     @pytest.mark.parametrize("where", ["grid", "scattered"])

@@ -479,23 +479,31 @@ class TestParallelRun:
 class TestRadialPasses:
     """Each pointwise check hands a table all of its states in one call,
     so one radial pass per (sector, one-fermion) key of that call serves
-    every level."""
+    every level, and a check reads the basis the workspace holds instead
+    of building it again."""
 
     @staticmethod
-    def passes_per_check(monkeypatch, checks):
-        """{check name: radial_levels calls made while computing it}."""
+    def calls_per_check(monkeypatch, modules, attr, checks):
+        """{check name: calls of the function ``attr`` of ``modules`` (all
+        bound to the same function) made while computing it}."""
         calls = []
-        levels = states.radial_levels
+        fn = getattr(modules[0], attr)
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return levels(*args, **kwargs)
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(states, "radial_levels", counted)
+        for module in modules:
+            monkeypatch.setattr(module, attr, counted)
         out, seen = {}, 0
         for name, *_ in checks:
             out[name], seen = len(calls) - seen, len(calls)
         return out
+
+    @classmethod
+    def passes_per_check(cls, monkeypatch, checks):
+        """{check name: radial_levels calls made while computing it}."""
+        return cls.calls_per_check(monkeypatch, [states], "radial_levels", checks)
 
     @staticmethod
     def workspace():
@@ -515,10 +523,18 @@ class TestRadialPasses:
         assert self.passes_per_check(monkeypatch, verify._checks_irreps(self.workspace()))["odd-action-fields"] == 9
 
     def test_one_fermion_overlap(self, monkeypatch):
-        # rows and columns of each projected sector n = 1, 2, then one pass
-        # for all eight n = 0 one-fermion fields (the n = 0 two-fermion
-        # states vanish, so their call evaluates no factor)
-        assert self.passes_per_check(monkeypatch, verify._checks_irreps(self.workspace()))["one-fermion-overlap"] == 5
+        # one pass for the rows and columns of each projected sector n = 1,
+        # 2, which share their one-fermion key, then one for all eight n = 0
+        # one-fermion fields (the n = 0 two-fermion states vanish, so their
+        # call evaluates no factor)
+        assert self.passes_per_check(monkeypatch, verify._checks_irreps(self.workspace()))["one-fermion-overlap"] == 3
+
+    def test_block_diagonality_reads_the_basis(self, monkeypatch):
+        # the level-1 states come from the basis of the generator blocks,
+        # built once (by the first check), not from sector_basis again
+        checks = verify._checks_irreps(self.workspace())
+        calls = self.calls_per_check(monkeypatch, [verify.irreps, verify.gen], "sector_basis", checks)
+        assert calls["ladder-matrix-elements"] == 3 and calls["block-diagonality"] == 0
 
 
 class TestCli:
@@ -732,3 +748,18 @@ def test_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-3:] == ["[]", "[]", "[]"]
+
+
+def test_report_bodies_names_each_difference():
+    from report_bodies import differences
+
+    body = strip_volatile(json.loads(run(SuiteConfig(**{**FAST, "suites": ["model"]})).to_json()))
+    changed = json.loads(json.dumps(body))
+    changed["checks"][1]["residual"] *= 2.0
+    changed["summary"]["passed"] -= 1
+    names = [f"{c['name']} [{c['params']}]" for c in body["checks"]]
+    assert differences({"run": body}, {"run": body}) == []
+    assert differences({"run": body}, {"run": changed}) == [f"run: {names[1]}", "run: summary"]
+    # a run in one file only differs in every check and part
+    only_new = differences({"run": body}, {"run": body, "new": body})
+    assert sorted(only_new) == sorted(f"new: {part}" for part in names + ["config", "schema", "summary"])
