@@ -31,11 +31,11 @@ def compare(p, cart_fn, title):
     x, y = r * np.cos(phi), r * np.sin(phi)
     worst = 0.0
     # a catalog state's cartesian data comes from its polar bundle; a random
-    # polynomial x Gaussian spinor gives both forms itself
+    # polynomial x Gaussian spinor gives both forms from one evaluation
     table = FactorTable(p, r, phi)
     (catalog,) = table.bundles([zero_fermion_state(p, 1, 1)])
     gauss = random_polygauss(rng, p.omega)
-    spinors = [(cart_from_polar(catalog, r, phi), catalog), (gauss.cart_data(p, r, phi), gauss.polar_bundle(p, r, phi))]
+    spinors = [(cart_from_polar(catalog, r, phi), catalog), gauss.sample(r, phi)]
     for cart, bundle in spinors:
         h_c, q_c = cart_fn(p, cart, x, y)
         # the same operator assembly for catalog states and random spinors
@@ -51,7 +51,7 @@ p3 = ModelParams(k=3.0, a=2.0, b=2.0)
 r = rng.uniform(0.5, 2.0, 200)
 phi = rng.uniform(0.08, 0.92, 200) * p3.phi_max
 X = rng.uniform(-1.5, 1.5, 200)
-data = make_cmw_test_state(random_polygauss(rng, p3.omega).polar_bundle(p3, r, phi), rng.uniform(-1, 1, (2, 3)), p3, r, phi, X)
+data = make_cmw_test_state(random_polygauss(rng, p3.omega).sample(r, phi)[1], rng.uniform(-1, 1, (2, 3)), p3, r, phi, X)
 h_f, q_f = cmw_super(p3, data)
 h_r, q_r = cmw_rel_super(p3, data)
 h_c, q_c = cm_super(p3, data)

@@ -16,10 +16,10 @@ basis states pulled back through the coordinate maps, plus random
 polynomial x Gaussian spinors, so agreement is tested well beyond the
 eigenstates.  A catalog state's polar bundle comes from the
 ``states.FactorTable`` of its sample points, and ``cart_from_polar``
-turns it into the cartesian data; a ``PolyGaussSpinor`` gives both
-forms itself.  Derivatives are analytic on both sides; second
-derivatives only ever enter through the Laplacian, which is computed
-in polar form and shared.
+turns it into the cartesian data; ``PolyGaussSpinor.sample`` gives
+both forms from one set of cartesian partials, each a product of two
+1-D factors from ``_gauss_monomials``, which also differentiates the
+centre-of-mass factor.  Derivatives are analytic on both sides.
 """
 
 from __future__ import annotations
@@ -83,64 +83,51 @@ def cart_from_polar(bundle: StateBundle, r: np.ndarray, phi: np.ndarray) -> Cart
     return CartData(bundle.val, d_x, d_y, lap)
 
 
-def _poly2_parts(c: np.ndarray, x: np.ndarray, y: np.ndarray):
-    dx = np.arange(1, c.shape[0])[:, None] * c[1:, :]
-    dy = np.arange(1, c.shape[1])[None, :] * c[:, 1:]
-    dxx = np.arange(1, dx.shape[0])[:, None] * dx[1:, :] if dx.shape[0] > 1 else np.zeros((1, c.shape[1]))
-    dyy = np.arange(1, dy.shape[1])[None, :] * dy[:, 1:] if dy.shape[1] > 1 else np.zeros((c.shape[0], 1))
-    dxy = np.arange(1, dx.shape[1])[None, :] * dx[:, 1:] if dx.shape[1] > 1 else np.zeros((1, 1))
-
-    def ev(cc):
-        xp = x[None, :] ** np.arange(cc.shape[0])[:, None]
-        yp = y[None, :] ** np.arange(cc.shape[1])[:, None]
-        return np.einsum("ij,ip,jp->p", cc, xp, yp)
-
-    return ev(c), ev(dx), ev(dy), ev(dxx), ev(dxy), ev(dyy)
+def _gauss_monomials(degree: int, omega: float, x: np.ndarray) -> np.ndarray:
+    """x^i e for e = exp(-omega x^2/2) and i = 0..degree, with its first two
+    x derivatives (i x^(i-1) - omega x^(i+1)) e and
+    (i(i-1) x^(i-2) - omega (2i+1) x^i + omega^2 x^(i+2)) e; shape
+    (3, degree + 1, *x.shape).  The one evaluator of polynomial x Gaussian
+    derivatives: the planar Gaussian factorizes into two of these."""
+    x = np.asarray(x, dtype=float)
+    j = np.arange(-2, degree + 3).reshape(-1, *[1] * x.ndim)
+    # x^j for j = -2..degree+2; the negative powers are zero rows, not quotients, as x may be 0
+    pw = np.where(j >= 0, x ** np.maximum(j, 0), 0.0)
+    i, n = j[2:-2], degree + 1
+    d1 = i * pw[1 : n + 1] - omega * pw[3 : n + 3]
+    d2 = i * (i - 1) * pw[:n] - omega * (2 * i + 1) * pw[2 : n + 2] + omega**2 * pw[4:]
+    return np.stack([pw[2 : n + 2], d1, d2]) * np.exp(-0.5 * omega * x**2)
 
 
 class PolyGaussSpinor:
-    """Components q_s(x, y) exp(-omega (x^2+y^2)/2) with polynomial q_s."""
+    """Components q_s(x, y) exp(-omega (x^2+y^2)/2) with polynomial q_s;
+    ``coeffs[s, i, j]`` multiplies x^i y^j in q_s."""
 
     def __init__(self, coeffs: np.ndarray, omega: float):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.omega = float(omega)
 
-    def _parts(self, x, y):
-        w = self.omega
-        e = np.exp(-0.5 * w * (x**2 + y**2))
-        out = []
-        for c in self.coeffs:
-            q, qx, qy, qxx, qxy, qyy = _poly2_parts(c, x, y)
-            f = q * e
-            fx = (qx - w * x * q) * e
-            fy = (qy - w * y * q) * e
-            fxx = (qxx - 2 * w * x * qx - w * q + w * w * x * x * q) * e
-            fyy = (qyy - 2 * w * y * qy - w * q + w * w * y * y * q) * e
-            fxy = (qxy - w * x * qy - w * y * qx + w * w * x * y * q) * e
-            out.append((f, fx, fy, fxx, fxy, fyy))
-        return out
-
-    def cart_data(self, params: ModelParams, r, phi) -> CartData:
-        x, y = r * np.cos(phi), r * np.sin(phi)
-        parts = self._parts(x, y)
-        val = np.stack([p[0] for p in parts])
-        d_x = np.stack([p[1] for p in parts])
-        d_y = np.stack([p[2] for p in parts])
-        lap = np.stack([p[3] + p[5] for p in parts])
-        return CartData(val, d_x, d_y, lap)
-
-    def polar_bundle(self, params: ModelParams, r, phi) -> StateBundle:
+    def sample(self, r: np.ndarray, phi: np.ndarray) -> tuple[CartData, StateBundle]:
+        """The spinor's cartesian data and polar bundle at the points (r, phi),
+        both from one set of cartesian partials.  The Gaussian factorizes,
+        so each partial contracts the coefficients with two 1-D factors."""
         c, s = np.cos(phi), np.sin(phi)
         x, y = r * c, r * s
-        parts = self._parts(x, y)
-        val, d_r, d_rr, d_p, d_pp = (np.zeros((4, r.size)) for _ in range(5))
-        for i, (f, fx, fy, fxx, fxy, fyy) in enumerate(parts):
-            val[i] = f
-            d_r[i] = c * fx + s * fy
-            d_p[i] = -y * fx + x * fy
-            d_rr[i] = c * c * fxx + 2 * c * s * fxy + s * s * fyy
-            d_pp[i] = y * y * fxx - 2 * x * y * fxy + x * x * fyy - x * fx - y * fy
-        return StateBundle(val, d_r, d_rr, d_p, d_pp)
+        gx, gy = (_gauss_monomials(n - 1, self.omega, t) for n, t in zip(self.coeffs.shape[1:], (x, y)))
+
+        def partial(a, b):
+            return np.einsum("sij,ip,jp->sp", self.coeffs, gx[a], gy[b])
+
+        f, fx, fy, fxx, fxy, fyy = (partial(a, b) for a, b in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+        cart = CartData(f, fx, fy, fxx + fyy)
+        bundle = StateBundle(
+            f,
+            c * fx + s * fy,
+            c * c * fxx + 2 * c * s * fxy + s * s * fyy,
+            -y * fx + x * fy,
+            y * y * fxx - 2 * x * y * fxy + x * x * fyy - x * fx - y * fy,
+        )
+        return cart, bundle
 
 
 def random_polygauss(rng, omega: float, degree: int = 3, components: int = 4) -> PolyGaussSpinor:
@@ -288,21 +275,6 @@ def embed_product_values(rel_vals: np.ndarray, cm_vals) -> np.ndarray:
     return out
 
 
-def _poly1_parts(h: np.ndarray, omega: float, X: np.ndarray):
-    d1 = np.arange(1, h.size) * h[1:]
-    d2 = np.arange(1, d1.size) * d1[1:] if d1.size > 1 else np.zeros(1)
-
-    def ev(cc):
-        return np.polynomial.polynomial.polyval(X, cc) if cc.size else np.zeros_like(X)
-
-    e = np.exp(-0.5 * omega * X**2)
-    q, qx, qxx = ev(h), ev(d1), ev(d2)
-    f = q * e
-    f1 = (qx - omega * X * q) * e
-    f2 = (qxx - 2 * omega * X * qx - omega * q + omega**2 * X**2 * q) * e
-    return f, f1, f2
-
-
 def make_cmw_test_state(
     rel: StateBundle, cm_coeffs: np.ndarray, params: ModelParams, r: np.ndarray, phi: np.ndarray, X: np.ndarray
 ) -> Cmw3Data:
@@ -316,9 +288,9 @@ def make_cmw_test_state(
     """
     u, v = r * np.cos(phi), r * np.sin(phi)
     cart = cart_from_polar(rel, r, phi)
-    cm_parts = [_poly1_parts(np.asarray(c, dtype=float), params.omega, X) for c in cm_coeffs]
+    cm_coeffs = np.asarray(cm_coeffs, dtype=float)
     # the cm spinor and its first two X derivatives, each as (2, npts) values
-    chi, chi_X, chi_XX = ([part[i] for part in cm_parts] for i in range(3))
+    chi, chi_X, chi_XX = cm_coeffs @ _gauss_monomials(cm_coeffs.shape[1] - 1, params.omega, X)
     return Cmw3Data(
         val=embed_product_values(cart.val, chi),
         d_u=embed_product_values(cart.d_x, chi),

@@ -142,8 +142,14 @@ class SuiteConfig:
     def __post_init__(self):
         if not isinstance(self.param_sets, (tuple, list)) or not self.param_sets:
             raise ValueError(f"param_sets must be a nonempty list of parameter sets, got {self.param_sets!r}")
+        labels: dict[str, dict] = {}
         for ps in self.param_sets:
             _check_param_set(ps)
+            # records and matrices_ms are keyed by the label, so two sets must not share one
+            label = _params_label(ModelParams(**ps))
+            if label in labels:
+                raise ValueError(f"parameter sets {labels[label]!r} and {ps!r} share the report label {label!r}")
+            labels[label] = ps
         self.param_sets = tuple(dict(ps) for ps in self.param_sets)
         _check_int_pair("truncation", self.truncation, 2)
         _check_int_pair("quad_orders", self.quad_orders, 1)
@@ -421,7 +427,7 @@ def _series_jacobi(n, alpha, beta, x):
     return np.array(out)
 
 
-def _checks_specfun(config: SuiteConfig):
+def _checks_specfun():
     zgrid = np.linspace(0.05, 30.0, 41)
     xgrid = np.linspace(-0.999, 0.999, 41)
     res = []
@@ -543,10 +549,10 @@ def _checks_algebra(ws: _Workspace):
         {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
         for _, block, inner in _sectors(blocks, basis, interior)
     )
-    for name, res in structure.items():
-        yield (f"structure[{name}]", name, label, res, "algebra.structure")
-    for name, res in _worst_per_name(gen.hermiticity_residuals(block) for block in blocks).items():
-        yield (f"hermiticity[{name}]", name, label, res, "algebra.hermiticity")
+    # each group is computed as a whole, so it is yielded as one list
+    yield [(f"structure[{name}]", name, label, res, "algebra.structure") for name, res in structure.items()]
+    hermiticity = _worst_per_name(gen.hermiticity_residuals(block) for block in blocks)
+    yield [(f"hermiticity[{name}]", name, label, res, "algebra.hermiticity") for name, res in hermiticity.items()]
 
     res = [_deviation(hv, 4.0 * p.omega * (N + n * p.k) * fv, fv) for N, n, fv, hv in _sector_images(ws, "Hs")]
     yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, _worst(res), "algebra.spectrum")
@@ -786,7 +792,7 @@ def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
     # (cartesian data, polar bundle) of each test spinor, made as the loop reaches it
     spinors = itertools.chain(
         ((special_cases.cart_from_polar(b, r, phi), b) for b in table.bundles(catalog)),
-        ((g.cart_data(p, r, phi), g.polar_bundle(p, r, phi)) for g in polygauss),
+        (g.sample(r, phi) for g in polygauss),
     )
     res = []
     for cart, bundle in spinors:
@@ -858,7 +864,7 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
     )
     gauss = special_cases.random_polygauss(rng, p.omega)
     res = []
-    for rel in (next(bundles), next(bundles), gauss.polar_bundle(p, r, phi)):
+    for rel in (next(bundles), next(bundles), gauss.sample(r, phi)[1]):
         res += _cmw_split(p, rel, rng.uniform(-1.0, 1.0, size=(2, 3)), r, phi, X)
     yield ("cmw-split", "Hs and Q of the three-particle model split into relative + centre-of-mass parts", label, _worst(res), "special.pointwise")
 
@@ -909,25 +915,30 @@ def _stopwatch(workspace: _Workspace | None = None):
 
 
 def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> list[CheckRecord]:
-    """The records of one suite's checks from ``produce()``.  A suite that
-    raises keeps the checks it already yielded and ends with a failed
-    ``<suite>-suite`` record."""
+    """The records of one suite's checks from ``produce()``, which yields
+    each check, or a list of the checks of a group computed as a whole;
+    each check of a group is charged an equal share of the group's time.
+    A suite that raises keeps the checks it already yielded and ends with
+    a failed ``<suite>-suite`` record."""
     records = []
     try:
-        for name, claim, plabel, residual, tol_key in produce():
-            tol = config.tol(tol_key)
-            records.append(
-                CheckRecord(
-                    name=name,
-                    suite=suite,
-                    claim=claim,
-                    params=plabel,
-                    residual=float(residual),
-                    tolerance=tol,
-                    passed=bool(residual <= tol),
-                    wall_ms=elapsed_ms(),
+        for item in produce():
+            group = item if isinstance(item, list) else [item]
+            wall_ms = elapsed_ms() / max(len(group), 1)
+            for name, claim, plabel, residual, tol_key in group:
+                tol = config.tol(tol_key)
+                records.append(
+                    CheckRecord(
+                        name=name,
+                        suite=suite,
+                        claim=claim,
+                        params=plabel,
+                        residual=float(residual),
+                        tolerance=tol,
+                        passed=bool(residual <= tol),
+                        wall_ms=wall_ms,
+                    )
                 )
-            )
     except Exception:
         records.append(_suite_failure(suite, traceback.format_exc(limit=2).strip().splitlines()[-1], elapsed_ms()))
     return records
@@ -955,7 +966,7 @@ def _parent_checks(config: SuiteConfig) -> dict:
     their points from one random generator in sequence.  {suite:
     records}."""
     producers = {
-        "specfun": lambda: _checks_specfun(config),
+        "specfun": _checks_specfun,
         "algebra": _checks_oscillator,
         "special-cases": lambda: _checks_special(config),
     }
@@ -1024,7 +1035,9 @@ def run(config: SuiteConfig) -> VerificationReport:
     Each check is timed from the previous record of its process's stream
     (this process's checks, or one job's) to the moment its suite yields
     it, minus any generator-matrix build that happened in between: those
-    builds are reported per parameter set in ``matrices_ms``.  A suite
+    builds are reported per parameter set in ``matrices_ms``.  The checks
+    of a group that a suite computes as a whole, such as ``structure[...]``,
+    are yielded together and share that time equally.  A suite
     that raises in one set keeps the checks it already yielded there and
     ends that set's part with one failed ``<suite>-suite`` record; the
     other sets and this process's checks of the suite are kept, since

@@ -9,9 +9,10 @@ and 20260809, truncation-16x10 at seed 1 and pointwise at seed 7.  The
 timings (every check's ``wall_ms`` and the report's ``matrices_ms``) are
 dropped, so a change that keeps every residual gives a byte-identical
 file.  Given two files, the script prints, per run, each check whose
-record differs (or is in one file only) as ``run: name [params]``, and
-each other differing part of the body as ``run: part``; it exits 1 when
-anything differs.  Not a pytest module (pytest collects only
+record differs (or is in one file only) as ``run: name [params] old ->
+new`` with its residual in each file (``absent`` in a file that lacks
+it), and each other differing part of the body as ``run: part``; it
+exits 1 when anything differs.  Not a pytest module (pytest collects only
 test_*.py); the four runs take a few seconds.
 """
 
@@ -42,9 +43,15 @@ def report_body(payload: dict) -> dict:
     return body
 
 
+def _residuals(records) -> str:
+    """The residuals of a check's records in one file, or ``absent``."""
+    return ", ".join(repr(c["residual"]) for c in records) if records else "absent"
+
+
 def differences(old: dict, new: dict) -> list[str]:
-    """``run: name [params]`` for each check record that differs between
-    two files' bodies, and ``run: part`` for each other differing part."""
+    """``run: name [params] old -> new`` (the residuals) for each check
+    record that differs between two files' bodies, and ``run: part`` for
+    each other differing part."""
     out = []
     for run_name in sorted(old.keys() | new.keys()):
         a, b = old.get(run_name, {}), new.get(run_name, {})
@@ -53,8 +60,9 @@ def differences(old: dict, new: dict) -> list[str]:
             for c in body.get("checks", []):
                 records.setdefault((c["name"], c["params"]), []).append(c)
         for name, params in sorted(checks[0].keys() | checks[1].keys(), key=str):
-            if checks[0].get((name, params)) != checks[1].get((name, params)):
-                out.append(f"{run_name}: {name} [{params}]")
+            before, after = (c.get((name, params)) for c in checks)
+            if before != after:
+                out.append(f"{run_name}: {name} [{params}] {_residuals(before)} -> {_residuals(after)}")
         out += [f"{run_name}: {part}" for part in sorted((a.keys() | b.keys()) - {"checks"}) if a.get(part) != b.get(part)]
     return out
 

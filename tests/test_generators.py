@@ -697,7 +697,7 @@ class TestSparseTerms:
         rng = np.random.default_rng(4)
         r = rng.uniform(0.5, 2.0, 30)
         phi = rng.uniform(0.1, 0.9, 30) * p.phi_max
-        bundle = random_polygauss(rng, p.omega).polar_bundle(p, r, phi)
+        _, bundle = random_polygauss(rng, p.omega).sample(r, phi)
         assert bundle.reached == (0, 1, 2, 3)
         images = apply_operators(OPERATOR_NAMES, bundle, FactorTable(p, r, phi))
         for name, image in zip(OPERATOR_NAMES, images):

@@ -8,6 +8,7 @@ from ttwsusy.irreps import one_fermion_state, two_fermion_state, zero_fermion_st
 from ttwsusy.model import ModelParams
 from ttwsusy.special_cases import (
     PolyGaussSpinor,
+    _gauss_monomials,
     bc2_super,
     bc2_superpotential,
     cart_from_polar,
@@ -47,9 +48,7 @@ def make_test_spinors(rng, p, r, phi):
         ]
     )
     polygauss = [random_polygauss(rng, p.omega) for _ in range(2)]
-    return [(cart_from_polar(b, r, phi), b) for b in catalog] + [
-        (g.cart_data(p, r, phi), g.polar_bundle(p, r, phi)) for g in polygauss
-    ]
+    return [(cart_from_polar(b, r, phi), b) for b in catalog] + [g.sample(r, phi) for g in polygauss]
 
 
 def catalog_cart(state, p, r, phi):
@@ -63,13 +62,63 @@ def polar_reference(bundle, p, r, phi):
     return apply_operators(("Hs", "Q"), bundle, FactorTable(p, r, phi))
 
 
+def sympy_values(sp, expr, symbols, *coords):
+    """``expr`` evaluated with 30-digit mpmath arithmetic at the points whose
+    coordinates are ``coords`` (each float taken at its exact binary value),
+    as an array of shape (len(coords[0]),)."""
+    mpmath = pytest.importorskip("mpmath")
+    fn = sp.lambdify(symbols, expr, "mpmath")
+    with mpmath.workdps(30):
+        return np.array([float(fn(*map(mpmath.mpf, pt))) for pt in zip(*coords)])
+
+
 class TestPolyGauss:
+    """The analytic derivatives against sympy's: every other test feeds the
+    cartesian and polar sides the same partials, so only these see a
+    wrong one."""
+
+    @pytest.mark.parametrize("omega", [1.0, 0.35, 2.5])
+    def test_gauss_monomials_equal_sympy_derivatives(self, omega):
+        sp = pytest.importorskip("sympy")
+        t = sp.Symbol("t", real=True)
+        xs = np.array([-1.5, -0.4, 0.0, 0.3, 1.0, 2.2])
+        got = _gauss_monomials(3, omega, xs)
+        assert got.shape == (3, 4, xs.size)
+        for i in range(4):
+            f = t**i * sp.exp(-sp.Float(omega, 30) * t**2 / 2)
+            for d in range(3):
+                want = sympy_values(sp, sp.diff(f, t, d), (t,), xs)
+                np.testing.assert_allclose(got[d, i], want, rtol=1e-14, atol=1e-14, err_msg=f"i={i}, d={d}")
+
+    def test_sample_equals_sympy_derivatives(self):
+        sp = pytest.importorskip("sympy")
+        st = random_polygauss(np.random.default_rng(11), 0.8)
+        r = np.array([0.3, 0.9, 1.4, 2.1, 1.1])
+        phi = np.array([0.0, 0.7, 2.0, 3.9, 5.5])  # every quadrant, and y = 0
+        cart, bundle = st.sample(r, phi)
+        # one symbolic component q(x, y) exp(-omega (x^2+y^2)/2), its 16 coefficients as symbols
+        x, y, rs, ps, w = sp.symbols("x y r phi omega", real=True)
+        c = sp.symbols("c0:16", real=True)
+        f = sum(c[4 * i + j] * x**i * y**j for i in range(4) for j in range(4)) * sp.exp(-w * (x**2 + y**2) / 2)
+        fp = f.subs({x: rs * sp.cos(ps), y: rs * sp.sin(ps)})
+        cart_exprs = {"val": f, "d_x": sp.diff(f, x), "d_y": sp.diff(f, y), "lap": sp.diff(f, x, 2) + sp.diff(f, y, 2)}
+        polar_exprs = {"val": fp, "d_r": sp.diff(fp, rs), "d_rr": sp.diff(fp, rs, 2), "d_phi": sp.diff(fp, ps), "d_phiphi": sp.diff(fp, ps, 2)}
+        for form, exprs, coords, vars_ in (
+            (cart, cart_exprs, (r * np.cos(phi), r * np.sin(phi)), (x, y)),
+            (bundle, polar_exprs, (r, phi), (rs, ps)),
+        ):
+            for name, expr in exprs.items():
+                for s, coeffs in enumerate(st.coeffs):
+                    # the coefficients and omega enter as constant coordinates
+                    consts = [np.full(r.size, v) for v in (st.omega, *coeffs.ravel())]
+                    want = sympy_values(sp, expr, (*vars_, w, *c), *coords, *consts)
+                    np.testing.assert_allclose(getattr(form, name)[s], want, rtol=1e-13, atol=1e-13, err_msg=f"component {s}, {name}")
+
     def test_polar_and_cartesian_derivatives_consistent(self):
         rng = np.random.default_rng(0)
         st = random_polygauss(rng, 1.0)
         r, phi, x, y = interior_points(rng, P2, 30)
-        cart = st.cart_data(P2, r, phi)
-        bundle = st.polar_bundle(P2, r, phi)
+        cart, bundle = st.sample(r, phi)
         c, s = np.cos(phi), np.sin(phi)
         np.testing.assert_allclose(c * cart.d_x + s * cart.d_y, bundle.d_r, atol=1e-12)
         np.testing.assert_allclose(-y * cart.d_x + x * cart.d_y, bundle.d_phi, atol=1e-12)
@@ -198,7 +247,7 @@ class TestThreeParticleCase:
         for rel in (
             state_bundle(zero_fermion_state(P3, 1, 1), P3, r, phi),
             state_bundle(one_fermion_state("+", P3, 0, 2), P3, r, phi),
-            random_polygauss(rng, P3.omega).polar_bundle(P3, r, phi),
+            random_polygauss(rng, P3.omega).sample(r, phi)[1],
         ):
             cm = rng.uniform(-1, 1, size=(2, 3))
             data = make_cmw_test_state(rel, cm, P3, r, phi, X)

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -184,6 +185,15 @@ class TestSuiteConfig:
         assert (cfg.truncation, cfg.quad_orders, cfg.suites) == ((3, 2), (40, 40), ("model",))
         assert cfg == SuiteConfig.from_dict({"truncation": [3, 2], "quad_orders": [40, 40], "suites": ["model"], "tolerances": {"model.identity": 1e-9}})
 
+    def test_sets_sharing_a_label_are_rejected(self):
+        # the report and matrices_ms key each set by its label
+        sets = [{"k": 1, "a": 1, "b": 1}, {"k": 1.0000001, "a": 1, "b": 1}]
+        message = "parameter sets {'k': 1, 'a': 1, 'b': 1} and {'k': 1.0000001, 'a': 1, 'b': 1} share the report label 'k=1, a=1, b=1, omega=1'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SuiteConfig(param_sets=sets)
+        with pytest.raises(ValueError, match="share the report label"):
+            SuiteConfig.from_dict({"param_sets": [sets[0], sets[0]]})
+
     def test_tolerance_override(self):
         cfg = SuiteConfig(tolerances={"model.orthonormality": 1e-6})
         assert cfg.tol("model.orthonormality") == 1e-6
@@ -264,6 +274,13 @@ class TestRun:
         doc = strict_loads(report.to_json())
         assert doc["matrices_ms"] == {label: round(report.matrices_ms[label], 3)}
         assert strict_loads(fast_report.to_json())["matrices_ms"] == {}
+
+    def test_group_records_share_its_time(self):
+        # a group computed as a whole charges each of its records an equal share
+        report = run(SuiteConfig(**FAST, suites=("algebra",)))
+        for prefix in ("structure[", "hermiticity["):
+            times = [c.wall_ms for c in report.checks if c.name.startswith(prefix)]
+            assert len(times) > 1 and len(set(times)) == 1 and times[0] > 0.0, (prefix, times)
 
     def test_nan_in_one_sector_reaches_the_report(self, monkeypatch):
         build = verify.gen.generator_matrices
@@ -689,6 +706,12 @@ class TestCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_sets_sharing_a_label_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--param", "k=1,a=1,b=1", "--param", "k=1.0000001,a=1,b=1"])
+        assert exc.value.code == 2
+        assert "share the report label 'k=1, a=1, b=1, omega=1'" in capsys.readouterr().err
+
     def test_bad_key_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--param", "k=2,a=1,b=1,zeta=3"])
@@ -758,8 +781,10 @@ def test_report_bodies_names_each_difference():
     changed["checks"][1]["residual"] *= 2.0
     changed["summary"]["passed"] -= 1
     names = [f"{c['name']} [{c['params']}]" for c in body["checks"]]
+    residual = body["checks"][1]["residual"]
     assert differences({"run": body}, {"run": body}) == []
-    assert differences({"run": body}, {"run": changed}) == [f"run: {names[1]}", "run: summary"]
+    assert differences({"run": body}, {"run": changed}) == [f"run: {names[1]} {residual!r} -> {2.0 * residual!r}", "run: summary"]
     # a run in one file only differs in every check and part
     only_new = differences({"run": body}, {"run": body, "new": body})
-    assert sorted(only_new) == sorted(f"new: {part}" for part in names + ["config", "schema", "summary"])
+    absent = [f"new: {name} absent -> {c['residual']!r}" for name, c in zip(names, body["checks"])]
+    assert sorted(only_new) == sorted(absent + ["new: config", "new: schema", "new: summary"])
