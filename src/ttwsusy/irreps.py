@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, norm_constant, weights_of
+from .model import ModelParams, weights_of
 from .states import OCC_VAC, OCC_XBAR, OCC_XYBAR, OCC_YBAR, CatalogState, term
 
 __all__ = [
@@ -75,7 +75,7 @@ def k_ladder_coeff(direction: str, tau: float, N: int) -> float:
 
 def zero_fermion_state(params: ModelParams, N: int, n: int) -> CatalogState:
     """Normalized |tau, tau+N, q> = Psi_{N,n} x fermion vacuum."""
-    return CatalogState.of(term(norm_constant(params, N, n), N, n, OCC_VAC))
+    return CatalogState.of(term((-1.0) ** N, N, n, OCC_VAC))
 
 
 def v_action(direction: str, params: ModelParams, N: int, n: int) -> CatalogState:
@@ -83,22 +83,24 @@ def v_action(direction: str, params: ModelParams, N: int, n: int) -> CatalogStat
     the zero-fermion state |tau, tau+N, q>.
 
     The 1/sqrt(z) prefactor of the one-fermion pieces is carried by
-    the occupation convention of the catalog terms.
+    the occupation convention of the catalog terms.  The coefficients are
+    algebraic, from the factor norms' ratios c_{N+1}/c_N = sqrt((N+1)/(N+alpha+1))
+    and sqrt(mu/lam) (ybar angular factor over xbar).
     """
     lam, mu = _lam_mu(params, n)
     alpha = lam + mu
-    c = norm_constant(params, N, n)
+    c = (-1.0) ** N
     if direction == "+":
         return CatalogState.of(
             term(c * (N + lam + 1.0), N, n, OCC_XBAR),
-            term(-c * (N + 1.0), N + 1, n, OCC_XBAR),
-            term(-c * lam, N, n, OCC_YBAR),
+            term(-c * math.sqrt((N + 1.0) * (N + alpha + 1.0)), N + 1, n, OCC_XBAR),
+            term(-c * math.sqrt(lam * mu), N, n, OCC_YBAR),
         )
     if direction == "-":
         return CatalogState.of(
             term(c * (N + mu), N, n, OCC_XBAR),
-            term(-c * (N + alpha), N - 1, n, OCC_XBAR),
-            term(c * lam, N, n, OCC_YBAR),
+            term(-c * math.sqrt(N * (N + alpha)), N - 1, n, OCC_XBAR),
+            term(c * math.sqrt(lam * mu), N, n, OCC_YBAR),
         )
     raise ValueError("direction must be '+' or '-'")
 
@@ -116,12 +118,8 @@ def one_fermion_state(sign: str, params: ModelParams, N: int, n: int) -> Catalog
 
 
 def two_fermion_state(params: ModelParams, N: int, n: int) -> CatalogState:
-    """Normalized |+-, tau+N, q+1>; identically zero for n = 0."""
-    lam, mu = _lam_mu(params, n)
-    if n == 0:
-        return CatalogState.zero()
-    c = norm_constant(params, N, n)
-    return CatalogState.of(term(c * lam / math.sqrt(mu * lam), N, n, OCC_XYBAR))
+    """Normalized |+-, tau+N, q+1>; zero for n = 0 (angular index n - 1 < 0)."""
+    return CatalogState.of(term((-1.0) ** N, N, n, OCC_XYBAR))
 
 
 def overlap(params: ModelParams, N: int, n: int) -> float:

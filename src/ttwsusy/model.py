@@ -9,15 +9,16 @@ on 0 <= r < infinity, 0 < phi < pi/(2k).  Its bound states factor into
 a Laguerre radial part in z = omega r^2 and a Jacobi angular part in
 xi = -cos(2 k phi):
 
-    Psi_{N,n} = C_{N,n} * (z/omega)^((n+(a+b)/2)k) L_N^((2n+a+b)k)(z) e^(-z/2)
-                * cos^a(k phi) sin^b(k phi) P_n^((a-1/2, b-1/2))(xi)
+    Psi_{N,n} = (-1)^N c_N (z/omega)^((n+(a+b)/2)k) L_N^((2n+a+b)k)(z) e^(-z/2)
+                * N_ang cos^a(k phi) sin^b(k phi) P_n^((a-1/2, b-1/2))(xi)
 
-with energies E_{N,n} = 2 omega [2N + (2n+a+b)k + 1].
+with energies E_{N,n} = 2 omega [2N + (2n+a+b)k + 1] (DLMF 18.3 norms).
 
 ``radial_levels`` and ``angular_parts`` are the one evaluator of these
-factors and of their first two polar derivatives (also with the shifted
-exponents that fermion states carry); ``eval_radial``/``eval_angular``,
-the wavefunctions and ``states.FactorTable`` all go through them.
+normalized factors, and so the one owner of every normalization, and
+of their first two polar derivatives (also with the shifted exponents
+that fermion states carry); ``eval_radial``/``eval_angular``, the
+wavefunctions and ``states.FactorTable`` all go through them.
 ``radial_levels`` gives every radial level 0..N_max of one sector at
 once, from one Laguerre recurrence pass per parameter.
 
@@ -128,20 +129,38 @@ def weights_of(params: ModelParams, n: int) -> Weights:
     return Weights(tau, q)
 
 
+def _log_radial_norm(params: ModelParams, N: int, n: int) -> float:
+    """log c_N = log sqrt(2 omega^(alpha+1) N! / Gamma(N+alpha+1)), alpha = (2n+a+b)k."""
+    alpha = params.sector_alpha(n)
+    log_mass = math.log(2.0) + (alpha + 1.0) * math.log(params.omega)
+    return 0.5 * (log_mass + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 1.0))
+
+
+def _log_angular_norm(params: ModelParams, m: int, shift: int) -> float:
+    """log N_ang of the angular factor m at exponents a' = a + shift, b' = b + shift."""
+    a, b = params.a + shift, params.b + shift
+    lg = [math.lgamma(x) for x in (m + 1.0, a + b + m, a + m + 0.5, b + m + 0.5)]
+    return 0.5 * (math.log(2.0 * params.k * (2 * m + a + b)) + lg[0] + lg[1] - lg[2] - lg[3])
+
+
 def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion: bool = False):
-    """(R, dR/dr, d2R/dr2) of the radial factor of sector n at every level
-    N = 0..N_max, each stacked along a new first axis (shape
-    (N_max + 1, *r.shape)): R = (z/omega)^p L_N^(alpha)(z) e^(-z/2) with
-    z = omega r^2, alpha = (2n+a+b)k and p = alpha/2, less 1/2 for a
-    one-fermion factor.  The Laguerre values and their two derivatives
-    take one recurrence pass each.  Requires r > 0; a non-finite r raises
-    ``laguerre_levels``' ValueError."""
+    """(R, dR/dr, d2R/dr2) of the normalized radial factor of sector n at
+    every level N = 0..N_max, each stacked along a new first axis (shape
+    (N_max + 1, *r.shape)): R = c_N (z/omega)^(alpha/2) L_N^(alpha)(z)
+    e^(-z/2), z = omega r^2, alpha = (2n+a+b)k, times z^(-1/2) for a
+    one-fermion factor.  log c_0 is in the prefactor's one exponent, so R
+    is finite for every alpha; c_N / c_0 is the running product of
+    sqrt(j / (j + alpha)), which keeps digits lgamma differences lose.
+    L and its two derivatives take one recurrence pass each.  Requires
+    r > 0; a non-finite r raises ``laguerre_levels``' ValueError."""
     z = params.omega * r**2
     alpha = params.sector_alpha(n)
     p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
     # the first pass rejects a non-finite z before the prefactor is formed
     L = laguerre_levels(N_max, alpha, z)
-    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega))
+    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega) + _log_radial_norm(params, 0, n))
+    j = np.arange(1.0, N_max + 1.0)
+    pref = pref * np.cumprod(np.r_[1.0, np.sqrt(j / (j + alpha))]).reshape(-1, *(1,) * z.ndim)
     # d/dz L_N^(alpha) = -L_{N-1}^(alpha+1), d2/dz2 L_N^(alpha) = L_{N-2}^(alpha+2)
     Ld, Ldd = np.zeros_like(L), np.zeros_like(L)
     if N_max >= 1:
@@ -157,9 +176,10 @@ def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion: bool 
 
 
 def angular_parts(params: ModelParams, m: int, phi, shift: int = 0):
-    """(A, dA/dphi, d2A/dphi2) of the angular factor
-    A = cos^a' sin^b' P_m^((a'-1/2, b'-1/2))(xi), a' = a + shift,
-    b' = b + shift.  Requires 0 < phi < pi/(2k)."""
+    """(A, dA/dphi, d2A/dphi2) of the normalized angular factor
+    A = N_ang cos^a' sin^b' P_m^((a'-1/2, b'-1/2))(xi), a' = a + shift,
+    b' = b + shift; N_ang and the envelope share one exponent, so A is
+    finite for every a, b.  Requires 0 < phi < pi/(2k)."""
     A_exp = params.a + shift
     B_exp = params.b + shift
     mu, nu = A_exp - 0.5, B_exp - 0.5
@@ -170,7 +190,7 @@ def angular_parts(params: ModelParams, m: int, phi, shift: int = 0):
     xi = np.clip(-np.cos(2.0 * k * phi), -1.0, 1.0)
     tan, cot = s / c, c / s
 
-    env = c**A_exp * s**B_exp
+    env = np.exp(_log_angular_norm(params, m, shift) + A_exp * np.log(c) + B_exp * np.log(s))
     env1 = env * k * (B_exp * cot - A_exp * tan)
     env2 = env * ((k * (B_exp * cot - A_exp * tan)) ** 2 - k * k * (B_exp / s**2 + A_exp / c**2))
 
@@ -197,39 +217,30 @@ def eval_radial(params: ModelParams, N: int, n: int, z):
         raise ValueError("radial argument z = omega r^2 must be finite and >= 0")
     inside = z > 0
     r = np.sqrt(np.where(inside, z, 1.0) / params.omega)
-    out = np.where(inside, radial_levels(params, N, n, r)[0][N], 0.0)
+    out = np.where(inside, radial_levels(params, N, n, r)[0][N] * math.exp(-_log_radial_norm(params, N, n)), 0.0)
     return out if out.ndim else float(out)
 
 
 def eval_angular(params: ModelParams, n: int, phi):
     """Unnormalized angular factor cos^a sin^b P_n^((a-1/2, b-1/2))(xi)."""
     params.require_interior(phi=phi)
-    out = np.asarray(angular_parts(params, n, np.asarray(phi, dtype=float))[0])
+    out = angular_parts(params, n, np.asarray(phi, dtype=float))[0] * math.exp(-_log_angular_norm(params, n, 0))
     return out if out.ndim else float(out)
 
 
 def norm_constant(params: ModelParams, N: int, n: int) -> float:
-    """Normalization constant of Psi_{N,n}, with the (-1)^N phase.
-
-    The phase makes the raising/lowering matrix elements of the radial
-    sp(2,R) ladder positive.  Gamma-function ratios are evaluated in
-    log space and exponentiated once.
-    """
+    """(-1)^N c_N N_ang, Psi_{N,n} over ``eval_radial`` x ``eval_angular``: the
+    phase makes the matrix elements of the radial sp(2,R) ladder positive."""
     if N < 0 or n < 0:
         raise ValueError("quantum numbers must be nonnegative")
-    a, b, k = params.a, params.b, params.k
-    alpha = params.sector_alpha(n)
-    lg = [math.lgamma(x) for x in (N + 1.0, N + alpha + 1.0, n + 1.0, a + b + n, a + n + 0.5, b + n + 0.5)]
-    log_rad = 0.5 * (math.log(2.0) + (alpha + 1.0) * math.log(params.omega) + lg[0] - lg[1])
-    log_ang = 0.5 * (math.log(2.0 * k) + lg[2] + math.log(2 * n + a + b) + lg[3] - lg[4] - lg[5])
-    return (-1.0) ** N * math.exp(log_rad + log_ang)
+    return (-1.0) ** N * math.exp(_log_radial_norm(params, N, n) + _log_angular_norm(params, n, 0))
 
 
 def eval_wavefunction(params: ModelParams, N: int, n: int, r, phi):
-    """Normalized eigenfunction Psi_{N,n}(r, phi) at interior points."""
-    params.require_interior(r=r)
+    """Normalized eigenfunction Psi_{N,n}(r, phi) = (-1)^N R A at interior points."""
+    params.require_interior(r, phi)
     radial = radial_levels(params, N, n, np.asarray(r, dtype=float))[0][N]
-    out = norm_constant(params, N, n) * radial * eval_angular(params, n, phi)
+    out = (-1.0) ** N * radial * angular_parts(params, n, np.asarray(phi, dtype=float))[0]
     return out if np.ndim(out) else float(out)
 
 
@@ -278,14 +289,14 @@ class Grid:
         self.r = np.sqrt(rad.nodes / params.omega)[:, None]
         self.phi = (np.arccos(-ang.nodes) / (2.0 * params.k))[None, :]
         # plain weights: sum_i wz_i f(z_i) == integral f dz / (2 omega)
-        # for f = z^alpha e^-z poly; computed in logs to dodge overflow
-        wz = np.exp(np.log(rad.weights) + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
+        # for f = z^alpha e^-z poly; from log weights, finite for every alpha
+        wz = np.exp(rad.log_weights + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
         wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
         self.w_r, self.w_phi = wz[:, None], wphi[None, :]
         if not (np.all(np.isfinite(wz)) and np.all(np.isfinite(wphi))):
             raise ValueError(
-                f"quadrature weights overflow at radial exponent alpha = {self.alpha:g}: "
-                "the Gauss-Laguerre rule needs Gamma(alpha + 1), which is out of float range past alpha ~ 171"
+                f"quadrature weights are not finite at radial exponent alpha = {self.alpha:g} "
+                f"and angular exponents a = {params.a:g}, b = {params.b:g}"
             )
 
     @classmethod

@@ -133,6 +133,7 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
+    log_weights: np.ndarray | None
     kind: str
     alpha: float
     beta: float
@@ -171,10 +172,10 @@ def _nodes(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return shift + np.linalg.svd(shifted, compute_uv=False)[::-1]
 
 
-def _refined(x, p, dp, sigma, drift, c: float, mu0: float):
+def _refined(x, p, dp, sigma, drift, c: float):
     """Refine the nodes x by one Newton step delta = -p/p' and return them
-    with their Gauss weights, proportional to 1 / (sigma(x) p'(x)^2) and
-    scaled to sum to the weight's mass mu0.
+    with their Gauss weights up to one constant factor: 1 / (sigma(x)
+    p'(x)^2), which the caller scales to the weight's mass.
 
     p solves sigma p'' = drift p' - c p, so where p = -p' delta,
     p'' = p' (drift + c delta) / sigma, and p' at the refined nodes is
@@ -187,21 +188,21 @@ def _refined(x, p, dp, sigma, drift, c: float, mu0: float):
     x = x + delta
     log_dp = np.log(np.abs(dp))
     dp = dp / np.exp(0.5 * (log_dp.max() + log_dp.min()))
-    w = 1.0 / (sigma(x) * dp * dp)
-    return x, w * (mu0 / w.sum())
+    return x, 1.0 / (sigma(x) * dp * dp)
 
 
 def _laguerre_rule(m: int, alpha: float):
     try:
         mu0 = math.gamma(alpha + 1.0)
     except OverflowError:
-        mu0 = math.inf  # Grid reports the overflow, naming alpha
+        mu0 = math.inf  # the weights are inf, their logs stay finite
     k = np.arange(m, dtype=float)
     x = _nodes(2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)))
     # L_m and L_m' are q_m and m (q_m - q_{m-1}) / x times one constant
     q, d = _laguerre_normalised(m, alpha, x)
     # x L'' = (x - alpha - 1) L' - m L
-    return _refined(x, q, m * d / x, lambda y: y, x - alpha - 1.0, m, mu0)
+    x, w = _refined(x, q, m * d / x, lambda y: y, x - alpha - 1.0, m)
+    return x, w * (mu0 / w.sum()), np.log(w / w.sum()) + math.lgamma(alpha + 1.0)
 
 
 def _jacobi_rule(m: int, a: float, b: float):
@@ -227,8 +228,8 @@ def _jacobi_rule(m: int, a: float, b: float):
         lambda y: (1.0 - y) * (1.0 + y),
         a - b + (a + b + 2.0) * x,
         m * (m + a + b + 1.0),
-        mu0,
     )
+    w = w * (mu0 / w.sum())
     if a == b:
         x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     return x, w
@@ -243,17 +244,19 @@ def gauss_rule(kind: str, order: int, alpha: float = 0.0, beta: float = 0.0) -> 
     SVD.  The weights follow from p_m' at the refined nodes and the
     weight's mass mu0 (Gamma(alpha + 1), or 2^(alpha+beta+1) B(alpha + 1,
     beta + 1)).  Past the float range mu0, and with it every weight, is
-    inf."""
+    inf; Gauss-Laguerre's ``log_weights``, the logs of its unit-mass
+    weights plus lgamma(alpha + 1), stay finite (Gauss-Jacobi has None)."""
     if order < 1:
         raise ValueError("gauss_rule requires order >= 1")
     if kind == "gauss-laguerre":
         if not -1.0 < alpha < math.inf:
             raise ValueError("gauss-laguerre weight requires finite alpha > -1")
-        nodes, weights = _laguerre_rule(order, alpha)
+        nodes, weights, log_weights = _laguerre_rule(order, alpha)
     elif kind == "gauss-jacobi":
         if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
             raise ValueError("gauss-jacobi weight requires finite alpha, beta > -1")
         nodes, weights = _jacobi_rule(order, alpha, beta)
+        log_weights = None
     else:
         raise ValueError(f"unknown quadrature kind {kind!r}")
-    return QuadratureRule(nodes, weights, kind, float(alpha), float(beta), order)
+    return QuadratureRule(nodes, weights, log_weights, kind, float(alpha), float(beta), order)

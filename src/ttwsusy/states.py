@@ -9,7 +9,7 @@ generators.  Each term is labelled by (N, n, occ):
     occ 2 (ybar):     z^(-1/2) Z_N^((2n+a+b)k)(z) Phi_{n-1}^(a+1,b+1)     bdag_ybar|0>
     occ 3 (xbar ybar):          Z_N^((2n+a+b)k)(z) Phi_{n-1}^(a+1,b+1)    bdag_xbar bdag_ybar|0>
 
-where Z and Phi are the radial/angular eigenfunction factors.  The
+where Z and Phi are the normalized radial/angular factors.  The
 occupation fixes the (a,b) -> (a+1,b+1) shift of the angular factor;
 terms with a negative radial or angular index are the zero function
 (the ladder expansions use that sentinel implicitly).
@@ -207,14 +207,8 @@ class FactorTable:
         from one ``radial_levels`` pass up to the highest N any group asks
         for, and each (shift, angular index) from one ``angular_parts`` call;
         a group's arrays are C-contiguous and equal to the last bit to those
-        of a call with that group alone.
-
-        Each radial key's factors are divided by the power of two at their
-        largest |value| and its coefficients multiplied by it.  Scaling by
-        a power of two is exact, so every contraction is the same to the
-        last bit, while the bare factors (up to z^(alpha/2), with alpha the
-        sector exponent) cannot overflow against a grid's e^z / z^alpha
-        weights before the normalization constants in C apply."""
+        of a call with that group alone.  The factors are the normalized
+        ones of ``model``, so C holds the catalog coefficients as they are."""
         rad_keys: dict[tuple, int] = {}
         ang_keys: dict[tuple, int] = {}
         # per group: its size, its keys (the call's indices, in the group's order) and its (state, key, key, coeff) entries by group index
@@ -234,8 +228,6 @@ class FactorTable:
         R = np.zeros((3, *self.r.shape, len(rad_keys)))
         for j, (N, n, one_fermion) in enumerate(rad_keys):
             R[..., j] = [part[N] for part in levels[n, one_fermion]]
-        exponent = np.frexp(np.max(np.abs(R[0]), axis=tuple(range(self.r.ndim)), initial=0.0))[1]
-        R = np.ldexp(R, -exponent)
         angular: dict[tuple[int, int], tuple] = {}
         S = np.zeros((3, len(ang_keys), 4, *self.phi.shape))
         for a, (occ, m) in enumerate(ang_keys):
@@ -250,7 +242,7 @@ class FactorTable:
             for i, rk, ak, c in entries:
                 C[i, rk, ak] += c
             # C-contiguous copies, as a call with this group alone makes: fancy-index slices are not, and move BLAS sums' last bits
-            yield np.ldexp(C, exponent[rad][:, None]), np.take(R, rad, axis=-1), np.take(S, ang, axis=1)
+            yield C, np.take(R, rad, axis=-1), np.take(S, ang, axis=1)
 
     def _contractions(self, states: list[CatalogState], orders):
         """Per state, its fields for each (radial, angular) derivative order

@@ -11,8 +11,11 @@ dropped, so a change that keeps every residual gives a byte-identical
 file.  Given two files, the script prints, per run, each check whose
 record differs (or is in one file only) as ``run: name [params] old ->
 new`` with its residual in each file (``absent`` in a file that lacks
-it), and each other differing part of the body as ``run: part``; it
-exits 1 when anything differs.  Not a pytest module (pytest collects only
+it), and each other differing part of the body as ``run: part``, and
+ends each differing run's listing with a summary line: how many records
+moved and how many of them went up, and the run's worst margin
+(residual / tolerance) before -> after.  It exits 1 when anything
+differs.  Not a pytest module (pytest collects only
 test_*.py); the four runs take a few seconds.
 """
 
@@ -48,10 +51,23 @@ def _residuals(records) -> str:
     return ", ".join(repr(c["residual"]) for c in records) if records else "absent"
 
 
+def _worst_margin(body: dict) -> str:
+    """The largest residual / tolerance of a body's records, or ``absent``."""
+    margins = [c["residual"] / c["tolerance"] for c in body.get("checks", []) if c.get("residual") is not None and c.get("tolerance")]
+    return f"{max(margins):.6g}" if margins else "absent"
+
+
+def _went_up(before, after) -> bool:
+    """Whether a record's largest residual grew (a record in one file only did not)."""
+    res = [[c["residual"] for c in records if c.get("residual") is not None] for records in (before or [], after or [])]
+    return all(res) and max(res[1]) > max(res[0])
+
+
 def differences(old: dict, new: dict) -> list[str]:
     """``run: name [params] old -> new`` (the residuals) for each check
-    record that differs between two files' bodies, and ``run: part`` for
-    each other differing part."""
+    record that differs between two files' bodies, ``run: part`` for each
+    other differing part, and per differing run a closing ``run: M records
+    moved, U up; worst margin before -> after``."""
     out = []
     for run_name in sorted(old.keys() | new.keys()):
         a, b = old.get(run_name, {}), new.get(run_name, {})
@@ -59,11 +75,18 @@ def differences(old: dict, new: dict) -> list[str]:
         for records, body in zip(checks, (a, b)):
             for c in body.get("checks", []):
                 records.setdefault((c["name"], c["params"]), []).append(c)
+        moved = up = 0
+        lines = []
         for name, params in sorted(checks[0].keys() | checks[1].keys(), key=str):
             before, after = (c.get((name, params)) for c in checks)
             if before != after:
-                out.append(f"{run_name}: {name} [{params}] {_residuals(before)} -> {_residuals(after)}")
-        out += [f"{run_name}: {part}" for part in sorted((a.keys() | b.keys()) - {"checks"}) if a.get(part) != b.get(part)]
+                moved += 1
+                up += _went_up(before, after)
+                lines.append(f"{run_name}: {name} [{params}] {_residuals(before)} -> {_residuals(after)}")
+        lines += [f"{run_name}: {part}" for part in sorted((a.keys() | b.keys()) - {"checks"}) if a.get(part) != b.get(part)]
+        if lines:
+            summary = f"{moved} records moved, {up} up; worst margin {_worst_margin(a)} -> {_worst_margin(b)}"
+            out += lines + [f"{run_name}: {summary}"]
     return out
 
 

@@ -117,6 +117,18 @@ class TestTwoFermionStates:
         assert sampled_inner(grid, f, f) == pytest.approx(1.0, abs=1e-11)
 
 
+class TestCatalogCoefficients:
+    def test_even_states_are_signs_on_one_term(self):
+        # over normalized factors the zero- and two-fermion states are (-1)^N
+        # on one term; as Gamma-function ratios the coefficients underflowed
+        # to 0.0 at k = 30 (n = 6), which left the states empty
+        p = ModelParams(k=30.0, a=1.0, b=1.0)
+        for N in range(4):
+            for n in (1, 6):
+                for st in (zero_fermion_state(p, N, n), two_fermion_state(p, N, n)):
+                    assert [t.coeff for t in st.terms] == [(-1.0) ** N], (N, n)
+
+
 class TestOverlap:
     def test_reference_value(self):
         assert overlap(P_SW, 1, 1) == pytest.approx(math.sqrt(3.0 / 7.0), rel=1e-14)

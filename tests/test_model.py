@@ -7,6 +7,7 @@ import pytest
 from ttwsusy.model import (
     Grid,
     ModelParams,
+    angular_parts,
     energy,
     eval_angular,
     eval_radial,
@@ -213,7 +214,7 @@ class TestNormalization:
         p = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.7)
         r = np.linspace(0.05, 4.0, 2001)
         phi = np.full_like(r, 0.3)
-        expect = norm_constant(p, 2, 1) * radial_levels(p, 2, 1, r)[0][2] * eval_angular(p, 1, phi)
+        expect = (-1.0) ** 2 * radial_levels(p, 2, 1, r)[0][2] * angular_parts(p, 1, phi)[0]
         assert np.array_equal(eval_wavefunction(p, 2, 1, r, phi), expect)
 
 
@@ -246,8 +247,8 @@ class TestSeparableGram:
         assert np.max(np.abs(gram - grid_gram(p, (6, 6)))) < 1e-13
 
     def test_large_k_stays_finite(self):
-        # alpha reaches 168 on the (6, 6) pair grid: the weights and the bare
-        # radial factors each near float range, the rescaled products do not
+        # alpha reaches 168 on the (6, 6) pair grid: Gamma(alpha + 1) is near
+        # float range, the normalized factors and the grid's weights are not
         gram = wavefunction_gram(ModelParams(k=12.0, a=1.0, b=1.0, omega=1.0), (6, 6))
         assert np.all(np.isfinite(gram))
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
@@ -304,23 +305,31 @@ class TestGrid:
         # alpha rounded to 12 digits put this entry off by 6.9e-13
         p = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8)
         grid = Grid.for_pair(p, 1, 1)
-        alpha = p.sector_alpha(1)
         R = radial_levels(p, 0, 1, grid.r)[0][0]
-        norm2 = 2.0 * p.omega ** (alpha + 1.0) / math.gamma(alpha + 1.0)
-        assert abs(float(np.sum(grid.w_r * R * R)) * norm2 - 1.0) <= 1e-14
+        assert abs(float(np.sum(grid.w_r * R * R)) - 1.0) <= 1e-14
 
     def test_weight_overflow_names_alpha(self):
-        # alpha = (2n + a + b) k = 210 at n = 6: Gamma(alpha + 1) overflows
-        p = ModelParams(k=15.0, a=1.0, b=1.0)
-        with pytest.raises(ValueError, match="alpha = 210"):
-            Grid.for_pair(p, 6, 6)
+        # the angular mass 2^(a+b) B(a + 1/2, b + 1/2) and the envelope
+        # (1 + xi)^b are past float range (numpy warns of the envelope's
+        # overflow and of its 0 * inf); the message names the radial and the
+        # angular exponents
+        p = ModelParams(k=1.0, a=1e6, b=1e6)
+        message = re.escape("alpha = 2e+06 and angular exponents a = 1e+06, b = 1e+06")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            Grid.for_pair(p, 0, 0, 8, 8)
 
-    def test_weight_overflow_starts_past_alpha_170(self):
-        grid = Grid(P_UNIT, 170.5)
+    @pytest.mark.parametrize("alpha", [170.7, 171.0, 210.0, 500.0])
+    def test_weights_stay_finite_past_alpha_170(self, alpha):
+        # Gamma(alpha + 1) is past float range from alpha ~ 170.6; the weights
+        # carry it as lgamma, so they and the normalized ground factor stay
+        # finite and the factor has unit norm on its sector grid, to the
+        # roundoff of exponents of size alpha log alpha (about 1e3 eps)
+        p = ModelParams(k=alpha / 2.0, a=1.0, b=1.0)
+        grid = Grid.for_pair(p, 0, 0)
+        assert grid.alpha == alpha
         assert np.all(np.isfinite(grid.w_r)) and np.all(np.isfinite(grid.w_phi))
-        for alpha in (170.7, 171.0):
-            with pytest.raises(ValueError, match=f"alpha = {alpha:g}"):
-                Grid(P_UNIT, alpha)
+        R = radial_levels(p, 0, 0, grid.r)[0][0]
+        assert abs(float(np.sum(grid.w_r * R * R)) - 1.0) <= 1e-12
 
 
 def laguerre_single(n, alpha, z):
@@ -337,11 +346,17 @@ def laguerre_single(n, alpha, z):
 
 def radial_parts_one_level(params, N, n, r, one_fermion):
     """(R, dR/dr, d2R/dr2) of one radial level, evaluated level by level with
-    three single-level recurrences: the oracle for ``radial_levels``."""
+    three single-level recurrences and its normalization c_N as c_0 times a
+    product taken factor by factor: the oracle for ``radial_levels``."""
     z = params.omega * r**2
     alpha = params.sector_alpha(n)
     p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
-    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega))
+    log_c0 = 0.5 * (math.log(2.0) + (alpha + 1.0) * math.log(params.omega) - math.lgamma(alpha + 1.0))
+    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega) + log_c0)
+    ratio = 1.0
+    for j in range(1, N + 1):
+        ratio *= math.sqrt(j / (j + alpha))
+    pref = pref * ratio
     L = laguerre_single(N, alpha, z)
     Ld = -laguerre_single(N - 1, alpha + 1.0, z) if N >= 1 else np.zeros_like(z)
     Ldd = laguerre_single(N - 2, alpha + 2.0, z) if N >= 2 else np.zeros_like(z)
@@ -365,3 +380,43 @@ class TestRadialLevels:
                 for N in range(21):
                     for got, want in zip(stacks, radial_parts_one_level(p, N, n, r, one_fermion)):
                         assert np.array_equal(got[N], want), (n, one_fermion, N)
+
+
+class TestNormalizedFactors:
+    """The factor layer owns the normalization: on its sector grid each set
+    of factors is orthonormal, so catalog coefficients carry none."""
+
+    @pytest.mark.parametrize(
+        "p", [ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8), ModelParams(k=1.3, a=0.4, b=2.2, omega=0.7)], ids=["irr", "omega"]
+    )
+    def test_factors_are_orthonormal(self, p):
+        for n in range(4):
+            grid = Grid.for_pair(p, n, n)
+            R = radial_levels(p, 20, n, grid.r)[0][..., 0]
+            gram = R @ (grid.w_r[:, 0] * R).T
+            assert np.max(np.abs(gram - np.eye(21))) <= 5e-14, n
+        phi = grid.phi[0]
+        for shift in (0, 1):
+            A = np.stack([angular_parts(p, m, phi, shift)[0] for m in range(11)])
+            gram = A @ (grid.w_phi[0] * A).T
+            assert np.max(np.abs(gram - np.eye(11))) <= 5e-14, shift
+
+    def test_angular_factors_stay_finite_at_large_exponents(self):
+        # at a = b = 1100, N_ang ~ 2^1100 and cos^a sin^b ~ 2^-2200 each
+        # leave the float range; in one exponent the factors stay finite and
+        # orthonormal, to the roundoff of exponents of size (a + b) log 2
+        # and of the Jacobi recurrence at parameters ~ 1e3
+        p = ModelParams(k=0.05, a=1100.0, b=1100.0)
+        grid = Grid.for_pair(p, 0, 0)
+        for shift in (0, 1):
+            A = np.stack([angular_parts(p, m, grid.phi[0], shift)[0] for m in range(11)])
+            assert np.all(np.isfinite(A))
+            assert np.max(np.abs(A @ (grid.w_phi[0] * A).T - np.eye(11))) <= 1e-11, shift
+
+    def test_norm_constant_is_the_factors_ratio(self):
+        # the unnormalized factors times norm_constant are the normalized ones
+        p = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=0.7)
+        r, phi = np.array([0.4, 1.1, 2.3]), np.array([0.2, 0.5, 0.9])
+        for N, n in ((0, 0), (3, 1), (7, 2)):
+            bare = eval_radial(p, N, n, p.omega * r**2) * eval_angular(p, n, phi)
+            np.testing.assert_allclose(norm_constant(p, N, n) * bare, eval_wavefunction(p, N, n, r, phi), rtol=1e-13)

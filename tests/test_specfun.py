@@ -384,10 +384,20 @@ def test_rules_at_least_as_close_as_scipy(kind, order):
 
 def test_rule_mass_overflows_to_inf():
     """Past alpha ~ 170.6 Gamma(alpha + 1) is out of float range: the weights
-    are inf (model.Grid turns that into an error naming alpha), not an
-    exception from the mass."""
+    are inf, not an exception from the mass, and the log weights, from which
+    model.Grid forms its weights, stay finite."""
     rule = gauss_rule("gauss-laguerre", 12, alpha=171.0)
     assert np.all(np.isfinite(rule.nodes)) and np.all(rule.weights == np.inf)
+    assert np.all(np.isfinite(rule.log_weights))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 3.7, 40.0, 160.0])
+def test_log_weights_are_the_logs_of_the_weights(alpha):
+    # where the weights are finite the two agree to a few ulps of |log w|
+    rule = gauss_rule("gauss-laguerre", 24, alpha=alpha)
+    log_w = np.log(rule.weights)
+    assert np.all(np.abs(rule.log_weights - log_w) <= 4 * EPS * (1.0 + np.abs(log_w)))
+    assert gauss_rule("gauss-jacobi", 8, alpha=0.5, beta=1.5).log_weights is None
 
 
 @pytest.mark.parametrize("ab", [(168.9, 0.0), (0.0, 168.9), (600.0, 600.0), (1000.0, 0.5)])

@@ -339,6 +339,17 @@ class TestRun:
         report = run(SuiteConfig(param_sets=params, suites=("algebra", "irreps")))
         assert report.n_failed == 0, report.to_text()
 
+    @pytest.mark.parametrize("k", [12.5, 15.0])
+    def test_past_the_gamma_range_every_check_passes(self, k):
+        # the orthonormality check's pair grids reach the radial exponent
+        # (6 + 6 + 2) k = 175 and 210, past alpha ~ 171 where Gamma(alpha + 1)
+        # leaves the float range
+        params = ({"k": k, "a": 1.0, "b": 1.0, "omega": 1.0},)
+        config = SuiteConfig(param_sets=params, truncation=(4, 3), quad_orders=(40, 40), suites=("model", "algebra", "irreps"))
+        report = run(config)
+        assert report.n_failed == 0 and report.checks, report.to_text()
+        assert not any(c.name.endswith("-suite") for c in report.checks)
+
     def test_block_diagonality_sees_a_sector_coupling_term(self, monkeypatch):
         terms = verify.gen._terms
 
@@ -783,8 +794,23 @@ def test_report_bodies_names_each_difference():
     names = [f"{c['name']} [{c['params']}]" for c in body["checks"]]
     residual = body["checks"][1]["residual"]
     assert differences({"run": body}, {"run": body}) == []
-    assert differences({"run": body}, {"run": changed}) == [f"run: {names[1]} {residual!r} -> {2.0 * residual!r}", "run: summary"]
+    def worst(b):
+        return f"{max(c['residual'] / c['tolerance'] for c in b['checks']):.6g}"
+
+    assert differences({"run": body}, {"run": changed}) == [
+        f"run: {names[1]} {residual!r} -> {2.0 * residual!r}",
+        "run: summary",
+        f"run: 1 records moved, 1 up; worst margin {worst(body)} -> {worst(changed)}",
+    ]
+    # a record that moves down is not counted as up; one that becomes the
+    # closest to failing sets the worst margin
+    lower, closer = json.loads(json.dumps(body)), json.loads(json.dumps(body))
+    lower["checks"][1]["residual"] *= 0.5
+    closer["checks"][1]["residual"] = 0.9 * body["checks"][1]["tolerance"]
+    assert differences({"run": body}, {"run": lower})[-1] == f"run: 1 records moved, 0 up; worst margin {worst(body)} -> {worst(lower)}"
+    assert differences({"run": body}, {"run": closer})[-1] == f"run: 1 records moved, 1 up; worst margin {worst(body)} -> 0.9"
     # a run in one file only differs in every check and part
     only_new = differences({"run": body}, {"run": body, "new": body})
     absent = [f"new: {name} absent -> {c['residual']!r}" for name, c in zip(names, body["checks"])]
-    assert sorted(only_new) == sorted(absent + ["new: config", "new: schema", "new: summary"])
+    assert only_new[-1] == f"new: {len(names)} records moved, 0 up; worst margin absent -> {worst(body)}"
+    assert sorted(only_new[:-1]) == sorted(absent + ["new: config", "new: schema", "new: summary"])
