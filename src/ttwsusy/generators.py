@@ -36,15 +36,16 @@ with 1-D radial and angular Gauss sums between two expansions of
 states, each distinct moment once, so the algebra residuals measure
 the formulas, not a discretization.  How states break into radial and
 angular factors is ``states.FactorTable.expand``, one call per grid:
-``generator_matrices`` expands a sector grid's even and odd states in
+``sector_matrices`` expands a sector grid's even and odd states in
 one, and ``project`` a row and a column list, as ``wavefunction_gram``
 and verify's other integral checks (cross-sector elements, one-fermion
 overlaps) use it.  ``hamiltonian_super`` stays apart on
 purpose: it builds Hs from the superpotential instead of the H_k
 potential, as the independent reference of that identity.  Every
-generator preserves the angular sector n, so the matrices are kept as
-one block per sector, and the relation, Hermiticity and Casimir checks
-each work on one block.
+generator preserves the angular sector n, so the matrices are built
+one block per sector (``sector_matrices``; ``generator_matrices`` is
+every sector's), and the relation, Hermiticity and Casimir checks each
+work on one block.
 
 ``oscillator_realization`` provides the independent boson-fermion
 matrix model of the same algebra (no wavefunctions involved), used as
@@ -79,6 +80,7 @@ __all__ = [
     "oscillator_realization",
     "project",
     "riccati_residual",
+    "sector_matrices",
     "superpotential",
     "wavefunction_gram",
 ]
@@ -425,12 +427,42 @@ def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: in
     return gram
 
 
+def sector_matrices(
+    params: ModelParams, n: int, N_max: int, m_rad: int = 80, m_ang: int = 80
+) -> tuple[dict[str, np.ndarray], list[BasisState]]:
+    """Matrices <i|G|j> of the eight generators over sector n's orthonormal
+    super-basis with radial level <= N_max, as ``(block, states)``:
+    ``block`` maps each name to the d_n x d_n matrix over ``states``
+    (``irreps.sector_basis(params, n, N_max)``), in order.
+
+    Rows of fermion parity p are integrated on the sector grid of parity
+    p.  A basis state is a short sum of radial times angular spinor
+    factors, a generator a table of separable terms and the grid weights
+    a product of 1-D radial and angular weights, so each entry is a sum
+    of products of 1-D radial and angular Gauss sums (``_project``, on
+    one expansion of each sector grid's even and odd states); nothing is
+    sampled on the 2-D grid.
+    """
+    bs = sector_basis(params, n, N_max)
+    # the sector's even and its odd states, as indices into bs
+    parts = [[i for i, s in enumerate(bs) if s.state.fermion_parity() == p] for p in (0, 1)]
+    block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
+    for p_out in (0, 1):
+        grid = Grid.for_pair(params, n, n, m_rad, m_ang, odd=bool(p_out))
+        expanded = list(FactorTable(params, grid.r, grid.phi).expand(*([bs[i].state for i in part] for part in parts)))
+        for p_in in (0, 1):
+            gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
+            for g, part in _project(gens, expanded[p_out], expanded[p_in], grid).items():
+                block[g][np.ix_(parts[p_out], parts[p_in])] = part
+    return block, bs
+
+
 def generator_matrices(
     params: ModelParams, truncation: tuple[int, int], m_rad: int = 80, m_ang: int = 80
 ) -> tuple[list[dict[str, np.ndarray]], list[BasisState]]:
     """Matrices <i|G|j> of the eight generators over the orthonormal
     super-basis with radial level <= N_max and sector n <= n_max, as
-    ``(blocks, basis)``.
+    ``(blocks, basis)``: ``sector_matrices`` of every sector.
 
     Generators preserve the angular sector, so only the diagonal blocks
     are formed: ``blocks[n]`` maps each name to the d_n x d_n matrix over
@@ -438,13 +470,7 @@ def generator_matrices(
     ``basis`` with ``s.n == n``, in order.  That the operators do not
     couple sectors is shown by the ``block-diagonality`` check of
     verify's irreps suite, which projects cross-sector elements the same
-    way.  Rows of fermion parity p are integrated on the sector grid of
-    parity p.  A basis state is a short sum of radial times angular
-    spinor factors, a generator a table of separable terms and the grid
-    weights a product of 1-D radial and angular weights, so each entry
-    is a sum of products of 1-D radial and angular Gauss sums
-    (``_project``, on one expansion of each sector grid's even and odd
-    states); nothing is sampled on the 2-D grid.
+    way.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
@@ -452,19 +478,9 @@ def generator_matrices(
 
     blocks, basis = [], []
     for n in range(n_max + 1):
-        bs = sector_basis(params, n, N_max)
-        # the sector's even and its odd states, as indices into bs
-        parts = [[i for i, s in enumerate(bs) if s.state.fermion_parity() == p] for p in (0, 1)]
-        block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
-        for p_out in (0, 1):
-            grid = Grid.for_pair(params, n, n, m_rad, m_ang, odd=bool(p_out))
-            expanded = list(FactorTable(params, grid.r, grid.phi).expand(*([bs[i].state for i in part] for part in parts)))
-            for p_in in (0, 1):
-                gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
-                for g, part in _project(gens, expanded[p_out], expanded[p_in], grid).items():
-                    block[g][np.ix_(parts[p_out], parts[p_in])] = part
+        block, states = sector_matrices(params, n, N_max, m_rad, m_ang)
         blocks.append(block)
-        basis += bs
+        basis += states
     return blocks, basis
 
 

@@ -291,7 +291,10 @@ class Grid:
         # plain weights: sum_i wz_i f(z_i) == integral f dz / (2 omega)
         # for f = z^alpha e^-z poly; from log weights, finite for every alpha
         wz = np.exp(rad.log_weights + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
-        wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
+        # the angular envelope leaves float range at huge a or b; that is
+        # the ValueError below, so numpy need not warn of it first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
         self.w_r, self.w_phi = wz[:, None], wphi[None, :]
         if not (np.all(np.isfinite(wz)) and np.all(np.isfinite(wphi))):
             raise ValueError(

@@ -12,16 +12,22 @@ draws exactly what ``numpy.random.default_rng(seed).uniform`` draws; so
 the points are fixed by the seed alone, and no run loads
 ``numpy.random``.
 
-The parameter sets share nothing but the order of the report.  So the
-model, algebra and irreps checks of one set run as one job
-(``_set_job``) on one workspace (``_Workspace``), which holds the set's
-parameters, config, label and generator matrices and builds all of its
-grids and factor tables at the configured orders.  With several sets
-and several usable CPUs the jobs run in forked worker processes while
-this process runs specfun, the parameter-free oscillator-realization
-check and special-cases (whose sets draw their points from one random
-generator in sequence).  With one set, one usable CPU or no fork start
-method the jobs run here, one after the other; the records are the
+The parameter sets share nothing but the order of the report, and
+every generator preserves the angular sector n.  So the model, algebra
+and irreps checks of each set are computed as tasks (``_tasks``): one
+per angular sector, which builds that sector's eight generator blocks
+(``generators.sector_matrices``), reduces them to its part of each
+selected check that reads them, and drops them; and one per remaining
+check, where ``eigenvalue-residual`` and ``spectrum`` share one task and
+its state bundles.  A task reads a ``_Workspace``: the set's parameters,
+config and label, from which it builds its grids and factor tables at
+the configured orders.  With several tasks and usable CPUs they run in
+forked worker processes, which take them one at a time from a queue,
+while this process runs specfun, the parameter-free
+oscillator-realization check and special-cases (whose sets draw their
+points from one random generator in sequence).  With one usable CPU or
+no ``os.fork`` they run here, one after the other.  Each set's suites
+then yield their records from the task results, so the records are the
 same either way.  A suite that raises in one set ends that set's part
 with a failed ``<suite>-suite`` record and keeps every other record
 (see ``run``).
@@ -40,11 +46,14 @@ number of failures (capped at 120).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import itertools
 import json
 import math
 import numbers
 import os
+import pickle
 import sys
 import time
 import traceback
@@ -234,7 +243,7 @@ class CheckRecord:
 class VerificationReport:
     config: SuiteConfig
     checks: list[CheckRecord]
-    # wall time of each parameter set's generator-matrix build, which no check is charged for
+    # per parameter set, the summed wall time of its sector tasks' generator-block builds, which no check is charged for
     matrices_ms: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -315,39 +324,25 @@ def _worst_per_name(results) -> dict[str, float]:
     return {name: _worst(res) for name, res in per_name.items()}
 
 
-def _sector_images(ws: _Workspace, name: str):
-    """(N, n, field, image) of Psi_{N,n}|0> under the named operator for N, n
-    in 0..6, on sector n's grid, whose table expands all seven states in
-    one call."""
-    for n in range(7):
-        table = ws.table(n)
-        for N, bundle in enumerate(table.bundles([irreps.zero_fermion_state(ws.params, N, n) for N in range(7)])):
-            (image,) = gen.apply_operators((name,), bundle, table)
-            yield N, n, bundle.val, image
-
-
-def _sectors(blocks: list, basis: list, mask: np.ndarray):
-    """(n, block, mask restricted to the block's states) for every sector
-    n whose part of ``mask`` is nonempty."""
-    sectors = np.array([s.n for s in basis])
-    for n, block in enumerate(blocks):
-        inner = mask[sectors == n]
-        if inner.any():
-            yield n, block, inner
+class _TaskError(Exception):
+    """A check's computation raised; its one argument is the last line of
+    the traceback, which names the exception and its message."""
 
 
 class _Workspace:
-    """What the checks of one parameter set read: its ``params``, the
-    ``config``, the report ``label``, the lazily built generator
-    ``matrices`` and its quadrature grids, all at the configured orders."""
+    """What one parameter set's checks read: its ``params``, the
+    ``config`` and the report ``label``; the tasks build its quadrature
+    grids and factor tables at the configured orders.  In the process
+    that writes the records, it also holds the ``results`` of the set's
+    tasks and the time they ``charge`` each check."""
 
     def __init__(self, params: ModelParams, config: SuiteConfig):
         self.params = params
         self.config = config
         self.label = _params_label(params)
-        self._blocks = None
-        self._basis = None
-        self.build_ms = 0.0
+        self.results: dict = {}
+        self.charges: dict[str, float] = {}
+        self.charged_ms = 0.0
 
     def grid(self, n1: int, n2: int | None = None, odd: bool = False) -> Grid:
         """``Grid.for_pair(n1, n2)`` (n2 defaults to n1), built afresh."""
@@ -359,15 +354,15 @@ class _Workspace:
         grid = self.grid(n, odd=odd)
         return FactorTable(self.params, grid.r, grid.phi)
 
-    @property
-    def matrices(self):
-        """(per-sector generator blocks, basis), built on first use."""
-        if self._blocks is None:
-            m_rad, m_ang = self.config.quad_orders
-            t0 = time.perf_counter()
-            self._blocks, self._basis = gen.generator_matrices(self.params, self.config.truncation, m_rad, m_ang)
-            self.build_ms = (time.perf_counter() - t0) * 1e3
-        return self._blocks, self._basis
+    def result(self, check: str):
+        """The residual of a task-computed check, which raises the
+        ``_TaskError`` of a computation that raised; the first read adds
+        the check's task time to ``charged_ms``."""
+        self.charged_ms += self.charges.pop(check, 0.0)
+        value = self.results[check]
+        if isinstance(value, _TaskError):
+            raise value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +494,14 @@ def _checks_model(ws: _Workspace):
     angular Gauss sums (``generators.wavefunction_gram``); the eigenvalue
     residual is a field identity, checked pointwise on the sector grids."""
     p, label = ws.params, ws.label
-    gram = gen.wavefunction_gram(p, (6, 6), *ws.config.quad_orders)
-    res = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    yield ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", label, res, "model.orthonormality")
-
-    res = [np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv)) for N, n, fv, hv in _sector_images(ws, "H")]
-    yield ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", label, _worst(res), "model.eigenvalue")
+    yield ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", label, ws.result("orthonormality"), "model.orthonormality")
+    yield (
+        "eigenvalue-residual",
+        "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}",
+        label,
+        ws.result("eigenvalue-residual"),
+        "model.eigenvalue",
+    )
 
     res = []
     for n in range(9):
@@ -543,72 +540,37 @@ def _checks_algebra(ws: _Workspace):
         "algebra.riccati-control",
     )
 
-    blocks, basis = ws.matrices
-    interior = gen.interior_mask(basis, ws.config.truncation)
-    structure = _worst_per_name(
-        {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
-        for _, block, inner in _sectors(blocks, basis, interior)
-    )
     # each group is computed as a whole, so it is yielded as one list
+    structure = ws.result("structure")
     yield [(f"structure[{name}]", name, label, res, "algebra.structure") for name, res in structure.items()]
-    hermiticity = _worst_per_name(gen.hermiticity_residuals(block) for block in blocks)
+    hermiticity = ws.result("hermiticity")
     yield [(f"hermiticity[{name}]", name, label, res, "algebra.hermiticity") for name, res in hermiticity.items()]
-
-    res = [_deviation(hv, 4.0 * p.omega * (N + n * p.k) * fv, fv) for N, n, fv, hv in _sector_images(ws, "Hs")]
-    yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, _worst(res), "algebra.spectrum")
-
+    yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, ws.result("spectrum"), "algebra.spectrum")
     yield (
         "hs-routes",
         "H_k + 4 omega (Gamma + Y) equals 4 omega (K0 + Y) built from the superpotential",
         label,
-        _worst(_hs_routes(ws)),
+        ws.result("hs-routes"),
         "algebra.routes",
     )
     yield (
         "susy-ground",
         "Q and Qdag annihilate the ground state (unbroken supersymmetry)",
         label,
-        _worst(_susy_ground(ws)),
+        ws.result("susy-ground"),
         "algebra.susy-ground",
     )
 
     # {Q, Qdag} = Hs is 4 omega times the structure relation {V-, W+} = K0 + Y
     anti = structure["{V-,W+} = +1 K0 +1 Y"]
     yield ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", label, 4.0 * p.omega * anti, "algebra.susy-anticommutator")
-
-    rng = UniformStream(ws.config.seed)
-    r = rng.uniform(0.5, 2.0, 40)
-    phi_s = rng.uniform(0.1, 0.9, 40) * p.phi_max
-    res = []
-    for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("-", p, 1, 1)):
-        d = gen.dilation_identity_residuals(st, p, r, phi_s)
-        res += [d["D"], d["Gamma"]]
     yield (
         "scaling-conditions",
         "D and Gamma are homogeneous of degree -2 in r (integrated form of [r d_r, O] = -2 O)",
         label,
-        _worst(res),
+        ws.result("scaling-conditions"),
         "algebra.conditions",
     )
-
-
-def _hs_routes(ws: _Workspace) -> list:
-    """Deviations of the operator-table Hs from ``hamiltonian_super`` on two
-    sector-1 states, both expanded in one call."""
-    p, table = ws.params, ws.table(1)
-    res = []
-    for bundle in table.bundles([irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)]):
-        (h1,) = gen.apply_operators(("Hs",), bundle, table)
-        h2 = gen.hamiltonian_super(bundle, p, table.r, table.phi)
-        res.append(_deviation(h1, h2, h1))
-    return res
-
-
-def _susy_ground(ws: _Workspace) -> list:
-    """max |Q psi_0| and max |Qdag psi_0| on the sector-0 grid."""
-    table = ws.table(0)
-    (bundle,) = table.bundles([irreps.zero_fermion_state(ws.params, 0, 0)])
-    return [np.max(np.abs(f)) for f in gen.apply_operators(("Q", "Qdag"), bundle, table)]
 
 
 def _checks_oscillator():
@@ -633,36 +595,19 @@ def _checks_irreps(ws: _Workspace):
     are projected from 1-D Gauss sums with ``generators.project``; the
     odd actions, the n = 0 family coincidence and the vanishing two-fermion
     states are field identities, checked pointwise on the grids."""
-    p, label = ws.params, ws.label
-    N_max = ws.config.truncation[0]
-    blocks, basis = ws.matrices
-
-    res = []
-    sign_ok = True
-    for n, block in enumerate(blocks):
-        states = [s for s in basis if s.n == n]
-        index = {(s.family, s.level): i for i, s in enumerate(states)}
-        for s in states:
-            if s.level + 1 > N_max:
-                continue
-            tau_fam = irreps.weights_of(p, n).tau + irreps.FAMILIES[s.family][0]
-            expect = irreps.k_ladder_coeff("+", tau_fam, s.level)
-            measured = block["K+"][index[s.family, s.level + 1], index[s.family, s.level]]
-            sign_ok = sign_ok and measured > 0
-            res.append(abs(measured - expect) / expect)
+    label = ws.label
     yield (
         "ladder-matrix-elements",
         "K+ rungs equal sqrt((N+1)(2 tau + N)) with positive sign in every tower",
         label,
-        _worst(res) if sign_ok else float("inf"),
+        ws.result("ladder-matrix-elements"),
         "irreps.ladder",
     )
-
     yield (
         "odd-action-fields",
         "V+- on zero-fermion states reproduce their closed-form expansions; W+- annihilate them",
         label,
-        _worst(_odd_action_fields(ws)),
+        ws.result("odd-action-fields"),
         "irreps.odd-action",
     )
     yield (
@@ -670,51 +615,92 @@ def _checks_irreps(ws: _Workspace):
         "<+|-> = sqrt(N[N+(2n+a+b)k] / ([N+(n+a+b)k][N+nk])); at n = 0 the one-fermion "
         "families coincide and the two-fermion states vanish",
         label,
-        _worst(_one_fermion_overlap(ws)),
+        ws.result("one-fermion-overlap"),
         "irreps.overlap",
     )
-
-    # C2, C3 and [C2, G] one sector block at a time
-    interior2 = gen.interior_mask(basis, ws.config.truncation, depth=2)
-    res = []
-    for n, block, inner in _sectors(blocks, basis, interior2):
-        c2, c3 = irreps.casimir_matrices(block)
-        c2_th, c3_th = irreps.casimir_eigenvalues(p, n)
-        eye = np.eye(int(inner.sum()))
-        res.append(np.max(np.abs(c2[np.ix_(inner, inner)] - c2_th * eye)))
-        res.append(np.max(np.abs(c3[np.ix_(inner, inner)] - c3_th * eye)))
-        for gname in gen.GENERATOR_NAMES:
-            g = block[gname]
-            res.append(np.max(np.abs(c2[inner] @ g[:, inner] - g[inner] @ c2[:, inner])))
     yield (
         "casimir",
         "C2 and C3 are scalar n(n+a+b)k^2 and -(a+b)n(n+a+b)k^3/2 per sector (zero at n = 0); C2 commutes with all generators",
         label,
-        _worst(res),
+        ws.result("casimir"),
         "irreps.casimir",
     )
-
-    # every cross-sector element <s1|G|s2> between the basis's level-1
-    # states of one fermion parity, one projection per generator
-    res = []
-    for n1, n2 in ((0, 1), (1, 2), (0, 2)):
-        for odd in (False, True):
-            rows, cols = (
-                [s.state for s in basis if s.n == n and s.level == 1 and s.state.fermion_parity() == odd]
-                for n in (n1, n2)
-            )
-            for m in gen.project(("K0", "K+", "Y"), rows, cols, ws.grid(n1, n2, odd=odd)).values():
-                res.append(np.max(np.abs(m)))
     yield (
         "block-diagonality",
         "generators do not couple different angular sectors (projected cross-sector matrix elements vanish)",
         label,
-        _worst(res),
+        ws.result("block-diagonality"),
         "irreps.block-diagonal",
     )
 
 
-def _odd_action_fields(ws: _Workspace) -> list:
+# ---------------------------------------------------------------------------
+# The per-set tasks.  A check task returns its residual (or, when it
+# computes several checks, {check: residual}); a sector part returns one
+# sector's share of a residual, and the sectors' shares combine into it.
+
+
+def _orthonormality(ws: _Workspace) -> float:
+    gram = gen.wavefunction_gram(ws.params, (6, 6), *ws.config.quad_orders)
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
+# operator and residual (of p, N, n, field, image) of the pointwise eigen-checks of Psi_{N,n}|0>
+_EIGEN_CHECKS = {
+    "eigenvalue-residual": ("H", lambda p, N, n, fv, hv: np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv))),
+    "spectrum": ("Hs", lambda p, N, n, fv, hv: _deviation(hv, 4.0 * p.omega * (N + n * p.k) * fv, fv)),
+}
+
+
+def _eigen_images(ws: _Workspace) -> dict[str, float]:
+    """{check: residual} of ``eigenvalue-residual`` (H) and ``spectrum``
+    (Hs), those of the selected suites, from one bundle of each
+    Psi_{N,n}|0> for N, n in 0..6 on sector n's grid, whose table expands
+    all seven states in one call; each bundle is handed both operators."""
+    p, selected = ws.params, ws.config.selected()
+    checks = [c for c, suite in _CHECK_TASKS["eigen-images"][1].items() if suite in selected]
+    res: dict[str, list] = {c: [] for c in checks}
+    for n in range(7):
+        table = ws.table(n)
+        for N, bundle in enumerate(table.bundles([irreps.zero_fermion_state(p, N, n) for N in range(7)])):
+            images = gen.apply_operators([_EIGEN_CHECKS[c][0] for c in checks], bundle, table)
+            for c, image in zip(checks, images):
+                res[c].append(_EIGEN_CHECKS[c][1](p, N, n, bundle.val, image))
+    return {c: _worst(r) for c, r in res.items()}
+
+
+def _hs_routes(ws: _Workspace) -> float:
+    """Deviations of the operator-table Hs from ``hamiltonian_super`` on two
+    sector-1 states, both expanded in one call."""
+    p, table = ws.params, ws.table(1)
+    res = []
+    for bundle in table.bundles([irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("+", p, 0, 1)]):
+        (h1,) = gen.apply_operators(("Hs",), bundle, table)
+        h2 = gen.hamiltonian_super(bundle, p, table.r, table.phi)
+        res.append(_deviation(h1, h2, h1))
+    return _worst(res)
+
+
+def _susy_ground(ws: _Workspace) -> float:
+    """max |Q psi_0| and max |Qdag psi_0| on the sector-0 grid."""
+    table = ws.table(0)
+    (bundle,) = table.bundles([irreps.zero_fermion_state(ws.params, 0, 0)])
+    return _worst([np.max(np.abs(f)) for f in gen.apply_operators(("Q", "Qdag"), bundle, table)])
+
+
+def _scaling_conditions(ws: _Workspace) -> float:
+    p = ws.params
+    rng = UniformStream(ws.config.seed)
+    r = rng.uniform(0.5, 2.0, 40)
+    phi_s = rng.uniform(0.1, 0.9, 40) * p.phi_max
+    res = []
+    for st in (irreps.zero_fermion_state(p, 1, 1), irreps.one_fermion_state("-", p, 1, 1)):
+        d = gen.dilation_identity_residuals(st, p, r, phi_s)
+        res += [d["D"], d["Gamma"]]
+    return _worst(res)
+
+
+def _odd_action_fields(ws: _Workspace) -> float:
     """Deviations of V+- images of zero-fermion states from their
     closed-form expansions, and max |W+- psi|, in sectors 0, 1 and 2.
     Each table expands its states in one call: the odd grid's the
@@ -729,10 +715,10 @@ def _odd_action_fields(ws: _Workspace) -> list:
             res += [_deviation(out, ref, ref) for out, ref in zip(gen.apply_operators(("V+", "V-"), bundle, table), refs)]
         for bundle in table_e.bundles(states):
             res += [np.max(np.abs(wout)) for wout in gen.apply_operators(("W+", "W-"), bundle, table_e)]
-    return res
+    return _worst(res)
 
 
-def _one_fermion_overlap(ws: _Workspace) -> list:
+def _one_fermion_overlap(ws: _Workspace) -> float:
     """Projected <+|-> overlaps against ``irreps.overlap``; at n = 0 the
     pointwise coincidence of the one-fermion families and the vanishing
     of the two-fermion states, each family of fields from one call."""
@@ -748,7 +734,88 @@ def _one_fermion_overlap(ws: _Workspace) -> list:
     # one iterator zipped with itself: consecutive (+, -) fields
     res += [np.max(np.abs(plus - minus)) for plus, minus in zip(fields, fields)]
     res += [np.max(np.abs(two)) for two in ws.table(0).fields([irreps.two_fermion_state(p, N, 0) for N in range(3)])]
-    return res
+    return _worst(res)
+
+
+def _block_diagonality(ws: _Workspace) -> float:
+    """Every cross-sector element <s1|G|s2> between the level-1 basis
+    states of sectors 0, 1 and 2 of one fermion parity, one projection
+    per generator."""
+    level1 = {n: [s.state for s in irreps.sector_basis(ws.params, n, 1) if s.level == 1] for n in range(3)}
+    res = []
+    for n1, n2 in ((0, 1), (1, 2), (0, 2)):
+        for odd in (False, True):
+            rows, cols = ([st for st in level1[n] if st.fermion_parity() == odd] for n in (n1, n2))
+            for m in gen.project(("K0", "K+", "Y"), rows, cols, ws.grid(n1, n2, odd=odd)).values():
+                res.append(np.max(np.abs(m)))
+    return _worst(res)
+
+
+# task -> (function of the workspace, {check it computes: the check's suite})
+_CHECK_TASKS = {
+    "orthonormality": (_orthonormality, {"orthonormality": "model"}),
+    "eigen-images": (_eigen_images, {"eigenvalue-residual": "model", "spectrum": "algebra"}),
+    "hs-routes": (_hs_routes, {"hs-routes": "algebra"}),
+    "susy-ground": (_susy_ground, {"susy-ground": "algebra"}),
+    "scaling-conditions": (_scaling_conditions, {"scaling-conditions": "algebra"}),
+    "odd-action-fields": (_odd_action_fields, {"odd-action-fields": "irreps"}),
+    "one-fermion-overlap": (_one_fermion_overlap, {"one-fermion-overlap": "irreps"}),
+    "block-diagonality": (_block_diagonality, {"block-diagonality": "irreps"}),
+}
+
+
+def _structure_part(ws: _Workspace, n: int, block: dict, states: list) -> dict[str, float]:
+    """{relation: residual} on sector n's interior; {} if it is empty."""
+    inner = gen.interior_mask(states, ws.config.truncation)
+    return {c.name: c.residual for c in gen.check_structure_constants(block, inner)} if inner.any() else {}
+
+
+def _ladder_part(ws: _Workspace, n: int, block: dict, states: list) -> tuple[float, bool]:
+    """(worst relative deviation of sector n's K+ rungs from their closed
+    form, whether every rung is positive)."""
+    p, N_max = ws.params, ws.config.truncation[0]
+    index = {(s.family, s.level): i for i, s in enumerate(states)}
+    res = []
+    sign_ok = True
+    for s in states:
+        if s.level + 1 > N_max:
+            continue
+        tau_fam = irreps.weights_of(p, n).tau + irreps.FAMILIES[s.family][0]
+        expect = irreps.k_ladder_coeff("+", tau_fam, s.level)
+        measured = block["K+"][index[s.family, s.level + 1], index[s.family, s.level]]
+        sign_ok = sign_ok and measured > 0
+        res.append(abs(measured - expect) / expect)
+    return _worst(res), bool(sign_ok)
+
+
+def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> list[float]:
+    """[worst deviation of C2 and C3 from their closed forms and of
+    [C2, G] from zero on sector n's depth-2 interior], or [] if it is
+    empty."""
+    inner = gen.interior_mask(states, ws.config.truncation, depth=2)
+    if not inner.any():
+        return []
+    c2, c3 = irreps.casimir_matrices(block)
+    c2_th, c3_th = irreps.casimir_eigenvalues(ws.params, n)
+    eye = np.eye(int(inner.sum()))
+    res = [np.max(np.abs(c2[np.ix_(inner, inner)] - c2_th * eye)), np.max(np.abs(c3[np.ix_(inner, inner)] - c3_th * eye))]
+    for gname in gen.GENERATOR_NAMES:
+        g = block[gname]
+        res.append(np.max(np.abs(c2[inner] @ g[:, inner] - g[inner] @ c2[:, inner])))
+    return [_worst(res)]
+
+
+# check -> (suite, its part from one sector's block and states, how the sectors' parts combine)
+_SECTOR_CHECKS = {
+    "structure": ("algebra", _structure_part, _worst_per_name),
+    "hermiticity": ("algebra", lambda ws, n, block, states: gen.hermiticity_residuals(block), _worst_per_name),
+    "ladder-matrix-elements": (
+        "irreps",
+        _ladder_part,
+        lambda parts: _worst([res for res, _ in parts]) if all(ok for _, ok in parts) else float("inf"),
+    ),
+    "casimir": ("irreps", _casimir_part, lambda parts: _worst([res for part in parts for res in part])),
+}
 
 
 # k -> (check-name prefix, cartesian Hs and Q, cartesian superpotential), and the claims of its two checks
@@ -899,16 +966,23 @@ def _suite_failure(suite: str, error: str, wall_ms: float) -> CheckRecord:
     )
 
 
+def _error_line(exc: Exception) -> str:
+    """The last line of an exception's traceback: its type and message."""
+    if isinstance(exc, _TaskError):
+        return exc.args[0]
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip().splitlines()[-1]
+
+
 def _stopwatch(workspace: _Workspace | None = None):
     """A clock whose every reading is the ms since its previous reading (or
-    its start), less the workspace's generator-matrix builds in between."""
-    t_prev, built_prev = time.perf_counter(), 0.0
+    its start), plus the task time the workspace charged in between."""
+    t_prev, charged_prev = time.perf_counter(), 0.0
 
     def elapsed_ms() -> float:
-        nonlocal t_prev, built_prev
-        now, built = time.perf_counter(), workspace.build_ms if workspace else 0.0
-        out = (now - t_prev) * 1e3 - (built - built_prev)
-        t_prev, built_prev = now, built
+        nonlocal t_prev, charged_prev
+        now, charged = time.perf_counter(), workspace.charged_ms if workspace else 0.0
+        out = (now - t_prev) * 1e3 + (charged - charged_prev)
+        t_prev, charged_prev = now, charged
         return out
 
     return elapsed_ms
@@ -939,17 +1013,75 @@ def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> list[Check
                         wall_ms=wall_ms,
                     )
                 )
-    except Exception:
-        records.append(_suite_failure(suite, traceback.format_exc(limit=2).strip().splitlines()[-1], elapsed_ms()))
+    except Exception as exc:
+        records.append(_suite_failure(suite, _error_line(exc), elapsed_ms()))
     return records
 
 
-def _set_job(config: SuiteConfig, index: int) -> tuple[dict, float]:
-    """The selected model, algebra and irreps checks of parameter set
-    ``index``, on one workspace: {suite: records}, and the set's
-    generator-matrix build time in ms.  ``run`` calls it in this process
-    or in a forked worker; the records are the same."""
+def _timed(fn, *args) -> tuple:
+    """(``fn(*args)``, or the ``_TaskError`` of what it raised; the ms it took)."""
+    t0 = time.perf_counter()
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        value = _TaskError(_error_line(exc))
+    return value, (time.perf_counter() - t0) * 1e3
+
+
+def _tasks(config: SuiteConfig) -> list[tuple]:
+    """The per-set tasks of a run, as (set index, check task name or
+    sector n): each set's check tasks of the selected suites, then one
+    task per angular sector if a selected suite reads the generator
+    blocks."""
+    selected = config.selected()
+    checks = [task for task, (_, suites) in _CHECK_TASKS.items() if set(suites.values()) & set(selected)]
+    reads_blocks = any(suite in selected for suite, *_ in _SECTOR_CHECKS.values())
+    sectors = range(config.truncation[1] + 1) if reads_blocks else range(0)
+    return [(index, key) for index in range(len(config.param_sets)) for key in (*checks, *sectors)]
+
+
+def _run_task(config: SuiteConfig, task: tuple) -> tuple[dict, float]:
+    """One task, in this process: ({check: (residual or sector part, ms
+    charged to the check)}, ms of the generator-block build).  A check
+    whose computation raises gets its ``_TaskError`` in place of a value.
+
+    A sector task builds sector n's eight blocks, reduces them to the
+    parts of the selected checks that read them, each timed on its own,
+    and drops them.  A check task that computes several checks charges
+    each an equal share of its time."""
+    index, key = task
     ws = _Workspace(ModelParams(**config.param_sets[index]), config)
+    selected = config.selected()
+    if isinstance(key, str):
+        fn, suites = _CHECK_TASKS[key]
+        checks = [c for c, suite in suites.items() if suite in selected]
+        value, ms = _timed(fn, ws)
+        values = value if isinstance(value, dict) else dict.fromkeys(checks, value)
+        return {c: (values[c], ms / len(checks)) for c in checks}, 0.0
+    parts = {c: part for c, (suite, part, _) in _SECTOR_CHECKS.items() if suite in selected}
+    built, build_ms = _timed(gen.sector_matrices, ws.params, key, config.truncation[0], *config.quad_orders)
+    if isinstance(built, _TaskError):
+        return dict.fromkeys(parts, (built, 0.0)), build_ms
+    return {c: _timed(part, ws, key, *built) for c, part in parts.items()}, build_ms
+
+
+def _set_records(config: SuiteConfig, index: int, outputs: list) -> tuple[dict, float]:
+    """The selected model, algebra and irreps records of parameter set
+    ``index`` from the outputs of its tasks, in task order: {suite:
+    records}, and the set's generator-block build time in ms."""
+    ws = _Workspace(ModelParams(**config.param_sets[index]), config)
+    parts: dict[str, list] = {}
+    build_ms = 0.0
+    for task_parts, ms in outputs:
+        build_ms += ms
+        for check, part in task_parts.items():
+            parts.setdefault(check, []).append(part)
+    for check, check_parts in parts.items():
+        values = [value for value, _ in check_parts]
+        failed = [value for value in values if isinstance(value, _TaskError)]
+        combine = _SECTOR_CHECKS[check][2] if check in _SECTOR_CHECKS else lambda values: values[0]
+        ws.results[check] = failed[0] if failed else combine(values)
+        ws.charges[check] = sum(ms for _, ms in check_parts)
     producers = {
         "model": lambda: _checks_model(ws),
         "algebra": lambda: _checks_algebra(ws),
@@ -957,11 +1089,11 @@ def _set_job(config: SuiteConfig, index: int) -> tuple[dict, float]:
     }
     elapsed_ms = _stopwatch(ws)
     results = {suite: _collect(suite, producers[suite], config, elapsed_ms) for suite in config.selected() if suite in producers}
-    return results, ws.build_ms
+    return results, build_ms
 
 
 def _parent_checks(config: SuiteConfig) -> dict:
-    """The checks that are not per-set jobs: specfun, the algebra suite's
+    """The checks that are not per-set tasks: specfun, the algebra suite's
     parameter-free oscillator check and special-cases, whose sets draw
     their points from one random generator in sequence.  {suite:
     records}."""
@@ -981,72 +1113,189 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _job_result(config: SuiteConfig, future) -> tuple[dict, float]:
-    """A job's result from its future.  A job whose worker died, or that
-    could not be queued, fails each of its suites with one
-    ``<suite>-suite`` record."""
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the OpenBLAS that numpy loaded, if any, on one
+    thread, and restore its thread count after; forked workers inherit
+    the one thread.  OpenBLAS's threads spin while they wait, so two
+    workers that each wake a second thread for the larger products
+    contend for two cores: at truncation (40, 30) a run on two such
+    workers took 18.6 s, against 2.6 s in one process.  Its threaded and
+    one-thread products also differ in the last bits, so one thread in
+    every process keeps the report independent of the number of CPUs.
+    The library is found by name in /proc/self/maps; where that file
+    does not exist, the BLAS is left as it is."""
+    restore = []
     try:
-        return future.result()
-    except Exception as exc:
-        error = f"worker process failed: {type(exc).__name__}: {exc}"
-        return {s: [_suite_failure(s, error, 0.0)] for s in config.selected() if s in PER_SET_SUITES}, 0.0
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line.lower()}
+    except OSError:
+        paths = set()
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the plain names, and those of numpy's own scipy-openblas build with 64-bit integers
+        for prefix, suffix in (("openblas", ""), ("openblas", "64_"), ("scipy_openblas", "64_")):
+            get, put = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                restore.append((put, get()))
+                put(1)
+    try:
+        yield
+    finally:
+        for put, threads in reversed(restore):
+            put(threads)
 
 
-def _run_jobs(config: SuiteConfig, jobs: range) -> tuple[dict, list]:
-    """(``_parent_checks``, the ``_set_job`` result of every job index).
+def _worker(config: SuiteConfig, tasks: list, queue: int, out: int) -> None:
+    """A forked worker: until the queue is empty, take a task index from
+    it, write the index and then the task's output, each pickled, to
+    ``out``.  It never returns."""
+    status = 1
+    try:
+        with os.fdopen(out, "wb") as stream:
+            while chunk := os.read(queue, 4):
+                i = int.from_bytes(chunk, "little")
+                pickle.dump(i, stream)
+                stream.flush()
+                pickle.dump(_run_task(config, tasks[i]), stream)
+                stream.flush()
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+        raise
+    finally:
+        os._exit(status)
 
-    With more than one job and usable CPU, the jobs go to a pool of
-    min(jobs, usable CPUs) forked workers while this process runs its own
-    checks.  Fork, not spawn: a worker starts from this process's state,
-    the config and any monkeypatches included, without paying for a
-    fresh import.  (Python 3.12 and later warn when a process that runs
-    threads, such as OpenBLAS's pool, forks.)  Otherwise the jobs run
-    here, one after the other."""
-    workers = min(len(jobs), _usable_cpus())
-    if workers > 1:
-        # imported here, so that importing the package does not load them
-        import concurrent.futures
-        import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = []
-                for i in jobs:
-                    try:
-                        futures.append(pool.submit(_set_job, config, i))
-                    except Exception as exc:  # no worker could be started, or the pool broke first
-                        futures.append(concurrent.futures.Future())
-                        futures[-1].set_exception(exc)
-                parent = _parent_checks(config)
-                return parent, [_job_result(config, f) for f in futures]
-    return _parent_checks(config), [_set_job(config, i) for i in jobs]
+def _receive(fd: int, outputs: list) -> int | None:
+    """Read a worker's stream into ``outputs`` until it ends: the index of
+    a task it took and gave no output for, or None."""
+    with os.fdopen(fd, "rb") as stream:
+        while True:
+            try:
+                i = pickle.load(stream)
+            except EOFError:
+                return None
+            try:
+                outputs[i] = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):  # the stream ends inside the output
+                return i
+
+
+def _start_workers(config: SuiteConfig, tasks: list, workers: int) -> tuple[int, dict[int, int]]:
+    """Fork up to ``workers`` workers and queue every task index for them:
+    (the read end of the queue, {worker pid: the read end of its result
+    pipe}).  Each index is 4 bytes, and pipe writes of at most PIPE_BUF
+    (>= 512) bytes are atomic, so a worker always reads whole indices."""
+    queue, queue_in = os.pipe()
+    streams: dict[int, int] = {}
+    for _ in range(workers):
+        fd, out = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no further worker can be started
+            os.close(fd)
+            os.close(out)
+            break
+        if pid == 0:
+            for inherited in (queue_in, fd, *streams.values()):
+                os.close(inherited)
+            _worker(config, tasks, queue, out)
+        os.close(out)
+        streams[pid] = fd
+    indices = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
+    for start in range(0, len(indices), 512):
+        os.write(queue_in, indices[start : start + 512])
+    os.close(queue_in)
+    return queue, streams
+
+
+def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
+    """(``_parent_checks``, the ``_run_task`` output of every task, or a
+    ``_TaskError`` for a task whose worker died).
+
+    With more than one task and usable CPU, min(tasks, usable CPUs)
+    workers are forked with ``os.fork``, so each starts from this
+    process's state, the config and any monkeypatches included, without
+    a fresh import.  (Python 3.12 and later warn when a process that
+    runs threads, such as OpenBLAS's pool, forks.)  The task indices
+    wait in one pipe, from which each worker takes the next whenever it
+    is free, and each worker returns its outputs through a pipe of its
+    own while this process runs its own checks.  Tasks that no worker
+    took, because none could be started or every one died, run here.
+    With one usable CPU or no ``os.fork``, every task runs here, one
+    after the other."""
+    workers = min(len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
+    if workers < 2:
+        return _parent_checks(config), [_run_task(config, task) for task in tasks]
+    queue, streams = _start_workers(config, tasks, workers)
+    parent = _parent_checks(config)
+    outputs: list = [None] * len(tasks)
+    for pid, fd in streams.items():
+        lost = _receive(fd, outputs)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if lost is not None:
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            outputs[lost] = _TaskError(f"worker process {pid} failed: {how}")
+    while chunk := os.read(queue, 4):
+        i = int.from_bytes(chunk, "little")
+        outputs[i] = _run_task(config, tasks[i])
+    os.close(queue)
+    return parent, outputs
 
 
 def run(config: SuiteConfig) -> VerificationReport:
     """Execute the selected suites; failures are recorded, never raised.
 
-    The model, algebra and irreps checks of each parameter set run as one
-    job on one workspace, in forked workers when there are several sets
-    and several usable CPUs (see ``_run_jobs``); the rest run in this
-    process.  The records are merged by one rule: suite by suite, each
-    set job's records in parameter-set order, then this process's, so the
-    oscillator check comes after the algebra suite's per-set checks.
+    The model, algebra and irreps checks of each parameter set are
+    computed as tasks (``_tasks``): one per angular sector, which builds
+    that sector's generator blocks, reduces them to its part of each
+    check that reads them and drops them, and one per remaining check,
+    except the closed-form checks that take well under a millisecond
+    (``riccati``, ``riccati-control``, ``spectrum-identities`` and
+    ``susy-anticommutator``, which the suites compute as they reach them).
+    The tasks run in forked workers when there are several and several
+    usable CPUs (see ``_run_tasks``); the rest runs in this process.
+    Each set's suites then yield their records from the task results, so
+    a set's records are the same wherever its tasks ran.  The records are
+    merged by one rule: suite by suite, each set's records in
+    parameter-set order, then this process's, so the oscillator check
+    comes after the algebra suite's per-set checks.
 
-    Each check is timed from the previous record of its process's stream
-    (this process's checks, or one job's) to the moment its suite yields
-    it, minus any generator-matrix build that happened in between: those
-    builds are reported per parameter set in ``matrices_ms``.  The checks
-    of a group that a suite computes as a whole, such as ``structure[...]``,
-    are yielded together and share that time equally.  A suite
-    that raises in one set keeps the checks it already yielded there and
-    ends that set's part with one failed ``<suite>-suite`` record; the
-    other sets and this process's checks of the suite are kept, since
-    they do not depend on it.  A job whose worker dies fails each of its
-    suites with one such record.  A run in which no suite raises is not
-    touched by this rule: its report lists every check in the order above.
+    Each check is timed by the task work charged to it, plus the time
+    from the previous record of its stream (this process's checks, or
+    one set's) to the moment its suite yields it.  A sector task's
+    block build is charged to no check: the builds are summed per
+    parameter set in ``matrices_ms``.  Each reduction of a sector's
+    blocks is charged to its check, and a task that computes several
+    checks (``eigenvalue-residual`` and ``spectrum`` share their state
+    bundles) charges each an equal share.  The checks of a group that a
+    suite computes as a whole, such as ``structure[...]``, are yielded
+    together and share their time equally.
+
+    A suite whose computation raises in one set keeps the checks it
+    already yielded there and ends that set's part with one failed
+    ``<suite>-suite`` record; the other sets and this process's checks of
+    the suite are kept, since they do not depend on it.  A set that lost
+    a task with a dead worker fails each of its suites with one such
+    record, which names the worker.  A run in which no suite raises is
+    not touched by this rule: its report lists every check in the order
+    above.
     """
-    jobs = range(len(config.param_sets)) if set(PER_SET_SUITES) & set(config.selected()) else range(0)
-    parent, per_set = _run_jobs(config, jobs)
+    tasks = _tasks(config)
+    with _one_blas_thread():
+        parent, outputs = _run_tasks(config, tasks)
+    per_set = []
+    for index in range(len(config.param_sets)):
+        outs = [out for (i, _), out in zip(tasks, outputs) if i == index]
+        lost = next((out for out in outs if isinstance(out, _TaskError)), None)
+        if lost is None:
+            per_set.append(_set_records(config, index, outs))
+        else:
+            per_set.append(({s: [_suite_failure(s, lost.args[0], 0.0)] for s in config.selected() if s in PER_SET_SUITES}, 0.0))
     records: list[CheckRecord] = []
     for suite in config.selected():
         for results, _ in per_set:

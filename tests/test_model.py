@@ -308,14 +308,15 @@ class TestGrid:
         R = radial_levels(p, 0, 1, grid.r)[0][0]
         assert abs(float(np.sum(grid.w_r * R * R)) - 1.0) <= 1e-14
 
+    @pytest.mark.filterwarnings("error")
     def test_weight_overflow_names_alpha(self):
         # the angular mass 2^(a+b) B(a + 1/2, b + 1/2) and the envelope
-        # (1 + xi)^b are past float range (numpy warns of the envelope's
-        # overflow and of its 0 * inf); the message names the radial and the
-        # angular exponents
+        # (1 + xi)^b are past float range; the grid raises without a numpy
+        # warning first, and the message names the radial and the angular
+        # exponents
         p = ModelParams(k=1.0, a=1e6, b=1e6)
         message = re.escape("alpha = 2e+06 and angular exponents a = 1e+06, b = 1e+06")
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message):
             Grid.for_pair(p, 0, 0, 8, 8)
 
     @pytest.mark.parametrize("alpha", [170.7, 171.0, 210.0, 500.0])

@@ -1,3 +1,4 @@
+import ctypes
 import inspect
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -253,27 +255,35 @@ class TestRun:
         assert second.wall_ms >= 200.0
 
     def test_matrix_build_reported_separately(self, monkeypatch, fast_report):
-        build = verify.gen.generator_matrices
+        build = verify.gen.sector_matrices
 
         def slow_build(*args, **kwargs):
-            time.sleep(0.3)
+            time.sleep(0.1)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(verify.gen, "generator_matrices", slow_build)
+        monkeypatch.setattr(verify.gen, "sector_matrices", slow_build)
+        config = SuiteConfig(**FAST, suites=("algebra",))
+        sectors = config.truncation[1] + 1
+        # in one process, every ms of the run is a check's or a build's
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
         t0 = time.perf_counter()
-        report = run(SuiteConfig(**FAST, suites=("algebra",)))
+        report = run(config)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         (label,) = {c.params for c in report.checks if c.params}
         assert set(report.matrices_ms) == {label}
-        assert report.matrices_ms[label] >= 300.0
-        # the check that triggered the lazy build is not charged for it
-        trigger = next(c for c in report.checks if c.name.startswith("structure["))
-        assert trigger.wall_ms < 300.0
+        assert report.matrices_ms[label] >= 100.0 * sectors
+        # no check is charged for a build, not even the first that reads the blocks
+        assert max(c.wall_ms for c in report.checks) < 100.0
         accounted = sum(c.wall_ms for c in report.checks) + report.matrices_ms[label]
         assert 0.95 * elapsed_ms <= accounted <= elapsed_ms
         doc = strict_loads(report.to_json())
         assert doc["matrices_ms"] == {label: round(report.matrices_ms[label], 3)}
         assert strict_loads(fast_report.to_json())["matrices_ms"] == {}
+        # the builds of forked workers are reported the same way
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        pooled = run(config)
+        assert set(pooled.matrices_ms) == {label} and pooled.matrices_ms[label] >= 100.0 * sectors
+        assert max(c.wall_ms for c in pooled.checks) < 100.0
 
     def test_group_records_share_its_time(self):
         # a group computed as a whole charges each of its records an equal share
@@ -283,18 +293,18 @@ class TestRun:
             assert len(times) > 1 and len(set(times)) == 1 and times[0] > 0.0, (prefix, times)
 
     def test_nan_in_one_sector_reaches_the_report(self, monkeypatch):
-        build = verify.gen.generator_matrices
+        build = verify.gen.sector_matrices
         truncation = (3, 3)
 
         # NaN at an interior entry of the V+ block of sector 1, neither the first nor the last sector with an interior
-        def planted_build(*args, **kwargs):
-            blocks, basis = build(*args, **kwargs)
-            inner = verify.gen.interior_mask(basis, truncation)[[s.n == 1 for s in basis]]
-            i = np.flatnonzero(inner)[1]
-            blocks[1]["V+"][i, i] = np.nan
-            return blocks, basis
+        def planted_build(params, n, *args, **kwargs):
+            block, states = build(params, n, *args, **kwargs)
+            if n == 1:
+                i = np.flatnonzero(verify.gen.interior_mask(states, truncation))[1]
+                block["V+"][i, i] = np.nan
+            return block, states
 
-        monkeypatch.setattr(verify.gen, "generator_matrices", planted_build)
+        monkeypatch.setattr(verify.gen, "sector_matrices", planted_build)
         report = run(SuiteConfig(**dict(FAST, truncation=truncation), suites=("algebra",)))
         structure = [c for c in strict_loads(report.to_json())["checks"] if c["name"].startswith("structure[")]
         assert len(structure) == len(verify.gen.RELATIONS)
@@ -373,6 +383,14 @@ TWO_SETS = dict(
     seed=7,
 )
 
+# one irrational set, which a run with two usable CPUs splits into tasks for two workers
+ONE_SET = dict(
+    param_sets=({"k": math.sqrt(2.0), "a": 1.2, "b": 0.8, "omega": 1.0},),
+    truncation=(4, 3),
+    quad_orders=(40, 40),
+    seed=7,
+)
+
 
 def record_bits(report):
     return [(c.name, c.suite, c.params, float(c.residual).hex(), c.tolerance, c.passed, c.error) for c in report.checks]
@@ -382,29 +400,62 @@ def report_body(report) -> str:
     return json.dumps(strip_volatile(strict_loads(report.to_json())), indent=2, sort_keys=True)
 
 
+def run_with_a_killed_worker(tmp_path, config: dict, victim: tuple) -> tuple[list, int, int]:
+    """(the check dicts, the parent pid, the pid of the worker that died) of
+    a fresh process's run with two usable CPUs, in which the worker that
+    takes task ``victim`` kills itself with SIGKILL before running it; a
+    fresh process, so that a hang meets a timeout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    pidfile = str(tmp_path / "victim")
+    code = (
+        "import json, os, signal\n"
+        "from ttwsusy import verify\n"
+        "parent, run_task = os.getpid(), verify._run_task\n"
+        "def dying(config, task):\n"
+        f"    if os.getpid() != parent and task == {victim!r}:\n"
+        f"        with open({pidfile!r}, 'w') as fh:\n"
+        "            fh.write(str(os.getpid()))\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return run_task(config, task)\n"
+        "verify._run_task = dying\n"
+        "verify._usable_cpus = lambda: 2\n"
+        f"config = verify.SuiteConfig(**{config!r}, suites=('specfun', 'model', 'algebra', 'irreps'))\n"
+        "print(os.getpid())\n"
+        "print(json.dumps([c.to_dict() for c in verify.run(config).checks]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    parent, checks = proc.stdout.strip().splitlines()[-2:]
+    with open(pidfile) as fh:
+        return json.loads(checks), int(parent), int(fh.read())
+
+
 class TestParallelRun:
-    """The per-set jobs give the same records in forked workers as in this
-    process; the pool is forced by patching the usable-CPU count."""
+    """The per-set tasks give the same records in forked workers as in
+    this process; the workers are forced by patching the usable-CPU
+    count."""
 
     def run_both(self, monkeypatch, tmp_path, config):
-        """(in-process report, pooled report, pids that built matrices in the pooled run)."""
-        build = verify.gen.generator_matrices
+        """(in-process report, pooled report, pids that built sector blocks in the pooled run)."""
+        build = verify.gen.sector_matrices
 
         def marked_build(*args, **kwargs):
             (tmp_path / str(os.getpid())).touch()
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(verify.gen, "generator_matrices", marked_build)
+        monkeypatch.setattr(verify.gen, "sector_matrices", marked_build)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
         serial = run(config)
-        assert {f.name for f in tmp_path.iterdir()} <= {str(os.getpid())}
+        assert {f.name for f in tmp_path.iterdir()} == {str(os.getpid())}
+        (tmp_path / str(os.getpid())).unlink()
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         pooled = run(config)
-        return serial, pooled, {int(f.name) for f in tmp_path.iterdir()} - {os.getpid()}
+        return serial, pooled, {int(f.name) for f in tmp_path.iterdir()}
 
     def test_pool_gives_the_in_process_records(self, monkeypatch, tmp_path):
         serial, pooled, workers = self.run_both(monkeypatch, tmp_path, SuiteConfig(**TWO_SETS))
-        assert workers, "no worker process built a matrix"
+        assert workers and os.getpid() not in workers, "no worker process built a sector block"
         assert serial.n_failed == 0, serial.to_text()
         assert record_bits(pooled) == record_bits(serial)
         assert report_body(pooled) == report_body(serial)
@@ -412,6 +463,15 @@ class TestParallelRun:
         suites = [c.suite for c in serial.checks]
         assert suites == sorted(suites, key=verify.SUITES.index)
         assert [c.name for c in serial.checks if c.suite == "algebra"][-1] == "oscillator-realization"
+
+    def test_one_set_pool_gives_the_in_process_records(self, monkeypatch, tmp_path):
+        # one set's sector and check tasks are shared out between two workers
+        serial, pooled, workers = self.run_both(monkeypatch, tmp_path, SuiteConfig(**ONE_SET))
+        assert workers and os.getpid() not in workers, "no worker process built a sector block"
+        assert serial.n_failed == 0, serial.to_text()
+        assert record_bits(pooled) == record_bits(serial)
+        assert report_body(pooled) == report_body(serial)
+        assert list(pooled.matrices_ms) == list(serial.matrices_ms)
 
     def test_suite_error_in_second_set(self, monkeypatch, tmp_path):
         residuals = verify.gen.dilation_identity_residuals
@@ -435,43 +495,16 @@ class TestParallelRun:
         assert set2[:-1] == [c.name for c in serial.checks if c.suite == "algebra" and c.params == second]
         assert algebra[-1] == "oscillator-realization"
         (failed,) = [c for c in serial.checks if not c.passed]
-        assert failed.name == "algebra-suite" and "planted failure" in failed.error
+        assert failed.name == "algebra-suite" and failed.error == "RuntimeError: planted failure"
 
     def test_dead_worker_fails_its_suites(self, tmp_path):
-        """A worker that exits mid-job gives failed ``<suite>-suite`` records,
-        not an exception; run in a fresh process, so a hang meets a timeout.
-        The first set's worker exits only once the second set's result has
-        reached this process, so that job is not lost with the pool."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
-        flag = str(tmp_path / "second-set-done")
-        code = (
-            "import concurrent.futures, json, os, time\n"
-            "from ttwsusy import verify\n"
-            "parent, checks_model = os.getpid(), verify._checks_model\n"
-            "submit = concurrent.futures.ProcessPoolExecutor.submit\n"
-            "def tracked(pool, fn, config, index):\n"
-            "    future = submit(pool, fn, config, index)\n"
-            "    if index == 1:\n"
-            f"        future.add_done_callback(lambda _: open({flag!r}, 'w').close())\n"
-            "    return future\n"
-            "def dying(ws):\n"
-            "    if os.getpid() != parent and ws.params.k == 1.0:\n"
-            f"        while not os.path.exists({flag!r}):\n"
-            "            time.sleep(0.01)\n"
-            "        os._exit(3)\n"
-            "    return checks_model(ws)\n"
-            "concurrent.futures.ProcessPoolExecutor.submit = tracked\n"
-            "verify._checks_model = dying\n"
-            "verify._usable_cpus = lambda: 2\n"
-            f"config = verify.SuiteConfig(**{TWO_SETS!r}, suites=('specfun', 'model', 'algebra', 'irreps'))\n"
-            "print(json.dumps([c.to_dict() for c in verify.run(config).checks]))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        checks = json.loads(proc.stdout.strip().splitlines()[-1])
+        """A worker killed mid-task fails each suite of that task's set with
+        a ``<suite>-suite`` record that names it; the other worker takes
+        the tasks that remain, so the second set keeps its records."""
+        checks, parent, victim = run_with_a_killed_worker(tmp_path, TWO_SETS, (0, 1))
+        assert victim != parent
         second = "k=2, a=1.5, b=2.5, omega=1"
-        # the first set's job is lost: each per-set suite opens with its failure, then the second set's records
+        # the first set lost a task: each per-set suite opens with its failure, then the second set's records
         for suite in ("model", "algebra", "irreps"):
             names, params = zip(*((c["name"], c["params"]) for c in checks if c["suite"] == suite))
             assert names[0] == f"{suite}-suite"
@@ -481,10 +514,113 @@ class TestParallelRun:
         for c in checks:
             assert c["passed"] == (not c["name"].endswith("-suite")), c["name"]
             if not c["passed"]:
-                assert "worker process failed" in c["error"]
+                assert c["error"] == f"worker process {victim} failed: killed by signal 9"
+
+    def test_one_set_dead_worker_fails_its_suites(self, tmp_path):
+        # the only set loses a sector task: its three suites are one failure each, specfun and the oscillator check stay
+        checks, parent, victim = run_with_a_killed_worker(tmp_path, ONE_SET, (0, 2))
+        assert victim != parent
+        per_set = [(c["suite"], c["name"]) for c in checks if c["suite"] in verify.PER_SET_SUITES]
+        assert per_set == [("model", "model-suite"), ("algebra", "algebra-suite"), ("algebra", "oscillator-realization"), ("irreps", "irreps-suite")]
+        for c in checks:
+            assert c["passed"] == (not c["name"].endswith("-suite")), c["name"]
+            if not c["passed"]:
+                assert c["error"] == f"worker process {victim} failed: killed by signal 9"
+
+    def test_more_workers_than_cores_take_each_task_once(self, monkeypatch, tmp_path):
+        """Six workers share the two sets' tasks through one queue, in a
+        fresh process with a timeout: every task runs exactly once, each
+        in a worker, and the records equal the one-process records."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+        log = str(tmp_path / "tasks")
+        code = (
+            "import json, os\n"
+            "from ttwsusy import verify\n"
+            "run_task = verify._run_task\n"
+            "def logged(config, task):\n"
+            f"    with open({log!r}, 'a') as fh:\n"
+            "        fh.write(json.dumps([os.getpid(), task]) + '\\n')\n"
+            "    return run_task(config, task)\n"
+            "verify._run_task = logged\n"
+            "verify._usable_cpus = lambda: 6\n"
+            "print(os.getpid())\n"
+            f"report = verify.run(verify.SuiteConfig(**{TWO_SETS!r}))\n"
+            "print(json.dumps([(c.name, c.suite, c.params, float(c.residual).hex(), c.tolerance, c.passed, c.error) for c in report.checks]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        parent, records = proc.stdout.strip().splitlines()[-2:]
+        with open(log) as fh:
+            ran = [json.loads(line) for line in fh]
+        config = SuiteConfig(**TWO_SETS)
+        tasks = [list(task) for task in verify._tasks(config)]
+        assert sorted((task for _, task in ran), key=str) == sorted(tasks, key=str)
+        assert int(parent) not in {pid for pid, _ in ran}
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        assert [tuple(r) for r in json.loads(records)] == record_bits(run(config))
+
+    def test_tasks_run_on_one_blas_thread(self, monkeypatch, tmp_path):
+        """Every task runs with one OpenBLAS thread, in this process and in
+        the workers, and the run restores this process's count."""
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line.lower()})
+        getters = [getattr(ctypes.CDLL(path), name, None) for path in paths for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_")]
+        getters = [get for get in getters if get is not None]
+        if not getters:
+            pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
+        before = [get() for get in getters]
+        run_task = verify._run_task
+
+        def counted(config, task):
+            (tmp_path / f"{os.getpid()}-{task[1]}").write_text(json.dumps([get() for get in getters]))
+            return run_task(config, task)
+
+        monkeypatch.setattr(verify, "_run_task", counted)
+        for cpus in (1, 2):
+            monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+            assert run(SuiteConfig(**ONE_SET)).n_failed == 0
+            assert [get() for get in getters] == before
+        pids = {f.name.split("-")[0] for f in tmp_path.iterdir()}
+        assert str(os.getpid()) in pids and len(pids) > 1
+        assert {f.read_text() for f in tmp_path.iterdir()} == {json.dumps([1] * len(getters))}
+
+    def test_tasks_run_here_when_no_worker_starts(self, monkeypatch):
+        # a fork that fails leaves the queued tasks to this process, with the same records
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        serial = run(SuiteConfig(**ONE_SET))
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(verify.os, "fork", no_fork)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        assert record_bits(run(SuiteConfig(**ONE_SET))) == record_bits(serial)
+
+    def test_sector_blocks_die_with_their_sector(self, monkeypatch):
+        """In one process, each sector's blocks are dropped once its task
+        has reduced them: none is alive when the next sector is built, or
+        after the run."""
+        build = verify.gen.sector_matrices
+        refs, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            block, states = build(*args, **kwargs)
+            refs.extend(weakref.ref(m) for m in block.values())
+            return block, states
+
+        monkeypatch.setattr(verify.gen, "sector_matrices", tracked)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        config = SuiteConfig(**ONE_SET, suites=("algebra", "irreps"))
+        report = run(config)
+        assert report.n_failed == 0, report.to_text()
+        sectors = config.truncation[1] + 1
+        assert alive == [0] * sectors
+        assert len(refs) == 8 * sectors and not any(ref() is not None for ref in refs)
 
     def test_set_job_grids_use_the_configured_orders(self, monkeypatch):
-        """Every grid a parameter set's checks build, directly or through
+        """Every grid a parameter set's tasks build, directly or through
         the generator and Gram builders, is at the configured orders."""
         init = verify.Grid.__init__
         orders = []
@@ -496,73 +632,77 @@ class TestParallelRun:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(verify.Grid, "__init__", recording)
-        config = SuiteConfig(**FAST)
+        # in one process, so that this process sees every grid
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        config = SuiteConfig(**FAST, suites=verify.PER_SET_SUITES)
         assert config.quad_orders == (40, 40)
-        results, _ = verify._set_job(config, 0)
-        assert list(results) == list(verify.PER_SET_SUITES)
-        assert all(c.passed for records in results.values() for c in records)
+        report = run(config)
+        assert {c.suite for c in report.checks} == set(verify.PER_SET_SUITES)
+        assert report.n_failed == 0, report.to_text()
         assert orders and set(orders) == {(40, 40)}
 
 
 class TestRadialPasses:
-    """Each pointwise check hands a table all of its states in one call,
-    so one radial pass per (sector, one-fermion) key of that call serves
-    every level, and a check reads the basis the workspace holds instead
-    of building it again."""
+    """Each pointwise check task hands a table all of its states in one
+    call, so one radial pass per (sector, one-fermion) key of that call
+    serves every level, and ``eigenvalue-residual`` and ``spectrum``
+    share their bundles."""
 
     @staticmethod
-    def calls_per_check(monkeypatch, modules, attr, checks):
-        """{check name: calls of the function ``attr`` of ``modules`` (all
-        bound to the same function) made while computing it}."""
+    def calls_per_task(monkeypatch, modules, attr, tasks, suites=("all",)):
+        """{task: the argument tuples of the calls of the function ``attr``
+        of ``modules`` (all bound to the same function) made while the
+        task (a check task's name or a sector n) ran}, on the FAST set
+        with the given suites."""
         calls = []
         fn = getattr(modules[0], attr)
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return fn(*args, **kwargs)
 
         for module in modules:
             monkeypatch.setattr(module, attr, counted)
-        out, seen = {}, 0
-        for name, *_ in checks:
-            out[name], seen = len(calls) - seen, len(calls)
+        config = SuiteConfig(**FAST, suites=suites)
+        out = {}
+        for task in tasks:
+            seen = len(calls)
+            parts, _ = verify._run_task(config, (0, task))
+            assert not any(isinstance(value, verify._TaskError) for value, _ in parts.values()), parts
+            out[task] = calls[seen:]
         return out
 
     @classmethod
-    def passes_per_check(cls, monkeypatch, checks):
-        """{check name: radial_levels calls made while computing it}."""
-        return cls.calls_per_check(monkeypatch, [states], "radial_levels", checks)
-
-    @staticmethod
-    def workspace():
-        config = SuiteConfig(**FAST)
-        (p,) = config.models()
-        return verify._Workspace(p, config)
+    def passes(cls, monkeypatch, task, suites=("all",)) -> int:
+        """radial_levels calls made by one check task."""
+        return len(cls.calls_per_task(monkeypatch, [states], "radial_levels", [task], suites)[task])
 
     def test_eigenvalue_residual(self, monkeypatch):
-        assert self.passes_per_check(monkeypatch, verify._checks_model(self.workspace()))["eigenvalue-residual"] == 7
+        assert self.passes(monkeypatch, "eigen-images", suites=("model",)) == 7
 
     def test_spectrum(self, monkeypatch):
-        assert self.passes_per_check(monkeypatch, verify._checks_algebra(self.workspace()))["spectrum"] == 7
+        assert self.passes(monkeypatch, "eigen-images", suites=("algebra",)) == 7
+        # with both suites, the two checks share the seven passes
+        assert self.passes(monkeypatch, "eigen-images") == 7
 
     def test_odd_action_fields(self, monkeypatch):
         # per sector n = 0, 1, 2: the odd grid's zero-fermion bundles, its
         # closed-form V images and the even grid's bundles, one pass each
-        assert self.passes_per_check(monkeypatch, verify._checks_irreps(self.workspace()))["odd-action-fields"] == 9
+        assert self.passes(monkeypatch, "odd-action-fields") == 9
 
     def test_one_fermion_overlap(self, monkeypatch):
         # one pass for the rows and columns of each projected sector n = 1,
         # 2, which share their one-fermion key, then one for all eight n = 0
         # one-fermion fields (the n = 0 two-fermion states vanish, so their
         # call evaluates no factor)
-        assert self.passes_per_check(monkeypatch, verify._checks_irreps(self.workspace()))["one-fermion-overlap"] == 3
+        assert self.passes(monkeypatch, "one-fermion-overlap") == 3
 
     def test_block_diagonality_reads_the_basis(self, monkeypatch):
-        # the level-1 states come from the basis of the generator blocks,
-        # built once (by the first check), not from sector_basis again
-        checks = verify._checks_irreps(self.workspace())
-        calls = self.calls_per_check(monkeypatch, [verify.irreps, verify.gen], "sector_basis", checks)
-        assert calls["ladder-matrix-elements"] == 3 and calls["block-diagonality"] == 0
+        # the level-1 states come from one level <= 1 basis of each of the
+        # sectors 0, 1 and 2; a sector task builds its sector's basis once
+        calls = self.calls_per_task(monkeypatch, [verify.irreps, verify.gen], "sector_basis", ["block-diagonality", 1])
+        assert [args[1:] for args in calls["block-diagonality"]] == [(0, 1), (1, 1), (2, 1)]
+        assert [args[1:] for args in calls[1]] == [(1, FAST["truncation"][0])]
 
 
 class TestCli:
@@ -749,39 +889,43 @@ class TestCli:
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
-def test_runs_without_scipy():
+def test_runs_without_scipy(tmp_path):
     """A fresh process imports the package and runs all five suites, first
-    for one parameter set (in-process), then for two sets in a forced
-    worker pool, without importing scipy, any of its submodules,
-    ``numpy.random`` or ``fractions`` (the series oracles sum in plain
-    integers), in this process or in a set job's worker.  Neither
-    importing the package nor the run that needs no worker pool loads
-    multiprocessing or concurrent.futures."""
+    for one parameter set in this process (one usable CPU), then for two
+    sets with two forced workers, without importing scipy, any of its
+    submodules, ``numpy.random`` or ``fractions`` (the series oracles sum
+    in plain integers), in this process or in a worker after any task.
+    Neither importing the package nor either run, with its workers,
+    loads multiprocessing or concurrent.futures."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
     code = (
-        "import sys, ttwsusy\n"
+        "import os, sys, ttwsusy\n"
         "from ttwsusy import verify\n"
         "def loaded(*prefixes):\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions') + prefixes or m.startswith('numpy.random'))\n"
-        "checks_irreps = verify._checks_irreps\n"
-        "def irreps_then_modules(ws):\n"
-        "    yield from checks_irreps(ws)\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'multiprocessing', 'concurrent') + prefixes or m.startswith('numpy.random'))\n"
+        "parent, run_task = os.getpid(), verify._run_task\n"
+        "def task_then_modules(config, task):\n"
+        "    out = run_task(config, task)\n"
+        "    if os.getpid() != parent:\n"
+        f"        open(os.path.join({str(tmp_path)!r}, str(os.getpid())), 'w').close()\n"
         "    assert not loaded(), loaded()\n"
-        "verify._checks_irreps = irreps_then_modules\n"
-        "print(loaded('multiprocessing', 'concurrent'))\n"
+        "    return out\n"
+        "verify._run_task = task_then_modules\n"
+        "print(loaded())\n"
+        "verify._usable_cpus = lambda: 1\n"
         f"report = verify.run(verify.SuiteConfig(**{FAST!r}))\n"
         "assert report.n_failed == 0, report.to_text()\n"
-        "print(loaded('multiprocessing', 'concurrent'))\n"
+        "print(loaded())\n"
         "verify._usable_cpus = lambda: 2\n"
         f"report = verify.run(verify.SuiteConfig(**{TWO_SETS!r}))\n"
         "assert report.n_failed == 0, report.to_text()\n"
-        "assert 'concurrent.futures' in sys.modules\n"
         "print(loaded())\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-3:] == ["[]", "[]", "[]"]
+    assert list(tmp_path.iterdir()), "no task ran in a worker"
 
 
 def test_report_bodies_names_each_difference():
