@@ -43,7 +43,7 @@ table = FactorTable(params, grid_odd.r, grid_odd.phi)
 images = apply_operators(("V+", "V-"), bundle, table)
 expansions = [v_action(sign, params, N, n) for sign in ("+", "-")]
 for (sign, norm2), field, expansion, ref in zip((("+", N + lam + 1.0), ("-", N + mu)), images, expansions, table.fields(expansions)):
-    print(f"V{sign}: differential action vs closed-form expansion, max |diff| = {np.max(np.abs(field - ref)):.3e}")
+    print(f"V{sign}: differential action vs closed-form expansion, max |diff| = {np.max(np.abs(field.dense() - ref.dense())):.3e}")
     measured = project(("1",), [expansion], [expansion], grid_odd)["1"][0, 0]
     print(f"     norm^2 of the expansion on the grid = {measured:.12f} (closed form {norm2})")
 

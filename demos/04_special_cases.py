@@ -39,7 +39,7 @@ def compare(p, cart_fn, title):
     for cart, bundle in spinors:
         h_c, q_c = cart_fn(p, cart, x, y)
         # the same operator assembly for catalog states and random spinors
-        h_p, q_p = apply_operators(("Hs", "Q"), bundle, table)
+        h_p, q_p = (image.dense() for image in apply_operators(("Hs", "Q"), bundle, table))
         worst = max(worst, np.max(np.abs(h_c - h_p)) / np.max(np.abs(h_p)), np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1))
     print(f"{title}: max relative deviation over 200 random points = {worst:.3e}")
 
@@ -67,5 +67,5 @@ table = FactorTable(p3, r, phi)
 data = make_cmw_test_state(bundle, cm_vac, p3, r, phi, X)
 h_r, q_r = cmw_rel_super(p3, data)
 (q_p,) = apply_operators(("Q",), bundle, table)
-q_ref = embed_product_values(q_p, np.stack([chi, np.zeros_like(chi)]))
+q_ref = embed_product_values(q_p.dense(), np.stack([chi, np.zeros_like(chi)]))
 print(f"k=3 relative supercharge vs 2 sqrt(omega) W+: max |diff| = {np.max(np.abs(q_r - q_ref)):.3e}")

@@ -28,9 +28,11 @@ operator name to its table: the eight generators, H_k ("H"), "Hs",
 "Q", "Qdag" and the identity "1".  ``apply_operators`` is the one
 pointwise route: it applies tables analytically to the derivative
 bundle of a state of one ``FactorTable``, exactly at every sample
-point, and keeps the tables on the ``FactorTable``; every fermion
-matrix has at most one nonzero per row and acts as that row map on
-the spinor components the bundle reaches, and nowhere else.
+point, and keeps the tables, with each term group's coefficient array
+once formed, on the ``FactorTable``; every fermion matrix has at most
+one nonzero per row and acts as that row map on the spinor components
+the bundle reaches, and nowhere else, so an image is a compact
+``states.SpinorField`` of the components it reaches.
 ``_project``, the one projection routine, contracts the same table
 with 1-D radial and angular Gauss sums between two expansions of
 states, each distinct moment once, so the algebra residuals measure
@@ -63,7 +65,7 @@ import numpy as np
 from . import fock
 from .irreps import BasisState, sector_basis, zero_fermion_state
 from .model import Grid, ModelParams
-from .states import CatalogState, FactorTable, StateBundle, state_bundle
+from .states import CatalogState, FactorTable, SpinorField, StateBundle, state_bundle
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -251,43 +253,75 @@ def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
     ]
 
 
-def _groups(terms: list[_Term]) -> list[tuple]:
-    """The table's terms grouped by (fermion matrix, d_r, d_phi), as
-    (row map, d_r, d_phi, terms) in order of first appearance."""
+@dataclass
+class _Group:
+    """The terms of one table that share (fermion matrix, d_r, d_phi), on
+    one set of points: ``rows`` is the matrix's row map, and ``coef`` the
+    array of sum coef r^q theta, formed by ``coefficient`` on first use
+    and kept."""
+
+    rows: tuple
+    d_r: int
+    d_phi: int
+    terms: list
+    coef: np.ndarray | float | None = None
+
+    def coefficient(self, r) -> np.ndarray | float:
+        if self.coef is None:
+            c = 0.0
+            for t in self.terms:
+                c = c + t.coef * r**t.r_pow * t.theta
+            self.coef = c
+        return self.coef
+
+
+def _groups(terms: list[_Term]) -> list[_Group]:
+    """The table's terms grouped by (fermion matrix, d_r, d_phi), in order
+    of first appearance."""
     by_key: dict[tuple, list] = {}
     for t in terms:
         by_key.setdefault((id(t.fermion), t.d_r, t.d_phi), []).append(t)
-    return [(_ROW_MAPS[m_id], d_r, d_phi, ts) for (m_id, d_r, d_phi), ts in by_key.items()]
+    return [_Group(_ROW_MAPS[m_id], d_r, d_phi, ts) for (m_id, d_r, d_phi), ts in by_key.items()]
 
 
-def _apply_groups(groups: list[tuple], bundle: StateBundle, r) -> np.ndarray:
-    """Pointwise sum of the grouped terms on a state's bundle at radii r.
-    A group's coefficients are summed first, into one array.  Each
-    fermion matrix acts as its row map on the components the bundle
-    reaches only: a group that maps none of them is skipped before its
-    coefficient array is formed, and no other component is read."""
+def _apply_groups(groups: list[_Group], bundle: StateBundle, r) -> SpinorField:
+    """Pointwise sum of the grouped terms on a state's bundle at radii r,
+    as a field of the components it reaches.  Each fermion matrix acts
+    as its row map on the components the bundle reaches only: a group
+    that maps none of them is skipped before its coefficient array is
+    formed, and no other component is read."""
     derivs = {(0, 0): bundle.val, (1, 0): bundle.d_r, (2, 0): bundle.d_rr, (0, 1): bundle.d_phi, (0, 2): bundle.d_phiphi}
-    out = np.zeros_like(bundle.val)
-    for rows, d_r, d_phi, terms in groups:
-        hits = [(i, j, v) for i, j, v in rows if j in bundle.reached]
-        if not hits:
-            continue
-        c = 0.0
-        for t in terms:
-            c = c + t.coef * r**t.r_pow * t.theta
+    source = {j: row for row, j in enumerate(bundle.reached)}
+    hit_groups = []
+    for group in groups:
+        hits = [(i, source[j], v) for i, j, v in group.rows if j in source]
+        if hits:
+            hit_groups.append((group, hits))
+    reached = tuple(sorted({i for _, hits in hit_groups for i, _, _ in hits}))
+    target = {i: row for row, i in enumerate(reached)}
+    out = np.empty((len(reached), *bundle.val.shape[1:]))
+    written = set()
+    # only the row maps' nonzeros: the products a dense 4 x 4 matmul would add are exact zeros
+    for group, hits in hit_groups:
+        c = group.coefficient(r)
         for i, j, v in hits:
-            part = c * derivs[d_r, d_phi][j]
-            # the products a dense 4 x 4 matmul would add are exact zeros
-            if v == 1.0:
-                out[i] += part
+            row, d = out[target[i]], derivs[group.d_r, group.d_phi][j]
+            if i not in written:
+                # a component's first term is written in place, not added to zeros
+                written.add(i)
+                np.multiply(c, d, out=row)
+                if v != 1.0:
+                    row *= v
+            elif v == 1.0:
+                row += c * d
             elif v == -1.0:
-                out[i] -= part
+                row -= c * d
             else:
-                out[i] += v * part
-    return out
+                row += v * (c * d)
+    return SpinorField(out, reached)
 
 
-def _apply_terms(terms: list[_Term], bundle: StateBundle, r) -> np.ndarray:
+def _apply_terms(terms: list[_Term], bundle: StateBundle, r) -> SpinorField:
     """Pointwise sum of the terms (angular functions sampled on the
     bundle's angles) on a state's bundle at radii r."""
     return _apply_groups(_groups(terms), bundle, r)
@@ -295,20 +329,22 @@ def _apply_terms(terms: list[_Term], bundle: StateBundle, r) -> np.ndarray:
 
 def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
     """D = [-Laplacian - Laplacian(W) + |grad W|^2] / (4 omega), from the
-    superpotential derivatives (independent of the H_k potential form)."""
+    superpotential derivatives (independent of the H_k potential form),
+    on the rows of the bundle."""
     ang = _riccati_lhs(params, phi, params.a) / r**2
     lap = bundle.d_rr + bundle.d_r / r + bundle.d_phiphi / r**2
     return (-lap + ang * bundle.val) / (4.0 * params.omega)
 
 
-def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[np.ndarray]:
+def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[SpinorField]:
     """Each named operator (any name ``_terms`` knows: a generator, "H",
     "Hs", "Q", "Qdag" or "1") applied analytically to a bundle of
     ``table`` (from ``table.bundles``) at the table's points, as a list
-    of spinor fields.  Each operator's grouped term table is built on
-    first use and kept on the table, so every state sampled there shares
-    its angular functions.  The coefficient arrays, of the grid's 2-D
-    shape, are formed per application and not kept."""
+    of compact spinor fields.  Each operator's grouped term table is
+    built on first use and kept on the table, so every state sampled
+    there shares its angular functions, and so is each group's
+    coefficient array, of the grid's 2-D shape, once a state first
+    reaches the group."""
     ops = table.operators
     for name in names:
         if name not in ops:
@@ -316,17 +352,18 @@ def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[np.n
     return [_apply_groups(ops[name], bundle, table.r) for name in names]
 
 
-def hamiltonian_super(bundle: StateBundle, params: ModelParams, r, phi) -> np.ndarray:
+def hamiltonian_super(bundle: StateBundle, params: ModelParams, r, phi) -> SpinorField:
     """Hs = 4 omega (K0 + Y) on a state's bundle at (r, phi), with K0
     built from the superpotential derivatives (D + omega r^2/4 + Gamma)
-    instead of the H_k potential.  Its agreement with
-    ``apply_operators(("Hs",), ...)`` is the operator form of the Riccati
-    identity."""
+    instead of the H_k potential, as a compact field.  Its agreement
+    with ``apply_operators(("Hs",), ...)`` is the operator form of the
+    Riccati identity."""
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     d = _apply_d_superpotential(bundle, params, r, phi)
-    k0b = d + 0.25 * params.omega * r**2 * bundle.val
+    k0b = SpinorField(d + 0.25 * params.omega * r**2 * bundle.val, bundle.reached)
     gamma_y = _apply_terms(_gamma_terms(params, phi) + _y_terms(params), bundle, r)
-    return 4.0 * params.omega * (k0b + gamma_y)
+    reached = tuple(sorted({*k0b.reached, *gamma_y.reached}))
+    return SpinorField(4.0 * params.omega * (k0b.on(reached) + gamma_y.on(reached)), reached)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +381,11 @@ def dilation_identity_residuals(state: CatalogState, params: ModelParams, r, phi
     dilated = StateBundle(b.val, lam * b.d_r, lam * lam * b.d_rr, b.d_phi, b.d_phiphi)
     rhs = lam * lam * _apply_d_superpotential(b, params, lam * r, phi)
     gamma = _gamma_terms(params, phi)
-    rhs_g = lam * lam * _apply_terms(gamma, b, lam * r)
+    # b and dilated reach all four components, so both Gamma images reach the same ones
+    rhs_g = lam * lam * _apply_terms(gamma, b, lam * r).rows
     return {
         "D": float(np.max(np.abs(_apply_d_superpotential(dilated, params, r, phi) - rhs))),
-        "Gamma": float(np.max(np.abs(_apply_terms(gamma, dilated, r) - rhs_g))),
+        "Gamma": float(np.max(np.abs(_apply_terms(gamma, dilated, r).rows - rhs_g))),
     }
 
 

@@ -75,7 +75,10 @@ class CartData:
 
 
 def cart_from_polar(bundle: StateBundle, r: np.ndarray, phi: np.ndarray) -> CartData:
-    """The cartesian data of a spinor from its polar bundle at the points (r, phi)."""
+    """The cartesian data of a spinor from its polar bundle at the points
+    (r, phi), compact or not: the cartesian operators act on all four
+    components, so this is where a table bundle takes its dense form."""
+    bundle = bundle.dense()
     c, s = np.cos(phi), np.sin(phi)
     d_x = c * bundle.d_r - (s / r) * bundle.d_phi
     d_y = s * bundle.d_r + (c / r) * bundle.d_phi
@@ -281,10 +284,10 @@ def make_cmw_test_state(
     """Product test state (rel spinor in (u, v)) x (cm spinor in X),
     written in the particle-mode occupation basis.
 
-    ``rel`` is the relative spinor's polar bundle at (r, phi): 4
-    components over the transformed-mode monomials {1, cdag_u, cdag_v,
-    cdag_u cdag_v}; ``cm_coeffs`` has shape (2, D) for the cm monomials
-    {1, cdag_X}.
+    ``rel`` is the relative spinor's polar bundle at (r, phi), compact or
+    not (see ``cart_from_polar``): 4 components over the transformed-mode
+    monomials {1, cdag_u, cdag_v, cdag_u cdag_v}; ``cm_coeffs`` has shape
+    (2, D) for the cm monomials {1, cdag_X}.
     """
     u, v = r * np.cos(phi), r * np.sin(phi)
     cart = cart_from_polar(rel, r, phi)

@@ -41,9 +41,14 @@ nodes only.  ``generators.apply_operators`` applies operators to a
 table's bundles; ``state_bundle``/``state_field`` build a one-shot
 table.
 
-Spinor fields themselves are plain float arrays of shape
-(4, *broadcast shape) in the fixed fermion basis: (4, n_points) for
-scattered points, (4, m_rad, m_ang) on a grid.
+A table's fields and bundles are compact: one row per fixed-basis
+component the state reaches, listed in its ``reached`` tuple, of shape
+(len(reached), *broadcast shape).  A zero- or two-fermion state reaches
+one component and a one-fermion state two, so an 80 x 80 grid field
+takes 51 or 102 KB instead of the 205 KB of all four rows.
+``SpinorField.dense`` and ``StateBundle.dense`` give the (4, *broadcast
+shape) arrays, the unreached rows zero, for the consumers that need all
+four (the cartesian special cases and the one-shot helpers).
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ __all__ = [
     "OCC_XBAR",
     "OCC_XYBAR",
     "OCC_YBAR",
+    "SpinorField",
     "StateBundle",
     "state_bundle",
     "state_field",
@@ -138,19 +144,59 @@ class CatalogState:
         return parities.pop()
 
 
+# every fixed-basis component, in order
+ALL_COMPONENTS = (0, 1, 2, 3)
+
+
+@dataclass(frozen=True)
+class SpinorField:
+    """A fixed-basis spinor field as one row per component it reaches:
+    ``rows[i]`` is component ``reached[i]``, and every other component is
+    zero.  ``reached`` is sorted; it may be empty."""
+
+    rows: np.ndarray
+    reached: tuple[int, ...]
+
+    def on(self, components: tuple[int, ...]) -> np.ndarray:
+        """The rows of the sorted ``components``, zero where the field
+        does not reach; the rows themselves when they are those
+        components."""
+        if components == self.reached:
+            return self.rows
+        out = np.zeros((len(components), *self.rows.shape[1:]))
+        for i, c in enumerate(components):
+            if c in self.reached:
+                out[i] = self.rows[self.reached.index(c)]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The field as a (4, *shape) array."""
+        return self.on(ALL_COMPONENTS)
+
+
 @dataclass
 class StateBundle:
-    """Values and polar derivatives of the four fixed-basis components.
-
-    ``reached`` lists the components that may be nonzero; every other
-    component is zero with its derivatives."""
+    """Values and polar derivatives of a state's fixed-basis components,
+    each array one row per component of ``reached`` (as in
+    ``SpinorField``); every other component is zero with its
+    derivatives."""
 
     val: np.ndarray
     d_r: np.ndarray
     d_rr: np.ndarray
     d_phi: np.ndarray
     d_phiphi: np.ndarray
-    reached: tuple[int, ...] = (0, 1, 2, 3)
+    reached: tuple[int, ...] = ALL_COMPONENTS
+
+    @property
+    def field(self) -> SpinorField:
+        """The values as a ``SpinorField``."""
+        return SpinorField(self.val, self.reached)
+
+    def dense(self) -> "StateBundle":
+        """The bundle with all four rows of each array."""
+        arrays = (self.val, self.d_r, self.d_rr, self.d_phi, self.d_phiphi)
+        return StateBundle(*(SpinorField(a, self.reached).dense() for a in arrays))
 
 
 def _occupation_trig(occ: int, phi: np.ndarray):
@@ -246,53 +292,59 @@ class FactorTable:
 
     def _contractions(self, states: list[CatalogState], orders):
         """Per state, its fields for each (radial, angular) derivative order
-        of ``orders``, each of shape (4, *broadcast shape), and the
-        components some term reaches (the others stay zero), one state at a
-        time from one ``expand`` with each state its own group.  A state's
-        sums run over its own keys in its own order, as a loop over its
-        terms does, so its fields are the same to the last bit whatever
-        states share the call."""
+        of ``orders``, each one row per component some term reaches, of
+        shape (len(reached), *broadcast shape), and those components, one
+        state at a time from one ``expand`` with each state its own group.
+        A state's sums run over its own keys in its own order, as a loop
+        over its terms does, so its fields are the same to the last bit
+        whatever states share the call."""
         for C, R, S in self.expand(*([st] for st in states)):
             coeff = C[0].reshape(C.shape[1], 1, C.shape[2], *(1,) * self.phi.ndim)
             spinors = S[: 1 + max(d for _, d in orders)]
-            out = [np.zeros((4, *self.shape)) for _ in orders]
             reached = tuple(idx for idx in range(4) if spinors[:, :, idx].any())
-            for idx in reached:
+            out = [np.empty((len(reached), *self.shape)) for _ in orders]
+            for row, idx in enumerate(reached):
                 # per radial key, its coefficient-weighted angular spinor factors
                 weighted = np.sum(coeff * spinors[None, :, :, idx], axis=2)
                 # radial keys one at a time, like a loop over the terms: a
-                # BLAS contraction would reorder the sums' last bits
+                # BLAS contraction would reorder the sums' last bits; the
+                # first key's products are written in place, not added to zeros
                 for j in range(len(coeff)):
                     for o, (d_r, d_phi) in zip(out, orders):
-                        o[idx] += R[d_r, ..., j] * weighted[j, d_phi]
+                        if j:
+                            o[row] += R[d_r, ..., j] * weighted[j, d_phi]
+                        else:
+                            np.multiply(R[d_r, ..., j], weighted[j, d_phi], out=o[row])
             yield out, reached
 
     def bundles(self, states: list[CatalogState]):
-        """Each state's exact values and polar derivatives of its
-        components, shape (4, *broadcast shape), as a ``StateBundle`` per
-        state, made when the iteration reaches it."""
+        """Each state's exact values and polar derivatives of the
+        components it reaches, as a compact ``StateBundle`` per state, made
+        when the iteration reaches it."""
         for fields, reached in self._contractions(states, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))):
             yield StateBundle(*fields, reached)
 
     def fields(self, states: list[CatalogState]):
-        """Each state as a (4, *broadcast shape) fixed-basis spinor field,
-        made when the iteration reaches it."""
-        for (field,), _ in self._contractions(states, ((0, 0),)):
-            yield field
+        """Each state as a compact ``SpinorField``, made when the iteration
+        reaches it."""
+        for (field,), reached in self._contractions(states, ((0, 0),)):
+            yield SpinorField(field, reached)
 
 
 def state_bundle(state: CatalogState, params: ModelParams, r, phi) -> StateBundle:
     """Exact values and polar derivatives of the state's components at the
-    broadcastable points (r, phi), each of shape (4, *broadcast shape).
+    broadcastable points (r, phi), each of shape (4, *broadcast shape):
+    the ``dense`` form of its table bundle.
 
     Equal-shape r and phi sample scattered points; a column of radial
     nodes against a row of angular nodes samples the tensor grid they
     span, with every factor evaluated on the 1-D nodes (see
     ``FactorTable``)."""
-    return next(FactorTable(params, r, phi).bundles([state]))
+    return next(FactorTable(params, r, phi).bundles([state])).dense()
 
 
 def state_field(state: CatalogState, params: ModelParams, r, phi) -> np.ndarray:
     """Sample the state as a (4, *broadcast shape) fixed-basis spinor field
-    at the broadcastable points (r, phi); see ``FactorTable``."""
-    return next(FactorTable(params, r, phi).fields([state]))
+    at the broadcastable points (r, phi), the ``dense`` form of its table
+    field; see ``FactorTable``."""
+    return next(FactorTable(params, r, phi).fields([state])).dense()

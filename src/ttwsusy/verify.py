@@ -66,7 +66,7 @@ from . import generators as gen
 from . import irreps, model, special_cases, specfun
 from ._rng import UniformStream
 from .model import Grid, ModelParams
-from .states import FactorTable
+from .states import FactorTable, SpinorField
 
 __all__ = ["SuiteConfig", "CheckRecord", "VerificationReport", "run", "main"]
 
@@ -309,9 +309,22 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
+def _max_abs(f, g=None) -> float:
+    """max |f - g|, g zero by default, of two arrays, or of two compact
+    ``SpinorField``s on the components either reaches: a component that
+    one field does not reach reads as its zero there, and a field that
+    reaches no component as 0.0, as the four dense rows would."""
+    if isinstance(f, SpinorField):
+        reached = tuple(sorted({*f.reached, *(g.reached if g is not None else ())}))
+        f, g = f.on(reached), None if g is None else g.on(reached)
+    diff = f if g is None else f - g
+    return float(np.max(np.abs(diff))) if diff.size else 0.0
+
+
 def _deviation(f, g, scale) -> float:
-    """max |f - g| / max(max |scale|, 1): relative, or absolute for small fields."""
-    return np.max(np.abs(f - g)) / max(np.max(np.abs(scale)), 1.0)
+    """max |f - g| / max(max |scale|, 1) (see ``_max_abs``): relative, or
+    absolute for small fields."""
+    return _max_abs(f, g) / max(_max_abs(scale), 1.0)
 
 
 def _worst_per_name(results) -> dict[str, float]:
@@ -645,10 +658,14 @@ def _orthonormality(ws: _Workspace) -> float:
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
+def _scaled(c: float, f: SpinorField) -> SpinorField:
+    return SpinorField(c * f.rows, f.reached)
+
+
 # operator and residual (of p, N, n, field, image) of the pointwise eigen-checks of Psi_{N,n}|0>
 _EIGEN_CHECKS = {
-    "eigenvalue-residual": ("H", lambda p, N, n, fv, hv: np.max(np.abs(hv - model.energy(p, N, n) * fv)) / np.max(np.abs(fv))),
-    "spectrum": ("Hs", lambda p, N, n, fv, hv: _deviation(hv, 4.0 * p.omega * (N + n * p.k) * fv, fv)),
+    "eigenvalue-residual": ("H", lambda p, N, n, fv, hv: _max_abs(hv, _scaled(model.energy(p, N, n), fv)) / _max_abs(fv)),
+    "spectrum": ("Hs", lambda p, N, n, fv, hv: _deviation(hv, _scaled(4.0 * p.omega * (N + n * p.k), fv), fv)),
 }
 
 
@@ -665,7 +682,7 @@ def _eigen_images(ws: _Workspace) -> dict[str, float]:
         for N, bundle in enumerate(table.bundles([irreps.zero_fermion_state(p, N, n) for N in range(7)])):
             images = gen.apply_operators([_EIGEN_CHECKS[c][0] for c in checks], bundle, table)
             for c, image in zip(checks, images):
-                res[c].append(_EIGEN_CHECKS[c][1](p, N, n, bundle.val, image))
+                res[c].append(_EIGEN_CHECKS[c][1](p, N, n, bundle.field, image))
     return {c: _worst(r) for c, r in res.items()}
 
 
@@ -685,7 +702,7 @@ def _susy_ground(ws: _Workspace) -> float:
     """max |Q psi_0| and max |Qdag psi_0| on the sector-0 grid."""
     table = ws.table(0)
     (bundle,) = table.bundles([irreps.zero_fermion_state(ws.params, 0, 0)])
-    return _worst([np.max(np.abs(f)) for f in gen.apply_operators(("Q", "Qdag"), bundle, table)])
+    return _worst([_max_abs(f) for f in gen.apply_operators(("Q", "Qdag"), bundle, table)])
 
 
 def _scaling_conditions(ws: _Workspace) -> float:
@@ -714,7 +731,8 @@ def _odd_action_fields(ws: _Workspace) -> float:
         for bundle in table.bundles(states):
             res += [_deviation(out, ref, ref) for out, ref in zip(gen.apply_operators(("V+", "V-"), bundle, table), refs)]
         for bundle in table_e.bundles(states):
-            res += [np.max(np.abs(wout)) for wout in gen.apply_operators(("W+", "W-"), bundle, table_e)]
+            # W+- reach no component of a zero-fermion state: each image reads 0.0
+            res += [_max_abs(wout) for wout in gen.apply_operators(("W+", "W-"), bundle, table_e)]
     return _worst(res)
 
 
@@ -732,8 +750,8 @@ def _one_fermion_overlap(ws: _Workspace) -> float:
     pairs = [(irreps.one_fermion_state("+", p, N - 1, 0), irreps.one_fermion_state("-", p, N, 0)) for N in range(1, 5)]
     fields = ws.table(0, odd=True).fields([st for pair in pairs for st in pair])
     # one iterator zipped with itself: consecutive (+, -) fields
-    res += [np.max(np.abs(plus - minus)) for plus, minus in zip(fields, fields)]
-    res += [np.max(np.abs(two)) for two in ws.table(0).fields([irreps.two_fermion_state(p, N, 0) for N in range(3)])]
+    res += [_max_abs(plus, minus) for plus, minus in zip(fields, fields)]
+    res += [_max_abs(two) for two in ws.table(0).fields([irreps.two_fermion_state(p, N, 0) for N in range(3)])]
     return _worst(res)
 
 
@@ -864,7 +882,7 @@ def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
     res = []
     for cart, bundle in spinors:
         h_c, q_c = cart_fn(p, cart, x, y)
-        h_p, q_p = gen.apply_operators(("Hs", "Q"), bundle, table)
+        h_p, q_p = (f.dense() for f in gen.apply_operators(("Hs", "Q"), bundle, table))
         res += [_deviation(h_c, h_p, h_p), _deviation(q_c, q_p, q_p)]
     return _worst(res)
 
@@ -888,7 +906,7 @@ def _cmw_rel_vs_polar(table: FactorTable, bundle, cm_vac: np.ndarray, X) -> list
     h_r, q_r = special_cases.cmw_rel_super(p, special_cases.make_cmw_test_state(bundle, cm_vac, p, r, phi, X))
     chi = np.exp(-0.5 * p.omega * X**2)
     cm_field = np.stack([chi, np.zeros_like(chi)])
-    q_ref, h_ref = (special_cases.embed_product_values(f, cm_field) for f in gen.apply_operators(("Q", "Hs"), bundle, table))
+    q_ref, h_ref = (special_cases.embed_product_values(f.dense(), cm_field) for f in gen.apply_operators(("Q", "Hs"), bundle, table))
     return [_deviation(q_r, q_ref, q_ref), _deviation(h_r, h_ref, h_ref)]
 
 
@@ -1149,18 +1167,21 @@ def _one_blas_thread():
             put(threads)
 
 
-def _worker(config: SuiteConfig, tasks: list, queue: int, out: int) -> None:
+def _worker(config: SuiteConfig, tasks: list, queue: int, ready: int, out: int) -> None:
     """A forked worker: until the queue is empty, take a task index from
-    it, write the index and then the task's output, each pickled, to
-    ``out``.  It never returns."""
+    it, write its pid and the index (8 bytes) to ``ready``, run the task,
+    write the same 8 bytes again, and then write to ``out`` the task's
+    output pickled, after the pickle's length (8 bytes).  It never
+    returns."""
     status = 1
     try:
         with os.fdopen(out, "wb") as stream:
             while chunk := os.read(queue, 4):
-                i = int.from_bytes(chunk, "little")
-                pickle.dump(i, stream)
-                stream.flush()
-                pickle.dump(_run_task(config, tasks[i]), stream)
+                token = os.getpid().to_bytes(4, "little") + chunk
+                os.write(ready, token)
+                data = pickle.dumps(_run_task(config, tasks[int.from_bytes(chunk, "little")]))
+                os.write(ready, token)
+                stream.write(len(data).to_bytes(8, "little") + data)
                 stream.flush()
         status = 0
     except BaseException:
@@ -1170,27 +1191,45 @@ def _worker(config: SuiteConfig, tasks: list, queue: int, out: int) -> None:
         os._exit(status)
 
 
-def _receive(fd: int, outputs: list) -> int | None:
-    """Read a worker's stream into ``outputs`` until it ends: the index of
-    a task it took and gave no output for, or None."""
-    with os.fdopen(fd, "rb") as stream:
-        while True:
-            try:
-                i = pickle.load(stream)
-            except EOFError:
-                return None
-            try:
-                outputs[i] = pickle.load(stream)
-            except (EOFError, pickle.UnpicklingError):  # the stream ends inside the output
-                return i
+def _receive(ready: int, streams: dict[int, int], outputs: list) -> dict[int, int]:
+    """Read the workers' outputs (``_worker``) into ``outputs`` until every
+    worker has ended: {worker pid: the index of a task it took and gave
+    no output for}.  The tokens on the shared ``ready`` pipe say which
+    worker's output comes next on its own pipe, so this process reads
+    each output as it is written, and no worker waits on a full pipe (64
+    KB on Linux, about 55 sector outputs) while another's is read.  Tokens
+    are 8 bytes, and pipe writes of at most PIPE_BUF bytes are atomic, so
+    the workers' tokens never mix."""
+    taken: dict[int, int] = {}
+    lost: dict[int, int] = {}
+    outs = {pid: os.fdopen(fd, "rb") for pid, fd in streams.items()}
+    with os.fdopen(ready, "rb") as tokens:
+        while token := tokens.read(8):
+            pid, i = int.from_bytes(token[:4], "little"), int.from_bytes(token[4:], "little")
+            # a worker's first token for a task says it took it, the second that its output follows
+            if taken.get(pid) != i:
+                taken[pid] = i
+                continue
+            del taken[pid]
+            head = outs[pid].read(8)
+            data = outs[pid].read(int.from_bytes(head, "little")) if len(head) == 8 else b""
+            if len(head) == 8 and len(data) == int.from_bytes(head, "little"):
+                outputs[i] = pickle.loads(data)
+            else:  # the worker died while writing the output
+                lost[pid] = i
+    for stream in outs.values():
+        stream.close()
+    return {**lost, **taken}
 
 
-def _start_workers(config: SuiteConfig, tasks: list, workers: int) -> tuple[int, dict[int, int]]:
+def _start_workers(config: SuiteConfig, tasks: list, workers: int) -> tuple[int, int, dict[int, int]]:
     """Fork up to ``workers`` workers and queue every task index for them:
-    (the read end of the queue, {worker pid: the read end of its result
-    pipe}).  Each index is 4 bytes, and pipe writes of at most PIPE_BUF
-    (>= 512) bytes are atomic, so a worker always reads whole indices."""
+    (the read end of the queue, the read end of the shared ``ready`` pipe,
+    {worker pid: the read end of its result pipe}).  Each index is 4
+    bytes, and pipe writes of at most PIPE_BUF (>= 512) bytes are atomic,
+    so a worker always reads whole indices."""
     queue, queue_in = os.pipe()
+    ready, ready_in = os.pipe()
     streams: dict[int, int] = {}
     for _ in range(workers):
         fd, out = os.pipe()
@@ -1201,16 +1240,18 @@ def _start_workers(config: SuiteConfig, tasks: list, workers: int) -> tuple[int,
             os.close(out)
             break
         if pid == 0:
-            for inherited in (queue_in, fd, *streams.values()):
+            for inherited in (queue_in, ready, fd, *streams.values()):
                 os.close(inherited)
-            _worker(config, tasks, queue, out)
+            _worker(config, tasks, queue, ready_in, out)
         os.close(out)
         streams[pid] = fd
+    # the workers hold the only write ends left, so the pipe ends when the last worker does
+    os.close(ready_in)
     indices = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
     for start in range(0, len(indices), 512):
         os.write(queue_in, indices[start : start + 512])
     os.close(queue_in)
-    return queue, streams
+    return queue, ready, streams
 
 
 def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
@@ -1224,22 +1265,22 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
     runs threads, such as OpenBLAS's pool, forks.)  The task indices
     wait in one pipe, from which each worker takes the next whenever it
     is free, and each worker returns its outputs through a pipe of its
-    own while this process runs its own checks.  Tasks that no worker
-    took, because none could be started or every one died, run here.
-    With one usable CPU or no ``os.fork``, every task runs here, one
-    after the other."""
+    own, while this process runs its own checks; then it reads each
+    output as it comes (``_receive``).  Tasks that no worker took, because
+    none could be started or every one died, run here.  With one usable
+    CPU or no ``os.fork``, every task runs here, one after the other."""
     workers = min(len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
     if workers < 2:
         return _parent_checks(config), [_run_task(config, task) for task in tasks]
-    queue, streams = _start_workers(config, tasks, workers)
+    queue, ready, streams = _start_workers(config, tasks, workers)
     parent = _parent_checks(config)
     outputs: list = [None] * len(tasks)
-    for pid, fd in streams.items():
-        lost = _receive(fd, outputs)
+    lost = _receive(ready, streams, outputs)
+    for pid in streams:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if lost is not None:
+        if pid in lost:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            outputs[lost] = _TaskError(f"worker process {pid} failed: {how}")
+            outputs[lost[pid]] = _TaskError(f"worker process {pid} failed: {how}")
     while chunk := os.read(queue, 4):
         i = int.from_bytes(chunk, "little")
         outputs[i] = _run_task(config, tasks[i])

@@ -39,7 +39,7 @@ from ttwsusy.irreps import (
 )
 from ttwsusy.model import Grid, ModelParams, energy, weights_of
 from ttwsusy.special_cases import random_polygauss
-from ttwsusy.states import FactorTable, StateBundle, state_field
+from ttwsusy.states import FactorTable, state_field
 from ttwsusy.verify import SuiteConfig
 
 from sampled import sampled_inner
@@ -58,11 +58,12 @@ PARITY_COMPONENTS = {0: [0, 3], 1: [1, 2]}
 
 
 def apply(name, state, p, r, phi):
-    """Operator ``name`` applied to a catalog state at (r, phi)."""
+    """Operator ``name`` applied to a catalog state at (r, phi), as the
+    dense (4, *shape) array of its compact image."""
     table = FactorTable(p, r, phi)
     (bundle,) = table.bundles([state])
     (image,) = apply_operators((name,), bundle, table)
-    return image
+    return image.dense()
 
 
 def sector_grids(p, n):
@@ -239,6 +240,7 @@ class TestHamiltonianSuper:
         for bundle in table.bundles([zero_fermion_state(p, 1, 1), one_fermion_state("+", p, 0, 1), two_fermion_state(p, 1, 1)]):
             (h1,) = apply_operators(("Hs",), bundle, table)
             h2 = hamiltonian_super(bundle, p, grid.r, grid.phi)
+            h1, h2 = h1.dense(), h2.dense()
             assert np.max(np.abs(h1 - h2)) / max(np.max(np.abs(h1)), 1.0) < 1e-10
 
     def test_ground_state_is_annihilated(self):
@@ -263,7 +265,9 @@ class TestOperatorTable:
         grid, _ = sector_grids(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
         (bundle,) = table.bundles([two_fermion_state(p, 1, 1)])
-        np.testing.assert_array_equal(apply_operators(("1",), bundle, table)[0], bundle.val)
+        (image,) = apply_operators(("1",), bundle, table)
+        assert image.reached == bundle.reached == (3,)
+        np.testing.assert_array_equal(image.rows, bundle.val)
 
     @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
     def test_projected_susy_operators(self, p):
@@ -640,7 +644,9 @@ FAMILY_COMPONENTS = {"zero": (0,), "lower": (1, 2), "upper": (1, 2), "double": (
 
 def dense_apply(terms, bundle, r):
     """The terms on a bundle with every fermion matrix a dense 4 x 4
-    product over all four components."""
+    product over all four components, as a (4, *shape) array: the
+    layout of every image before images were compact."""
+    bundle = bundle.dense()
     derivs = {(0, 0): bundle.val, (1, 0): bundle.d_r, (2, 0): bundle.d_rr, (0, 1): bundle.d_phi, (0, 2): bundle.d_phiphi}
     fermions = {id(t.fermion): t.fermion for t in terms}
     coeffs = {}
@@ -652,6 +658,12 @@ def dense_apply(terms, bundle, r):
         part = c * derivs[d_r, d_phi]
         out += part if fermions[m_id] is _EYE else (fermions[m_id] @ part.reshape(4, -1)).reshape(part.shape)
     return out
+
+
+def written(name, p, phi, reached):
+    """The components that the fermion matrices of operator ``name`` map
+    some component of ``reached`` to, sorted."""
+    return tuple(sorted({i for t in _terms(name, p, phi) for i, j, _ in _ROW_MAPS[id(t.fermion)] if j in reached}))
 
 
 def per_term_project(terms, rows, cols, grid):
@@ -702,10 +714,12 @@ class TestSparseTerms:
             shared = apply_operators(OPERATOR_NAMES, bundle, table)
             for name, image in zip(OPERATOR_NAMES, shared):
                 ref = dense_apply(_terms(name, p, g.phi), bundle, g.r)
-                assert np.array_equal(image, ref), (family, name)
+                assert np.array_equal(image.dense(), ref), (family, name)
+                # the image keeps exactly the components the dense one may write
+                assert image.reached == written(name, p, g.phi, bundle.reached), (family, name)
                 # alone, on a table that keeps no other operator
                 (alone,) = apply_operators((name,), bundle, FactorTable(p, g.r, g.phi))
-                assert np.array_equal(alone, ref), (family, name)
+                assert np.array_equal(alone.dense(), ref), (family, name)
 
     def test_full_bundles_equal_dense_reference(self):
         # a bundle built outside a table reaches all four components
@@ -717,7 +731,7 @@ class TestSparseTerms:
         assert bundle.reached == (0, 1, 2, 3)
         images = apply_operators(OPERATOR_NAMES, bundle, FactorTable(p, r, phi))
         for name, image in zip(OPERATOR_NAMES, images):
-            assert np.array_equal(image, dense_apply(_terms(name, p, phi), bundle, r)), name
+            assert np.array_equal(image.dense(), dense_apply(_terms(name, p, phi), bundle, r)), name
 
     def test_inf_in_a_reached_component_stays_visible(self):
         p = PARAM_SETS[2]
@@ -728,7 +742,7 @@ class TestSparseTerms:
             components = FAMILY_COMPONENTS[family]
             # a fresh bundle per component, as each gets its own inf
             for j, bundle in zip(components, table.bundles([state] * len(components))):
-                bundle.val[j, 3, 5] = np.inf
+                bundle.val[bundle.reached.index(j), 3, 5] = np.inf
                 with np.errstate(invalid="ignore"):
                     images = apply_operators(OPERATOR_NAMES, bundle, table)
                 for name, image in zip(OPERATOR_NAMES, images):
@@ -737,22 +751,44 @@ class TestSparseTerms:
                         for t in _terms(name, p, g.phi)
                     )
                     if reads_j:
-                        assert not np.all(np.isfinite(image)), (family, j, name)
+                        assert not np.all(np.isfinite(image.rows)), (family, j, name)
+
+    @pytest.mark.parametrize("where", ["grid", "scattered"])
+    def test_compact_images_equal_dense_reference(self, where):
+        """On a grid and on scattered points: each family's bundle holds one
+        row per component it reaches, the H and Hs images of a
+        zero-fermion state hold component 0 only, and the dense form of
+        every image, and of ``hamiltonian_super``'s, equals the dense
+        reference bit for bit."""
+        p = PARAM_SETS[2]
+        rng = np.random.default_rng(11)
+        grid, _ = sector_grids(p, 2)
+        scattered = (rng.uniform(0.3, 2.5, 40), rng.uniform(0.05, 0.95, 40) * p.phi_max)
+        table = FactorTable(p, *{"grid": (grid.r, grid.phi), "scattered": scattered}[where])
+        for family, state in family_states(p).items():
+            (bundle,) = table.bundles([state])
+            assert bundle.reached == FAMILY_COMPONENTS[family]
+            for rows in (bundle.val, bundle.d_r, bundle.d_rr, bundle.d_phi, bundle.d_phiphi):
+                assert rows.shape == (len(bundle.reached), *table.shape)
+            for name, image in zip(OPERATOR_NAMES, apply_operators(OPERATOR_NAMES, bundle, table)):
+                assert image.rows.shape == (len(image.reached), *table.shape), (family, name)
+                assert np.array_equal(image.dense(), dense_apply(_terms(name, p, table.phi), bundle, table.r)), (family, name)
+                if family == "zero" and name in ("H", "Hs"):
+                    assert image.reached == (0,)
+            super_image = hamiltonian_super(bundle, p, table.r, table.phi)
+            assert np.array_equal(super_image.dense(), hamiltonian_super(bundle.dense(), p, table.r, table.phi).rows), family
 
     def test_zero_fermion_image_writes_component_zero_only(self):
         p = PARAM_SETS[2]
         grid, _ = sector_grids(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
         (bundle,) = table.bundles([zero_fermion_state(p, 2, 1)])
-        assert bundle.reached == (0,)
-        (clean,) = apply_operators(("Hs",), bundle, table)
-        # NaN in the unreached components is never read
-        fields = [f.copy() for f in (bundle.val, bundle.d_r, bundle.d_rr, bundle.d_phi, bundle.d_phiphi)]
-        for f in fields:
-            f[1:] = np.nan
-        (image,) = apply_operators(("Hs",), StateBundle(*fields, bundle.reached), table)
-        assert np.array_equal(image, clean)
-        assert not image[1:].any() and np.all(np.isfinite(image[0])) and image[0].any()
+        # the compact bundle holds no row of an unreached component, so none can be read
+        assert bundle.reached == (0,) and bundle.val.shape == (1, *table.shape)
+        for image in apply_operators(("H", "Hs"), bundle, table):
+            assert image.reached == (0,) and image.rows.shape == (1, *table.shape)
+            assert np.all(np.isfinite(image.rows)) and image.rows.any()
+            assert not image.dense()[1:].any()
 
     @pytest.mark.parametrize("ps", SuiteConfig().param_sets, ids=lambda ps: "k={k:g}".format(**ps))
     def test_shared_moments_equal_per_term_projection(self, ps):

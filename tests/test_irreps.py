@@ -19,8 +19,9 @@ from ttwsusy.irreps import (
     v_action,
     zero_fermion_state,
 )
-from ttwsusy.model import Grid, ModelParams, weights_of
+from ttwsusy.model import Grid, ModelParams, angular_parts, weights_of
 from ttwsusy.states import FactorTable, state_field
+from ttwsusy.verify import DEFAULT_PARAM_SETS
 
 from sampled import sampled_inner
 
@@ -32,11 +33,12 @@ MR = MA = 56
 
 
 def apply(name, state, p, r, phi):
-    """Operator ``name`` applied to a catalog state at (r, phi)."""
+    """Operator ``name`` applied to a catalog state at (r, phi), as the
+    dense (4, *shape) array of its compact image."""
     table = FactorTable(p, r, phi)
     (bundle,) = table.bundles([state])
     (image,) = apply_operators((name,), bundle, table)
-    return image
+    return image.dense()
 
 
 class TestLadderCoefficients:
@@ -381,3 +383,26 @@ class TestClassification:
 
     def test_motion_integral_eigenvalue(self):
         assert classify(P_SW, 1).motion_integral_eigenvalue == pytest.approx(64.0)
+
+    @pytest.mark.parametrize(
+        "ps",
+        [*DEFAULT_PARAM_SETS, {"k": 0.37, "a": 0.3, "b": 0.45, "omega": 1.0}],
+        ids=lambda ps: "k={k:g},a={a:g},b={b:g}".format(**ps),
+    )
+    def test_motion_integral_acts_on_the_angular_factors(self, ps):
+        """The abstract's integral of motion as an operator:
+        X_k = -d^2/dphi^2 + k^2 [a(a-1) sec^2(k phi) + b(b-1) csc^2(k phi)]
+        applied to each angular factor A_n (``angular_parts``, n <= 6) is
+        ``classify``'s eigenvalue (2n+a+b)^2 k^2 times A_n, and
+        C2 = (X_k - (a+b)^2 k^2) / 4 is the sector's closed-form Casimir."""
+        p = ModelParams(**ps)
+        k, a, b = p.k, p.a, p.b
+        # the worst reading here is 6.9e-15, at k = 0.37
+        phi = np.linspace(0.05, 0.95, 97) * p.phi_max
+        potential = k * k * (a * (a - 1.0) / np.cos(k * phi) ** 2 + b * (b - 1.0) / np.sin(k * phi) ** 2)
+        for n in range(7):
+            A, _, A2 = angular_parts(p, n, phi)
+            x_eig = classify(p, n).motion_integral_eigenvalue
+            residual = np.max(np.abs(-A2 + potential * A - x_eig * A)) / np.max(np.abs(x_eig * A))
+            assert residual < 1e-13, (n, residual)
+            assert (x_eig - (a + b) ** 2 * k * k) / 4.0 == pytest.approx(casimir_eigenvalues(p, n)[0], rel=1e-14, abs=1e-14)

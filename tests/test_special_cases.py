@@ -58,8 +58,9 @@ def catalog_cart(state, p, r, phi):
 
 def polar_reference(bundle, p, r, phi):
     """(Hs, Q) of a test spinor from its polar bundle: catalog states and
-    random spinors go through the same pointwise operator assembly."""
-    return apply_operators(("Hs", "Q"), bundle, FactorTable(p, r, phi))
+    random spinors go through the same pointwise operator assembly; as
+    dense (4, *shape) arrays."""
+    return [image.dense() for image in apply_operators(("Hs", "Q"), bundle, FactorTable(p, r, phi))]
 
 
 def sympy_values(sp, expr, symbols, *coords):
@@ -145,9 +146,9 @@ class TestSeparableCase:
         (bundle,) = table.bundles([zero_fermion_state(P1, 2, 1)])
         cart = cart_from_polar(bundle, r, phi)
         h_c, _ = sw_super(P1, cart, x, y)
-        (scalar,) = apply_operators(("H",), bundle, table)
+        (scalar,) = (image.dense() for image in apply_operators(("H",), bundle, table))
         shift = -2 * P1.omega * (P1.a + P1.b + 1.0)
-        fv = bundle.val
+        fv = bundle.dense().val
         assert np.max(np.abs(h_c - scalar - shift * fv)) / np.max(np.abs(scalar)) < 1e-12
 
     def test_superpotential_matches_polar(self):

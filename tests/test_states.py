@@ -151,7 +151,9 @@ class TestBroadcastingContract:
         for s, parity, grid in basis_grids(p, 3):
             assert parity == (0 if s.family in ("zero", "double") else 1)
             other = PARITY_COMPONENTS[1 - parity]
-            (bundle,) = FactorTable(p, grid.r, grid.phi).bundles([s.state])
+            (compact,) = FactorTable(p, grid.r, grid.phi).bundles([s.state])
+            assert set(compact.reached) <= set(PARITY_COMPONENTS[parity])
+            bundle = compact.dense()
             for name in BUNDLE_FIELDS:
                 assert np.all(getattr(bundle, name)[other] == 0.0), (s.family, s.level, name)
             assert np.any(bundle.val[PARITY_COMPONENTS[parity]] != 0.0)
@@ -161,10 +163,11 @@ class TestBroadcastingContract:
         and each state's arrays are those of a one-state table."""
         grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
         pair = [one_fermion_state("+", P, 1, 2), one_fermion_state("-", P, 2, 2)]
-        alone = [state_bundle(st, P, grid.r, grid.phi) for st in pair]
+        alone = [next(FactorTable(P, grid.r, grid.phi).bundles([st])) for st in pair]
         calls = count_factor_passes(monkeypatch)
         table = FactorTable(P, grid.r, grid.phi)
         for bundle, ref in zip(table.bundles(pair), alone):
+            assert bundle.reached == ref.reached == (1, 2)
             for name in BUNDLE_FIELDS:
                 np.testing.assert_array_equal(getattr(bundle, name), getattr(ref, name))
         # both states name the radial key (2, one-fermion) and the angular keys (0, 2) and (1, 1)
@@ -264,6 +267,31 @@ def loop_bundle(p, r, phi, state):
     return out
 
 
+class TestCompactLayout:
+    """A table's bundles and fields keep one row per component the state
+    reaches: one for a zero- or two-fermion state, two for a one-fermion
+    state; ``dense`` puts them in place among four rows."""
+
+    @pytest.mark.parametrize("where", ["grid", "scattered"])
+    def test_rows_per_reached_component(self, where):
+        points = sample_points(P_IRR)[where]
+        table = FactorTable(P_IRR, *points)
+        for n in (0, 1, 2):
+            states_ = [s.state for s in sector_basis(P_IRR, n, 3)]
+            families = [s.family for s in sector_basis(P_IRR, n, 3)]
+            for family, st, bundle, field in zip(families, states_, table.bundles(states_), table.fields(states_)):
+                reached = {"zero": (0,), "lower": (1, 2), "upper": (1, 2), "double": (3,)}[family]
+                assert bundle.reached == field.reached == reached, (n, family)
+                for name in BUNDLE_FIELDS:
+                    assert getattr(bundle, name).shape == (len(reached), *table.shape), (n, family, name)
+                assert field.rows.shape == (len(reached), *table.shape)
+                dense = bundle.dense()
+                for name, ref in zip(BUNDLE_FIELDS, loop_bundle(P_IRR, *points, st)):
+                    assert np.array_equal(getattr(dense, name), ref), (n, family, name)
+                    assert np.array_equal(getattr(dense, name)[list(reached)], getattr(bundle, name))
+                assert np.array_equal(field.dense(), dense.val) and dense.reached == (0, 1, 2, 3)
+
+
 class TestExpansion:
     """``FactorTable.expand`` is the one grouping of catalog terms by factor
     key; bundles and fields are contractions of it."""
@@ -276,10 +304,15 @@ class TestExpansion:
             ((C, R, S),) = table.expand([state])
             assert C.shape == (1, 0, 0) and R.shape[-1] == 0 and S.shape[1] == 0
         for bundle, field in zip(table.bundles(zeros), table.fields(zeros)):
+            # no component is reached: no row is kept, and the dense form is zero
+            assert bundle.reached == field.reached == ()
+            dense = bundle.dense()
             for name in BUNDLE_FIELDS:
-                value = getattr(bundle, name)
+                assert getattr(bundle, name).shape == (0, *table.shape), name
+                value = getattr(dense, name)
                 assert value.shape == (4, *table.shape) and not value.any(), name
-            assert field.shape == (4, *table.shape) and not field.any()
+            assert field.rows.shape == (0, *table.shape)
+            assert field.dense().shape == (4, *table.shape) and not field.dense().any()
 
     @pytest.mark.parametrize("where", ["grid", "scattered"])
     def test_groups_equal_separate_calls(self, where):
@@ -306,9 +339,9 @@ class TestExpansion:
                 (bundle,) = table.bundles([s.state])
                 reference = loop_bundle(p, *points, s.state)
                 for name, ref in zip(BUNDLE_FIELDS, reference):
-                    assert np.array_equal(getattr(bundle, name), ref), (n, s.family, s.level, name)
+                    assert np.array_equal(getattr(bundle.dense(), name), ref), (n, s.family, s.level, name)
                 (field,) = table.fields([s.state])
-                assert np.array_equal(field, reference[0]), (n, s.family, s.level)
+                assert np.array_equal(field.dense(), reference[0]), (n, s.family, s.level)
 
     @pytest.mark.parametrize("p", [P, P_IRR], ids=["k=2", "k=sqrt2"])
     @pytest.mark.parametrize("where", ["grid", "scattered"])
@@ -328,5 +361,5 @@ class TestExpansion:
         for i, (st, bundle, field) in enumerate(zip(batch, table.bundles(batch), table.fields(batch))):
             reference = loop_bundle(p, *points, st)
             for name, ref in zip(BUNDLE_FIELDS, reference):
-                assert np.array_equal(getattr(bundle, name), ref), (i, name)
-            assert np.array_equal(field, reference[0]), i
+                assert np.array_equal(getattr(bundle.dense(), name), ref), (i, name)
+            assert np.array_equal(field.dense(), reference[0]), i

@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import inspect
 import json
@@ -560,6 +561,46 @@ class TestParallelRun:
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
         assert [tuple(r) for r in json.loads(records)] == record_bits(run(config))
 
+    def test_workers_never_wait_on_a_full_pipe(self, monkeypatch, tmp_path):
+        """Each task's output is padded past a pipe's 64 KB, in a fresh
+        process with two workers and a timeout: both workers keep taking
+        tasks until the queue is empty, so neither takes fewer than a
+        quarter of them (a worker whose pipe nobody reads stops after
+        its first task), and the records equal the one-process records."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+        log = str(tmp_path / "tasks")
+        config = {**TWO_SETS, "suites": ("algebra", "irreps")}
+        code = (
+            "import json, os, time\n"
+            "from ttwsusy import verify\n"
+            "class Padded(float):\n"
+            "    pass\n"
+            "run_task = verify._run_task\n"
+            "def padded(config, task):\n"
+            "    parts, build_ms = run_task(config, task)\n"
+            "    build_ms = Padded(build_ms)\n"
+            "    build_ms.padding = bytes(80000)\n"
+            "    time.sleep(0.01)\n"
+            f"    with open({log!r}, 'a') as fh:\n"
+            "        fh.write(str(os.getpid()) + '\\n')\n"
+            "    return parts, build_ms\n"
+            "verify._run_task = padded\n"
+            "verify._usable_cpus = lambda: 2\n"
+            f"report = verify.run(verify.SuiteConfig(**{config!r}))\n"
+            "print(json.dumps([(c.name, c.suite, c.params, float(c.residual).hex(), c.tolerance, c.passed, c.error) for c in report.checks]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        with open(log) as fh:
+            per_worker = collections.Counter(line.strip() for line in fh)
+        tasks = len(verify._tasks(SuiteConfig(**config)))
+        assert len(per_worker) == 2 and sum(per_worker.values()) == tasks
+        assert min(per_worker.values()) >= tasks / 4, per_worker
+        records = json.loads(proc.stdout.strip().splitlines()[-1])
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        assert [tuple(r) for r in records] == record_bits(run(SuiteConfig(**config)))
+
     def test_tasks_run_on_one_blas_thread(self, monkeypatch, tmp_path):
         """Every task runs with one OpenBLAS thread, in this process and in
         the workers, and the run restores this process's count."""
@@ -703,6 +744,45 @@ class TestRadialPasses:
         calls = self.calls_per_task(monkeypatch, [verify.irreps, verify.gen], "sector_basis", ["block-diagonality", 1])
         assert [args[1:] for args in calls["block-diagonality"]] == [(0, 1), (1, 1), (2, 1)]
         assert [args[1:] for args in calls[1]] == [(1, FAST["truncation"][0])]
+
+
+class TestFieldResiduals:
+    """``_max_abs``, the residual helper of the pointwise checks, reads
+    compact fields as their dense four rows read."""
+
+    @staticmethod
+    def images():
+        """(a zero-fermion state's bundle on a sector-1 grid, its W+, W-, V+
+        and Hs images, the table)."""
+        from ttwsusy.generators import apply_operators
+        from ttwsusy.irreps import zero_fermion_state
+        from ttwsusy.model import Grid, ModelParams
+
+        p = ModelParams(**FAST["param_sets"][0])
+        grid = Grid.for_pair(p, 1, 1, 20, 20)
+        table = states.FactorTable(p, grid.r, grid.phi)
+        (bundle,) = table.bundles([zero_fermion_state(p, 2, 1)])
+        return bundle, apply_operators(("W+", "W-", "V+", "Hs"), bundle, table), table
+
+    def test_an_image_that_reaches_no_component_reads_zero(self):
+        # W+- annihilate a zero-fermion state: no row at all, as in odd-action-fields
+        _, (w_plus, w_minus, v_plus, _), table = self.images()
+        for image in (w_plus, w_minus):
+            assert image.reached == () and image.rows.shape == (0, *table.shape)
+            assert not image.dense().any()
+            for value in (verify._max_abs(image), verify._max_abs(image, image), verify._deviation(image, image, image)):
+                assert value == 0.0 and type(value) is float
+            # against a field that reaches components, only that field counts
+            assert verify._max_abs(image, v_plus) == verify._max_abs(v_plus) > 0.0
+
+    def test_compact_fields_read_as_their_dense_rows(self):
+        bundle, (_, _, v_plus, hs), _ = self.images()
+        field = bundle.field
+        assert field.reached == hs.reached == (0,) and v_plus.reached == (1, 2)
+        for f, g in ((hs, field), (v_plus, field), (field, v_plus), (v_plus, v_plus)):
+            dense = float(np.max(np.abs(f.dense() - g.dense())))
+            assert verify._max_abs(f, g) == dense
+            assert verify._deviation(f, g, g) == dense / max(float(np.max(np.abs(g.dense()))), 1.0)
 
 
 class TestCli:
