@@ -14,23 +14,26 @@ the points are fixed by the seed alone, and no run loads
 
 The parameter sets share nothing but the order of the report, and
 every generator preserves the angular sector n.  So the model, algebra
-and irreps checks of each set are computed as tasks (``_tasks``): one
-per angular sector, which builds that sector's eight generator blocks
-(``generators.sector_matrices``), reduces them to its part of each
-selected check that reads them, and drops them; and one per remaining
-check, where ``eigenvalue-residual`` and ``spectrum`` share one task and
-its state bundles.  A task reads a ``_Workspace``: the set's parameters,
-config and label, from which it builds its grids and factor tables at
-the configured orders.  With several tasks and usable CPUs they run in
-forked worker processes, which take them one at a time from a queue,
-while this process runs specfun, the parameter-free
-oscillator-realization check and special-cases (whose sets draw their
-points from one random generator in sequence).  With one usable CPU or
-no ``os.fork`` they run here, one after the other.  Each set's suites
-then yield their records from the task results, so the records are the
-same either way.  A suite that raises in one set ends that set's part
-with a failed ``<suite>-suite`` record and keeps every other record
-(see ``run``).
+and irreps checks of each set, listed in report order with their claims
+and tolerance keys in ``_SET_CHECKS``, are computed as tasks
+(``_tasks``): one per angular sector, which builds that sector's eight
+generator blocks (``generators.sector_matrices``), reduces them to its
+part of each selected check that reads them, and drops them; and one
+per remaining check, where ``eigenvalue-residual`` and ``spectrum``
+share one task and its state bundles, and ``riccati`` and
+``riccati-control`` another.  A task reads a ``_Workspace``: the set's
+parameters and the config, from which it builds its grids and factor
+tables at the configured orders.  With several tasks and usable CPUs
+they run in forked worker processes, which take them one at a time
+from a queue and append their outputs to a file of their own, while
+this process runs specfun, the parameter-free oscillator-realization
+check and special-cases (whose sets draw their points from one random
+generator in sequence).  With one usable CPU, or without ``os.fork`` or
+``os.memfd_create``, they run here, one after the other.  Each set's
+records are then built from its task values and times, so the records
+are the same either way.  A check that raises in one set ends that
+set's part of its suite with a failed ``<suite>-suite`` record and
+keeps every other record (see ``run``).
 
 Command line:
 
@@ -71,8 +74,6 @@ from .states import FactorTable, SpinorField
 __all__ = ["SuiteConfig", "CheckRecord", "VerificationReport", "run", "main"]
 
 SUITES = ("specfun", "model", "algebra", "irreps", "special-cases")
-# the suites whose checks of one parameter set form one job
-PER_SET_SUITES = ("model", "algebra", "irreps")
 
 DEFAULT_PARAM_SETS = (
     {"k": 1.0, "a": 1.0, "b": 1.0, "omega": 1.0},
@@ -343,19 +344,13 @@ class _TaskError(Exception):
 
 
 class _Workspace:
-    """What one parameter set's checks read: its ``params``, the
-    ``config`` and the report ``label``; the tasks build its quadrature
-    grids and factor tables at the configured orders.  In the process
-    that writes the records, it also holds the ``results`` of the set's
-    tasks and the time they ``charge`` each check."""
+    """What one parameter set's tasks read: its ``params`` and the
+    ``config``; the tasks build its quadrature grids and factor tables at
+    the configured orders."""
 
     def __init__(self, params: ModelParams, config: SuiteConfig):
         self.params = params
         self.config = config
-        self.label = _params_label(params)
-        self.results: dict = {}
-        self.charges: dict[str, float] = {}
-        self.charged_ms = 0.0
 
     def grid(self, n1: int, n2: int | None = None, odd: bool = False) -> Grid:
         """``Grid.for_pair(n1, n2)`` (n2 defaults to n1), built afresh."""
@@ -367,19 +362,9 @@ class _Workspace:
         grid = self.grid(n, odd=odd)
         return FactorTable(self.params, grid.r, grid.phi)
 
-    def result(self, check: str):
-        """The residual of a task-computed check, which raises the
-        ``_TaskError`` of a computation that raised; the first read adds
-        the check's task time to ``charged_ms``."""
-        self.charged_ms += self.charges.pop(check, 0.0)
-        value = self.results[check]
-        if isinstance(value, _TaskError):
-            raise value
-        return value
-
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each yields (name, claim, params_label, residual, tol_key).
+# The checks of this process.  Each yields (name, claim, params_label, residual, tol_key).
 
 
 def _series_laguerre(N, alpha, z):
@@ -502,90 +487,6 @@ def _checks_specfun():
     )
 
 
-def _checks_model(ws: _Workspace):
-    """Orthonormality is an integral, taken as products of 1-D radial and
-    angular Gauss sums (``generators.wavefunction_gram``); the eigenvalue
-    residual is a field identity, checked pointwise on the sector grids."""
-    p, label = ws.params, ws.label
-    yield ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", label, ws.result("orthonormality"), "model.orthonormality")
-    yield (
-        "eigenvalue-residual",
-        "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}",
-        label,
-        ws.result("eigenvalue-residual"),
-        "model.eigenvalue",
-    )
-
-    res = []
-    for n in range(9):
-        w = model.weights_of(p, n)
-        res.append(abs(w.tau + w.q - n * p.k))
-        for N in range(9):
-            res.append(abs(model.susy_energy(p, N, n) - (model.energy(p, N, n) - model.energy(p, 0, 0))))
-            res.append(abs(model.susy_energy(p, N, n) - 4.0 * p.omega * (N + n * p.k)) / (1.0 + 4 * p.omega * (N + n * p.k)))
-    yield (
-        "spectrum-identities",
-        "E_{N,n} - E_{0,0} = 4 omega (N + nk); tau + q = nk (zero exactly at n = 0)",
-        label,
-        _worst(res),
-        "model.identity",
-    )
-
-
-def _checks_algebra(ws: _Workspace):
-    p, label = ws.params, ws.label
-    phi = np.linspace(p.phi_max / 51.0, p.phi_max * 50.0 / 51.0, 50)
-    yield (
-        "riccati",
-        "-F'' + F'^2 + C^2 = k^2 [a(a-1) sec^2(k phi) + b(b-1) csc^2(k phi)] for "
-        "F = -a ln cos(k phi) - b ln sin(k phi), C = -k(a+b)",
-        label,
-        float(np.max(gen.riccati_residual(p, phi))),
-        "algebra.riccati",
-    )
-    measured = float(np.max(gen.riccati_residual(p, phi, perturb_a=0.01)))
-    shortfall = float(np.maximum(0.0, 1e-3 - measured))
-    yield (
-        "riccati-control",
-        "perturbing a -> a+0.01 inside F must break the identity by more than 1e-3 (shortfall reported)",
-        label,
-        shortfall,
-        "algebra.riccati-control",
-    )
-
-    # each group is computed as a whole, so it is yielded as one list
-    structure = ws.result("structure")
-    yield [(f"structure[{name}]", name, label, res, "algebra.structure") for name, res in structure.items()]
-    hermiticity = ws.result("hermiticity")
-    yield [(f"hermiticity[{name}]", name, label, res, "algebra.hermiticity") for name, res in hermiticity.items()]
-    yield ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", label, ws.result("spectrum"), "algebra.spectrum")
-    yield (
-        "hs-routes",
-        "H_k + 4 omega (Gamma + Y) equals 4 omega (K0 + Y) built from the superpotential",
-        label,
-        ws.result("hs-routes"),
-        "algebra.routes",
-    )
-    yield (
-        "susy-ground",
-        "Q and Qdag annihilate the ground state (unbroken supersymmetry)",
-        label,
-        ws.result("susy-ground"),
-        "algebra.susy-ground",
-    )
-
-    # {Q, Qdag} = Hs is 4 omega times the structure relation {V-, W+} = K0 + Y
-    anti = structure["{V-,W+} = +1 K0 +1 Y"]
-    yield ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", label, 4.0 * p.omega * anti, "algebra.susy-anticommutator")
-    yield (
-        "scaling-conditions",
-        "D and Gamma are homogeneous of degree -2 in r (integrated form of [r d_r, O] = -2 O)",
-        label,
-        ws.result("scaling-conditions"),
-        "algebra.conditions",
-    )
-
-
 def _checks_oscillator():
     """The algebra suite's parameter-free check, reported after its
     per-set checks."""
@@ -602,58 +503,61 @@ def _checks_oscillator():
     )
 
 
-def _checks_irreps(ws: _Workspace):
-    """Ladder and Casimir checks read the generator blocks.  The integrals
-    (the <+|-> overlaps and the cross-sector elements of block-diagonality)
-    are projected from 1-D Gauss sums with ``generators.project``; the
-    odd actions, the n = 0 family coincidence and the vanishing two-fermion
-    states are field identities, checked pointwise on the grids."""
-    label = ws.label
-    yield (
-        "ladder-matrix-elements",
-        "K+ rungs equal sqrt((N+1)(2 tau + N)) with positive sign in every tower",
-        label,
-        ws.result("ladder-matrix-elements"),
-        "irreps.ladder",
-    )
-    yield (
-        "odd-action-fields",
-        "V+- on zero-fermion states reproduce their closed-form expansions; W+- annihilate them",
-        label,
-        ws.result("odd-action-fields"),
-        "irreps.odd-action",
-    )
-    yield (
-        "one-fermion-overlap",
-        "<+|-> = sqrt(N[N+(2n+a+b)k] / ([N+(n+a+b)k][N+nk])); at n = 0 the one-fermion "
-        "families coincide and the two-fermion states vanish",
-        label,
-        ws.result("one-fermion-overlap"),
-        "irreps.overlap",
-    )
-    yield (
-        "casimir",
-        "C2 and C3 are scalar n(n+a+b)k^2 and -(a+b)n(n+a+b)k^3/2 per sector (zero at n = 0); C2 commutes with all generators",
-        label,
-        ws.result("casimir"),
-        "irreps.casimir",
-    )
-    yield (
-        "block-diagonality",
-        "generators do not couple different angular sectors (projected cross-sector matrix elements vanish)",
-        label,
-        ws.result("block-diagonality"),
-        "irreps.block-diagonal",
-    )
-
-
 # ---------------------------------------------------------------------------
-# The per-set tasks.  A check task returns its residual (or, when it
-# computes several checks, {check: residual}); a sector part returns one
-# sector's share of a residual, and the sectors' shares combine into it.
+# The per-set checks and their tasks.  A check task returns its residual
+# (or, when it computes several checks, {check: residual}); a sector part
+# returns one sector's share of a residual, and the sectors' shares
+# combine into it.
+
+# suite -> its per-set checks in report order, as (check, claim, tolerance key).  A check whose
+# claim is None is a group: one record per entry of its {relation: residual}, named check[relation]
+_SET_CHECKS = {
+    "model": (
+        ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", "model.orthonormality"),
+        ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", "model.eigenvalue"),
+        ("spectrum-identities", "E_{N,n} - E_{0,0} = 4 omega (N + nk); tau + q = nk (zero exactly at n = 0)", "model.identity"),
+    ),
+    "algebra": (
+        (
+            "riccati",
+            "-F'' + F'^2 + C^2 = k^2 [a(a-1) sec^2(k phi) + b(b-1) csc^2(k phi)] for "
+            "F = -a ln cos(k phi) - b ln sin(k phi), C = -k(a+b)",
+            "algebra.riccati",
+        ),
+        ("riccati-control", "perturbing a -> a+0.01 inside F must break the identity by more than 1e-3 (shortfall reported)", "algebra.riccati-control"),
+        ("structure", None, "algebra.structure"),
+        ("hermiticity", None, "algebra.hermiticity"),
+        ("spectrum", "Hs Psi_{N,n}|0> = 4 omega (N + nk) Psi_{N,n}|0>", "algebra.spectrum"),
+        ("hs-routes", "H_k + 4 omega (Gamma + Y) equals 4 omega (K0 + Y) built from the superpotential", "algebra.routes"),
+        ("susy-ground", "Q and Qdag annihilate the ground state (unbroken supersymmetry)", "algebra.susy-ground"),
+        ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", "algebra.susy-anticommutator"),
+        ("scaling-conditions", "D and Gamma are homogeneous of degree -2 in r (integrated form of [r d_r, O] = -2 O)", "algebra.conditions"),
+    ),
+    "irreps": (
+        ("ladder-matrix-elements", "K+ rungs equal sqrt((N+1)(2 tau + N)) with positive sign in every tower", "irreps.ladder"),
+        ("odd-action-fields", "V+- on zero-fermion states reproduce their closed-form expansions; W+- annihilate them", "irreps.odd-action"),
+        (
+            "one-fermion-overlap",
+            "<+|-> = sqrt(N[N+(2n+a+b)k] / ([N+(n+a+b)k][N+nk])); at n = 0 the one-fermion "
+            "families coincide and the two-fermion states vanish",
+            "irreps.overlap",
+        ),
+        ("casimir", "C2 and C3 are scalar n(n+a+b)k^2 and -(a+b)n(n+a+b)k^3/2 per sector (zero at n = 0); C2 commutes with all generators", "irreps.casimir"),
+        ("block-diagonality", "generators do not couple different angular sectors (projected cross-sector matrix elements vanish)", "irreps.block-diagonal"),
+    ),
+}
+PER_SET_SUITES = tuple(_SET_CHECKS)
+_SUITE_OF = {check: suite for suite, checks in _SET_CHECKS.items() for check, _, _ in checks}
+
+
+def _selected(config: SuiteConfig, checks) -> list[str]:
+    """The checks of the selected suites among ``checks``."""
+    return [c for c in checks if _SUITE_OF[c] in config.selected()]
 
 
 def _orthonormality(ws: _Workspace) -> float:
+    """max |G - 1| of the Gram matrix, an integral taken as products of
+    1-D radial and angular Gauss sums (``generators.wavefunction_gram``)."""
     gram = gen.wavefunction_gram(ws.params, (6, 6), *ws.config.quad_orders)
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
@@ -674,8 +578,7 @@ def _eigen_images(ws: _Workspace) -> dict[str, float]:
     (Hs), those of the selected suites, from one bundle of each
     Psi_{N,n}|0> for N, n in 0..6 on sector n's grid, whose table expands
     all seven states in one call; each bundle is handed both operators."""
-    p, selected = ws.params, ws.config.selected()
-    checks = [c for c, suite in _CHECK_TASKS["eigen-images"][1].items() if suite in selected]
+    p, checks = ws.params, _selected(ws.config, _EIGEN_CHECKS)
     res: dict[str, list] = {c: [] for c in checks}
     for n in range(7):
         table = ws.table(n)
@@ -684,6 +587,28 @@ def _eigen_images(ws: _Workspace) -> dict[str, float]:
             for c, image in zip(checks, images):
                 res[c].append(_EIGEN_CHECKS[c][1](p, N, n, bundle.field, image))
     return {c: _worst(r) for c, r in res.items()}
+
+
+def _spectrum_identities(ws: _Workspace) -> float:
+    """The closed forms of the spectrum and the weights, for N, n in 0..8."""
+    p = ws.params
+    res = []
+    for n in range(9):
+        w = model.weights_of(p, n)
+        res.append(abs(w.tau + w.q - n * p.k))
+        for N in range(9):
+            res.append(abs(model.susy_energy(p, N, n) - (model.energy(p, N, n) - model.energy(p, 0, 0))))
+            res.append(abs(model.susy_energy(p, N, n) - 4.0 * p.omega * (N + n * p.k)) / (1.0 + 4 * p.omega * (N + n * p.k)))
+    return _worst(res)
+
+
+def _riccati(ws: _Workspace) -> dict[str, float]:
+    """{check: residual} of ``riccati`` and of ``riccati-control``, whose
+    residual is the shortfall of the perturbed identity's break from 1e-3."""
+    p = ws.params
+    phi = np.linspace(p.phi_max / 51.0, p.phi_max * 50.0 / 51.0, 50)
+    measured = float(np.max(gen.riccati_residual(p, phi, perturb_a=0.01)))
+    return {"riccati": float(np.max(gen.riccati_residual(p, phi))), "riccati-control": float(np.maximum(0.0, 1e-3 - measured))}
 
 
 def _hs_routes(ws: _Workspace) -> float:
@@ -769,16 +694,18 @@ def _block_diagonality(ws: _Workspace) -> float:
     return _worst(res)
 
 
-# task -> (function of the workspace, {check it computes: the check's suite})
+# task -> (function of the workspace, the checks it computes)
 _CHECK_TASKS = {
-    "orthonormality": (_orthonormality, {"orthonormality": "model"}),
-    "eigen-images": (_eigen_images, {"eigenvalue-residual": "model", "spectrum": "algebra"}),
-    "hs-routes": (_hs_routes, {"hs-routes": "algebra"}),
-    "susy-ground": (_susy_ground, {"susy-ground": "algebra"}),
-    "scaling-conditions": (_scaling_conditions, {"scaling-conditions": "algebra"}),
-    "odd-action-fields": (_odd_action_fields, {"odd-action-fields": "irreps"}),
-    "one-fermion-overlap": (_one_fermion_overlap, {"one-fermion-overlap": "irreps"}),
-    "block-diagonality": (_block_diagonality, {"block-diagonality": "irreps"}),
+    "orthonormality": (_orthonormality, ("orthonormality",)),
+    "eigen-images": (_eigen_images, ("eigenvalue-residual", "spectrum")),
+    "spectrum-identities": (_spectrum_identities, ("spectrum-identities",)),
+    "riccati": (_riccati, ("riccati", "riccati-control")),
+    "hs-routes": (_hs_routes, ("hs-routes",)),
+    "susy-ground": (_susy_ground, ("susy-ground",)),
+    "scaling-conditions": (_scaling_conditions, ("scaling-conditions",)),
+    "odd-action-fields": (_odd_action_fields, ("odd-action-fields",)),
+    "one-fermion-overlap": (_one_fermion_overlap, ("one-fermion-overlap",)),
+    "block-diagonality": (_block_diagonality, ("block-diagonality",)),
 }
 
 
@@ -823,16 +750,15 @@ def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> list[flo
     return [_worst(res)]
 
 
-# check -> (suite, its part from one sector's block and states, how the sectors' parts combine)
+# check -> (its part from one sector's block and states, how the sectors' parts combine)
 _SECTOR_CHECKS = {
-    "structure": ("algebra", _structure_part, _worst_per_name),
-    "hermiticity": ("algebra", lambda ws, n, block, states: gen.hermiticity_residuals(block), _worst_per_name),
+    "structure": (_structure_part, _worst_per_name),
+    "hermiticity": (lambda ws, n, block, states: gen.hermiticity_residuals(block), _worst_per_name),
     "ladder-matrix-elements": (
-        "irreps",
         _ladder_part,
         lambda parts: _worst([res for res, _ in parts]) if all(ok for _, ok in parts) else float("inf"),
     ),
-    "casimir": ("irreps", _casimir_part, lambda parts: _worst([res for part in parts for res in part])),
+    "casimir": (_casimir_part, lambda parts: _worst([res for part in parts for res in part])),
 }
 
 
@@ -991,46 +917,33 @@ def _error_line(exc: Exception) -> str:
     return "".join(traceback.format_exception_only(type(exc), exc)).strip().splitlines()[-1]
 
 
-def _stopwatch(workspace: _Workspace | None = None):
+def _stopwatch():
     """A clock whose every reading is the ms since its previous reading (or
-    its start), plus the task time the workspace charged in between."""
-    t_prev, charged_prev = time.perf_counter(), 0.0
+    its start)."""
+    t_prev = time.perf_counter()
 
     def elapsed_ms() -> float:
-        nonlocal t_prev, charged_prev
-        now, charged = time.perf_counter(), workspace.charged_ms if workspace else 0.0
-        out = (now - t_prev) * 1e3 + (charged - charged_prev)
-        t_prev, charged_prev = now, charged
+        nonlocal t_prev
+        now = time.perf_counter()
+        out, t_prev = (now - t_prev) * 1e3, now
         return out
 
     return elapsed_ms
 
 
+def _record(suite: str, name: str, claim: str, params: str | None, residual, tol: float, wall_ms: float) -> CheckRecord:
+    return CheckRecord(name, suite, claim, params, float(residual), tol, bool(residual <= tol), wall_ms)
+
+
 def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> list[CheckRecord]:
-    """The records of one suite's checks from ``produce()``, which yields
-    each check, or a list of the checks of a group computed as a whole;
-    each check of a group is charged an equal share of the group's time.
-    A suite that raises keeps the checks it already yielded and ends with
-    a failed ``<suite>-suite`` record."""
+    """The records of one suite's checks from ``produce()``, each timed
+    from the previous one to the moment it is yielded.  A suite that
+    raises keeps the checks it already yielded and ends with a failed
+    ``<suite>-suite`` record."""
     records = []
     try:
-        for item in produce():
-            group = item if isinstance(item, list) else [item]
-            wall_ms = elapsed_ms() / max(len(group), 1)
-            for name, claim, plabel, residual, tol_key in group:
-                tol = config.tol(tol_key)
-                records.append(
-                    CheckRecord(
-                        name=name,
-                        suite=suite,
-                        claim=claim,
-                        params=plabel,
-                        residual=float(residual),
-                        tolerance=tol,
-                        passed=bool(residual <= tol),
-                        wall_ms=wall_ms,
-                    )
-                )
+        for name, claim, plabel, residual, tol_key in produce():
+            records.append(_record(suite, name, claim, plabel, residual, config.tol(tol_key), elapsed_ms()))
     except Exception as exc:
         records.append(_suite_failure(suite, _error_line(exc), elapsed_ms()))
     return records
@@ -1051,10 +964,8 @@ def _tasks(config: SuiteConfig) -> list[tuple]:
     sector n): each set's check tasks of the selected suites, then one
     task per angular sector if a selected suite reads the generator
     blocks."""
-    selected = config.selected()
-    checks = [task for task, (_, suites) in _CHECK_TASKS.items() if set(suites.values()) & set(selected)]
-    reads_blocks = any(suite in selected for suite, *_ in _SECTOR_CHECKS.values())
-    sectors = range(config.truncation[1] + 1) if reads_blocks else range(0)
+    checks = [task for task, (_, computed) in _CHECK_TASKS.items() if _selected(config, computed)]
+    sectors = range(config.truncation[1] + 1) if _selected(config, _SECTOR_CHECKS) else range(0)
     return [(index, key) for index in range(len(config.param_sets)) for key in (*checks, *sectors)]
 
 
@@ -1069,44 +980,63 @@ def _run_task(config: SuiteConfig, task: tuple) -> tuple[dict, float]:
     each an equal share of its time."""
     index, key = task
     ws = _Workspace(ModelParams(**config.param_sets[index]), config)
-    selected = config.selected()
     if isinstance(key, str):
-        fn, suites = _CHECK_TASKS[key]
-        checks = [c for c, suite in suites.items() if suite in selected]
+        fn, computed = _CHECK_TASKS[key]
+        checks = _selected(config, computed)
         value, ms = _timed(fn, ws)
         values = value if isinstance(value, dict) else dict.fromkeys(checks, value)
         return {c: (values[c], ms / len(checks)) for c in checks}, 0.0
-    parts = {c: part for c, (suite, part, _) in _SECTOR_CHECKS.items() if suite in selected}
+    checks = _selected(config, _SECTOR_CHECKS)
     built, build_ms = _timed(gen.sector_matrices, ws.params, key, config.truncation[0], *config.quad_orders)
     if isinstance(built, _TaskError):
-        return dict.fromkeys(parts, (built, 0.0)), build_ms
-    return {c: _timed(part, ws, key, *built) for c, part in parts.items()}, build_ms
+        return dict.fromkeys(checks, (built, 0.0)), build_ms
+    return {c: _timed(_SECTOR_CHECKS[c][0], ws, key, *built) for c in checks}, build_ms
 
 
 def _set_records(config: SuiteConfig, index: int, outputs: list) -> tuple[dict, float]:
     """The selected model, algebra and irreps records of parameter set
     ``index`` from the outputs of its tasks, in task order: {suite:
-    records}, and the set's generator-block build time in ms."""
-    ws = _Workspace(ModelParams(**config.param_sets[index]), config)
+    records}, and the set's generator-block build time in ms.
+
+    Each check's sector parts are combined, and its record carries the
+    task time charged to it; the records of a group share it equally, and
+    ``susy-anticommutator``, read off ``structure``, carries none.  A
+    check whose computation raised ends its suite with a failed
+    ``<suite>-suite`` record."""
+    p = ModelParams(**config.param_sets[index])
+    label = _params_label(p)
     parts: dict[str, list] = {}
+    charged: dict[str, float] = {}
     build_ms = 0.0
     for task_parts, ms in outputs:
         build_ms += ms
-        for check, part in task_parts.items():
+        for check, (part, part_ms) in task_parts.items():
             parts.setdefault(check, []).append(part)
+            charged[check] = charged.get(check, 0.0) + part_ms
+    values = {}
     for check, check_parts in parts.items():
-        values = [value for value, _ in check_parts]
-        failed = [value for value in values if isinstance(value, _TaskError)]
-        combine = _SECTOR_CHECKS[check][2] if check in _SECTOR_CHECKS else lambda values: values[0]
-        ws.results[check] = failed[0] if failed else combine(values)
-        ws.charges[check] = sum(ms for _, ms in check_parts)
-    producers = {
-        "model": lambda: _checks_model(ws),
-        "algebra": lambda: _checks_algebra(ws),
-        "irreps": lambda: _checks_irreps(ws),
-    }
-    elapsed_ms = _stopwatch(ws)
-    results = {suite: _collect(suite, producers[suite], config, elapsed_ms) for suite in config.selected() if suite in producers}
+        failed = [part for part in check_parts if isinstance(part, _TaskError)]
+        combine = _SECTOR_CHECKS[check][1] if check in _SECTOR_CHECKS else lambda parts: parts[0]
+        values[check] = failed[0] if failed else combine(check_parts)
+    results = {}
+    for suite in [s for s in config.selected() if s in _SET_CHECKS]:
+        records = results[suite] = []
+        for check, claim, tol_key in _SET_CHECKS[suite]:
+            wall_ms = charged.get(check, 0.0)
+            try:
+                # {Q, Qdag} = Hs is 4 omega times the structure relation {V-, W+} = K0 + Y
+                value = 4.0 * p.omega * values["structure"]["{V-,W+} = +1 K0 +1 Y"] if check == "susy-anticommutator" else values[check]
+                if isinstance(value, _TaskError):
+                    raise value
+            except Exception as exc:
+                records.append(_suite_failure(suite, _error_line(exc), wall_ms))
+                break
+            tol = config.tol(tol_key)
+            if claim is None:
+                share = wall_ms / max(len(value), 1)
+                records += [_record(suite, f"{check}[{name}]", name, label, res, tol, share) for name, res in value.items()]
+            else:
+                records.append(_record(suite, check, claim, label, value, tol, wall_ms))
     return results, build_ms
 
 
@@ -1167,20 +1097,18 @@ def _one_blas_thread():
             put(threads)
 
 
-def _worker(config: SuiteConfig, tasks: list, queue: int, ready: int, out: int) -> None:
+def _worker(config: SuiteConfig, tasks: list, queue: int, out: int) -> None:
     """A forked worker: until the queue is empty, take a task index from
-    it, write its pid and the index (8 bytes) to ``ready``, run the task,
-    write the same 8 bytes again, and then write to ``out`` the task's
-    output pickled, after the pickle's length (8 bytes).  It never
-    returns."""
+    it, append the index (4 bytes) to its file ``out``, run the task, and
+    append the task's output pickled, after the pickle's length (8
+    bytes).  It never returns."""
     status = 1
     try:
         with os.fdopen(out, "wb") as stream:
             while chunk := os.read(queue, 4):
-                token = os.getpid().to_bytes(4, "little") + chunk
-                os.write(ready, token)
+                stream.write(chunk)
+                stream.flush()
                 data = pickle.dumps(_run_task(config, tasks[int.from_bytes(chunk, "little")]))
-                os.write(ready, token)
                 stream.write(len(data).to_bytes(8, "little") + data)
                 stream.flush()
         status = 0
@@ -1191,67 +1119,20 @@ def _worker(config: SuiteConfig, tasks: list, queue: int, ready: int, out: int) 
         os._exit(status)
 
 
-def _receive(ready: int, streams: dict[int, int], outputs: list) -> dict[int, int]:
-    """Read the workers' outputs (``_worker``) into ``outputs`` until every
-    worker has ended: {worker pid: the index of a task it took and gave
-    no output for}.  The tokens on the shared ``ready`` pipe say which
-    worker's output comes next on its own pipe, so this process reads
-    each output as it is written, and no worker waits on a full pipe (64
-    KB on Linux, about 55 sector outputs) while another's is read.  Tokens
-    are 8 bytes, and pipe writes of at most PIPE_BUF bytes are atomic, so
-    the workers' tokens never mix."""
-    taken: dict[int, int] = {}
-    lost: dict[int, int] = {}
-    outs = {pid: os.fdopen(fd, "rb") for pid, fd in streams.items()}
-    with os.fdopen(ready, "rb") as tokens:
-        while token := tokens.read(8):
-            pid, i = int.from_bytes(token[:4], "little"), int.from_bytes(token[4:], "little")
-            # a worker's first token for a task says it took it, the second that its output follows
-            if taken.get(pid) != i:
-                taken[pid] = i
-                continue
-            del taken[pid]
-            head = outs[pid].read(8)
-            data = outs[pid].read(int.from_bytes(head, "little")) if len(head) == 8 else b""
-            if len(head) == 8 and len(data) == int.from_bytes(head, "little"):
-                outputs[i] = pickle.loads(data)
-            else:  # the worker died while writing the output
-                lost[pid] = i
-    for stream in outs.values():
-        stream.close()
-    return {**lost, **taken}
-
-
-def _start_workers(config: SuiteConfig, tasks: list, workers: int) -> tuple[int, int, dict[int, int]]:
-    """Fork up to ``workers`` workers and queue every task index for them:
-    (the read end of the queue, the read end of the shared ``ready`` pipe,
-    {worker pid: the read end of its result pipe}).  Each index is 4
-    bytes, and pipe writes of at most PIPE_BUF (>= 512) bytes are atomic,
-    so a worker always reads whole indices."""
-    queue, queue_in = os.pipe()
-    ready, ready_in = os.pipe()
-    streams: dict[int, int] = {}
-    for _ in range(workers):
-        fd, out = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no further worker can be started
-            os.close(fd)
-            os.close(out)
-            break
-        if pid == 0:
-            for inherited in (queue_in, ready, fd, *streams.values()):
-                os.close(inherited)
-            _worker(config, tasks, queue, ready_in, out)
-        os.close(out)
-        streams[pid] = fd
-    # the workers hold the only write ends left, so the pipe ends when the last worker does
-    os.close(ready_in)
-    indices = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
-    for start in range(0, len(indices), 512):
-        os.write(queue_in, indices[start : start + 512])
-    os.close(queue_in)
-    return queue, ready, streams
+def _read_outputs(stream) -> tuple[dict, int | None]:
+    """The outputs in a worker's file (``_worker``), read from its start:
+    ({task index: output}, the index of a task whose output is cut short
+    or missing, because the worker died running or answering it, or
+    None)."""
+    outputs = {}
+    while len(chunk := stream.read(4)) == 4:
+        i = int.from_bytes(chunk, "little")
+        head = stream.read(8)
+        data = stream.read(int.from_bytes(head, "little")) if len(head) == 8 else b""
+        if len(head) < 8 or len(data) < int.from_bytes(head, "little"):
+            return outputs, i
+        outputs[i] = pickle.loads(data)
+    return outputs, None
 
 
 def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
@@ -1264,67 +1145,99 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
     a fresh import.  (Python 3.12 and later warn when a process that
     runs threads, such as OpenBLAS's pool, forks.)  The task indices
     wait in one pipe, from which each worker takes the next whenever it
-    is free, and each worker returns its outputs through a pipe of its
-    own, while this process runs its own checks; then it reads each
-    output as it comes (``_receive``).  Tasks that no worker took, because
-    none could be started or every one died, run here.  With one usable
-    CPU or no ``os.fork``, every task runs here, one after the other."""
-    workers = min(len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
+    is free; each index is 4 bytes, and pipe writes of at most PIPE_BUF
+    (>= 512) bytes are atomic, so a worker always reads whole indices.
+    Each worker appends its outputs to an unnamed file of its own
+    (``os.memfd_create``), which never fills, so no worker waits on it.
+    This process runs its own checks, waits for every worker, and then
+    reads each file (``_read_outputs``).  Tasks that no worker took,
+    because none could be started or every one died, run here.  With
+    one usable CPU, or without ``os.fork`` or ``os.memfd_create``, every
+    task runs here, one after the other."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "memfd_create")
+    workers = min(len(tasks), _usable_cpus()) if can_fork else 1
     if workers < 2:
         return _parent_checks(config), [_run_task(config, task) for task in tasks]
-    queue, ready, streams = _start_workers(config, tasks, workers)
+    queue, queue_in = os.pipe()
+    files: dict[int, int] = {}
+    for _ in range(workers):
+        out = -1
+        try:
+            out = os.memfd_create("ttwsusy-worker")
+            pid = os.fork()
+        except OSError:  # no further worker can be started
+            if out >= 0:
+                os.close(out)
+            break
+        if pid == 0:
+            for inherited in (queue_in, *files.values()):
+                os.close(inherited)
+            _worker(config, tasks, queue, out)
+        files[pid] = out
+    indices = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
+    for start in range(0, len(indices), 512):
+        os.write(queue_in, indices[start : start + 512])
+    os.close(queue_in)
     parent = _parent_checks(config)
     outputs: list = [None] * len(tasks)
-    lost = _receive(ready, streams, outputs)
-    for pid in streams:
+    failed = None
+    for pid, out in files.items():
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if pid in lost:
+        with os.fdopen(out, "rb") as stream:
+            stream.seek(0)
+            done, lost = _read_outputs(stream)
+        for i, output in done.items():
+            outputs[i] = output
+        if code:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            outputs[lost[pid]] = _TaskError(f"worker process {pid} failed: {how}")
+            failed = _TaskError(f"worker process {pid} failed: {how}")
+            if lost is not None:
+                outputs[lost] = failed
     while chunk := os.read(queue, 4):
         i = int.from_bytes(chunk, "little")
         outputs[i] = _run_task(config, tasks[i])
     os.close(queue)
-    return parent, outputs
+    # a worker that died between taking a task and appending its index left no output and named no task
+    return parent, [failed if output is None else output for output in outputs]
 
 
 def run(config: SuiteConfig) -> VerificationReport:
     """Execute the selected suites; failures are recorded, never raised.
 
-    The model, algebra and irreps checks of each parameter set are
-    computed as tasks (``_tasks``): one per angular sector, which builds
-    that sector's generator blocks, reduces them to its part of each
-    check that reads them and drops them, and one per remaining check,
-    except the closed-form checks that take well under a millisecond
-    (``riccati``, ``riccati-control``, ``spectrum-identities`` and
-    ``susy-anticommutator``, which the suites compute as they reach them).
-    The tasks run in forked workers when there are several and several
-    usable CPUs (see ``_run_tasks``); the rest runs in this process.
-    Each set's suites then yield their records from the task results, so
-    a set's records are the same wherever its tasks ran.  The records are
-    merged by one rule: suite by suite, each set's records in
-    parameter-set order, then this process's, so the oscillator check
-    comes after the algebra suite's per-set checks.
+    The model, algebra and irreps checks of each parameter set, listed
+    in ``_SET_CHECKS``, are computed as tasks (``_tasks``): one per
+    angular sector, which builds that sector's generator blocks, reduces
+    them to its part of each check that reads them and drops them, and
+    one per remaining check, except ``susy-anticommutator``, which is
+    read off ``structure``.  The tasks run in forked workers when there
+    are several and several usable CPUs (see ``_run_tasks``); the rest
+    runs in this process.  Each set's records are built from its task
+    values (``_set_records``), so they are the same wherever its tasks
+    ran.  The records are merged by one rule: suite by suite, each set's
+    records in parameter-set order, then this process's, so the
+    oscillator check comes after the algebra suite's per-set checks.
 
-    Each check is timed by the task work charged to it, plus the time
-    from the previous record of its stream (this process's checks, or
-    one set's) to the moment its suite yields it.  A sector task's
-    block build is charged to no check: the builds are summed per
-    parameter set in ``matrices_ms``.  Each reduction of a sector's
-    blocks is charged to its check, and a task that computes several
-    checks (``eigenvalue-residual`` and ``spectrum`` share their state
-    bundles) charges each an equal share.  The checks of a group that a
-    suite computes as a whole, such as ``structure[...]``, are yielded
-    together and share their time equally.
+    A per-set check's ``wall_ms`` is the task time charged to it.  A
+    check task that computes several checks (``eigenvalue-residual`` and
+    ``spectrum`` share their state bundles; ``riccati`` and
+    ``riccati-control`` share one task) charges each an equal share.  A
+    sector task's block build is charged to no check: the builds are
+    summed per parameter set in ``matrices_ms``; each reduction of a
+    sector's blocks is charged to its check, summed over the sectors.
+    The records of a group, such as ``structure[...]``, share their
+    check's time equally, and ``susy-anticommutator`` carries none.
+    This process's checks are each timed from the previous one to the
+    moment its suite yields it.
 
-    A suite whose computation raises in one set keeps the checks it
-    already yielded there and ends that set's part with one failed
-    ``<suite>-suite`` record; the other sets and this process's checks of
-    the suite are kept, since they do not depend on it.  A set that lost
-    a task with a dead worker fails each of its suites with one such
-    record, which names the worker.  A run in which no suite raises is
-    not touched by this rule: its report lists every check in the order
-    above.
+    A check whose computation raises in one set ends that set's part of
+    its suite with one failed ``<suite>-suite`` record, after the
+    suite's earlier checks; the other sets and this process's checks of
+    the suite are kept, since they do not depend on it.  A suite of this
+    process that raises keeps the checks it already yielded in the same
+    way.  A set that lost a task with a dead worker fails each of its
+    suites with one such record, which names the worker.  A run in which
+    nothing raises is not touched by this rule: its report lists every
+    check in the order above.
     """
     tasks = _tasks(config)
     with _one_blas_thread():

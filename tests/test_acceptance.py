@@ -7,7 +7,9 @@ pass/fail line per criterion.  Run with ``pytest -s tests/test_acceptance.py``
 to see the lines on success.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,14 @@ def test_criterion_10_special_cases(report):
 
 def test_criterion_11_oscillator_realization(report):
     finish(11, "boson-fermion matrix realization satisfies the full superalgebra", select(report, "oscillator-realization"), expected_tol=1e-12)
+
+
+def test_records_are_in_the_expected_order(report):
+    # the check keys as the benchmark's gate writes them, against its list of the seed's checks
+    spec = importlib.util.spec_from_file_location("gate", Path(__file__).resolve().parents[1] / "perfbench" / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert [gate.check_key(c.to_dict()) for c in report.checks] == gate.expected_checks("acceptance")
 
 
 def test_no_unexpected_failures(report):

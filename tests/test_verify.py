@@ -1,10 +1,13 @@
 import collections
 import ctypes
 import inspect
+import io
 import json
 import math
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -245,15 +248,18 @@ class TestRun:
         assert "PASS" in text and "checks passed" in text
 
     def test_checks_are_timed_as_yielded(self, monkeypatch):
-        def slow_second(config):
-            yield ("first", "yielded at once", None, 0.0, "model.identity")
-            time.sleep(0.2)
-            yield ("second", "yielded after a pause", None, 0.0, "model.identity")
+        # a check carries the time of the task that computes it, and no other check does
+        eigen_images, computed = verify._CHECK_TASKS["eigen-images"]
 
-        monkeypatch.setattr(verify, "_checks_model", slow_second)
-        first, second = run(SuiteConfig(**FAST, suites=("model",))).checks
-        assert 0.0 <= first.wall_ms < 200.0
-        assert second.wall_ms >= 200.0
+        def slow(ws):
+            time.sleep(0.2)
+            return eigen_images(ws)
+
+        monkeypatch.setitem(verify._CHECK_TASKS, "eigen-images", (slow, computed))
+        checks = run(SuiteConfig(**FAST, suites=("model",))).checks
+        assert [c.name for c in checks] == ["orthonormality", "eigenvalue-residual", "spectrum-identities"]
+        for c in checks:
+            assert (c.wall_ms >= 200.0) == (c.name == "eigenvalue-residual"), (c.name, c.wall_ms)
 
     def test_matrix_build_reported_separately(self, monkeypatch, fast_report):
         build = verify.gen.sector_matrices
@@ -313,13 +319,13 @@ class TestRun:
             assert (check["status"] == "non-finite") == ("V+" in check["claim"]), check["name"]
 
     def test_crashing_suite_keeps_yielded_checks_and_writes_standard_json(self, monkeypatch):
-        def crashing_model(config):
-            yield ("before-crash", "a check yielded before the suite fails", None, 0.0, "model.identity")
+        def crashing(ws):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(verify, "_checks_model", crashing_model)
+        monkeypatch.setitem(verify._CHECK_TASKS, "eigen-images", (crashing, verify._CHECK_TASKS["eigen-images"][1]))
         report = run(SuiteConfig(**FAST, suites=("model",)))
-        assert [c.name for c in report.checks] == ["before-crash", "model-suite"]
+        # the suite keeps the check before the one that raised, and ends there
+        assert [c.name for c in report.checks] == ["orthonormality", "model-suite"]
         crashed = report.checks[-1]
         assert crashed.residual == float("inf") and not crashed.passed
         assert "boom" in crashed.error
@@ -626,6 +632,37 @@ class TestParallelRun:
         assert str(os.getpid()) in pids and len(pids) > 1
         assert {f.read_text() for f in tmp_path.iterdir()} == {json.dumps([1] * len(getters))}
 
+    def test_worker_file_reader_names_a_cut_record(self):
+        """A worker file cut anywhere in its second record keeps the first
+        output, and names the second task as lost once its index is whole;
+        a whole file loses nothing."""
+        outputs = {3: ({"casimir": (1.5e-12, 0.25)}, 2.0), 7: ({"structure": ({"[K0,Y] = 0": 0.0}, 0.5)}, 4.0)}
+        records = [i.to_bytes(4, "little") + len(data).to_bytes(8, "little") + data for i, data in ((i, pickle.dumps(out)) for i, out in outputs.items())]
+        whole = b"".join(records)
+        assert verify._read_outputs(io.BytesIO(whole)) == (outputs, None)
+        first = len(records[0])
+        for cut in range(first + 1, len(whole)):
+            lost = 7 if cut >= first + 4 else None
+            assert verify._read_outputs(io.BytesIO(whole[:cut])) == ({3: outputs[3]}, lost), cut
+
+    def test_a_task_that_no_worker_file_names_fails_its_set(self, monkeypatch):
+        # a worker that dies before its file names the task it took still fails that task's set, naming the worker
+        parent, run_task, read = os.getpid(), verify._run_task, verify._read_outputs
+
+        def dying(config, task):
+            if os.getpid() != parent and task == (0, 2):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_task(config, task)
+
+        monkeypatch.setattr(verify, "_run_task", dying)
+        monkeypatch.setattr(verify, "_read_outputs", lambda stream: (read(stream)[0], None))
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        checks = run(SuiteConfig(**ONE_SET)).checks
+        per_set = [(c.suite, c.name) for c in checks if c.suite in verify.PER_SET_SUITES]
+        assert per_set == [("model", "model-suite"), ("algebra", "algebra-suite"), ("algebra", "oscillator-realization"), ("irreps", "irreps-suite")]
+        errors = {c.error for c in checks if not c.passed}
+        assert len(errors) == 1 and re.fullmatch(r"worker process \d+ failed: killed by signal 9", errors.pop())
+
     def test_tasks_run_here_when_no_worker_starts(self, monkeypatch):
         # a fork that fails leaves the queued tasks to this process, with the same records
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
@@ -744,6 +781,19 @@ class TestRadialPasses:
         calls = self.calls_per_task(monkeypatch, [verify.irreps, verify.gen], "sector_basis", ["block-diagonality", 1])
         assert [args[1:] for args in calls["block-diagonality"]] == [(0, 1), (1, 1), (2, 1)]
         assert [args[1:] for args in calls[1]] == [(1, FAST["truncation"][0])]
+
+
+class TestCheckTable:
+    """``_SET_CHECKS`` lists each computed per-set check once, and every
+    check it lists is computed by a task or read off another
+    (``tests/test_acceptance.py`` pins the order)."""
+
+    def test_every_computed_check_is_listed_once(self):
+        listed = [check for checks in verify._SET_CHECKS.values() for check, _, _ in checks]
+        computed = [check for _, checks in verify._CHECK_TASKS.values() for check in checks] + list(verify._SECTOR_CHECKS)
+        assert len(computed) == len(set(computed))
+        assert all(listed.count(check) == 1 for check in computed)
+        assert set(listed) - set(computed) == {"susy-anticommutator"}
 
 
 class TestFieldResiduals:
