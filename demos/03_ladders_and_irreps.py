@@ -37,7 +37,7 @@ print(f"weights: tau = {w.tau}, q = {w.q}")
 print(f"radial raising coefficient sqrt((N+1)(2 tau + N)) = {k_ladder_coeff('+', w.tau, N):.6f}\n")
 
 grid_odd = Grid.for_pair(params, n, n, 64, 64, odd=True)
-table = FactorTable(params, grid_odd.r, grid_odd.phi)
+table = FactorTable.on(grid_odd)
 # one bundle (values and polar derivatives) of the state serves both odd operators
 (bundle,) = table.bundles([zero_fermion_state(params, N, n)])
 images = apply_operators(("V+", "V-"), bundle, table)

@@ -36,7 +36,9 @@ the bundle reaches, and nowhere else, so an image is a compact
 ``_project``, the one projection routine, contracts the same table
 with 1-D radial and angular Gauss sums between two expansions of
 states, each distinct moment once, so the algebra residuals measure
-the formulas, not a discretization.  How states break into radial and
+the formulas, not a discretization.  On a grid, both read each table
+from the set's angular row (``_row_terms``), which evaluates its
+angular functions theta once per set.  How states break into radial and
 angular factors is ``states.FactorTable.expand``, one call per grid:
 ``sector_matrices`` expands a sector grid's even and odd states in
 one, and ``project`` a row and a column list, as ``wavefunction_gram``
@@ -64,7 +66,7 @@ import numpy as np
 
 from . import fock
 from .irreps import BasisState, sector_basis, zero_fermion_state
-from .model import Grid, ModelParams
+from .model import AngularRow, Grid, ModelParams
 from .states import CatalogState, FactorTable, SpinorField, StateBundle, state_bundle
 
 __all__ = [
@@ -106,8 +108,11 @@ def _row_map(m: np.ndarray) -> tuple:
 
 # Each fixed-basis fermion matrix has at most one nonzero per row, so it
 # acts on a spinor as a signed row map: component i of M f is M[i, j] f_j.
-# Every term of ``_terms`` carries one of these matrices.
+# Every term of ``_terms`` carries one of these matrices; the term tables
+# that angular rows keep share them, so they are read-only.
 _ROW_MAPS = {id(m): _row_map(m) for m in (_BX, _BY, _BDX, _BDY, _NXX, _NYY, _NXY_YX, _FNUM, _EYE)}
+for _m in (_BX, _BY, _BDX, _BDY, _NXX, _NYY, _NXY_YX, _FNUM, _EYE):
+    _m.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +258,15 @@ def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
     ]
 
 
+def _row_terms(name: str, params: ModelParams, phi, row: AngularRow | None) -> list[_Term]:
+    """``_terms(name, params, phi)``, kept by ``row``, the angular row phi
+    is, when there is one (on scattered points, ``None``), so that every
+    grid of a set reads one table of each operator."""
+    if row is None:
+        return _terms(name, params, phi)
+    return row.value(("terms", name), lambda: _terms(name, params, phi))
+
+
 @dataclass
 class _Group:
     """The terms of one table that share (fermion matrix, d_r, d_phi), on
@@ -342,13 +356,13 @@ def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[Spin
     ``table`` (from ``table.bundles``) at the table's points, as a list
     of compact spinor fields.  Each operator's grouped term table is
     built on first use and kept on the table, so every state sampled
-    there shares its angular functions, and so is each group's
-    coefficient array, of the grid's 2-D shape, once a state first
-    reaches the group."""
+    there shares its angular functions (which a grid's table reads from
+    its angular row), and so is each group's coefficient array, of the
+    grid's 2-D shape, once a state first reaches the group."""
     ops = table.operators
     for name in names:
         if name not in ops:
-            ops[name] = _groups(_terms(name, table.params, table.phi))
+            ops[name] = _groups(_row_terms(name, table.params, table.phi, table.row))
     return [_apply_groups(ops[name], bundle, table.r) for name in names]
 
 
@@ -415,7 +429,7 @@ def _project(names, rows, cols, grid: Grid) -> dict[str, np.ndarray]:
     out = {}
     for name in names:
         P = np.zeros((C_row.shape[1], C_col.shape[1]))
-        for t in _terms(name, grid.params, grid.phi):
+        for t in _row_terms(name, grid.params, grid.phi, grid.angular):
             rad = rads.get((t.r_pow, t.d_r))
             if rad is None:
                 rad = rads[t.r_pow, t.d_r] = _radial_moment(R_row, R_col, grid, t.r_pow, t.d_r)
@@ -441,7 +455,7 @@ def project(names, rows: list[CatalogState], cols: list[CatalogState], grid: Gri
     contracts the expansions with every operator's term table.  So every
     entry is a sum of products of 1-D radial and angular Gauss sums:
     nothing is sampled on the 2-D grid."""
-    return _project(names, *FactorTable(grid.params, grid.r, grid.phi).expand(rows, cols), grid)
+    return _project(names, *FactorTable.on(grid).expand(rows, cols), grid)
 
 
 def wavefunction_gram(params: ModelParams, pairs_max: tuple[int, int], m_rad: int = 80, m_ang: int = 80) -> np.ndarray:
@@ -487,7 +501,7 @@ def sector_matrices(
     block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
     for p_out in (0, 1):
         grid = Grid.for_pair(params, n, n, m_rad, m_ang, odd=bool(p_out))
-        expanded = list(FactorTable(params, grid.r, grid.phi).expand(*([bs[i].state for i in part] for part in parts)))
+        expanded = list(FactorTable.on(grid).expand(*([bs[i].state for i in part] for part in parts)))
         for p_in in (0, 1):
             gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
             for g, part in _project(gens, expanded[p_out], expanded[p_in], grid).items():

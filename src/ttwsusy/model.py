@@ -50,6 +50,7 @@ import numpy as np
 from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre_levels
 
 __all__ = [
+    "AngularRow",
     "Grid",
     "ModelParams",
     "Weights",
@@ -248,16 +249,65 @@ def eval_wavefunction(params: ModelParams, N: int, n: int, r, phi):
 # Quadrature grids
 
 
+def _read_only(value):
+    """``value`` with every array in it, through tuples and lists, made
+    read-only: the objects below are shared by every caller, so a write
+    into one raises instead of changing what later callers read."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    return value
+
+
 # keyed on the exact exponents: a rule built for a rounded exponent would
 # integrate against a weight the grid does not divide out
 @lru_cache(maxsize=256)
 def _laguerre_rule(order: int, alpha: float):
-    return gauss_rule("gauss-laguerre", order, alpha=alpha)
+    rule = gauss_rule("gauss-laguerre", order, alpha=alpha)
+    _read_only((rule.nodes, rule.weights, rule.log_weights))
+    return rule
 
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(order: int, alpha: float, beta: float):
-    return gauss_rule("gauss-jacobi", order, alpha=alpha, beta=beta)
+    rule = gauss_rule("gauss-jacobi", order, alpha=alpha, beta=beta)
+    _read_only((rule.nodes, rule.weights))
+    return rule
+
+
+class AngularRow:
+    """The angular nodes ``phi`` and weights ``w_phi`` that every grid of
+    one parameter set at angular order ``m_ang`` shares, as read-only
+    (1, m_ang) rows, and the set's angular layer on them: ``value(key,
+    compute)`` calls ``compute()`` the first time ``key`` is asked for and
+    gives its result, made read-only, from then on.  ``_angular_row`` keeps
+    one per (params, m_ang) in each process; the states and generators
+    layers keep their angular functions of phi here, so each is evaluated
+    once per set, on the nodes every grid of the set reads."""
+
+    def __init__(self, params: ModelParams, m_ang: int):
+        ang = _jacobi_rule(m_ang, params.a - 0.5, params.b - 0.5)
+        self.phi = _read_only((np.arccos(-ang.nodes) / (2.0 * params.k))[None, :])
+        # the angular envelope leaves float range at huge a or b; that is
+        # Grid's ValueError, so numpy need not warn of it first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
+        self.w_phi = _read_only(wphi[None, :])
+        self._values: dict = {}
+
+    def value(self, key, compute):
+        out = self._values.get(key)
+        if out is None:
+            out = self._values[key] = _read_only(compute())
+        return out
+
+
+@lru_cache(maxsize=32)
+def _angular_row(params: ModelParams, m_ang: int) -> AngularRow:
+    """The one ``AngularRow`` of (params, m_ang) in this process."""
+    return AngularRow(params, m_ang)
 
 
 class Grid:
@@ -267,7 +317,12 @@ class Grid:
     ``phi``/``w_phi`` the angular ones as (1, m_ang) rows; the grid keeps
     no (m_rad, m_ang) array.  ``f(..., grid.r, grid.phi)`` samples any
     product of a radial and an angular factor on the whole grid while
-    evaluating each factor on the 1-D nodes only.
+    evaluating each factor on the 1-D nodes only.  Every array is
+    read-only.  Only the radial exponent differs between the grids of one
+    parameter set, so they share one ``angular``, the set's
+    ``AngularRow``, whose ``phi`` and ``w_phi`` are the grid's;
+    ``for_pair`` gives one grid per (params, alpha, orders) in each
+    process.
 
     ``alpha`` is the radial reference exponent: sums against the product
     weights w_r w_phi are exact whenever the integrand has the form
@@ -285,18 +340,14 @@ class Grid:
         self.m_ang = m_ang
 
         rad = _laguerre_rule(m_rad, self.alpha)
-        ang = _jacobi_rule(m_ang, params.a - 0.5, params.b - 0.5)
-        self.r = np.sqrt(rad.nodes / params.omega)[:, None]
-        self.phi = (np.arccos(-ang.nodes) / (2.0 * params.k))[None, :]
+        self.angular = _angular_row(params, m_ang)
+        self.r = _read_only(np.sqrt(rad.nodes / params.omega)[:, None])
         # plain weights: sum_i wz_i f(z_i) == integral f dz / (2 omega)
         # for f = z^alpha e^-z poly; from log weights, finite for every alpha
         wz = np.exp(rad.log_weights + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
-        # the angular envelope leaves float range at huge a or b; that is
-        # the ValueError below, so numpy need not warn of it first
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
-        self.w_r, self.w_phi = wz[:, None], wphi[None, :]
-        if not (np.all(np.isfinite(wz)) and np.all(np.isfinite(wphi))):
+        self.w_r = _read_only(wz[:, None])
+        self.phi, self.w_phi = self.angular.phi, self.angular.w_phi
+        if not (np.all(np.isfinite(wz)) and np.all(np.isfinite(self.w_phi))):
             raise ValueError(
                 f"quadrature weights are not finite at radial exponent alpha = {self.alpha:g} "
                 f"and angular exponents a = {params.a:g}, b = {params.b:g}"
@@ -308,5 +359,12 @@ class Grid:
     ) -> "Grid":
         """Grid exact for products of sector-n1 and sector-n2 states: radial
         exponent (n1 + n2 + a + b) k, less 1 with ``odd`` for the 1/z
-        carried by a pair of one-fermion factors."""
-        return cls(params, (n1 + n2 + params.a + params.b) * params.k - (1.0 if odd else 0.0), m_rad, m_ang)
+        carried by a pair of one-fermion factors; the one grid of its
+        (params, alpha, orders) in this process."""
+        return _grid(params, (n1 + n2 + params.a + params.b) * params.k - (1.0 if odd else 0.0), m_rad, m_ang)
+
+
+# keyed on the exact exponent, as the rules are
+@lru_cache(maxsize=256)
+def _grid(params: ModelParams, alpha: float, m_rad: int, m_ang: int) -> Grid:
+    return Grid(params, alpha, m_rad, m_ang)

@@ -28,10 +28,15 @@ alone).  ``FactorTable.expand`` is the one place that groups terms by
 factor key and evaluates the factors, through
 ``model.radial_levels``/``angular_parts``, on any broadcastable pair
 (r, phi): it writes each group of states it is given as a coefficient
-array over (radial key, angular key) pairs plus the factor arrays, each
-factor evaluated once per call and kept by no one after it.  Radial
-factors are evaluated for every level of one (sector, one-fermion) key
-at once.  ``FactorTable.bundles``/``fields`` contract one call, a state
+array over (radial key, angular key) pairs plus the factor arrays.
+Radial factors are evaluated once per call, for every level of one
+(sector, one-fermion) key at once, and kept by no one after it.  Every
+grid of a parameter set shares one row of angular nodes
+(``model.AngularRow``), so a grid's table (``FactorTable.on``) leaves
+its angular factors, ``angular_parts`` and the angular spinor factors,
+to that row: each is evaluated once per set in a process, and read-only.
+On scattered points they are evaluated once per call, like the radial
+ones.  ``FactorTable.bundles``/``fields`` contract one call, a state
 per group, broadcast over the table's points; ``generators`` contracts
 the groups of row and column states with 1-D Gauss sums.
 Equal-shape arrays sample scattered points; a grid's ``(grid.r,
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, angular_parts, radial_levels
+from .model import AngularRow, Grid, ModelParams, angular_parts, radial_levels
 
 __all__ = [
     "CatalogState",
@@ -216,6 +221,21 @@ def _occupation_trig(occ: int, phi: np.ndarray):
     raise ValueError(f"unknown occupation {occ}")
 
 
+def _values(row: AngularRow | None):
+    """``row.value`` of a table's angular row; on scattered points, a store
+    of the same form that keeps each value for one call only."""
+    if row is not None:
+        return row.value
+    kept: dict = {}
+
+    def value(key, compute):
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
+
+    return value
+
+
 class FactorTable:
     """One set of points at which states are expanded and sampled.
 
@@ -226,18 +246,30 @@ class FactorTable:
     1-D nodes only.  ``expand`` evaluates the factors of the groups of
     states it is given, keyed without the term coefficient, so states
     sharing basis functions share their evaluation within the call,
-    whatever group they are in; the table keeps no factor between calls.
-    ``bundles``/``fields`` contract one call a state at a time.
+    whatever group they are in.  The table keeps no factor between
+    calls: the radial factors die with the call, and so do the angular
+    ones, unless ``row``, the angular row of the grid whose ``phi`` the
+    table samples (``FactorTable.on(grid)``), keeps them for every table
+    of the set.  ``bundles``/``fields`` contract one call a state at a
+    time.
     """
 
-    def __init__(self, params: ModelParams, r, phi):
+    def __init__(self, params: ModelParams, r, phi, row: AngularRow | None = None):
         params.require_interior(r, phi)
         self.params = params
         self.r = np.asarray(r, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
         self.shape = np.broadcast_shapes(self.r.shape, self.phi.shape)
+        # the angular row phi is, which keeps the angular functions on it; None on scattered points
+        self.row = row
         # operator term tables on these points, built and read by generators
         self.operators: dict[str, list] = {}
+
+    @classmethod
+    def on(cls, grid: Grid) -> "FactorTable":
+        """The table on a grid's radial column and angular row, whose
+        angular factors its row keeps (``model.AngularRow``)."""
+        return cls(grid.params, grid.r, grid.phi, grid.angular)
 
     def expand(self, *groups: list[CatalogState]):
         """Expand each group of states over products of the table's factors,
@@ -251,10 +283,11 @@ class FactorTable:
         key (occ, angular index); a group's keys are its own, in the order
         its terms first name them.  Every level of one (n, one-fermion) comes
         from one ``radial_levels`` pass up to the highest N any group asks
-        for, and each (shift, angular index) from one ``angular_parts`` call;
-        a group's arrays are C-contiguous and equal to the last bit to those
-        of a call with that group alone.  The factors are the normalized
-        ones of ``model``, so C holds the catalog coefficients as they are."""
+        for, and each (shift, angular index) from one ``angular_parts`` call
+        (one per set, with a ``row``); a group's arrays are C-contiguous and
+        equal to the last bit to those of a call with that group alone.  The
+        factors are the normalized ones of ``model``, so C holds the catalog
+        coefficients as they are."""
         rad_keys: dict[tuple, int] = {}
         ang_keys: dict[tuple, int] = {}
         # per group: its size, its keys (the call's indices, in the group's order) and its (state, key, key, coeff) entries by group index
@@ -274,21 +307,34 @@ class FactorTable:
         R = np.zeros((3, *self.r.shape, len(rad_keys)))
         for j, (N, n, one_fermion) in enumerate(rad_keys):
             R[..., j] = [part[N] for part in levels[n, one_fermion]]
-        angular: dict[tuple[int, int], tuple] = {}
+        value = _values(self.row)
         S = np.zeros((3, len(ang_keys), 4, *self.phi.shape))
         for a, (occ, m) in enumerate(ang_keys):
-            shift = _OCC_SHIFT[occ]
-            if (shift, m) not in angular:
-                angular[shift, m] = angular_parts(self.params, m, self.phi, shift)
-            A0, A1, A2 = angular[shift, m]
-            for idx, t, t1, t2 in _occupation_trig(occ, self.phi):
-                S[:, a, idx] = t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2
+            if self.row is None:
+                # an angular key comes once per call: written in place, kept by no one
+                self._spinor_factor(occ, m, value, S[:, a])
+            else:
+                S[:, a] = self.row.value(
+                    ("spinor", occ, m), lambda: self._spinor_factor(occ, m, value, np.zeros((3, 4, *self.phi.shape)))
+                )
         for size, rad, ang, entries in own:
             C = np.zeros((size, len(rad), len(ang)))
             for i, rk, ak, c in entries:
                 C[i, rk, ak] += c
             # C-contiguous copies, as a call with this group alone makes: fancy-index slices are not, and move BLAS sums' last bits
             yield C, np.take(R, rad, axis=-1), np.take(S, ang, axis=1)
+
+    def _spinor_factor(self, occ: int, m: int, value, out: np.ndarray) -> np.ndarray:
+        """``out``, a zero (3, 4, *phi.shape) array, with the angular spinor
+        factor of occupation ``occ`` and angular index ``m`` and its first
+        two derivatives written in: the fermion trig t of the occupation
+        times the angular factor A of ``angular_parts``, which ``value``
+        gives (``_values``)."""
+        shift = _OCC_SHIFT[occ]
+        A0, A1, A2 = value(("parts", shift, m), lambda: angular_parts(self.params, m, self.phi, shift))
+        for idx, t, t1, t2 in _occupation_trig(occ, self.phi):
+            out[:, idx] = t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2
+        return out
 
     def _contractions(self, states: list[CatalogState], orders):
         """Per state, its fields for each (radial, angular) derivative order

@@ -22,18 +22,22 @@ part of each selected check that reads them, and drops them; and one
 per remaining check, where ``eigenvalue-residual`` and ``spectrum``
 share one task and its state bundles, and ``riccati`` and
 ``riccati-control`` another.  A task reads a ``_Workspace``: the set's
-parameters and the config, from which it builds its grids and factor
-tables at the configured orders.  With several tasks and usable CPUs
-they run in forked worker processes, which take them one at a time
-from a queue and append their outputs to a file of their own, while
-this process runs specfun, the parameter-free oscillator-realization
-check and special-cases (whose sets draw their points from one random
-generator in sequence).  With one usable CPU, or without ``os.fork`` or
-``os.memfd_create``, they run here, one after the other.  Each set's
-records are then built from its task values and times, so the records
-are the same either way.  A check that raises in one set ends that
-set's part of its suite with a failed ``<suite>-suite`` record and
-keeps every other record (see ``run``).
+parameters and the config, from which it takes its grids, one per
+exponent and orders in each process, and builds its factor tables at
+the configured orders; the angular functions on a set's grids are
+evaluated once per set in a process (``model.AngularRow``).  With
+several tasks and usable CPUs they run in forked worker processes,
+dealt by set: each worker takes its own sets' tasks one at a time
+from a queue of its own, then helps with the others' queues, and
+appends its outputs to a file of its own, while this process runs
+specfun, the parameter-free oscillator-realization check and
+special-cases (whose sets draw their points from one random generator
+in sequence), none of which builds a grid.  With one usable CPU, or
+without ``os.fork`` or ``os.memfd_create``, they run here, one after
+the other.  Each set's records are then built from its task values and
+times, so the records are the same either way.  A check that raises in
+one set ends that set's part of its suite with a failed
+``<suite>-suite`` record and keeps every other record (see ``run``).
 
 Command line:
 
@@ -353,14 +357,15 @@ class _Workspace:
         self.config = config
 
     def grid(self, n1: int, n2: int | None = None, odd: bool = False) -> Grid:
-        """``Grid.for_pair(n1, n2)`` (n2 defaults to n1), built afresh."""
+        """``Grid.for_pair(n1, n2)`` (n2 defaults to n1): the one grid of its
+        exponent and the configured orders in this process."""
         m_rad, m_ang = self.config.quad_orders
         return Grid.for_pair(self.params, n1, n1 if n2 is None else n2, m_rad, m_ang, odd=odd)
 
     def table(self, n: int, odd: bool = False) -> FactorTable:
-        """A fresh ``FactorTable`` on ``grid(n, odd=odd)``."""
-        grid = self.grid(n, odd=odd)
-        return FactorTable(self.params, grid.r, grid.phi)
+        """A fresh ``FactorTable`` on ``grid(n, odd=odd)``, whose angular
+        factors the set's angular row keeps."""
+        return FactorTable.on(self.grid(n, odd=odd))
 
 
 # ---------------------------------------------------------------------------
@@ -1097,20 +1102,22 @@ def _one_blas_thread():
             put(threads)
 
 
-def _worker(config: SuiteConfig, tasks: list, queue: int, out: int) -> None:
-    """A forked worker: until the queue is empty, take a task index from
-    it, append the index (4 bytes) to its file ``out``, run the task, and
-    append the task's output pickled, after the pickle's length (8
-    bytes).  It never returns."""
+def _worker(config: SuiteConfig, tasks: list, queues: list, out: int) -> None:
+    """A forked worker: for each of the ``queues`` in turn, its own first,
+    until that queue is empty, take a task index from it, append the
+    index (4 bytes) to its file ``out``, run the task, and append the
+    task's output pickled, after the pickle's length (8 bytes).  It
+    never returns."""
     status = 1
     try:
         with os.fdopen(out, "wb") as stream:
-            while chunk := os.read(queue, 4):
-                stream.write(chunk)
-                stream.flush()
-                data = pickle.dumps(_run_task(config, tasks[int.from_bytes(chunk, "little")]))
-                stream.write(len(data).to_bytes(8, "little") + data)
-                stream.flush()
+            for queue in queues:
+                while chunk := os.read(queue, 4):
+                    stream.write(chunk)
+                    stream.flush()
+                    data = pickle.dumps(_run_task(config, tasks[int.from_bytes(chunk, "little")]))
+                    stream.write(len(data).to_bytes(8, "little") + data)
+                    stream.flush()
         status = 0
     except BaseException:
         traceback.print_exc()
@@ -1139,28 +1146,34 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
     """(``_parent_checks``, the ``_run_task`` output of every task, or a
     ``_TaskError`` for a task whose worker died).
 
-    With more than one task and usable CPU, min(tasks, usable CPUs)
+    With more than one task and usable CPU, W = min(tasks, usable CPUs)
     workers are forked with ``os.fork``, so each starts from this
-    process's state, the config and any monkeypatches included, without
-    a fresh import.  (Python 3.12 and later warn when a process that
-    runs threads, such as OpenBLAS's pool, forks.)  The task indices
-    wait in one pipe, from which each worker takes the next whenever it
-    is free; each index is 4 bytes, and pipe writes of at most PIPE_BUF
-    (>= 512) bytes are atomic, so a worker always reads whole indices.
-    Each worker appends its outputs to an unnamed file of its own
-    (``os.memfd_create``), which never fills, so no worker waits on it.
-    This process runs its own checks, waits for every worker, and then
-    reads each file (``_read_outputs``).  Tasks that no worker took,
-    because none could be started or every one died, run here.  With
-    one usable CPU, or without ``os.fork`` or ``os.memfd_create``, every
-    task runs here, one after the other."""
+    process's state, the config, the quadrature caches and any
+    monkeypatches included, without a fresh import.  (Python 3.12 and
+    later warn when a process that runs threads, such as OpenBLAS's
+    pool, forks.)  The tasks are dealt by parameter set: the indices of
+    the tasks of sets w, w + W, ... wait in pipe w.  Worker w takes the
+    next index from its own pipe whenever it is free, and once that is
+    empty, from the other pipes in turn (w + 1, w + 2, ...); so each
+    worker builds the Gauss rules, grids and angular row of its own sets
+    once (``model.Grid``), and meets another set's only for the tasks it
+    takes over at the end.  Each index is 4 bytes, and pipe writes of at
+    most PIPE_BUF (>= 512) bytes are atomic, so a worker always reads
+    whole indices.  Each worker appends its outputs to an unnamed file
+    of its own (``os.memfd_create``), which never fills, so no worker
+    waits on it.  This process runs its own checks, waits for every
+    worker, and then reads each file (``_read_outputs``).  Tasks that no
+    worker took, because none could be started or every one died, run
+    here.  With one usable CPU, or without ``os.fork`` or
+    ``os.memfd_create``, every task runs here, one after the other."""
     can_fork = hasattr(os, "fork") and hasattr(os, "memfd_create")
     workers = min(len(tasks), _usable_cpus()) if can_fork else 1
     if workers < 2:
         return _parent_checks(config), [_run_task(config, task) for task in tasks]
-    queue, queue_in = os.pipe()
+    pipes = [os.pipe() for _ in range(workers)]
+    queues = [read for read, _ in pipes]
     files: dict[int, int] = {}
-    for _ in range(workers):
+    for w in range(workers):
         out = -1
         try:
             out = os.memfd_create("ttwsusy-worker")
@@ -1170,14 +1183,15 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
                 os.close(out)
             break
         if pid == 0:
-            for inherited in (queue_in, *files.values()):
+            for inherited in (*(write for _, write in pipes), *files.values()):
                 os.close(inherited)
-            _worker(config, tasks, queue, out)
+            _worker(config, tasks, queues[w:] + queues[:w], out)
         files[pid] = out
-    indices = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
-    for start in range(0, len(indices), 512):
-        os.write(queue_in, indices[start : start + 512])
-    os.close(queue_in)
+    for w, (_, queue_in) in enumerate(pipes):
+        indices = b"".join(i.to_bytes(4, "little") for i, (index, _) in enumerate(tasks) if index % workers == w)
+        for start in range(0, len(indices), 512):
+            os.write(queue_in, indices[start : start + 512])
+        os.close(queue_in)
     parent = _parent_checks(config)
     outputs: list = [None] * len(tasks)
     failed = None
@@ -1193,10 +1207,11 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
             failed = _TaskError(f"worker process {pid} failed: {how}")
             if lost is not None:
                 outputs[lost] = failed
-    while chunk := os.read(queue, 4):
-        i = int.from_bytes(chunk, "little")
-        outputs[i] = _run_task(config, tasks[i])
-    os.close(queue)
+    for queue in queues:
+        while chunk := os.read(queue, 4):
+            i = int.from_bytes(chunk, "little")
+            outputs[i] = _run_task(config, tasks[i])
+        os.close(queue)
     # a worker that died between taking a task and appending its index left no output and named no task
     return parent, [failed if output is None else output for output in outputs]
 

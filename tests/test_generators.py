@@ -837,9 +837,9 @@ class TestWorkCounts:
             assert set(keys) == {(t.r_pow, t.d_r) for t in terms}
             assert len(keys) < len(terms)
 
-    def test_one_angular_call_per_factor_and_sector_grid(self, monkeypatch):
-        # each sector grid's table expands both parities in one call, so
-        # each (shift, angular index) is evaluated once per grid
+    def test_one_angular_call_per_factor_and_set(self, monkeypatch, cold_caches):
+        # every sector grid of the set reads one angular row, which keeps
+        # each (shift, angular index) once evaluated
         calls = []
         parts = states_module.angular_parts
 
@@ -852,8 +852,11 @@ class TestWorkCounts:
         generator_matrices(PARAM_SETS[2], (8, n_max), MR, MA)
         # sector n names (0, n) and, from n = 1 on, (1, n - 1), on both its grids
         expected = [(0, n) for n in range(n_max + 1)] + [(1, n - 1) for n in range(1, n_max + 1)]
-        assert len(calls) == 2 + 4 * n_max == 26
-        assert sorted(calls) == sorted(2 * expected)
+        assert len(calls) == 1 + 2 * n_max == 13
+        assert sorted(calls) == sorted(expected)
+        # a second build reads them all from the row
+        generator_matrices(PARAM_SETS[2], (8, n_max), MR, MA)
+        assert len(calls) == 13
 
     def test_one_term_table_per_factor_table(self, monkeypatch):
         calls = []

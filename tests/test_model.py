@@ -289,6 +289,36 @@ class TestGrid:
         assert {"r", "phi", "w_r", "w_phi"} <= set(arrays)
         assert all(shape in ((12, 1), (1, 10)) for shape in arrays.values()), arrays
 
+    def test_shared_arrays_refuse_writes(self):
+        # the cached Gauss rules, the grid's arrays, the set's angular row
+        # and every angular value it keeps are shared by all later callers
+        from ttwsusy import model
+        from ttwsusy.generators import apply_operators
+        from ttwsusy.irreps import sector_basis
+        from ttwsusy.states import FactorTable
+
+        grid = Grid.for_pair(P_GEN, 2, 2, 12, 10, odd=True)
+        table = FactorTable.on(grid)
+        for bundle in table.bundles([s.state for s in sector_basis(P_GEN, 2, 3) if s.state.fermion_parity() == 1]):
+            apply_operators(("Hs", "V+"), bundle, table)
+        radial = model._laguerre_rule(12, grid.alpha)
+        angular = model._jacobi_rule(10, P_GEN.a - 0.5, P_GEN.b - 0.5)
+        arrays = [radial.nodes, radial.weights, radial.log_weights, angular.nodes, angular.weights]
+        arrays += [grid.r, grid.w_r, grid.phi, grid.w_phi, grid.angular.phi, grid.angular.w_phi]
+        kept = grid.angular._values
+        assert {key[0] for key in kept} == {"parts", "spinor", "terms"}
+        for key, value in kept.items():
+            if key[0] == "parts":
+                arrays += list(value)
+            elif key[0] == "spinor":
+                arrays.append(value)
+            else:
+                arrays += [t.theta for t in value if isinstance(t.theta, np.ndarray)]
+        assert len(arrays) > 20
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+
     def test_spinor_inner_sums_components(self):
         grid = Grid.for_pair(P_GEN, 0, 0, 16, 12)
         rng = np.random.default_rng(5)

@@ -205,15 +205,18 @@ class TestBroadcastingContract:
         assert [key[:2] for key in calls["radial"]] == [(2, False), (2, True)]
 
     def test_table_keeps_no_factors_between_calls(self):
+        # a table on plain arrays has no angular row; a grid's table leaves
+        # its angular factors to the grid's row, not to the table
         grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
-        table = FactorTable(P, grid.r, grid.phi)
         states_ = [s.state for s in sector_basis(P, 2, 3) if s.state.fermion_parity() == 1]
-        list(table.expand(states_))
-        for bundle in table.bundles(states_):
-            apply_operators(("Hs",), bundle, table)
-        list(table.fields(states_))
-        assert sorted(vars(table)) == ["operators", "params", "phi", "r", "shape"]
-        assert list(table.operators) == ["Hs"]
+        for table, row in ((FactorTable(P, grid.r, grid.phi), None), (FactorTable.on(grid), grid.angular)):
+            list(table.expand(states_))
+            for bundle in table.bundles(states_):
+                apply_operators(("Hs",), bundle, table)
+            list(table.fields(states_))
+            assert sorted(vars(table)) == ["operators", "params", "phi", "r", "row", "shape"]
+            assert table.row is row
+            assert list(table.operators) == ["Hs"]
 
 
 def count_factor_passes(monkeypatch):

@@ -367,7 +367,7 @@ class TestRun:
         assert report.n_failed == 0 and report.checks, report.to_text()
         assert not any(c.name.endswith("-suite") for c in report.checks)
 
-    def test_block_diagonality_sees_a_sector_coupling_term(self, monkeypatch):
+    def test_block_diagonality_sees_a_sector_coupling_term(self, monkeypatch, cold_caches):
         terms = verify.gen._terms
 
         # K0 + 1e-6 cos(2 k phi): cos(2 k phi) = -xi moves the angular index by one
@@ -697,7 +697,7 @@ class TestParallelRun:
         assert alive == [0] * sectors
         assert len(refs) == 8 * sectors and not any(ref() is not None for ref in refs)
 
-    def test_set_job_grids_use_the_configured_orders(self, monkeypatch):
+    def test_set_job_grids_use_the_configured_orders(self, monkeypatch, cold_caches):
         """Every grid a parameter set's tasks build, directly or through
         the generator and Gram builders, is at the configured orders."""
         init = verify.Grid.__init__
@@ -718,6 +718,138 @@ class TestParallelRun:
         assert {c.suite for c in report.checks} == set(verify.PER_SET_SUITES)
         assert report.n_failed == 0, report.to_text()
         assert orders and set(orders) == {(40, 40)}
+
+
+DEFAULT_SMALL = dict(truncation=(4, 3), quad_orders=(40, 40))
+
+
+class TestSingleEvaluation:
+    """In one process, each grid and each angular value of a set is built
+    once, and a second run reads them all from the caches."""
+
+    def test_each_grid_and_angular_factor_is_built_once(self, monkeypatch, cold_caches):
+        built = collections.Counter()
+        init, spinor, parts = verify.Grid.__init__, states.FactorTable._spinor_factor, states.angular_parts
+
+        def counted_grid(self, params, alpha, m_rad=80, m_ang=80):
+            built["grid", params, alpha, m_rad, m_ang] += 1
+            init(self, params, alpha, m_rad, m_ang)
+
+        def counted_spinor(self, occ, m, value, out):
+            if self.row is not None:
+                built["spinor", self.params, occ, m] += 1
+            return spinor(self, occ, m, value, out)
+
+        def counted_parts(params, m, phi, shift=0):
+            # a grid's angular row is (1, m_ang); scattered points are 1-D
+            if np.ndim(phi) == 2:
+                built["parts", params, shift, m] += 1
+            return parts(params, m, phi, shift)
+
+        monkeypatch.setattr(verify.Grid, "__init__", counted_grid)
+        monkeypatch.setattr(states.FactorTable, "_spinor_factor", counted_spinor)
+        monkeypatch.setattr(states, "angular_parts", counted_parts)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        first = run(SuiteConfig())
+        assert first.n_failed == 0, first.to_text()
+        kinds = collections.Counter(key[0] for key in built)
+        assert kinds["grid"] > 60 and kinds["spinor"] > 60 and kinds["parts"] > 40, kinds
+        assert set(built.values()) == {1}, [key for key, count in built.items() if count > 1]
+        # every set's factors, not only one set's
+        assert len({key[1] for key in built if key[0] == "spinor"}) == len(verify.DEFAULT_PARAM_SETS)
+        once = dict(built)
+        second = run(SuiteConfig())
+        assert built == once
+        assert record_bits(second) == record_bits(first)
+
+
+class TestDealing:
+    """With two workers, each takes its own sets' tasks first, and so
+    builds their Gauss rules once."""
+
+    @staticmethod
+    def logged_run(monkeypatch, tmp_path, config):
+        """(pooled report, {worker pid: its own pipe's place w}, [(pid, task)]
+        in the order each worker took them), with two workers."""
+        log, own = tmp_path / "tasks", tmp_path / "own"
+        run_task, worker = verify._run_task, verify._worker
+
+        def logged(config, task):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([os.getpid(), task]) + "\n")
+            time.sleep(0.005)
+            return run_task(config, task)
+
+        def placed(config, tasks, queues, out):
+            # the pipes are made in the order of w, so their read ends rise with it
+            with open(own, "a") as fh:
+                fh.write(json.dumps([os.getpid(), sorted(queues).index(queues[0])]) + "\n")
+            worker(config, tasks, queues, out)
+
+        monkeypatch.setattr(verify, "_run_task", logged)
+        monkeypatch.setattr(verify, "_worker", placed)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        report = run(config)
+        with open(own) as fh:
+            places = dict(json.loads(line) for line in fh)
+        with open(log) as fh:
+            ran = [(pid, tuple(task)) for pid, task in map(json.loads, fh)]
+        return report, places, ran
+
+    def test_workers_take_their_own_sets_first(self, monkeypatch, tmp_path):
+        config = SuiteConfig(**DEFAULT_SMALL)
+        pooled, places, ran = self.logged_run(monkeypatch, tmp_path, config)
+        assert sorted(places.values()) == [0, 1] and os.getpid() not in places
+        for pid, w in places.items():
+            taken = [task for p, task in ran if p == pid]
+            assert taken and taken[0][0] % 2 == w, (w, taken[:3])
+        assert sorted((task for _, task in ran), key=str) == sorted(verify._tasks(config), key=str)
+        assert {pid for pid, _ in ran} == set(places)
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        assert record_bits(pooled) == record_bits(run(config))
+
+    def test_one_set_is_spread_over_both_workers(self, monkeypatch, tmp_path):
+        config = SuiteConfig(**ONE_SET)
+        pooled, places, ran = self.logged_run(monkeypatch, tmp_path, config)
+        per_worker = collections.Counter(pid for pid, _ in ran)
+        tasks = len(verify._tasks(config))
+        assert set(per_worker) == set(places) and sum(per_worker.values()) == tasks
+        assert min(per_worker.values()) >= tasks / 4, per_worker
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        assert record_bits(pooled) == record_bits(run(config))
+
+    def test_no_process_builds_a_rule_twice(self, monkeypatch, tmp_path, cold_caches):
+        log = tmp_path / "rules"
+        parent = os.getpid()
+
+        def logging(where, build):
+            def logged(kind, order, alpha=0.0, beta=0.0):
+                with open(log, "a") as fh:
+                    fh.write(json.dumps([os.getpid(), where, kind, order, alpha, beta]) + "\n")
+                return build(kind, order, alpha, beta)
+
+            return logged
+
+        monkeypatch.setattr(verify.model, "gauss_rule", logging("model", verify.model.gauss_rule))
+        monkeypatch.setattr(verify.specfun, "gauss_rule", logging("specfun", verify.specfun.gauss_rule))
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        report = run(SuiteConfig())
+        assert report.n_failed == 0, report.to_text()
+        with open(log) as fh:
+            builds = [tuple(line) for line in map(json.loads, fh)]
+        per_pid = collections.defaultdict(list)
+        for pid, *rule in builds:
+            per_pid[pid].append(tuple(rule))
+        for pid, rules in per_pid.items():
+            assert len(rules) == len(set(rules)), pid
+        # this process builds only the specfun check's own rules: no grid
+        assert {where for where, *_ in per_pid[parent]} == {"specfun"}
+        workers = [rules for pid, rules in per_pid.items() if pid != parent]
+        assert len(workers) == 2
+        # about 110 while every worker met every set's tasks
+        assert sum(map(len, workers)) < 100, [len(rules) for rules in workers]
 
 
 class TestRadialPasses:
