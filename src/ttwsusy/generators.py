@@ -36,10 +36,11 @@ the bundle reaches, and nowhere else, so an image is a compact
 ``_project``, the one projection routine, contracts the same table
 with 1-D radial and angular Gauss sums between two expansions of
 states, each distinct moment once, so the algebra residuals measure
-the formulas, not a discretization.  On a grid, both read each table
-from the set's angular row (``_row_terms``), which evaluates its
-angular functions theta once per set.  How states break into radial and
-angular factors is ``states.FactorTable.expand``, one call per grid:
+the formulas, not a discretization.  Both read each table from the
+angular row of their points (``_row_terms``), which evaluates its
+angular functions theta once per row: once per set on a grid.  How
+states break into radial and angular factors is
+``states.FactorTable.expand``, one call per grid:
 ``sector_matrices`` expands a sector grid's even and odd states in
 one, and ``project`` a row and a column list, as ``wavefunction_gram``
 and verify's other integral checks (cross-sector elements, one-fermion
@@ -258,13 +259,10 @@ def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
     ]
 
 
-def _row_terms(name: str, params: ModelParams, phi, row: AngularRow | None) -> list[_Term]:
-    """``_terms(name, params, phi)``, kept by ``row``, the angular row phi
-    is, when there is one (on scattered points, ``None``), so that every
-    grid of a set reads one table of each operator."""
-    if row is None:
-        return _terms(name, params, phi)
-    return row.value(("terms", name), lambda: _terms(name, params, phi))
+def _row_terms(name: str, params: ModelParams, row: AngularRow) -> list[_Term]:
+    """``_terms`` of ``name`` on the row's angles, kept by the row, so that
+    every grid of a set reads one table of each operator."""
+    return row.value(("terms", name), lambda: _terms(name, params, row.phi))
 
 
 @dataclass
@@ -356,13 +354,14 @@ def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[Spin
     ``table`` (from ``table.bundles``) at the table's points, as a list
     of compact spinor fields.  Each operator's grouped term table is
     built on first use and kept on the table, so every state sampled
-    there shares its angular functions (which a grid's table reads from
-    its angular row), and so is each group's coefficient array, of the
-    grid's 2-D shape, once a state first reaches the group."""
+    there shares its angular functions (which the table's angular row
+    keeps, on a grid the set's), and so is each group's coefficient
+    array, of the grid's 2-D shape, once a state first reaches the
+    group."""
     ops = table.operators
     for name in names:
         if name not in ops:
-            ops[name] = _groups(_row_terms(name, table.params, table.phi, table.row))
+            ops[name] = _groups(_row_terms(name, table.params, table.row))
     return [_apply_groups(ops[name], bundle, table.r) for name in names]
 
 
@@ -429,7 +428,7 @@ def _project(names, rows, cols, grid: Grid) -> dict[str, np.ndarray]:
     out = {}
     for name in names:
         P = np.zeros((C_row.shape[1], C_col.shape[1]))
-        for t in _row_terms(name, grid.params, grid.phi, grid.angular):
+        for t in _row_terms(name, grid.params, grid.angular):
             rad = rads.get((t.r_pow, t.d_r))
             if rad is None:
                 rad = rads[t.r_pow, t.d_r] = _radial_moment(R_row, R_col, grid, t.r_pow, t.d_r)

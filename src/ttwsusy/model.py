@@ -278,23 +278,21 @@ def _jacobi_rule(order: int, alpha: float, beta: float):
 
 
 class AngularRow:
-    """The angular nodes ``phi`` and weights ``w_phi`` that every grid of
-    one parameter set at angular order ``m_ang`` shares, as read-only
-    (1, m_ang) rows, and the set's angular layer on them: ``value(key,
-    compute)`` calls ``compute()`` the first time ``key`` is asked for and
-    gives its result, made read-only, from then on.  ``_angular_row`` keeps
-    one per (params, m_ang) in each process; the states and generators
-    layers keep their angular functions of phi here, so each is evaluated
-    once per set, on the nodes every grid of the set reads."""
+    """The angles ``phi`` a set of factor tables samples, with ``w_phi``
+    their quadrature weights on a grid (``None`` elsewhere), and the
+    angular layer on them: ``value(key, compute)`` calls ``compute()``
+    the first time ``key`` is asked for and gives its result, made
+    read-only, from then on.  The states and generators layers keep
+    here only 1-D functions of phi: the angular factors and the
+    operators' term tables.
+    ``_angular_row`` keeps one row of (1, m_ang) nodes per (params,
+    m_ang) in each process, which every grid of the set shares, so each
+    of these is evaluated once per set; a table on other points keeps a
+    row of its own."""
 
-    def __init__(self, params: ModelParams, m_ang: int):
-        ang = _jacobi_rule(m_ang, params.a - 0.5, params.b - 0.5)
-        self.phi = _read_only((np.arccos(-ang.nodes) / (2.0 * params.k))[None, :])
-        # the angular envelope leaves float range at huge a or b; that is
-        # Grid's ValueError, so numpy need not warn of it first
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
-        self.w_phi = _read_only(wphi[None, :])
+    def __init__(self, phi, w_phi=None):
+        self.phi = phi
+        self.w_phi = w_phi
         self._values: dict = {}
 
     def value(self, key, compute):
@@ -306,8 +304,15 @@ class AngularRow:
 
 @lru_cache(maxsize=32)
 def _angular_row(params: ModelParams, m_ang: int) -> AngularRow:
-    """The one ``AngularRow`` of (params, m_ang) in this process."""
-    return AngularRow(params, m_ang)
+    """The one ``AngularRow`` of (params, m_ang) in this process: the
+    set's Gauss-Jacobi nodes and weights as read-only (1, m_ang) rows."""
+    ang = _jacobi_rule(m_ang, params.a - 0.5, params.b - 0.5)
+    phi = (np.arccos(-ang.nodes) / (2.0 * params.k))[None, :]
+    # the angular envelope leaves float range at huge a or b; that is
+    # Grid's ValueError, so numpy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wphi = ang.weights / (2.0 * params.k * (1.0 - ang.nodes) ** params.a * (1.0 + ang.nodes) ** params.b)
+    return AngularRow(_read_only(phi), _read_only(wphi[None, :]))
 
 
 class Grid:
@@ -320,7 +325,8 @@ class Grid:
     evaluating each factor on the 1-D nodes only.  Every array is
     read-only.  Only the radial exponent differs between the grids of one
     parameter set, so they share one ``angular``, the set's
-    ``AngularRow``, whose ``phi`` and ``w_phi`` are the grid's;
+    ``AngularRow``, whose ``phi`` and ``w_phi`` are the grid's and which
+    keeps the set's angular functions of phi;
     ``for_pair`` gives one grid per (params, alpha, orders) in each
     process.
 

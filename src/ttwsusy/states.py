@@ -30,15 +30,17 @@ factor key and evaluates the factors, through
 (r, phi): it writes each group of states it is given as a coefficient
 array over (radial key, angular key) pairs plus the factor arrays.
 Radial factors are evaluated once per call, for every level of one
-(sector, one-fermion) key at once, and kept by no one after it.  Every
-grid of a parameter set shares one row of angular nodes
-(``model.AngularRow``), so a grid's table (``FactorTable.on``) leaves
-its angular factors, ``angular_parts`` and the angular spinor factors,
-to that row: each is evaluated once per set in a process, and read-only.
-On scattered points they are evaluated once per call, like the radial
-ones.  ``FactorTable.bundles``/``fields`` contract one call, a state
-per group, broadcast over the table's points; ``generators`` contracts
-the groups of row and column states with 1-D Gauss sums.
+(sector, one-fermion) key at once, and kept by no one after it.  The
+angular factors of ``angular_parts``, 1-D functions of phi, are kept
+read-only on the table's angular row (``model.AngularRow``): a table on
+any points has a row of its own, and a grid's table
+(``FactorTable.on``) reads the row that every grid of its parameter set
+shares, so each is evaluated once per set in a process.  ``expand``
+writes every angular spinor factor, the fermion trig times an angular
+factor, in place in each call, and no one keeps it.
+``FactorTable.bundles``/``fields`` contract one call, a state per
+group, broadcast over the table's points; ``generators`` contracts the
+groups of row and column states with 1-D Gauss sums.
 Equal-shape arrays sample scattered points; a grid's ``(grid.r,
 grid.phi)``, a column of radial nodes against a row of angular nodes,
 samples the whole tensor grid while evaluating each factor on the 1-D
@@ -205,35 +207,21 @@ class StateBundle:
 
 
 def _occupation_trig(occ: int, phi: np.ndarray):
-    """Nonzero fixed-basis components as (index, t, t', t'') triples."""
-    one = np.ones_like(phi)
-    zero = np.zeros_like(phi)
+    """Nonzero fixed-basis components as (index, t, t', t'') triples; a
+    constant t is a float, which multiplies to the same bits as an array
+    of it, and the arrays share each of cos, sin and their negatives."""
     if occ == OCC_VAC:
-        return [(0, one, zero, zero)]
+        return [(0, 1.0, 0.0, 0.0)]
     if occ == OCC_XYBAR:
         # bdag_xbar bdag_ybar|0> = bdag_x bdag_y|0> for every phi
-        return [(3, one, zero, zero)]
+        return [(3, 1.0, 0.0, 0.0)]
     c, s = np.cos(phi), np.sin(phi)
+    nc, ns = -c, -s
     if occ == OCC_XBAR:
-        return [(1, c, -s, -c), (2, s, c, -s)]
+        return [(1, c, ns, nc), (2, s, c, ns)]
     if occ == OCC_YBAR:
-        return [(1, -s, -c, s), (2, c, -s, -c)]
+        return [(1, ns, nc, s), (2, c, ns, nc)]
     raise ValueError(f"unknown occupation {occ}")
-
-
-def _values(row: AngularRow | None):
-    """``row.value`` of a table's angular row; on scattered points, a store
-    of the same form that keeps each value for one call only."""
-    if row is not None:
-        return row.value
-    kept: dict = {}
-
-    def value(key, compute):
-        if key not in kept:
-            kept[key] = compute()
-        return kept[key]
-
-    return value
 
 
 class FactorTable:
@@ -247,29 +235,31 @@ class FactorTable:
     states it is given, keyed without the term coefficient, so states
     sharing basis functions share their evaluation within the call,
     whatever group they are in.  The table keeps no factor between
-    calls: the radial factors die with the call, and so do the angular
-    ones, unless ``row``, the angular row of the grid whose ``phi`` the
-    table samples (``FactorTable.on(grid)``), keeps them for every table
-    of the set.  ``bundles``/``fields`` contract one call a state at a
-    time.
+    calls: the radial factors and the angular spinor factors die with
+    the call.  ``row`` keeps the 1-D functions of phi they are formed
+    from, and the operators' term tables: a row of the table's own, or,
+    for ``FactorTable.on(grid)``, the one row every grid of the set
+    shares.  ``bundles``/``fields`` contract one call a state at a time.
     """
 
-    def __init__(self, params: ModelParams, r, phi, row: AngularRow | None = None):
+    def __init__(self, params: ModelParams, r, phi):
         params.require_interior(r, phi)
         self.params = params
         self.r = np.asarray(r, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
         self.shape = np.broadcast_shapes(self.r.shape, self.phi.shape)
-        # the angular row phi is, which keeps the angular functions on it; None on scattered points
-        self.row = row
+        # keeps the angular functions of phi: the table's own, or its grid's set's (``on``)
+        self.row = AngularRow(self.phi)
         # operator term tables on these points, built and read by generators
         self.operators: dict[str, list] = {}
 
     @classmethod
     def on(cls, grid: Grid) -> "FactorTable":
         """The table on a grid's radial column and angular row, whose
-        angular factors its row keeps (``model.AngularRow``)."""
-        return cls(grid.params, grid.r, grid.phi, grid.angular)
+        angular functions the set's row keeps (``model.AngularRow``)."""
+        table = cls(grid.params, grid.r, grid.phi)
+        table.row = grid.angular
+        return table
 
     def expand(self, *groups: list[CatalogState]):
         """Expand each group of states over products of the table's factors,
@@ -284,10 +274,12 @@ class FactorTable:
         its terms first name them.  Every level of one (n, one-fermion) comes
         from one ``radial_levels`` pass up to the highest N any group asks
         for, and each (shift, angular index) from one ``angular_parts`` call
-        (one per set, with a ``row``); a group's arrays are C-contiguous and
-        equal to the last bit to those of a call with that group alone.  The
-        factors are the normalized ones of ``model``, so C holds the catalog
-        coefficients as they are."""
+        for the table's ``row`` (so one per set on a grid); S is written
+        in place from the row's angular factors in every call; a
+        group's arrays are C-contiguous and equal to the last bit to those
+        of a call with that group alone.  The factors are the normalized
+        ones of ``model``, so C holds the catalog coefficients as they
+        are."""
         rad_keys: dict[tuple, int] = {}
         ang_keys: dict[tuple, int] = {}
         # per group: its size, its keys (the call's indices, in the group's order) and its (state, key, key, coeff) entries by group index
@@ -307,16 +299,9 @@ class FactorTable:
         R = np.zeros((3, *self.r.shape, len(rad_keys)))
         for j, (N, n, one_fermion) in enumerate(rad_keys):
             R[..., j] = [part[N] for part in levels[n, one_fermion]]
-        value = _values(self.row)
         S = np.zeros((3, len(ang_keys), 4, *self.phi.shape))
         for a, (occ, m) in enumerate(ang_keys):
-            if self.row is None:
-                # an angular key comes once per call: written in place, kept by no one
-                self._spinor_factor(occ, m, value, S[:, a])
-            else:
-                S[:, a] = self.row.value(
-                    ("spinor", occ, m), lambda: self._spinor_factor(occ, m, value, np.zeros((3, 4, *self.phi.shape)))
-                )
+            self._spinor_factor(occ, m, S[:, a])
         for size, rad, ang, entries in own:
             C = np.zeros((size, len(rad), len(ang)))
             for i, rk, ak, c in entries:
@@ -324,17 +309,16 @@ class FactorTable:
             # C-contiguous copies, as a call with this group alone makes: fancy-index slices are not, and move BLAS sums' last bits
             yield C, np.take(R, rad, axis=-1), np.take(S, ang, axis=1)
 
-    def _spinor_factor(self, occ: int, m: int, value, out: np.ndarray) -> np.ndarray:
-        """``out``, a zero (3, 4, *phi.shape) array, with the angular spinor
-        factor of occupation ``occ`` and angular index ``m`` and its first
-        two derivatives written in: the fermion trig t of the occupation
-        times the angular factor A of ``angular_parts``, which ``value``
-        gives (``_values``)."""
+    def _spinor_factor(self, occ: int, m: int, out: np.ndarray) -> None:
+        """Write into ``out``, a zero (3, 4, *phi.shape) array, the angular
+        spinor factor of occupation ``occ`` and angular index ``m`` and its
+        first two derivatives: the fermion trig t of the occupation times
+        the angular factor A of ``angular_parts``, which the table's row
+        keeps."""
         shift = _OCC_SHIFT[occ]
-        A0, A1, A2 = value(("parts", shift, m), lambda: angular_parts(self.params, m, self.phi, shift))
+        A0, A1, A2 = self.row.value(("parts", shift, m), lambda: angular_parts(self.params, m, self.phi, shift))
         for idx, t, t1, t2 in _occupation_trig(occ, self.phi):
             out[:, idx] = t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2
-        return out
 
     def _contractions(self, states: list[CatalogState], orders):
         """Per state, its fields for each (radial, angular) derivative order

@@ -24,7 +24,7 @@ share one task and its state bundles, and ``riccati`` and
 ``riccati-control`` another.  A task reads a ``_Workspace``: the set's
 parameters and the config, from which it takes its grids, one per
 exponent and orders in each process, and builds its factor tables at
-the configured orders; the angular functions on a set's grids are
+the configured orders; the 1-D angular functions on a set's grids are
 evaluated once per set in a process (``model.AngularRow``).  With
 several tasks and usable CPUs they run in forked worker processes,
 dealt by set: each worker takes its own sets' tasks one at a time
@@ -364,7 +364,7 @@ class _Workspace:
 
     def table(self, n: int, odd: bool = False) -> FactorTable:
         """A fresh ``FactorTable`` on ``grid(n, odd=odd)``, whose angular
-        factors the set's angular row keeps."""
+        functions of phi the set's angular row keeps."""
         return FactorTable.on(self.grid(n, odd=odd))
 
 

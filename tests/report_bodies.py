@@ -8,7 +8,11 @@ Each run is a perfbench workload at a fixed seed: acceptance at seeds 1
 and 20260809, truncation-16x10 at seed 1 and pointwise at seed 7.  The
 timings (every check's ``wall_ms`` and the report's ``matrices_ms``) are
 dropped, so a change that keeps every residual gives a byte-identical
-file.  Given two files, the script prints, per run, each check whose
+file.  Each run is made twice, with the tasks pooled over two worker
+processes and with them run in this one process (``verify._usable_cpus``
+forced to 2 and to 1); the pooled bodies are written, and the script
+lists how the one-process bodies differ from them, as below, and exits
+1 if they do.  Given two files, the script prints, per run, each check whose
 record differs (or is in one file only) as ``run: name [params] old ->
 new`` with its residual in each file (``absent`` in a file that lacks
 it), and each other differing part of the body as ``run: part``, and
@@ -16,7 +20,7 @@ ends each differing run's listing with a summary line: how many records
 moved and how many of them went up, and the run's worst margin
 (residual / tolerance) before -> after.  It exits 1 when anything
 differs.  Not a pytest module (pytest collects only
-test_*.py); the four runs take a few seconds.
+test_*.py); the four runs take a few seconds in each mode.
 """
 
 import importlib.util
@@ -44,6 +48,19 @@ def report_body(payload: dict) -> dict:
     for check in body["checks"]:
         del check["wall_ms"]
     return body
+
+
+def bodies(workloads, cpus: int) -> dict:
+    """The body of every run with ``verify._usable_cpus`` giving ``cpus``:
+    2 pools the tasks over two workers, 1 runs them in this process."""
+    from ttwsusy import verify
+
+    usable = verify._usable_cpus
+    verify._usable_cpus = lambda: cpus
+    try:
+        return {f"{name}@{seed}": report_body(workloads.config_dict(name, seed)) for name, seed in RUNS}
+    finally:
+        verify._usable_cpus = usable
 
 
 def _residuals(records) -> str:
@@ -100,9 +117,11 @@ def main(argv) -> int:
         print("usage: python tests/report_bodies.py OUT.json | OLD.json NEW.json", file=sys.stderr)
         return 2
     workloads = _workloads()
-    bodies = {f"{name}@{seed}": report_body(workloads.config_dict(name, seed)) for name, seed in RUNS}
-    Path(argv[0]).write_text(json.dumps(bodies, indent=2, sort_keys=True) + "\n")
-    return 0
+    pooled, here = bodies(workloads, 2), bodies(workloads, 1)
+    Path(argv[0]).write_text(json.dumps(pooled, indent=2, sort_keys=True) + "\n")
+    diff = differences(pooled, here)
+    print("pooled -> one process:\n" + "\n".join(diff) if diff else "pooled and one-process bodies agree")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

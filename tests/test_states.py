@@ -176,47 +176,78 @@ class TestBroadcastingContract:
     def test_one_level_pass_per_radial_key(self, monkeypatch):
         """Within each call, every level of a (sector, one-fermion) radial key
         comes from one ``radial_levels`` pass up to the highest N asked for,
-        and each (shift, angular index) from one ``angular_parts`` call,
-        however many states and terms share the key."""
+        and, in a fresh table's first call, each (shift, angular index) from
+        one ``angular_parts`` call, however many states and terms share the
+        key; the table's row keeps them, so a second call on the same table
+        makes the radial passes again and no ``angular_parts`` call."""
         grid = Grid.for_pair(P, 2, 2, 20, 20)
         basis = [s.state for s in sector_basis(P, 2, 5)]
         even = [st for st in basis if st.fermion_parity() == 0]
         odd = [st for st in basis if st.fermion_parity() == 1]
         calls = count_factor_passes(monkeypatch)
-        table = FactorTable(P, grid.r, grid.phi)
         for states_, call in (
-            (even, lambda sts: list(table.expand(sts))),
-            (odd, lambda sts: list(table.expand(sts))),
-            (basis, lambda _: list(table.expand(even, odd))),
-            (basis, lambda sts: list(table.bundles(sts))),
-            (basis, lambda sts: list(table.fields(sts))),
+            (even, lambda table, sts: list(table.expand(sts))),
+            (odd, lambda table, sts: list(table.expand(sts))),
+            (basis, lambda table, _: list(table.expand(even, odd))),
+            (basis, lambda table, sts: list(table.bundles(sts))),
+            (basis, lambda table, sts: list(table.fields(sts))),
         ):
-            calls["radial"].clear()
-            calls["angular"].clear()
-            call(states_)
             terms = [t for st in states_ for t in st.terms if not t.is_zero]
             tops = {}
             for t in terms:
                 key = (t.n, FERMION_NUMBER[t.occ] == 1)
                 tops[key] = max(t.N, tops.get(key, t.N))
-            assert sorted(calls["radial"]) == sorted((*key, top) for key, top in tops.items())
             angular = {(t.n - t.angular_index, t.angular_index) for t in terms}
-            assert sorted(calls["angular"]) == sorted(angular)
+            table = FactorTable(P, grid.r, grid.phi)
+            for first in (True, False):
+                calls["radial"].clear()
+                calls["angular"].clear()
+                call(table, states_)
+                assert sorted(calls["radial"]) == sorted((*key, top) for key, top in tops.items())
+                assert sorted(calls["angular"]) == (sorted(angular) if first else [])
         assert [key[:2] for key in calls["radial"]] == [(2, False), (2, True)]
 
     def test_table_keeps_no_factors_between_calls(self):
-        # a table on plain arrays has no angular row; a grid's table leaves
-        # its angular factors to the grid's row, not to the table
+        # a table on plain arrays keeps its angular functions of phi on a
+        # row of its own; a grid's table on the set's row; neither keeps a
+        # spinor factor or a radial factor
         grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
         states_ = [s.state for s in sector_basis(P, 2, 3) if s.state.fermion_parity() == 1]
-        for table, row in ((FactorTable(P, grid.r, grid.phi), None), (FactorTable.on(grid), grid.angular)):
+        plain, on_grid = FactorTable(P, grid.r, grid.phi), FactorTable.on(grid)
+        for table in (plain, on_grid):
             list(table.expand(states_))
             for bundle in table.bundles(states_):
                 apply_operators(("Hs",), bundle, table)
             list(table.fields(states_))
             assert sorted(vars(table)) == ["operators", "params", "phi", "r", "row", "shape"]
-            assert table.row is row
+            assert table.row.phi is table.phi
+            assert {key[0] for key in table.row._values} == {"parts", "terms"}
             assert list(table.operators) == ["Hs"]
+        assert on_grid.row is grid.angular
+        assert plain.row is not grid.angular and plain.row.w_phi is None
+        assert FactorTable(P, grid.r, grid.phi).row is not plain.row
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even-grid", "odd-grid"])
+    def test_plain_and_grid_tables_agree_bit_for_bit(self, odd):
+        """On a grid's own (r, phi), a table with a row of its own and the
+        grid's table, which reads the set's row, give the same bits: one
+        path writes every spinor factor, wherever its angular functions
+        are kept."""
+        grid = Grid.for_pair(P_IRR, 2, 2, 16, 12, odd=odd)
+        basis = [s.state for s in sector_basis(P_IRR, 2, 4)]
+        even = [st for st in basis if st.fermion_parity() == 0]
+        odd_ = [st for st in basis if st.fermion_parity() == 1]
+        plain, on_grid = FactorTable(P_IRR, grid.r, grid.phi), FactorTable.on(grid)
+        for a, b in zip(plain.expand(even, odd_), on_grid.expand(even, odd_), strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+        for a, b in zip(plain.fields(basis), on_grid.fields(basis), strict=True):
+            assert a.reached == b.reached and np.array_equal(a.rows, b.rows)
+        names = ("K0", "K+", "K-", "Y", "V+", "V-", "W+", "W-", "H", "Hs", "Q", "Qdag", "1")
+        for a, b in zip(plain.bundles(basis), on_grid.bundles(basis), strict=True):
+            assert a.reached == b.reached
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in BUNDLE_FIELDS)
+            for x, y in zip(apply_operators(names, a, plain), apply_operators(names, b, on_grid), strict=True):
+                assert x.reached == y.reached and np.array_equal(x.rows, y.rows)
 
 
 def count_factor_passes(monkeypatch):

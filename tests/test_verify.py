@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ttwsusy import states, verify
+from ttwsusy import model, states, verify
 from ttwsusy.verify import DEFAULT_TOLERANCES, SuiteConfig, main, run
 
 FAST = dict(
@@ -729,16 +729,20 @@ class TestSingleEvaluation:
 
     def test_each_grid_and_angular_factor_is_built_once(self, monkeypatch, cold_caches):
         built = collections.Counter()
-        init, spinor, parts = verify.Grid.__init__, states.FactorTable._spinor_factor, states.angular_parts
+        init, value, parts = verify.Grid.__init__, model.AngularRow.value, states.angular_parts
 
         def counted_grid(self, params, alpha, m_rad=80, m_ang=80):
             built["grid", params, alpha, m_rad, m_ang] += 1
             init(self, params, alpha, m_rad, m_ang)
 
-        def counted_spinor(self, occ, m, value, out):
-            if self.row is not None:
-                built["spinor", self.params, occ, m] += 1
-            return spinor(self, occ, m, value, out)
+        def counted_value(self, key, compute):
+            def counted():
+                # a grid's row has weights; the set's angular nodes name the set
+                if self.w_phi is not None:
+                    built["kept", self.phi.tobytes(), key] += 1
+                return compute()
+
+            return value(self, key, counted)
 
         def counted_parts(params, m, phi, shift=0):
             # a grid's angular row is (1, m_ang); scattered points are 1-D
@@ -747,20 +751,54 @@ class TestSingleEvaluation:
             return parts(params, m, phi, shift)
 
         monkeypatch.setattr(verify.Grid, "__init__", counted_grid)
-        monkeypatch.setattr(states.FactorTable, "_spinor_factor", counted_spinor)
+        monkeypatch.setattr(model.AngularRow, "value", counted_value)
         monkeypatch.setattr(states, "angular_parts", counted_parts)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
         first = run(SuiteConfig())
         assert first.n_failed == 0, first.to_text()
         kinds = collections.Counter(key[0] for key in built)
-        assert kinds["grid"] > 60 and kinds["spinor"] > 60 and kinds["parts"] > 40, kinds
+        # each kept value: an angular part or an operator's term table
+        assert kinds["grid"] > 60 and kinds["parts"] > 40 and kinds["kept"] > kinds["parts"], kinds
         assert set(built.values()) == {1}, [key for key, count in built.items() if count > 1]
         # every set's factors, not only one set's
-        assert len({key[1] for key in built if key[0] == "spinor"}) == len(verify.DEFAULT_PARAM_SETS)
+        for kind in ("kept", "parts"):
+            assert len({key[1] for key in built if key[0] == kind}) == len(verify.DEFAULT_PARAM_SETS)
         once = dict(built)
         second = run(SuiteConfig())
         assert built == once
         assert record_bits(second) == record_bits(first)
+
+    def test_rows_keep_only_functions_of_phi(self, monkeypatch, cold_caches):
+        """After a one-process default run, every array a set's angular
+        row keeps (angular factors and term-table thetas) has at most
+        3 m_ang entries: a 1-D function of phi and its first two
+        derivatives, never a spinor factor over the four components."""
+        rows = []
+        init = verify.Grid.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if all(row is not self.angular for row in rows):
+                rows.append(self.angular)
+
+        def arrays_in(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays_in(item)
+
+        monkeypatch.setattr(verify.Grid, "__init__", recording)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        report = run(SuiteConfig())
+        assert report.n_failed == 0, report.to_text()
+        assert len(rows) == len(verify.DEFAULT_PARAM_SETS)
+        for row in rows:
+            m_ang = row.phi.size
+            assert row.phi.shape == row.w_phi.shape == (1, m_ang) == (1, SuiteConfig().quad_orders[1])
+            sizes = [a.size for value in row._values.values() for a in arrays_in(value)]
+            assert len(sizes) > 100 and max(sizes) <= 3 * m_ang, max(sizes)
+            assert {key[0] for key in row._values} == {"parts", "terms"}
 
 
 class TestDealing:
