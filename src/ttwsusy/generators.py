@@ -33,24 +33,27 @@ once formed, on the ``FactorTable``; every fermion matrix has at most
 one nonzero per row and acts as that row map on the spinor components
 the bundle reaches, and nowhere else, so an image is a compact
 ``states.SpinorField`` of the components it reaches.
-``_project``, the one projection routine, contracts the same table
+``_project``, the one projection routine, contracts the same tables
 with 1-D radial and angular Gauss sums between two expansions of
-states, each distinct moment once, so the algebra residuals measure
-the formulas, not a discretization.  Both read each table from the
-angular row of their points (``_row_terms``), which evaluates its
-angular functions theta once per row: once per set on a grid.  How
-states break into radial and angular factors is
-``states.FactorTable.expand``, one call per grid:
-``sector_matrices`` expands a sector grid's even and odd states in
-one, and ``project`` a row and a column list, as ``wavefunction_gram``
-and verify's other integral checks (cross-sector elements, one-fermion
-overlaps) use it.  ``hamiltonian_super`` stays apart on
-purpose: it builds Hs from the superpotential instead of the H_k
-potential, as the independent reference of that identity.  Every
-generator preserves the angular sector n, so the matrices are built
-one block per sector (``sector_matrices``; ``generator_matrices`` is
-every sector's), and the relation, Hermiticity and Casimir checks each
-work on one block.
+states, so the algebra residuals measure the formulas, not a
+discretization.  It takes the tables of all its operators at once, as
+one stack of index arrays per operator list and set (``_stacked``):
+every distinct radial moment comes from one batched product, every
+distinct angular moment from another, and every operator's P from one
+matrix product.  Both routes read each table from the angular row of
+their points (``_row_terms``), which evaluates its angular functions
+theta once per row: once per set on a grid.  How states break into
+radial and angular factors is ``states.FactorTable.expand``:
+``sector_matrices`` expands a sector's even and odd states in one call
+on both of its grids' radial nodes, and ``project`` a row and a column
+list on one grid, as ``wavefunction_gram`` and verify's other integral
+checks (cross-sector elements, one-fermion overlaps) use it.
+``hamiltonian_super`` stays apart on purpose: it builds Hs from the
+superpotential instead of the H_k potential, as the independent
+reference of that identity.  Every generator preserves the angular
+sector n, so the matrices are built one block per sector
+(``sector_matrices``; ``generator_matrices`` is every sector's), and
+the relation, Hermiticity and Casimir checks each work on one block.
 
 ``oscillator_realization`` provides the independent boson-fermion
 matrix model of the same algebra (no wavefunctions involved), used as
@@ -111,8 +114,13 @@ def _row_map(m: np.ndarray) -> tuple:
 # acts on a spinor as a signed row map: component i of M f is M[i, j] f_j.
 # Every term of ``_terms`` carries one of these matrices; the term tables
 # that angular rows keep share them, so they are read-only.
-_ROW_MAPS = {id(m): _row_map(m) for m in (_BX, _BY, _BDX, _BDY, _NXX, _NYY, _NXY_YX, _FNUM, _EYE)}
-for _m in (_BX, _BY, _BDX, _BDY, _NXX, _NYY, _NXY_YX, _FNUM, _EYE):
+_MATRICES = (_BX, _BY, _BDX, _BDY, _NXX, _NYY, _NXY_YX, _FNUM, _EYE)
+_ROW_MAPS = {id(m): _row_map(m) for m in _MATRICES}
+# the same matrices stacked, for the projection's batched angular moments,
+# and each one's place in the stack
+_FERMIONS = np.stack(_MATRICES)
+_FERMION_INDEX = {id(m): i for i, m in enumerate(_MATRICES)}
+for _m in (*_MATRICES, _FERMIONS):
     _m.flags.writeable = False
 
 
@@ -406,42 +414,86 @@ def dilation_identity_residuals(state: CatalogState, params: ModelParams, r, phi
 # Truncated matrices in the orthonormal super-basis
 
 
-def _radial_moment(R_row, R_col, grid: Grid, r_pow: int, d_r: int) -> np.ndarray:
-    """Radial Gauss sums of w_r R_row r^r_pow R_col^(d_r) between factors."""
-    return R_row[0].T @ (grid.w_r * grid.r**r_pow * R_col[d_r])
+_Stack = namedtuple("_Stack", "r_pow d_r w_theta fermion d_phi rad ang coef name")
+
+
+def _stack(names: tuple, grid: Grid) -> _Stack:
+    """The term tables of ``names`` on the grid's angles as index arrays,
+    kept by the set's angular row (``_stacked``): the distinct radial
+    moments (``r_pow``, ``d_r``); the distinct angular moments, each a
+    weighted angular function w_phi theta (a row of m_ang entries, equal
+    functions of different operators shared), a fermion matrix (an index
+    into ``_FERMIONS``) and ``d_phi``; and per term its radial moment
+    ``rad``, angular moment ``ang``, ``coef`` and operator ``name``, the
+    index into ``names``."""
+    rads: dict[tuple, int] = {}
+    angs: dict[tuple, int] = {}
+    w_theta = []
+    terms = []
+    for i, name in enumerate(names):
+        for t in _row_terms(name, grid.params, grid.angular):
+            w = (grid.w_phi * t.theta).ravel()
+            a_key = (w.tobytes(), _FERMION_INDEX[id(t.fermion)], t.d_phi)
+            if a_key not in angs:
+                angs[a_key] = len(angs)
+                w_theta.append(w)
+            terms.append((rads.setdefault((t.r_pow, t.d_r), len(rads)), angs[a_key], t.coef, i))
+    rad, ang, coef, name = (np.array(column) for column in zip(*terms))
+    r_pow, d_r = (np.array(column) for column in zip(*rads))
+    _, fermion, d_phi = (np.array(column) for column in zip(*angs))
+    return _Stack(r_pow, d_r, w_theta, fermion, d_phi, rad, ang, coef, name)
+
+
+def _stacked(names: tuple, grid: Grid) -> _Stack:
+    """``_stack`` of ``names``, built once per set and kept by its row."""
+    return grid.angular.value(("terms", names), lambda: _stack(names, grid))
+
+
+def _radial_moments(st: _Stack, R_row, R_col, grid: Grid) -> np.ndarray:
+    """Each distinct radial moment of the stack, in one batched product:
+    (moments, row keys, column keys), R_row^T (w_r r^q R_col^(d_r))."""
+    w_rq = np.stack([grid.w_r * grid.r**q for q in st.r_pow.tolist()])
+    return np.matmul(R_row[0].T, w_rq * R_col[st.d_r])
+
+
+def _angular_moments(st: _Stack, S_row, S_col) -> np.ndarray:
+    """Each distinct angular moment of the stack, in one batched product:
+    (moments, row keys, column keys), (S_row w_phi theta) . (M
+    S_col^(d_phi)) summed over the components and the angles."""
+    left = S_row[0] * np.stack(st.w_theta)[:, None, None, :]
+    right = np.matmul(_FERMIONS[st.fermion][:, None], S_col[st.d_phi])
+    return np.matmul(left.reshape(len(left), len(S_row[0]), -1), right.reshape(len(right), S_col.shape[1], -1).transpose(0, 2, 1))
 
 
 def _project(names, rows, cols, grid: Grid) -> dict[str, np.ndarray]:
     """{name: <row|O|col>} from the ``FactorTable.expand`` of row and
     column states on the grid: a term's entry between two factor pairs is
     the radial Gauss sum of w_r R_row r^q R_col^(d_r) times the angular
-    one of w_phi S_row . theta M S_col^(d_phi).  Each distinct radial
-    moment (r^q, d_r) and angular moment (theta, M, d_phi) is formed once
-    and shared by every term of every operator."""
+    one of w_phi S_row . theta M S_col^(d_phi).  The term tables of all
+    the operators are contracted at once, from their stack
+    (``_stacked``): every distinct radial moment in one batched product,
+    every distinct angular moment in another, and P, each operator's sum
+    over its terms of coef times the Kronecker product of the term's two
+    moments, for every operator in one matrix product over the radial
+    moments, once the terms' coefficients are summed per (operator,
+    radial moment, angular moment).  Then <row|O|col> = C_row P C_col^T."""
+    names = tuple(names)
+    st = _stacked(names, grid)
     # drop the unit axes of the grid's radial column and angular row
     (C_row, R_row, S_row), (C_col, R_col, S_col) = (
         (C.reshape(len(C), -1), R[:, :, 0], S[:, :, :, 0]) for C, R, S in (rows, cols)
     )
-    n_row, n_col = S_row.shape[1], S_col.shape[1]
-    rads: dict[tuple, np.ndarray] = {}
-    angs: dict[tuple, np.ndarray] = {}
-    out = {}
-    for name in names:
-        P = np.zeros((C_row.shape[1], C_col.shape[1]))
-        for t in _row_terms(name, grid.params, grid.angular):
-            rad = rads.get((t.r_pow, t.d_r))
-            if rad is None:
-                rad = rads[t.r_pow, t.d_r] = _radial_moment(R_row, R_col, grid, t.r_pow, t.d_r)
-            # keyed on values: equal angular functions of different operators share a moment
-            a_key = (np.asarray(t.theta).tobytes(), t.fermion.tobytes(), t.d_phi)
-            ang = angs.get(a_key)
-            if ang is None:
-                weighted = (S_row[0] * (grid.w_phi * t.theta)).reshape(n_row, -1)
-                ang = angs[a_key] = weighted @ (t.fermion @ S_col[t.d_phi]).reshape(n_col, -1).T
-            # np.kron(rad, ang) by broadcasting: the same products, without kron's per-call overhead
-            P += t.coef * (rad[:, None, :, None] * ang[None, :, None, :]).reshape(P.shape)
-        out[name] = C_row @ P @ C_col.T
-    return out
+    nr_row, nr_col, na_row, na_col = R_row.shape[2], R_col.shape[2], S_row.shape[1], S_col.shape[1]
+    rad = _radial_moments(st, R_row, R_col, grid).reshape(-1, nr_row * nr_col)
+    ang = _angular_moments(st, S_row, S_col).reshape(-1, na_row * na_col)
+    # per (name, radial moment), the coefficient-weighted sum of the angular moments its terms pair with it
+    coef = np.zeros((len(names), len(rad), len(ang)))
+    np.add.at(coef, (st.name, st.rad, st.ang), st.coef)
+    P = rad.T @ (coef @ ang).transpose(1, 0, 2).reshape(len(rad), -1)
+    # (row radial, column radial, name, row angular, column angular) to one P per name over (radial, angular) pairs
+    P = P.reshape(nr_row, nr_col, len(names), na_row, na_col).transpose(2, 0, 3, 1, 4)
+    P = P.reshape(len(names), nr_row * na_row, nr_col * na_col)
+    return dict(zip(names, np.matmul(np.matmul(C_row, P), C_col.T)))
 
 
 def project(names, rows: list[CatalogState], cols: list[CatalogState], grid: Grid) -> dict[str, np.ndarray]:
@@ -490,22 +542,46 @@ def sector_matrices(
     p.  A basis state is a short sum of radial times angular spinor
     factors, a generator a table of separable terms and the grid weights
     a product of 1-D radial and angular weights, so each entry is a sum
-    of products of 1-D radial and angular Gauss sums (``_project``, on
-    one expansion of each sector grid's even and odd states); nothing is
-    sampled on the 2-D grid.
+    of products of 1-D radial and angular Gauss sums; nothing is sampled
+    on the 2-D grid.  The basis is written from the closed forms
+    (``irreps.sector_basis``); its even and odd states are expanded in
+    one call on the two grids' radial nodes, stacked, since both grids
+    read the set's angular row, so each of the sector's radial keys comes
+    from one Laguerre pass; and each (row parity, column parity) quarter
+    of the four generators that map between them is one ``_project``
+    call, written into the blocks run by run of consecutive states.
     """
     bs = sector_basis(params, n, N_max)
-    # the sector's even and its odd states, as indices into bs
-    parts = [[i for i, s in enumerate(bs) if s.state.fermion_parity() == p] for p in (0, 1)]
+    # the sector's even and its odd states, as indices into bs, and as runs of consecutive ones
+    parts = [[i for i, s in enumerate(bs) if (s.family in ("lower", "upper")) == bool(p)] for p in (0, 1)]
+    runs = [_runs(part) for part in parts]
     block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
-    for p_out in (0, 1):
-        grid = Grid.for_pair(params, n, n, m_rad, m_ang, odd=bool(p_out))
-        expanded = list(FactorTable.on(grid).expand(*([bs[i].state for i in part] for part in parts)))
+    grids = [Grid.for_pair(params, n, n, m_rad, m_ang, odd=odd) for odd in (False, True)]
+    # both grids read the set's angular row: one expansion on their radial nodes, stacked
+    expanded = list(FactorTable.on(*grids).expand(*([bs[i].state for i in part] for part in parts)))
+    m = len(grids[0].r)
+    for p_out, grid in enumerate(grids):
+        on_grid = [(C, R[:, p_out * m : (p_out + 1) * m], S) for C, R, S in expanded]
         for p_in in (0, 1):
             gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
-            for g, part in _project(gens, expanded[p_out], expanded[p_in], grid).items():
-                block[g][np.ix_(parts[p_out], parts[p_in])] = part
+            for g, part in _project(gens, on_grid[p_out], on_grid[p_in], grid).items():
+                # run by run: contiguous copies, not a scatter through an index list
+                for r0, r1, i in runs[p_out]:
+                    for c0, c1, j in runs[p_in]:
+                        block[g][r0:r1, c0:c1] = part[i : i + r1 - r0, j : j + c1 - c0]
     return block, bs
+
+
+def _runs(indices: list[int]) -> list[tuple[int, int, int]]:
+    """A sorted index list as its runs of consecutive indices: (start,
+    stop, position of start in the list) triples."""
+    runs = []
+    for pos, i in enumerate(indices):
+        if runs and runs[-1][1] == i:
+            runs[-1] = (runs[-1][0], i + 1, runs[-1][2])
+        else:
+            runs.append((i, i + 1, pos))
+    return runs
 
 
 def generator_matrices(

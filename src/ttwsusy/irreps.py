@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, weights_of
-from .states import OCC_VAC, OCC_XBAR, OCC_XYBAR, OCC_YBAR, CatalogState, term
+from .states import _OCC_SHIFT, OCC_VAC, OCC_XBAR, OCC_XYBAR, OCC_YBAR, CatalogState, CatalogTerm, term
 
 __all__ = [
     "BasisState",
@@ -78,6 +78,26 @@ def zero_fermion_state(params: ModelParams, N: int, n: int) -> CatalogState:
     return CatalogState.of(term((-1.0) ** N, N, n, OCC_VAC))
 
 
+def _v_terms(direction: str, lam: float, mu: float, N: int) -> tuple:
+    """The closed-form terms of ``v_action`` on |tau, tau+N, q> as
+    (coefficient, N, occupation) triples, zero terms included."""
+    alpha = lam + mu
+    c = (-1.0) ** N
+    if direction == "+":
+        return (
+            (c * (N + lam + 1.0), N, OCC_XBAR),
+            (-c * math.sqrt((N + 1.0) * (N + alpha + 1.0)), N + 1, OCC_XBAR),
+            (-c * math.sqrt(lam * mu), N, OCC_YBAR),
+        )
+    if direction == "-":
+        return (
+            (c * (N + mu), N, OCC_XBAR),
+            (-c * math.sqrt(N * (N + alpha)), N - 1, OCC_XBAR),
+            (c * math.sqrt(lam * mu), N, OCC_YBAR),
+        )
+    raise ValueError("direction must be '+' or '-'")
+
+
 def v_action(direction: str, params: ModelParams, N: int, n: int) -> CatalogState:
     """Exact finite expansion of the odd raising/lowering action on
     the zero-fermion state |tau, tau+N, q>.
@@ -88,33 +108,36 @@ def v_action(direction: str, params: ModelParams, N: int, n: int) -> CatalogStat
     and sqrt(mu/lam) (ybar angular factor over xbar).
     """
     lam, mu = _lam_mu(params, n)
-    alpha = lam + mu
-    c = (-1.0) ** N
-    if direction == "+":
-        return CatalogState.of(
-            term(c * (N + lam + 1.0), N, n, OCC_XBAR),
-            term(-c * math.sqrt((N + 1.0) * (N + alpha + 1.0)), N + 1, n, OCC_XBAR),
-            term(-c * math.sqrt(lam * mu), N, n, OCC_YBAR),
-        )
-    if direction == "-":
-        return CatalogState.of(
-            term(c * (N + mu), N, n, OCC_XBAR),
-            term(-c * math.sqrt(N * (N + alpha)), N - 1, n, OCC_XBAR),
-            term(c * math.sqrt(lam * mu), N, n, OCC_YBAR),
-        )
-    raise ValueError("direction must be '+' or '-'")
+    return CatalogState.of(*(term(c, N_, n, occ) for c, N_, occ in _v_terms(direction, lam, mu, N)))
+
+
+def _one_fermion_terms(sign: str, lam: float, mu: float, N: int, n: int, scale: float = 1.0) -> list:
+    """The terms of the normalized one-fermion state |+-, tau+N+-1/2,
+    q+1/2> of sector n times ``scale``, as (coefficient, N, occupation)
+    triples: the closed-form terms of ``v_action`` that ``CatalogState.of``
+    keeps (nonzero, with nonnegative radial and angular indices), each
+    times 1 / sqrt of the image's norm and then times ``scale``; none
+    where the image vanishes."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if sign == "-" and N + mu == 0.0:
+        return []
+    norm = 1.0 / math.sqrt(N + lam + 1.0 if sign == "+" else N + mu)
+    return [
+        (scale * (norm * c), N_, occ)
+        for c, N_, occ in _v_terms(sign, lam, mu, N)
+        if c != 0.0 and N_ >= 0 and n - _OCC_SHIFT[occ] >= 0
+    ]
+
+
+def _state(terms, n: int) -> CatalogState:
+    """The catalog state of sector n with these (coefficient, N, occupation) terms."""
+    return CatalogState(tuple(CatalogTerm(c, N_, n, occ) for c, N_, occ in terms))
 
 
 def one_fermion_state(sign: str, params: ModelParams, N: int, n: int) -> CatalogState:
     """Normalized one-fermion state |+-, tau+N+-1/2, q+1/2>."""
-    lam, mu = _lam_mu(params, n)
-    if sign == "+":
-        return v_action("+", params, N, n).scaled(1.0 / math.sqrt(N + lam + 1.0))
-    if sign == "-":
-        if N + mu == 0.0:
-            return CatalogState.zero()
-        return v_action("-", params, N, n).scaled(1.0 / math.sqrt(N + mu))
-    raise ValueError("sign must be '+' or '-'")
+    return _state(_one_fermion_terms(sign, *_lam_mu(params, n), N, n), n)
 
 
 def two_fermion_state(params: ModelParams, N: int, n: int) -> CatalogState:
@@ -148,6 +171,34 @@ def mixing_coeffs(params: ModelParams, N: int, n: int) -> tuple[float, float, fl
     return a_N, b_N, g_N, d_N
 
 
+def _family_state(params: ModelParams, family: str, level: int, n: int, mixing) -> CatalogState:
+    """State ``level`` of tower ``family`` in sector n, ``mixing`` the
+    level's ``mixing_coeffs`` (``None`` for n = 0).  A mixed one-fermion
+    state is written from the closed forms of its two scaled one-fermion
+    states, its terms summed per (N, occupation) in order of first
+    appearance with zero terms skipped and zero sums dropped, as
+    ``CatalogState.__add__`` sums them."""
+    if family == "zero":
+        return zero_fermion_state(params, level, n)
+    if family == "double":
+        return two_fermion_state(params, level, n)
+    lam, mu = _lam_mu(params, n)
+    if n == 0:
+        return _state(_one_fermion_terms("+", lam, mu, level, n), n)
+    a_N, b_N, g_N, d_N = mixing
+    if family == "upper":
+        terms = _one_fermion_terms("-", lam, mu, level + 1, n, g_N) + _one_fermion_terms("+", lam, mu, level, n, d_N)
+    elif level == 0:
+        return _state(_one_fermion_terms("-", lam, mu, level, n, a_N), n)
+    else:
+        terms = _one_fermion_terms("-", lam, mu, level, n, a_N) + _one_fermion_terms("+", lam, mu, level - 1, n, b_N)
+    summed: dict[tuple, float] = {}
+    for c, N_, occ in terms:
+        if c != 0.0:
+            summed[N_, occ] = summed.get((N_, occ), 0.0) + c
+    return _state(((c, N_, occ) for (N_, occ), c in summed.items() if c != 0.0), n)
+
+
 def sp2_family_state(params: ModelParams, family: str, level: int, n: int) -> CatalogState:
     """Orthonormal basis state of one sp(2,R) tower inside sector n.
 
@@ -155,6 +206,13 @@ def sp2_family_state(params: ModelParams, family: str, level: int, n: int) -> Ca
     family 'lower':  |tau-1/2, tau-1/2+level, q+1/2>   (n >= 1 only)
     family 'upper':  |tau+1/2, tau+1/2+level, q+1/2>
     family 'double': |tau, tau+level, q+1>             (n >= 1 only)
+
+    The one-fermion towers mix the two one-fermion states with
+    ``mixing_coeffs``: upper = gamma_N |-, N+1> + delta_N |+, N> and
+    lower = alpha_N |-, N> + beta_N |+, N-1>.  Each state is written
+    straight from the closed-form coefficients of ``v_action`` and
+    ``mixing_coeffs``, bit for bit the sum of the scaled
+    ``one_fermion_state``s.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
@@ -162,23 +220,7 @@ def sp2_family_state(params: ModelParams, family: str, level: int, n: int) -> Ca
         raise ValueError(f"unknown family {family!r}")
     if family not in _families(n):
         raise ValueError(f"the {family} tower is empty for n = 0")
-    if family == "zero":
-        return zero_fermion_state(params, level, n)
-    if family == "double":
-        return two_fermion_state(params, level, n)
-    if family == "upper":
-        if n == 0:
-            return one_fermion_state("+", params, level, n)
-        _, _, g_N, d_N = mixing_coeffs(params, level, n)
-        return one_fermion_state("-", params, level + 1, n).scaled(g_N) + one_fermion_state(
-            "+", params, level, n
-        ).scaled(d_N)
-    # lower
-    a_N, b_N, _, _ = mixing_coeffs(params, level, n)
-    state = one_fermion_state("-", params, level, n).scaled(a_N)
-    if level >= 1:
-        state = state + one_fermion_state("+", params, level - 1, n).scaled(b_N)
-    return state
+    return _family_state(params, family, level, n, mixing_coeffs(params, level, n) if n >= 1 else None)
 
 
 @dataclass(frozen=True)
@@ -194,22 +236,19 @@ class BasisState:
 
 
 def sector_basis(params: ModelParams, n: int, levels: int) -> list[BasisState]:
-    """Orthonormal super-basis of sector n up to radial level ``levels``."""
+    """Orthonormal super-basis of sector n up to radial level ``levels``:
+    every tower of ``_families(n)`` in ``FAMILIES`` order, each level by
+    level, each state as ``sp2_family_state`` writes it, from the closed
+    forms with no intermediate catalog state, and ``mixing_coeffs``
+    formed once per level for both one-fermion towers."""
     w = weights_of(params, n)
+    mixing = [mixing_coeffs(params, level, n) if n >= 1 else None for level in range(levels + 1)]
     out = []
     for family in _families(n):
         dk0, dy = FAMILIES[family]
         for level in range(levels + 1):
-            out.append(
-                BasisState(
-                    n,
-                    family,
-                    level,
-                    sp2_family_state(params, family, level, n),
-                    w.tau + dk0 + level,
-                    w.q + dy,
-                )
-            )
+            state = _family_state(params, family, level, n, mixing[level])
+            out.append(BasisState(n, family, level, state, w.tau + dk0 + level, w.q + dy))
     return out
 
 

@@ -20,7 +20,9 @@ of their first two polar derivatives (also with the shifted exponents
 that fermion states carry); ``eval_radial``/``eval_angular``, the
 wavefunctions and ``states.FactorTable`` all go through them.
 ``radial_levels`` gives every radial level 0..N_max of one sector at
-once, from one Laguerre recurrence pass per parameter.
+once, with or without the one-fermion z^(-1/2) or both, from one
+Laguerre recurrence pass over the stacked parameters alpha, alpha + 1
+and alpha + 2.
 
 Inner products use the measure r dr dphi.  Substituting z and xi maps
 them onto Gauss-Laguerre x Gauss-Jacobi rules; the grid absorbs the
@@ -50,6 +52,7 @@ import numpy as np
 from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre_levels
 
 __all__ = [
+    "OMEGA_RANGE",
     "AngularRow",
     "Grid",
     "ModelParams",
@@ -66,10 +69,19 @@ __all__ = [
 ]
 
 
+# omega^2 enters H_k and 1/omega^2 the radial moments of r^2 (a radial
+# weight times r^2 is z w_z / omega^2): both leave the float range near
+# omega = 1e-154 and 1e154, and with z w_z of the radial rule up to about
+# 1e3, a run at 80 x 80 already goes wrong at 1e-153; the range keeps a
+# factor 1e4 from both ends
+OMEGA_RANGE = (1e-150, 1e150)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Deformation k, coupling exponents a, b and oscillator frequency: finite
-    reals > 0 (the constructor raises ``ValueError`` on anything else)."""
+    reals > 0, omega within ``OMEGA_RANGE`` (the constructor raises
+    ``ValueError`` on anything else)."""
 
     k: float
     a: float
@@ -85,6 +97,11 @@ class ModelParams:
             raise ValueError("k must be positive")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
+        if not OMEGA_RANGE[0] <= self.omega <= OMEGA_RANGE[1]:
+            raise ValueError(
+                f"omega must lie in [{OMEGA_RANGE[0]:g}, {OMEGA_RANGE[1]:g}], got {self.omega!r}: beyond it omega^2 "
+                "and 1/omega^2 leave the float range"
+            )
         if not (self.a > 0 and self.b > 0):
             raise ValueError("a and b must be positive for normalizable states")
 
@@ -144,36 +161,43 @@ def _log_angular_norm(params: ModelParams, m: int, shift: int) -> float:
     return 0.5 * (math.log(2.0 * params.k * (2 * m + a + b)) + lg[0] + lg[1] - lg[2] - lg[3])
 
 
-def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion: bool = False):
+def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion=False):
     """(R, dR/dr, d2R/dr2) of the normalized radial factor of sector n at
     every level N = 0..N_max, each stacked along a new first axis (shape
     (N_max + 1, *r.shape)): R = c_N (z/omega)^(alpha/2) L_N^(alpha)(z)
     e^(-z/2), z = omega r^2, alpha = (2n+a+b)k, times z^(-1/2) for a
-    one-fermion factor.  log c_0 is in the prefactor's one exponent, so R
-    is finite for every alpha; c_N / c_0 is the running product of
-    sqrt(j / (j + alpha)), which keeps digits lgamma differences lose.
-    L and its two derivatives take one recurrence pass each.  Requires
-    r > 0; a non-finite r raises ``laguerre_levels``' ValueError."""
+    one-fermion factor.  ``one_fermion`` may also be a tuple of flags:
+    then the result is one such triple per flag, in order, all from the
+    one pass, since the flags differ only in the z^(-1/2) prefactor;
+    each triple is bit for bit the one its flag alone gives.  log c_0 is
+    in the prefactor's one exponent, so R is finite for every alpha; c_N
+    / c_0 is the running product of sqrt(j / (j + alpha)), which keeps
+    digits lgamma differences lose.  L and its two derivatives,
+    -L_{N-1}^(alpha+1) and L_{N-2}^(alpha+2), come from one recurrence
+    pass over the three stacked parameters.  Requires r > 0; a
+    non-finite r raises ``laguerre_levels``' ValueError."""
     z = params.omega * r**2
     alpha = params.sector_alpha(n)
-    p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
-    # the first pass rejects a non-finite z before the prefactor is formed
-    L = laguerre_levels(N_max, alpha, z)
-    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega) + _log_radial_norm(params, 0, n))
-    j = np.arange(1.0, N_max + 1.0)
-    pref = pref * np.cumprod(np.r_[1.0, np.sqrt(j / (j + alpha))]).reshape(-1, *(1,) * z.ndim)
+    # the pass rejects a non-finite z before any prefactor is formed
+    L, L1, L2 = laguerre_levels(N_max, np.array([alpha, alpha + 1.0, alpha + 2.0]), z)
     # d/dz L_N^(alpha) = -L_{N-1}^(alpha+1), d2/dz2 L_N^(alpha) = L_{N-2}^(alpha+2)
     Ld, Ldd = np.zeros_like(L), np.zeros_like(L)
-    if N_max >= 1:
-        Ld[1:] = -laguerre_levels(N_max - 1, alpha + 1.0, z)
-    if N_max >= 2:
-        Ldd[2:] = laguerre_levels(N_max - 2, alpha + 2.0, z)
-    g = p / z - 0.5
-    R = pref * L
-    Rz = pref * (g * L + Ld)
-    Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
-    # chain rule for z = omega r^2
-    return R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz
+    Ld[1:] = -L1[:N_max]
+    Ldd[2:] = L2[: N_max - 1]
+    log_z, log_c0 = np.log(z), _log_radial_norm(params, 0, n)
+    j = np.arange(1.0, N_max + 1.0)
+    ratios = np.cumprod(np.r_[1.0, np.sqrt(j / (j + alpha))]).reshape(-1, *(1,) * z.ndim)
+    out = []
+    for flag in one_fermion if isinstance(one_fermion, tuple) else (one_fermion,):
+        p = 0.5 * alpha - (0.5 if flag else 0.0)
+        pref = np.exp(p * log_z - 0.5 * z - 0.5 * alpha * math.log(params.omega) + log_c0) * ratios
+        g = p / z - 0.5
+        R = pref * L
+        Rz = pref * (g * L + Ld)
+        Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
+        # chain rule for z = omega r^2
+        out.append((R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz))
+    return tuple(out) if isinstance(one_fermion, tuple) else out[0]
 
 
 def angular_parts(params: ModelParams, m: int, phi, shift: int = 0):

@@ -5,8 +5,9 @@ matrix elements of the superalgebra generators — reduces to evaluating
 generalized Laguerre and Jacobi polynomials and integrating their
 products against the natural weights.  This module provides the stable
 three-term recurrences (``laguerre_levels`` returns every level
-0..N of one Laguerre family from a single pass, and ``laguerre`` is
-its last level), the parameter-shift derivative identities
+0..N of one Laguerre family, or of several parameters at once, from a
+single pass, and ``laguerre`` is its last level), the parameter-shift
+derivative identities
 
     d/dz L_N^(alpha)(z)      = -L_{N-1}^(alpha+1)(z)
     d/dx P_n^(alpha,beta)(x) = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1)(x)
@@ -59,22 +60,35 @@ def _finite_z(z) -> np.ndarray:
     return z
 
 
-def laguerre_levels(n_max: int, alpha: float, z):
+def laguerre_levels(n_max: int, alpha, z):
     """Every level L_0^(alpha)(z), ..., L_{n_max}^(alpha)(z) from one forward
     recurrence pass, stacked along a new first axis: shape (n_max + 1, *z.shape).
-    Requires finite z."""
+    ``alpha`` may also be a 1-D array of parameters: the one pass then
+    runs them all and the result is one such stack per parameter, shape
+    (len(alpha), n_max + 1, *z.shape), each bit for bit its parameter's
+    own pass.  Requires finite z."""
     if n_max < 0:
         raise ValueError("laguerre requires n >= 0")
-    if not -1.0 < alpha < math.inf:
+    a = np.asarray(alpha, dtype=float)
+    # written so that NaN fails it
+    if not np.all((-1.0 < a) & (a < math.inf)):
         raise ValueError("laguerre requires finite alpha > -1")
     z = _finite_z(z)
-    out = np.empty((n_max + 1, *z.shape))
+    a = a.reshape(a.shape + (1,) * z.ndim)
+    out = np.empty((n_max + 1, *np.broadcast_shapes(a.shape, z.shape)))
     out[0] = 1.0
     if n_max >= 1:
-        out[1] = 1.0 + alpha - z
+        out[1] = 1.0 + a - z
+    # L_{j+1} = ((2j + a + 1 - z) L_j - (j + a) L_{j-1}) / (j + 1), its
+    # z-free parts formed for every j at once and each step's products
+    # written into two buffers: the same operations, so the same bits
+    j = np.arange(n_max).reshape(-1, *(1,) * a.ndim)
+    b, c = 2 * j + a + 1, j + a
+    t, u = np.empty(out.shape[1:]), np.empty(out.shape[1:])
     for j in range(1, n_max):
-        out[j + 1] = ((2 * j + alpha + 1 - z) * out[j] - (j + alpha) * out[j - 1]) / (j + 1)
-    return out
+        np.multiply(np.subtract(b[j], z, out=t), out[j], out=t)
+        np.divide(np.subtract(t, np.multiply(c[j], out[j - 1], out=u), out=t), j + 1, out=out[j + 1, ...])
+    return np.moveaxis(out, 0, a.ndim - z.ndim)
 
 
 def laguerre(n: int, alpha: float, z):

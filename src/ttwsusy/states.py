@@ -29,13 +29,14 @@ factor key and evaluates the factors, through
 ``model.radial_levels``/``angular_parts``, on any broadcastable pair
 (r, phi): it writes each group of states it is given as a coefficient
 array over (radial key, angular key) pairs plus the factor arrays.
-Radial factors are evaluated once per call, for every level of one
-(sector, one-fermion) key at once, and kept by no one after it.  The
-angular factors of ``angular_parts``, 1-D functions of phi, are kept
-read-only on the table's angular row (``model.AngularRow``): a table on
-any points has a row of its own, and a grid's table
-(``FactorTable.on``) reads the row that every grid of its parameter set
-shares, so each is evaluated once per set in a process.  ``expand``
+Radial factors are evaluated once per call, every level of a sector,
+with and without the one-fermion z^(-1/2), from one Laguerre pass, and
+kept by no one after it.  The angular factors of ``angular_parts``, 1-D
+functions of phi, are kept read-only on the table's angular row
+(``model.AngularRow``): a table on any points has a row of its own, and
+a grid's table (``FactorTable.on``, also on several grids of one set at
+once) reads the row that every grid of its parameter set shares, so
+each is evaluated once per set in a process.  ``expand``
 writes every angular spinor factor, the fermion trig times an angular
 factor, in place in each call, and no one keeps it.
 ``FactorTable.bundles``/``fields`` contract one call, a state per
@@ -254,11 +255,18 @@ class FactorTable:
         self.operators: dict[str, list] = {}
 
     @classmethod
-    def on(cls, grid: Grid) -> "FactorTable":
+    def on(cls, *grids: Grid) -> "FactorTable":
         """The table on a grid's radial column and angular row, whose
-        angular functions the set's row keeps (``model.AngularRow``)."""
-        table = cls(grid.params, grid.r, grid.phi)
-        table.row = grid.angular
+        angular functions the set's row keeps (``model.AngularRow``).
+        Given several grids of one set, which share that row, the table's
+        radial column is theirs stacked in order, so that one expansion,
+        with one radial pass per sector, serves every grid: grid i's
+        radial factors are the rows of its own nodes."""
+        row = grids[0].angular
+        if any(grid.angular is not row for grid in grids):
+            raise ValueError("the grids of one table must share their angular row")
+        table = cls(grids[0].params, np.concatenate([grid.r for grid in grids]) if len(grids) > 1 else grids[0].r, row.phi)
+        table.row = row
         return table
 
     def expand(self, *groups: list[CatalogState]):
@@ -271,10 +279,12 @@ class FactorTable:
         of the occupation times the angular factor A, each with their first
         two derivatives.  A radial key is (N, n, one-fermion), an angular
         key (occ, angular index); a group's keys are its own, in the order
-        its terms first name them.  Every level of one (n, one-fermion) comes
-        from one ``radial_levels`` pass up to the highest N any group asks
-        for, and each (shift, angular index) from one ``angular_parts`` call
-        for the table's ``row`` (so one per set on a grid); S is written
+        its terms first name them.  Every level of a sector n, with and
+        without the one-fermion z^(-1/2), comes from one ``radial_levels``
+        pass up to the highest N any group asks for of either (the keys'
+        columns of R copied out of it at once), and each (shift, angular
+        index) from one ``angular_parts`` call for the table's ``row`` (so
+        one per set on a grid); C is filled by one ``np.add.at``; S is written
         in place from the row's angular factors in every call; a
         group's arrays are C-contiguous and equal to the last bit to those
         of a call with that group alone.  The factors are the normalized
@@ -293,19 +303,26 @@ class FactorTable:
                         ak = ang_keys.setdefault((t.occ, t.angular_index), len(ang_keys))
                         entries.append((i, rad.setdefault(rk, len(rad)), ang.setdefault(ak, len(ang)), t.coeff))
             own.append((len(states), list(rad), list(ang), entries))
-        # the highest N of each (n, one-fermion), which sorting puts last
-        tops = {(n, one_fermion): N for N, n, one_fermion in sorted(rad_keys)}
-        levels = {(n, one): radial_levels(self.params, top, n, self.r, one) for (n, one), top in tops.items()}
-        R = np.zeros((3, *self.r.shape, len(rad_keys)))
+        # per sector n, its keys as (call index, N, one-fermion)
+        by_sector: dict[int, list] = {}
         for j, (N, n, one_fermion) in enumerate(rad_keys):
-            R[..., j] = [part[N] for part in levels[n, one_fermion]]
+            by_sector.setdefault(n, []).append((j, N, one_fermion))
+        R = np.empty((3, *self.r.shape, len(rad_keys)))
+        for n, keys in by_sector.items():
+            # one pass for the sector's flags, up to the highest N any of its keys asks for
+            flags = tuple(sorted({one for _, _, one in keys}))
+            for flag, parts in zip(flags, radial_levels(self.params, max(N for _, N, _ in keys), n, self.r, flags)):
+                columns, levels = (list(c) for c in zip(*((j, N) for j, N, one in keys if one == flag)))
+                R[..., columns] = np.moveaxis(np.stack(parts)[:, levels], 1, -1)
         S = np.zeros((3, len(ang_keys), 4, *self.phi.shape))
         for a, (occ, m) in enumerate(ang_keys):
             self._spinor_factor(occ, m, S[:, a])
         for size, rad, ang, entries in own:
             C = np.zeros((size, len(rad), len(ang)))
-            for i, rk, ak, c in entries:
-                C[i, rk, ak] += c
+            if entries:
+                i, rk, ak, c = zip(*entries)
+                # entry by entry, in order, as a loop of C[i, rk, ak] += c adds them
+                np.add.at(C, (i, rk, ak), c)
             # C-contiguous copies, as a call with this group alone makes: fancy-index slices are not, and move BLAS sums' last bits
             yield C, np.take(R, rad, axis=-1), np.take(S, ang, axis=1)
 

@@ -17,9 +17,11 @@ record differs (or is in one file only) as ``run: name [params] old ->
 new`` with its residual in each file (``absent`` in a file that lacks
 it), and each other differing part of the body as ``run: part``, and
 ends each differing run's listing with a summary line: how many records
-moved and how many of them went up, and the run's worst margin
-(residual / tolerance) before -> after.  It exits 1 when anything
-differs.  Not a pytest module (pytest collects only
+moved and how many of them went up, the run's worst margin (residual /
+tolerance) before -> after, the largest move |new - old| / tolerance
+with its record, and how many records' ``passed`` flipped.  So a change
+that moves residuals at roundoff only reads so from that one line.  It
+exits 1 when anything differs.  Not a pytest module (pytest collects only
 test_*.py); the four runs take a few seconds in each mode.
 """
 
@@ -80,11 +82,25 @@ def _went_up(before, after) -> bool:
     return all(res) and max(res[1]) > max(res[0])
 
 
+def _moves(before, after) -> tuple[float, int]:
+    """The largest |new - old| / tolerance over a check's records paired in
+    order (0.0 when no pair has both residuals and a tolerance), and how
+    many of those pairs flipped ``passed``."""
+    pairs = list(zip(before or [], after or []))
+    moves = [
+        abs(b["residual"] - a["residual"]) / a["tolerance"]
+        for a, b in pairs
+        if a.get("residual") is not None and b.get("residual") is not None and a.get("tolerance")
+    ]
+    return max(moves, default=0.0), sum(a.get("passed") != b.get("passed") for a, b in pairs)
+
+
 def differences(old: dict, new: dict) -> list[str]:
     """``run: name [params] old -> new`` (the residuals) for each check
     record that differs between two files' bodies, ``run: part`` for each
     other differing part, and per differing run a closing ``run: M records
-    moved, U up; worst margin before -> after``."""
+    moved, U up; worst margin before -> after; largest move X / tolerance
+    at name [params]; F passed flipped``."""
     out = []
     for run_name in sorted(old.keys() | new.keys()):
         a, b = old.get(run_name, {}), new.get(run_name, {})
@@ -92,17 +108,25 @@ def differences(old: dict, new: dict) -> list[str]:
         for records, body in zip(checks, (a, b)):
             for c in body.get("checks", []):
                 records.setdefault((c["name"], c["params"]), []).append(c)
-        moved = up = 0
+        moved = up = flipped = 0
+        largest, largest_at = 0.0, "none"
         lines = []
         for name, params in sorted(checks[0].keys() | checks[1].keys(), key=str):
             before, after = (c.get((name, params)) for c in checks)
             if before != after:
                 moved += 1
                 up += _went_up(before, after)
+                move, flips = _moves(before, after)
+                flipped += flips
+                if move > largest:
+                    largest, largest_at = move, f"{name} [{params}]"
                 lines.append(f"{run_name}: {name} [{params}] {_residuals(before)} -> {_residuals(after)}")
         lines += [f"{run_name}: {part}" for part in sorted((a.keys() | b.keys()) - {"checks"}) if a.get(part) != b.get(part)]
         if lines:
-            summary = f"{moved} records moved, {up} up; worst margin {_worst_margin(a)} -> {_worst_margin(b)}"
+            summary = (
+                f"{moved} records moved, {up} up; worst margin {_worst_margin(a)} -> {_worst_margin(b)}; "
+                f"largest move {largest:.3g} / tolerance at {largest_at}; {flipped} passed flipped"
+            )
             out += lines + [f"{run_name}: {summary}"]
     return out
 

@@ -792,6 +792,9 @@ class TestSparseTerms:
 
     @pytest.mark.parametrize("ps", SuiteConfig().param_sets, ids=lambda ps: "k={k:g}".format(**ps))
     def test_shared_moments_equal_per_term_projection(self, ps):
+        """The stacked projection sums the same products as the per-term
+        one in another order, so each block agrees with the reference to
+        within 1e-14 of the block's largest entry (about 45 ulp)."""
         p = ModelParams(**ps)
         for n in range(4):
             bs = sector_basis(p, n, 3)
@@ -805,7 +808,8 @@ class TestSparseTerms:
                     f_rows, f_cols = table.expand(rows, cols)
                     for name in OPERATOR_NAMES:
                         ref = per_term_project(_terms(name, p, grid.phi), f_rows, f_cols, grid)
-                        assert np.array_equal(shared[name], ref), (n, p_out, p_in, name)
+                        scale = np.max(np.abs(ref))
+                        assert np.max(np.abs(shared[name] - ref)) <= 1e-14 * scale, (n, p_out, p_in, name)
 
 
 class TestWorkCounts:
@@ -813,29 +817,43 @@ class TestWorkCounts:
     builds an operator's term table once."""
 
     def test_one_radial_moment_per_key_and_projection(self, monkeypatch):
+        """Each projection forms every distinct radial moment (r^q, d_r) and
+        every distinct angular moment (w_phi theta, M, d_phi) of its
+        operators' terms once, in one batched product of each kind."""
         per_call = []
-        moment, projection = gen._radial_moment, gen._project
+        radial, angular, projection = gen._radial_moments, gen._angular_moments, gen._project
 
-        def counted_moment(R_row, R_col, grid, r_pow, d_r):
-            per_call[-1][1].append((r_pow, d_r))
-            return moment(R_row, R_col, grid, r_pow, d_r)
+        def counted_radial(st, R_row, R_col, grid):
+            out = radial(st, R_row, R_col, grid)
+            assert len(out) == len(st.r_pow)
+            per_call[-1]["radial"].append(list(zip(st.r_pow.tolist(), st.d_r.tolist())))
+            return out
+
+        def counted_angular(st, S_row, S_col):
+            out = angular(st, S_row, S_col)
+            assert len(out) == len(st.w_theta)
+            per_call[-1]["angular"].append([(w.tobytes(), m, d) for w, m, d in zip(st.w_theta, st.fermion.tolist(), st.d_phi.tolist())])
+            return out
 
         def counted_project(names, rows, cols, grid):
-            per_call.append((names, []))
+            per_call.append({"names": names, "grid": grid, "radial": [], "angular": []})
             return projection(names, rows, cols, grid)
 
-        monkeypatch.setattr(gen, "_radial_moment", counted_moment)
+        monkeypatch.setattr(gen, "_radial_moments", counted_radial)
+        monkeypatch.setattr(gen, "_angular_moments", counted_angular)
         monkeypatch.setattr(gen, "_project", counted_project)
         p = PARAM_SETS[2]
         generator_matrices(p, (8, 6), MR, MA)
         # 7 sectors, 2 row parities, 2 column parities
         assert len(per_call) == 28
-        phi = np.linspace(0.1, 0.9, 5) * p.phi_max
-        for names, keys in per_call:
-            assert len(keys) == len(set(keys))
-            terms = [t for name in names for t in _terms(name, p, phi)]
-            assert set(keys) == {(t.r_pow, t.d_r) for t in terms}
-            assert len(keys) < len(terms)
+        for call in per_call:
+            (rads,), (angs,) = call["radial"], call["angular"]
+            grid = call["grid"]
+            terms = [t for name in call["names"] for t in _terms(name, p, grid.phi)]
+            assert len(rads) == len(set(rads)) < len(terms)
+            assert set(rads) == {(t.r_pow, t.d_r) for t in terms}
+            assert len(angs) == len(set(angs)) < len(terms)
+            assert set(angs) == {((grid.w_phi * t.theta).ravel().tobytes(), gen._FERMION_INDEX[id(t.fermion)], t.d_phi) for t in terms}
 
     def test_one_angular_call_per_factor_and_set(self, monkeypatch, cold_caches):
         # every sector grid of the set reads one angular row, which keeps

@@ -203,7 +203,44 @@ class TestMixing:
         assert np.max(np.abs(km)) < 1e-9
 
 
+def composed_family_state(params, family, level, n):
+    """State ``level`` of tower ``family`` in sector n composed from the
+    catalog algebra, ``one_fermion_state(...).scaled(...)`` plus ``+``:
+    the reference for the closed-form ``sp2_family_state``."""
+    if family == "zero":
+        return zero_fermion_state(params, level, n)
+    if family == "double":
+        return two_fermion_state(params, level, n)
+    if family == "upper":
+        if n == 0:
+            return one_fermion_state("+", params, level, n)
+        _, _, g_N, d_N = mixing_coeffs(params, level, n)
+        return one_fermion_state("-", params, level + 1, n).scaled(g_N) + one_fermion_state("+", params, level, n).scaled(d_N)
+    a_N, b_N, _, _ = mixing_coeffs(params, level, n)
+    state = one_fermion_state("-", params, level, n).scaled(a_N)
+    if level >= 1:
+        state = state + one_fermion_state("+", params, level - 1, n).scaled(b_N)
+    return state
+
+
 class TestSectorBasis:
+    @pytest.mark.parametrize(
+        "p",
+        [ModelParams(**ps) for ps in DEFAULT_PARAM_SETS] + [ModelParams(k=0.01, a=1.0, b=1.0), ModelParams(k=1.0, a=1e-4, b=1e-4)],
+        ids=[f"default-{i}" for i in range(len(DEFAULT_PARAM_SETS))] + ["k=0.01", "a=b=1e-4"],
+    )
+    def test_closed_form_equals_composed_states(self, p):
+        """Every basis state, written from the closed forms, has the terms of
+        the composed state in the same order, each coefficient bit for bit."""
+        for n in range(11):
+            basis = sector_basis(p, n, 16)
+            assert [(s.family, s.level) for s in basis] == [(f, level) for f in ("zero", "lower", "upper", "double") if n or f in ("zero", "upper") for level in range(17)]
+            for s in basis:
+                ref = composed_family_state(p, s.family, s.level, n)
+                for state in (s.state, sp2_family_state(p, s.family, s.level, n)):
+                    assert [(t.N, t.n, t.occ) for t in state.terms] == [(t.N, t.n, t.occ) for t in ref.terms], (n, s.family, s.level)
+                    assert [t.coeff.hex() for t in state.terms] == [t.coeff.hex() for t in ref.terms], (n, s.family, s.level)
+
     def test_family_content(self):
         assert {s.family for s in sector_basis(P_GEN, 0, 2)} == {"zero", "upper"}
         assert {s.family for s in sector_basis(P_GEN, 1, 2)} == {"zero", "lower", "upper", "double"}

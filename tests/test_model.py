@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ttwsusy.model import (
+    OMEGA_RANGE,
     Grid,
     ModelParams,
     angular_parts,
@@ -42,6 +43,27 @@ class TestParams:
         kwargs = {"k": 1.0, "a": 1.0, "b": 1.0, "omega": 1.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got {re.escape(repr(value))}$"):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("omega", [9.9e-151, 1e-153, 1e-160, 1e-300, 1.01e150, 1e154, 1e160, 1e300])
+    def test_omega_outside_its_range_is_named(self, omega):
+        # omega^2 and 1/omega^2 leave the float range near 1e-154 and 1e154
+        with pytest.raises(ValueError, match=f"^omega must lie in {re.escape('[1e-150, 1e+150]')}, got {re.escape(repr(omega))}: "):
+            ModelParams(k=1.0, a=1.0, b=1.0, omega=omega)
+
+    def test_omega_at_its_range_ends_gives_finite_residuals(self):
+        from ttwsusy.verify import SuiteConfig, run
+
+        assert OMEGA_RANGE == (1e-150, 1e150)
+        config = {"truncation": [4, 3], "quad_orders": [40, 40], "suites": ["model", "algebra", "irreps"]}
+        reports = {
+            omega: run(SuiteConfig.from_dict({**config, "param_sets": [{"k": 1.0, "a": 1.0, "b": 1.0, "omega": omega}]}))
+            for omega in OMEGA_RANGE
+        }
+        for omega, report in reports.items():
+            assert all(c.error is None and math.isfinite(c.residual) for c in report.checks), omega
+        # the small end passes every check; at the large one, checks whose
+        # tolerances do not scale with omega fail, with finite residuals
+        assert reports[OMEGA_RANGE[0]].n_failed == 0, reports[OMEGA_RANGE[0]].to_text()
 
     def test_integers_and_numpy_floats_are_accepted(self):
         p = ModelParams(k=np.float64(2.0), a=1, b=np.int64(2))
@@ -407,6 +429,22 @@ class TestRadialLevels:
                 stacks = radial_levels(p, 20, n, r, one_fermion)
                 assert all(s.shape == (21, *r.shape) for s in stacks)
                 for N in range(21):
+                    for got, want in zip(stacks, radial_parts_one_level(p, N, n, r, one_fermion)):
+                        assert np.array_equal(got[N], want), (n, one_fermion, N)
+
+    @pytest.mark.parametrize("N_max", [8, 17])
+    @pytest.mark.parametrize("p", [ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8), ModelParams(k=100.0, a=1.0, b=1.0)], ids=["irr", "k=100"])
+    def test_shared_pass_equals_one_call_per_flag(self, p, N_max):
+        """Both one-fermion flags from one pass are bit for bit the factors
+        of a call per flag, and of the level-by-level oracle."""
+        r = np.sqrt(np.linspace(0.05, 60.0, 31) / p.omega)[:, None]
+        for n in range(4):
+            shared = radial_levels(p, N_max, n, r, (False, True))
+            assert len(shared) == 2
+            for one_fermion, stacks in zip((False, True), shared):
+                alone = radial_levels(p, N_max, n, r, one_fermion)
+                assert all(np.array_equal(a, b) for a, b in zip(stacks, alone, strict=True)), (n, one_fermion)
+                for N in (0, 1, N_max):
                     for got, want in zip(stacks, radial_parts_one_level(p, N, n, r, one_fermion)):
                         assert np.array_equal(got[N], want), (n, one_fermion, N)
 

@@ -171,13 +171,14 @@ class TestBroadcastingContract:
             for name in BUNDLE_FIELDS:
                 np.testing.assert_array_equal(getattr(bundle, name), getattr(ref, name))
         # both states name the radial key (2, one-fermion) and the angular keys (0, 2) and (1, 1)
-        assert calls == {"radial": [(2, True, 2)], "angular": [(0, 2), (1, 1)]}
+        assert calls == {"radial": [(2, (True,), 2)], "angular": [(0, 2), (1, 1)]}
 
     def test_one_level_pass_per_radial_key(self, monkeypatch):
-        """Within each call, every level of a (sector, one-fermion) radial key
-        comes from one ``radial_levels`` pass up to the highest N asked for,
-        and, in a fresh table's first call, each (shift, angular index) from
-        one ``angular_parts`` call, however many states and terms share the
+        """Within each call, every level of a sector's radial keys, with and
+        without the one-fermion z^(-1/2), comes from one ``radial_levels``
+        pass up to the highest N asked for of either, and, in a fresh
+        table's first call, each (shift, angular index) from one
+        ``angular_parts`` call, however many states and terms share the
         key; the table's row keeps them, so a second call on the same table
         makes the radial passes again and no ``angular_parts`` call."""
         grid = Grid.for_pair(P, 2, 2, 20, 20)
@@ -193,19 +194,51 @@ class TestBroadcastingContract:
             (basis, lambda table, sts: list(table.fields(sts))),
         ):
             terms = [t for st in states_ for t in st.terms if not t.is_zero]
-            tops = {}
+            flags, tops = {}, {}
             for t in terms:
-                key = (t.n, FERMION_NUMBER[t.occ] == 1)
-                tops[key] = max(t.N, tops.get(key, t.N))
+                flags.setdefault(t.n, set()).add(FERMION_NUMBER[t.occ] == 1)
+                tops[t.n] = max(t.N, tops.get(t.n, t.N))
             angular = {(t.n - t.angular_index, t.angular_index) for t in terms}
             table = FactorTable(P, grid.r, grid.phi)
             for first in (True, False):
                 calls["radial"].clear()
                 calls["angular"].clear()
                 call(table, states_)
-                assert sorted(calls["radial"]) == sorted((*key, top) for key, top in tops.items())
+                assert sorted(calls["radial"]) == sorted((n, tuple(sorted(flags[n])), top) for n, top in tops.items())
                 assert sorted(calls["angular"]) == (sorted(angular) if first else [])
-        assert [key[:2] for key in calls["radial"]] == [(2, False), (2, True)]
+        # the last call's one sector: both flags from one pass, up to the odd states' N = 6
+        assert calls["radial"] == [(2, (False, True), 6)]
+
+    def test_shared_pass_equals_one_pass_per_flag(self):
+        """A call whose states name both radial keys of a sector reads them
+        from one pass, and each key's factors are bit for bit those of a
+        ``radial_levels`` call for its flag alone, at the same N_max."""
+        grid = Grid.for_pair(P_IRR, 2, 2, 20, 20)
+        basis = [s.state for s in sector_basis(P_IRR, 2, 5)]
+        table = FactorTable(P_IRR, grid.r, grid.phi)
+        even, odd = ([st for st in basis if st.fermion_parity() == q] for q in (0, 1))
+        for (C, R, _), states_ in zip(table.expand(even, odd), (even, odd)):
+            keys = list(dict.fromkeys((t.N, t.n, FERMION_NUMBER[t.occ] == 1) for st in states_ for t in st.terms))
+            assert R.shape[-1] == len(keys)
+            for j, (N, n, one_fermion) in enumerate(keys):
+                alone = radial_levels(P_IRR, 6, n, grid.r, one_fermion)
+                for d in range(3):
+                    assert np.array_equal(R[d, ..., j], alone[d][N]), (N, one_fermion, d)
+
+    def test_table_on_two_grids_equals_a_table_per_grid(self):
+        """A table on two grids of one set expands on their radial nodes in
+        turn: each grid's rows of R are bit for bit its own table's R, and
+        C and S are those of either table."""
+        grids = [Grid.for_pair(P_IRR, 2, 2, 16, 12, odd=odd) for odd in (False, True)]
+        basis = [s.state for s in sector_basis(P_IRR, 2, 4)]
+        groups = [[st for st in basis if st.fermion_parity() == q] for q in (0, 1)]
+        both = list(FactorTable.on(*grids).expand(*groups))
+        for i, grid in enumerate(grids):
+            for (C, R, S), (C1, R1, S1) in zip(both, FactorTable.on(grid).expand(*groups), strict=True):
+                assert np.array_equal(C, C1) and np.array_equal(S, S1)
+                assert np.array_equal(R[:, 16 * i : 16 * (i + 1)], R1)
+        with pytest.raises(ValueError, match="share their angular row"):
+            FactorTable.on(grids[0], Grid.for_pair(P_IRR, 2, 2, 16, 20))
 
     def test_table_keeps_no_factors_between_calls(self):
         # a table on plain arrays keeps its angular functions of phi on a
@@ -251,12 +284,13 @@ class TestBroadcastingContract:
 
 
 def count_factor_passes(monkeypatch):
-    """Record each ``radial_levels`` pass of the states module as (n,
-    one-fermion, N_max) and each ``angular_parts`` call as (shift, index)."""
+    """Record each ``radial_levels`` pass of the states module as (n, its
+    one-fermion flags as a tuple, N_max) and each ``angular_parts`` call
+    as (shift, index)."""
     calls = {"radial": [], "angular": []}
 
     def radial(params, N_max, n, r, one_fermion=False):
-        calls["radial"].append((n, one_fermion, N_max))
+        calls["radial"].append((n, one_fermion if isinstance(one_fermion, tuple) else (one_fermion,), N_max))
         return radial_levels(params, N_max, n, r, one_fermion)
 
     def angular(params, m, phi, shift=0):

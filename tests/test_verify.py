@@ -1236,25 +1236,36 @@ def test_report_bodies_names_each_difference():
     changed["checks"][1]["residual"] *= 2.0
     changed["summary"]["passed"] -= 1
     names = [f"{c['name']} [{c['params']}]" for c in body["checks"]]
-    residual = body["checks"][1]["residual"]
+    residual, tolerance = body["checks"][1]["residual"], body["checks"][1]["tolerance"]
     assert differences({"run": body}, {"run": body}) == []
     def worst(b):
         return f"{max(c['residual'] / c['tolerance'] for c in b['checks']):.6g}"
 
+    def moved(by):
+        return f"largest move {by:.3g} / tolerance at {names[1]}"
+
     assert differences({"run": body}, {"run": changed}) == [
         f"run: {names[1]} {residual!r} -> {2.0 * residual!r}",
         "run: summary",
-        f"run: 1 records moved, 1 up; worst margin {worst(body)} -> {worst(changed)}",
+        f"run: 1 records moved, 1 up; worst margin {worst(body)} -> {worst(changed)}; {moved(residual / tolerance)}; 0 passed flipped",
     ]
     # a record that moves down is not counted as up; one that becomes the
-    # closest to failing sets the worst margin
-    lower, closer = json.loads(json.dumps(body)), json.loads(json.dumps(body))
+    # closest to failing sets the worst margin; one that fails flips
+    lower, closer, failing = (json.loads(json.dumps(body)) for _ in range(3))
     lower["checks"][1]["residual"] *= 0.5
-    closer["checks"][1]["residual"] = 0.9 * body["checks"][1]["tolerance"]
-    assert differences({"run": body}, {"run": lower})[-1] == f"run: 1 records moved, 0 up; worst margin {worst(body)} -> {worst(lower)}"
-    assert differences({"run": body}, {"run": closer})[-1] == f"run: 1 records moved, 1 up; worst margin {worst(body)} -> 0.9"
-    # a run in one file only differs in every check and part
+    closer["checks"][1]["residual"] = 0.9 * tolerance
+    failing["checks"][1].update(residual=2.0 * tolerance, passed=False)
+    assert differences({"run": body}, {"run": lower})[-1] == (
+        f"run: 1 records moved, 0 up; worst margin {worst(body)} -> {worst(lower)}; {moved(0.5 * residual / tolerance)}; 0 passed flipped"
+    )
+    assert differences({"run": body}, {"run": closer})[-1] == (
+        f"run: 1 records moved, 1 up; worst margin {worst(body)} -> 0.9; {moved(abs(0.9 * tolerance - residual) / tolerance)}; 0 passed flipped"
+    )
+    assert differences({"run": body}, {"run": failing})[-1].endswith(f"{moved((2.0 * tolerance - residual) / tolerance)}; 1 passed flipped")
+    # a run in one file only differs in every check and part, and moves no residual
     only_new = differences({"run": body}, {"run": body, "new": body})
     absent = [f"new: {name} absent -> {c['residual']!r}" for name, c in zip(names, body["checks"])]
-    assert only_new[-1] == f"new: {len(names)} records moved, 0 up; worst margin absent -> {worst(body)}"
+    assert only_new[-1] == (
+        f"new: {len(names)} records moved, 0 up; worst margin absent -> {worst(body)}; largest move 0 / tolerance at none; 0 passed flipped"
+    )
     assert sorted(only_new[:-1]) == sorted(absent + ["new: config", "new: schema", "new: summary"])
