@@ -33,10 +33,11 @@ print("K0 is diagonal with the expected weights; a slice of its sector-0 diagona
 for s, d in list(zip(basis, np.diag(blocks[0]["K0"])))[:6]:
     print(f"  n={s.n} {s.family:>6} level {s.level}: K0 = {d:.12f} (expected {s.k0:.12f})")
 
-# sector by sector; the top sector n_max has no interior states
+# sector by sector, the top sector n_max included: no generator leaves its
+# sector, so each sector's interior is its states below the top radial level
 interior = interior_mask(basis, truncation)
 sectors = np.array([s.n for s in basis])
-per_sector = [(block, interior[sectors == n]) for n, block in enumerate(blocks[:-1])]
+per_sector = [(block, interior[sectors == n]) for n, block in enumerate(blocks)]
 relations: dict[str, list[float]] = {}
 for block, inner in per_sector:
     for c in check_structure_constants(block, inner):

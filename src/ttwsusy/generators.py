@@ -44,10 +44,12 @@ matrix product.  Both routes read each table from the angular row of
 their points (``_row_terms``), which evaluates its angular functions
 theta once per row: once per set on a grid.  How states break into
 radial and angular factors is ``states.FactorTable.expand``:
-``sector_matrices`` expands a sector's even and odd states in one call
-on both of its grids' radial nodes, and ``project`` a row and a column
-list on one grid, as ``wavefunction_gram`` and verify's other integral
-checks (cross-sector elements, one-fermion overlaps) use it.
+``sector_matrices`` expands a sector's even and odd states, the two
+halves of its basis, in one call on both of its grids' radial nodes,
+and writes each (row parity, column parity) quarter of a block as one
+slice of rows by one slice of columns; ``project`` expands a row and a
+column list on one grid, as ``wavefunction_gram`` and verify's other
+integral checks (cross-sector elements, one-fermion overlaps) use it.
 ``hamiltonian_super`` stays apart on purpose: it builds Hs from the
 superpotential instead of the H_k potential, as the independent
 reference of that identity.  Every generator preserves the angular
@@ -544,44 +546,30 @@ def sector_matrices(
     a product of 1-D radial and angular weights, so each entry is a sum
     of products of 1-D radial and angular Gauss sums; nothing is sampled
     on the 2-D grid.  The basis is written from the closed forms
-    (``irreps.sector_basis``); its even and odd states are expanded in
-    one call on the two grids' radial nodes, stacked, since both grids
-    read the set's angular row, so each of the sector's radial keys comes
-    from one Laguerre pass; and each (row parity, column parity) quarter
-    of the four generators that map between them is one ``_project``
-    call, written into the blocks run by run of consecutive states.
+    (``irreps.sector_basis``), its even states first and its odd states
+    after them; the two halves are expanded in one call on the two grids'
+    radial nodes, stacked, since both grids read the set's angular row,
+    so each of the sector's radial keys comes from one Laguerre pass; and
+    each (row parity, column parity) quarter of the four generators that
+    map between them is one ``_project`` call, written into the blocks as
+    one slice of rows by one slice of columns.
     """
     bs = sector_basis(params, n, N_max)
-    # the sector's even and its odd states, as indices into bs, and as runs of consecutive ones
-    parts = [[i for i, s in enumerate(bs) if (s.family in ("lower", "upper")) == bool(p)] for p in (0, 1)]
-    runs = [_runs(part) for part in parts]
+    # the even states, then the odd ones
+    d0 = sum(not s.parity for s in bs)
+    halves = (slice(0, d0), slice(d0, len(bs)))
     block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
     grids = [Grid.for_pair(params, n, n, m_rad, m_ang, odd=odd) for odd in (False, True)]
     # both grids read the set's angular row: one expansion on their radial nodes, stacked
-    expanded = list(FactorTable.on(*grids).expand(*([bs[i].state for i in part] for part in parts)))
+    expanded = list(FactorTable.on(*grids).expand(*([s.state for s in bs[half]] for half in halves)))
     m = len(grids[0].r)
     for p_out, grid in enumerate(grids):
         on_grid = [(C, R[:, p_out * m : (p_out + 1) * m], S) for C, R, S in expanded]
         for p_in in (0, 1):
             gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
             for g, part in _project(gens, on_grid[p_out], on_grid[p_in], grid).items():
-                # run by run: contiguous copies, not a scatter through an index list
-                for r0, r1, i in runs[p_out]:
-                    for c0, c1, j in runs[p_in]:
-                        block[g][r0:r1, c0:c1] = part[i : i + r1 - r0, j : j + c1 - c0]
+                block[g][halves[p_out], halves[p_in]] = part
     return block, bs
-
-
-def _runs(indices: list[int]) -> list[tuple[int, int, int]]:
-    """A sorted index list as its runs of consecutive indices: (start,
-    stop, position of start in the list) triples."""
-    runs = []
-    for pos, i in enumerate(indices):
-        if runs and runs[-1][1] == i:
-            runs[-1] = (runs[-1][0], i + 1, runs[-1][2])
-        else:
-            runs.append((i, i + 1, pos))
-    return runs
 
 
 def generator_matrices(
@@ -594,10 +582,10 @@ def generator_matrices(
     Generators preserve the angular sector, so only the diagonal blocks
     are formed: ``blocks[n]`` maps each name to the d_n x d_n matrix over
     sector n's states, which are the entries of the sector-major list
-    ``basis`` with ``s.n == n``, in order.  That the operators do not
-    couple sectors is shown by the ``block-diagonality`` check of
-    verify's irreps suite, which projects cross-sector elements the same
-    way.
+    ``basis`` with ``s.n == n``, in order: the sector's even states, then
+    its odd ones.  That the operators do not couple sectors is shown by
+    the ``block-diagonality`` check of verify's irreps suite, which
+    projects cross-sector elements the same way.
     """
     N_max, n_max = truncation
     if N_max < 2 or n_max < 2:
@@ -613,10 +601,10 @@ def generator_matrices(
 
 def interior_mask(basis: list[BasisState], truncation: tuple[int, int], depth: int = 1) -> np.ndarray:
     """States whose ladder images up to ``depth`` steps stay inside the
-    truncation (fermion sector unrestricted).  The angular sector never
-    leaks, so only one sector step is excluded regardless of depth."""
-    N_max, n_max = truncation
-    return np.array([s.level <= N_max - depth and s.n <= n_max - 1 for s in basis])
+    radial truncation (fermion sector unrestricted).  No generator leaves
+    the angular sector, so every sector, the top one n_max included, has
+    the same interior: the states of level at most N_max - depth."""
+    return np.array([s.level <= truncation[0] - depth for s in basis])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ tau -/+ 1/2 (``mixing_coeffs``).  For n = 0 the one-fermion towers
 coincide, the two-fermion tower is empty and the irrep is a shortened
 (atypical) lowest-weight one.
 
+The irrep is Z2-graded: the zero- and two-fermion towers are even, the
+one-fermion towers odd, and every generator maps one parity to one
+parity.  ``sector_basis`` lists a sector's even towers before its odd
+ones (``FAMILIES`` order), so a generator's block splits into four
+quarters, each one slice of rows by one slice of columns.
+
 This module also evaluates the quadratic and cubic Casimir operators,
 as matrix polynomials in one sector's eight generator blocks and as
 closed forms n(n+a+b)k^2 and -(a+b) n (n+a+b) k^3 / 2.
@@ -50,8 +56,10 @@ __all__ = [
 ]
 
 # the sp(2,R) towers of a sector in basis order, each with the (tau, q)
-# offsets of its lowest weight from the sector's (tau, q)
-FAMILIES = {"zero": (0.0, 0.0), "lower": (-0.5, 0.5), "upper": (0.5, 0.5), "double": (0.0, 1.0)}
+# offsets of its lowest weight from the sector's (tau, q): the even towers
+# (zero and two fermions) first, then the odd ones (one fermion), since
+# the q offset is half the fermion number
+FAMILIES = {"zero": (0.0, 0.0), "double": (0.0, 1.0), "lower": (-0.5, 0.5), "upper": (0.5, 0.5)}
 
 
 def _families(n: int) -> tuple[str, ...]:
@@ -225,7 +233,8 @@ def sp2_family_state(params: ModelParams, family: str, level: int, n: int) -> Ca
 
 @dataclass(frozen=True)
 class BasisState:
-    """One orthonormal basis state with its expected weight labels."""
+    """One orthonormal basis state with its expected weight labels and
+    its fermion parity, 0 for the even towers and 1 for the odd ones."""
 
     n: int
     family: str
@@ -234,11 +243,18 @@ class BasisState:
     k0: float
     y: float
 
+    @property
+    def parity(self) -> int:
+        # the tower's q offset is half its fermion number
+        return int(2.0 * FAMILIES[self.family][1]) % 2
+
 
 def sector_basis(params: ModelParams, n: int, levels: int) -> list[BasisState]:
-    """Orthonormal super-basis of sector n up to radial level ``levels``:
-    every tower of ``_families(n)`` in ``FAMILIES`` order, each level by
-    level, each state as ``sp2_family_state`` writes it, from the closed
+    """Orthonormal super-basis of sector n up to radial level ``levels``,
+    the one owner of a sector's layout: every tower of ``_families(n)`` in
+    ``FAMILIES`` order, so every even state comes before every odd one
+    and each parity is one contiguous slice, each tower level by level,
+    each state as ``sp2_family_state`` writes it, from the closed
     forms with no intermediate catalog state, and ``mixing_coeffs``
     formed once per level for both one-fermion towers."""
     w = weights_of(params, n)

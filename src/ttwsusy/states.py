@@ -12,7 +12,11 @@ generators.  Each term is labelled by (N, n, occ):
 where Z and Phi are the normalized radial/angular factors.  The
 occupation fixes the (a,b) -> (a+1,b+1) shift of the angular factor;
 terms with a negative radial or angular index are the zero function
-(the ladder expansions use that sentinel implicitly).
+(the ladder expansions use that sentinel implicitly).  A
+``CatalogState`` holds its terms as ``irreps`` writes them from the
+closed forms; no state is composed from others by catalog arithmetic,
+and a state's fermion parity is its basis tower's
+(``irreps.BasisState.parity``).
 
 Because the barred fermion modes depend on phi, a term's fixed-basis
 spinor components pick up cos(phi)/sin(phi) factors, and the angular
@@ -111,7 +115,9 @@ def term(coeff: float, N: int, n: int, occ: int) -> CatalogTerm:
 
 @dataclass(frozen=True)
 class CatalogState:
-    """Finite linear combination of catalog terms (immutable)."""
+    """Finite linear combination of catalog terms (immutable), its terms
+    as they are written: ``irreps`` writes every state it needs straight
+    from the closed forms, so states are not added or scaled here."""
 
     terms: tuple[CatalogTerm, ...]
 
@@ -119,37 +125,9 @@ class CatalogState:
     def of(cls, *terms_: CatalogTerm) -> "CatalogState":
         return cls(tuple(t for t in terms_ if not t.is_zero))
 
-    @classmethod
-    def zero(cls) -> "CatalogState":
-        return cls(())
-
-    def __add__(self, other: "CatalogState") -> "CatalogState":
-        return CatalogState(self.terms + other.terms).simplify()
-
-    def scaled(self, c: float) -> "CatalogState":
-        return CatalogState(tuple(CatalogTerm(c * t.coeff, t.N, t.n, t.occ) for t in self.terms))
-
-    def simplify(self) -> "CatalogState":
-        acc: dict[tuple, float] = {}
-        for t in self.terms:
-            if t.is_zero:
-                continue
-            key = (t.N, t.n, t.occ)
-            acc[key] = acc.get(key, 0.0) + t.coeff
-        return CatalogState(tuple(CatalogTerm(c, *key) for key, c in acc.items() if c != 0.0))
-
     @property
     def is_zero(self) -> bool:
         return all(t.is_zero for t in self.terms)
-
-    def fermion_parity(self) -> int:
-        """0 for even (0- or 2-fermion) states, 1 for odd; mixed parity is rejected."""
-        parities = {FERMION_NUMBER[t.occ] % 2 for t in self.terms if not t.is_zero}
-        if not parities:
-            return 0
-        if len(parities) > 1:
-            raise ValueError("catalog state mixes fermion parities")
-        return parities.pop()
 
 
 # every fixed-basis component, in order

@@ -689,11 +689,11 @@ def _block_diagonality(ws: _Workspace) -> float:
     """Every cross-sector element <s1|G|s2> between the level-1 basis
     states of sectors 0, 1 and 2 of one fermion parity, one projection
     per generator."""
-    level1 = {n: [s.state for s in irreps.sector_basis(ws.params, n, 1) if s.level == 1] for n in range(3)}
+    level1 = {n: [s for s in irreps.sector_basis(ws.params, n, 1) if s.level == 1] for n in range(3)}
     res = []
     for n1, n2 in ((0, 1), (1, 2), (0, 2)):
         for odd in (False, True):
-            rows, cols = ([st for st in level1[n] if st.fermion_parity() == odd] for n in (n1, n2))
+            rows, cols = ([s.state for s in level1[n] if s.parity == odd] for n in (n1, n2))
             for m in gen.project(("K0", "K+", "Y"), rows, cols, ws.grid(n1, n2, odd=odd)).values():
                 res.append(np.max(np.abs(m)))
     return _worst(res)
@@ -715,9 +715,9 @@ _CHECK_TASKS = {
 
 
 def _structure_part(ws: _Workspace, n: int, block: dict, states: list) -> dict[str, float]:
-    """{relation: residual} on sector n's interior; {} if it is empty."""
+    """{relation: residual} on sector n's interior."""
     inner = gen.interior_mask(states, ws.config.truncation)
-    return {c.name: c.residual for c in gen.check_structure_constants(block, inner)} if inner.any() else {}
+    return {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
 
 
 def _ladder_part(ws: _Workspace, n: int, block: dict, states: list) -> tuple[float, bool]:
@@ -738,13 +738,10 @@ def _ladder_part(ws: _Workspace, n: int, block: dict, states: list) -> tuple[flo
     return _worst(res), bool(sign_ok)
 
 
-def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> list[float]:
-    """[worst deviation of C2 and C3 from their closed forms and of
-    [C2, G] from zero on sector n's depth-2 interior], or [] if it is
-    empty."""
+def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> float:
+    """Worst deviation of C2 and C3 from their closed forms and of
+    [C2, G] from zero on sector n's depth-2 interior."""
     inner = gen.interior_mask(states, ws.config.truncation, depth=2)
-    if not inner.any():
-        return []
     c2, c3 = irreps.casimir_matrices(block)
     c2_th, c3_th = irreps.casimir_eigenvalues(ws.params, n)
     eye = np.eye(int(inner.sum()))
@@ -752,7 +749,7 @@ def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> list[flo
     for gname in gen.GENERATOR_NAMES:
         g = block[gname]
         res.append(np.max(np.abs(c2[inner] @ g[:, inner] - g[inner] @ c2[:, inner])))
-    return [_worst(res)]
+    return _worst(res)
 
 
 # check -> (its part from one sector's block and states, how the sectors' parts combine)
@@ -763,7 +760,7 @@ _SECTOR_CHECKS = {
         _ladder_part,
         lambda parts: _worst([res for res, _ in parts]) if all(ok for _, ok in parts) else float("inf"),
     ),
-    "casimir": (_casimir_part, lambda parts: _worst([res for part in parts for res in part])),
+    "casimir": (_casimir_part, _worst),
 }
 
 

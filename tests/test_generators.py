@@ -480,7 +480,7 @@ class TestTensorGridAssembly:
             for n in range(trunc[1] + 1)
             for q in (0, 1)
         }
-        parity = [s.state.fermion_parity() for s in basis]
+        parity = [s.parity for s in basis]
         for j in range(0, len(basis), 3):
             col = basis[j]
             for name in GENERATOR_NAMES:
@@ -509,7 +509,7 @@ class TestTensorGridAssembly:
         for n in (0, 2):
             for s in sector_basis(p, n, 3):
                 for name in GENERATOR_NAMES:
-                    p_out = s.state.fermion_parity() ^ GENERATOR_PARITY[name]
+                    p_out = s.parity ^ GENERATOR_PARITY[name]
                     grid = Grid.for_pair(p, n, n, 20, 20, odd=bool(p_out))
                     out = apply(name, s.state, p, grid.r, grid.phi)
                     assert np.all(out[PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
@@ -798,7 +798,7 @@ class TestSparseTerms:
         p = ModelParams(**ps)
         for n in range(4):
             bs = sector_basis(p, n, 3)
-            states = {par: [s.state for s in bs if s.state.fermion_parity() == par] for par in (0, 1)}
+            states = {par: [s.state for s in bs if s.parity == par] for par in (0, 1)}
             for p_out in (0, 1):
                 grid = Grid.for_pair(p, n, n, MR, MA, odd=bool(p_out))
                 table = FactorTable(p, grid.r, grid.phi)

@@ -23,6 +23,7 @@ from ttwsusy.model import Grid, ModelParams, angular_parts, weights_of
 from ttwsusy.states import FactorTable, state_field
 from ttwsusy.verify import DEFAULT_PARAM_SETS
 
+from catalog import add, fermion_parity, scaled
 from sampled import sampled_inner
 
 P_SW = ModelParams(k=2.0, a=1.0, b=1.0, omega=1.0)
@@ -205,7 +206,7 @@ class TestMixing:
 
 def composed_family_state(params, family, level, n):
     """State ``level`` of tower ``family`` in sector n composed from the
-    catalog algebra, ``one_fermion_state(...).scaled(...)`` plus ``+``:
+    tests' catalog algebra, scaled ``one_fermion_state``s and their sum:
     the reference for the closed-form ``sp2_family_state``."""
     if family == "zero":
         return zero_fermion_state(params, level, n)
@@ -215,11 +216,11 @@ def composed_family_state(params, family, level, n):
         if n == 0:
             return one_fermion_state("+", params, level, n)
         _, _, g_N, d_N = mixing_coeffs(params, level, n)
-        return one_fermion_state("-", params, level + 1, n).scaled(g_N) + one_fermion_state("+", params, level, n).scaled(d_N)
+        return add(scaled(one_fermion_state("-", params, level + 1, n), g_N), scaled(one_fermion_state("+", params, level, n), d_N))
     a_N, b_N, _, _ = mixing_coeffs(params, level, n)
-    state = one_fermion_state("-", params, level, n).scaled(a_N)
+    state = scaled(one_fermion_state("-", params, level, n), a_N)
     if level >= 1:
-        state = state + one_fermion_state("+", params, level - 1, n).scaled(b_N)
+        state = add(state, scaled(one_fermion_state("+", params, level - 1, n), b_N))
     return state
 
 
@@ -234,12 +235,26 @@ class TestSectorBasis:
         the composed state in the same order, each coefficient bit for bit."""
         for n in range(11):
             basis = sector_basis(p, n, 16)
-            assert [(s.family, s.level) for s in basis] == [(f, level) for f in ("zero", "lower", "upper", "double") if n or f in ("zero", "upper") for level in range(17)]
+            assert [(s.family, s.level) for s in basis] == [(f, level) for f in ("zero", "double", "lower", "upper") if n or f in ("zero", "upper") for level in range(17)]
             for s in basis:
                 ref = composed_family_state(p, s.family, s.level, n)
                 for state in (s.state, sp2_family_state(p, s.family, s.level, n)):
                     assert [(t.N, t.n, t.occ) for t in state.terms] == [(t.N, t.n, t.occ) for t in ref.terms], (n, s.family, s.level)
                     assert [t.coeff.hex() for t in state.terms] == [t.coeff.hex() for t in ref.terms], (n, s.family, s.level)
+
+    @pytest.mark.parametrize("ps", DEFAULT_PARAM_SETS, ids=[f"default-{i}" for i in range(len(DEFAULT_PARAM_SETS))])
+    def test_even_states_before_odd_ones(self, ps):
+        """Every even state comes before every odd one, by the fermion
+        numbers of its terms and by its ``parity``, and each tower is one
+        run of levels 0..N_max: each parity is one slice of the basis."""
+        p = ModelParams(**ps)
+        for n in range(7):
+            basis = sector_basis(p, n, 5)
+            parities = [fermion_parity(s.state) for s in basis]
+            assert parities == sorted(parities) and [s.parity for s in basis] == parities, n
+            towers = [s.family for s in basis[::6]]
+            assert len(set(towers)) == len(towers) == (2 if n == 0 else 4), n
+            assert [(s.family, s.level) for s in basis] == [(f, level) for f in towers for level in range(6)], n
 
     def test_family_content(self):
         assert {s.family for s in sector_basis(P_GEN, 0, 2)} == {"zero", "upper"}

@@ -321,7 +321,7 @@ class TestGrid:
 
         grid = Grid.for_pair(P_GEN, 2, 2, 12, 10, odd=True)
         table = FactorTable.on(grid)
-        for bundle in table.bundles([s.state for s in sector_basis(P_GEN, 2, 3) if s.state.fermion_parity() == 1]):
+        for bundle in table.bundles([s.state for s in sector_basis(P_GEN, 2, 3) if s.parity == 1]):
             apply_operators(("Hs", "V+"), bundle, table)
         radial = model._laguerre_rule(12, grid.alpha)
         angular = model._jacobi_rule(10, P_GEN.a - 0.5, P_GEN.b - 0.5)

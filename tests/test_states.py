@@ -9,6 +9,8 @@ from ttwsusy.generators import apply_operators
 from ttwsusy.model import Grid, ModelParams, angular_parts, radial_levels
 from ttwsusy.states import FERMION_NUMBER, OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
 
+from catalog import add, fermion_parity, zero
+
 P = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.0)
 P_IRR = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=1.0)
 BUNDLE_FIELDS = ("val", "d_r", "d_rr", "d_phi", "d_phiphi")
@@ -49,23 +51,22 @@ class TestCatalogAlgebra:
         assert not term(1.0, 0, 1, OCC_YBAR).is_zero
 
     def test_simplify_merges_terms(self):
-        s = CatalogState.of(term(1.0, 0, 1, OCC_VAC)) + CatalogState.of(term(2.0, 0, 1, OCC_VAC))
+        s = add(CatalogState.of(term(1.0, 0, 1, OCC_VAC)), CatalogState.of(term(2.0, 0, 1, OCC_VAC)))
         assert len(s.terms) == 1
         assert s.terms[0].coeff == 3.0
 
     def test_simplify_drops_cancellations(self):
-        s = CatalogState.of(term(1.0, 0, 1, OCC_VAC)) + CatalogState.of(term(-1.0, 0, 1, OCC_VAC))
+        s = add(CatalogState.of(term(1.0, 0, 1, OCC_VAC)), CatalogState.of(term(-1.0, 0, 1, OCC_VAC)))
         assert s.is_zero
 
-    def test_mixed_parity_rejected(self):
-        s = CatalogState.of(term(1.0, 0, 1, OCC_VAC), term(1.0, 0, 1, OCC_YBAR))
-        with pytest.raises(ValueError):
-            s.fermion_parity()
-
     def test_parities(self):
-        assert zero_fermion_state(P, 0, 1).fermion_parity() == 0
-        assert one_fermion_state("+", P, 0, 1).fermion_parity() == 1
-        assert two_fermion_state(P, 0, 1).fermion_parity() == 0
+        assert fermion_parity(zero_fermion_state(P, 0, 1)) == 0
+        assert fermion_parity(one_fermion_state("+", P, 0, 1)) == 1
+        assert fermion_parity(two_fermion_state(P, 0, 1)) == 0
+        # a basis state's parity, read off its tower, is that of its terms
+        for n in (0, 1, 2):
+            for s in sector_basis(P, n, 3):
+                assert s.parity == fermion_parity(s.state), (n, s.family, s.level)
 
 
 class TestBundleDerivatives:
@@ -123,8 +124,7 @@ def basis_grids(p, n_max, m=40):
     for n in range(n_max + 1):
         grids = {q: Grid.for_pair(p, n, n, m, m, odd=bool(q)) for q in (0, 1)}
         for s in sector_basis(p, n, 3):
-            parity = s.state.fermion_parity()
-            yield s, parity, grids[parity]
+            yield s, s.parity, grids[s.parity]
 
 
 class TestBroadcastingContract:
@@ -182,9 +182,9 @@ class TestBroadcastingContract:
         key; the table's row keeps them, so a second call on the same table
         makes the radial passes again and no ``angular_parts`` call."""
         grid = Grid.for_pair(P, 2, 2, 20, 20)
-        basis = [s.state for s in sector_basis(P, 2, 5)]
-        even = [st for st in basis if st.fermion_parity() == 0]
-        odd = [st for st in basis if st.fermion_parity() == 1]
+        bs = sector_basis(P, 2, 5)
+        basis = [s.state for s in bs]
+        even, odd = ([s.state for s in bs if s.parity == q] for q in (0, 1))
         calls = count_factor_passes(monkeypatch)
         for states_, call in (
             (even, lambda table, sts: list(table.expand(sts))),
@@ -214,9 +214,9 @@ class TestBroadcastingContract:
         from one pass, and each key's factors are bit for bit those of a
         ``radial_levels`` call for its flag alone, at the same N_max."""
         grid = Grid.for_pair(P_IRR, 2, 2, 20, 20)
-        basis = [s.state for s in sector_basis(P_IRR, 2, 5)]
+        bs = sector_basis(P_IRR, 2, 5)
         table = FactorTable(P_IRR, grid.r, grid.phi)
-        even, odd = ([st for st in basis if st.fermion_parity() == q] for q in (0, 1))
+        even, odd = ([s.state for s in bs if s.parity == q] for q in (0, 1))
         for (C, R, _), states_ in zip(table.expand(even, odd), (even, odd)):
             keys = list(dict.fromkeys((t.N, t.n, FERMION_NUMBER[t.occ] == 1) for st in states_ for t in st.terms))
             assert R.shape[-1] == len(keys)
@@ -230,8 +230,7 @@ class TestBroadcastingContract:
         turn: each grid's rows of R are bit for bit its own table's R, and
         C and S are those of either table."""
         grids = [Grid.for_pair(P_IRR, 2, 2, 16, 12, odd=odd) for odd in (False, True)]
-        basis = [s.state for s in sector_basis(P_IRR, 2, 4)]
-        groups = [[st for st in basis if st.fermion_parity() == q] for q in (0, 1)]
+        groups = [[s.state for s in sector_basis(P_IRR, 2, 4) if s.parity == q] for q in (0, 1)]
         both = list(FactorTable.on(*grids).expand(*groups))
         for i, grid in enumerate(grids):
             for (C, R, S), (C1, R1, S1) in zip(both, FactorTable.on(grid).expand(*groups), strict=True):
@@ -245,7 +244,7 @@ class TestBroadcastingContract:
         # row of its own; a grid's table on the set's row; neither keeps a
         # spinor factor or a radial factor
         grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
-        states_ = [s.state for s in sector_basis(P, 2, 3) if s.state.fermion_parity() == 1]
+        states_ = [s.state for s in sector_basis(P, 2, 3) if s.parity == 1]
         plain, on_grid = FactorTable(P, grid.r, grid.phi), FactorTable.on(grid)
         for table in (plain, on_grid):
             list(table.expand(states_))
@@ -267,9 +266,9 @@ class TestBroadcastingContract:
         path writes every spinor factor, wherever its angular functions
         are kept."""
         grid = Grid.for_pair(P_IRR, 2, 2, 16, 12, odd=odd)
-        basis = [s.state for s in sector_basis(P_IRR, 2, 4)]
-        even = [st for st in basis if st.fermion_parity() == 0]
-        odd_ = [st for st in basis if st.fermion_parity() == 1]
+        bs = sector_basis(P_IRR, 2, 4)
+        basis = [s.state for s in bs]
+        even, odd_ = ([s.state for s in bs if s.parity == q] for q in (0, 1))
         plain, on_grid = FactorTable(P_IRR, grid.r, grid.phi), FactorTable.on(grid)
         for a, b in zip(plain.expand(even, odd_), on_grid.expand(even, odd_), strict=True):
             assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
@@ -367,7 +366,7 @@ class TestExpansion:
     @pytest.mark.parametrize("where", ["grid", "scattered"])
     def test_zero_states_give_zero_fields(self, where):
         table = FactorTable(P, *sample_points(P)[where])
-        zeros = [CatalogState.zero(), v_action("-", P, 0, 0)]
+        zeros = [zero(), v_action("-", P, 0, 0)]
         for state in zeros:
             ((C, R, S),) = table.expand([state])
             assert C.shape == (1, 0, 0) and R.shape[-1] == 0 and S.shape[1] == 0
@@ -391,7 +390,7 @@ class TestExpansion:
         plus = [one_fermion_state("+", P_IRR, N - 1, 2) for N in range(1, 4)]
         minus = [one_fermion_state("-", P_IRR, N, 2) for N in (3, 1, 2)]
         even = [zero_fermion_state(P_IRR, 2, 2), two_fermion_state(P_IRR, 1, 2)]
-        groups = (plus, minus, even, [CatalogState.zero()], plus)
+        groups = (plus, minus, even, [zero()], plus)
         for i, (group, arrays) in enumerate(zip(groups, table.expand(*groups))):
             (alone,) = FactorTable(P_IRR, table.r, table.phi).expand(group)
             for name, got, ref in zip("CRS", arrays, alone):
@@ -421,7 +420,7 @@ class TestExpansion:
         batch = [v_action(sign, p, N, n) for N in (3, 1, 0) for sign in ("+", "-")]
         batch += [one_fermion_state(sign, p, N, n) for N in (0, 1, 2) for sign in ("+", "-")]
         # four radial keys, then the same terms backwards
-        wide = batch[0] + batch[2]
+        wide = add(batch[0], batch[2])
         batch += [wide, CatalogState(wide.terms[::-1])]
         orders = [[(t.N, t.occ) for t in st.terms] for st in batch]
         assert orders[-1] == orders[-2][::-1] and orders[3][:2] == orders[4][1::-1]
