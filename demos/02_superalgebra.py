@@ -35,7 +35,7 @@ for s, d in list(zip(basis, np.diag(blocks[0]["K0"])))[:6]:
 
 # sector by sector, the top sector n_max included: no generator leaves its
 # sector, so each sector's interior is its states below the top radial level
-interior = interior_mask(basis, truncation)
+interior = interior_mask(basis, truncation[0])
 sectors = np.array([s.n for s in basis])
 per_sector = [(block, interior[sectors == n]) for n, block in enumerate(blocks)]
 relations: dict[str, list[float]] = {}

@@ -599,12 +599,13 @@ def generator_matrices(
     return blocks, basis
 
 
-def interior_mask(basis: list[BasisState], truncation: tuple[int, int], depth: int = 1) -> np.ndarray:
+def interior_mask(basis: list[BasisState], N_max: int, depth: int = 1) -> np.ndarray:
     """States whose ladder images up to ``depth`` steps stay inside the
-    radial truncation (fermion sector unrestricted).  No generator leaves
-    the angular sector, so every sector, the top one n_max included, has
-    the same interior: the states of level at most N_max - depth."""
-    return np.array([s.level <= truncation[0] - depth for s in basis])
+    radial truncation N_max (fermion sector unrestricted): the states of
+    level at most N_max - depth.  No generator leaves the angular sector,
+    so every sector, the top one n_max included, has the same interior,
+    and the angular truncation does not enter."""
+    return np.array([s.level <= N_max - depth for s in basis])
 
 
 # ---------------------------------------------------------------------------

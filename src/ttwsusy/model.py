@@ -307,8 +307,9 @@ class AngularRow:
     angular layer on them: ``value(key, compute)`` calls ``compute()``
     the first time ``key`` is asked for and gives its result, made
     read-only, from then on.  The states and generators layers keep
-    here only 1-D functions of phi: the angular factors and the
-    operators' term tables.
+    here only 1-D functions of phi: the angular factors, the (cos phi,
+    sin phi) pair of the one-fermion trig and the operators' term
+    tables.
     ``_angular_row`` keeps one row of (1, m_ang) nodes per (params,
     m_ang) in each process, which every grid of the set shares, so each
     of these is evaluated once per set; a table on other points keeps a

@@ -40,9 +40,10 @@ functions of phi, are kept read-only on the table's angular row
 (``model.AngularRow``): a table on any points has a row of its own, and
 a grid's table (``FactorTable.on``, also on several grids of one set at
 once) reads the row that every grid of its parameter set shares, so
-each is evaluated once per set in a process.  ``expand``
-writes every angular spinor factor, the fermion trig times an angular
-factor, in place in each call, and no one keeps it.
+each is evaluated once per set in a process.  The row also keeps the
+one (cos phi, sin phi) pair that the one-fermion trig is made of.
+``expand`` writes every angular spinor factor, the fermion trig times
+an angular factor, in place in each call, and no one keeps it.
 ``FactorTable.bundles``/``fields`` contract one call, a state per
 group, broadcast over the table's points; ``generators`` contracts the
 groups of row and column states with 1-D Gauss sums.
@@ -185,16 +186,17 @@ class StateBundle:
         return StateBundle(*(SpinorField(a, self.reached).dense() for a in arrays))
 
 
-def _occupation_trig(occ: int, phi: np.ndarray):
-    """Nonzero fixed-basis components as (index, t, t', t'') triples; a
-    constant t is a float, which multiplies to the same bits as an array
-    of it, and the arrays share each of cos, sin and their negatives."""
+def _occupation_trig(occ: int, row: AngularRow):
+    """Nonzero fixed-basis components as (index, t, t', t'') triples on the
+    angles of ``row``; a constant t is a float, which multiplies to the
+    same bits as an array of it, and the arrays share each of cos, sin
+    and their negatives, the (cos, sin) pair formed once per row."""
     if occ == OCC_VAC:
         return [(0, 1.0, 0.0, 0.0)]
     if occ == OCC_XYBAR:
         # bdag_xbar bdag_ybar|0> = bdag_x bdag_y|0> for every phi
         return [(3, 1.0, 0.0, 0.0)]
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = row.value(("trig",), lambda: (np.cos(row.phi), np.sin(row.phi)))
     nc, ns = -c, -s
     if occ == OCC_XBAR:
         return [(1, c, ns, nc), (2, s, c, ns)]
@@ -312,7 +314,7 @@ class FactorTable:
         keeps."""
         shift = _OCC_SHIFT[occ]
         A0, A1, A2 = self.row.value(("parts", shift, m), lambda: angular_parts(self.params, m, self.phi, shift))
-        for idx, t, t1, t2 in _occupation_trig(occ, self.phi):
+        for idx, t, t1, t2 in _occupation_trig(occ, self.row):
             out[:, idx] = t * A0, t1 * A0 + t * A1, t2 * A0 + 2.0 * t1 * A1 + t * A2
 
     def _contractions(self, states: list[CatalogState], orders):

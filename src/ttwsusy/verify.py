@@ -13,31 +13,34 @@ the points are fixed by the seed alone, and no run loads
 ``numpy.random``.
 
 The parameter sets share nothing but the order of the report, and
-every generator preserves the angular sector n.  So the model, algebra
-and irreps checks of each set, listed in report order with their claims
-and tolerance keys in ``_SET_CHECKS``, are computed as tasks
-(``_tasks``): one per angular sector, which builds that sector's eight
-generator blocks (``generators.sector_matrices``), reduces them to its
-part of each selected check that reads them, and drops them; and one
-per remaining check, where ``eigenvalue-residual`` and ``spectrum``
-share one task and its state bundles, and ``riccati`` and
-``riccati-control`` another.  A task reads a ``_Workspace``: the set's
-parameters and the config, from which it takes its grids, one per
-exponent and orders in each process, and builds its factor tables at
-the configured orders; the 1-D angular functions on a set's grids are
-evaluated once per set in a process (``model.AngularRow``).  With
+every generator preserves the angular sector n.  So every check is
+computed by a task (``_tasks``).  The model, algebra and irreps checks
+of each set, listed in report order with their claims and tolerance
+keys in ``_SET_CHECKS``, are per-set tasks: one per angular sector,
+which builds that sector's eight generator blocks
+(``generators.sector_matrices``), reduces them to its part of each
+selected check that reads them, and drops them; and one per remaining
+check, where ``eigenvalue-residual`` and ``spectrum`` share one task
+and its state bundles, and ``riccati`` and ``riccati-control``
+another.  A per-set task reads a ``_Workspace``: the set's parameters
+and the config, from which it takes its grids, one per exponent and
+orders in each process, and builds its factor tables at the configured
+orders; the 1-D angular functions on a set's grids are evaluated once
+per set in a process (``model.AngularRow``).  The set-free checks are
+three more tasks (``_SET_FREE_TASKS``): specfun, the parameter-free
+oscillator-realization check, and special-cases, one task since its
+sets draw their points from one random generator in sequence.  With
 several tasks and usable CPUs they run in forked worker processes,
-dealt by set: each worker takes its own sets' tasks one at a time
-from a queue of its own, then helps with the others' queues, and
-appends its outputs to a file of its own, while this process runs
-specfun, the parameter-free oscillator-realization check and
-special-cases (whose sets draw their points from one random generator
-in sequence), none of which builds a grid.  With one usable CPU, or
-without ``os.fork`` or ``os.memfd_create``, they run here, one after
-the other.  Each set's records are then built from its task values and
-times, so the records are the same either way.  A check that raises in
-one set ends that set's part of its suite with a failed
-``<suite>-suite`` record and keeps every other record (see ``run``).
+dealt by set, the set-free tasks after the sets: each worker takes its
+own tasks one at a time from a queue of its own, then helps with the
+others' queues, and appends its outputs to a file of its own, while
+this process only deals, waits, reads the files, merges the records
+and renders them.  With one usable CPU, or without ``os.fork`` or
+``os.memfd_create``, they run here, one after the other.  Each set's
+records are then built from its task values and times, so the records
+are the same either way.  A check that raises in one set ends that
+set's part of its suite with a failed ``<suite>-suite`` record and
+keeps every other record (see ``run``).
 
 Command line:
 
@@ -369,7 +372,7 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# The checks of this process.  Each yields (name, claim, params_label, residual, tol_key).
+# The set-free checks.  Each yields (name, claim, params_label, residual, tol_key).
 
 
 def _series_laguerre(N, alpha, z):
@@ -716,7 +719,7 @@ _CHECK_TASKS = {
 
 def _structure_part(ws: _Workspace, n: int, block: dict, states: list) -> dict[str, float]:
     """{relation: residual} on sector n's interior."""
-    inner = gen.interior_mask(states, ws.config.truncation)
+    inner = gen.interior_mask(states, ws.config.truncation[0])
     return {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
 
 
@@ -741,7 +744,7 @@ def _ladder_part(ws: _Workspace, n: int, block: dict, states: list) -> tuple[flo
 def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> float:
     """Worst deviation of C2 and C3 from their closed forms and of
     [C2, G] from zero on sector n's depth-2 interior."""
-    inner = gen.interior_mask(states, ws.config.truncation, depth=2)
+    inner = gen.interior_mask(states, ws.config.truncation[0], depth=2)
     c2, c3 = irreps.casimir_matrices(block)
     c2_th, c3_th = irreps.casimir_eigenvalues(ws.params, n)
     eye = np.eye(int(inner.sum()))
@@ -919,35 +922,22 @@ def _error_line(exc: Exception) -> str:
     return "".join(traceback.format_exception_only(type(exc), exc)).strip().splitlines()[-1]
 
 
-def _stopwatch():
-    """A clock whose every reading is the ms since its previous reading (or
-    its start)."""
-    t_prev = time.perf_counter()
-
-    def elapsed_ms() -> float:
-        nonlocal t_prev
-        now = time.perf_counter()
-        out, t_prev = (now - t_prev) * 1e3, now
-        return out
-
-    return elapsed_ms
-
-
 def _record(suite: str, name: str, claim: str, params: str | None, residual, tol: float, wall_ms: float) -> CheckRecord:
     return CheckRecord(name, suite, claim, params, float(residual), tol, bool(residual <= tol), wall_ms)
 
 
-def _collect(suite: str, produce, config: SuiteConfig, elapsed_ms) -> list[CheckRecord]:
-    """The records of one suite's checks from ``produce()``, each timed
-    from the previous one to the moment it is yielded.  A suite that
-    raises keeps the checks it already yielded and ends with a failed
-    ``<suite>-suite`` record."""
-    records = []
+def _collect(suite: str, produce, config: SuiteConfig) -> list[CheckRecord]:
+    """The records of one suite's checks from ``produce(config)``, each
+    timed from the previous one (the first from this call) to the moment
+    it is yielded.  A suite that raises keeps the checks it already
+    yielded and ends with a failed ``<suite>-suite`` record."""
+    records, times = [], [time.perf_counter()]
     try:
-        for name, claim, plabel, residual, tol_key in produce():
-            records.append(_record(suite, name, claim, plabel, residual, config.tol(tol_key), elapsed_ms()))
+        for name, claim, plabel, residual, tol_key in produce(config):
+            times.append(time.perf_counter())
+            records.append(_record(suite, name, claim, plabel, residual, config.tol(tol_key), (times[-1] - times[-2]) * 1e3))
     except Exception as exc:
-        records.append(_suite_failure(suite, _error_line(exc), elapsed_ms()))
+        records.append(_suite_failure(suite, _error_line(exc), (time.perf_counter() - times[-1]) * 1e3))
     return records
 
 
@@ -961,26 +951,46 @@ def _timed(fn, *args) -> tuple:
     return value, (time.perf_counter() - t0) * 1e3
 
 
+# set-free task -> (its suite, the generator of its checks from the config), largest first, so
+# that the deal puts the two largest in two pipes
+_SET_FREE_TASKS = {
+    "specfun": ("specfun", lambda config: _checks_specfun()),
+    "special-cases": ("special-cases", lambda config: _checks_special(config)),
+    "oscillator-realization": ("algebra", lambda config: _checks_oscillator()),
+}
+
+
 def _tasks(config: SuiteConfig) -> list[tuple]:
-    """The per-set tasks of a run, as (set index, check task name or
-    sector n): each set's check tasks of the selected suites, then one
-    task per angular sector if a selected suite reads the generator
-    blocks."""
+    """The tasks of a run, as (index, key): for each set, as (set index,
+    check task name or sector n), its check tasks of the selected
+    suites, then one task per angular sector if a selected suite reads
+    the generator blocks; then the set-free tasks of the selected
+    suites, as (index, set-free task name), numbered on after the sets,
+    so that the deal by index (``_run_tasks``) places them as further
+    sets."""
     checks = [task for task, (_, computed) in _CHECK_TASKS.items() if _selected(config, computed)]
     sectors = range(config.truncation[1] + 1) if _selected(config, _SECTOR_CHECKS) else range(0)
-    return [(index, key) for index in range(len(config.param_sets)) for key in (*checks, *sectors)]
+    sets = len(config.param_sets)
+    set_free = [key for key, (suite, _) in _SET_FREE_TASKS.items() if suite in config.selected()]
+    return [(index, key) for index in range(sets) for key in (*checks, *sectors)] + list(enumerate(set_free, start=sets))
 
 
-def _run_task(config: SuiteConfig, task: tuple) -> tuple[dict, float]:
-    """One task, in this process: ({check: (residual or sector part, ms
-    charged to the check)}, ms of the generator-block build).  A check
-    whose computation raises gets its ``_TaskError`` in place of a value.
+def _run_task(config: SuiteConfig, task: tuple) -> tuple:
+    """One task, in this process.  A per-set task gives ({check:
+    (residual or sector part, ms charged to the check)}, ms of the
+    generator-block build); a check whose computation raises gets its
+    ``_TaskError`` in place of a value.  A set-free task gives ({its
+    suite: its records}, 0.0), in the form of a set's ``_set_records``,
+    each record timed by ``_collect``.
 
     A sector task builds sector n's eight blocks, reduces them to the
     parts of the selected checks that read them, each timed on its own,
     and drops them.  A check task that computes several checks charges
     each an equal share of its time."""
     index, key = task
+    if key in _SET_FREE_TASKS:
+        suite, produce = _SET_FREE_TASKS[key]
+        return {suite: _collect(suite, produce, config)}, 0.0
     ws = _Workspace(ModelParams(**config.param_sets[index]), config)
     if isinstance(key, str):
         fn, computed = _CHECK_TASKS[key]
@@ -1040,20 +1050,6 @@ def _set_records(config: SuiteConfig, index: int, outputs: list) -> tuple[dict, 
             else:
                 records.append(_record(suite, check, claim, label, value, tol, wall_ms))
     return results, build_ms
-
-
-def _parent_checks(config: SuiteConfig) -> dict:
-    """The checks that are not per-set tasks: specfun, the algebra suite's
-    parameter-free oscillator check and special-cases, whose sets draw
-    their points from one random generator in sequence.  {suite:
-    records}."""
-    producers = {
-        "specfun": _checks_specfun,
-        "algebra": _checks_oscillator,
-        "special-cases": lambda: _checks_special(config),
-    }
-    elapsed_ms = _stopwatch()
-    return {suite: _collect(suite, producers[suite], config, elapsed_ms) for suite in config.selected() if suite in producers}
 
 
 def _usable_cpus() -> int:
@@ -1139,34 +1135,35 @@ def _read_outputs(stream) -> tuple[dict, int | None]:
     return outputs, None
 
 
-def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
-    """(``_parent_checks``, the ``_run_task`` output of every task, or a
-    ``_TaskError`` for a task whose worker died).
+def _run_tasks(config: SuiteConfig, tasks: list) -> list:
+    """The ``_run_task`` output of every task, or a ``_TaskError`` for a
+    task whose worker died.
 
     With more than one task and usable CPU, W = min(tasks, usable CPUs)
     workers are forked with ``os.fork``, so each starts from this
     process's state, the config, the quadrature caches and any
     monkeypatches included, without a fresh import.  (Python 3.12 and
     later warn when a process that runs threads, such as OpenBLAS's
-    pool, forks.)  The tasks are dealt by parameter set: the indices of
-    the tasks of sets w, w + W, ... wait in pipe w.  Worker w takes the
-    next index from its own pipe whenever it is free, and once that is
-    empty, from the other pipes in turn (w + 1, w + 2, ...); so each
-    worker builds the Gauss rules, grids and angular row of its own sets
-    once (``model.Grid``), and meets another set's only for the tasks it
-    takes over at the end.  Each index is 4 bytes, and pipe writes of at
-    most PIPE_BUF (>= 512) bytes are atomic, so a worker always reads
-    whole indices.  Each worker appends its outputs to an unnamed file
-    of its own (``os.memfd_create``), which never fills, so no worker
-    waits on it.  This process runs its own checks, waits for every
-    worker, and then reads each file (``_read_outputs``).  Tasks that no
-    worker took, because none could be started or every one died, run
-    here.  With one usable CPU, or without ``os.fork`` or
+    pool, forks.)  The tasks are dealt by their index (``_tasks``): the
+    indices of the tasks of sets w, w + W, ... wait in pipe w, and the
+    set-free tasks, numbered on after the sets, wait behind the sets of
+    their pipe.  Worker w takes the next index from its own pipe
+    whenever it is free, and once that is empty, from the other pipes in
+    turn (w + 1, w + 2, ...); so each worker builds the Gauss rules,
+    grids and angular row of its own sets once (``model.Grid``), and
+    meets another set's only for the tasks it takes over at the end.
+    Each index is 4 bytes, and pipe writes of at most PIPE_BUF (>= 512)
+    bytes are atomic, so a worker always reads whole indices.  Each
+    worker appends its outputs to an unnamed file of its own
+    (``os.memfd_create``), which never fills, so no worker waits on it.
+    This process runs no task of its own: it waits for every worker,
+    and then reads each file (``_read_outputs``).  Tasks that no worker
+    took, because none could be started or every one died, run here.  With one usable CPU, or without ``os.fork`` or
     ``os.memfd_create``, every task runs here, one after the other."""
     can_fork = hasattr(os, "fork") and hasattr(os, "memfd_create")
     workers = min(len(tasks), _usable_cpus()) if can_fork else 1
     if workers < 2:
-        return _parent_checks(config), [_run_task(config, task) for task in tasks]
+        return [_run_task(config, task) for task in tasks]
     pipes = [os.pipe() for _ in range(workers)]
     queues = [read for read, _ in pipes]
     files: dict[int, int] = {}
@@ -1189,7 +1186,6 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
         for start in range(0, len(indices), 512):
             os.write(queue_in, indices[start : start + 512])
         os.close(queue_in)
-    parent = _parent_checks(config)
     outputs: list = [None] * len(tasks)
     failed = None
     for pid, out in files.items():
@@ -1210,23 +1206,26 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> tuple[dict, list]:
             outputs[i] = _run_task(config, tasks[i])
         os.close(queue)
     # a worker that died between taking a task and appending its index left no output and named no task
-    return parent, [failed if output is None else output for output in outputs]
+    return [failed if output is None else output for output in outputs]
 
 
 def run(config: SuiteConfig) -> VerificationReport:
     """Execute the selected suites; failures are recorded, never raised.
 
-    The model, algebra and irreps checks of each parameter set, listed
-    in ``_SET_CHECKS``, are computed as tasks (``_tasks``): one per
-    angular sector, which builds that sector's generator blocks, reduces
-    them to its part of each check that reads them and drops them, and
-    one per remaining check, except ``susy-anticommutator``, which is
-    read off ``structure``.  The tasks run in forked workers when there
-    are several and several usable CPUs (see ``_run_tasks``); the rest
-    runs in this process.  Each set's records are built from its task
-    values (``_set_records``), so they are the same wherever its tasks
-    ran.  The records are merged by one rule: suite by suite, each set's
-    records in parameter-set order, then this process's, so the
+    Every check is computed by a task (``_tasks``).  The model, algebra
+    and irreps checks of each parameter set, listed in ``_SET_CHECKS``,
+    are per-set tasks: one per angular sector, which builds that
+    sector's generator blocks, reduces them to its part of each check
+    that reads them and drops them, and one per remaining check, except
+    ``susy-anticommutator``, which is read off ``structure``.  Three
+    set-free tasks (``_SET_FREE_TASKS``) compute specfun, the algebra
+    suite's parameter-free ``oscillator-realization`` and special-cases.
+    The tasks run in forked workers when there are several and several
+    usable CPUs (see ``_run_tasks``), else in this process; either way
+    this process builds each set's records from its task values
+    (``_set_records``), so they are the same wherever its tasks ran.  The
+    records are merged by one rule: suite by suite, each set's records in
+    parameter-set order, then the suite's set-free records, so the
     oscillator check comes after the algebra suite's per-set checks.
 
     A per-set check's ``wall_ms`` is the task time charged to it.  A
@@ -1237,37 +1236,42 @@ def run(config: SuiteConfig) -> VerificationReport:
     summed per parameter set in ``matrices_ms``; each reduction of a
     sector's blocks is charged to its check, summed over the sectors.
     The records of a group, such as ``structure[...]``, share their
-    check's time equally, and ``susy-anticommutator`` carries none.
-    This process's checks are each timed from the previous one to the
-    moment its suite yields it.
+    check's time equally, and ``susy-anticommutator`` carries none.  A
+    set-free task's checks are each timed from the previous one (the
+    first from the task's start) to the moment its suite yields it.
 
     A check whose computation raises in one set ends that set's part of
     its suite with one failed ``<suite>-suite`` record, after the
-    suite's earlier checks; the other sets and this process's checks of
-    the suite are kept, since they do not depend on it.  A suite of this
-    process that raises keeps the checks it already yielded in the same
+    suite's earlier checks; the other sets and the set-free checks of
+    the suite are kept, since they do not depend on it.  A set-free
+    suite that raises keeps the checks it already yielded in the same
     way.  A set that lost a task with a dead worker fails each of its
-    suites with one such record, which names the worker.  A run in which
+    suites with one such record, which names the worker, and so does a
+    lost set-free task its suite's set-free part.  A run in which
     nothing raises is not touched by this rule: its report lists every
     check in the order above.
     """
     tasks = _tasks(config)
     with _one_blas_thread():
-        parent, outputs = _run_tasks(config, tasks)
-    per_set = []
+        outputs = _run_tasks(config, tasks)
+    # (records by suite, ms of block builds) of each set, then of each set-free task
+    groups = []
     for index in range(len(config.param_sets)):
         outs = [out for (i, _), out in zip(tasks, outputs) if i == index]
         lost = next((out for out in outs if isinstance(out, _TaskError)), None)
         if lost is None:
-            per_set.append(_set_records(config, index, outs))
+            groups.append(_set_records(config, index, outs))
         else:
-            per_set.append(({s: [_suite_failure(s, lost.args[0], 0.0)] for s in config.selected() if s in PER_SET_SUITES}, 0.0))
+            groups.append(({s: [_suite_failure(s, lost.args[0], 0.0)] for s in config.selected() if s in PER_SET_SUITES}, 0.0))
+    for (_, key), out in zip(tasks, outputs):
+        if key in _SET_FREE_TASKS:
+            suite = _SET_FREE_TASKS[key][0]
+            groups.append(({suite: [_suite_failure(suite, out.args[0], 0.0)]}, 0.0) if isinstance(out, _TaskError) else out)
     records: list[CheckRecord] = []
     for suite in config.selected():
-        for results, _ in per_set:
+        for results, _ in groups:
             records += results.get(suite, [])
-        records += parent.get(suite, [])
-    matrices_ms = {_params_label(p): build_ms for p, (_, build_ms) in zip(config.models(), per_set) if build_ms}
+    matrices_ms = {_params_label(p): build_ms for p, (_, build_ms) in zip(config.models(), groups) if build_ms}
     return VerificationReport(config, records, matrices_ms)
 
 

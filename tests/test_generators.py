@@ -363,20 +363,20 @@ class TestMatrices:
 
     def test_structure_constants_on_interior(self, setup):
         p, trunc, mats, basis = setup
-        checks = check_structure_constants(mats, interior_mask(basis, trunc))
+        checks = check_structure_constants(mats, interior_mask(basis, trunc[0]))
         for c in checks:
             assert c.residual < 1e-8, c.name
 
     def test_unlisted_odd_anticommutators_vanish(self, setup):
         p, trunc, mats, basis = setup
-        inner = interior_mask(basis, trunc)
+        inner = interior_mask(basis, trunc[0])
         for a, b in (("V+", "V+"), ("V+", "V-"), ("W+", "W-")):
             anti = mats[a] @ mats[b] + mats[b] @ mats[a]
             assert np.max(np.abs(anti[np.ix_(inner, inner)])) < 1e-10
 
     def test_y_odd_commutator(self, setup):
         p, trunc, mats, basis = setup
-        inner = interior_mask(basis, trunc)
+        inner = interior_mask(basis, trunc[0])
         res = mats["Y"] @ mats["V+"] - mats["V+"] @ mats["Y"] - 0.5 * mats["V+"]
         assert np.max(np.abs(res[np.ix_(inner, inner)])) < 1e-8
 
@@ -387,7 +387,7 @@ class TestMatrices:
 
     def test_susy_anticommutator_is_hamiltonian(self, setup):
         p, trunc, mats, basis = setup
-        inner = interior_mask(basis, trunc)
+        inner = interior_mask(basis, trunc[0])
         w4 = 4 * p.omega
         lhs = w4 * (mats["W+"] @ mats["V-"] + mats["V-"] @ mats["W+"])
         rhs = w4 * (mats["K0"] + mats["Y"])
@@ -429,7 +429,7 @@ class TestBlockAlgebra:
 
     def test_blockwise_equals_dense_oracle(self, built):
         _, trunc, blocks, basis = built
-        interior = interior_mask(basis, trunc)
+        interior = interior_mask(basis, trunc[0])
         per_sector = [
             [c.residual for c in check_structure_constants(block, inner)]
             for block, inner in zip(blocks, sector_masks(basis, interior))
@@ -447,7 +447,7 @@ class TestBlockAlgebra:
 
     def test_planted_nan_reaches_the_relations_of_its_generator(self, built):
         _, trunc, blocks, basis = built
-        inner = sector_masks(basis, interior_mask(basis, trunc))[1]
+        inner = sector_masks(basis, interior_mask(basis, trunc[0]))[1]
         i = np.flatnonzero(inner)[len(inner) // 4]
         planted = dict(blocks[1], **{"V+": blocks[1]["V+"].copy()})
         planted["V+"][i, i] = np.nan

@@ -306,7 +306,7 @@ class TestCasimirs:
     def test_blocks_are_scalar(self, mats):
         p, trunc, m, basis = mats
         c2, c3 = casimir_matrices(m)
-        inner2 = interior_mask(basis, trunc, depth=2)
+        inner2 = interior_mask(basis, trunc[0], depth=2)
         for n in range(3):
             sel = np.array([s.n == n for s in basis]) & inner2
             c2_th, c3_th = casimir_eigenvalues(p, n)
@@ -317,7 +317,7 @@ class TestCasimirs:
     def test_commute_with_generators(self, mats):
         p, trunc, m, basis = mats
         c2, _ = casimir_matrices(m)
-        inner2 = interior_mask(basis, trunc, depth=2)
+        inner2 = interior_mask(basis, trunc[0], depth=2)
         for gname, gm in m.items():
             comm = c2 @ gm - gm @ c2
             assert np.max(np.abs(comm[np.ix_(inner2, inner2)])) < 1e-7, gname
@@ -326,7 +326,7 @@ class TestCasimirs:
         p = ModelParams(k=3.0, a=1.5, b=0.7, omega=1.0)
         blocks, basis = generator_matrices(p, (3, 3), m_rad=64, m_ang=64)
         c2, c3 = casimir_matrices(dense(blocks))
-        inner2 = interior_mask(basis, (3, 3), depth=2)
+        inner2 = interior_mask(basis, 3, depth=2)
         sel = np.array([s.n == 2 for s in basis]) & inner2
         c2_th, c3_th = casimir_eigenvalues(p, 2)
         eye = np.eye(int(sel.sum()))

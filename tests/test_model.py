@@ -328,9 +328,9 @@ class TestGrid:
         arrays = [radial.nodes, radial.weights, radial.log_weights, angular.nodes, angular.weights]
         arrays += [grid.r, grid.w_r, grid.phi, grid.w_phi, grid.angular.phi, grid.angular.w_phi]
         kept = grid.angular._values
-        assert {key[0] for key in kept} == {"parts", "terms"}
+        assert {key[0] for key in kept} == {"parts", "terms", "trig"}
         for key, value in kept.items():
-            if key[0] == "parts":
+            if key[0] in ("parts", "trig"):
                 arrays += list(value)
             else:
                 arrays += [t.theta for t in value if isinstance(t.theta, np.ndarray)]

@@ -6,7 +6,7 @@ import pytest
 from ttwsusy import states
 from ttwsusy.irreps import one_fermion_state, sector_basis, two_fermion_state, v_action, zero_fermion_state
 from ttwsusy.generators import apply_operators
-from ttwsusy.model import Grid, ModelParams, angular_parts, radial_levels
+from ttwsusy.model import AngularRow, Grid, ModelParams, angular_parts, radial_levels
 from ttwsusy.states import FERMION_NUMBER, OCC_VAC, OCC_YBAR, CatalogState, FactorTable, state_bundle, state_field, term
 
 from catalog import add, fermion_parity, zero
@@ -242,7 +242,8 @@ class TestBroadcastingContract:
     def test_table_keeps_no_factors_between_calls(self):
         # a table on plain arrays keeps its angular functions of phi on a
         # row of its own; a grid's table on the set's row; neither keeps a
-        # spinor factor or a radial factor
+        # spinor factor or a radial factor, and the one-fermion states'
+        # trig is one (cos phi, sin phi) pair on phi's own shape
         grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
         states_ = [s.state for s in sector_basis(P, 2, 3) if s.parity == 1]
         plain, on_grid = FactorTable(P, grid.r, grid.phi), FactorTable.on(grid)
@@ -253,7 +254,9 @@ class TestBroadcastingContract:
             list(table.fields(states_))
             assert sorted(vars(table)) == ["operators", "params", "phi", "r", "row", "shape"]
             assert table.row.phi is table.phi
-            assert {key[0] for key in table.row._values} == {"parts", "terms"}
+            assert {key[0] for key in table.row._values} == {"parts", "terms", "trig"}
+            cos, sin = table.row._values["trig",]
+            assert np.array_equal(cos, np.cos(table.phi)) and np.array_equal(sin, np.sin(table.phi)) and cos.shape == table.phi.shape
             assert list(table.operators) == ["Hs"]
         assert on_grid.row is grid.angular
         assert plain.row is not grid.angular and plain.row.w_phi is None
@@ -321,7 +324,7 @@ def loop_bundle(p, r, phi, state):
             continue
         comps = sums.setdefault((t.N, t.n, FERMION_NUMBER[t.occ] == 1), {})
         A0, A1, A2 = angular_parts(p, t.angular_index, phi, t.n - t.angular_index)
-        for idx, f, f1, f2 in states._occupation_trig(t.occ, phi):
+        for idx, f, f1, f2 in states._occupation_trig(t.occ, AngularRow(phi)):
             part = [t.coeff * x for x in (f * A0, f1 * A0 + f * A1, f2 * A0 + 2.0 * f1 * A1 + f * A2)]
             prev = comps.get(idx)
             comps[idx] = part if prev is None else [x + y for x, y in zip(prev, part)]

@@ -307,7 +307,7 @@ class TestRun:
         def planted_build(params, n, *args, **kwargs):
             block, states = build(params, n, *args, **kwargs)
             if n == 1:
-                i = np.flatnonzero(verify.gen.interior_mask(states, truncation))[1]
+                i = np.flatnonzero(verify.gen.interior_mask(states, truncation[0]))[1]
                 block["V+"][i, i] = np.nan
             return block, states
 
@@ -407,11 +407,11 @@ def report_body(report) -> str:
     return json.dumps(strip_volatile(strict_loads(report.to_json())), indent=2, sort_keys=True)
 
 
-def run_with_a_killed_worker(tmp_path, config: dict, victim: tuple) -> tuple[list, int, int]:
+def run_with_a_killed_worker(tmp_path, config: dict, victim: tuple, suites=("specfun", "model", "algebra", "irreps")) -> tuple[list, int, int]:
     """(the check dicts, the parent pid, the pid of the worker that died) of
-    a fresh process's run with two usable CPUs, in which the worker that
-    takes task ``victim`` kills itself with SIGKILL before running it; a
-    fresh process, so that a hang meets a timeout."""
+    a fresh process's run of ``suites`` with two usable CPUs, in which the
+    worker that takes task ``victim`` kills itself with SIGKILL before
+    running it; a fresh process, so that a hang meets a timeout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
     pidfile = str(tmp_path / "victim")
     code = (
@@ -426,7 +426,7 @@ def run_with_a_killed_worker(tmp_path, config: dict, victim: tuple) -> tuple[lis
         "    return run_task(config, task)\n"
         "verify._run_task = dying\n"
         "verify._usable_cpus = lambda: 2\n"
-        f"config = verify.SuiteConfig(**{config!r}, suites=('specfun', 'model', 'algebra', 'irreps'))\n"
+        f"config = verify.SuiteConfig(**{config!r}, suites={tuple(suites)!r})\n"
         "print(os.getpid())\n"
         "print(json.dumps([c.to_dict() for c in verify.run(config).checks]))\n"
     )
@@ -533,6 +533,69 @@ class TestParallelRun:
             assert c["passed"] == (not c["name"].endswith("-suite")), c["name"]
             if not c["passed"]:
                 assert c["error"] == f"worker process {victim} failed: killed by signal 9"
+
+    def test_dead_worker_fails_the_special_cases(self, monkeypatch, tmp_path):
+        """The worker that takes the set-free special-cases task dies: that
+        suite is one ``special-cases-suite`` record that names the worker,
+        and every other record is the one-process run's."""
+        config = SuiteConfig(**TWO_SETS)
+        (victim,) = [task for task in verify._tasks(config) if task[1] == "special-cases"]
+        checks, parent, victim_pid = run_with_a_killed_worker(tmp_path, TWO_SETS, victim, verify.SUITES)
+        assert victim_pid != parent
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        serial = [c.to_dict() for c in run(config).checks]
+        assert [c for c in serial if c["suite"] == "special-cases"] and all(c["passed"] for c in serial)
+
+        def kept(dicts):
+            return [(c["name"], c["suite"], c["params"], c["residual"], c["passed"]) for c in dicts if c["suite"] != "special-cases"]
+
+        assert kept(checks) == kept(serial)
+        (failed,) = [c for c in checks if c["suite"] == "special-cases"]
+        assert failed["name"] == "special-cases-suite" and not failed["passed"]
+        assert failed["error"] == f"worker process {victim_pid} failed: killed by signal 9"
+
+    def test_the_parent_only_coordinates(self, monkeypatch, tmp_path, cold_caches):
+        """A pooled run's parent calls none of the set-free producers and
+        builds no Gauss rule, grid or factor table: the workers do all of
+        it.  A one-process run calls all three producers, so the pooled
+        run cannot pass by calling none of them anywhere."""
+        log = tmp_path / "calls"
+
+        def logged(what, fn):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(json.dumps([os.getpid(), what]) + "\n")
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def calls() -> dict:
+            """{pid: what it called} since the last reading."""
+            out = collections.defaultdict(set)
+            with open(log) as fh:
+                for pid, what in map(json.loads, fh):
+                    out[pid].add(what)
+            log.unlink()
+            return out
+
+        producers = {"_checks_specfun", "_checks_oscillator", "_checks_special"}
+        for name in producers:
+            monkeypatch.setattr(verify, name, logged(name, getattr(verify, name)))
+        monkeypatch.setattr(verify.specfun, "gauss_rule", logged("rule", verify.specfun.gauss_rule))
+        monkeypatch.setattr(verify.model, "gauss_rule", logged("rule", verify.model.gauss_rule))
+        monkeypatch.setattr(verify.Grid, "__init__", logged("grid", verify.Grid.__init__))
+        monkeypatch.setattr(verify.FactorTable, "__init__", logged("table", verify.FactorTable.__init__))
+        config = SuiteConfig(**TWO_SETS)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        pooled = run(config)
+        in_workers = calls()
+        assert os.getpid() not in in_workers and len(in_workers) == 2
+        assert set().union(*in_workers.values()) == producers | {"rule", "grid", "table"}
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        serial = run(config)
+        assert calls() == {os.getpid(): producers | {"rule", "grid", "table"}}
+        assert serial.n_failed == 0, serial.to_text()
+        assert record_bits(pooled) == record_bits(serial)
 
     def test_more_workers_than_cores_take_each_task_once(self, monkeypatch, tmp_path):
         """Six workers share the two sets' tasks through one queue, in a
@@ -798,7 +861,37 @@ class TestSingleEvaluation:
             assert row.phi.shape == row.w_phi.shape == (1, m_ang) == (1, SuiteConfig().quad_orders[1])
             sizes = [a.size for value in row._values.values() for a in arrays_in(value)]
             assert len(sizes) > 100 and max(sizes) <= 3 * m_ang, max(sizes)
-            assert {key[0] for key in row._values} == {"parts", "terms"}
+            assert {key[0] for key in row._values} == {"parts", "terms", "trig"}
+
+    def test_fermion_trig_is_formed_once_per_row(self, monkeypatch, cold_caches):
+        """In a one-process default run, each angular row forms the (cos
+        phi, sin phi) pair of the one-fermion trig once, however many
+        one-fermion spinor factors read it: one pair per set on the
+        grids, where each pair serves dozens of factors."""
+        formed, reads = [], collections.Counter()
+        value, trig = model.AngularRow.value, states._occupation_trig
+
+        def counted_value(self, key, compute):
+            def counted():
+                formed.append(self)
+                return compute()
+
+            return value(self, key, counted if key == ("trig",) else compute)
+
+        def counted_trig(occ, row):
+            if states.FERMION_NUMBER[occ] == 1:
+                reads[row.w_phi is not None] += 1
+            return trig(occ, row)
+
+        monkeypatch.setattr(model.AngularRow, "value", counted_value)
+        monkeypatch.setattr(states, "_occupation_trig", counted_trig)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        report = run(SuiteConfig())
+        assert report.n_failed == 0, report.to_text()
+        assert len({id(row) for row in formed}) == len(formed)
+        on_grids = [row for row in formed if row.w_phi is not None]
+        assert len(on_grids) == len(verify.DEFAULT_PARAM_SETS)
+        assert reads[True] >= 20 * len(on_grids) and reads[False] > len(formed) - len(on_grids), (reads, len(formed))
 
 
 class TestDealing:
@@ -882,12 +975,14 @@ class TestDealing:
             per_pid[pid].append(tuple(rule))
         for pid, rules in per_pid.items():
             assert len(rules) == len(set(rules)), pid
-        # this process builds only the specfun check's own rules: no grid
-        assert {where for where, *_ in per_pid[parent]} == {"specfun"}
-        workers = [rules for pid, rules in per_pid.items() if pid != parent]
-        assert len(workers) == 2
-        # about 110 while every worker met every set's tasks
-        assert sum(map(len, workers)) < 100, [len(rules) for rules in workers]
+        # this process builds none; the specfun check's five are built once, by one worker
+        assert parent not in per_pid
+        assert len(per_pid) == 2
+        specfun_rules = [(pid, rule) for pid, rules in per_pid.items() for rule in rules if rule[0] == "specfun"]
+        assert len(specfun_rules) == 5 and len({pid for pid, _ in specfun_rules}) == 1, specfun_rules
+        # the grids' rules: about 110 while every worker met every set's tasks
+        grid_rules = [len([rule for rule in rules if rule[0] == "model"]) for rules in per_pid.values()]
+        assert sum(grid_rules) < 100, grid_rules
 
 
 class TestRadialPasses:
