@@ -21,11 +21,15 @@ and thereby ties the supersymmetrized Hamiltonian
     Hs = H_k + 4 omega (Gamma + Y) = 4 omega (K0 + Y),
     Q = 2 sqrt(omega) W+,  Qdag = 2 sqrt(omega) V-
 
-to the deformed oscillator H_k.  Each operator is written once, as a
+to the deformed oscillator H_k.  The eight generators are dimensionless,
+so this module works in oscillator units, r the oscillator radius
+rho = sqrt(omega) r_phys (see ``model``), and takes no omega: its tables
+are the generators, H_k / omega ("H"), Hs / omega ("Hs"), Q / sqrt(omega)
+("Q"), Qdag / sqrt(omega) ("Qdag") and the identity "1", each of them
+the omega = 1 operator in rho.  Each operator is written once, as a
 table of separable terms coef r^q theta(phi) M d_r^i d_phi^j with M a
 fixed-basis fermion matrix, and ``_terms`` is the one map from an
-operator name to its table: the eight generators, H_k ("H"), "Hs",
-"Q", "Qdag" and the identity "1".  ``apply_operators`` is the one
+operator name to its table.  ``apply_operators`` is the one
 pointwise route: it applies tables analytically to the derivative
 bundle of a state of one ``FactorTable``, exactly at every sample
 point, and keeps the tables, with each term group's coefficient array
@@ -180,20 +184,20 @@ def _scaled(terms: list[_Term], c: float) -> list[_Term]:
 
 
 def _h_terms(params: ModelParams, phi) -> list[_Term]:
-    """Deformed-oscillator Hamiltonian H_k, acting per spinor component."""
+    """Deformed-oscillator Hamiltonian H_k / omega, acting per spinor component."""
     k, a, b = params.k, params.a, params.b
     pot = k * k * (a * (a - 1.0) / np.cos(k * phi) ** 2 + b * (b - 1.0) / np.sin(k * phi) ** 2)
     return [
         _Term(-1.0, 0, 2, 1.0, _EYE, 0),
         _Term(-1.0, -1, 1, 1.0, _EYE, 0),
         _Term(-1.0, -2, 0, 1.0, _EYE, 2),
-        _Term(params.omega**2, 2, 0, 1.0, _EYE, 0),
+        _Term(1.0, 2, 0, 1.0, _EYE, 0),
         _Term(1.0, -2, 0, pot, _EYE, 0),
     ]
 
 
 def _gamma_terms(params: ModelParams, phi) -> list[_Term]:
-    """Gamma = k / (2 omega r^2) [g_xx N_xx + g_xy (N_xy + N_yx) + g_yy N_yy]
+    """Gamma = k / (2 r^2) [g_xx N_xx + g_xy (N_xy + N_yx) + g_yy N_yy]
     in the fixed fermion basis, N_ij = bdag_i b_j."""
     k, a, b = params.k, params.a, params.b
     ck, sk = np.cos(k * phi), np.sin(k * phi)
@@ -203,7 +207,7 @@ def _gamma_terms(params: ModelParams, phi) -> list[_Term]:
     g_xx = pa * (ckm2 * ck + 0.5 * k * (1.0 - c2)) + pb * (skm2 * sk + 0.5 * k * (1.0 - c2))
     g_xy = -pa * (skm2 * ck + 0.5 * k * s2) + pb * (ckm2 * sk - 0.5 * k * s2)
     g_yy = pa * (-ckm2 * ck + 0.5 * k * (1.0 + c2)) + pb * (-skm2 * sk + 0.5 * k * (1.0 + c2))
-    pref = k / (2.0 * params.omega)
+    pref = k / 2.0
     return [_Term(pref, -2, 0, g_xx, _NXX, 0), _Term(pref, -2, 0, g_xy, _NXY_YX, 0), _Term(pref, -2, 0, g_yy, _NYY, 0)]
 
 
@@ -214,7 +218,7 @@ def _y_terms(params: ModelParams) -> list[_Term]:
 
 
 def _odd_terms(params: ModelParams, phi, sign: float, kind: str) -> list[_Term]:
-    """Odd generator (mx fx + my fy) / (2 sqrt(omega)) in the fixed basis,
+    """Odd generator (mx fx + my fy) / 2 in the fixed basis,
     with (mx, my) = (bdag_x, bdag_y) for kind 'V' and (b_x, b_y) for kind
     'W', and ``sign`` +1/-1 for the raising/lowering member."""
     k, a, b = params.k, params.a, params.b
@@ -222,15 +226,14 @@ def _odd_terms(params: ModelParams, phi, sign: float, kind: str) -> list[_Term]:
     ck, sk = np.cos(k * phi), np.sin(k * phi)
     ckm1, skm1 = np.cos((k - 1.0) * phi), np.sin((k - 1.0) * phi)
     mx, my = (_BDX, _BDY) if kind == "V" else (_BX, _BY)
-    h = 0.5 / math.sqrt(params.omega)
-    hf = (1.0 if kind == "V" else -1.0) * sign * h
+    hf = (1.0 if kind == "V" else -1.0) * sign * 0.5
     terms = []
     for m, t_r, t_phi, t_0 in (
         (mx, c, s, k * a * ckm1 / ck + k * b * skm1 / sk),
         (my, s, -c, -k * a * skm1 / ck + k * b * ckm1 / sk),
     ):
-        terms += [_Term(-sign * h, 0, 1, t_r, m, 0), _Term(sign * h, -1, 0, t_phi, m, 1)]
-        terms += [_Term(params.omega * h, 1, 0, t_r, m, 0), _Term(hf, -1, 0, t_0, m, 0)]
+        terms += [_Term(-sign * 0.5, 0, 1, t_r, m, 0), _Term(sign * 0.5, -1, 0, t_phi, m, 1)]
+        terms += [_Term(0.5, 1, 0, t_r, m, 0), _Term(hf, -1, 0, t_0, m, 0)]
     return terms
 
 
@@ -246,10 +249,10 @@ def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
     if name == "H":
         return _h_terms(params, phi)
     if name == "Hs":
-        # H_k + 4 omega (Gamma + Y), with the explicit deformed-oscillator potential
-        return _h_terms(params, phi) + _scaled(_gamma_terms(params, phi) + _y_terms(params), 4.0 * params.omega)
+        # (H_k + 4 omega (Gamma + Y)) / omega, with the explicit deformed-oscillator potential
+        return _h_terms(params, phi) + _scaled(_gamma_terms(params, phi) + _y_terms(params), 4.0)
     if name in ("Q", "Qdag"):
-        return _scaled(_terms("W+" if name == "Q" else "V-", params, phi), 2.0 * math.sqrt(params.omega))
+        return _scaled(_terms("W+" if name == "Q" else "V-", params, phi), 2.0)
     if name == "Y":
         return _y_terms(params)
     if name in ("V+", "V-", "W+", "W-"):
@@ -257,13 +260,13 @@ def _terms(name: str, params: ModelParams, phi) -> list[_Term]:
     if name not in ("K0", "K+", "K-"):
         raise ValueError(f"unknown operator {name!r}")
     # K0 = H_k / (4 omega) + Gamma
-    k0 = _scaled(_h_terms(params, phi), 0.25 / params.omega) + _gamma_terms(params, phi)
+    k0 = _scaled(_h_terms(params, phi), 0.25) + _gamma_terms(params, phi)
     if name == "K0":
         return k0
-    # K+- = -K0 + z/2 -+ (z d_z + 1/2) with z = omega r^2, z d_z = r d_r / 2
+    # K+- = -K0 + z/2 -+ (z d_z + 1/2) with z = r^2, z d_z = r d_r / 2
     sgn = 1.0 if name == "K+" else -1.0
     return _scaled(k0, -1.0) + [
-        _Term(0.5 * params.omega, 2, 0, 1.0, _EYE, 0),
+        _Term(0.5, 2, 0, 1.0, _EYE, 0),
         _Term(-0.5 * sgn, 1, 1, 1.0, _EYE, 0),
         _Term(-0.5 * sgn, 0, 0, 1.0, _EYE, 0),
     ]
@@ -350,12 +353,13 @@ def _apply_terms(terms: list[_Term], bundle: StateBundle, r) -> SpinorField:
 
 
 def _apply_d_superpotential(bundle: StateBundle, params: ModelParams, r, phi):
-    """D = [-Laplacian - Laplacian(W) + |grad W|^2] / (4 omega), from the
-    superpotential derivatives (independent of the H_k potential form),
-    on the rows of the bundle."""
+    """D = [-Laplacian - Laplacian(W) + |grad W|^2] / (4 omega), which in
+    oscillator units is the same with omega = 1, from the superpotential
+    derivatives (independent of the H_k potential form), on the rows of
+    the bundle."""
     ang = _riccati_lhs(params, phi, params.a) / r**2
     lap = bundle.d_rr + bundle.d_r / r + bundle.d_phiphi / r**2
-    return (-lap + ang * bundle.val) / (4.0 * params.omega)
+    return (-lap + ang * bundle.val) / 4.0
 
 
 def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[SpinorField]:
@@ -376,17 +380,17 @@ def apply_operators(names, bundle: StateBundle, table: FactorTable) -> list[Spin
 
 
 def hamiltonian_super(bundle: StateBundle, params: ModelParams, r, phi) -> SpinorField:
-    """Hs = 4 omega (K0 + Y) on a state's bundle at (r, phi), with K0
-    built from the superpotential derivatives (D + omega r^2/4 + Gamma)
+    """Hs / omega = 4 (K0 + Y) on a state's bundle at (r, phi), with K0
+    built from the superpotential derivatives (D + r^2/4 + Gamma)
     instead of the H_k potential, as a compact field.  Its agreement
     with ``apply_operators(("Hs",), ...)`` is the operator form of the
     Riccati identity."""
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     d = _apply_d_superpotential(bundle, params, r, phi)
-    k0b = SpinorField(d + 0.25 * params.omega * r**2 * bundle.val, bundle.reached)
+    k0b = SpinorField(d + 0.25 * r**2 * bundle.val, bundle.reached)
     gamma_y = _apply_terms(_gamma_terms(params, phi) + _y_terms(params), bundle, r)
     reached = tuple(sorted({*k0b.reached, *gamma_y.reached}))
-    return SpinorField(4.0 * params.omega * (k0b.on(reached) + gamma_y.on(reached)), reached)
+    return SpinorField(4.0 * (k0b.on(reached) + gamma_y.on(reached)), reached)
 
 
 # ---------------------------------------------------------------------------

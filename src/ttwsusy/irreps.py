@@ -183,9 +183,10 @@ def _family_state(params: ModelParams, family: str, level: int, n: int, mixing) 
     """State ``level`` of tower ``family`` in sector n, ``mixing`` the
     level's ``mixing_coeffs`` (``None`` for n = 0).  A mixed one-fermion
     state is written from the closed forms of its two scaled one-fermion
-    states, its terms summed per (N, occupation) in order of first
-    appearance with zero terms skipped and zero sums dropped, as
-    ``CatalogState.__add__`` sums them."""
+    states: the terms of the first, then those of the second, each
+    nonzero coefficient added to the sum of its (N, occupation) pair, the
+    pairs kept in the order they first appear, and a pair whose sum is
+    zero dropped."""
     if family == "zero":
         return zero_fermion_state(params, level, n)
     if family == "double":

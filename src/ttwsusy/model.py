@@ -5,14 +5,22 @@ The planar Hamiltonian treated here is the deformed oscillator
     H_k = -d_r^2 - (1/r) d_r - (1/r^2) d_phi^2 + omega^2 r^2
           + (k^2/r^2) [a(a-1) sec^2(k phi) + b(b-1) csc^2(k phi)]
 
-on 0 <= r < infinity, 0 < phi < pi/(2k).  Its bound states factor into
-a Laguerre radial part in z = omega r^2 and a Jacobi angular part in
-xi = -cos(2 k phi):
+on 0 <= r < infinity, 0 < phi < pi/(2k).  omega is an exact scale: in
+the oscillator radius rho = sqrt(omega) r, H_k / omega is the same
+operator at omega = 1, so the numerical core, all of this module but
+``ModelParams`` and the physical ``energy``, ``susy_energy`` and
+``eval_wavefunction``, works in oscillator units and takes no omega.
+There the bound states factor into a Laguerre radial
+part in z = rho^2 and a Jacobi angular part in xi = -cos(2 k phi):
 
-    Psi_{N,n} = (-1)^N c_N (z/omega)^((n+(a+b)/2)k) L_N^((2n+a+b)k)(z) e^(-z/2)
-                * N_ang cos^a(k phi) sin^b(k phi) P_n^((a-1/2, b-1/2))(xi)
+    Psi_{N,n} = (-1)^N c_N z^((n+(a+b)/2)k) L_N^((2n+a+b)k)(z) e^(-z/2)
+                * N_ang cos^a(k phi) sin^b(k phi) P_n^((a-1/2, b-1/2))(xi),
 
-with energies E_{N,n} = 2 omega [2N + (2n+a+b)k + 1] (DLMF 18.3 norms).
+normalized for the measure rho drho dphi, and the physical eigenfunction
+is sqrt(omega) Psi_{N,n}(sqrt(omega) r, phi), with energies
+E_{N,n} = 2 omega [2N + (2n+a+b)k + 1] (DLMF 18.3 norms).  Every r of
+this module but ``eval_wavefunction``'s, and of the layers above it up
+to ``verify``, is rho.
 
 ``radial_levels`` and ``angular_parts`` are the one evaluator of these
 normalized factors, and so the one owner of every normalization, and
@@ -24,7 +32,7 @@ once, with or without the one-fermion z^(-1/2) or both, from one
 Laguerre recurrence pass over the stacked parameters alpha, alpha + 1
 and alpha + 2.
 
-Inner products use the measure r dr dphi.  Substituting z and xi maps
+Inner products use the measure rho drho dphi.  Substituting z and xi maps
 them onto Gauss-Laguerre x Gauss-Jacobi rules; the grid absorbs the
 z^alpha e^-z and cos^2a sin^2b envelopes into its weights so that the
 remaining integrand is polynomial and the quadrature exact.  Radial
@@ -69,11 +77,12 @@ __all__ = [
 ]
 
 
-# omega^2 enters H_k and 1/omega^2 the radial moments of r^2 (a radial
-# weight times r^2 is z w_z / omega^2): both leave the float range near
-# omega = 1e-154 and 1e154, and with z w_z of the radial rule up to about
-# 1e3, a run at 80 x 80 already goes wrong at 1e-153; the range keeps a
-# factor 1e4 from both ends
+# the numerical core and every residual take no omega: only the physical
+# outputs scale with it, the energies as omega and the fields of
+# ``eval_wavefunction`` as sqrt(omega), and ``eigenvalue-residual`` reads
+# energy / omega, which loses bits once the energy is subnormal, below
+# about 1e-308, and overflows above about 1e306; the range keeps a factor
+# of about 1e150 from both ends
 OMEGA_RANGE = (1e-150, 1e150)
 
 
@@ -99,8 +108,8 @@ class ModelParams:
             raise ValueError("omega must be positive")
         if not OMEGA_RANGE[0] <= self.omega <= OMEGA_RANGE[1]:
             raise ValueError(
-                f"omega must lie in [{OMEGA_RANGE[0]:g}, {OMEGA_RANGE[1]:g}], got {self.omega!r}: beyond it omega^2 "
-                "and 1/omega^2 leave the float range"
+                f"omega must lie in [{OMEGA_RANGE[0]:g}, {OMEGA_RANGE[1]:g}], got {self.omega!r}: the physical "
+                "outputs scale with omega, and the range keeps them far inside the float range"
             )
         if not (self.a > 0 and self.b > 0):
             raise ValueError("a and b must be positive for normalizable states")
@@ -148,10 +157,8 @@ def weights_of(params: ModelParams, n: int) -> Weights:
 
 
 def _log_radial_norm(params: ModelParams, N: int, n: int) -> float:
-    """log c_N = log sqrt(2 omega^(alpha+1) N! / Gamma(N+alpha+1)), alpha = (2n+a+b)k."""
-    alpha = params.sector_alpha(n)
-    log_mass = math.log(2.0) + (alpha + 1.0) * math.log(params.omega)
-    return 0.5 * (log_mass + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 1.0))
+    """log c_N = log sqrt(2 N! / Gamma(N+alpha+1)), alpha = (2n+a+b)k, in oscillator units."""
+    return 0.5 * (math.log(2.0) + math.lgamma(N + 1.0) - math.lgamma(N + params.sector_alpha(n) + 1.0))
 
 
 def _log_angular_norm(params: ModelParams, m: int, shift: int) -> float:
@@ -164,19 +171,19 @@ def _log_angular_norm(params: ModelParams, m: int, shift: int) -> float:
 def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion=False):
     """(R, dR/dr, d2R/dr2) of the normalized radial factor of sector n at
     every level N = 0..N_max, each stacked along a new first axis (shape
-    (N_max + 1, *r.shape)): R = c_N (z/omega)^(alpha/2) L_N^(alpha)(z)
-    e^(-z/2), z = omega r^2, alpha = (2n+a+b)k, times z^(-1/2) for a
-    one-fermion factor.  ``one_fermion`` may also be a tuple of flags:
-    then the result is one such triple per flag, in order, all from the
-    one pass, since the flags differ only in the z^(-1/2) prefactor;
-    each triple is bit for bit the one its flag alone gives.  log c_0 is
-    in the prefactor's one exponent, so R is finite for every alpha; c_N
-    / c_0 is the running product of sqrt(j / (j + alpha)), which keeps
-    digits lgamma differences lose.  L and its two derivatives,
+    (N_max + 1, *r.shape)), r the oscillator radius rho: R = c_N
+    z^(alpha/2) L_N^(alpha)(z) e^(-z/2), z = r^2, alpha = (2n+a+b)k,
+    times z^(-1/2) for a one-fermion factor.  ``one_fermion`` may also be
+    a tuple of flags: then the result is one such triple per flag, in
+    order, all from the one pass, since the flags differ only in the
+    z^(-1/2) prefactor; each triple is bit for bit the one its flag alone
+    gives.  log c_0 is in the prefactor's one exponent, so R is finite
+    for every alpha; c_N / c_0 is the running product of sqrt(j / (j +
+    alpha)), which keeps digits lgamma differences lose.  L and its two derivatives,
     -L_{N-1}^(alpha+1) and L_{N-2}^(alpha+2), come from one recurrence
     pass over the three stacked parameters.  Requires r > 0; a
     non-finite r raises ``laguerre_levels``' ValueError."""
-    z = params.omega * r**2
+    z = r**2
     alpha = params.sector_alpha(n)
     # the pass rejects a non-finite z before any prefactor is formed
     L, L1, L2 = laguerre_levels(N_max, np.array([alpha, alpha + 1.0, alpha + 2.0]), z)
@@ -190,13 +197,13 @@ def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion=False)
     out = []
     for flag in one_fermion if isinstance(one_fermion, tuple) else (one_fermion,):
         p = 0.5 * alpha - (0.5 if flag else 0.0)
-        pref = np.exp(p * log_z - 0.5 * z - 0.5 * alpha * math.log(params.omega) + log_c0) * ratios
+        pref = np.exp(p * log_z - 0.5 * z + log_c0) * ratios
         g = p / z - 0.5
         R = pref * L
         Rz = pref * (g * L + Ld)
         Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
-        # chain rule for z = omega r^2
-        out.append((R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz))
+        # chain rule for z = r^2
+        out.append((R, 2.0 * r * Rz, 2.0 * Rz + 4.0 * z * Rzz))
     return tuple(out) if isinstance(one_fermion, tuple) else out[0]
 
 
@@ -236,12 +243,13 @@ def angular_parts(params: ModelParams, m: int, phi, shift: int = 0):
 
 
 def eval_radial(params: ModelParams, N: int, n: int, z):
-    """Unnormalized radial factor (z/omega)^((n+(a+b)/2)k) L_N^(alpha)(z) e^(-z/2)."""
+    """Unnormalized radial factor z^((n+(a+b)/2)k) L_N^(alpha)(z) e^(-z/2) of
+    z = r^2, r the oscillator radius rho."""
     z = np.asarray(z, dtype=float)
     if not np.all((z >= 0) & (z < math.inf)):
-        raise ValueError("radial argument z = omega r^2 must be finite and >= 0")
+        raise ValueError("radial argument z = rho^2 must be finite and >= 0")
     inside = z > 0
-    r = np.sqrt(np.where(inside, z, 1.0) / params.omega)
+    r = np.sqrt(np.where(inside, z, 1.0))
     out = np.where(inside, radial_levels(params, N, n, r)[0][N] * math.exp(-_log_radial_norm(params, N, n)), 0.0)
     return out if out.ndim else float(out)
 
@@ -254,18 +262,20 @@ def eval_angular(params: ModelParams, n: int, phi):
 
 
 def norm_constant(params: ModelParams, N: int, n: int) -> float:
-    """(-1)^N c_N N_ang, Psi_{N,n} over ``eval_radial`` x ``eval_angular``: the
-    phase makes the matrix elements of the radial sp(2,R) ladder positive."""
+    """(-1)^N c_N N_ang, Psi_{N,n} of the oscillator radius r = rho over
+    ``eval_radial`` x ``eval_angular``: the phase makes the matrix elements
+    of the radial sp(2,R) ladder positive."""
     if N < 0 or n < 0:
         raise ValueError("quantum numbers must be nonnegative")
     return (-1.0) ** N * math.exp(_log_radial_norm(params, N, n) + _log_angular_norm(params, n, 0))
 
 
 def eval_wavefunction(params: ModelParams, N: int, n: int, r, phi):
-    """Normalized eigenfunction Psi_{N,n}(r, phi) = (-1)^N R A at interior points."""
+    """Normalized eigenfunction Psi_{N,n}(r, phi) = (-1)^N sqrt(omega)
+    R(sqrt(omega) r) A at interior points of the physical radius r."""
     params.require_interior(r, phi)
-    radial = radial_levels(params, N, n, np.asarray(r, dtype=float))[0][N]
-    out = (-1.0) ** N * radial * angular_parts(params, n, np.asarray(phi, dtype=float))[0]
+    radial = radial_levels(params, N, n, math.sqrt(params.omega) * np.asarray(r, dtype=float))[0][N]
+    out = (-1.0) ** N * math.sqrt(params.omega) * radial * angular_parts(params, n, np.asarray(phi, dtype=float))[0]
     return out if np.ndim(out) else float(out)
 
 
@@ -341,7 +351,8 @@ def _angular_row(params: ModelParams, m_ang: int) -> AngularRow:
 
 
 class Grid:
-    """Tensor quadrature grid for the measure r dr dphi.
+    """Tensor quadrature grid for the measure r dr dphi, r the oscillator
+    radius rho: its radial nodes are sqrt(z) for the Gauss-Laguerre nodes z.
 
     ``r``/``w_r`` hold the radial nodes/weights as (m_rad, 1) columns and
     ``phi``/``w_phi`` the angular ones as (1, m_ang) rows; the grid keeps
@@ -353,7 +364,8 @@ class Grid:
     ``AngularRow``, whose ``phi`` and ``w_phi`` are the grid's and which
     keeps the set's angular functions of phi;
     ``for_pair`` gives one grid per (params, alpha, orders) in each
-    process.
+    process (params with its omega, which no grid reads, so sets that
+    differ only in omega build equal grids of their own).
 
     ``alpha`` is the radial reference exponent: sums against the product
     weights w_r w_phi are exact whenever the integrand has the form
@@ -372,10 +384,10 @@ class Grid:
 
         rad = _laguerre_rule(m_rad, self.alpha)
         self.angular = _angular_row(params, m_ang)
-        self.r = _read_only(np.sqrt(rad.nodes / params.omega)[:, None])
-        # plain weights: sum_i wz_i f(z_i) == integral f dz / (2 omega)
+        self.r = _read_only(np.sqrt(rad.nodes)[:, None])
+        # plain weights: sum_i wz_i f(z_i) == integral f dz / 2 = integral f r dr
         # for f = z^alpha e^-z poly; from log weights, finite for every alpha
-        wz = np.exp(rad.log_weights + rad.nodes - self.alpha * np.log(rad.nodes)) / (2.0 * params.omega)
+        wz = np.exp(rad.log_weights + rad.nodes - self.alpha * np.log(rad.nodes)) / 2.0
         self.w_r = _read_only(wz[:, None])
         self.phi, self.w_phi = self.angular.phi, self.angular.w_phi
         if not (np.all(np.isfinite(wz)) and np.all(np.isfinite(self.w_phi))):

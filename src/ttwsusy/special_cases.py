@@ -11,6 +11,11 @@ its supersymmetrized Hamiltonian splits into a relative part, equal to
 the polar k = 3 construction in (u, v) = (r cos phi, r sin phi), plus a
 one-dimensional centre-of-mass superoscillator.
 
+As in ``model`` and ``generators``, every coordinate here is in
+oscillator units, the physical one times sqrt(omega), and no operator
+takes omega: each Hs below is Hs / omega and each Q is Q / sqrt(omega),
+the omega = 1 operator in these coordinates.
+
 The checks apply both constructions to generic test spinors: catalog
 basis states pulled back through the coordinate maps, plus random
 polynomial x Gaussian spinors, so agreement is tested well beyond the
@@ -86,10 +91,10 @@ def cart_from_polar(bundle: StateBundle, r: np.ndarray, phi: np.ndarray) -> Cart
     return CartData(bundle.val, d_x, d_y, lap)
 
 
-def _gauss_monomials(degree: int, omega: float, x: np.ndarray) -> np.ndarray:
-    """x^i e for e = exp(-omega x^2/2) and i = 0..degree, with its first two
-    x derivatives (i x^(i-1) - omega x^(i+1)) e and
-    (i(i-1) x^(i-2) - omega (2i+1) x^i + omega^2 x^(i+2)) e; shape
+def _gauss_monomials(degree: int, x: np.ndarray) -> np.ndarray:
+    """x^i e for e = exp(-x^2/2) and i = 0..degree, with its first two
+    x derivatives (i x^(i-1) - x^(i+1)) e and
+    (i(i-1) x^(i-2) - (2i+1) x^i + x^(i+2)) e; shape
     (3, degree + 1, *x.shape).  The one evaluator of polynomial x Gaussian
     derivatives: the planar Gaussian factorizes into two of these."""
     x = np.asarray(x, dtype=float)
@@ -97,18 +102,17 @@ def _gauss_monomials(degree: int, omega: float, x: np.ndarray) -> np.ndarray:
     # x^j for j = -2..degree+2; the negative powers are zero rows, not quotients, as x may be 0
     pw = np.where(j >= 0, x ** np.maximum(j, 0), 0.0)
     i, n = j[2:-2], degree + 1
-    d1 = i * pw[1 : n + 1] - omega * pw[3 : n + 3]
-    d2 = i * (i - 1) * pw[:n] - omega * (2 * i + 1) * pw[2 : n + 2] + omega**2 * pw[4:]
-    return np.stack([pw[2 : n + 2], d1, d2]) * np.exp(-0.5 * omega * x**2)
+    d1 = i * pw[1 : n + 1] - pw[3 : n + 3]
+    d2 = i * (i - 1) * pw[:n] - (2 * i + 1) * pw[2 : n + 2] + pw[4:]
+    return np.stack([pw[2 : n + 2], d1, d2]) * np.exp(-0.5 * x**2)
 
 
 class PolyGaussSpinor:
-    """Components q_s(x, y) exp(-omega (x^2+y^2)/2) with polynomial q_s;
+    """Components q_s(x, y) exp(-(x^2+y^2)/2) with polynomial q_s;
     ``coeffs[s, i, j]`` multiplies x^i y^j in q_s."""
 
-    def __init__(self, coeffs: np.ndarray, omega: float):
+    def __init__(self, coeffs: np.ndarray):
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.omega = float(omega)
 
     def sample(self, r: np.ndarray, phi: np.ndarray) -> tuple[CartData, StateBundle]:
         """The spinor's cartesian data and polar bundle at the points (r, phi),
@@ -116,7 +120,7 @@ class PolyGaussSpinor:
         so each partial contracts the coefficients with two 1-D factors."""
         c, s = np.cos(phi), np.sin(phi)
         x, y = r * c, r * s
-        gx, gy = (_gauss_monomials(n - 1, self.omega, t) for n, t in zip(self.coeffs.shape[1:], (x, y)))
+        gx, gy = (_gauss_monomials(n - 1, t) for n, t in zip(self.coeffs.shape[1:], (x, y)))
 
         def partial(a, b):
             return np.einsum("sij,ip,jp->sp", self.coeffs, gx[a], gy[b])
@@ -133,11 +137,11 @@ class PolyGaussSpinor:
         return cart, bundle
 
 
-def random_polygauss(rng, omega: float, degree: int = 3, components: int = 4) -> PolyGaussSpinor:
+def random_polygauss(rng, degree: int = 3, components: int = 4) -> PolyGaussSpinor:
     """A ``PolyGaussSpinor`` with coefficients uniform in [-1, 1), drawn by
     ``rng.uniform(low, high, size)``: any generator with numpy's ``uniform``
     method, a numpy ``Generator`` or the suite's own seeded stream."""
-    return PolyGaussSpinor(rng.uniform(-1.0, 1.0, size=(components, degree + 1, degree + 1)), omega)
+    return PolyGaussSpinor(rng.uniform(-1.0, 1.0, size=(components, degree + 1, degree + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +155,23 @@ def sw_superpotential(params: ModelParams, x, y):
 def sw_super(params: ModelParams, cart: CartData, x: np.ndarray, y: np.ndarray):
     """Cartesian supersymmetrized Hamiltonian and supercharge at k = 1.
 
-    Hs = -lap + omega^2 r^2 + a^2/x^2 + b^2/y^2 + 2 omega (n_x + n_y)
-         + (a/x^2)[bdag_x, b_x] + (b/y^2)[bdag_y, b_y] - 2 omega (a+b+1)
-    Q  = (-d_x + omega x - a/x) b_x + (-d_y + omega y - b/y) b_y
+    Hs / omega = -lap + r^2 + a^2/x^2 + b^2/y^2 + 2 (n_x + n_y)
+                 + (a/x^2)[bdag_x, b_x] + (b/y^2)[bdag_y, b_y] - 2 (a+b+1)
+    Q / sqrt(omega) = (-d_x + x - a/x) b_x + (-d_y + y - b/y) b_y
     """
     if params.k != 1.0:
         raise ValueError("sw_super requires k = 1")
     if not np.all((x > 0) & (x < math.inf) & (y > 0) & (y < math.inf)):
         raise ValueError("axis points are outside the domain")
-    a, b, w = params.a, params.b, params.omega
-    scal = -cart.lap + (w * w * (x**2 + y**2) + a * a / x**2 + b * b / y**2 - 2.0 * w * (a + b + 1.0)) * cart.val
+    a, b = params.a, params.b
+    scal = -cart.lap + ((x**2 + y**2) + a * a / x**2 + b * b / y**2 - 2.0 * (a + b + 1.0)) * cart.val
     ferm = (
-        2.0 * w * ((_BDX @ _BX + _BDY @ _BY) @ cart.val)
+        2.0 * ((_BDX @ _BX + _BDY @ _BY) @ cart.val)
         + (a / x**2) * (_comm(_BDX, _BX) @ cart.val)
         + (b / y**2) * (_comm(_BDY, _BY) @ cart.val)
     )
     h = scal + ferm
-    q = _BX @ (-cart.d_x + (w * x - a / x) * cart.val) + _BY @ (-cart.d_y + (w * y - b / y) * cart.val)
+    q = _BX @ (-cart.d_x + (x - a / x) * cart.val) + _BY @ (-cart.d_y + (y - b / y) * cart.val)
     return h, q
 
 
@@ -182,29 +186,30 @@ def bc2_superpotential(params: ModelParams, x, y):
 
 
 def bc2_super(params: ModelParams, cart: CartData, x: np.ndarray, y: np.ndarray):
-    """Cartesian supersymmetrized Hamiltonian and supercharge at k = 2."""
+    """Cartesian Hs / omega and Q / sqrt(omega) at k = 2: -lap + r^2 plus the
+    pair/axis terms, and (-d_x + x + dW/dx) b_x + (-d_y + y + dW/dy) b_y."""
     if params.k != 2.0:
         raise ValueError("bc2_super requires k = 2")
     if not np.all((y > 0) & (y < x) & (x < math.inf)):
         raise ValueError("points must satisfy 0 < y < x")
-    a, b, w = params.a, params.b, params.omega
+    a, b = params.a, params.b
     xm, xp = x - y, x + y
     scal = -cart.lap + (
-        w * w * (x**2 + y**2)
+        (x**2 + y**2)
         + 2.0 * a * a * (1.0 / xm**2 + 1.0 / xp**2)
         + b * b * (1.0 / x**2 + 1.0 / y**2)
-        - 2.0 * w * (2.0 * a + 2.0 * b + 1.0)
+        - 2.0 * (2.0 * a + 2.0 * b + 1.0)
     ) * cart.val
     cmm = _comm(_BDX - _BDY, _BX - _BY)
     cpp = _comm(_BDX + _BDY, _BX + _BY)
     ferm = (
-        2.0 * w * ((_BDX @ _BX + _BDY @ _BY) @ cart.val)
+        2.0 * ((_BDX @ _BX + _BDY @ _BY) @ cart.val)
         + a * ((1.0 / xm**2) * (cmm @ cart.val) + (1.0 / xp**2) * (cpp @ cart.val))
         + b * ((1.0 / x**2) * (_comm(_BDX, _BX) @ cart.val) + (1.0 / y**2) * (_comm(_BDY, _BY) @ cart.val))
     )
     h = scal + ferm
-    q = _BX @ (-cart.d_x + (w * x - a * (1.0 / xm + 1.0 / xp) - b / x) * cart.val) + _BY @ (
-        -cart.d_y + (w * y + a * (1.0 / xm - 1.0 / xp) - b / y) * cart.val
+    q = _BX @ (-cart.d_x + (x - a * (1.0 / xm + 1.0 / xp) - b / x) * cart.val) + _BY @ (
+        -cart.d_y + (y + a * (1.0 / xm - 1.0 / xp) - b / y) * cart.val
     )
     return h, q
 
@@ -293,7 +298,7 @@ def make_cmw_test_state(
     cart = cart_from_polar(rel, r, phi)
     cm_coeffs = np.asarray(cm_coeffs, dtype=float)
     # the cm spinor and its first two X derivatives, each as (2, npts) values
-    chi, chi_X, chi_XX = cm_coeffs @ _gauss_monomials(cm_coeffs.shape[1] - 1, params.omega, X)
+    chi, chi_X, chi_XX = cm_coeffs @ _gauss_monomials(cm_coeffs.shape[1] - 1, X)
     return Cmw3Data(
         val=embed_product_values(cart.val, chi),
         d_u=embed_product_values(cart.d_x, chi),
@@ -308,14 +313,15 @@ def make_cmw_test_state(
 
 
 def cmw_super(params: ModelParams, data: Cmw3Data):
-    """Three-particle supersymmetrized Hamiltonian and supercharge.
+    """Three-particle supersymmetrized Hamiltonian and supercharge, Hs / omega
+    = -lap + |x|^2 + pair and three-body terms, and Q / sqrt(omega).
 
     Pairwise coordinates are x_ij = x_i - x_j and the three-body ones
     y_ij = x_i + x_j - 2 x_m (m the remaining index); the particle
     coordinates must be finite and all of these nonzero at the sample
     points.
     """
-    a, b, w = params.a, params.b, params.omega
+    a, b = params.a, params.b
     xs = data.particles
     if not np.all(np.isfinite(xs)):
         raise ValueError("coincidence points are outside the domain")
@@ -330,14 +336,14 @@ def cmw_super(params: ModelParams, data: Cmw3Data):
     scal = (
         -lap3
         + (
-            w * w * np.sum(xs**2, axis=0)
+            np.sum(xs**2, axis=0)
             + a * a * sum(1.0 / x_ij[ij] ** 2 for ij in pairs)
             + 3.0 * b * b * sum(1.0 / y_ij[ij] ** 2 for ij in pairs)
-            - 3.0 * w * (2.0 * a + 2.0 * b + 1.0)
+            - 3.0 * (2.0 * a + 2.0 * b + 1.0)
         )
         * data.val
     )
-    ferm = 2.0 * w * (sum(_BD3[i] @ _B3[i] for i in range(3)) @ data.val)
+    ferm = 2.0 * (sum(_BD3[i] @ _B3[i] for i in range(3)) @ data.val)
     for i, j in pairs:
         ferm += a / x_ij[i, j] ** 2 * (_comm(_BD3[i], _B3[i] - _B3[j]) @ data.val)
     for i, j in pairs:
@@ -349,8 +355,7 @@ def cmw_super(params: ModelParams, data: Cmw3Data):
     q = np.zeros_like(data.val)
     for i in range(3):
         others = [j for j in range(3) if j != i]
-        coeff = w * xs[i]
-        coeff = coeff - a * sum(1.0 / x_ij[i, j] for j in others)
+        coeff = xs[i] - a * sum(1.0 / x_ij[i, j] for j in others)
         coeff = coeff - b * (
             sum(1.0 / y_ij[i, j] for j in others) - (1.0 / y_ij[others[0], others[1]] + 1.0 / y_ij[others[1], others[0]])
         )
@@ -360,8 +365,8 @@ def cmw_super(params: ModelParams, data: Cmw3Data):
 
 def cmw_rel_super(params: ModelParams, data: Cmw3Data):
     """Relative part in the transformed modes: the six-center angular
-    form of Hs plus the planar supercharge, as 8-dim operators."""
-    a, b, w = params.a, params.b, params.omega
+    form of Hs / omega plus the planar Q / sqrt(omega), as 8-dim operators."""
+    a, b = params.a, params.b
     u, v = data.u, data.v
     r2 = u**2 + v**2
     r = np.sqrt(r2)
@@ -380,29 +385,29 @@ def cmw_rel_super(params: ModelParams, data: Cmw3Data):
         0.25 * _comm(sqrt3 * cdu + cdv, sqrt3 * cu + cv),
         0.25 * _comm(sqrt3 * cdu - cdv, sqrt3 * cu - cv),
     ]
-    h = -data.lap2 + w * w * r2 * data.val
+    h = -data.lap2 + r2 * data.val
     for jj, (mc, ms) in enumerate(zip(cos_ops, sin_ops)):
         ang = phi - 2.0 * math.pi * jj / 3.0
         h += (a / (r2 * np.cos(ang) ** 2)) * (a * data.val + mc @ data.val)
         h += (b / (r2 * np.sin(ang) ** 2)) * (b * data.val + ms @ data.val)
-    h += 2.0 * w * ((cdu @ cu + cdv @ cv) @ data.val) - 2.0 * w * (3.0 * a + 3.0 * b + 1.0) * data.val
+    h += 2.0 * ((cdu @ cu + cdv @ cv) @ data.val) - 2.0 * (3.0 * a + 3.0 * b + 1.0) * data.val
 
     c, s = np.cos(phi), np.sin(phi)
     c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
     c3, s3 = np.cos(3.0 * phi), np.sin(3.0 * phi)
     d_r = c * data.d_u + s * data.d_v
     d_phi = -v * data.d_u + u * data.d_v
-    qx = -c * d_r + (s / r) * d_phi + (w * r * c - (3.0 * a / r) * c2 / c3 - (3.0 * b / r) * s2 / s3) * data.val
-    qy = -s * d_r - (c / r) * d_phi + (w * r * s + (3.0 * a / r) * s2 / c3 - (3.0 * b / r) * c2 / s3) * data.val
+    qx = -c * d_r + (s / r) * d_phi + (r * c - (3.0 * a / r) * c2 / c3 - (3.0 * b / r) * s2 / s3) * data.val
+    qy = -s * d_r - (c / r) * d_phi + (r * s + (3.0 * a / r) * s2 / c3 - (3.0 * b / r) * c2 / s3) * data.val
     q = cu @ qx + cv @ qy
     return h, q
 
 
 def cm_super(params: ModelParams, data: Cmw3Data):
-    """Centre-of-mass superoscillator (-d_X^2 + omega^2 X^2 + 2 omega (n_X - 1/2))
-    and its supercharge, as 8-dim operators in the transformed modes."""
-    w = params.omega
+    """Centre-of-mass superoscillator Hs / omega = -d_X^2 + X^2 + 2 (n_X - 1/2)
+    and its Q / sqrt(omega) = (-d_X + X) c_X, as 8-dim operators in the
+    transformed modes."""
     cX, cdX = _C3[2], _CD3[2]
-    h = -data.d_XX + w * w * data.X**2 * data.val + 2.0 * w * ((cdX @ cX) @ data.val) - w * data.val
-    q = cX @ (-data.d_X + w * data.X * data.val)
+    h = -data.d_XX + data.X**2 * data.val + 2.0 * ((cdX @ cX) @ data.val) - data.val
+    q = cX @ (-data.d_X + data.X * data.val)
     return h, q

@@ -208,11 +208,13 @@ def _occupation_trig(occ: int, row: AngularRow):
 class FactorTable:
     """One set of points at which states are expanded and sampled.
 
-    ``r`` and ``phi`` are any broadcastable pair: equal-shape arrays for
-    scattered points, or a grid's column of radial nodes and row of
-    angular nodes (``grid.r``, ``grid.phi``), in which case fields come
-    out on the whole tensor grid while every factor is evaluated on the
-    1-D nodes only.  ``expand`` evaluates the factors of the groups of
+    ``r`` is the oscillator radius rho = sqrt(omega) r_phys, in which the
+    factors of ``model`` take no omega, and the fields are in ``model``'s
+    oscillator units.  ``r`` and ``phi`` are any broadcastable pair:
+    equal-shape arrays for scattered points, or a grid's column of radial
+    nodes and row of angular nodes (``grid.r``, ``grid.phi``), in which
+    case fields come out on the whole tensor grid while every factor is
+    evaluated on the 1-D nodes only.  ``expand`` evaluates the factors of the groups of
     states it is given, keyed without the term coefficient, so states
     sharing basis functions share their evaluation within the call,
     whatever group they are in.  The table keeps no factor between

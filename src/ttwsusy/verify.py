@@ -12,6 +12,14 @@ draws exactly what ``numpy.random.default_rng(seed).uniform`` draws; so
 the points are fixed by the seed alone, and no run loads
 ``numpy.random``.
 
+One unit system holds throughout: the modules below work in oscillator
+units, r the oscillator radius rho = sqrt(omega) r_phys, and take no
+omega, the points are drawn in rho, and every residual is read in those
+units (energies, H and Hs in units of omega, Q and Qdag of sqrt(omega)).
+So every check but ``spectrum-identities`` (the physical closed forms)
+and ``eigenvalue-residual`` (``model.energy`` / omega) reads the same at
+every omega.
+
 The parameter sets share nothing but the order of the report, and
 every generator preserves the angular sector n.  So every check is
 computed by a task (``_tasks``).  The model, algebra and irreps checks
@@ -576,8 +584,8 @@ def _scaled(c: float, f: SpinorField) -> SpinorField:
 
 # operator and residual (of p, N, n, field, image) of the pointwise eigen-checks of Psi_{N,n}|0>
 _EIGEN_CHECKS = {
-    "eigenvalue-residual": ("H", lambda p, N, n, fv, hv: _max_abs(hv, _scaled(model.energy(p, N, n), fv)) / _max_abs(fv)),
-    "spectrum": ("Hs", lambda p, N, n, fv, hv: _deviation(hv, _scaled(4.0 * p.omega * (N + n * p.k), fv), fv)),
+    "eigenvalue-residual": ("H", lambda p, N, n, fv, hv: _max_abs(hv, _scaled(model.energy(p, N, n) / p.omega, fv)) / _max_abs(fv)),
+    "spectrum": ("Hs", lambda p, N, n, fv, hv: _deviation(hv, _scaled(4.0 * (N + n * p.k), fv), fv)),
 }
 
 
@@ -804,7 +812,7 @@ def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
         irreps.one_fermion_state("-", p, 1, 2),
         irreps.two_fermion_state(p, 1, 1),
     )
-    polygauss = [special_cases.random_polygauss(rng, p.omega) for _ in range(2)]
+    polygauss = [special_cases.random_polygauss(rng) for _ in range(2)]
     # (cartesian data, polar bundle) of each test spinor, made as the loop reaches it
     spinors = itertools.chain(
         ((special_cases.cart_from_polar(b, r, phi), b) for b in table.bundles(catalog)),
@@ -835,7 +843,7 @@ def _cmw_rel_vs_polar(table: FactorTable, bundle, cm_vac: np.ndarray, X) -> list
     bundle from ``table`` is both embedded and applied."""
     p, r, phi = table.params, table.r, table.phi
     h_r, q_r = special_cases.cmw_rel_super(p, special_cases.make_cmw_test_state(bundle, cm_vac, p, r, phi, X))
-    chi = np.exp(-0.5 * p.omega * X**2)
+    chi = np.exp(-0.5 * X**2)
     cm_field = np.stack([chi, np.zeros_like(chi)])
     q_ref, h_ref = (special_cases.embed_product_values(f.dense(), cm_field) for f in gen.apply_operators(("Q", "Hs"), bundle, table))
     return [_deviation(q_r, q_ref, q_ref), _deviation(h_r, h_ref, h_ref)]
@@ -878,7 +886,7 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
             irreps.zero_fermion_state(p, 0, 0),
         ]
     )
-    gauss = special_cases.random_polygauss(rng, p.omega)
+    gauss = special_cases.random_polygauss(rng)
     res = []
     for rel in (next(bundles), next(bundles), gauss.sample(r, phi)[1]):
         res += _cmw_split(p, rel, rng.uniform(-1.0, 1.0, size=(2, 3)), r, phi, X)
@@ -1036,8 +1044,8 @@ def _set_records(config: SuiteConfig, index: int, outputs: list) -> tuple[dict, 
         for check, claim, tol_key in _SET_CHECKS[suite]:
             wall_ms = charged.get(check, 0.0)
             try:
-                # {Q, Qdag} = Hs is 4 omega times the structure relation {V-, W+} = K0 + Y
-                value = 4.0 * p.omega * values["structure"]["{V-,W+} = +1 K0 +1 Y"] if check == "susy-anticommutator" else values[check]
+                # {Q, Qdag} = Hs is, in units of omega, 4 times the structure relation {V-, W+} = K0 + Y
+                value = 4.0 * values["structure"]["{V-,W+} = +1 K0 +1 Y"] if check == "susy-anticommutator" else values[check]
                 if isinstance(value, _TaskError):
                     raise value
             except Exception as exc:

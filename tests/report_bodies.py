@@ -4,9 +4,11 @@ compare two such files.
     PYTHONPATH=src python tests/report_bodies.py OUT.json
     python tests/report_bodies.py OLD.json NEW.json
 
-Each run is a perfbench workload at a fixed seed: acceptance at seeds 1
-and 20260809, truncation-16x10 at seed 1 and pointwise at seed 7.  The
-timings (every check's ``wall_ms`` and the report's ``matrices_ms``) are
+The runs are four perfbench workloads at fixed seeds, acceptance at
+seeds 1 and 20260809, truncation-16x10 at seed 1 and pointwise at seed 7,
+and the omega runs of ``tests/test_omega.py`` (``omega_config``: k = 1,
+2, 3 at omega = 1e-8, 1e4 and 1e8), so that compare mode also lists every
+reading that moves away from omega = 1.  The timings (every check's ``wall_ms`` and the report's ``matrices_ms``) are
 dropped, so a change that keeps every residual gives a byte-identical
 file.  Each run is made twice, with the tasks pooled over two worker
 processes and with them run in this one process (``verify._usable_cpus``
@@ -22,7 +24,7 @@ tolerance) before -> after, the largest move |new - old| / tolerance
 with its record, and how many records' ``passed`` flipped.  So a change
 that moves residuals at roundoff only reads so from that one line.  It
 exits 1 when anything differs.  Not a pytest module (pytest collects only
-test_*.py); the four runs take a few seconds in each mode.
+test_*.py); the seven runs take a few seconds in each mode.
 """
 
 import importlib.util
@@ -31,6 +33,15 @@ import sys
 from pathlib import Path
 
 RUNS = (("acceptance", 1), ("acceptance", 20260809), ("truncation-16x10", 1), ("pointwise", 7))
+OMEGAS = (1e-8, 1e4, 1e8)
+
+
+def omega_config(omega: float) -> dict:
+    """The payload of an omega run: k = 1, 2 and 3, each with its special
+    cases, at a = 1.2, b = 0.8 and this omega, truncation (4, 3), 40 x 40
+    orders, every suite."""
+    param_sets = [{"k": k, "a": 1.2, "b": 0.8, "omega": omega} for k in (1.0, 2.0, 3.0)]
+    return {"param_sets": param_sets, "truncation": [4, 3], "quad_orders": [40, 40]}
 
 
 def _workloads():
@@ -60,7 +71,9 @@ def bodies(workloads, cpus: int) -> dict:
     usable = verify._usable_cpus
     verify._usable_cpus = lambda: cpus
     try:
-        return {f"{name}@{seed}": report_body(workloads.config_dict(name, seed)) for name, seed in RUNS}
+        payloads = {f"{name}@{seed}": workloads.config_dict(name, seed) for name, seed in RUNS}
+        payloads.update({f"omega@{omega:g}": omega_config(omega) for omega in OMEGAS})
+        return {run_name: report_body(payload) for run_name, payload in payloads.items()}
     finally:
         verify._usable_cpus = usable
 

@@ -230,7 +230,8 @@ class TestHamiltonianSuper:
                 st = zero_fermion_state(p, N, n)
                 hv = apply("Hs", st, p, grid.r, grid.phi)
                 fv = state_field(st, p, grid.r, grid.phi)
-                target = 4 * p.omega * (N + n * p.k)
+                # the table is Hs / omega
+                target = 4 * (N + n * p.k)
                 assert np.max(np.abs(hv - target * fv)) / np.max(np.abs(fv)) < 1e-8
 
     def test_routes_agree(self):
@@ -276,12 +277,12 @@ class TestOperatorTable:
         even = [s.state for s in sector_basis(p, 1, 3) if s.family in ("zero", "double")]
         odd = [s.state for s in sector_basis(p, 1, 3) if s.family in ("lower", "upper")]
         m = project(("Hs", "K0", "Y"), even, even, grid)
-        np.testing.assert_allclose(m["Hs"], 4 * p.omega * (m["K0"] + m["Y"]), rtol=0, atol=1e-10)
+        # the tables are Hs / omega = 4 (K0 + Y), Q / sqrt(omega) = 2 W+ and Qdag / sqrt(omega) = 2 V-
+        np.testing.assert_allclose(m["Hs"], 4 * (m["K0"] + m["Y"]), rtol=0, atol=1e-10)
         # Q maps the even states onto the odd ones
         m = project(("Q", "W+", "Qdag", "V-"), odd, even, grid_o)
-        sq = 2 * math.sqrt(p.omega)
-        np.testing.assert_allclose(m["Q"], sq * m["W+"], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(m["Qdag"], sq * m["V-"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m["Q"], 2 * m["W+"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m["Qdag"], 2 * m["V-"], rtol=0, atol=1e-12)
 
 
 class TestSupercharges:
@@ -559,7 +560,7 @@ def _gamma_coeffs_barred(params, r, phi):
     cot = 1.0 / tan
     sec2 = 1.0 + tan * tan
     csc2 = 1.0 + cot * cot
-    pref = k / (2.0 * params.omega * r**2)
+    pref = k / (2.0 * r**2)
     bar_xx = pref * (a + b)
     bar_xy = pref * (-a * tan + b * cot)
     bar_yy = pref * (a * (k * sec2 - 1.0) + b * (k * csc2 - 1.0))
@@ -727,7 +728,7 @@ class TestSparseTerms:
         rng = np.random.default_rng(4)
         r = rng.uniform(0.5, 2.0, 30)
         phi = rng.uniform(0.1, 0.9, 30) * p.phi_max
-        _, bundle = random_polygauss(rng, p.omega).sample(r, phi)
+        _, bundle = random_polygauss(rng).sample(r, phi)
         assert bundle.reached == (0, 1, 2, 3)
         images = apply_operators(OPERATOR_NAMES, bundle, FactorTable(p, r, phi))
         for name, image in zip(OPERATOR_NAMES, images):

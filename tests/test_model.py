@@ -46,7 +46,7 @@ class TestParams:
 
     @pytest.mark.parametrize("omega", [9.9e-151, 1e-153, 1e-160, 1e-300, 1.01e150, 1e154, 1e160, 1e300])
     def test_omega_outside_its_range_is_named(self, omega):
-        # omega^2 and 1/omega^2 leave the float range near 1e-154 and 1e154
+        # the physical energies, linear in omega, leave the float range near 1e-308 and 1e306
         with pytest.raises(ValueError, match=f"^omega must lie in {re.escape('[1e-150, 1e+150]')}, got {re.escape(repr(omega))}: "):
             ModelParams(k=1.0, a=1.0, b=1.0, omega=omega)
 
@@ -61,9 +61,9 @@ class TestParams:
         }
         for omega, report in reports.items():
             assert all(c.error is None and math.isfinite(c.residual) for c in report.checks), omega
-        # the small end passes every check; at the large one, checks whose
-        # tolerances do not scale with omega fail, with finite residuals
-        assert reports[OMEGA_RANGE[0]].n_failed == 0, reports[OMEGA_RANGE[0]].to_text()
+        # both ends pass every check: the residuals are read in oscillator units
+        for omega, report in reports.items():
+            assert report.n_failed == 0, (omega, report.to_text())
 
     def test_integers_and_numpy_floats_are_accepted(self):
         p = ModelParams(k=np.float64(2.0), a=1, b=np.int64(2))
@@ -109,7 +109,7 @@ class TestDomainGuards:
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0, [1.0, math.nan]], ids=["nan", "inf", "negative", "nan-in-array"])
     def test_radial_argument_probes(self, z):
-        with pytest.raises(ValueError, match=re.escape("radial argument z = omega r^2 must be finite and >= 0")):
+        with pytest.raises(ValueError, match=re.escape("radial argument z = rho^2 must be finite and >= 0")):
             eval_radial(P_GEN, 1, 1, z)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([math.inf, 0.5])], ids=["nan", "inf", "nan-in-array", "inf-in-array"])
@@ -231,12 +231,14 @@ class TestNormalization:
             eval_wavefunction(P_GEN, 0, 0, 0.0, 0.3)
 
     def test_radial_factor_is_taken_at_the_given_r(self):
-        # no round trip r -> z = omega r^2 -> sqrt(z / omega), which moves
-        # some radii by an ulp
+        # the factor is taken at rho = sqrt(omega) r, one product, with no
+        # round trip r -> z = omega r^2 -> sqrt(z), which moves some radii
+        # by an ulp, and scaled by sqrt(omega)
         p = ModelParams(k=2.0, a=1.5, b=2.5, omega=1.7)
         r = np.linspace(0.05, 4.0, 2001)
         phi = np.full_like(r, 0.3)
-        expect = (-1.0) ** 2 * radial_levels(p, 2, 1, r)[0][2] * angular_parts(p, 1, phi)[0]
+        rho, scale = math.sqrt(p.omega) * r, math.sqrt(p.omega)
+        expect = (-1.0) ** 2 * scale * radial_levels(p, 2, 1, rho)[0][2] * angular_parts(p, 1, phi)[0]
         assert np.array_equal(eval_wavefunction(p, 2, 1, r, phi), expect)
 
 
@@ -396,14 +398,15 @@ def laguerre_single(n, alpha, z):
 
 
 def radial_parts_one_level(params, N, n, r, one_fermion):
-    """(R, dR/dr, d2R/dr2) of one radial level, evaluated level by level with
-    three single-level recurrences and its normalization c_N as c_0 times a
-    product taken factor by factor: the oracle for ``radial_levels``."""
-    z = params.omega * r**2
+    """(R, dR/dr, d2R/dr2) of one radial level at the oscillator radius r,
+    evaluated level by level with three single-level recurrences and its
+    normalization c_N as c_0 times a product taken factor by factor: the
+    oracle for ``radial_levels``, which takes no omega."""
+    z = r**2
     alpha = params.sector_alpha(n)
     p = 0.5 * alpha - (0.5 if one_fermion else 0.0)
-    log_c0 = 0.5 * (math.log(2.0) + (alpha + 1.0) * math.log(params.omega) - math.lgamma(alpha + 1.0))
-    pref = np.exp(p * np.log(z) - 0.5 * z - 0.5 * alpha * math.log(params.omega) + log_c0)
+    log_c0 = 0.5 * (math.log(2.0) - math.lgamma(alpha + 1.0))
+    pref = np.exp(p * np.log(z) - 0.5 * z + log_c0)
     ratio = 1.0
     for j in range(1, N + 1):
         ratio *= math.sqrt(j / (j + alpha))
@@ -415,7 +418,7 @@ def radial_parts_one_level(params, N, n, r, one_fermion):
     R = pref * L
     Rz = pref * (g * L + Ld)
     Rzz = pref * ((g * g - p / z**2) * L + 2.0 * g * Ld + Ldd)
-    return R, 2.0 * params.omega * r * Rz, 2.0 * params.omega * Rz + 4.0 * params.omega * z * Rzz
+    return R, 2.0 * r * Rz, 2.0 * Rz + 4.0 * z * Rzz
 
 
 class TestRadialLevels:
@@ -423,7 +426,8 @@ class TestRadialLevels:
         "p", [ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8), ModelParams(k=1.3, a=0.4, b=2.2, omega=0.7)], ids=["irr", "omega"]
     )
     def test_rows_equal_the_level_by_level_evaluation(self, p):
-        r = np.sqrt(np.linspace(0.05, 60.0, 31) / p.omega)[:, None]
+        # the same z = r^2 at every omega, which the factors do not read
+        r = np.sqrt(np.linspace(0.05, 60.0, 31))[:, None]
         for n in range(7):
             for one_fermion in (False, True):
                 stacks = radial_levels(p, 20, n, r, one_fermion)
@@ -437,7 +441,7 @@ class TestRadialLevels:
     def test_shared_pass_equals_one_call_per_flag(self, p, N_max):
         """Both one-fermion flags from one pass are bit for bit the factors
         of a call per flag, and of the level-by-level oracle."""
-        r = np.sqrt(np.linspace(0.05, 60.0, 31) / p.omega)[:, None]
+        r = np.sqrt(np.linspace(0.05, 60.0, 31))[:, None]
         for n in range(4):
             shared = radial_levels(p, N_max, n, r, (False, True))
             assert len(shared) == 2
@@ -481,9 +485,12 @@ class TestNormalizedFactors:
             assert np.max(np.abs(A @ (grid.w_phi[0] * A).T - np.eye(11))) <= 1e-11, shift
 
     def test_norm_constant_is_the_factors_ratio(self):
-        # the unnormalized factors times norm_constant are the normalized ones
+        # the unnormalized factors of z = rho^2 = omega r^2 times norm_constant
+        # are the normalized ones, and sqrt(omega) times those the physical
+        # eigenfunction at r
         p = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=0.7)
         r, phi = np.array([0.4, 1.1, 2.3]), np.array([0.2, 0.5, 0.9])
         for N, n in ((0, 0), (3, 1), (7, 2)):
             bare = eval_radial(p, N, n, p.omega * r**2) * eval_angular(p, n, phi)
-            np.testing.assert_allclose(norm_constant(p, N, n) * bare, eval_wavefunction(p, N, n, r, phi), rtol=1e-13)
+            physical = math.sqrt(p.omega) * norm_constant(p, N, n) * bare
+            np.testing.assert_allclose(physical, eval_wavefunction(p, N, n, r, phi), rtol=1e-13)

@@ -47,7 +47,7 @@ def make_test_spinors(rng, p, r, phi):
             two_fermion_state(p, 1, 1),
         ]
     )
-    polygauss = [random_polygauss(rng, p.omega) for _ in range(2)]
+    polygauss = [random_polygauss(rng) for _ in range(2)]
     return [(cart_from_polar(b, r, phi), b) for b in catalog] + [g.sample(r, phi) for g in polygauss]
 
 
@@ -82,25 +82,26 @@ class TestPolyGauss:
     def test_gauss_monomials_equal_sympy_derivatives(self, omega):
         sp = pytest.importorskip("sympy")
         t = sp.Symbol("t", real=True)
-        xs = np.array([-1.5, -0.4, 0.0, 0.3, 1.0, 2.2])
-        got = _gauss_monomials(3, omega, xs)
+        # the oscillator coordinates sqrt(omega) x of fixed physical points x
+        xs = math.sqrt(omega) * np.array([-1.5, -0.4, 0.0, 0.3, 1.0, 2.2])
+        got = _gauss_monomials(3, xs)
         assert got.shape == (3, 4, xs.size)
         for i in range(4):
-            f = t**i * sp.exp(-sp.Float(omega, 30) * t**2 / 2)
+            f = t**i * sp.exp(-(t**2) / 2)
             for d in range(3):
                 want = sympy_values(sp, sp.diff(f, t, d), (t,), xs)
                 np.testing.assert_allclose(got[d, i], want, rtol=1e-14, atol=1e-14, err_msg=f"i={i}, d={d}")
 
     def test_sample_equals_sympy_derivatives(self):
         sp = pytest.importorskip("sympy")
-        st = random_polygauss(np.random.default_rng(11), 0.8)
+        st = random_polygauss(np.random.default_rng(11))
         r = np.array([0.3, 0.9, 1.4, 2.1, 1.1])
         phi = np.array([0.0, 0.7, 2.0, 3.9, 5.5])  # every quadrant, and y = 0
         cart, bundle = st.sample(r, phi)
-        # one symbolic component q(x, y) exp(-omega (x^2+y^2)/2), its 16 coefficients as symbols
-        x, y, rs, ps, w = sp.symbols("x y r phi omega", real=True)
+        # one symbolic component q(x, y) exp(-(x^2+y^2)/2), its 16 coefficients as symbols
+        x, y, rs, ps = sp.symbols("x y r phi", real=True)
         c = sp.symbols("c0:16", real=True)
-        f = sum(c[4 * i + j] * x**i * y**j for i in range(4) for j in range(4)) * sp.exp(-w * (x**2 + y**2) / 2)
+        f = sum(c[4 * i + j] * x**i * y**j for i in range(4) for j in range(4)) * sp.exp(-(x**2 + y**2) / 2)
         fp = f.subs({x: rs * sp.cos(ps), y: rs * sp.sin(ps)})
         cart_exprs = {"val": f, "d_x": sp.diff(f, x), "d_y": sp.diff(f, y), "lap": sp.diff(f, x, 2) + sp.diff(f, y, 2)}
         polar_exprs = {"val": fp, "d_r": sp.diff(fp, rs), "d_rr": sp.diff(fp, rs, 2), "d_phi": sp.diff(fp, ps), "d_phiphi": sp.diff(fp, ps, 2)}
@@ -110,14 +111,14 @@ class TestPolyGauss:
         ):
             for name, expr in exprs.items():
                 for s, coeffs in enumerate(st.coeffs):
-                    # the coefficients and omega enter as constant coordinates
-                    consts = [np.full(r.size, v) for v in (st.omega, *coeffs.ravel())]
-                    want = sympy_values(sp, expr, (*vars_, w, *c), *coords, *consts)
+                    # the coefficients enter as constant coordinates
+                    consts = [np.full(r.size, v) for v in coeffs.ravel()]
+                    want = sympy_values(sp, expr, (*vars_, *c), *coords, *consts)
                     np.testing.assert_allclose(getattr(form, name)[s], want, rtol=1e-13, atol=1e-13, err_msg=f"component {s}, {name}")
 
     def test_polar_and_cartesian_derivatives_consistent(self):
         rng = np.random.default_rng(0)
-        st = random_polygauss(rng, 1.0)
+        st = random_polygauss(rng)
         r, phi, x, y = interior_points(rng, P2, 30)
         cart, bundle = st.sample(r, phi)
         c, s = np.cos(phi), np.sin(phi)
@@ -138,8 +139,8 @@ class TestSeparableCase:
             assert np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1.0) < 1e-9
 
     def test_fermion_free_block_reduction(self):
-        # on the fermionic vacuum, Hs is the scalar Hamiltonian shifted
-        # by -2 omega (a+b+1)
+        # on the fermionic vacuum, Hs / omega is the scalar H_k / omega
+        # shifted by -2 (a+b+1)
         rng = np.random.default_rng(2)
         r, phi, x, y = interior_points(rng, P1, 100)
         table = FactorTable(P1, r, phi)
@@ -147,7 +148,7 @@ class TestSeparableCase:
         cart = cart_from_polar(bundle, r, phi)
         h_c, _ = sw_super(P1, cart, x, y)
         (scalar,) = (image.dense() for image in apply_operators(("H",), bundle, table))
-        shift = -2 * P1.omega * (P1.a + P1.b + 1.0)
+        shift = -2 * (P1.a + P1.b + 1.0)
         fv = bundle.dense().val
         assert np.max(np.abs(h_c - scalar - shift * fv)) / np.max(np.abs(scalar)) < 1e-12
 
@@ -192,7 +193,7 @@ class TestPairSector:
         np.testing.assert_allclose(diff, P2.b * math.log(2.0), atol=1e-13)
 
     def test_supercharge_coefficient_is_superpotential_gradient(self):
-        # Q's x-coefficient is omega x + dW/dx with the pair/axis W
+        # the x-coefficient of Q / sqrt(omega) is x + dW/dx with the pair/axis W
         rng = np.random.default_rng(7)
         r, phi, x, y = interior_points(rng, P2, 40)
         h = 1e-6
@@ -248,7 +249,7 @@ class TestThreeParticleCase:
         for rel in (
             state_bundle(zero_fermion_state(P3, 1, 1), P3, r, phi),
             state_bundle(one_fermion_state("+", P3, 0, 2), P3, r, phi),
-            random_polygauss(rng, P3.omega).sample(r, phi)[1],
+            random_polygauss(rng).sample(r, phi)[1],
         ):
             cm = rng.uniform(-1, 1, size=(2, 3))
             data = make_cmw_test_state(rel, cm, P3, r, phi, X)
@@ -262,7 +263,7 @@ class TestThreeParticleCase:
         _, r, phi, X = sample
         cm_vac = np.zeros((2, 2))
         cm_vac[0, 0] = 1.0
-        chi = np.exp(-0.5 * P3.omega * X**2)
+        chi = np.exp(-0.5 * X**2)
         cm_field = np.stack([chi, np.zeros_like(chi)])
         for st in (zero_fermion_state(P3, 2, 1), one_fermion_state("+", P3, 1, 1)):
             bundle = state_bundle(st, P3, r, phi)
@@ -275,8 +276,8 @@ class TestThreeParticleCase:
             assert np.max(np.abs(q_r - q_ref)) / max(np.max(np.abs(q_ref)), 1.0) < 1e-9
 
     def test_cm_oscillator_oracle(self, sample):
-        # bosonic 1D oscillator on the Gaussian gives +omega; the
-        # fermionic term contributes -omega; the total annihilates it
+        # in oscillator units the bosonic 1D oscillator on the Gaussian
+        # gives +1; the fermionic term contributes -1; the total annihilates it
         _, r, phi, X = sample
         cm_vac = np.zeros((2, 2))
         cm_vac[0, 0] = 1.0
@@ -284,21 +285,20 @@ class TestThreeParticleCase:
         h_c, q_c = cm_super(P3, data)
         assert np.max(np.abs(h_c)) < 1e-12
         assert np.max(np.abs(q_c)) < 1e-12
-        w = P3.omega
-        bosonic = -data.d_XX + w * w * X**2 * data.val
-        np.testing.assert_allclose(bosonic, w * data.val, atol=1e-12)
+        bosonic = -data.d_XX + X**2 * data.val
+        np.testing.assert_allclose(bosonic, data.val, atol=1e-12)
         _, _, cops = cmw_mode_matrices()
-        fermionic = 2.0 * w * ((cops[2].T @ cops[2]) @ data.val) - w * data.val
-        np.testing.assert_allclose(fermionic, -w * data.val, atol=1e-12)
+        fermionic = 2.0 * ((cops[2].T @ cops[2]) @ data.val) - data.val
+        np.testing.assert_allclose(fermionic, -data.val, atol=1e-12)
 
     def test_cm_excited_level(self, sample):
-        # first bosonic excitation of the cm line sits at 2 omega
+        # first bosonic excitation of the cm line sits at Hs / omega = 2
         _, r, phi, X = sample
         cm = np.zeros((2, 2))
-        cm[0, 1] = 1.0  # X exp(-omega X^2 / 2)
+        cm[0, 1] = 1.0  # X exp(-X^2 / 2)
         data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), cm, P3, r, phi, X)
         h_c, _ = cm_super(P3, data)
-        target = 2.0 * P3.omega * data.val
+        target = 2.0 * data.val
         assert np.max(np.abs(h_c - target)) / np.max(np.abs(data.val)) < 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
