@@ -60,6 +60,6 @@ for block, inner in per_sector:
     res.append(np.max(np.abs((anti - hs)[np.ix_(inner, inner)])))
 print(f"  residual {max(res):.3e}")
 
-osc = oscillator_realization(nu=1, cutoff=12)
+osc = oscillator_realization()
 worst_osc = max(c.residual for c in check_structure_constants(osc.mats, osc.interior))
 print(f"\noscillator matrix realization (no wavefunctions): worst relation residual {worst_osc:.3e}")

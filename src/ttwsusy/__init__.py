@@ -45,7 +45,6 @@ from .model import (
     eval_angular,
     eval_radial,
     eval_wavefunction,
-    norm_constant,
     susy_energy,
     weights_of,
 )

@@ -62,8 +62,9 @@ sector n, so the matrices are built one block per sector
 the relation, Hermiticity and Casimir checks each work on one block.
 
 ``oscillator_realization`` provides the independent boson-fermion
-matrix model of the same algebra (no wavefunctions involved), used as
-a control for the structure-constant checks.
+matrix model of the same algebra on one boson and one fermion mode,
+the paper's osp(2|2,R) = su(1,1|1) (no wavefunctions involved), used
+as a control for the structure-constant checks.
 """
 
 from __future__ import annotations
@@ -705,63 +706,35 @@ class OscillatorRealization:
     mats: dict[str, np.ndarray]
     interior: np.ndarray
     boson_numbers: np.ndarray
-    nu: int
-    cutoff: int
 
 
-def oscillator_realization(nu: int = 1, cutoff: int = 12) -> OscillatorRealization:
-    """Generators on nu boson modes x nu fermion modes, truncated at
-    ``cutoff`` boson quanta per mode:
+def oscillator_realization() -> OscillatorRealization:
+    """Generators on one boson mode a and one fermion mode b, truncated at
+    12 boson quanta (dimension 24):
 
-        K0 = (sum adag_i a_i + nu/2)/2     K+ = sum adag_i^2 / 2
-        K- = sum a_i^2 / 2                 Y  = (sum bdag_i b_i - nu/2)/2
-        V+ = sum adag_i bdag_i / sqrt(2)   V- = sum a_i bdag_i / sqrt(2)
-        W+ = sum adag_i b_i / sqrt(2)      W- = sum a_i b_i / sqrt(2)
+        K0 = (adag a + 1/2)/2     K+ = adag^2 / 2
+        K- = a^2 / 2              Y  = (bdag b - 1/2)/2
+        V+ = adag bdag / sqrt(2)  V- = a bdag / sqrt(2)
+        W+ = adag b / sqrt(2)     W- = a b / sqrt(2)
 
-    The interior mask keeps states at least two boson quanta away from
-    the cutoff in every mode, where products of two generators are
-    represented exactly.
+    ``boson_numbers`` holds the boson number of each basis state; the
+    interior mask keeps the states at least two quanta below the
+    cutoff, where products of two generators are represented exactly.
     """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    if cutoff < 4:
-        raise ValueError("cutoff must be >= 4")
-    a1 = np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
-    eye_b = np.eye(cutoff)
-    ferm = fock.jordan_wigner(nu)
-    eye_f = np.eye(2**nu)
-
-    def boson_op(i, m):
-        ops = [eye_b] * nu
-        ops[i] = m
-        out = ops[0]
-        for o in ops[1:]:
-            out = np.kron(out, o)
-        return np.kron(out, eye_f)
-
-    def fermi_op(i):
-        return np.kron(np.eye(cutoff**nu), ferm[i])
-
-    a_ops = [boson_op(i, a1) for i in range(nu)]
-    ad_ops = [m.T for m in a_ops]
-    b_ops = [fermi_op(i) for i in range(nu)]
-    bd_ops = [m.T for m in b_ops]
-
-    dim = cutoff**nu * 2**nu
-    eye = np.eye(dim)
+    cutoff = 12
+    a = np.kron(np.diag(np.sqrt(np.arange(1, cutoff)), k=1), np.eye(2))
+    b = np.kron(np.eye(cutoff), fock.jordan_wigner(1)[0])
+    ad, bd = a.T, b.T
+    eye = np.eye(2 * cutoff)
     mats = {
-        "K0": 0.5 * (sum(ad @ a for ad, a in zip(ad_ops, a_ops)) + 0.5 * nu * eye),
-        "K+": 0.5 * sum(ad @ ad for ad in ad_ops),
-        "K-": 0.5 * sum(a @ a for a in a_ops),
-        "Y": 0.5 * (sum(bd @ b for bd, b in zip(bd_ops, b_ops)) - 0.5 * nu * eye),
-        "V+": sum(ad @ bd for ad, bd in zip(ad_ops, bd_ops)) / math.sqrt(2.0),
-        "V-": sum(a @ bd for a, bd in zip(a_ops, bd_ops)) / math.sqrt(2.0),
-        "W+": sum(ad @ b for ad, b in zip(ad_ops, b_ops)) / math.sqrt(2.0),
-        "W-": sum(a @ b for a, b in zip(a_ops, b_ops)) / math.sqrt(2.0),
+        "K0": 0.5 * (ad @ a + 0.5 * eye),
+        "K+": 0.5 * (ad @ ad),
+        "K-": 0.5 * (a @ a),
+        "Y": 0.5 * (bd @ b - 0.5 * eye),
+        "V+": ad @ bd / math.sqrt(2.0),
+        "V-": a @ bd / math.sqrt(2.0),
+        "W+": ad @ b / math.sqrt(2.0),
+        "W-": a @ b / math.sqrt(2.0),
     }
-
-    numbers = np.zeros((dim, nu), dtype=int)
-    for i, aop in enumerate(a_ops):
-        numbers[:, i] = np.rint(np.diag(aop.T @ aop)).astype(int)
-    interior = np.all(numbers <= cutoff - 3, axis=1)
-    return OscillatorRealization(mats, interior, numbers, nu, cutoff)
+    numbers = np.rint(np.diag(ad @ a)).astype(int)
+    return OscillatorRealization(mats, numbers <= cutoff - 3, numbers)

@@ -70,7 +70,6 @@ __all__ = [
     "eval_angular",
     "eval_radial",
     "eval_wavefunction",
-    "norm_constant",
     "radial_levels",
     "susy_energy",
     "weights_of",
@@ -261,15 +260,6 @@ def eval_angular(params: ModelParams, n: int, phi):
     return out if out.ndim else float(out)
 
 
-def norm_constant(params: ModelParams, N: int, n: int) -> float:
-    """(-1)^N c_N N_ang, Psi_{N,n} of the oscillator radius r = rho over
-    ``eval_radial`` x ``eval_angular``: the phase makes the matrix elements
-    of the radial sp(2,R) ladder positive."""
-    if N < 0 or n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
-    return (-1.0) ** N * math.exp(_log_radial_norm(params, N, n) + _log_angular_norm(params, n, 0))
-
-
 def eval_wavefunction(params: ModelParams, N: int, n: int, r, phi):
     """Normalized eigenfunction Psi_{N,n}(r, phi) = (-1)^N sqrt(omega)
     R(sqrt(omega) r) A at interior points of the physical radius r."""
@@ -304,6 +294,8 @@ def _laguerre_rule(order: int, alpha: float):
     return rule
 
 
+# the angular rule depends on (a, b) and the order alone, so the sets of
+# a k scan at fixed (a, b), and sets that differ only in omega, share it
 @lru_cache(maxsize=64)
 def _jacobi_rule(order: int, alpha: float, beta: float):
     rule = gauss_rule("gauss-jacobi", order, alpha=alpha, beta=beta)

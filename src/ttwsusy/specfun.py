@@ -42,14 +42,11 @@ __all__ = [
 ]
 
 
-def log_gamma(x):
-    """ln Gamma(x) for finite x > 0 (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > 0.0) & (x < math.inf)):
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for a finite scalar x > 0."""
+    if not 0.0 < x < math.inf:
         raise ValueError("log_gamma requires finite x > 0")
-    if x.ndim == 0:
-        return math.lgamma(x)
-    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return math.lgamma(x)
 
 
 def _finite_z(z) -> np.ndarray:
@@ -139,19 +136,11 @@ def jacobi_deriv(n: int, alpha: float, beta: float, x):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of an m-point Gauss rule.
-
-    kind 'gauss-laguerre': weight z^alpha e^-z on (0, inf);
-    kind 'gauss-jacobi':   weight (1-x)^alpha (1+x)^beta on (-1, 1).
-    """
+    """Nodes and weights of an m-point Gauss rule (see ``gauss_rule``)."""
 
     nodes: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray | None
-    kind: str
-    alpha: float
-    beta: float
-    order: int
 
 
 def _laguerre_normalised(m: int, alpha: float, x: np.ndarray):
@@ -250,7 +239,9 @@ def _jacobi_rule(m: int, a: float, b: float):
 
 
 def gauss_rule(kind: str, order: int, alpha: float = 0.0, beta: float = 0.0) -> QuadratureRule:
-    """Build the m-point Gauss rule for the requested weight function.
+    """Build the m-point Gauss rule for the requested weight function:
+    kind 'gauss-laguerre' has weight z^alpha e^-z on (0, inf), kind
+    'gauss-jacobi' weight (1-x)^alpha (1+x)^beta on (-1, 1).
 
     The nodes are the eigenvalues of the Jacobi matrix of the weight's
     three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969), refined
@@ -273,4 +264,4 @@ def gauss_rule(kind: str, order: int, alpha: float = 0.0, beta: float = 0.0) -> 
         log_weights = None
     else:
         raise ValueError(f"unknown quadrature kind {kind!r}")
-    return QuadratureRule(nodes, weights, log_weights, kind, float(alpha), float(beta), order)
+    return QuadratureRule(nodes, weights, log_weights)

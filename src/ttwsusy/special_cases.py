@@ -137,11 +137,12 @@ class PolyGaussSpinor:
         return cart, bundle
 
 
-def random_polygauss(rng, degree: int = 3, components: int = 4) -> PolyGaussSpinor:
-    """A ``PolyGaussSpinor`` with coefficients uniform in [-1, 1), drawn by
+def random_polygauss(rng) -> PolyGaussSpinor:
+    """A four-component ``PolyGaussSpinor`` of degree 3 in x and in y, its
+    coefficients uniform in [-1, 1), drawn by
     ``rng.uniform(low, high, size)``: any generator with numpy's ``uniform``
     method, a numpy ``Generator`` or the suite's own seeded stream."""
-    return PolyGaussSpinor(rng.uniform(-1.0, 1.0, size=(components, degree + 1, degree + 1)))
+    return PolyGaussSpinor(rng.uniform(-1.0, 1.0, size=(4, 4, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -439,10 +439,9 @@ class TestBlockAlgebra:
         got = np.max(per_sector, axis=0)
         np.testing.assert_allclose(got, dense_relation_residuals(dense(blocks), interior), rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("nu,cutoff", [(1, 12), (2, 5)])
-    def test_oscillator_blockwise_equals_dense_oracle(self, nu, cutoff):
+    def test_oscillator_blockwise_equals_dense_oracle(self):
         # the whole realization is passed as one block
-        osc = oscillator_realization(nu=nu, cutoff=cutoff)
+        osc = oscillator_realization()
         got = [c.residual for c in check_structure_constants(osc.mats, osc.interior)]
         np.testing.assert_allclose(got, dense_relation_residuals(osc.mats, osc.interior), rtol=0, atol=1e-13)
 
@@ -607,33 +606,24 @@ class TestScalingConditions:
 
 class TestOscillatorRealization:
     def test_k0_spectrum(self):
-        osc = oscillator_realization(nu=1, cutoff=12)
+        osc = oscillator_realization()
         diag = np.diag(osc.mats["K0"])
-        expect = 0.5 * (osc.boson_numbers[:, 0] + 0.5)
+        expect = 0.5 * (osc.boson_numbers + 0.5)
         np.testing.assert_allclose(diag, expect, atol=1e-14)
+        # one boson mode below 12 quanta times one fermion mode; the interior two quanta below the cutoff
+        assert diag.shape == (24,) and np.array_equal(osc.interior, osc.boson_numbers <= 9)
 
     def test_all_relations(self):
-        osc = oscillator_realization(nu=1, cutoff=12)
+        osc = oscillator_realization()
         for c in check_structure_constants(osc.mats, osc.interior):
             assert c.residual < 1e-12, c.name
 
     def test_susy_algebra(self):
-        osc = oscillator_realization(nu=1, cutoff=12)
+        osc = oscillator_realization()
         m = osc.mats
         anti = m["W+"] @ m["V-"] + m["V-"] @ m["W+"]
         hs = m["K0"] + m["Y"]
         assert np.max(np.abs((anti - hs)[np.ix_(osc.interior, osc.interior)])) < 1e-12
-
-    def test_two_mode_realization(self):
-        osc = oscillator_realization(nu=2, cutoff=5)
-        for c in check_structure_constants(osc.mats, osc.interior):
-            assert c.residual < 1e-12, c.name
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            oscillator_realization(nu=0)
-        with pytest.raises(ValueError):
-            oscillator_realization(nu=1, cutoff=3)
 
 
 # ---------------------------------------------------------------------------

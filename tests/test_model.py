@@ -8,12 +8,13 @@ from ttwsusy.model import (
     OMEGA_RANGE,
     Grid,
     ModelParams,
+    _log_angular_norm,
+    _log_radial_norm,
     angular_parts,
     energy,
     eval_angular,
     eval_radial,
     eval_wavefunction,
-    norm_constant,
     radial_levels,
     susy_energy,
     weights_of,
@@ -199,12 +200,6 @@ class TestFactors:
 
 
 class TestNormalization:
-    def test_norm_constant_sign(self):
-        for n in range(3):
-            assert norm_constant(P_GEN, 0, n) > 0
-            assert norm_constant(P_GEN, 1, n) < 0
-            assert norm_constant(P_GEN, 2, n) > 0
-
     def test_unit_norm(self):
         grid = Grid.for_pair(P_GEN, 0, 0, 48, 48)
         f = eval_wavefunction(P_GEN, 0, 0, grid.r, grid.phi)
@@ -485,12 +480,13 @@ class TestNormalizedFactors:
             assert np.max(np.abs(A @ (grid.w_phi[0] * A).T - np.eye(11))) <= 1e-11, shift
 
     def test_norm_constant_is_the_factors_ratio(self):
-        # the unnormalized factors of z = rho^2 = omega r^2 times norm_constant
+        # the unnormalized factors of z = rho^2 = omega r^2 times (-1)^N c_N N_ang
         # are the normalized ones, and sqrt(omega) times those the physical
         # eigenfunction at r
         p = ModelParams(k=math.sqrt(2.0), a=1.2, b=0.8, omega=0.7)
         r, phi = np.array([0.4, 1.1, 2.3]), np.array([0.2, 0.5, 0.9])
         for N, n in ((0, 0), (3, 1), (7, 2)):
             bare = eval_radial(p, N, n, p.omega * r**2) * eval_angular(p, n, phi)
-            physical = math.sqrt(p.omega) * norm_constant(p, N, n) * bare
+            norm = (-1.0) ** N * math.exp(_log_radial_norm(p, N, n) + _log_angular_norm(p, n, 0))
+            physical = math.sqrt(p.omega) * norm * bare
             np.testing.assert_allclose(physical, eval_wavefunction(p, N, n, r, phi), rtol=1e-13)

@@ -59,31 +59,26 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(ValueError):
             log_gamma(-3.0)
-        with pytest.raises(ValueError, match="x > 0"):
-            log_gamma([2.0, 1.0, -0.5])
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, [2.0, math.nan]], ids=["nan", "inf", "nan-in-array"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_probes(self, x):
         with pytest.raises(ValueError, match="log_gamma requires finite x > 0"):
             log_gamma(x)
 
-    def test_scalar_and_array_contract(self):
+    def test_scalar_contract(self):
         assert isinstance(log_gamma(3.0), float)
         assert isinstance(log_gamma(np.float64(3.0)), float)
-        out = log_gamma([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
-        np.testing.assert_array_equal(out.ravel(), [log_gamma(x) for x in range(1, 7)])
 
     def test_against_50_digit_mpmath(self):
-        """Arrays and scalars, from tiny to huge arguments and at the zeros
-        x = 1, 2 of ln Gamma: within 4 eps of max(1, |ln Gamma|)."""
+        """From tiny to huge arguments and at the zeros x = 1, 2 of
+        ln Gamma: within 4 eps of max(1, |ln Gamma|)."""
         mp = pytest.importorskip("mpmath")
         xs = np.concatenate([np.logspace(-8, 6, 57), [0.9999, 1.0, 1.0001, 1.9999, 2.0, 2.0001, 171.3, 1e300]])
         with mp.workdps(50):
             ref = [mp.loggamma(mp.mpf(float(x))) for x in xs]
-            for got in (log_gamma(xs), [log_gamma(float(x)) for x in xs]):
-                err = max(abs(mp.mpf(float(g)) - r) / max(1, abs(r)) for g, r in zip(got, ref))
-                assert err <= 4 * EPS, float(err)
+            got = [log_gamma(float(x)) for x in xs]
+            err = max(abs(mp.mpf(g) - r) / max(1, abs(r)) for g, r in zip(got, ref))
+            assert err <= 4 * EPS, float(err)
 
 
 class TestLaguerre:
