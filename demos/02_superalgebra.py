@@ -40,8 +40,8 @@ sectors = np.array([s.n for s in basis])
 per_sector = [(block, interior[sectors == n]) for n, block in enumerate(blocks)]
 relations: dict[str, list[float]] = {}
 for block, inner in per_sector:
-    for c in check_structure_constants(block, inner):
-        relations.setdefault(c.name, []).append(c.residual)
+    for name, res in check_structure_constants(block, inner).items():
+        relations.setdefault(name, []).append(res)
 worst = max(relations, key=lambda name: np.max(relations[name]))
 print(f"\nall {len(relations)} superalgebra relations on the interior of {len(per_sector)} sectors:")
 print(f"  worst residual {np.max(relations[worst]):.3e} from {worst}")
@@ -61,5 +61,5 @@ for block, inner in per_sector:
 print(f"  residual {max(res):.3e}")
 
 osc = oscillator_realization()
-worst_osc = max(c.residual for c in check_structure_constants(osc.mats, osc.interior))
+worst_osc = max(check_structure_constants(osc.mats, osc.interior).values())
 print(f"\noscillator matrix realization (no wavefunctions): worst relation residual {worst_osc:.3e}")

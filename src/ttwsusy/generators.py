@@ -84,7 +84,6 @@ __all__ = [
     "GENERATOR_NAMES",
     "GENERATOR_PARITY",
     "OscillatorRealization",
-    "RelationCheck",
     "apply_operators",
     "check_structure_constants",
     "dilation_identity_residuals",
@@ -654,25 +653,19 @@ RELATIONS = [
 ]
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    residual: float
-
-
-def check_structure_constants(mats: dict[str, np.ndarray], interior: np.ndarray) -> list[RelationCheck]:
-    """Max-abs residual of every (anti)commutation relation within one
-    block of generator matrices (one angular sector, or the whole
-    oscillator realization), restricted to the block's interior rows
-    and columns.  The products are formed from the interior rows and
-    columns only; a NaN entry gives a NaN residual, and so does an
-    empty interior."""
+def check_structure_constants(mats: dict[str, np.ndarray], interior: np.ndarray) -> dict[str, float]:
+    """{relation: max-abs residual} of every (anti)commutation relation
+    within one block of generator matrices (one angular sector, or the
+    whole oscillator realization), restricted to the block's interior
+    rows and columns, in the order of ``RELATIONS``.  The products are
+    formed from the interior rows and columns only; a NaN entry gives a
+    NaN residual, and so does an empty interior."""
     inner, every = np.flatnonzero(interior), np.arange(len(interior))
     # interior rows, interior columns and interior square of every matrix;
     # np.ix_ keeps each copy C-ordered (m[:, inner] would be Fortran-ordered
     # and take another BLAS path, changing the last bits)
     cuts = {g: (m[np.ix_(inner, every)], m[np.ix_(every, inner)], m[np.ix_(inner, inner)]) for g, m in mats.items()}
-    out = []
+    out = {}
     for kind, a, b, rhs in RELATIONS:
         ab = cuts[a][0] @ cuts[b][1]
         ba = cuts[b][0] @ cuts[a][1]
@@ -681,7 +674,7 @@ def check_structure_constants(mats: dict[str, np.ndarray], interior: np.ndarray)
             lhs = lhs - coeff * cuts[gname][2]
         symbol = "[{},{}]".format(a, b) if kind == "comm" else "{{{},{}}}".format(a, b)
         rhs_text = " ".join(f"{c:+g} {g}" for g, c in rhs.items()) if rhs else "0"
-        out.append(RelationCheck(f"{symbol} = {rhs_text}", float(np.max(np.abs(lhs))) if inner.size else float("nan")))
+        out[f"{symbol} = {rhs_text}"] = float(np.max(np.abs(lhs))) if inner.size else float("nan")
     return out
 
 

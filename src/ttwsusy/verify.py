@@ -8,8 +8,9 @@ parameter-set order.  Reports are deterministic for a fixed config and
 seed (wall-clock fields aside) and can be rendered as JSON or a text
 table.  The seeded sample points (``scaling-conditions`` and
 special-cases) come from the package's own ``_rng.UniformStream``, which
-draws exactly what ``numpy.random.default_rng(seed).uniform`` draws; so
-the points are fixed by the seed alone, and no run loads
+draws exactly what ``numpy.random.default_rng(seed).uniform`` draws;
+each task that draws them starts a stream of the seed of its own, so the
+points are fixed by the seed and the set alone, and no run loads
 ``numpy.random``.
 
 One unit system holds throughout: the modules below work in oscillator
@@ -22,33 +23,34 @@ every omega.
 
 The parameter sets share nothing but the order of the report, and
 every generator preserves the angular sector n.  So every check is
-computed by a task (``_tasks``).  The model, algebra and irreps checks
-of each set, listed in report order with their claims and tolerance
-keys in ``_SET_CHECKS``, are per-set tasks: one per angular sector,
+computed by a task (``_tasks``) of one group: a parameter set, or the
+set-free group of specfun and the parameter-free
+``oscillator-realization``.  ``_CHECKS`` lists every suite's checks in
+report order, with their claims and tolerance keys.  A check task is a
+row of ``_CHECK_TASKS``: a function of a ``_Workspace`` that returns a
+residual or {check: residual}, and the groups that run it, every set,
+the sets with k in {1, 2, 3}, whose cartesian special cases it checks,
+or the set-free group.  Each set also has one task per angular sector,
 which builds that sector's eight generator blocks
 (``generators.sector_matrices``), reduces them to its part of each
-selected check that reads them, and drops them; and one per remaining
-check, where ``eigenvalue-residual`` and ``spectrum`` share one task
-and its state bundles, and ``riccati`` and ``riccati-control``
-another.  A per-set task reads a ``_Workspace``: the set's parameters
+selected check that reads them, and drops them.  A task reads a
+``_Workspace``: its group's parameters (None for the set-free group)
 and the config, from which it takes its grids, one per exponent and
 orders in each process, and builds its factor tables at the configured
 orders; the 1-D angular functions on a set's grids are evaluated once
-per set in a process (``model.AngularRow``).  The set-free checks are
-three more tasks (``_SET_FREE_TASKS``): specfun, the parameter-free
-oscillator-realization check, and special-cases, one task since its
-sets draw their points from one random generator in sequence.  With
-several tasks and usable CPUs they run in forked worker processes,
-dealt by set, the set-free tasks after the sets: each worker takes its
-own tasks one at a time from a queue of its own, then helps with the
-others' queues, and appends its outputs to a file of its own, while
-this process only deals, waits, reads the files, merges the records
-and renders them.  With one usable CPU, or without ``os.fork`` or
-``os.memfd_create``, they run here, one after the other.  Each set's
-records are then built from its task values and times, so the records
-are the same either way.  A check that raises in one set ends that
-set's part of its suite with a failed ``<suite>-suite`` record and
-keeps every other record (see ``run``).
+per set in a process (``model.AngularRow``).  With several tasks and
+usable CPUs they run in forked worker processes, dealt by group, the
+set-free group after the sets: each worker takes its own tasks one at a
+time from a queue of its own, then helps with the others' queues, and
+appends its outputs to a file of its own, while this process only
+deals, waits, reads the files, merges the records and renders them.
+With one usable CPU, or without ``os.fork`` or ``os.memfd_create``,
+they run here, one after the other.  Every task gives ({check: (value,
+ms)}, ms of its block build), and each group's records are built from
+its tasks' values and times, so the records are the same either way.  A
+task that raises, or that is lost with a dead worker, ends its group's
+part of each suite it computes a check of with a failed
+``<suite>-suite`` record and keeps every other record (see ``run``).
 
 Command line:
 
@@ -87,8 +89,6 @@ from .model import Grid, ModelParams
 from .states import FactorTable, SpinorField
 
 __all__ = ["SuiteConfig", "CheckRecord", "VerificationReport", "run", "main"]
-
-SUITES = ("specfun", "model", "algebra", "irreps", "special-cases")
 
 DEFAULT_PARAM_SETS = (
     {"k": 1.0, "a": 1.0, "b": 1.0, "omega": 1.0},
@@ -359,11 +359,11 @@ class _TaskError(Exception):
 
 
 class _Workspace:
-    """What one parameter set's tasks read: its ``params`` and the
-    ``config``; the tasks build its quadrature grids and factor tables at
-    the configured orders."""
+    """What one group's tasks read: its ``params`` (None for the set-free
+    group) and the ``config``; a set's tasks build its quadrature grids
+    and factor tables at the configured orders."""
 
-    def __init__(self, params: ModelParams, config: SuiteConfig):
+    def __init__(self, params: ModelParams | None, config: SuiteConfig):
         self.params = params
         self.config = config
 
@@ -380,7 +380,10 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# The set-free checks.  Each yields (name, claim, params_label, residual, tol_key).
+# The check tasks.  A check task is a function of a workspace that returns
+# its check's residual or, when it computes several checks, {check:
+# residual}; a sector part returns one sector's share of a residual, and
+# the sectors' shares combine into it.
 
 
 def _series_laguerre(N, alpha, z):
@@ -436,25 +439,27 @@ def _series_jacobi(n, alpha, beta, x):
     return np.array(out)
 
 
-def _checks_specfun():
-    zgrid = np.linspace(0.05, 30.0, 41)
-    xgrid = np.linspace(-0.999, 0.999, 41)
-    res = []
-    for N in range(13):
-        for alpha in (-0.4, 0.0, 0.7, 2.5, 10.0):
-            ref = _series_laguerre(N, alpha, zgrid)
-            val = specfun.laguerre(N, alpha, zgrid)
-            res.append(np.max(np.abs(val - ref) / np.maximum(np.abs(ref), 1.0)))
-    yield ("laguerre-recurrence", "three-term recurrence equals the explicit series sum", None, _worst(res), "specfun.recurrence")
-
+def _recurrence(poly, series, grid, args) -> float:
+    """Worst deviation of ``poly(n, *a, grid)`` from the exact series
+    ``series(n, *a, grid)`` for degrees n = 0..12 and each ``a`` of
+    ``args``, relative where the series exceeds 1."""
     res = []
     for n in range(13):
-        for alpha, beta in ((-0.4, 0.3), (0.5, 0.5), (1.5, 0.5), (10.0, 2.0)):
-            ref = _series_jacobi(n, alpha, beta, xgrid)
-            val = specfun.jacobi(n, alpha, beta, xgrid)
-            res.append(np.max(np.abs(val - ref) / np.maximum(np.abs(ref), 1.0)))
-    yield ("jacobi-recurrence", "three-term recurrence equals the explicit series sum", None, _worst(res), "specfun.recurrence")
+        for a in args:
+            ref = series(n, *a, grid)
+            res.append(np.max(np.abs(poly(n, *a, grid) - ref) / np.maximum(np.abs(ref), 1.0)))
+    return _worst(res)
 
+
+def _laguerre_recurrence(ws: _Workspace) -> float:
+    return _recurrence(specfun.laguerre, _series_laguerre, np.linspace(0.05, 30.0, 41), [(alpha,) for alpha in (-0.4, 0.0, 0.7, 2.5, 10.0)])
+
+
+def _jacobi_recurrence(ws: _Workspace) -> float:
+    return _recurrence(specfun.jacobi, _series_jacobi, np.linspace(-0.999, 0.999, 41), ((-0.4, 0.3), (0.5, 0.5), (1.5, 0.5), (10.0, 2.0)))
+
+
+def _derivative_identities(ws: _Workspace) -> float:
     h = 1e-6
     res = []
     for N in (1, 2, 5, 9):
@@ -467,14 +472,10 @@ def _checks_specfun():
             x = np.linspace(-0.9, 0.9, 9)
             fd = (specfun.jacobi(n, *ab, x + h) - specfun.jacobi(n, *ab, x - h)) / (2 * h)
             res.append(np.max(np.abs(specfun.jacobi_deriv(n, *ab, x) - fd)))
-    yield (
-        "derivative-identities",
-        "dL_N/dz = -L_{N-1}^(alpha+1); dP_n/dx = (n+alpha+beta+1)/2 P_{n-1}^(alpha+1,beta+1)",
-        None,
-        _worst(res),
-        "specfun.derivative",
-    )
+    return _worst(res)
 
+
+def _gauss_moments(ws: _Workspace) -> float:
     res = []
     for alpha in (0.0, 2.5, 14.2):
         rule = specfun.gauss_rule("gauss-laguerre", 12, alpha=alpha)
@@ -494,40 +495,28 @@ def _checks_specfun():
                     - specfun.log_gamma(alpha + beta + i + j + 2.0)
                 )
                 res.append(abs(approx / exact - 1.0))
-    yield (
-        "gauss-moments",
-        "m-point rules integrate degree <= 2m-1 monomials against their weight (moments via log-gamma)",
-        None,
-        _worst(res),
-        "specfun.quadrature",
-    )
+    return _worst(res)
 
 
-def _checks_oscillator():
-    """The algebra suite's parameter-free check, reported after its
-    per-set checks."""
+def _oscillator(ws: _Workspace) -> float:
+    """The parameter-free matrix realization: every relation, and K0 on
+    the diagonal."""
     osc = gen.oscillator_realization()
     # the structure relations include {V-, W+} = K0 + Y, i.e. {Q, Qdag} = Hs
-    res = [c.residual for c in gen.check_structure_constants(osc.mats, osc.interior)]
+    res = list(gen.check_structure_constants(osc.mats, osc.interior).values())
     res.append(np.max(np.abs(np.diag(osc.mats["K0"])[osc.interior] - 0.5 * (osc.boson_numbers[osc.interior] + 0.5))))
-    yield (
-        "oscillator-realization",
-        "boson-fermion matrix realization satisfies every superalgebra relation; K0 = (adag a + 1/2)/2; {Q,Qdag} = Hs",
-        None,
-        _worst(res),
-        "algebra.oscillator",
-    )
+    return _worst(res)
 
 
-# ---------------------------------------------------------------------------
-# The per-set checks and their tasks.  A check task returns its residual
-# (or, when it computes several checks, {check: residual}); a sector part
-# returns one sector's share of a residual, and the sectors' shares
-# combine into it.
-
-# suite -> its per-set checks in report order, as (check, claim, tolerance key).  A check whose
-# claim is None is a group: one record per entry of its {relation: residual}, named check[relation]
-_SET_CHECKS = {
+# suite -> its checks in report order, as (check, claim, tolerance key).  A check whose claim is
+# None is a group: one record per entry of its {relation: residual}, named check[relation]
+_CHECKS = {
+    "specfun": (
+        ("laguerre-recurrence", "three-term recurrence equals the explicit series sum", "specfun.recurrence"),
+        ("jacobi-recurrence", "three-term recurrence equals the explicit series sum", "specfun.recurrence"),
+        ("derivative-identities", "dL_N/dz = -L_{N-1}^(alpha+1); dP_n/dx = (n+alpha+beta+1)/2 P_{n-1}^(alpha+1,beta+1)", "specfun.derivative"),
+        ("gauss-moments", "m-point rules integrate degree <= 2m-1 monomials against their weight (moments via log-gamma)", "specfun.quadrature"),
+    ),
     "model": (
         ("orthonormality", "Gram matrix of the normalized eigenfunctions is the identity", "model.orthonormality"),
         ("eigenvalue-residual", "H_k Psi_{N,n} = 2 omega [2N + (2n+a+b)k + 1] Psi_{N,n}", "model.eigenvalue"),
@@ -548,6 +537,11 @@ _SET_CHECKS = {
         ("susy-ground", "Q and Qdag annihilate the ground state (unbroken supersymmetry)", "algebra.susy-ground"),
         ("susy-anticommutator", "{Q, Qdag} = Hs with Q = 2 sqrt(omega) W+, Qdag = 2 sqrt(omega) V-", "algebra.susy-anticommutator"),
         ("scaling-conditions", "D and Gamma are homogeneous of degree -2 in r (integrated form of [r d_r, O] = -2 O)", "algebra.conditions"),
+        (
+            "oscillator-realization",
+            "boson-fermion matrix realization satisfies every superalgebra relation; K0 = (adag a + 1/2)/2; {Q,Qdag} = Hs",
+            "algebra.oscillator",
+        ),
     ),
     "irreps": (
         ("ladder-matrix-elements", "K+ rungs equal sqrt((N+1)(2 tau + N)) with positive sign in every tower", "irreps.ladder"),
@@ -561,9 +555,20 @@ _SET_CHECKS = {
         ("casimir", "C2 and C3 are scalar n(n+a+b)k^2 and -(a+b)n(n+a+b)k^3/2 per sector (zero at n = 0); C2 commutes with all generators", "irreps.casimir"),
         ("block-diagonality", "generators do not couple different angular sectors (projected cross-sector matrix elements vanish)", "irreps.block-diagonal"),
     ),
+    "special-cases": (
+        ("sw-pointwise", "cartesian Hs and Q at k = 1 equal the polar construction", "special.pointwise"),
+        ("sw-superpotential", "-a ln|x| - b ln|y| equals the polar superpotential at k = 1", "special.pointwise"),
+        ("bc2-pointwise", "cartesian Hs and Q at k = 2 equal the polar construction on 0 < y < x", "special.pointwise"),
+        ("bc2-superpotential", "pair/axis superpotential equals the polar one plus the constant b ln 2", "special.pointwise"),
+        ("cmw-mode-transform", "the orthogonal three-mode transform preserves the anticommutation relations", "special.pointwise"),
+        ("cmw-trig-resummation", "the six angular centers resum to the k = 3 sec^2/csc^2 structure", "special.pointwise"),
+        ("cmw-split", "Hs and Q of the three-particle model split into relative + centre-of-mass parts", "special.pointwise"),
+        ("cmw-rel-vs-polar", "the relative part reproduces the polar k = 3 construction; Q_rel = 2 sqrt(omega) W+", "special.pointwise"),
+        ("cmw-cm-ground", "the centre-of-mass superoscillator annihilates its Gaussian ground state", "special.pointwise"),
+    ),
 }
-PER_SET_SUITES = tuple(_SET_CHECKS)
-_SUITE_OF = {check: suite for suite, checks in _SET_CHECKS.items() for check, _, _ in checks}
+SUITES = tuple(_CHECKS)
+_SUITE_OF = {check: suite for suite, checks in _CHECKS.items() for check, _, _ in checks}
 
 
 def _selected(config: SuiteConfig, checks) -> list[str]:
@@ -709,30 +714,14 @@ def _block_diagonality(ws: _Workspace) -> float:
     return _worst(res)
 
 
-# task -> (function of the workspace, the checks it computes)
-_CHECK_TASKS = {
-    "orthonormality": (_orthonormality, ("orthonormality",)),
-    "eigen-images": (_eigen_images, ("eigenvalue-residual", "spectrum")),
-    "spectrum-identities": (_spectrum_identities, ("spectrum-identities",)),
-    "riccati": (_riccati, ("riccati", "riccati-control")),
-    "hs-routes": (_hs_routes, ("hs-routes",)),
-    "susy-ground": (_susy_ground, ("susy-ground",)),
-    "scaling-conditions": (_scaling_conditions, ("scaling-conditions",)),
-    "odd-action-fields": (_odd_action_fields, ("odd-action-fields",)),
-    "one-fermion-overlap": (_one_fermion_overlap, ("one-fermion-overlap",)),
-    "block-diagonality": (_block_diagonality, ("block-diagonality",)),
-}
-
-
 def _structure_part(ws: _Workspace, n: int, block: dict, states: list) -> dict[str, float]:
     """{relation: residual} on sector n's interior."""
-    inner = gen.interior_mask(states, ws.config.truncation[0])
-    return {c.name: c.residual for c in gen.check_structure_constants(block, inner)}
+    return gen.check_structure_constants(block, gen.interior_mask(states, ws.config.truncation[0]))
 
 
-def _ladder_part(ws: _Workspace, n: int, block: dict, states: list) -> tuple[float, bool]:
-    """(worst relative deviation of sector n's K+ rungs from their closed
-    form, whether every rung is positive)."""
+def _ladder_part(ws: _Workspace, n: int, block: dict, states: list) -> float:
+    """Worst relative deviation of sector n's K+ rungs from their closed
+    form, or inf if a rung is not positive."""
     p, N_max = ws.params, ws.config.truncation[0]
     index = {(s.family, s.level): i for i, s in enumerate(states)}
     res = []
@@ -745,7 +734,7 @@ def _ladder_part(ws: _Workspace, n: int, block: dict, states: list) -> tuple[flo
         measured = block["K+"][index[s.family, s.level + 1], index[s.family, s.level]]
         sign_ok = sign_ok and measured > 0
         res.append(abs(measured - expect) / expect)
-    return _worst(res), bool(sign_ok)
+    return _worst(res) if sign_ok else float("inf")
 
 
 def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> float:
@@ -762,42 +751,31 @@ def _casimir_part(ws: _Workspace, n: int, block: dict, states: list) -> float:
     return _worst(res)
 
 
-# check -> (its part from one sector's block and states, how the sectors' parts combine)
+# check -> its part from one sector's block and states
 _SECTOR_CHECKS = {
-    "structure": (_structure_part, _worst_per_name),
-    "hermiticity": (lambda ws, n, block, states: gen.hermiticity_residuals(block), _worst_per_name),
-    "ladder-matrix-elements": (
-        _ladder_part,
-        lambda parts: _worst([res for res, _ in parts]) if all(ok for _, ok in parts) else float("inf"),
-    ),
-    "casimir": (_casimir_part, _worst),
+    "structure": _structure_part,
+    "hermiticity": lambda ws, n, block, states: gen.hermiticity_residuals(block),
+    "ladder-matrix-elements": _ladder_part,
+    "casimir": _casimir_part,
 }
 
 
-# k -> (check-name prefix, cartesian Hs and Q, cartesian superpotential), and the claims of its two checks
-_CARTESIAN = {1.0: ("sw", special_cases.sw_super, special_cases.sw_superpotential), 2.0: ("bc2", special_cases.bc2_super, special_cases.bc2_superpotential)}
-_CLAIMS = {
-    1.0: ("cartesian Hs and Q at k = 1 equal the polar construction", "-a ln|x| - b ln|y| equals the polar superpotential at k = 1"),
-    2.0: ("cartesian Hs and Q at k = 2 equal the polar construction on 0 < y < x", "pair/axis superpotential equals the polar one plus the constant b ln 2"),
-}
-
-
-def _checks_special(config: SuiteConfig):
-    rng = UniformStream(config.seed)
-    n_pts = 200
-    for p in config.models():
-        label = _params_label(p)
-        if p.k in _CARTESIAN:
-            (prefix, super_fn, superpotential), claims = _CARTESIAN[p.k], _CLAIMS[p.k]
-            yield (f"{prefix}-pointwise", claims[0], label, _cartesian_agreement(p, super_fn, rng, n_pts), "special.pointwise")
-            r = rng.uniform(0.5, 2.0, 50)
-            phi = rng.uniform(0.1, 0.9, 50) * p.phi_max
-            x, y = r * np.cos(phi), r * np.sin(phi)
-            # the pair/axis superpotential exceeds the polar one by b ln 2
-            diff = superpotential(p, x, y) - gen.superpotential(p, r, phi) - (p.b * math.log(2.0) if p.k == 2.0 else 0.0)
-            yield (f"{prefix}-superpotential", claims[1], label, float(np.max(np.abs(diff))), "special.pointwise")
-        elif p.k == 3.0:
-            yield from _checks_cmw(p, label, rng, n_pts)
+def _special_cases(ws: _Workspace) -> dict[str, float]:
+    """{check: residual} of the cartesian model of the set's k (1, 2 or
+    3), at points drawn from a stream of the config's seed of its own, so
+    that they depend on the set and the seed alone.  The model functions
+    are read from ``special_cases`` when the task runs."""
+    p, rng = ws.params, UniformStream(ws.config.seed)
+    if p.k == 3.0:
+        return _cmw(p, rng, 200)
+    prefix, super_fn, superpotential = ("sw", special_cases.sw_super, special_cases.sw_superpotential) if p.k == 1.0 else ("bc2", special_cases.bc2_super, special_cases.bc2_superpotential)
+    pointwise = _cartesian_agreement(p, super_fn, rng, 200)
+    r = rng.uniform(0.5, 2.0, 50)
+    phi = rng.uniform(0.1, 0.9, 50) * p.phi_max
+    x, y = r * np.cos(phi), r * np.sin(phi)
+    # the pair/axis superpotential exceeds the polar one by b ln 2
+    diff = superpotential(p, x, y) - gen.superpotential(p, r, phi) - (p.b * math.log(2.0) if p.k == 2.0 else 0.0)
+    return {f"{prefix}-pointwise": pointwise, f"{prefix}-superpotential": float(np.max(np.abs(diff)))}
 
 
 def _cartesian_agreement(p: ModelParams, cart_fn, rng, n_pts: int) -> float:
@@ -848,7 +826,8 @@ def _cmw_rel_vs_polar(table: FactorTable, bundle, cm_vac: np.ndarray, X) -> list
     return [_deviation(q_r, q_ref, q_ref), _deviation(h_r, h_ref, h_ref)]
 
 
-def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
+def _cmw(p: ModelParams, rng, n_pts: int) -> dict[str, float]:
+    """{check: residual} of the three-particle model at k = 3."""
     r = rng.uniform(0.5, 2.0, n_pts)
     phi = rng.uniform(0.08, 0.92, n_pts) * p.phi_max
     X = rng.uniform(-1.5, 1.5, n_pts)
@@ -861,18 +840,17 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
             anti = cops[i] @ cops[j].T + cops[j].T @ cops[i]
             res.append(np.max(np.abs(anti - (eye if i == j else 0.0))))
             res.append(np.max(np.abs(cops[i] @ cops[j] + cops[j] @ cops[i])))
-    yield ("cmw-mode-transform", "the orthogonal three-mode transform preserves the anticommutation relations", label, _worst(res), "special.pointwise")
+    out = {"cmw-mode-transform": _worst(res)}
 
     phi_t = rng.uniform(0.0, 2 * math.pi, 64)
     lhs_c = sum(1.0 / np.cos(phi_t - 2 * math.pi * j / 3) ** 2 for j in range(3))
     lhs_s = sum(1.0 / np.sin(phi_t - 2 * math.pi * j / 3) ** 2 for j in range(3))
-    res = _worst(
+    out["cmw-trig-resummation"] = _worst(
         [
             np.max(np.abs(lhs_c - 9.0 / np.cos(3 * phi_t) ** 2) / (9.0 / np.cos(3 * phi_t) ** 2)),
             np.max(np.abs(lhs_s - 9.0 / np.sin(3 * phi_t) ** 2) / (9.0 / np.sin(3 * phi_t) ** 2)),
         ]
     )
-    yield ("cmw-trig-resummation", "the six angular centers resum to the k = 3 sec^2/csc^2 structure", label, res, "special.pointwise")
 
     table = FactorTable(p, r, phi)
     # the table's one call: two split states, two relative-vs-polar states, then the ground state
@@ -889,19 +867,53 @@ def _checks_cmw(p: ModelParams, label: str, rng, n_pts: int):
     res = []
     for rel in (next(bundles), next(bundles), gauss.sample(r, phi)[1]):
         res += _cmw_split(p, rel, rng.uniform(-1.0, 1.0, size=(2, 3)), r, phi, X)
-    yield ("cmw-split", "Hs and Q of the three-particle model split into relative + centre-of-mass parts", label, _worst(res), "special.pointwise")
+    out["cmw-split"] = _worst(res)
 
     cm_vac = np.zeros((2, 2))
     cm_vac[0, 0] = 1.0
     res = []
     for bundle in (next(bundles), next(bundles)):
         res += _cmw_rel_vs_polar(table, bundle, cm_vac, X)
-    yield ("cmw-rel-vs-polar", "the relative part reproduces the polar k = 3 construction; Q_rel = 2 sqrt(omega) W+", label, _worst(res), "special.pointwise")
+    out["cmw-rel-vs-polar"] = _worst(res)
 
     data = special_cases.make_cmw_test_state(next(bundles), cm_vac, p, r, phi, X)
     h_c, q_c = special_cases.cm_super(p, data)
-    res = _worst([np.max(np.abs(h_c)), np.max(np.abs(q_c))])
-    yield ("cmw-cm-ground", "the centre-of-mass superoscillator annihilates its Gaussian ground state", label, res, "special.pointwise")
+    out["cmw-cm-ground"] = _worst([np.max(np.abs(h_c)), np.max(np.abs(q_c))])
+    return out
+
+
+def _every_set(p: ModelParams | None) -> bool:
+    return p is not None
+
+
+def _cartesian_sets(p: ModelParams | None) -> bool:
+    return p is not None and p.k in (1.0, 2.0, 3.0)
+
+
+def _set_free(p: ModelParams | None) -> bool:
+    return p is None
+
+
+# task -> (function of the workspace, the checks it computes, which groups run it: a predicate of
+# the group's parameters, None for the set-free group); each group runs its tasks in this order
+_CHECK_TASKS = {
+    "laguerre-recurrence": (_laguerre_recurrence, ("laguerre-recurrence",), _set_free),
+    "jacobi-recurrence": (_jacobi_recurrence, ("jacobi-recurrence",), _set_free),
+    "derivative-identities": (_derivative_identities, ("derivative-identities",), _set_free),
+    "gauss-moments": (_gauss_moments, ("gauss-moments",), _set_free),
+    "oscillator-realization": (_oscillator, ("oscillator-realization",), _set_free),
+    "orthonormality": (_orthonormality, ("orthonormality",), _every_set),
+    "eigen-images": (_eigen_images, ("eigenvalue-residual", "spectrum"), _every_set),
+    "spectrum-identities": (_spectrum_identities, ("spectrum-identities",), _every_set),
+    "riccati": (_riccati, ("riccati", "riccati-control"), _every_set),
+    "hs-routes": (_hs_routes, ("hs-routes",), _every_set),
+    "susy-ground": (_susy_ground, ("susy-ground",), _every_set),
+    "scaling-conditions": (_scaling_conditions, ("scaling-conditions",), _every_set),
+    "odd-action-fields": (_odd_action_fields, ("odd-action-fields",), _every_set),
+    "one-fermion-overlap": (_one_fermion_overlap, ("one-fermion-overlap",), _every_set),
+    "block-diagonality": (_block_diagonality, ("block-diagonality",), _every_set),
+    "special-cases": (_special_cases, tuple(check for check, _, _ in _CHECKS["special-cases"]), _cartesian_sets),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -933,21 +945,6 @@ def _record(suite: str, name: str, claim: str, params: str | None, residual, tol
     return CheckRecord(name, suite, claim, params, float(residual), tol, bool(residual <= tol), wall_ms)
 
 
-def _collect(suite: str, produce, config: SuiteConfig) -> list[CheckRecord]:
-    """The records of one suite's checks from ``produce(config)``, each
-    timed from the previous one (the first from this call) to the moment
-    it is yielded.  A suite that raises keeps the checks it already
-    yielded and ends with a failed ``<suite>-suite`` record."""
-    records, times = [], [time.perf_counter()]
-    try:
-        for name, claim, plabel, residual, tol_key in produce(config):
-            times.append(time.perf_counter())
-            records.append(_record(suite, name, claim, plabel, residual, config.tol(tol_key), (times[-1] - times[-2]) * 1e3))
-    except Exception as exc:
-        records.append(_suite_failure(suite, _error_line(exc), (time.perf_counter() - times[-1]) * 1e3))
-    return records
-
-
 def _timed(fn, *args) -> tuple:
     """(``fn(*args)``, or the ``_TaskError`` of what it raised; the ms it took)."""
     t0 = time.perf_counter()
@@ -958,72 +955,72 @@ def _timed(fn, *args) -> tuple:
     return value, (time.perf_counter() - t0) * 1e3
 
 
-# set-free task -> (its suite, the generator of its checks from the config), largest first, so
-# that the deal puts the two largest in two pipes
-_SET_FREE_TASKS = {
-    "specfun": ("specfun", lambda config: _checks_specfun()),
-    "special-cases": ("special-cases", lambda config: _checks_special(config)),
-    "oscillator-realization": ("algebra", lambda config: _checks_oscillator()),
-}
+def _group_params(config: SuiteConfig, index: int) -> ModelParams | None:
+    """The parameters of group ``index``: a set's, or None for the
+    set-free group, which takes the index one past the last set."""
+    return ModelParams(**config.param_sets[index]) if index < len(config.param_sets) else None
+
+
+def _task_checks(config: SuiteConfig, key) -> list[str]:
+    """The checks of the selected suites that task ``key`` (a check
+    task's name or a sector n) computes."""
+    return _selected(config, _CHECK_TASKS[key][1] if isinstance(key, str) else _SECTOR_CHECKS)
 
 
 def _tasks(config: SuiteConfig) -> list[tuple]:
-    """The tasks of a run, as (index, key): for each set, as (set index,
-    check task name or sector n), its check tasks of the selected
-    suites, then one task per angular sector if a selected suite reads
-    the generator blocks; then the set-free tasks of the selected
-    suites, as (index, set-free task name), numbered on after the sets,
-    so that the deal by index (``_run_tasks``) places them as further
-    sets."""
-    checks = [task for task, (_, computed) in _CHECK_TASKS.items() if _selected(config, computed)]
-    sectors = range(config.truncation[1] + 1) if _selected(config, _SECTOR_CHECKS) else range(0)
-    sets = len(config.param_sets)
-    set_free = [key for key, (suite, _) in _SET_FREE_TASKS.items() if suite in config.selected()]
-    return [(index, key) for index in range(sets) for key in (*checks, *sectors)] + list(enumerate(set_free, start=sets))
+    """The tasks of a run, as (group index, key): for each parameter set,
+    then for the set-free group (``_group_params``), the rows of
+    ``_CHECK_TASKS`` that the group runs and that compute a check of the
+    selected suites, keyed by their names; then, for each set, one task
+    per angular sector n, keyed by n, if a selected suite reads the
+    generator blocks."""
+    out = []
+    for index in range(len(config.param_sets) + 1):
+        p = _group_params(config, index)
+        out += [(index, key) for key, (_, checks, runs) in _CHECK_TASKS.items() if runs(p) and _selected(config, checks)]
+        if p is not None and _selected(config, _SECTOR_CHECKS):
+            out += [(index, n) for n in range(config.truncation[1] + 1)]
+    return out
 
 
 def _run_task(config: SuiteConfig, task: tuple) -> tuple:
-    """One task, in this process.  A per-set task gives ({check:
-    (residual or sector part, ms charged to the check)}, ms of the
-    generator-block build); a check whose computation raises gets its
-    ``_TaskError`` in place of a value.  A set-free task gives ({its
-    suite: its records}, 0.0), in the form of a set's ``_set_records``,
-    each record timed by ``_collect``.
+    """One task, in this process: ({check: (residual or sector part, ms
+    charged to the check)}, ms of the generator-block build).  A check
+    whose computation raises gets its ``_TaskError`` in place of a value.
 
-    A sector task builds sector n's eight blocks, reduces them to the
-    parts of the selected checks that read them, each timed on its own,
-    and drops them.  A check task that computes several checks charges
-    each an equal share of its time."""
+    A check task runs its function on the workspace of its group (set
+    parameters None for the set-free group); one that computes several
+    checks charges each an equal share of its time.  A sector task builds
+    sector n's eight blocks, reduces them to the parts of the selected
+    checks that read them, each timed on its own, and drops them."""
     index, key = task
-    if key in _SET_FREE_TASKS:
-        suite, produce = _SET_FREE_TASKS[key]
-        return {suite: _collect(suite, produce, config)}, 0.0
-    ws = _Workspace(ModelParams(**config.param_sets[index]), config)
+    ws = _Workspace(_group_params(config, index), config)
+    checks = _task_checks(config, key)
     if isinstance(key, str):
-        fn, computed = _CHECK_TASKS[key]
-        checks = _selected(config, computed)
-        value, ms = _timed(fn, ws)
+        value, ms = _timed(_CHECK_TASKS[key][0], ws)
         values = value if isinstance(value, dict) else dict.fromkeys(checks, value)
-        return {c: (values[c], ms / len(checks)) for c in checks}, 0.0
-    checks = _selected(config, _SECTOR_CHECKS)
+        return {c: (v, ms / len(values)) for c, v in values.items()}, 0.0
     built, build_ms = _timed(gen.sector_matrices, ws.params, key, config.truncation[0], *config.quad_orders)
     if isinstance(built, _TaskError):
         return dict.fromkeys(checks, (built, 0.0)), build_ms
-    return {c: _timed(_SECTOR_CHECKS[c][0], ws, key, *built) for c in checks}, build_ms
+    return {c: _timed(_SECTOR_CHECKS[c], ws, key, *built) for c in checks}, build_ms
 
 
-def _set_records(config: SuiteConfig, index: int, outputs: list) -> tuple[dict, float]:
-    """The selected model, algebra and irreps records of parameter set
-    ``index`` from the outputs of its tasks, in task order: {suite:
-    records}, and the set's generator-block build time in ms.
+def _group_records(config: SuiteConfig, index: int, outputs: list) -> tuple[dict, float]:
+    """The records of group ``index`` (a parameter set, or the set-free
+    group one past the last) from the outputs of its tasks, in task
+    order: {suite: records}, and the group's generator-block build time
+    in ms.
 
-    Each check's sector parts are combined, and its record carries the
-    task time charged to it; the records of a group share it equally, and
-    ``susy-anticommutator``, read off ``structure``, carries none.  A
+    A check's value is the worst of its parts, taken per relation for a
+    group, and its record carries the task time charged to it; the
+    records of a group share it equally, and ``susy-anticommutator``,
+    read off ``structure``, carries none.  The records follow
+    ``_CHECKS``, with each check that a task of the group computed; a
     check whose computation raised ends its suite with a failed
     ``<suite>-suite`` record."""
-    p = ModelParams(**config.param_sets[index])
-    label = _params_label(p)
+    p = _group_params(config, index)
+    label = None if p is None else _params_label(p)
     parts: dict[str, list] = {}
     charged: dict[str, float] = {}
     build_ms = 0.0
@@ -1035,22 +1032,20 @@ def _set_records(config: SuiteConfig, index: int, outputs: list) -> tuple[dict, 
     values = {}
     for check, check_parts in parts.items():
         failed = [part for part in check_parts if isinstance(part, _TaskError)]
-        combine = _SECTOR_CHECKS[check][1] if check in _SECTOR_CHECKS else lambda parts: parts[0]
-        values[check] = failed[0] if failed else combine(check_parts)
+        values[check] = failed[0] if failed else (_worst_per_name if isinstance(check_parts[0], dict) else _worst)(check_parts)
+    if isinstance(values.get("structure"), dict):
+        # {Q, Qdag} = Hs is, in units of omega, 4 times the structure relation {V-, W+} = K0 + Y
+        values["susy-anticommutator"] = 4.0 * values["structure"]["{V-,W+} = +1 K0 +1 Y"]
     results = {}
-    for suite in [s for s in config.selected() if s in _SET_CHECKS]:
+    for suite in config.selected():
         records = results[suite] = []
-        for check, claim, tol_key in _SET_CHECKS[suite]:
-            wall_ms = charged.get(check, 0.0)
-            try:
-                # {Q, Qdag} = Hs is, in units of omega, 4 times the structure relation {V-, W+} = K0 + Y
-                value = 4.0 * values["structure"]["{V-,W+} = +1 K0 +1 Y"] if check == "susy-anticommutator" else values[check]
-                if isinstance(value, _TaskError):
-                    raise value
-            except Exception as exc:
-                records.append(_suite_failure(suite, _error_line(exc), wall_ms))
+        for check, claim, tol_key in _CHECKS[suite]:
+            if check not in values:
+                continue
+            value, wall_ms, tol = values[check], charged.get(check, 0.0), config.tol(tol_key)
+            if isinstance(value, _TaskError):
+                records.append(_suite_failure(suite, value.args[0], wall_ms))
                 break
-            tol = config.tol(tol_key)
             if claim is None:
                 share = wall_ms / max(len(value), 1)
                 records += [_record(suite, f"{check}[{name}]", name, label, res, tol, share) for name, res in value.items()]
@@ -1143,8 +1138,9 @@ def _read_outputs(stream) -> tuple[dict, int | None]:
 
 
 def _run_tasks(config: SuiteConfig, tasks: list) -> list:
-    """The ``_run_task`` output of every task, or a ``_TaskError`` for a
-    task whose worker died.
+    """The ``_run_task`` output of every task; a task lost with a worker
+    that died gives each of its checks the worker's ``_TaskError``, as a
+    raise does.
 
     With more than one task and usable CPU, W = min(tasks, usable CPUs)
     workers are forked with ``os.fork``, so each starts from this
@@ -1152,9 +1148,9 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> list:
     monkeypatches included, without a fresh import.  (Python 3.12 and
     later warn when a process that runs threads, such as OpenBLAS's
     pool, forks.)  The tasks are dealt by their index (``_tasks``): the
-    indices of the tasks of sets w, w + W, ... wait in pipe w, and the
-    set-free tasks, numbered on after the sets, wait behind the sets of
-    their pipe.  Worker w takes the next index from its own pipe
+    indices of the tasks of groups w, w + W, ... wait in pipe w, so the
+    set-free group's tasks, indexed one past the last set, wait behind the
+    sets of their pipe.  Worker w takes the next index from its own pipe
     whenever it is free, and once that is empty, from the other pipes in
     turn (w + 1, w + 2, ...); so each worker builds the Gauss rules,
     grids and angular row of its own sets once (``model.Grid``), and
@@ -1212,72 +1208,56 @@ def _run_tasks(config: SuiteConfig, tasks: list) -> list:
             i = int.from_bytes(chunk, "little")
             outputs[i] = _run_task(config, tasks[i])
         os.close(queue)
-    # a worker that died between taking a task and appending its index left no output and named no task
-    return [failed if output is None else output for output in outputs]
+    # a worker that died between taking a task and appending its index left no output and named no task;
+    # each check of a lost task gets the error of its worker
+    outputs = [failed if output is None else output for output in outputs]
+    return [(dict.fromkeys(_task_checks(config, key), (out, 0.0)), 0.0) if isinstance(out, _TaskError) else out for (_, key), out in zip(tasks, outputs)]
 
 
 def run(config: SuiteConfig) -> VerificationReport:
     """Execute the selected suites; failures are recorded, never raised.
 
-    Every check is computed by a task (``_tasks``).  The model, algebra
-    and irreps checks of each parameter set, listed in ``_SET_CHECKS``,
-    are per-set tasks: one per angular sector, which builds that
-    sector's generator blocks, reduces them to its part of each check
-    that reads them and drops them, and one per remaining check, except
-    ``susy-anticommutator``, which is read off ``structure``.  Three
-    set-free tasks (``_SET_FREE_TASKS``) compute specfun, the algebra
-    suite's parameter-free ``oscillator-realization`` and special-cases.
-    The tasks run in forked workers when there are several and several
-    usable CPUs (see ``_run_tasks``), else in this process; either way
-    this process builds each set's records from its task values
-    (``_set_records``), so they are the same wherever its tasks ran.  The
-    records are merged by one rule: suite by suite, each set's records in
-    parameter-set order, then the suite's set-free records, so the
-    oscillator check comes after the algebra suite's per-set checks.
+    Every check is computed by a task (``_tasks``) of one group: a
+    parameter set, or the set-free group of specfun and
+    ``oscillator-realization``.  A check task is a row of
+    ``_CHECK_TASKS``; each set also has one task per angular sector,
+    which builds that sector's generator blocks, reduces them to its part
+    of each check that reads them and drops them.  The tasks run in
+    forked workers when there are several and several usable CPUs (see
+    ``_run_tasks``), else in this process; either way this process builds
+    each group's records from its task values (``_group_records``), so
+    they are the same wherever its tasks ran, and a group's records
+    depend on that group and the config's seed alone.  The records are
+    merged by one rule: suite by suite, in the order of ``_CHECKS``, each
+    group's records in parameter-set order, the set-free group last, so
+    the oscillator check comes after the algebra suite's per-set checks.
 
-    A per-set check's ``wall_ms`` is the task time charged to it.  A
-    check task that computes several checks (``eigenvalue-residual`` and
-    ``spectrum`` share their state bundles; ``riccati`` and
-    ``riccati-control`` share one task) charges each an equal share.  A
-    sector task's block build is charged to no check: the builds are
-    summed per parameter set in ``matrices_ms``; each reduction of a
-    sector's blocks is charged to its check, summed over the sectors.
-    The records of a group, such as ``structure[...]``, share their
-    check's time equally, and ``susy-anticommutator`` carries none.  A
-    set-free task's checks are each timed from the previous one (the
-    first from the task's start) to the moment its suite yields it.
+    A check's ``wall_ms`` is the task time charged to it.  A check task
+    that computes several checks (``eigenvalue-residual`` and
+    ``spectrum`` share their state bundles, ``riccati`` and
+    ``riccati-control`` one task, and each set's special cases another)
+    charges each an equal share.  A sector task's block build is charged
+    to no check: the builds are summed per parameter set in
+    ``matrices_ms``; each reduction of a sector's blocks is charged to
+    its check, summed over the sectors.  The records of a group, such as
+    ``structure[...]``, share their check's time equally, and
+    ``susy-anticommutator`` carries none.
 
-    A check whose computation raises in one set ends that set's part of
-    its suite with one failed ``<suite>-suite`` record, after the
-    suite's earlier checks; the other sets and the set-free checks of
-    the suite are kept, since they do not depend on it.  A set-free
-    suite that raises keeps the checks it already yielded in the same
-    way.  A set that lost a task with a dead worker fails each of its
-    suites with one such record, which names the worker, and so does a
-    lost set-free task its suite's set-free part.  A run in which
-    nothing raises is not touched by this rule: its report lists every
-    check in the order above.
+    One failure rule holds: a task that raises, or that is lost with a
+    dead worker, gives each of its checks a ``_TaskError``, which ends
+    that group's part of the check's suite with one failed
+    ``<suite>-suite`` record, after the suite's earlier checks; every
+    other record is kept.  A run in which nothing raises is not touched
+    by this rule: its report lists every check in the order above.
     """
     tasks = _tasks(config)
     with _one_blas_thread():
         outputs = _run_tasks(config, tasks)
-    # (records by suite, ms of block builds) of each set, then of each set-free task
     groups = []
-    for index in range(len(config.param_sets)):
+    for index in range(len(config.param_sets) + 1):
         outs = [out for (i, _), out in zip(tasks, outputs) if i == index]
-        lost = next((out for out in outs if isinstance(out, _TaskError)), None)
-        if lost is None:
-            groups.append(_set_records(config, index, outs))
-        else:
-            groups.append(({s: [_suite_failure(s, lost.args[0], 0.0)] for s in config.selected() if s in PER_SET_SUITES}, 0.0))
-    for (_, key), out in zip(tasks, outputs):
-        if key in _SET_FREE_TASKS:
-            suite = _SET_FREE_TASKS[key][0]
-            groups.append(({suite: [_suite_failure(suite, out.args[0], 0.0)]}, 0.0) if isinstance(out, _TaskError) else out)
-    records: list[CheckRecord] = []
-    for suite in config.selected():
-        for results, _ in groups:
-            records += results.get(suite, [])
+        groups.append(_group_records(config, index, outs))
+    records = [record for suite in config.selected() for results, _ in groups for record in results[suite]]
     matrices_ms = {_params_label(p): build_ms for p, (_, build_ms) in zip(config.models(), groups) if build_ms}
     return VerificationReport(config, records, matrices_ms)
 

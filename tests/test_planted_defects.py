@@ -1,7 +1,7 @@
 """Every check can fail: a planted defect flips the checks that read it.
 
 Each row of ``DEFECTS`` scales the value of one ``src`` function by
-(1 + 1e-6) at the binding that ``verify`` reads, runs one small
+(1 + 1e-6) at the binding that the checks read when they run, runs one small
 verification in this process and asserts that the row's checks fail.
 The clean run of the same configuration passes every check, so each
 flip is the defect's doing.
@@ -10,7 +10,7 @@ flip is the defect's doing.
 import numpy as np
 import pytest
 
-from ttwsusy import verify
+from ttwsusy import fock, verify
 from ttwsusy.verify import SuiteConfig, run
 
 # three sets, k = 1, 2, 3, at truncation (4, 3) and 40 x 40 orders, every suite
@@ -20,14 +20,24 @@ CONFIG = {
     "quad_orders": [40, 40],
 }
 
-# (the namespace verify reads the function from, the function's name, the
-# checks the defect must flip); a module's own calls of its functions read
-# the same namespace, so model.susy_energy reads a planted model.energy
+# (the namespace the checks read the function from, the function's name,
+# the checks the defect must flip); a module's own calls of its functions
+# read the same namespace, so model.susy_energy reads a planted model.energy
+# and generators.oscillator_realization a planted fock.jordan_wigner
 DEFECTS = [
     (verify.model, "susy_energy", ("spectrum-identities",)),
     (verify.model, "energy", ("eigenvalue-residual", "spectrum-identities")),
     (verify.irreps, "overlap", ("one-fermion-overlap",)),
     (verify.irreps, "mixing_coeffs", ("casimir", "ladder-matrix-elements")),
+    (verify.specfun, "laguerre", ("laguerre-recurrence",)),
+    (verify.specfun, "jacobi", ("jacobi-recurrence",)),
+    # the one-mode fermion matrix of the oscillator realization
+    (fock, "jordan_wigner", ("oscillator-realization",)),
+    (verify.gen, "superpotential", ("sw-superpotential", "bc2-superpotential")),
+    # a tuple of arrays of one shape (Hs and Q) is scaled as one array
+    (verify.special_cases, "sw_super", ("sw-pointwise",)),
+    (verify.special_cases, "bc2_super", ("bc2-pointwise",)),
+    (verify.special_cases, "cm_super", ("cmw-split",)),
 ]
 
 

@@ -249,13 +249,13 @@ class TestRun:
 
     def test_checks_are_timed_as_yielded(self, monkeypatch):
         # a check carries the time of the task that computes it, and no other check does
-        eigen_images, computed = verify._CHECK_TASKS["eigen-images"]
+        eigen_images, computed, runs = verify._CHECK_TASKS["eigen-images"]
 
         def slow(ws):
             time.sleep(0.2)
             return eigen_images(ws)
 
-        monkeypatch.setitem(verify._CHECK_TASKS, "eigen-images", (slow, computed))
+        monkeypatch.setitem(verify._CHECK_TASKS, "eigen-images", (slow, computed, runs))
         checks = run(SuiteConfig(**FAST, suites=("model",))).checks
         assert [c.name for c in checks] == ["orthonormality", "eigenvalue-residual", "spectrum-identities"]
         for c in checks:
@@ -322,7 +322,8 @@ class TestRun:
         def crashing(ws):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(verify._CHECK_TASKS, "eigen-images", (crashing, verify._CHECK_TASKS["eigen-images"][1]))
+        _, computed, runs = verify._CHECK_TASKS["eigen-images"]
+        monkeypatch.setitem(verify._CHECK_TASKS, "eigen-images", (crashing, computed, runs))
         report = run(SuiteConfig(**FAST, suites=("model",)))
         # the suite keeps the check before the one that raised, and ends there
         assert [c.name for c in report.checks] == ["orthonormality", "model-suite"]
@@ -438,6 +439,37 @@ def run_with_a_killed_worker(tmp_path, config: dict, victim: tuple, suites=("spe
         return json.loads(checks), int(parent), int(fh.read())
 
 
+def record_dicts(checks) -> list[tuple]:
+    """(name, suite, params, residual, passed, error) of each check dict."""
+    return [(c["name"], c["suite"], c["params"], c["residual"], c["passed"], c.get("error")) for c in checks]
+
+
+def after_loss(serial: list[dict], params, checks, error: str) -> list[tuple]:
+    """``record_dicts`` of the one-process check dicts ``serial`` as a run
+    gives them when the task of group ``params`` (a set's label, None for
+    the set-free group) that computes ``checks`` is lost with ``error``:
+    each suite of that group that one of the checks belongs to ends at the
+    first of them with a failed ``<suite>-suite`` record, and every other
+    record stays as it is."""
+    out, ended = [], set()
+    for c in serial:
+        mine = c["params"] == params
+        if mine and c["suite"] in ended:
+            continue
+        if mine and c["name"].split("[")[0] in checks:
+            ended.add(c["suite"])
+            out.append((f"{c['suite']}-suite", c["suite"], None, math.inf, False, error))
+        else:
+            out += record_dicts([c])
+    return out
+
+
+def serial_dicts(monkeypatch, config: dict, suites) -> list[dict]:
+    """The check dicts of a one-process run of ``suites``."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    return [c.to_dict() for c in run(SuiteConfig(**config, suites=tuple(suites))).checks]
+
+
 class TestParallelRun:
     """The per-set tasks give the same records in forked workers as in
     this process; the workers are forced by patching the usable-CPU
@@ -504,60 +536,56 @@ class TestParallelRun:
         (failed,) = [c for c in serial.checks if not c.passed]
         assert failed.name == "algebra-suite" and failed.error == "RuntimeError: planted failure"
 
-    def test_dead_worker_fails_its_suites(self, tmp_path):
-        """A worker killed mid-task fails each suite of that task's set with
-        a ``<suite>-suite`` record that names it; the other worker takes
-        the tasks that remain, so the second set keeps its records."""
-        checks, parent, victim = run_with_a_killed_worker(tmp_path, TWO_SETS, (0, 1))
+    def test_dead_worker_fails_its_suites(self, monkeypatch, tmp_path):
+        """A worker killed mid-task gives each check of that task a failure
+        that names the worker, as a raise does: the first set's algebra and
+        irreps suites, which its sector 1 task reads, end at their first
+        sector check; the other worker takes the tasks that remain, so every
+        other record is the one-process run's."""
+        suites = ("specfun", "model", "algebra", "irreps")
+        checks, parent, victim = run_with_a_killed_worker(tmp_path, TWO_SETS, (0, 1), suites)
         assert victim != parent
-        second = "k=2, a=1.5, b=2.5, omega=1"
-        # the first set lost a task: each per-set suite opens with its failure, then the second set's records
-        for suite in ("model", "algebra", "irreps"):
-            names, params = zip(*((c["name"], c["params"]) for c in checks if c["suite"] == suite))
-            assert names[0] == f"{suite}-suite"
-            tail = params[1:-1] if suite == "algebra" else params[1:]
-            assert tail and set(tail) == {second}, suite
+        serial = serial_dicts(monkeypatch, TWO_SETS, suites)
+        assert all(c["passed"] for c in serial)
+        error = f"worker process {victim} failed: killed by signal 9"
+        assert record_dicts(checks) == after_loss(serial, "k=1, a=1, b=1, omega=1", verify._SECTOR_CHECKS, error)
         assert [c["name"] for c in checks if c["suite"] == "algebra"][-1] == "oscillator-realization"
-        for c in checks:
-            assert c["passed"] == (not c["name"].endswith("-suite")), c["name"]
-            if not c["passed"]:
-                assert c["error"] == f"worker process {victim} failed: killed by signal 9"
+        assert [c["name"] for c in checks if not c["passed"]] == ["algebra-suite", "irreps-suite"]
 
-    def test_one_set_dead_worker_fails_its_suites(self, tmp_path):
-        # the only set loses a sector task: its three suites are one failure each, specfun and the oscillator check stay
-        checks, parent, victim = run_with_a_killed_worker(tmp_path, ONE_SET, (0, 2))
+    def test_one_set_dead_worker_fails_its_suites(self, monkeypatch, tmp_path):
+        # the only set loses a sector task: its algebra and irreps suites end at their first sector check; its model
+        # records, specfun and the oscillator check stay
+        suites = ("specfun", "model", "algebra", "irreps")
+        checks, parent, victim = run_with_a_killed_worker(tmp_path, ONE_SET, (0, 2), suites)
         assert victim != parent
-        per_set = [(c["suite"], c["name"]) for c in checks if c["suite"] in verify.PER_SET_SUITES]
-        assert per_set == [("model", "model-suite"), ("algebra", "algebra-suite"), ("algebra", "oscillator-realization"), ("irreps", "irreps-suite")]
-        for c in checks:
-            assert c["passed"] == (not c["name"].endswith("-suite")), c["name"]
-            if not c["passed"]:
-                assert c["error"] == f"worker process {victim} failed: killed by signal 9"
+        serial = serial_dicts(monkeypatch, ONE_SET, suites)
+        error = f"worker process {victim} failed: killed by signal 9"
+        assert record_dicts(checks) == after_loss(serial, "k=1.41421, a=1.2, b=0.8, omega=1", verify._SECTOR_CHECKS, error)
+        algebra = [c["name"] for c in checks if c["suite"] == "algebra"]
+        assert algebra == ["riccati", "riccati-control", "algebra-suite", "oscillator-realization"]
+        assert [c["name"] for c in checks if c["suite"] == "irreps"] == ["irreps-suite"]
 
     def test_dead_worker_fails_the_special_cases(self, monkeypatch, tmp_path):
-        """The worker that takes the set-free special-cases task dies: that
-        suite is one ``special-cases-suite`` record that names the worker,
-        and every other record is the one-process run's."""
+        """The worker that takes the second set's special-cases task dies:
+        that set's part of the suite is one ``special-cases-suite`` record
+        that names the worker, and every other record, the first set's
+        special cases included, is the one-process run's."""
         config = SuiteConfig(**TWO_SETS)
-        (victim,) = [task for task in verify._tasks(config) if task[1] == "special-cases"]
+        victim = (1, "special-cases")
+        assert victim in verify._tasks(config)
         checks, parent, victim_pid = run_with_a_killed_worker(tmp_path, TWO_SETS, victim, verify.SUITES)
         assert victim_pid != parent
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-        serial = [c.to_dict() for c in run(config).checks]
+        serial = serial_dicts(monkeypatch, TWO_SETS, verify.SUITES)
         assert [c for c in serial if c["suite"] == "special-cases"] and all(c["passed"] for c in serial)
-
-        def kept(dicts):
-            return [(c["name"], c["suite"], c["params"], c["residual"], c["passed"]) for c in dicts if c["suite"] != "special-cases"]
-
-        assert kept(checks) == kept(serial)
-        (failed,) = [c for c in checks if c["suite"] == "special-cases"]
-        assert failed["name"] == "special-cases-suite" and not failed["passed"]
-        assert failed["error"] == f"worker process {victim_pid} failed: killed by signal 9"
+        error = f"worker process {victim_pid} failed: killed by signal 9"
+        special = verify._CHECK_TASKS["special-cases"][1]
+        assert record_dicts(checks) == after_loss(serial, "k=2, a=1.5, b=2.5, omega=1", special, error)
+        assert [c["name"] for c in checks if c["suite"] == "special-cases"] == ["sw-pointwise", "sw-superpotential", "special-cases-suite"]
 
     def test_the_parent_only_coordinates(self, monkeypatch, tmp_path, cold_caches):
-        """A pooled run's parent calls none of the set-free producers and
+        """A pooled run's parent calls none of the check task functions and
         builds no Gauss rule, grid or factor table: the workers do all of
-        it.  A one-process run calls all three producers, so the pooled
+        it.  A one-process run calls every task function, so the pooled
         run cannot pass by calling none of them anywhere."""
         log = tmp_path / "calls"
 
@@ -578,9 +606,9 @@ class TestParallelRun:
             log.unlink()
             return out
 
-        producers = {"_checks_specfun", "_checks_oscillator", "_checks_special"}
-        for name in producers:
-            monkeypatch.setattr(verify, name, logged(name, getattr(verify, name)))
+        producers = set(verify._CHECK_TASKS)
+        for name, (fn, computed, runs) in verify._CHECK_TASKS.items():
+            monkeypatch.setitem(verify._CHECK_TASKS, name, (logged(name, fn), computed, runs))
         monkeypatch.setattr(verify.specfun, "gauss_rule", logged("rule", verify.specfun.gauss_rule))
         monkeypatch.setattr(verify.model, "gauss_rule", logged("rule", verify.model.gauss_rule))
         monkeypatch.setattr(verify.Grid, "__init__", logged("grid", verify.Grid.__init__))
@@ -709,7 +737,8 @@ class TestParallelRun:
             assert verify._read_outputs(io.BytesIO(whole[:cut])) == ({3: outputs[3]}, lost), cut
 
     def test_a_task_that_no_worker_file_names_fails_its_set(self, monkeypatch):
-        # a worker that dies before its file names the task it took still fails that task's set, naming the worker
+        # a worker that dies before its file names the task it took still fails that task's checks, naming the worker
+        serial = serial_dicts(monkeypatch, ONE_SET, verify.SUITES)
         parent, run_task, read = os.getpid(), verify._run_task, verify._read_outputs
 
         def dying(config, task):
@@ -720,11 +749,11 @@ class TestParallelRun:
         monkeypatch.setattr(verify, "_run_task", dying)
         monkeypatch.setattr(verify, "_read_outputs", lambda stream: (read(stream)[0], None))
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        checks = run(SuiteConfig(**ONE_SET)).checks
-        per_set = [(c.suite, c.name) for c in checks if c.suite in verify.PER_SET_SUITES]
-        assert per_set == [("model", "model-suite"), ("algebra", "algebra-suite"), ("algebra", "oscillator-realization"), ("irreps", "irreps-suite")]
-        errors = {c.error for c in checks if not c.passed}
-        assert len(errors) == 1 and re.fullmatch(r"worker process \d+ failed: killed by signal 9", errors.pop())
+        checks = [c.to_dict() for c in run(SuiteConfig(**ONE_SET)).checks]
+        errors = {c["error"] for c in checks if not c["passed"]}
+        assert len(errors) == 1 and re.fullmatch(r"worker process \d+ failed: killed by signal 9", error := errors.pop())
+        assert record_dicts(checks) == after_loss(serial, "k=1.41421, a=1.2, b=0.8, omega=1", verify._SECTOR_CHECKS, error)
+        assert [c["name"] for c in checks if not c["passed"]] == ["algebra-suite", "irreps-suite"]
 
     def test_tasks_run_here_when_no_worker_starts(self, monkeypatch):
         # a fork that fails leaves the queued tasks to this process, with the same records
@@ -775,12 +804,32 @@ class TestParallelRun:
         monkeypatch.setattr(verify.Grid, "__init__", recording)
         # in one process, so that this process sees every grid
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-        config = SuiteConfig(**FAST, suites=verify.PER_SET_SUITES)
+        per_set_suites = ("model", "algebra", "irreps", "special-cases")
+        config = SuiteConfig(**FAST, suites=per_set_suites)
         assert config.quad_orders == (40, 40)
         report = run(config)
-        assert {c.suite for c in report.checks} == set(verify.PER_SET_SUITES)
+        assert {c.suite for c in report.checks} == set(per_set_suites)
         assert report.n_failed == 0, report.to_text()
         assert orders and set(orders) == {(40, 40)}
+
+
+class TestSetIndependence:
+    """A set's records depend on that set and the seed alone, so a set
+    gives the same records alone as among other sets."""
+
+    def test_a_sets_records_depend_on_that_set_and_the_seed_alone(self, monkeypatch):
+        # the default k = 2 and k = 3 sets, whose special cases draw sample points, each run alone at the default
+        # seed, pooled and in one process, against the default four-set run
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        default = record_bits(run(SuiteConfig()))
+        for ps in verify.DEFAULT_PARAM_SETS[1:3]:
+            label = verify._params_label(model.ModelParams(**ps))
+            expected = [bits for bits in default if bits[2] == label]
+            assert any(bits[0].startswith(("bc2-", "cmw-")) for bits in expected), label
+            for cpus in (2, 1):
+                monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+                alone = record_bits(run(SuiteConfig(param_sets=(ps,))))
+                assert [bits for bits in alone if bits[2] == label] == expected, (label, cpus)
 
 
 DEFAULT_SMALL = dict(truncation=(4, 3), quad_orders=(40, 40))
@@ -1049,16 +1098,17 @@ class TestRadialPasses:
 
 
 class TestCheckTable:
-    """``_SET_CHECKS`` lists each computed per-set check once, and every
-    check it lists is computed by a task or read off another
-    (``tests/test_acceptance.py`` pins the order)."""
+    """``_CHECKS`` lists every check of the five suites once, and every
+    check but ``susy-anticommutator``, which is read off ``structure``, is
+    computed by exactly one task (``tests/test_acceptance.py`` pins the
+    order)."""
 
     def test_every_computed_check_is_listed_once(self):
-        listed = [check for checks in verify._SET_CHECKS.values() for check, _, _ in checks]
-        computed = [check for _, checks in verify._CHECK_TASKS.values() for check in checks] + list(verify._SECTOR_CHECKS)
-        assert len(computed) == len(set(computed))
-        assert all(listed.count(check) == 1 for check in computed)
-        assert set(listed) - set(computed) == {"susy-anticommutator"}
+        assert tuple(verify._CHECKS) == verify.SUITES == ("specfun", "model", "algebra", "irreps", "special-cases")
+        listed = [check for checks in verify._CHECKS.values() for check, _, _ in checks]
+        computed = [check for _, checks, _ in verify._CHECK_TASKS.values() for check in checks] + list(verify._SECTOR_CHECKS)
+        assert len(listed) == len(set(listed))
+        assert sorted(computed) == sorted(set(listed) - {"susy-anticommutator"})
 
 
 class TestFieldResiduals:
