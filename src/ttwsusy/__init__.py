@@ -48,7 +48,7 @@ from .model import (
     susy_energy,
     weights_of,
 )
-from .specfun import QuadratureRule, gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, log_gamma
+from .specfun import QuadratureRule, gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv
 from .states import CatalogState, CatalogTerm, FactorTable, state_bundle, state_field
 from .verify import SuiteConfig, VerificationReport, run
 

@@ -1,4 +1,4 @@
-"""Orthogonal polynomials, log-gamma and Gauss quadrature rules.
+"""Orthogonal polynomials and Gauss quadrature rules.
 
 Everything downstream — wavefunction normalisation, inner products,
 matrix elements of the superalgebra generators — reduces to evaluating
@@ -12,14 +12,13 @@ derivative identities
     d/dz L_N^(alpha)(z)      = -L_{N-1}^(alpha+1)(z)
     d/dx P_n^(alpha,beta)(x) = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1)(x)
 
-``log_gamma`` (on ``math.lgamma``), and Gauss-Laguerre / Gauss-Jacobi
-rules with their accuracy contract (an m-point rule integrates
-polynomials of degree <= 2m-1 against its weight exactly, to
-roundoff).  The rules are built here, in numpy: Golub-Welsch nodes
-from the eigenvalues of the Jacobi matrix (taken as singular values of
-the matrix shifted to be positive semidefinite, see ``_nodes``), one
-Newton step, and weights from the derivative of the orthogonal
-polynomial at the refined nodes.  Nothing here, and so nothing in the
+and Gauss-Laguerre / Gauss-Jacobi rules with their accuracy contract
+(an m-point rule integrates polynomials of degree <= 2m-1 against its
+weight exactly, to roundoff).  The rules are built here, in numpy:
+Golub-Welsch nodes from the eigenvalues of the Jacobi matrix (taken as
+singular values of the matrix shifted to be positive semidefinite, see
+``_nodes``), one Newton step, and weights from the derivative of the
+orthogonal polynomial at the refined nodes.  Nothing here, and so nothing in the
 package, imports scipy.
 """
 
@@ -38,15 +37,7 @@ __all__ = [
     "laguerre",
     "laguerre_deriv",
     "laguerre_levels",
-    "log_gamma",
 ]
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for a finite scalar x > 0."""
-    if not 0.0 < x < math.inf:
-        raise ValueError("log_gamma requires finite x > 0")
-    return math.lgamma(x)
 
 
 def _finite_z(z) -> np.ndarray:

@@ -11,6 +11,20 @@ its supersymmetrized Hamiltonian splits into a relative part, equal to
 the polar k = 3 construction in (u, v) = (r cos phi, r sin phi), plus a
 one-dimensional centre-of-mass superoscillator.
 
+All three are the Freedman-Mende construction (Nucl. Phys. B 344 (1990)
+317) on a root system (Olshanetsky and Perelomov, Phys. Rep. 94 (1983)
+313): A1 x A1 at k = 1, BC2 at k = 2, and the pair roots e_i - e_j with
+the three-body roots e_i + e_j - 2 e_m at k = 3.  So ``sw_super``,
+``bc2_super`` and ``cmw_super`` are one evaluator of Hs and Q on their
+models' root tables (``_RootTable``: roots, couplings, fermion modes,
+and the k and domain checks), and ``sw_superpotential`` and
+``bc2_superpotential`` one evaluator of W = -sum g ln|alpha.x| on
+theirs.  The relative part ``cmw_rel_super`` (the six-center polar form)
+and the centre-of-mass part ``cm_super`` stay written out: they are the
+other side of the split and relative-vs-polar checks, and through the
+same evaluator a fault in it would cancel out of the split.  They share
+the three-particle domain check.
+
 As in ``model`` and ``generators``, every coordinate here is in
 oscillator units, the physical one times sqrt(omega), and no operator
 takes omega: each Hs below is Hs / omega and each Q is Q / sqrt(omega),
@@ -56,7 +70,6 @@ __all__ = [
 ]
 
 _BX, _BY = fock.annihilators()
-_BDX, _BDY = _BX.T, _BY.T
 
 
 def _comm(a, b):
@@ -146,11 +159,72 @@ def random_polygauss(rng) -> PolyGaussSpinor:
 
 
 # ---------------------------------------------------------------------------
+# The Freedman-Mende construction on a root table
+
+
+class _RootTable:
+    """A Freedman-Mende model: its positive roots alpha (rows), the name of
+    each root's coupling g_alpha ("a" or "b", one letter per root), the
+    annihilators b_i of its coordinates' fermion modes, and its k and domain
+    checks: ``params.k`` must be ``k`` (None: any), and at every point the
+    projections alpha.x must be finite and satisfy ``inside``.  The fermion
+    number N_f, each |alpha|^2 and each bilinear [alpha.bdag, alpha.b] are
+    formed once, here."""
+
+    def __init__(self, roots, couplings: str, modes, outside: str, inside=lambda proj: proj > 0, k=None, name=""):
+        self.roots, self.coupling_names, self.modes = np.array(roots, dtype=float), couplings, modes
+        self.outside, self.inside, self.k, self.name = outside, inside, k, name
+        self.number, self.norms = sum(m.T @ m for m in modes), np.sum(self.roots**2, axis=1)
+        root_modes = (sum(c * b for c, b in zip(alpha, modes)) for alpha in self.roots)
+        self.bilinears = np.stack([_comm(m.T, m) for m in root_modes])
+
+    def couplings(self, params: ModelParams) -> np.ndarray:
+        return np.array([getattr(params, name) for name in self.coupling_names])
+
+    def points(self, params: ModelParams, coords):
+        """The coordinates stacked, shape (d, ...), and their root
+        projections alpha.x, after the k and domain checks."""
+        if self.k is not None and params.k != self.k:
+            raise ValueError(f"{self.name} requires k = {self.k}")
+        xs = np.stack(np.broadcast_arrays(*coords))
+        if np.isfinite(xs).all():
+            proj = np.einsum("rd,d...->r...", self.roots, xs)
+            if self.inside(proj).all():
+                return xs, proj
+        raise ValueError(self.outside)
+
+
+def _fm_super(model: _RootTable, params: ModelParams, val, grads, lap, coords):
+    """Hs / omega and Q / sqrt(omega) of a root table's model on a spinor
+    with values ``val`` (modes, npts), first derivatives ``grads`` along the
+    d coordinates and Laplacian ``lap``, at the points ``coords`` (d, npts):
+
+    Hs / omega = -lap + |x|^2 + sum g^2 |alpha|^2 / (alpha.x)^2 - 2 sum g - d + 2 N_f
+                 + sum (g / (alpha.x)^2) [alpha.bdag, alpha.b]
+    Q / sqrt(omega) = sum_i b_i (-d_i + x_i - sum g alpha_i / (alpha.x))
+    """
+    xs, proj = model.points(params, coords)
+    g, inv = model.couplings(params), 1.0 / proj
+    pot = np.sum(xs**2, axis=0) + (g * g * model.norms) @ inv**2 - (2.0 * g.sum() + len(xs))
+    ferm = 2.0 * (model.number @ val) + np.einsum("rp,rsp->sp", g[:, None] * inv**2, model.bilinears @ val)
+    coeff = xs - (g[:, None] * model.roots).T @ inv
+    return -lap + pot * val + ferm, sum(b @ (-d + c * val) for b, d, c in zip(model.modes, grads, coeff))
+
+
+def _fm_superpotential(model: _RootTable, params: ModelParams, coords):
+    """W = -sum g ln|alpha.x| at the points ``coords``."""
+    return -np.tensordot(model.couplings(params), np.log(np.abs(model.points(params, coords)[1])), axes=1)
+
+
+# ---------------------------------------------------------------------------
 # k = 1: separable oscillator with inverse-square barriers
+
+_SW = _RootTable([(1, 0), (0, 1)], "ab", [_BX, _BY], "axis points are outside the domain", k=1, name="sw_super")
 
 
 def sw_superpotential(params: ModelParams, x, y):
-    return -params.a * np.log(np.abs(x)) - params.b * np.log(np.abs(y))
+    """W = -a ln|x| - b ln|y| at points with x, y > 0."""
+    return _fm_superpotential(_SW, params, (x, y))
 
 
 def sw_super(params: ModelParams, cart: CartData, x: np.ndarray, y: np.ndarray):
@@ -160,59 +234,24 @@ def sw_super(params: ModelParams, cart: CartData, x: np.ndarray, y: np.ndarray):
                  + (a/x^2)[bdag_x, b_x] + (b/y^2)[bdag_y, b_y] - 2 (a+b+1)
     Q / sqrt(omega) = (-d_x + x - a/x) b_x + (-d_y + y - b/y) b_y
     """
-    if params.k != 1.0:
-        raise ValueError("sw_super requires k = 1")
-    if not np.all((x > 0) & (x < math.inf) & (y > 0) & (y < math.inf)):
-        raise ValueError("axis points are outside the domain")
-    a, b = params.a, params.b
-    scal = -cart.lap + ((x**2 + y**2) + a * a / x**2 + b * b / y**2 - 2.0 * (a + b + 1.0)) * cart.val
-    ferm = (
-        2.0 * ((_BDX @ _BX + _BDY @ _BY) @ cart.val)
-        + (a / x**2) * (_comm(_BDX, _BX) @ cart.val)
-        + (b / y**2) * (_comm(_BDY, _BY) @ cart.val)
-    )
-    h = scal + ferm
-    q = _BX @ (-cart.d_x + (x - a / x) * cart.val) + _BY @ (-cart.d_y + (y - b / y) * cart.val)
-    return h, q
+    return _fm_super(_SW, params, cart.val, (cart.d_x, cart.d_y), cart.lap, (x, y))
 
 
 # ---------------------------------------------------------------------------
 # k = 2: rational BC2 model on the sector 0 < y < x
 
+_BC2 = _RootTable([(1, -1), (1, 1), (1, 0), (0, 1)], "aabb", [_BX, _BY], "points must satisfy 0 < y < x", k=2, name="bc2_super")
+
 
 def bc2_superpotential(params: ModelParams, x, y):
-    return -params.a * (np.log(np.abs(x - y)) + np.log(np.abs(x + y))) - params.b * (
-        np.log(np.abs(x)) + np.log(np.abs(y))
-    )
+    """W = -a (ln|x - y| + ln|x + y|) - b (ln|x| + ln|y|) at points with 0 < y < x."""
+    return _fm_superpotential(_BC2, params, (x, y))
 
 
 def bc2_super(params: ModelParams, cart: CartData, x: np.ndarray, y: np.ndarray):
     """Cartesian Hs / omega and Q / sqrt(omega) at k = 2: -lap + r^2 plus the
     pair/axis terms, and (-d_x + x + dW/dx) b_x + (-d_y + y + dW/dy) b_y."""
-    if params.k != 2.0:
-        raise ValueError("bc2_super requires k = 2")
-    if not np.all((y > 0) & (y < x) & (x < math.inf)):
-        raise ValueError("points must satisfy 0 < y < x")
-    a, b = params.a, params.b
-    xm, xp = x - y, x + y
-    scal = -cart.lap + (
-        (x**2 + y**2)
-        + 2.0 * a * a * (1.0 / xm**2 + 1.0 / xp**2)
-        + b * b * (1.0 / x**2 + 1.0 / y**2)
-        - 2.0 * (2.0 * a + 2.0 * b + 1.0)
-    ) * cart.val
-    cmm = _comm(_BDX - _BDY, _BX - _BY)
-    cpp = _comm(_BDX + _BDY, _BX + _BY)
-    ferm = (
-        2.0 * ((_BDX @ _BX + _BDY @ _BY) @ cart.val)
-        + a * ((1.0 / xm**2) * (cmm @ cart.val) + (1.0 / xp**2) * (cpp @ cart.val))
-        + b * ((1.0 / x**2) * (_comm(_BDX, _BX) @ cart.val) + (1.0 / y**2) * (_comm(_BDY, _BY) @ cart.val))
-    )
-    h = scal + ferm
-    q = _BX @ (-cart.d_x + (x - a * (1.0 / xm + 1.0 / xp) - b / x) * cart.val) + _BY @ (
-        -cart.d_y + (y + a * (1.0 / xm - 1.0 / xp) - b / y) * cart.val
-    )
-    return h, q
+    return _fm_super(_BC2, params, cart.val, (cart.d_x, cart.d_y), cart.lap, (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +267,23 @@ _U3 = np.array(
 )
 
 _B3 = fock.jordan_wigner(3)
-_BD3 = [m.T for m in _B3]
 _C3 = [sum(_U3[al, i] * _B3[i] for i in range(3)) for al in range(3)]  # c_u, c_v, c_X
 _CD3 = [m.T for m in _C3]
 
+# the pair roots e_i - e_j (coupling a) and the three-body roots e_i + e_j - 2 e_m (coupling b);
+# every particle operator takes finite points with all of them nonzero
+_CMW = _RootTable(
+    [(1, -1, 0), (1, 0, -1), (0, 1, -1), (-2, 1, 1), (1, -2, 1), (1, 1, -2)],
+    "aaabbb",
+    _B3,
+    "coincidence points are outside the domain",
+    inside=lambda proj: np.abs(proj) >= 1e-12,
+)
+
 
 def cmw_mode_matrices():
-    """(U, particle-mode annihilators, transformed-mode annihilators)."""
-    return _U3.copy(), [m.copy() for m in _B3], [m.copy() for m in _C3]
+    """The transformed-mode annihilators c_u, c_v, c_X."""
+    return [m.copy() for m in _C3]
 
 
 @dataclass
@@ -255,8 +303,10 @@ class Cmw3Data:
 
     @property
     def particles(self) -> np.ndarray:
-        """(3, npts) particle coordinates x_i = (U^T (u,v,X))_i."""
-        return _U3.T @ np.stack([self.u, self.v, self.X])
+        """(3, npts) particle coordinates x_i = (U^T (u,v,X))_i; NaN where a
+        coordinate is not finite (0 inf), which the domain check rejects."""
+        with np.errstate(invalid="ignore"):
+            return _U3.T @ np.stack([self.u, self.v, self.X])
 
     def d_particle(self, i: int) -> np.ndarray:
         return _U3[0, i] * self.d_u + _U3[1, i] * self.d_v + _U3[2, i] * self.d_X
@@ -322,51 +372,14 @@ def cmw_super(params: ModelParams, data: Cmw3Data):
     coordinates must be finite and all of these nonzero at the sample
     points.
     """
-    a, b = params.a, params.b
-    xs = data.particles
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("coincidence points are outside the domain")
-    # the ordered pairs i != j; the remaining index is m = 3 - i - j
-    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-    x_ij = {(i, j): xs[i] - xs[j] for i, j in pairs}
-    y_ij = {(i, j): xs[i] + xs[j] - 2.0 * xs[3 - i - j] for i, j in pairs}
-    if not all(np.all(np.abs(c) >= 1e-12) for c in [*x_ij.values(), *y_ij.values()]):
-        raise ValueError("coincidence points are outside the domain")
-
-    lap3 = data.lap2 + data.d_XX
-    scal = (
-        -lap3
-        + (
-            np.sum(xs**2, axis=0)
-            + a * a * sum(1.0 / x_ij[ij] ** 2 for ij in pairs)
-            + 3.0 * b * b * sum(1.0 / y_ij[ij] ** 2 for ij in pairs)
-            - 3.0 * (2.0 * a + 2.0 * b + 1.0)
-        )
-        * data.val
-    )
-    ferm = 2.0 * (sum(_BD3[i] @ _B3[i] for i in range(3)) @ data.val)
-    for i, j in pairs:
-        ferm += a / x_ij[i, j] ** 2 * (_comm(_BD3[i], _B3[i] - _B3[j]) @ data.val)
-    for i, j in pairs:
-        m = 3 - i - j
-        op = _comm(_BD3[i], _B3[i] + _B3[j] - 2.0 * _B3[m]) - _comm(_BD3[m], _B3[i] + _B3[j] - 2.0 * _B3[m])
-        ferm += b / y_ij[i, j] ** 2 * (op @ data.val)
-    h = scal + ferm
-
-    q = np.zeros_like(data.val)
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        coeff = xs[i] - a * sum(1.0 / x_ij[i, j] for j in others)
-        coeff = coeff - b * (
-            sum(1.0 / y_ij[i, j] for j in others) - (1.0 / y_ij[others[0], others[1]] + 1.0 / y_ij[others[1], others[0]])
-        )
-        q += _B3[i] @ (-data.d_particle(i) + coeff * data.val)
-    return h, q
+    grads = [data.d_particle(i) for i in range(3)]
+    return _fm_super(_CMW, params, data.val, grads, data.lap2 + data.d_XX, data.particles)
 
 
 def cmw_rel_super(params: ModelParams, data: Cmw3Data):
     """Relative part in the transformed modes: the six-center angular
     form of Hs / omega plus the planar Q / sqrt(omega), as 8-dim operators."""
+    _CMW.points(params, data.particles)
     a, b = params.a, params.b
     u, v = data.u, data.v
     r2 = u**2 + v**2
@@ -408,6 +421,7 @@ def cm_super(params: ModelParams, data: Cmw3Data):
     """Centre-of-mass superoscillator Hs / omega = -d_X^2 + X^2 + 2 (n_X - 1/2)
     and its Q / sqrt(omega) = (-d_X + X) c_X, as 8-dim operators in the
     transformed modes."""
+    _CMW.points(params, data.particles)
     cX, cdX = _C3[2], _CD3[2]
     h = -data.d_XX + data.X**2 * data.val + 2.0 * ((cdX @ cX) @ data.val) - data.val
     q = cX @ (-data.d_X + data.X * data.val)

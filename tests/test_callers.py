@@ -1,4 +1,5 @@
-"""Every public function of the package has a caller.
+"""Every public function of the package has a caller, and every private
+name a reader.
 
 Each function named in the ``__all__`` of a ``src/ttwsusy`` module must
 be referenced from another module of the package or from a demo: an
@@ -7,6 +8,11 @@ energy``) or an attribute read on an imported module (``model.energy``).
 The package's re-exports in ``__init__`` are no caller.  A function
 that only tests call is a capability nothing runs, and belongs in the
 tests or nowhere.
+
+Each module-level private function, class or constant of a
+``src/ttwsusy`` module (a name with one leading underscore) must be read
+in the package: loaded in its own module, or imported or read as an
+attribute by another.  A private name nothing reads is dead code.
 """
 
 import ast
@@ -73,3 +79,34 @@ def test_every_public_function_has_a_caller():
     # equality, not inclusion: a pinned function that gained a caller, or
     # is gone, leaves the list
     assert sorted(_callerless()) == sorted(PINNED)
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level private functions, classes and constants of a
+    module: defined or assigned names with one leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _unread_private_names() -> list[str]:
+    """``module.name`` of every private name nothing in the package reads."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    refs = {p: _references(p) for p in sources}
+    out = []
+    for module in sources:
+        tree = ast.parse(module.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name in _private_definitions(tree):
+            if name not in loaded and not any((module.stem, name) in r for p, r in refs.items() if p != module):
+                out.append(f"{module.stem}.{name}")
+    return sorted(out)
+
+
+def test_every_private_name_is_read():
+    assert _unread_private_names() == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttwsusy import specfun
-from ttwsusy.specfun import gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, laguerre_levels, log_gamma
+from ttwsusy.specfun import gauss_rule, jacobi, jacobi_deriv, laguerre, laguerre_deriv, laguerre_levels
 
 EPS = np.finfo(float).eps
 
@@ -36,49 +36,6 @@ def series_jacobi(n, alpha, beta, x):
     for j in range(n + 1):
         total += binom(af + n, n - j) * binom(bf + n, j) * ((xf - 1) / 2) ** j * ((xf + 1) / 2) ** (n - j)
     return float(total)
-
-
-class TestLogGamma:
-    def test_exact_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-        assert log_gamma(11.0) == pytest.approx(math.log(math.factorial(10)), rel=1e-14)
-
-    def test_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        for x in np.linspace(0.5, 300.0, 61):
-            ref = float(mp.loggamma(mp.mpf(x)))
-            if ref == 0.0:
-                assert abs(log_gamma(x)) < 1e-14
-            else:
-                assert abs(log_gamma(x) / ref - 1.0) < 1e-13
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.0)
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_nonfinite_probes(self, x):
-        with pytest.raises(ValueError, match="log_gamma requires finite x > 0"):
-            log_gamma(x)
-
-    def test_scalar_contract(self):
-        assert isinstance(log_gamma(3.0), float)
-        assert isinstance(log_gamma(np.float64(3.0)), float)
-
-    def test_against_50_digit_mpmath(self):
-        """From tiny to huge arguments and at the zeros x = 1, 2 of
-        ln Gamma: within 4 eps of max(1, |ln Gamma|)."""
-        mp = pytest.importorskip("mpmath")
-        xs = np.concatenate([np.logspace(-8, 6, 57), [0.9999, 1.0, 1.0001, 1.9999, 2.0, 2.0001, 171.3, 1e300]])
-        with mp.workdps(50):
-            ref = [mp.loggamma(mp.mpf(float(x))) for x in xs]
-            got = [log_gamma(float(x)) for x in xs]
-            err = max(abs(mp.mpf(g) - r) / max(1, abs(r)) for g, r in zip(got, ref))
-            assert err <= 4 * EPS, float(err)
 
 
 class TestLaguerre:
@@ -230,7 +187,7 @@ class TestGaussRules:
     def test_gamma_moment(self):
         rule = gauss_rule("gauss-laguerre", 8, alpha=2.5)
         approx = float(np.sum(rule.weights))
-        exact = math.exp(log_gamma(3.5))
+        exact = math.exp(math.lgamma(3.5))
         assert abs(approx / exact - 1.0) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, 1.3, 17.0, 48.0])
@@ -239,7 +196,7 @@ class TestGaussRules:
         rule = gauss_rule("gauss-laguerre", m, alpha=alpha)
         for j in range(2 * m):
             approx = float(np.sum(rule.weights * rule.nodes**j))
-            exact = math.exp(log_gamma(alpha + j + 1.0))
+            exact = math.exp(math.lgamma(alpha + j + 1.0))
             assert abs(approx / exact - 1.0) < 1e-12
 
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (0.5, 1.5), (2.0, 0.7)])
@@ -252,9 +209,9 @@ class TestGaussRules:
             approx = float(np.sum(rule.weights * (1 - rule.nodes) ** i * (1 + rule.nodes) ** j))
             exact = math.exp(
                 (alpha + beta + i + j + 1) * math.log(2.0)
-                + log_gamma(alpha + i + 1.0)
-                + log_gamma(beta + j + 1.0)
-                - log_gamma(alpha + beta + i + j + 2.0)
+                + math.lgamma(alpha + i + 1.0)
+                + math.lgamma(beta + j + 1.0)
+                - math.lgamma(alpha + beta + i + j + 2.0)
             )
             assert abs(approx / exact - 1.0) < 1e-12
 

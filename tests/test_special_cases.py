@@ -63,6 +63,15 @@ def polar_reference(bundle, p, r, phi):
     return [image.dense() for image in apply_operators(("Hs", "Q"), bundle, FactorTable(p, r, phi))]
 
 
+def vacuum_state_and_scalar(p, r, phi):
+    """A zero-fermion catalog state's polar bundle at (r, phi), and the
+    scalar H_k / omega applied to it, dense."""
+    table = FactorTable(p, r, phi)
+    (bundle,) = table.bundles([zero_fermion_state(p, 2, 1)])
+    (scalar,) = (image.dense() for image in apply_operators(("H",), bundle, table))
+    return bundle, scalar
+
+
 def sympy_values(sp, expr, symbols, *coords):
     """``expr`` evaluated with 30-digit mpmath arithmetic at the points whose
     coordinates are ``coords`` (each float taken at its exact binary value),
@@ -143,11 +152,8 @@ class TestSeparableCase:
         # shifted by -2 (a+b+1)
         rng = np.random.default_rng(2)
         r, phi, x, y = interior_points(rng, P1, 100)
-        table = FactorTable(P1, r, phi)
-        (bundle,) = table.bundles([zero_fermion_state(P1, 2, 1)])
-        cart = cart_from_polar(bundle, r, phi)
-        h_c, _ = sw_super(P1, cart, x, y)
-        (scalar,) = (image.dense() for image in apply_operators(("H",), bundle, table))
+        bundle, scalar = vacuum_state_and_scalar(P1, r, phi)
+        h_c, _ = sw_super(P1, cart_from_polar(bundle, r, phi), x, y)
         shift = -2 * (P1.a + P1.b + 1.0)
         fv = bundle.dense().val
         assert np.max(np.abs(h_c - scalar - shift * fv)) / np.max(np.abs(scalar)) < 1e-12
@@ -165,6 +171,8 @@ class TestSeparableCase:
             sw_super(P2, cart, x, y)
         with pytest.raises(ValueError):
             sw_super(P1, cart, x - x, y)
+        with pytest.raises(ValueError, match="sw_super requires k = 1"):
+            sw_superpotential(P2, x, y)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
     def test_axis_point_probes(self, bad):
@@ -174,6 +182,15 @@ class TestSeparableCase:
         for xs, ys in ((np.where(np.arange(5) == 2, bad, x), y), (x, np.where(np.arange(5) == 2, bad, y))):
             with pytest.raises(ValueError, match="axis points are outside the domain"):
                 sw_super(P1, cart, xs, ys)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "wall", "outside"])
+    def test_superpotential_point_probes(self, bad):
+        # W takes the points Hs and Q take: log|x| of x = 0 or x = -1 is no answer
+        rng = np.random.default_rng(4)
+        r, phi, x, y = interior_points(rng, P1, 5)
+        for xs, ys in ((np.where(np.arange(5) == 2, bad, x), y), (x, np.where(np.arange(5) == 2, bad, y))):
+            with pytest.raises(ValueError, match="axis points are outside the domain"):
+                sw_superpotential(P1, xs, ys)
 
 
 class TestPairSector:
@@ -185,6 +202,17 @@ class TestPairSector:
             h_p, q_p = polar_reference(bundle, P2, r, phi)
             assert np.max(np.abs(h_c - h_p)) / max(np.max(np.abs(h_p)), 1.0) < 1e-9
             assert np.max(np.abs(q_c - q_p)) / max(np.max(np.abs(q_p)), 1.0) < 1e-9
+
+    def test_fermion_free_block_reduction(self):
+        # on the fermionic vacuum, Hs / omega is the scalar H_k / omega
+        # shifted by -2 (2a+2b+1)
+        rng = np.random.default_rng(2)
+        r, phi, x, y = interior_points(rng, P2, 100)
+        bundle, scalar = vacuum_state_and_scalar(P2, r, phi)
+        h_c, _ = bc2_super(P2, cart_from_polar(bundle, r, phi), x, y)
+        shift = -2 * (2 * P2.a + 2 * P2.b + 1.0)
+        fv = bundle.dense().val
+        assert np.max(np.abs(h_c - scalar - shift * fv)) / np.max(np.abs(scalar)) < 1e-12
 
     def test_superpotential_differs_by_constant(self):
         rng = np.random.default_rng(6)
@@ -217,6 +245,24 @@ class TestPairSector:
             with pytest.raises(ValueError, match="points must satisfy 0 < y < x"):
                 bc2_super(P2, cart, xs, ys)
 
+    @pytest.mark.parametrize("probe", ["nan", "inf", "wall", "outside"])
+    def test_superpotential_point_probes(self, probe):
+        # W takes the points Hs and Q take: on the wall y = x, log|x - y| is no answer
+        rng = np.random.default_rng(8)
+        r, phi, x, y = interior_points(rng, P2, 5)
+        at = np.arange(5) == 2
+        bad = {
+            "nan": [(np.where(at, math.nan, x), y), (x, np.where(at, math.nan, y))],
+            "inf": [(np.where(at, math.inf, x), y), (x, np.where(at, math.inf, y))],
+            "wall": [(x, np.where(at, x, y)), (x, np.where(at, 0.0, y))],
+            "outside": [(x, np.where(at, 2 * x, y)), (x, np.where(at, -y, y))],
+        }[probe]
+        for xs, ys in bad:
+            with pytest.raises(ValueError, match="points must satisfy 0 < y < x"):
+                bc2_superpotential(P2, xs, ys)
+        with pytest.raises(ValueError, match="bc2_super requires k = 2"):
+            bc2_superpotential(P1, x, y)
+
 
 class TestThreeParticleCase:
     @pytest.fixture
@@ -228,7 +274,7 @@ class TestThreeParticleCase:
         return rng, r, phi, X
 
     def test_mode_transform_preserves_relations(self):
-        _, _, cops = cmw_mode_matrices()
+        cops = cmw_mode_matrices()
         eye = np.eye(8)
         for i in range(3):
             for j in range(3):
@@ -243,6 +289,21 @@ class TestThreeParticleCase:
         csc_sum = sum(1.0 / np.sin(phi - 2 * math.pi * j / 3) ** 2 for j in range(3))
         np.testing.assert_allclose(sec_sum, 9.0 / np.cos(3 * phi) ** 2, rtol=1e-10)
         np.testing.assert_allclose(csc_sum, 9.0 / np.sin(3 * phi) ** 2, rtol=1e-10)
+
+    def test_fermion_free_block_reduction(self, sample):
+        # on a zero-fermion relative state times the cm Gaussian chi,
+        # Hs / omega is (H_k psi_rel / omega) chi, plus 1 from the cm
+        # oscillator and -3 (2a+2b+1)
+        _, r, phi, X = sample
+        bundle, scalar = vacuum_state_and_scalar(P3, r, phi)
+        cm_vac = np.zeros((2, 2))
+        cm_vac[0, 0] = 1.0
+        data = make_cmw_test_state(bundle, cm_vac, P3, r, phi, X)
+        h_f, _ = cmw_super(P3, data)
+        chi = np.exp(-0.5 * X**2)
+        h_rel = embed_product_values(scalar, np.stack([chi, np.zeros_like(chi)]))
+        shift = 1.0 - 3.0 * (2 * P3.a + 2 * P3.b + 1.0)
+        assert np.max(np.abs(h_f - h_rel - shift * data.val)) / np.max(np.abs(h_rel)) < 1e-12
 
     def test_split_into_relative_and_cm_parts(self, sample):
         rng, r, phi, X = sample
@@ -287,7 +348,7 @@ class TestThreeParticleCase:
         assert np.max(np.abs(q_c)) < 1e-12
         bosonic = -data.d_XX + X**2 * data.val
         np.testing.assert_allclose(bosonic, data.val, atol=1e-12)
-        _, _, cops = cmw_mode_matrices()
+        cops = cmw_mode_matrices()
         fermionic = 2.0 * ((cops[2].T @ cops[2]) @ data.val) - data.val
         np.testing.assert_allclose(fermionic, -data.val, atol=1e-12)
 
@@ -303,15 +364,24 @@ class TestThreeParticleCase:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_points_rejected(self, sample, bad):
+        # the full operator and both of its parts: a non-finite X enters
+        # only the cm part, and each takes the points the others take
         _, r, phi, X = sample
-        data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), np.eye(2), P3, r, phi, X)
-        data.X[0] = bad
-        with pytest.raises(ValueError, match="coincidence points are outside the domain"):
-            cmw_super(P3, data)
+        for coord in ("u", "v", "X"):
+            data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), np.eye(2), P3, r, phi, X.copy())
+            getattr(data, coord)[0] = bad
+            for operator in (cmw_super, cmw_rel_super, cm_super):
+                with pytest.raises(ValueError, match="coincidence points are outside the domain"):
+                    operator(P3, data)
 
     def test_coincidence_points_rejected(self, sample):
         rng, r, phi, X = sample
         data = make_cmw_test_state(state_bundle(zero_fermion_state(P3, 0, 0), P3, r, phi), np.eye(2), P3, r, phi, X)
         data.u[0] = 0.0  # forces x1 = x2 at the first sample point
-        with pytest.raises(ValueError):
-            cmw_super(P3, data)
+        for operator in (cmw_super, cmw_rel_super, cm_super):
+            with pytest.raises(ValueError, match="coincidence points are outside the domain"):
+                operator(P3, data)
+        data.v[0] = 0.0  # u = v = 0: all three particles coincide, and r = 0 in the six-center form
+        for operator in (cmw_super, cmw_rel_super, cm_super):
+            with pytest.raises(ValueError, match="coincidence points are outside the domain"):
+                operator(P3, data)
