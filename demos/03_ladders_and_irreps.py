@@ -36,24 +36,24 @@ w = weights_of(params, n)
 print(f"weights: tau = {w.tau}, q = {w.q}")
 print(f"radial raising coefficient sqrt((N+1)(2 tau + N)) = {k_ladder_coeff('+', w.tau, N):.6f}\n")
 
-grid_odd = Grid.for_pair(params, n, n, 64, 64, odd=True)
-table = FactorTable.on(grid_odd)
+# the sector's one grid integrates states of either fermion parity exactly
+grid = Grid.for_pair(params, n, n, 64, 64)
+table = FactorTable.on(grid)
 # one bundle (values and polar derivatives) of the state serves both odd operators
 (bundle,) = table.bundles([zero_fermion_state(params, N, n)])
 images = apply_operators(("V+", "V-"), bundle, table)
 expansions = [v_action(sign, params, N, n) for sign in ("+", "-")]
 for (sign, norm2), field, expansion, ref in zip((("+", N + lam + 1.0), ("-", N + mu)), images, expansions, table.fields(expansions)):
     print(f"V{sign}: differential action vs closed-form expansion, max |diff| = {np.max(np.abs(field.dense() - ref.dense())):.3e}")
-    measured = project(("1",), [expansion], [expansion], grid_odd)["1"][0, 0]
+    measured = project(("1",), [expansion], [expansion], grid)["1"][0, 0]
     print(f"     norm^2 of the expansion on the grid = {measured:.12f} (closed form {norm2})")
 
 print(f"\noverlap of the two one-fermion states at equal weight: {overlap(params, N, n):.9f}")
 print("recombination into orthonormal towers, coefficients (alpha, beta, gamma, delta):")
 print("  " + ", ".join(f"{c:+.6f}" for c in mixing_coeffs(params, N, n)))
 
-grid_even = Grid.for_pair(params, n, n, 64, 64)
 two = [two_fermion_state(params, N, n)]
-print(f"\ntwo-fermion state norm = {project(('1',), two, two, grid_even)['1'][0, 0]:.12f}")
+print(f"\ntwo-fermion state norm = {project(('1',), two, two, grid)['1'][0, 0]:.12f}")
 print(f"two-fermion tower at n = 0 is empty: {two_fermion_state(params, N, 0).is_zero}")
 
 print("\nsector classification:")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "annihilators",
     "jordan_wigner",
 ]
 
@@ -41,11 +40,4 @@ def jordan_wigner(n_modes: int) -> list[np.ndarray]:
                 m[s ^ (1 << i), s] = sign
         ops.append(m)
     return ops
-
-
-_BX, _BY = jordan_wigner(2)
-
-
-def annihilators() -> tuple[np.ndarray, np.ndarray]:
-    return _BX.copy(), _BY.copy()
 

@@ -49,10 +49,10 @@ their points (``_row_terms``), which evaluates its angular functions
 theta once per row: once per set on a grid.  How states break into
 radial and angular factors is ``states.FactorTable.expand``:
 ``sector_matrices`` expands a sector's even and odd states, the two
-halves of its basis, in one call on both of its grids' radial nodes,
-and writes each (row parity, column parity) quarter of a block as one
-slice of rows by one slice of columns; ``project`` expands a row and a
-column list on one grid, as ``wavefunction_gram`` and verify's other
+halves of its basis, in one call on the sector's one grid, and writes
+each (row parity, column parity) quarter of a block, projected on that
+grid, as one slice of rows by one slice of columns; ``project`` expands
+a row and a column list on one grid, as ``wavefunction_gram`` and verify's other
 integral checks (cross-sector elements, one-fermion overlaps) use it.
 ``hamiltonian_super`` stays apart on purpose: it builds Hs from the
 superpotential instead of the H_k potential, as the independent
@@ -102,7 +102,7 @@ __all__ = [
 GENERATOR_NAMES = ("K0", "K+", "K-", "Y", "V+", "V-", "W+", "W-")
 GENERATOR_PARITY = {"K0": 0, "K+": 0, "K-": 0, "Y": 0, "V+": 1, "V-": 1, "W+": 1, "W-": 1}
 
-_BX, _BY = fock.annihilators()
+_BX, _BY = fock.jordan_wigner(2)
 _BDX, _BDY = _BX.T, _BY.T
 _NXX, _NYY = _BDX @ _BX, _BDY @ _BY
 _NXY_YX = _BDX @ _BY + _BDY @ _BX
@@ -152,12 +152,18 @@ def riccati_residual(params: ModelParams, phi, perturb_a: float = 0.0):
     residual (sensitivity control)."""
     params.require_interior(phi=phi)
     phi = np.asarray(phi, dtype=float)
+    out = np.abs(_riccati_lhs(params, phi, params.a + perturb_a) - _ttw_potential(params, phi))
+    return out if out.ndim else float(out)
+
+
+def _ttw_potential(params: ModelParams, phi):
+    """The TTW angular potential k^2 [a(a-1) sec^2(k phi) + b(b-1) csc^2(k phi)],
+    which H_k applies as r^-2 times it and the Riccati equation equates
+    to -F'' + F'^2 + C^2."""
     k, a, b = params.k, params.a, params.b
     sec2 = 1.0 / np.cos(k * phi) ** 2
     csc2 = 1.0 / np.sin(k * phi) ** 2
-    rhs = k * k * (a * (a - 1.0) * sec2 + b * (b - 1.0) * csc2)
-    out = np.abs(_riccati_lhs(params, phi, a + perturb_a) - rhs)
-    return out if out.ndim else float(out)
+    return k * k * (a * (a - 1.0) * sec2 + b * (b - 1.0) * csc2)
 
 
 def _riccati_lhs(params: ModelParams, phi, a: float):
@@ -185,14 +191,12 @@ def _scaled(terms: list[_Term], c: float) -> list[_Term]:
 
 def _h_terms(params: ModelParams, phi) -> list[_Term]:
     """Deformed-oscillator Hamiltonian H_k / omega, acting per spinor component."""
-    k, a, b = params.k, params.a, params.b
-    pot = k * k * (a * (a - 1.0) / np.cos(k * phi) ** 2 + b * (b - 1.0) / np.sin(k * phi) ** 2)
     return [
         _Term(-1.0, 0, 2, 1.0, _EYE, 0),
         _Term(-1.0, -1, 1, 1.0, _EYE, 0),
         _Term(-1.0, -2, 0, 1.0, _EYE, 2),
         _Term(1.0, 2, 0, 1.0, _EYE, 0),
-        _Term(1.0, -2, 0, pot, _EYE, 0),
+        _Term(1.0, -2, 0, _ttw_potential(params, phi), _EYE, 0),
     ]
 
 
@@ -544,34 +548,30 @@ def sector_matrices(
     ``block`` maps each name to the d_n x d_n matrix over ``states``
     (``irreps.sector_basis(params, n, N_max)``), in order.
 
-    Rows of fermion parity p are integrated on the sector grid of parity
-    p.  A basis state is a short sum of radial times angular spinor
-    factors, a generator a table of separable terms and the grid weights
-    a product of 1-D radial and angular weights, so each entry is a sum
-    of products of 1-D radial and angular Gauss sums; nothing is sampled
-    on the 2-D grid.  The basis is written from the closed forms
-    (``irreps.sector_basis``), its even states first and its odd states
-    after them; the two halves are expanded in one call on the two grids'
-    radial nodes, stacked, since both grids read the set's angular row,
-    so each of the sector's radial keys comes from one Laguerre pass; and
-    each (row parity, column parity) quarter of the four generators that
-    map between them is one ``_project`` call, written into the blocks as
-    one slice of rows by one slice of columns.
+    Every entry is integrated on the sector's one grid (``Grid.for_pair(n,
+    n)``), exact for both fermion parities.  A basis state is a short sum
+    of radial times angular spinor factors, a generator a table of
+    separable terms and the grid weights a product of 1-D radial and
+    angular weights, so each entry is a sum of products of 1-D radial and
+    angular Gauss sums; nothing is sampled on the 2-D grid.  The basis is
+    written from the closed forms (``irreps.sector_basis``), its even
+    states first and its odd states after them; the two halves are
+    expanded in one call, so each of the sector's radial keys comes from
+    one Laguerre pass; and each (row parity, column parity) quarter of the
+    four generators that map between them is one ``_project`` call,
+    written into the blocks as one slice of rows by one slice of columns.
     """
     bs = sector_basis(params, n, N_max)
     # the even states, then the odd ones
     d0 = sum(not s.parity for s in bs)
     halves = (slice(0, d0), slice(d0, len(bs)))
     block = {g: np.zeros((len(bs), len(bs))) for g in GENERATOR_NAMES}
-    grids = [Grid.for_pair(params, n, n, m_rad, m_ang, odd=odd) for odd in (False, True)]
-    # both grids read the set's angular row: one expansion on their radial nodes, stacked
-    expanded = list(FactorTable.on(*grids).expand(*([s.state for s in bs[half]] for half in halves)))
-    m = len(grids[0].r)
-    for p_out, grid in enumerate(grids):
-        on_grid = [(C, R[:, p_out * m : (p_out + 1) * m], S) for C, R, S in expanded]
+    grid = Grid.for_pair(params, n, n, m_rad, m_ang)
+    expanded = list(FactorTable.on(grid).expand(*([s.state for s in bs[half]] for half in halves)))
+    for p_out in (0, 1):
         for p_in in (0, 1):
             gens = [g for g in GENERATOR_NAMES if p_out ^ GENERATOR_PARITY[g] == p_in]
-            for g, part in _project(gens, on_grid[p_out], on_grid[p_in], grid).items():
+            for g, part in _project(gens, expanded[p_out], expanded[p_in], grid).items():
                 block[g][halves[p_out], halves[p_in]] = part
     return block, bs
 

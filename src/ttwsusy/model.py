@@ -35,9 +35,11 @@ and alpha + 2.
 Inner products use the measure rho drho dphi.  Substituting z and xi maps
 them onto Gauss-Laguerre x Gauss-Jacobi rules; the grid absorbs the
 z^alpha e^-z and cos^2a sin^2b envelopes into its weights so that the
-remaining integrand is polynomial and the quadrature exact.  Radial
-reference exponents are chosen per angular sector (and per fermion
-parity, which contributes a 1/z): see ``Grid.for_pair``.  A grid holds
+remaining integrand is polynomial and the quadrature exact.  A sector
+pair has one grid, whose radial reference exponent is one below the
+pair's, so that the 1/z of a pair of one-fermion factors stays
+polynomial and a pair of zero- or two-fermion factors is z times a
+polynomial: see ``Grid.for_pair``.  A grid holds
 1-D arrays only: its nodes and weights are a radial column and an
 angular row, so fields sampled on ``(grid.r, grid.phi)`` have the
 (m_rad, m_ang) shape while each factor is evaluated on the 1-D nodes.
@@ -57,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre_levels
+from .specfun import gauss_rule, jacobi, jacobi_deriv, laguerre_level_derivatives, laguerre_levels
 
 __all__ = [
     "OMEGA_RANGE",
@@ -178,18 +180,16 @@ def radial_levels(params: ModelParams, N_max: int, n: int, r, one_fermion=False)
     z^(-1/2) prefactor; each triple is bit for bit the one its flag alone
     gives.  log c_0 is in the prefactor's one exponent, so R is finite
     for every alpha; c_N / c_0 is the running product of sqrt(j / (j +
-    alpha)), which keeps digits lgamma differences lose.  L and its two derivatives,
-    -L_{N-1}^(alpha+1) and L_{N-2}^(alpha+2), come from one recurrence
-    pass over the three stacked parameters.  Requires r > 0; a
-    non-finite r raises ``laguerre_levels``' ValueError."""
+    alpha)), which keeps digits lgamma differences lose.  L and its two
+    derivatives come from one recurrence pass over the three stacked
+    parameters, by the shifts of ``laguerre_level_derivatives``.
+    Requires r > 0; a non-finite r raises ``laguerre_levels``'
+    ValueError."""
     z = r**2
     alpha = params.sector_alpha(n)
     # the pass rejects a non-finite z before any prefactor is formed
     L, L1, L2 = laguerre_levels(N_max, np.array([alpha, alpha + 1.0, alpha + 2.0]), z)
-    # d/dz L_N^(alpha) = -L_{N-1}^(alpha+1), d2/dz2 L_N^(alpha) = L_{N-2}^(alpha+2)
-    Ld, Ldd = np.zeros_like(L), np.zeros_like(L)
-    Ld[1:] = -L1[:N_max]
-    Ldd[2:] = L2[: N_max - 1]
+    Ld, Ldd = laguerre_level_derivatives(L1, L2)
     log_z, log_c0 = np.log(z), _log_radial_norm(params, 0, n)
     j = np.arange(1.0, N_max + 1.0)
     ratios = np.cumprod(np.r_[1.0, np.sqrt(j / (j + alpha))]).reshape(-1, *(1,) * z.ndim)
@@ -389,14 +389,21 @@ class Grid:
             )
 
     @classmethod
-    def for_pair(
-        cls, params: ModelParams, n1: int, n2: int, m_rad: int = 80, m_ang: int = 80, *, odd: bool = False
-    ) -> "Grid":
-        """Grid exact for products of sector-n1 and sector-n2 states: radial
-        exponent (n1 + n2 + a + b) k, less 1 with ``odd`` for the 1/z
-        carried by a pair of one-fermion factors; the one grid of its
-        (params, alpha, orders) in this process."""
-        return _grid(params, (n1 + n2 + params.a + params.b) * params.k - (1.0 if odd else 0.0), m_rad, m_ang)
+    def for_pair(cls, params: ModelParams, n1: int, n2: int, m_rad: int = 80, m_ang: int = 80) -> "Grid":
+        """Grid exact for products of sector-n1 and sector-n2 states of
+        either fermion parity: radial exponent (n1 + n2 + a + b) k - 1, one
+        below the pair's for the 1/z of a pair of one-fermion factors; the
+        one grid of its (params, alpha, orders) in this process.  Raises
+        ``ValueError``, naming k, a, b and the pair, where (n1 + n2 + a + b) k
+        is too small for the exponent to exceed -1 after rounding (about
+        1.1e-16 and below)."""
+        alpha = (n1 + n2 + params.a + params.b) * params.k - 1.0
+        if not alpha > -1.0:
+            raise ValueError(
+                f"radial reference exponent (n1 + n2 + a + b) k - 1 of sector pair ({n1}, {n2}) rounds to {alpha!r} "
+                f"at k = {params.k!r}, a = {params.a!r}, b = {params.b!r}: it must exceed -1"
+            )
+        return _grid(params, alpha, m_rad, m_ang)
 
 
 # keyed on the exact exponent, as the rules are

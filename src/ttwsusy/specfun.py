@@ -7,7 +7,9 @@ products against the natural weights.  This module provides the stable
 three-term recurrences (``laguerre_levels`` returns every level
 0..N of one Laguerre family, or of several parameters at once, from a
 single pass, and ``laguerre`` is its last level), the parameter-shift
-derivative identities
+derivative identities, which ``laguerre_level_derivatives`` applies to
+every Laguerre level at once, for the engine's radial factors and
+``laguerre_deriv`` alike,
 
     d/dz L_N^(alpha)(z)      = -L_{N-1}^(alpha+1)(z)
     d/dx P_n^(alpha,beta)(x) = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1)(x)
@@ -36,6 +38,7 @@ __all__ = [
     "jacobi_deriv",
     "laguerre",
     "laguerre_deriv",
+    "laguerre_level_derivatives",
     "laguerre_levels",
 ]
 
@@ -86,12 +89,23 @@ def laguerre(n: int, alpha: float, z):
     return p if p.ndim else float(p)
 
 
+def laguerre_level_derivatives(up1, up2):
+    """(dL/dz, d2L/dz2) of every level L_0^(alpha), ..., L_{n_max}^(alpha) by
+    the parameter shifts dL_N^(alpha)/dz = -L_{N-1}^(alpha+1) and
+    d2L_N^(alpha)/dz2 = L_{N-2}^(alpha+2), from ``up1`` and ``up2``, the
+    levels 0..n_max of L^(alpha+1) and of L^(alpha+2) as ``laguerre_levels``
+    stacks them; the levels below a shift are zero."""
+    d1, d2 = np.zeros_like(up1), np.zeros_like(up2)
+    d1[1:] = -up1[:-1]
+    d2[2:] = up2[:-2]
+    return d1, d2
+
+
 def laguerre_deriv(n: int, alpha: float, z):
-    """dL_n^(alpha)/dz; identically zero for n = 0.  Requires finite z."""
-    if n == 0:
-        out = np.zeros_like(_finite_z(z))
-        return out if out.ndim else 0.0
-    return -laguerre(n - 1, alpha + 1.0, z)
+    """dL_n^(alpha)/dz, level n of ``laguerre_level_derivatives``;
+    identically zero for n = 0.  Requires finite z."""
+    out = laguerre_level_derivatives(*laguerre_levels(n, np.array([alpha + 1.0, alpha + 2.0]), z))[0][n]
+    return out if out.ndim else float(out)
 
 
 def jacobi(n: int, alpha: float, beta: float, x):

@@ -69,7 +69,7 @@ __all__ = [
     "sw_superpotential",
 ]
 
-_BX, _BY = fock.annihilators()
+_BX, _BY = fock.jordan_wigner(2)
 
 
 def _comm(a, b):
@@ -376,6 +376,16 @@ def cmw_super(params: ModelParams, data: Cmw3Data):
     return _fm_super(_CMW, params, data.val, grads, data.lap2 + data.d_XX, data.particles)
 
 
+# per angular centre j of cmw_rel_super, the bilinears [cdag, c] of its
+# cos (coupling a) and sin (coupling b) modes in (c_u, c_v), formed once
+_S3 = math.sqrt(3.0)
+_CENTRE_BILINEARS = [
+    (_comm(_CD3[0], _C3[0]), _comm(_CD3[1], _C3[1])),
+    (0.25 * _comm(_S3 * _CD3[1] - _CD3[0], _S3 * _C3[1] - _C3[0]), 0.25 * _comm(_S3 * _CD3[0] + _CD3[1], _S3 * _C3[0] + _C3[1])),
+    (0.25 * _comm(_S3 * _CD3[1] + _CD3[0], _S3 * _C3[1] + _C3[0]), 0.25 * _comm(_S3 * _CD3[0] - _CD3[1], _S3 * _C3[0] - _C3[1])),
+]
+
+
 def cmw_rel_super(params: ModelParams, data: Cmw3Data):
     """Relative part in the transformed modes: the six-center angular
     form of Hs / omega plus the planar Q / sqrt(omega), as 8-dim operators."""
@@ -388,19 +398,8 @@ def cmw_rel_super(params: ModelParams, data: Cmw3Data):
 
     cu, cv = _C3[0], _C3[1]
     cdu, cdv = _CD3[0], _CD3[1]
-    sqrt3 = math.sqrt(3.0)
-    cos_ops = [
-        _comm(cdu, cu),
-        0.25 * _comm(sqrt3 * cdv - cdu, sqrt3 * cv - cu),
-        0.25 * _comm(sqrt3 * cdv + cdu, sqrt3 * cv + cu),
-    ]
-    sin_ops = [
-        _comm(cdv, cv),
-        0.25 * _comm(sqrt3 * cdu + cdv, sqrt3 * cu + cv),
-        0.25 * _comm(sqrt3 * cdu - cdv, sqrt3 * cu - cv),
-    ]
     h = -data.lap2 + r2 * data.val
-    for jj, (mc, ms) in enumerate(zip(cos_ops, sin_ops)):
+    for jj, (mc, ms) in enumerate(_CENTRE_BILINEARS):
         ang = phi - 2.0 * math.pi * jj / 3.0
         h += (a / (r2 * np.cos(ang) ** 2)) * (a * data.val + mc @ data.val)
         h += (b / (r2 * np.sin(ang) ** 2)) * (b * data.val + ms @ data.val)

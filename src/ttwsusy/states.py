@@ -38,10 +38,10 @@ with and without the one-fermion z^(-1/2), from one Laguerre pass, and
 kept by no one after it.  The angular factors of ``angular_parts``, 1-D
 functions of phi, are kept read-only on the table's angular row
 (``model.AngularRow``): a table on any points has a row of its own, and
-a grid's table (``FactorTable.on``, also on several grids of one set at
-once) reads the row that every grid of its parameter set shares, so
-each is evaluated once per set in a process.  The row also keeps the
-one (cos phi, sin phi) pair that the one-fermion trig is made of.
+a grid's table (``FactorTable.on``) reads the row that every grid of its
+parameter set shares, so each is evaluated once per set in a process.
+The row also keeps the one (cos phi, sin phi) pair that the one-fermion
+trig is made of.
 ``expand`` writes every angular spinor factor, the fermion trig times
 an angular factor, in place in each call, and no one keeps it.
 ``FactorTable.bundles``/``fields`` contract one call, a state per
@@ -237,18 +237,11 @@ class FactorTable:
         self.operators: dict[str, list] = {}
 
     @classmethod
-    def on(cls, *grids: Grid) -> "FactorTable":
+    def on(cls, grid: Grid) -> "FactorTable":
         """The table on a grid's radial column and angular row, whose
-        angular functions the set's row keeps (``model.AngularRow``).
-        Given several grids of one set, which share that row, the table's
-        radial column is theirs stacked in order, so that one expansion,
-        with one radial pass per sector, serves every grid: grid i's
-        radial factors are the rows of its own nodes."""
-        row = grids[0].angular
-        if any(grid.angular is not row for grid in grids):
-            raise ValueError("the grids of one table must share their angular row")
-        table = cls(grids[0].params, np.concatenate([grid.r for grid in grids]) if len(grids) > 1 else grids[0].r, row.phi)
-        table.row = row
+        angular functions the set's row keeps (``model.AngularRow``)."""
+        table = cls(grid.params, grid.r, grid.phi)
+        table.row = grid.angular
         return table
 
     def expand(self, *groups: list[CatalogState]):

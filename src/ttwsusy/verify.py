@@ -367,16 +367,17 @@ class _Workspace:
         self.params = params
         self.config = config
 
-    def grid(self, n1: int, n2: int | None = None, odd: bool = False) -> Grid:
-        """``Grid.for_pair(n1, n2)`` (n2 defaults to n1): the one grid of its
-        exponent and the configured orders in this process."""
+    def grid(self, n1: int, n2: int | None = None) -> Grid:
+        """``Grid.for_pair(n1, n2)`` (n2 defaults to n1), exact for states of
+        either fermion parity: the one grid of its exponent and the
+        configured orders in this process."""
         m_rad, m_ang = self.config.quad_orders
-        return Grid.for_pair(self.params, n1, n1 if n2 is None else n2, m_rad, m_ang, odd=odd)
+        return Grid.for_pair(self.params, n1, n1 if n2 is None else n2, m_rad, m_ang)
 
-    def table(self, n: int, odd: bool = False) -> FactorTable:
-        """A fresh ``FactorTable`` on ``grid(n, odd=odd)``, whose angular
-        functions of phi the set's angular row keeps."""
-        return FactorTable.on(self.grid(n, odd=odd))
+    def table(self, n: int) -> FactorTable:
+        """A fresh ``FactorTable`` on ``grid(n)``, whose angular functions of
+        phi the set's angular row keeps."""
+        return FactorTable.on(self.grid(n))
 
 
 # ---------------------------------------------------------------------------
@@ -665,52 +666,53 @@ def _scaling_conditions(ws: _Workspace) -> float:
 def _odd_action_fields(ws: _Workspace) -> float:
     """Deviations of V+- images of zero-fermion states from their
     closed-form expansions, and max |W+- psi|, in sectors 0, 1 and 2.
-    Each table expands its states in one call: the odd grid's the
-    zero-fermion states and, in another, their closed-form images."""
+    The sector's table expands its states in one call and, in another,
+    their closed-form images; each state's one bundle is handed all four
+    operators."""
     p = ws.params
     res = []
     for n in (0, 1, 2):
-        table, table_e = ws.table(n, odd=True), ws.table(n)
+        table = ws.table(n)
         states = [irreps.zero_fermion_state(p, N, n) for N in (0, 1, 3)]
         refs = table.fields([irreps.v_action(sign, p, N, n) for N in (0, 1, 3) for sign in ("+", "-")])
         for bundle in table.bundles(states):
-            res += [_deviation(out, ref, ref) for out, ref in zip(gen.apply_operators(("V+", "V-"), bundle, table), refs)]
-        for bundle in table_e.bundles(states):
+            v_plus, v_minus, *w_images = gen.apply_operators(("V+", "V-", "W+", "W-"), bundle, table)
+            res += [_deviation(out, ref, ref) for out, ref in zip((v_plus, v_minus), refs)]
             # W+- reach no component of a zero-fermion state: each image reads 0.0
-            res += [_max_abs(wout) for wout in gen.apply_operators(("W+", "W-"), bundle, table_e)]
+            res += [_max_abs(wout) for wout in w_images]
     return _worst(res)
 
 
 def _one_fermion_overlap(ws: _Workspace) -> float:
     """Projected <+|-> overlaps against ``irreps.overlap``; at n = 0 the
     pointwise coincidence of the one-fermion families and the vanishing
-    of the two-fermion states, each family of fields from one call."""
+    of the two-fermion states, each family of fields from one call on
+    the sector-0 table."""
     p = ws.params
     res = []
     for n in range(1, min(4, ws.config.truncation[1]) + 1):
         plus = [irreps.one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
         minus = [irreps.one_fermion_state("-", p, N, n) for N in range(1, 6)]
-        measured = np.diag(gen.project(("1",), plus, minus, ws.grid(n, odd=True))["1"])
+        measured = np.diag(gen.project(("1",), plus, minus, ws.grid(n))["1"])
         res += [abs(m - irreps.overlap(p, N, n)) for N, m in enumerate(measured, start=1)]
     pairs = [(irreps.one_fermion_state("+", p, N - 1, 0), irreps.one_fermion_state("-", p, N, 0)) for N in range(1, 5)]
-    fields = ws.table(0, odd=True).fields([st for pair in pairs for st in pair])
+    table = ws.table(0)
+    fields = table.fields([st for pair in pairs for st in pair])
     # one iterator zipped with itself: consecutive (+, -) fields
     res += [_max_abs(plus, minus) for plus, minus in zip(fields, fields)]
-    res += [_max_abs(two) for two in ws.table(0).fields([irreps.two_fermion_state(p, N, 0) for N in range(3)])]
+    res += [_max_abs(two) for two in table.fields([irreps.two_fermion_state(p, N, 0) for N in range(3)])]
     return _worst(res)
 
 
 def _block_diagonality(ws: _Workspace) -> float:
     """Every cross-sector element <s1|G|s2> between the level-1 basis
-    states of sectors 0, 1 and 2 of one fermion parity, one projection
-    per generator."""
-    level1 = {n: [s for s in irreps.sector_basis(ws.params, n, 1) if s.level == 1] for n in range(3)}
+    states of sectors 0, 1 and 2, both fermion parities in one projection
+    per sector pair on the pair's grid."""
+    level1 = {n: [s.state for s in irreps.sector_basis(ws.params, n, 1) if s.level == 1] for n in range(3)}
     res = []
     for n1, n2 in ((0, 1), (1, 2), (0, 2)):
-        for odd in (False, True):
-            rows, cols = ([s.state for s in level1[n] if s.parity == odd] for n in (n1, n2))
-            for m in gen.project(("K0", "K+", "Y"), rows, cols, ws.grid(n1, n2, odd=odd)).values():
-                res.append(np.max(np.abs(m)))
+        for m in gen.project(("K0", "K+", "Y"), level1[n1], level1[n2], ws.grid(n1, n2)).values():
+            res.append(np.max(np.abs(m)))
     return _worst(res)
 
 

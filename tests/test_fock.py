@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttwsusy.fock import annihilators, jordan_wigner
+from ttwsusy.fock import jordan_wigner
 
 I4 = np.eye(4)
 
@@ -15,7 +15,7 @@ def rotate_to_barred(phi: float) -> np.ndarray:
 def barred_creators(phi: float) -> tuple[np.ndarray, np.ndarray]:
     """(bdag_xbar, bdag_ybar) at angle phi, as 4x4 matrices."""
     u = rotate_to_barred(phi)
-    bx, by = annihilators()
+    bx, by = jordan_wigner(2)
     return u[0, 0] * bx.T + u[0, 1] * by.T, u[1, 0] * bx.T + u[1, 1] * by.T
 
 
@@ -25,7 +25,7 @@ def anticomm(a, b):
 
 def fermion_matrices():
     """The four 4x4 matrices {b_x, bdag_x, b_y, bdag_y}."""
-    bx, by = annihilators()
+    bx, by = jordan_wigner(2)
     return {"b_x": bx, "bdag_x": bx.T, "b_y": by, "bdag_y": by.T}
 
 
@@ -44,7 +44,7 @@ class TestCanonicalRelations:
         np.testing.assert_array_equal(anticomm(m["b_y"], m["bdag_x"]), np.zeros((4, 4)))
 
     def test_nilpotency_and_same_species(self):
-        bx, by = annihilators()
+        bx, by = jordan_wigner(2)
         for op in (bx, by, bx.T, by.T):
             np.testing.assert_array_equal(op @ op, np.zeros((4, 4)))
         np.testing.assert_array_equal(anticomm(bx, by), np.zeros((4, 4)))
@@ -69,7 +69,7 @@ class TestCanonicalRelations:
 class TestBarredModes:
     def test_zero_angle_is_identity(self):
         np.testing.assert_allclose(rotate_to_barred(0.0), np.eye(2), atol=1e-15)
-        bx, by = annihilators()
+        bx, by = jordan_wigner(2)
         cbx, cby = barred_annihilators(0.0)
         np.testing.assert_allclose(cbx, bx, atol=1e-15)
         np.testing.assert_allclose(cby, by, atol=1e-15)
@@ -83,7 +83,7 @@ class TestBarredModes:
         np.testing.assert_allclose(anticomm(cbx, cby), np.zeros((4, 4)), atol=1e-14)
 
     def test_number_operator_invariance(self):
-        bx, by = annihilators()
+        bx, by = jordan_wigner(2)
         number = bx.T @ bx + by.T @ by
         for phi in (0.4, 1.7):
             cbx, cby = barred_annihilators(phi)

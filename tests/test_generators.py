@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 
 import ttwsusy.generators as gen
 import ttwsusy.states as states_module
-from ttwsusy.fock import annihilators
+from ttwsusy.fock import jordan_wigner
 from ttwsusy.generators import (
     GENERATOR_NAMES,
     GENERATOR_PARITY,
@@ -66,11 +66,9 @@ def apply(name, state, p, r, phi):
     return image.dense()
 
 
-def sector_grids(p, n):
-    return (
-        Grid.for_pair(p, n, n, MR, MA, odd=False),
-        Grid.for_pair(p, n, n, MR, MA, odd=True),
-    )
+def sector_grid(p, n):
+    """Sector n's one grid, exact for states of either fermion parity."""
+    return Grid.for_pair(p, n, n, MR, MA)
 
 
 class TestSuperpotential:
@@ -138,7 +136,7 @@ class TestZeroFermionActions:
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
     def test_eigenvalue_residual(self, p):
         for n in range(3):
-            grid, _ = sector_grids(p, n)
+            grid = sector_grid(p, n)
             for N in range(3):
                 st = zero_fermion_state(p, N, n)
                 hv = apply("H", st, p, grid.r, grid.phi)
@@ -148,7 +146,7 @@ class TestZeroFermionActions:
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
     def test_weight_action(self, p):
         st = zero_fermion_state(p, 2, 1)
-        grid, _ = sector_grids(p, 1)
+        grid = sector_grid(p, 1)
         fv = state_field(st, p, grid.r, grid.phi)
         k0 = apply("K0", st, p, grid.r, grid.phi)
         w = weights_of(p, 1)
@@ -158,11 +156,11 @@ class TestZeroFermionActions:
 
     def test_lowering_annihilates_ground(self):
         p = PARAM_SETS[1]
-        grid_e, grid_o = sector_grids(p, 0)
+        grid = sector_grid(p, 0)
         ground = zero_fermion_state(p, 0, 0)
-        assert np.max(np.abs(apply("K-", ground, p, grid_e.r, grid_e.phi))) < 1e-12
-        assert np.max(np.abs(apply("V-", ground, p, grid_o.r, grid_o.phi))) < 1e-12
-        assert np.max(np.abs(apply("W-", ground, p, grid_o.r, grid_o.phi))) < 1e-14
+        assert np.max(np.abs(apply("K-", ground, p, grid.r, grid.phi))) < 1e-12
+        assert np.max(np.abs(apply("V-", ground, p, grid.r, grid.phi))) < 1e-12
+        assert np.max(np.abs(apply("W-", ground, p, grid.r, grid.phi))) < 1e-14
 
 
 class TestLadderVersusDifferential:
@@ -174,7 +172,7 @@ class TestLadderVersusDifferential:
         for n in (0, 1, 2):
             w = weights_of(p, n)
             for s in sector_basis(p, n, 2):
-                grid = Grid.for_pair(p, n, n, MR, MA, odd=s.family in ("lower", "upper"))
+                grid = sector_grid(p, n)
                 fv = state_field(s.state, p, grid.r, grid.phi)
                 scale = np.max(np.abs(fv))
                 k0 = apply("K0", s.state, p, grid.r, grid.phi)
@@ -189,8 +187,7 @@ class TestLadderVersusDifferential:
             tau = weights_of(p, n).tau
             families = ("zero", "upper") if n == 0 else ("zero", "lower", "upper", "double")
             for family in families:
-                odd = family in ("lower", "upper")
-                grid = Grid.for_pair(p, n, n, MR, MA, odd=odd)
+                grid = sector_grid(p, n)
                 tau_f = tau + tau_off[family]
                 for level in (0, 1, 2):
                     st = sp2_family_state(p, family, level, n)
@@ -209,15 +206,15 @@ class TestLadderVersusDifferential:
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
     def test_odd_actions_match_closed_forms(self, p):
         for n in (0, 1, 2):
-            grid_e, grid_o = sector_grids(p, n)
+            grid = sector_grid(p, n)
             for N in (0, 1, 2):
                 st = zero_fermion_state(p, N, n)
                 for sign in ("+", "-"):
-                    out = apply("V" + sign, st, p, grid_o.r, grid_o.phi)
-                    ref = state_field(v_action(sign, p, N, n), p, grid_o.r, grid_o.phi)
+                    out = apply("V" + sign, st, p, grid.r, grid.phi)
+                    ref = state_field(v_action(sign, p, N, n), p, grid.r, grid.phi)
                     scale = max(np.max(np.abs(ref)), 1.0)
                     assert np.max(np.abs(out - ref)) / scale < 1e-9
-                    wv = apply("W" + sign, st, p, grid_e.r, grid_e.phi)
+                    wv = apply("W" + sign, st, p, grid.r, grid.phi)
                     assert np.max(np.abs(wv)) < 1e-12
 
 
@@ -225,7 +222,7 @@ class TestHamiltonianSuper:
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
     def test_excitation_spectrum(self, p):
         for n in range(3):
-            grid, _ = sector_grids(p, n)
+            grid = sector_grid(p, n)
             for N in range(3):
                 st = zero_fermion_state(p, N, n)
                 hv = apply("Hs", st, p, grid.r, grid.phi)
@@ -236,7 +233,7 @@ class TestHamiltonianSuper:
 
     def test_routes_agree(self):
         p = PARAM_SETS[2]
-        grid, _ = sector_grids(p, 1)
+        grid = sector_grid(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
         for bundle in table.bundles([zero_fermion_state(p, 1, 1), one_fermion_state("+", p, 0, 1), two_fermion_state(p, 1, 1)]):
             (h1,) = apply_operators(("Hs",), bundle, table)
@@ -246,13 +243,13 @@ class TestHamiltonianSuper:
 
     def test_ground_state_is_annihilated(self):
         p = PARAM_SETS[1]
-        grid, _ = sector_grids(p, 0)
+        grid = sector_grid(p, 0)
         hv = apply("Hs", zero_fermion_state(p, 0, 0), p, grid.r, grid.phi)
         assert np.max(np.abs(hv)) < 1e-10
 
     def test_unknown_operator(self):
         p = PARAM_SETS[0]
-        grid, _ = sector_grids(p, 0)
+        grid = sector_grid(p, 0)
         with pytest.raises(ValueError, match="unknown operator 'magic'"):
             apply("magic", zero_fermion_state(p, 0, 0), p, grid.r, grid.phi)
 
@@ -263,7 +260,7 @@ class TestOperatorTable:
 
     def test_identity_returns_the_field(self):
         p = PARAM_SETS[2]
-        grid, _ = sector_grids(p, 1)
+        grid = sector_grid(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
         (bundle,) = table.bundles([two_fermion_state(p, 1, 1)])
         (image,) = apply_operators(("1",), bundle, table)
@@ -273,14 +270,13 @@ class TestOperatorTable:
     @pytest.mark.parametrize("p", PARAM_SETS[1:], ids=IDS[1:])
     def test_projected_susy_operators(self, p):
         grid = Grid.for_pair(p, 1, 1, 40, 40)
-        grid_o = Grid.for_pair(p, 1, 1, 40, 40, odd=True)
         even = [s.state for s in sector_basis(p, 1, 3) if s.family in ("zero", "double")]
         odd = [s.state for s in sector_basis(p, 1, 3) if s.family in ("lower", "upper")]
         m = project(("Hs", "K0", "Y"), even, even, grid)
         # the tables are Hs / omega = 4 (K0 + Y), Q / sqrt(omega) = 2 W+ and Qdag / sqrt(omega) = 2 V-
         np.testing.assert_allclose(m["Hs"], 4 * (m["K0"] + m["Y"]), rtol=0, atol=1e-10)
         # Q maps the even states onto the odd ones
-        m = project(("Q", "W+", "Qdag", "V-"), odd, even, grid_o)
+        m = project(("Q", "W+", "Qdag", "V-"), odd, even, grid)
         np.testing.assert_allclose(m["Q"], 2 * m["W+"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(m["Qdag"], 2 * m["V-"], rtol=0, atol=1e-12)
 
@@ -288,7 +284,7 @@ class TestOperatorTable:
 class TestSupercharges:
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
     def test_ground_state_annihilation(self, p):
-        grid, _ = sector_grids(p, 0)
+        grid = sector_grid(p, 0)
         ground = zero_fermion_state(p, 0, 0)
         qf, qdf = apply("Q", ground, p, grid.r, grid.phi), apply("Qdag", ground, p, grid.r, grid.phi)
         assert np.max(np.abs(qf)) < 1e-10
@@ -296,21 +292,20 @@ class TestSupercharges:
 
     def test_q_annihilates_every_zero_fermion_state(self):
         p = PARAM_SETS[1]
-        grid, _ = sector_grids(p, 2)
+        grid = sector_grid(p, 2)
         qf = apply("Q", zero_fermion_state(p, 2, 2), p, grid.r, grid.phi)
         assert np.max(np.abs(qf)) < 1e-12
 
     def test_adjoint_pair_under_quadrature(self):
         p = PARAM_SETS[1]
         n = 1
-        _, grid_o = sector_grids(p, n)
-        grid_e, _ = sector_grids(p, n)
+        grid = sector_grid(p, n)
         f = one_fermion_state("-", p, 1, n)
         g = zero_fermion_state(p, 1, n)
-        qf = apply("Q", f, p, grid_e.r, grid_e.phi)
-        qdg = apply("Qdag", g, p, grid_o.r, grid_o.phi)
-        lhs = sampled_inner(grid_e, qf, state_field(g, p, grid_e.r, grid_e.phi))
-        rhs = sampled_inner(grid_o, state_field(f, p, grid_o.r, grid_o.phi), qdg)
+        qf = apply("Q", f, p, grid.r, grid.phi)
+        qdg = apply("Qdag", g, p, grid.r, grid.phi)
+        lhs = sampled_inner(grid, qf, state_field(g, p, grid.r, grid.phi))
+        rhs = sampled_inner(grid, state_field(f, p, grid.r, grid.phi), qdg)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -479,17 +474,13 @@ class TestTensorGridAssembly:
         m_rad, m_ang = orders
         blocks, basis = generator_matrices(p, trunc, m_rad=m_rad, m_ang=m_ang)
         mats = dense(blocks)
-        grids = {
-            (n, q): Grid.for_pair(p, n, n, m_rad, m_ang, odd=bool(q))
-            for n in range(trunc[1] + 1)
-            for q in (0, 1)
-        }
+        grids = {n: Grid.for_pair(p, n, n, m_rad, m_ang) for n in range(trunc[1] + 1)}
         parity = [s.parity for s in basis]
         for j in range(0, len(basis), 3):
             col = basis[j]
             for name in GENERATOR_NAMES:
                 p_out = parity[j] ^ GENERATOR_PARITY[name]
-                grid = grids[col.n, p_out]
+                grid = grids[col.n]
                 r, phi = np.repeat(grid.r.ravel(), grid.m_ang), np.tile(grid.phi.ravel(), grid.m_rad)
                 w = (grid.w_r * grid.w_phi).ravel()
                 out = apply(name, col.state, p, r, phi)
@@ -514,7 +505,7 @@ class TestTensorGridAssembly:
             for s in sector_basis(p, n, 3):
                 for name in GENERATOR_NAMES:
                     p_out = s.parity ^ GENERATOR_PARITY[name]
-                    grid = Grid.for_pair(p, n, n, 20, 20, odd=bool(p_out))
+                    grid = Grid.for_pair(p, n, n, 20, 20)
                     out = apply(name, s.state, p, grid.r, grid.phi)
                     assert np.all(out[PARITY_COMPONENTS[1 - p_out]] == 0.0), (name, s.family, s.level)
 
@@ -581,7 +572,7 @@ class TestGammaConsistency:
         rng = np.random.default_rng(2)
         r = rng.uniform(0.5, 2.0, 40)
         phi = rng.uniform(0.1, 0.9, 40) * p.phi_max
-        bx, by = annihilators()
+        bx, by = jordan_wigner(2)
         operators = (bx.T @ bx, bx.T @ by + by.T @ bx, by.T @ by)
         terms = _gamma_terms(p, phi)
         assert [(t.d_r, t.d_phi) for t in terms] == [(0, 0)] * 3
@@ -700,9 +691,8 @@ class TestSparseTerms:
 
     @pytest.mark.parametrize("p", PARAM_SETS, ids=IDS)
     def test_images_equal_dense_reference(self, p):
-        grid, grid_o = sector_grids(p, 2)
+        g = sector_grid(p, 2)
         for family, state in family_states(p).items():
-            g = grid_o if family in ("lower", "upper") else grid
             table = FactorTable(p, g.r, g.phi)
             (bundle,) = table.bundles([state])
             assert bundle.reached == FAMILY_COMPONENTS[family]
@@ -730,9 +720,8 @@ class TestSparseTerms:
 
     def test_inf_in_a_reached_component_stays_visible(self):
         p = PARAM_SETS[2]
-        grid, grid_o = sector_grids(p, 2)
+        g = sector_grid(p, 2)
         for family, state in family_states(p).items():
-            g = grid_o if family in ("lower", "upper") else grid
             table = FactorTable(p, g.r, g.phi)
             components = FAMILY_COMPONENTS[family]
             # a fresh bundle per component, as each gets its own inf
@@ -757,7 +746,7 @@ class TestSparseTerms:
         reference bit for bit."""
         p = PARAM_SETS[2]
         rng = np.random.default_rng(11)
-        grid, _ = sector_grids(p, 2)
+        grid = sector_grid(p, 2)
         scattered = (rng.uniform(0.3, 2.5, 40), rng.uniform(0.05, 0.95, 40) * p.phi_max)
         table = FactorTable(p, *{"grid": (grid.r, grid.phi), "scattered": scattered}[where])
         for family, state in family_states(p).items():
@@ -775,7 +764,7 @@ class TestSparseTerms:
 
     def test_zero_fermion_image_writes_component_zero_only(self):
         p = PARAM_SETS[2]
-        grid, _ = sector_grids(p, 1)
+        grid = sector_grid(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
         (bundle,) = table.bundles([zero_fermion_state(p, 2, 1)])
         # the compact bundle holds no row of an unreached component, so none can be read
@@ -794,9 +783,9 @@ class TestSparseTerms:
         for n in range(4):
             bs = sector_basis(p, n, 3)
             states = {par: [s.state for s in bs if s.parity == par] for par in (0, 1)}
+            grid = sector_grid(p, n)
+            table = FactorTable(p, grid.r, grid.phi)
             for p_out in (0, 1):
-                grid = Grid.for_pair(p, n, n, MR, MA, odd=bool(p_out))
-                table = FactorTable(p, grid.r, grid.phi)
                 for p_in in (0, 1):
                     rows, cols = states[p_out], states[p_in]
                     shared = project(OPERATOR_NAMES, rows, cols, grid)
@@ -880,7 +869,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(gen, "_terms", counted)
         p = PARAM_SETS[2]
-        grid, _ = sector_grids(p, 1)
+        grid = sector_grid(p, 1)
         table = FactorTable(p, grid.r, grid.phi)
         for bundle in table.bundles([zero_fermion_state(p, N, 1) for N in range(4)]):
             apply_operators(("H", "Hs"), bundle, table)

@@ -70,7 +70,7 @@ class TestOddActionExpansions:
     def test_norms_match_quadrature(self, p):
         lam = (1 + p.a + p.b) * p.k
         mu = 1 * p.k
-        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=True)
+        grid = Grid.for_pair(p, 1, 1, MR, MA)
         for N in (0, 1, 3):
             plus = state_field(v_action("+", p, N, 1), p, grid.r, grid.phi)
             assert sampled_inner(grid, plus, plus) == pytest.approx(N + lam + 1.0, rel=1e-11)
@@ -78,7 +78,7 @@ class TestOddActionExpansions:
             assert sampled_inner(grid, minus, minus) == pytest.approx(N + mu, rel=1e-11)
 
     def test_normalized_states_have_unit_norm(self):
-        grid = Grid.for_pair(P_GEN, 2, 2, MR, MA, odd=True)
+        grid = Grid.for_pair(P_GEN, 2, 2, MR, MA)
         for sign in ("+", "-"):
             f = state_field(one_fermion_state(sign, P_GEN, 1, 2), P_GEN, grid.r, grid.phi)
             assert sampled_inner(grid, f, f) == pytest.approx(1.0, abs=1e-11)
@@ -92,14 +92,14 @@ class TestTwoFermionStates:
         # ||V+V- |tau, tau+N, q>|| = sqrt(n (n+a+b) k^2) = 2 sqrt(3) at
         # n = 1, k = 2, a = b = 1
         p = P_SW
-        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=False)
+        grid = Grid.for_pair(p, 1, 1, MR, MA)
         raw = apply("V+", v_action("-", p, 1, 1), p, grid.r, grid.phi)
         norm = math.sqrt(sampled_inner(grid, raw, raw))
         assert norm == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-10)
 
     def test_antisymmetry_of_double_action(self):
         p = P_GEN
-        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=False)
+        grid = Grid.for_pair(p, 1, 1, MR, MA)
         pm = apply("V+", v_action("-", p, 2, 1), p, grid.r, grid.phi)
         mp = apply("V-", v_action("+", p, 2, 1), p, grid.r, grid.phi)
         scale = np.max(np.abs(pm))
@@ -109,13 +109,13 @@ class TestTwoFermionStates:
         p = P_GEN
         lam = (1 + p.a + p.b) * p.k
         mu = p.k
-        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=False)
+        grid = Grid.for_pair(p, 1, 1, MR, MA)
         raw = apply("V+", v_action("-", p, 0, 1), p, grid.r, grid.phi)
         ref = state_field(two_fermion_state(p, 0, 1), p, grid.r, grid.phi) * math.sqrt(mu * lam)
         assert np.max(np.abs(raw - ref)) / np.max(np.abs(ref)) < 1e-10
 
     def test_unit_norm(self):
-        grid = Grid.for_pair(P_IRR, 2, 2, MR, MA, odd=False)
+        grid = Grid.for_pair(P_IRR, 2, 2, MR, MA)
         f = state_field(two_fermion_state(P_IRR, 1, 2), P_IRR, grid.r, grid.phi)
         assert sampled_inner(grid, f, f) == pytest.approx(1.0, abs=1e-11)
 
@@ -144,7 +144,7 @@ class TestOverlap:
 
     def test_quadrature_oracle(self):
         p = P_IRR
-        grid = Grid.for_pair(p, 2, 2, MR, MA, odd=True)
+        grid = Grid.for_pair(p, 2, 2, MR, MA)
         for N in (1, 2, 4):
             plus = state_field(one_fermion_state("+", p, N - 1, 2), p, grid.r, grid.phi)
             minus = state_field(one_fermion_state("-", p, N, 2), p, grid.r, grid.phi)
@@ -155,7 +155,7 @@ class TestOverlap:
     def test_projected_overlap_equals_sampled(self):
         p = P_GEN
         for n in range(1, 5):
-            grid = Grid.for_pair(p, n, n, MR, MA, odd=True)
+            grid = Grid.for_pair(p, n, n, MR, MA)
             plus = [one_fermion_state("+", p, N - 1, n) for N in range(1, 6)]
             minus = [one_fermion_state("-", p, N, n) for N in range(1, 6)]
             projected = project(("1",), plus, minus, grid)["1"]
@@ -167,7 +167,7 @@ class TestOverlap:
         assert overlap(P_GEN, 3, 0) == pytest.approx(1.0, rel=1e-14)
 
     def test_families_coincide_at_n_zero(self):
-        grid = Grid.for_pair(P_GEN, 0, 0, MR, MA, odd=True)
+        grid = Grid.for_pair(P_GEN, 0, 0, MR, MA)
         for N in (1, 2, 3):
             plus = state_field(one_fermion_state("+", P_GEN, N - 1, 0), P_GEN, grid.r, grid.phi)
             minus = state_field(one_fermion_state("-", P_GEN, N, 0), P_GEN, grid.r, grid.phi)
@@ -190,7 +190,7 @@ class TestMixing:
     @pytest.mark.parametrize("p", [P_GEN, P_IRR], ids=["k=2", "k=sqrt2"])
     def test_tower_states_are_orthonormal(self, p):
         n = 1
-        grid = Grid.for_pair(p, n, n, MR, MA, odd=True)
+        grid = Grid.for_pair(p, n, n, MR, MA)
         states = [sp2_family_state(p, fam, lv, n) for fam in ("lower", "upper") for lv in range(3)]
         fields = [state_field(s, p, grid.r, grid.phi) for s in states]
         gram = np.array([[sampled_inner(grid, f, g) for g in fields] for f in fields])
@@ -198,7 +198,7 @@ class TestMixing:
 
     def test_lower_tower_head_is_lowest_weight(self):
         p = P_GEN
-        grid = Grid.for_pair(p, 1, 1, MR, MA, odd=True)
+        grid = Grid.for_pair(p, 1, 1, MR, MA)
         head = sp2_family_state(p, "lower", 0, 1)
         km = apply("K-", head, p, grid.r, grid.phi)
         assert np.max(np.abs(km)) < 1e-9
@@ -264,8 +264,8 @@ class TestSectorBasis:
         p = P_IRR
         for n in (0, 1):
             basis = sector_basis(p, n, 2)
+            grid = Grid.for_pair(p, n, n, MR, MA)
             for odd in (False, True):
-                grid = Grid.for_pair(p, n, n, MR, MA, odd=odd)
                 sel = [s for s in basis if (s.family in ("lower", "upper")) == odd]
                 fields = [state_field(s.state, p, grid.r, grid.phi) for s in sel]
                 gram = np.array([[sampled_inner(grid, f, g) for g in fields] for f in fields])

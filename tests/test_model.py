@@ -266,7 +266,7 @@ class TestSeparableGram:
         assert np.max(np.abs(gram - grid_gram(p, (6, 6)))) < 1e-13
 
     def test_large_k_stays_finite(self):
-        # alpha reaches 168 on the (6, 6) pair grid: Gamma(alpha + 1) is near
+        # alpha reaches 167 on the (6, 6) pair grid: Gamma(alpha + 1) is near
         # float range, the normalized factors and the grid's weights are not
         gram = wavefunction_gram(ModelParams(k=12.0, a=1.0, b=1.0, omega=1.0), (6, 6))
         assert np.all(np.isfinite(gram))
@@ -283,12 +283,12 @@ class TestGrid:
             sampled_inner(g1, f, g)
 
     def test_radial_exponent_rule(self):
-        # (n1 + n2 + a + b) k, less 1 for a pair of one-fermion factors
-        for n1, n2, odd in ((0, 0, False), (2, 2, True), (1, 2, False), (0, 3, True)):
-            alpha = (n1 + n2 + P_GEN.a + P_GEN.b) * P_GEN.k - (1.0 if odd else 0.0)
-            assert Grid.for_pair(P_GEN, n1, n2, 8, 8, odd=odd).alpha == alpha
-        for n, odd in ((0, False), (3, True)):
-            assert Grid.for_pair(P_GEN, n, n, 8, 8, odd=odd).alpha == P_GEN.sector_alpha(n) - (1.0 if odd else 0.0)
+        # (n1 + n2 + a + b) k less 1, for the 1/z of a pair of one-fermion factors
+        for n1, n2 in ((0, 0), (2, 2), (1, 2), (0, 3)):
+            alpha = (n1 + n2 + P_GEN.a + P_GEN.b) * P_GEN.k - 1.0
+            assert Grid.for_pair(P_GEN, n1, n2, 8, 8).alpha == alpha
+        for n in (0, 3):
+            assert Grid.for_pair(P_GEN, n, n, 8, 8).alpha == P_GEN.sector_alpha(n) - 1.0
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
@@ -303,7 +303,7 @@ class TestGrid:
     def test_grid_holds_only_1d_arrays(self):
         # every array is a radial column or an angular row: no grid builds
         # an (m_rad, m_ang) array
-        grid = Grid.for_pair(P_GEN, 2, 2, 12, 10, odd=True)
+        grid = Grid.for_pair(P_GEN, 2, 2, 12, 10)
         arrays = {name: v.shape for name, v in vars(grid).items() if isinstance(v, np.ndarray)}
         assert {"r", "phi", "w_r", "w_phi"} <= set(arrays)
         assert all(shape in ((12, 1), (1, 10)) for shape in arrays.values()), arrays
@@ -316,7 +316,7 @@ class TestGrid:
         from ttwsusy.irreps import sector_basis
         from ttwsusy.states import FactorTable
 
-        grid = Grid.for_pair(P_GEN, 2, 2, 12, 10, odd=True)
+        grid = Grid.for_pair(P_GEN, 2, 2, 12, 10)
         table = FactorTable.on(grid)
         for bundle in table.bundles([s.state for s in sector_basis(P_GEN, 2, 3) if s.parity == 1]):
             apply_operators(("Hs", "V+"), bundle, table)
@@ -370,9 +370,10 @@ class TestGrid:
     def test_weights_stay_finite_past_alpha_170(self, alpha):
         # Gamma(alpha + 1) is past float range from alpha ~ 170.6; the weights
         # carry it as lgamma, so they and the normalized ground factor stay
-        # finite and the factor has unit norm on its sector grid, to the
-        # roundoff of exponents of size alpha log alpha (about 1e3 eps)
-        p = ModelParams(k=alpha / 2.0, a=1.0, b=1.0)
+        # finite and the factor has unit norm on its sector grid, whose
+        # exponent is (a + b) k - 1 = alpha, to the roundoff of exponents of
+        # size alpha log alpha (about 1e3 eps)
+        p = ModelParams(k=(alpha + 1.0) / 2.0, a=1.0, b=1.0)
         grid = Grid.for_pair(p, 0, 0)
         assert grid.alpha == alpha
         assert np.all(np.isfinite(grid.w_r)) and np.all(np.isfinite(grid.w_phi))

@@ -31,6 +31,9 @@ DEFECTS = [
     (verify.irreps, "mixing_coeffs", ("casimir", "ladder-matrix-elements")),
     (verify.specfun, "laguerre", ("laguerre-recurrence",)),
     (verify.specfun, "jacobi", ("jacobi-recurrence",)),
+    # the one parameter shift of the Laguerre derivatives, which
+    # laguerre_deriv reads here and the radial factors as model's import
+    (verify.specfun, "laguerre_level_derivatives", ("derivative-identities",)),
     # the one-mode fermion matrix of the oscillator realization
     (fock, "jordan_wigner", ("oscillator-realization",)),
     (verify.gen, "superpotential", ("sw-superpotential", "bc2-superpotential")),
@@ -38,6 +41,8 @@ DEFECTS = [
     (verify.special_cases, "sw_super", ("sw-pointwise",)),
     (verify.special_cases, "bc2_super", ("bc2-pointwise",)),
     (verify.special_cases, "cm_super", ("cmw-split",)),
+    # the one Freedman-Mende evaluator of the three cartesian models
+    (verify.special_cases, "_fm_super", ("sw-pointwise", "bc2-pointwise", "cmw-split")),
 ]
 
 

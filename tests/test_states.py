@@ -120,11 +120,11 @@ class TestBundleDerivatives:
 
 def basis_grids(p, n_max, m=40):
     """(state, parity, grid) for every basis state of sectors 0..n_max at
-    truncation level 3, on the sector grid of the state's fermion parity."""
+    truncation level 3, on its sector's grid."""
     for n in range(n_max + 1):
-        grids = {q: Grid.for_pair(p, n, n, m, m, odd=bool(q)) for q in (0, 1)}
+        grid = Grid.for_pair(p, n, n, m, m)
         for s in sector_basis(p, n, 3):
-            yield s, s.parity, grids[s.parity]
+            yield s, s.parity, grid
 
 
 class TestBroadcastingContract:
@@ -161,7 +161,7 @@ class TestBroadcastingContract:
     def test_table_reuses_factors_across_states(self, monkeypatch):
         """States that share factor keys in one call share their evaluation,
         and each state's arrays are those of a one-state table."""
-        grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
+        grid = Grid.for_pair(P, 2, 2, 20, 20)
         pair = [one_fermion_state("+", P, 1, 2), one_fermion_state("-", P, 2, 2)]
         alone = [next(FactorTable(P, grid.r, grid.phi).bundles([st])) for st in pair]
         calls = count_factor_passes(monkeypatch)
@@ -225,26 +225,12 @@ class TestBroadcastingContract:
                 for d in range(3):
                     assert np.array_equal(R[d, ..., j], alone[d][N]), (N, one_fermion, d)
 
-    def test_table_on_two_grids_equals_a_table_per_grid(self):
-        """A table on two grids of one set expands on their radial nodes in
-        turn: each grid's rows of R are bit for bit its own table's R, and
-        C and S are those of either table."""
-        grids = [Grid.for_pair(P_IRR, 2, 2, 16, 12, odd=odd) for odd in (False, True)]
-        groups = [[s.state for s in sector_basis(P_IRR, 2, 4) if s.parity == q] for q in (0, 1)]
-        both = list(FactorTable.on(*grids).expand(*groups))
-        for i, grid in enumerate(grids):
-            for (C, R, S), (C1, R1, S1) in zip(both, FactorTable.on(grid).expand(*groups), strict=True):
-                assert np.array_equal(C, C1) and np.array_equal(S, S1)
-                assert np.array_equal(R[:, 16 * i : 16 * (i + 1)], R1)
-        with pytest.raises(ValueError, match="share their angular row"):
-            FactorTable.on(grids[0], Grid.for_pair(P_IRR, 2, 2, 16, 20))
-
     def test_table_keeps_no_factors_between_calls(self):
         # a table on plain arrays keeps its angular functions of phi on a
         # row of its own; a grid's table on the set's row; neither keeps a
         # spinor factor or a radial factor, and the one-fermion states'
         # trig is one (cos phi, sin phi) pair on phi's own shape
-        grid = Grid.for_pair(P, 2, 2, 20, 20, odd=True)
+        grid = Grid.for_pair(P, 2, 2, 20, 20)
         states_ = [s.state for s in sector_basis(P, 2, 3) if s.parity == 1]
         plain, on_grid = FactorTable(P, grid.r, grid.phi), FactorTable.on(grid)
         for table in (plain, on_grid):
@@ -262,13 +248,13 @@ class TestBroadcastingContract:
         assert plain.row is not grid.angular and plain.row.w_phi is None
         assert FactorTable(P, grid.r, grid.phi).row is not plain.row
 
-    @pytest.mark.parametrize("odd", [False, True], ids=["even-grid", "odd-grid"])
-    def test_plain_and_grid_tables_agree_bit_for_bit(self, odd):
+    @pytest.mark.parametrize("pair", [(2, 2), (1, 2)], ids=["sector-grid", "pair-grid"])
+    def test_plain_and_grid_tables_agree_bit_for_bit(self, pair):
         """On a grid's own (r, phi), a table with a row of its own and the
         grid's table, which reads the set's row, give the same bits: one
         path writes every spinor factor, wherever its angular functions
         are kept."""
-        grid = Grid.for_pair(P_IRR, 2, 2, 16, 12, odd=odd)
+        grid = Grid.for_pair(P_IRR, *pair, 16, 12)
         bs = sector_basis(P_IRR, 2, 4)
         basis = [s.state for s in bs]
         even, odd_ = ([s.state for s in bs if s.parity == q] for q in (0, 1))

@@ -360,13 +360,28 @@ class TestRun:
     @pytest.mark.parametrize("k", [12.5, 15.0])
     def test_past_the_gamma_range_every_check_passes(self, k):
         # the orthonormality check's pair grids reach the radial exponent
-        # (6 + 6 + 2) k = 175 and 210, past alpha ~ 171 where Gamma(alpha + 1)
-        # leaves the float range
+        # (6 + 6 + 2) k - 1 = 174 and 209, past alpha ~ 171 where
+        # Gamma(alpha + 1) leaves the float range
         params = ({"k": k, "a": 1.0, "b": 1.0, "omega": 1.0},)
         config = SuiteConfig(param_sets=params, truncation=(4, 3), quad_orders=(40, 40), suites=("model", "algebra", "irreps"))
         report = run(config)
         assert report.n_failed == 0 and report.checks, report.to_text()
         assert not any(c.name.endswith("-suite") for c in report.checks)
+
+    @pytest.mark.parametrize("suite", ["model", "algebra", "irreps"])
+    @pytest.mark.parametrize("k", [1e-17, 1e-300])
+    def test_below_the_exponent_floor_a_suite_ends_with_a_named_error(self, k, suite):
+        # (a + b) k rounds away beside 1, so the sector-0 grid's radial
+        # exponent (a + b) k - 1 rounds to -1: each suite ends with one failed
+        # record whose error names k, and no residual is NaN
+        params = ({"k": k, "a": 1.0, "b": 1.0},)
+        report = run(SuiteConfig(param_sets=params, truncation=(2, 2), quad_orders=(10, 10), suites=(suite,)))
+        failed = [c for c in report.checks if c.name.endswith("-suite")]
+        # the set's records, without those of the set-free oscillator check
+        own = [c for c in report.checks if c.params is not None or c.error is not None]
+        assert [c.name for c in failed] == [f"{suite}-suite"] and own[-1] is failed[0], report.to_text()
+        assert failed[0].error.startswith("ValueError: ") and f"k = {k!r}" in failed[0].error, failed[0].error
+        assert not any(math.isnan(c.residual) for c in report.checks)
 
     def test_block_diagonality_sees_a_sector_coupling_term(self, monkeypatch, cold_caches):
         terms = verify.gen._terms
@@ -869,8 +884,11 @@ class TestSingleEvaluation:
         first = run(SuiteConfig())
         assert first.n_failed == 0, first.to_text()
         kinds = collections.Counter(key[0] for key in built)
-        # each kept value: an angular part or an operator's term table
-        assert kinds["grid"] > 60 and kinds["parts"] > 40 and kinds["kept"] > kinds["parts"], kinds
+        # one grid per sector pair, exponent and orders: 52 grids on 44
+        # Laguerre rules; each kept value an angular part or an operator's
+        # term table
+        assert kinds["grid"] == 52 and model._laguerre_rule.cache_info().currsize == 44, kinds
+        assert kinds["parts"] > 40 and kinds["kept"] > kinds["parts"], kinds
         assert set(built.values()) == {1}, [key for key, count in built.items() if count > 1]
         # every set's factors, not only one set's
         for kind in ("kept", "parts"):
@@ -1078,9 +1096,9 @@ class TestRadialPasses:
         assert self.passes(monkeypatch, "eigen-images") == 7
 
     def test_odd_action_fields(self, monkeypatch):
-        # per sector n = 0, 1, 2: the odd grid's zero-fermion bundles, its
-        # closed-form V images and the even grid's bundles, one pass each
-        assert self.passes(monkeypatch, "odd-action-fields") == 9
+        # per sector n = 0, 1, 2: the zero-fermion bundles, which V+- and
+        # W+- share, and the closed-form V images, one pass each
+        assert self.passes(monkeypatch, "odd-action-fields") == 6
 
     def test_one_fermion_overlap(self, monkeypatch):
         # one pass for the rows and columns of each projected sector n = 1,
